@@ -234,9 +234,6 @@ class SubspaceOfG:
     def matrices(self):
         return [self.algebra.from_coordinates(row) for row in self.onb]
 
-    def basis_coordinates(self):
-        return self.onb.copy()
-
 
 _RANK_ATOL = 1e-12  # absolute floor so numerically-zero inputs have rank zero
 

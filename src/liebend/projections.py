@@ -77,9 +77,3 @@ def lyapunov(alg, torus, g):
         return tuple(float(x) for x in logs)
     p, q = alg.params
     return tuple(float(x) for x in logs[:q])
-
-
-def compact_exponential(alg, coords):
-    """exp of a compact-part algebra element; used to sample K."""
-    from scipy.linalg import expm
-    return expm(alg.from_coordinates(coords))

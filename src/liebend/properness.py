@@ -2,8 +2,9 @@
 the non-virtually-abelian existence criterion, the equal-rank obstruction,
 and a sampled transversality margin.
 
-Every yes/no decision here runs in exact rational arithmetic over the
-extensionally stored Weyl group; floats appear only in the sampled margin.
+Every yes/no decision here is exact: each quantifier over W is one
+vectorized integer scan (`_orbit_mask`) over the signed-permutation arrays
+of the torus.  Floats appear only in the sampled margin.
 """
 
 import math
@@ -52,15 +53,30 @@ class HSubalgebraTorus:
         return all(sum(c * x for c, x in zip(row, v)) == 0 for row in self.annihilator)
 
 
-def in_weyl_orbit_of_subspace(torus, v, ah):
-    """(bool, witness w) deciding whether some w in W moves v into span(a_h)."""
-    v = torus.vector(v)
+def _orbit_mask(torus, v, ah):
+    """Mask over W: entry k is True iff w_k.v lies in span(a_h).
+
+    One exact integer scan: v is scaled to primitive integers (membership in
+    a rational subspace does not depend on scale) and every image
+    signs * v[perms] is paired with every annihilator row.  int64 is used
+    only when max|v| * max|ann| * coord_len < 2**62, so that no dot product
+    can wrap; otherwise object arrays of Python ints keep the scan exact."""
+    vec = [int(x) for x in _ratlin.primitive(v)]
     ann = ah.annihilator
-    for w in torus.weyl:
-        wv = w.apply(v)
-        if all(sum(c * x for c, x in zip(row, wv)) == 0 for row in ann):
-            return True, w
-    return False, None
+    n = torus.coord_len
+    bound = n * max(map(abs, vec)) * max((abs(c) for row in ann for c in row), default=0)
+    dtype = np.int64 if bound < 2 ** 62 else object
+    images = torus.signs * np.array(vec, dtype=dtype)[torus.perms]
+    return (images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T == 0).all(axis=1)
+
+
+def in_weyl_orbit_of_subspace(torus, v, ah):
+    """(bool, witness w) deciding whether some w in W moves v into span(a_h);
+    the witness is the first such w in the enumeration order of W."""
+    hits = np.flatnonzero(_orbit_mask(torus, torus.vector(v), ah))
+    if hits.size == 0:
+        return False, None
+    return True, torus.element(int(hits[0]))
 
 
 def sl2_action_proper(torus, triple, ah):
@@ -74,26 +90,18 @@ def sl2_action_proper(torus, triple, ah):
     return not member
 
 
-def _in_translate(ah, w, v):
-    """v in w.span(a_h), tested as w^{-1} v in span(a_h) via the annihilator."""
-    u = w.apply_inverse(v)
-    return all(sum(c * x for c, x in zip(row, u)) == 0 for row in ah.annihilator)
-
-
-def _b_contained_in_translate(torus, ah, w):
-    return all(_in_translate(ah, w, b) for b in torus.b_basis)
-
-
 def benoist_criterion(torus, ah):
     """True iff the b_plus cone is not covered by the Weyl translates of a_h.
 
     Since b_plus spans b and each translate is a subspace, covering the cone
-    forces one translate to contain all of b; the decision reduces to an exact
-    containment test per Weyl element.
+    forces one translate to contain all of b.  Since W is a group, that
+    happens iff some w moves every basis vector of b into span(a_h): one
+    orbit mask per basis vector, intersected over W.
     """
     if ah.dim < torus.b_dim:
         return True
-    return not any(_b_contained_in_translate(torus, ah, w) for w in torus.weyl)
+    masks = [_orbit_mask(torus, b, ah) for b in torus.b_basis]
+    return not np.logical_and.reduce(masks).any()
 
 
 def benoist_certificate(torus, ah, max_denominator=1000):
@@ -108,7 +116,7 @@ def benoist_certificate(torus, ah, max_denominator=1000):
     base = torus.chamber_interior_point()
 
     def outside_all(v):
-        return not any(_in_translate(ah, w, v) for w in torus.weyl)
+        return not _orbit_mask(torus, v, ah).any()
 
     if outside_all(base):
         return base
@@ -146,24 +154,16 @@ def pitchfork_margin(torus, mu_samples, ah, radius=None):
     from .config import DEFAULT
     r = DEFAULT.pitchfork_radius if radius is None else float(radius)
 
-    projectors = []
-    for w in torus.weyl:
-        cols = np.array([[float(x) for x in w.apply(b)] for b in ah.basis], dtype=float)
-        if cols.size == 0:
-            projectors.append(None)
-            continue
-        q_mat, _ = np.linalg.qr(cols.T)
-        projectors.append(q_mat)
-    seen = set()
-    unique_projectors = []
-    for q_mat in projectors:
-        # the orthogonal projector determines the subspace independently of
-        # the basis produced by qr, so it is a sound deduplication key
-        key = None if q_mat is None else tuple(np.round(q_mat @ q_mat.T, 9).ravel())
-        if key in seen:
-            continue
-        seen.add(key)
-        unique_projectors.append(q_mat)
+    basis = np.array([[float(x) for x in b] for b in ah.basis]).reshape(ah.dim, torus.coord_len)
+    # translate w.span(a_h) as the columns w.b, one n x dim(a_h) matrix per w
+    cols = torus.signs[:, :, None] * basis.T[torus.perms]
+    q_mats, _ = np.linalg.qr(cols)
+    # the orthogonal projector determines the subspace independently of the
+    # basis produced by qr, so it is a sound deduplication key
+    projectors = q_mats @ q_mats.transpose(0, 2, 1)
+    keys = np.round(projectors, 9).reshape(len(projectors), -1)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    projectors = projectors[first]
 
     margin = math.inf
     qualifying = 0
@@ -172,9 +172,8 @@ def pitchfork_margin(torus, mu_samples, ah, radius=None):
         if np.linalg.norm(v) < r:
             continue
         qualifying += 1
-        for q_mat in unique_projectors:
-            dist = np.linalg.norm(v) if q_mat is None else np.linalg.norm(v - q_mat @ (q_mat.T @ v))
-            margin = min(margin, dist)
+        resid = v - projectors @ v
+        margin = min(margin, np.linalg.norm(resid, axis=1).min())
     return PitchforkResult(margin, qualifying, qualifying == 0)
 
 

@@ -283,11 +283,6 @@ class IsotypicData:
         """q_{i,j}(p_{i,j}(x)): model weight-basis coordinates of the (i,j) block."""
         return self.decompose(coords)[self.block_slices[(i, j)]]
 
-    def projection_matrix(self, i, j):
-        """p_{i,j} as a matrix on algebra coordinates."""
-        sl = self.block_slices[(i, j)]
-        return self.piece_columns[(i, j)] @ self.solver[sl]
-
 
 def _canonical_hw_rows(rows, tol=1e-9):
     """Deterministic basis of a floating row space: float RREF in natural

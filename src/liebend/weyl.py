@@ -3,8 +3,10 @@ subspace b of iota-fixed chamber directions, for sl(n,R) and su(p,q).
 
 Torus vectors are exact: tuples of Fraction in the free coordinates of the
 diagonal pattern (the full traceless diagonal for sl(n,R); (a_1..a_q) for
-su(p,q)).  The Weyl group is stored extensionally as signed permutations of
-the free coordinates, which keeps every quantifier over W exact and simple.
+su(p,q)).  The Weyl group acts by signed permutations of the free
+coordinates and is stored as two small-integer arrays, `perms` and `signs`
+(one row per element, |W| x coord_len), so that quantifiers over W run as
+vectorized exact integer scans; `element(i)` gives row i as a WeylElement.
 """
 
 import itertools
@@ -32,12 +34,6 @@ class WeylElement:
 
     def apply(self, v):
         return tuple(s * v[p] for s, p in zip(self.signs, self.perm))
-
-    def apply_inverse(self, u):
-        out = [None] * len(u)
-        for i, (s, p) in enumerate(zip(self.signs, self.perm)):
-            out[p] = s * u[i]
-        return tuple(out)
 
     def apply_root(self, coeffs):
         """Coefficients of alpha o w^{-1} given those of alpha."""
@@ -68,13 +64,18 @@ class SplitTorusData:
     coord_len: int
     roots: tuple
     positive_roots: tuple
-    weyl: tuple
+    perms: np.ndarray  # |W| x coord_len: (w.v)_i = signs[k, i] * v[perms[k, i]]
+    signs: np.ndarray
     w0: WeylElement
     b_basis: tuple  # exact primitive-integer vectors spanning the iota-fixed subspace
 
     @property
     def weyl_order(self):
-        return len(self.weyl)
+        return len(self.perms)
+
+    def element(self, i):
+        """The i-th Weyl element (row i of `perms`/`signs`)."""
+        return WeylElement(tuple(self.perms[i].tolist()), tuple(self.signs[i].tolist()))
 
     def vector(self, values):
         v = torus_vector(values)
@@ -87,18 +88,8 @@ class SplitTorusData:
     def identity(self):
         return WeylElement(tuple(range(self.coord_len)), (1,) * self.coord_len)
 
-    def full_diagonal(self, v):
-        """Exact ambient diagonal entries of a free-coordinate vector."""
-        if self.family == SL:
-            return tuple(v)
-        p, q = self.algebra.params
-        middle = (Fraction(0),) * (p - q)
-        return tuple(v) + middle + tuple(-x for x in reversed(v))
-
     def matrix_of(self, v):
-        diag = [float(x) for x in self.full_diagonal(v)]
-        m = np.diag(diag)
-        return m.astype(complex) if self.algebra.is_complex else m
+        return _diagonal_matrix(self.algebra, v)
 
     def vector_from_diagonal(self, h, tol=1e-9):
         """Exact free coordinates of a diagonal integer matrix in the a-pattern."""
@@ -251,29 +242,46 @@ def _lex_positive(coeffs):
     return False
 
 
+def _diagonal_matrix(alg, v):
+    """Ambient diagonal matrix of a free-coordinate vector (the a-pattern)."""
+    diag = [float(x) for x in v]
+    if alg.family == SU:
+        p, q = alg.params
+        diag += [0.0] * (p - q) + [-x for x in reversed(diag)]
+    m = np.diag(diag)
+    return m.astype(complex) if alg.is_complex else m
+
+
+def _weyl_arrays(family, coord_len):
+    """(perms, signs) of W: S_n for sl(n); for su the signed permutations, the
+    sign vectors in itertools.product((1, -1)) order inside each permutation."""
+    perms = np.array(list(itertools.permutations(range(coord_len))), dtype=np.int8)
+    if family == SL:
+        signs = np.ones_like(perms)
+    else:
+        sign_rows = np.array(list(itertools.product((1, -1), repeat=coord_len)), dtype=np.int8)
+        perms = np.repeat(perms, len(sign_rows), axis=0)
+        signs = np.tile(sign_rows, (len(perms) // len(sign_rows), 1))
+    perms.flags.writeable = False
+    signs.flags.writeable = False
+    return perms, signs
+
+
 def split_torus(alg):
-    """SplitTorusData for a supported algebra; W stored extensionally."""
+    """SplitTorusData for a supported algebra; W stored as signed-permutation arrays."""
     if alg.family == SL:
         (n,) = alg.params
         rank, coord_len = n - 1, n
-        if rank > WEYL_RANK_CAP:
-            raise ParameterError(f"rank {rank} exceeds the extensional Weyl cap {WEYL_RANK_CAP}")
         root_coeffs = _sl_roots(n)
-        weyl = tuple(WeylElement(p, (1,) * n) for p in itertools.permutations(range(n)))
     else:
         p, q = alg.params
         rank, coord_len = q, q
-        if rank > WEYL_RANK_CAP:
-            raise ParameterError(f"rank {rank} exceeds the extensional Weyl cap {WEYL_RANK_CAP}")
         root_coeffs = _su_root_patterns(p, q)
-        weyl = tuple(
-            WeylElement(perm, signs)
-            for perm in itertools.permutations(range(q))
-            for signs in itertools.product((1, -1), repeat=q)
-        )
+    if rank > WEYL_RANK_CAP:
+        raise ParameterError(f"rank {rank} exceeds the extensional Weyl cap {WEYL_RANK_CAP}")
+    perms, signs = _weyl_arrays(alg.family, coord_len)
 
     # multiplicities from ad-eigenspace dimensions, validating the realization
-    probe = _ProtoTorus(alg, coord_len)
     torus_basis = []
     for i in range(rank):
         free = [Fraction(0)] * coord_len
@@ -281,7 +289,7 @@ def split_torus(alg):
             free[i], free[i + 1] = Fraction(1), Fraction(-1)
         else:
             free[i] = Fraction(1)
-        torus_basis.append((tuple(free), probe.matrix_of(free)))
+        torus_basis.append((tuple(free), _diagonal_matrix(alg, free)))
     ordered = sorted(root_coeffs, reverse=True)
     mults = _root_multiplicities(alg, torus_basis, ordered)
     roots = tuple(Root(c, mults[c]) for c in ordered)
@@ -291,27 +299,11 @@ def split_torus(alg):
     positive = tuple(r for r in roots if _lex_positive(r.coeffs))
 
     proto = SplitTorusData(alg, alg.family, rank, coord_len, roots, positive,
-                           weyl, WeylElement(tuple(range(coord_len)), (1,) * coord_len), ())
+                           perms, signs, WeylElement(tuple(range(coord_len)), (1,) * coord_len), ())
     w0 = _longest_element(proto)
     b_basis = _b_basis(proto, w0)
-    return SplitTorusData(alg, alg.family, rank, coord_len, roots, positive, weyl, w0, b_basis)
-
-
-class _ProtoTorus:
-    """Just enough structure to build diagonal matrices before SplitTorusData exists."""
-
-    def __init__(self, alg, coord_len):
-        self.alg = alg
-        self.coord_len = coord_len
-
-    def matrix_of(self, free):
-        if self.alg.family == SL:
-            diag = [float(x) for x in free]
-        else:
-            p, q = self.alg.params
-            diag = [float(x) for x in free] + [0.0] * (p - q) + [-float(x) for x in reversed(free)]
-        m = np.diag(diag)
-        return m.astype(complex) if self.alg.is_complex else m
+    return SplitTorusData(alg, alg.family, rank, coord_len, roots, positive,
+                          perms, signs, w0, b_basis)
 
 
 def _longest_element(torus):

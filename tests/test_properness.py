@@ -51,7 +51,7 @@ def test_weyl_orbit_invariance(sl5_torus, ah53, rng):
     v = sl5_torus.vector((3, 1, 0, -1, -3))
     base, _ = in_weyl_orbit_of_subspace(sl5_torus, v, ah53)
     for idx in rng.integers(0, sl5_torus.weyl_order, 25):
-        w = sl5_torus.weyl[int(idx)]
+        w = sl5_torus.element(int(idx))
         got, _ = in_weyl_orbit_of_subspace(sl5_torus, w.apply(v), ah53)
         assert got is base
 

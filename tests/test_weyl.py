@@ -33,7 +33,8 @@ def test_root_multiplicities(su32_torus, sl5_torus):
 def test_weyl_permutes_roots(su32_torus, sl5_torus):
     for torus in (su32_torus, sl5_torus):
         roots = {r.coeffs for r in torus.roots}
-        for w in torus.weyl:
+        for i in range(torus.weyl_order):
+            w = torus.element(i)
             assert {w.apply_root(c) for c in roots} == roots
 
 
@@ -67,7 +68,7 @@ def test_dominant_representative_weyl_invariance(sl5_torus, su32_torus, rng):
                            rng.integers(1, 5, torus.coord_len))]
             v = torus.vector(raw)
             v_plus, _ = torus.dominant_representative(v)
-            w = torus.weyl[int(rng.integers(0, torus.weyl_order))]
+            w = torus.element(int(rng.integers(0, torus.weyl_order)))
             moved_plus, _ = torus.dominant_representative(w.apply(v))
             assert moved_plus == v_plus  # exact rational equality
 
@@ -104,8 +105,8 @@ def test_chamber_fundamental_domain(sl5_torus, rng):
         raw = [Fraction(int(x)) for x in rng.integers(-6, 7, 5)]
         raw[-1] = -sum(raw[:-1])
         v = sl5_torus.vector(raw)
-        dominants = {w.apply(v) for w in sl5_torus.weyl
-                     if sl5_torus.is_dominant(w.apply(v))}
+        images = (sl5_torus.element(i).apply(v) for i in range(sl5_torus.weyl_order))
+        dominants = {u for u in images if sl5_torus.is_dominant(u)}
         assert len(dominants) == 1
 
 
