@@ -10,7 +10,9 @@ entrywise distance to the shipped matrices.
 
 Only the constructed triple families are supported: their E/F entries are
 (possibly imaginary) square roots of integers and H is an integer diagonal,
-so exact reconstructions exist.
+so exact reconstructions exist.  The integer diagonal also gives every image
+in closed form (`Sl2Images`): no matrix exponential and no LU inverse of an
+n x n matrix is needed.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,10 @@ import numpy as np
 
 from .errors import ParameterError
 
-
-def _mp_real(a):
-    return mp.matrix([[mp.mpf(float(np.asarray(a)[i, j].real)) for j in range(a.shape[1])]
-                      for i in range(a.shape[0])])
+# extra bits carried while building the images and twists: each is a product
+# of a few factors whose entries span many orders of magnitude; the relation
+# words are then multiplied out at the working precision
+GUARD_BITS = 20
 
 
 def reconstruct_sqrtint_matrix(a, tol=1e-9):
@@ -50,12 +52,17 @@ def reconstruct_sqrtint_matrix(a, tol=1e-9):
     return out
 
 
+def sl2_inverse(g2):
+    """Inverse of a determinant-1 2x2 matrix: its adjugate."""
+    return mp.matrix([[g2[1, 1], -g2[0, 1]], [-g2[1, 0], g2[0, 0]]])
+
+
 def mp_fuchsian(genus):
     """The 4g-gon side pairings of fuchsian_generators, in mpmath."""
     n = 4 * genus
     rho = mp.acosh(1 / mp.tan(mp.pi / n))
     mob = mp.matrix([[1, -1j], [1, 1j]])
-    mob_inv = mob ** -1
+    mob_inv = mp.matrix([[1, 1], [1j, -1j]]) / 2
 
     def rot(phi):
         return mp.matrix([[mp.e ** (0.5j * phi), 0], [0, mp.e ** (-0.5j * phi)]])
@@ -68,7 +75,7 @@ def mp_fuchsian(genus):
         return 2 * mp.pi * (j + mp.mpf(1) / 2) / n
 
     def glue(src, dst):
-        m = mob_inv * (rot(psi(dst) + mp.pi) * trans(2 * rho) * rot(psi(src)) ** -1) * mob
+        m = mob_inv * (rot(psi(dst) + mp.pi) * trans(2 * rho) * rot(-psi(src))) * mob
         return mp.matrix([[mp.re(m[i, j]) for j in range(2)] for i in range(2)])
 
     a_list = [glue(4 * k + 2, 4 * k) for k in range(genus)]
@@ -76,20 +83,91 @@ def mp_fuchsian(genus):
     return a_list, b_list
 
 
-def _mp_rho(e_mat, f_mat, h_mat, g2):
-    """Iwasawa-factorized homomorphism image of a 2x2 mp matrix."""
-    a, c = g2[0, 0], g2[1, 0]
-    r = mp.sqrt(a * a + c * c)
-    q = mp.matrix([[a / r, -c / r], [c / r, a / r]])
-    upper = q.T * g2
-    s = mp.atan2(q[0, 1], q[0, 0])
-    u = mp.log(upper[0, 0])
-    x = upper[0, 1] / upper[0, 0]
-    n = h_mat.rows
-    diag = mp.matrix(n, n)
-    for i in range(n):
-        diag[i, i] = mp.e ** (u * h_mat[i, i])
-    return mp.expm(s * (e_mat - f_mat)) * diag * mp.expm(x * e_mat)
+def _nilpotent_exp(m):
+    """exp(m) of a nilpotent mp matrix: its finite Taylor sum."""
+    out = mp.eye(m.rows)
+    term = mp.eye(m.rows)
+    for k in range(1, m.rows):
+        term = term * m / k
+        out += term
+    return out
+
+
+class Sl2Images:
+    """The homomorphism SL(2,R) -> SL(n) of a triple (H, E, F) whose H is an
+    integer diagonal h, in closed form.
+
+    [H, E] = 2E means E, hence E^k, links H-weights 2k apart, so
+    exp(xE)[i, j] = x^((h_i - h_j)/2) exp(E)[i, j], and likewise for F.  For
+    g = [[a, b], [c, d]] with |a| >= |c| the factorization
+    g = exp((c/a) F_2) diag(a, 1/a) exp((b/a) E_2) gives
+    rho(g) = exp((c/a) F) diag(a^h_i) exp((b/a) E): two entrywise scalings and
+    one product.  Otherwise g = w (w^-1 g) with the quarter turn
+    w = exp(-F_2) exp(E_2) exp(-F_2) = [[0, 1], [-1, 0]], whose image is built
+    once.
+    """
+
+    def __init__(self, e_mp, f_mp, h_int):
+        self.h = list(h_int)
+        with mp.workprec(mp.mp.prec + GUARD_BITS):
+            self._exp_e = self._graded(e_mp, 1)
+            self._exp_f = self._graded(f_mp, -1)
+            minus_f = self._unipotent(self._exp_f, -1)
+            self.quarter = minus_f * self._unipotent(self._exp_e, 1) * minus_f
+
+    def _graded(self, m, sign):
+        """Nonzero entries (i, j, k, exp(m)[i, j]), k = sign (h_i - h_j) / 2."""
+        n = len(self.h)
+        for i in range(n):
+            for j in range(n):
+                if m[i, j] != 0 and sign * (self.h[i] - self.h[j]) != 2:
+                    raise ParameterError("E and F must move the H-weights by +2 and -2")
+        em = _nilpotent_exp(m)
+        return [(i, j, sign * (self.h[i] - self.h[j]) // 2, em[i, j])
+                for i in range(n) for j in range(n) if em[i, j] != 0]
+
+    def _unipotent(self, graded, x, col_scale=None):
+        """exp(x E) (or exp(x F)) from its graded entries, with column j
+        multiplied by col_scale[j] when given."""
+        n = len(self.h)
+        powers = [mp.mpf(1)]
+        for _ in range(n):
+            powers.append(powers[-1] * x)
+        out = mp.matrix(n, n)
+        for i, j, k, v in graded:
+            out[i, j] = powers[k] * v if col_scale is None else powers[k] * v * col_scale[j]
+        return out
+
+    def __call__(self, g2):
+        a, b, c, d = g2[0, 0], g2[0, 1], g2[1, 0], g2[1, 1]
+        with mp.workprec(mp.mp.prec + GUARD_BITS):
+            if abs(a) < abs(c):
+                return self.quarter * self._ldu(-c, -d, a)  # w^-1 g = [[-c, -d], [a, b]]
+            return self._ldu(a, b, c)
+
+    def _ldu(self, a, b, c):
+        lower_diag = self._unipotent(self._exp_f, c / a, [a ** h for h in self.h])
+        return lower_diag * self._unipotent(self._exp_e, b / a)
+
+
+def block_expm(x, h_int, t):
+    """exp(t x) for an x that commutes with the integer diagonal H: x is block
+    diagonal over H's eigenvalue classes, so each block is exponentiated on
+    its own, a block of size 1 as a scalar."""
+    n = len(h_int)
+    out = mp.matrix(n, n)
+    classes = {}
+    for i, h in enumerate(h_int):
+        classes.setdefault(h, []).append(i)
+    for idx in classes.values():
+        if len(idx) == 1:
+            out[idx[0], idx[0]] = mp.exp(t * x[idx[0], idx[0]])
+            continue
+        blk = mp.expm(t * mp.matrix([[x[i, j] for j in idx] for i in idx]))
+        for r, i in enumerate(idx):
+            for s, j in enumerate(idx):
+                out[i, j] = blk[r, s]
+    return out
 
 
 def _mp_conjugator(g2):
@@ -114,7 +192,7 @@ def _mp_conjugator(g2):
             v = (-v[0], -v[1])
         cols.append(v)
     k = mp.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
-    det = mp.det(k)
+    det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
     if det < 0:
         k[0, 1] = -k[0, 1]
         k[1, 1] = -k[1, 1]
@@ -164,60 +242,38 @@ def verify_bent_relation(plan, bent, dps=40):
     h_arr = np.asarray(triple.h)
     if np.linalg.norm(h_arr - np.diag(np.diag(h_arr))) > 1e-12 * max(np.linalg.norm(h_arr), 1.0):
         raise ParameterError("high-precision verification needs an a-diagonal H")
-    h_int = [round(float(h_arr[i, i].real)) for i in range(alg.size)]
+    h_diag = np.diag(h_arr)
+    h_int = [round(float(h.real)) for h in h_diag]
+    if any(abs(h - k) > 1e-9 for h, k in zip(h_diag, h_int)):
+        raise ParameterError("high-precision verification needs integer H-weights")
 
     with mp.workdps(dps):
-        e_mp = reconstruct_sqrtint_matrix(triple.e)
-        f_mp = reconstruct_sqrtint_matrix(triple.f)
-        h_mp = reconstruct_sqrtint_matrix(triple.h)
+        rho = Sl2Images(reconstruct_sqrtint_matrix(triple.e),
+                        reconstruct_sqrtint_matrix(triple.f), h_int)
         a_seed, b_seed = mp_fuchsian(plan.genus)
 
         prod = mp.eye(2)
         for a, b in zip(a_seed, b_seed):
-            prod = prod * a * b * a ** -1 * b ** -1
+            prod = prod * a * b * sl2_inverse(a) * sl2_inverse(b)
         seed_resid = float(mp.norm(prod - mp.eye(2)))
 
-        a_img = [_mp_rho(e_mp, f_mp, h_mp, a) for a in a_seed]
-        b_img = [_mp_rho(e_mp, f_mp, h_mp, b) for b in b_seed]
+        # rho(g)^-1 = rho(g^-1)
+        a_img = [(rho(a), rho(sl2_inverse(a))) for a in a_seed]
+        b_img = [(rho(b), rho(sl2_inverse(b))) for b in b_seed]
         n = alg.size
         prod = mp.eye(n)
-        for a, b in zip(a_img, b_img):
-            prod = prod * a * b * a ** -1 * b ** -1
+        for (a, a_inv), (b, b_inv) in zip(a_img, b_img):
+            prod = prod * a * b * a_inv * b_inv
         pushed_resid = float(mp.norm(prod - mp.eye(n)))
 
-        twists = {}
-        for k in range(1, plan.genus + 1):
-            ij = plan.generator_assignment.get(k)
-            if ij is None:
-                twists[k] = mp.eye(n)
-                continue
-            i, j = ij
-            if i == 0:
-                # commutes with the whole image; weight purification w.r.t. H
-                x_mp = _weight_purify(alg.from_coordinates(plan.x_vectors[ij]), h_int)
-            else:
-                # rebuild the fixed line: conjugate the purified weight-zero
-                # vector of the piece by the mp image of the mp conjugator
-                # (the line does not depend on the conjugator choice), then
-                # match scale and sign to the shipped vector
-                v0 = alg.from_coordinates(plan.iso.piece_columns[ij][:, i])
-                v0_mp = _weight_purify(v0, h_int)
-                conj = _mp_conjugator(a_seed[k - 1])
-                rho_k = _mp_rho(e_mp, f_mp, h_mp, conj)
-                x_mp = rho_k * v0_mp * rho_k ** -1
-                x_ship = np.asarray(alg.from_coordinates(plan.x_vectors[ij]),
-                                    dtype=complex)
-                x_f = np.array([[complex(x_mp[r, c]) for c in range(n)]
-                                for r in range(n)])
-                scale = float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f)))
-                x_mp = mp.mpf(scale) * x_mp
-            twists[k] = mp.expm(mp.mpf(plan.t) * x_mp)
         prod = mp.eye(n)
         bent_mp = []
-        for k, (a, b) in enumerate(zip(a_img, b_img), start=1):
-            bt = b * twists[k]
-            bent_mp.append((a, bt))
-            prod = prod * a * bt * a ** -1 * bt ** -1
+        for k, ((a, a_inv), (b, b_inv)) in enumerate(zip(a_img, b_img), start=1):
+            twist = _twist(plan, rho, h_int, a_seed[k - 1], k)
+            if twist is not None:
+                b, b_inv = b * twist[0], twist[1] * b_inv
+            bent_mp.append((a, b))
+            prod = prod * a * b * a_inv * b_inv
         bent_resid = float(mp.norm(prod - mp.eye(n)))
 
         dist = 0.0
@@ -230,3 +286,33 @@ def verify_bent_relation(plan, bent, dps=40):
                         dist = max(dist, float(diff))
     return HighPrecisionReport(dps, seed_resid, pushed_resid, bent_resid,
                                bent.relation_residual(), dist)
+
+
+def _twist(plan, rho, h_int, a_seed, k):
+    """(exp(t X), exp(-t X)) for the k-th generator's bending vector X, or
+    None when the generator is not bent."""
+    ij = plan.generator_assignment.get(k)
+    if ij is None:
+        return None
+    alg = plan.triple.algebra
+    i, j = ij
+    with mp.workprec(mp.mp.prec + GUARD_BITS):
+        t = mp.mpf(plan.t)
+        if i == 0:
+            # commutes with the whole image; weight purification w.r.t. H
+            x_mp = _weight_purify(alg.from_coordinates(plan.x_vectors[ij]), h_int)
+            return block_expm(x_mp, h_int, t), block_expm(x_mp, h_int, -t)
+        # rebuild the fixed line: conjugate the purified weight-zero vector of
+        # the piece by the mp image of the mp conjugator (the line does not
+        # depend on the conjugator choice), then match scale and sign to the
+        # shipped vector; exp(t rho_k v0 rho_k^-1) = rho_k exp(t v0) rho_k^-1
+        n = alg.size
+        v0_mp = _weight_purify(alg.from_coordinates(plan.iso.piece_columns[ij][:, i]), h_int)
+        conj = _mp_conjugator(a_seed)
+        rho_k, rho_k_inv = rho(conj), rho(sl2_inverse(conj))
+        x_mp = rho_k * v0_mp * rho_k_inv
+        x_ship = np.asarray(alg.from_coordinates(plan.x_vectors[ij]), dtype=complex)
+        x_f = np.array([[complex(x_mp[r, c]) for c in range(n)] for r in range(n)])
+        scale = mp.mpf(float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f))))
+        return (rho_k * block_expm(v0_mp, h_int, scale * t) * rho_k_inv,
+                rho_k * block_expm(v0_mp, h_int, -scale * t) * rho_k_inv)

@@ -237,6 +237,11 @@ def cmd_bend(plan_spec, config=None):
         if plan_spec not in PRESETS:
             raise ParameterError(f"unknown preset {plan_spec!r}; known: {sorted(PRESETS)}")
         plan_spec = PRESETS[plan_spec]
+    if not isinstance(plan_spec, dict):
+        raise ParameterError(f"a plan must be a JSON object, got {type(plan_spec).__name__}")
+    verify_dps = plan_spec.get("verify_dps", 0)
+    if isinstance(verify_dps, bool) or not isinstance(verify_dps, int) or verify_dps < 0:
+        raise ParameterError(f"verify_dps must be an integer >= 0, got {verify_dps!r}")
     report = ReportDocument("bending certificate", _config_echo(cfg))
     report.config["plan"] = {k: v for k, v in plan_spec.items()}
 
@@ -284,7 +289,6 @@ def cmd_bend(plan_spec, config=None):
         "pushed_residual": serialize.f17(pushed.relation_residual()),
         "bent_residual": serialize.f17(bent.relation_residual()),
     }
-    verify_dps = plan_spec.get("verify_dps", 0)
     if verify_dps:
         from .highprec import verify_bent_relation
         hp, ms_hp = _timed(lambda: verify_bent_relation(plan, bent, dps=verify_dps))

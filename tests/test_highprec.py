@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from liebend.errors import ParameterError
-from liebend.highprec import mp_fuchsian, reconstruct_sqrtint_matrix, verify_bent_relation
+from liebend.highprec import (Sl2Images, _mp_conjugator, _weight_purify, block_expm,
+                               mp_fuchsian, reconstruct_sqrtint_matrix, sl2_inverse,
+                               verify_bent_relation)
 from liebend.sl2 import Sl2Triple, rho2_su, sl2_from_partition
 
 
@@ -53,3 +55,168 @@ def test_verify_requires_diagonal_h(su21):
                               plan.x_vectors, plan.y_vectors, plan.t, plan.star_kinds)
     with pytest.raises(ParameterError):
         verify_bent_relation(bad_plan, bent, dps=20)
+
+
+# --- closed-form images --------------------------------------------------
+
+def _iwasawa_rho(e_mp, f_mp, h_int, g2):
+    """Reference oracle: the Iwasawa factorization g = K A N with two
+    matrix exponentials, the form the closed-form images replaced."""
+    import mpmath as mp
+    a, c = g2[0, 0], g2[1, 0]
+    r = mp.sqrt(a * a + c * c)
+    q = mp.matrix([[a / r, -c / r], [c / r, a / r]])
+    upper = q.T * g2
+    s = mp.atan2(q[0, 1], q[0, 0])
+    u = mp.log(upper[0, 0])
+    x = upper[0, 1] / upper[0, 0]
+    n = len(h_int)
+    diag = mp.matrix(n, n)
+    for i in range(n):
+        diag[i, i] = mp.e ** (u * h_int[i])
+    return mp.expm(s * (e_mp - f_mp)) * diag * mp.expm(x * e_mp)
+
+
+def _constructed_triples():
+    from liebend.algebra import make_algebra
+    from liebend.sl2 import _partitions, rho1_su
+    out = []
+    for n in range(2, 6):
+        alg = make_algebra("sl", n)
+        out += [sl2_from_partition(alg, parts) for parts in _partitions(n)
+                if parts[0] > 1]
+    for p in range(1, 4):
+        for q in range(1, p + 1):
+            alg = make_algebra("su", p, q)
+            out.append(rho1_su(alg))
+            if p > q:
+                out.append(rho2_su(alg))
+    return out
+
+
+CONSTRUCTED = _constructed_triples()
+
+
+def _images(triple):
+    h_int = [round(float(np.real(triple.h[i, i]))) for i in range(triple.algebra.size)]
+    e_mp = reconstruct_sqrtint_matrix(triple.e)
+    f_mp = reconstruct_sqrtint_matrix(triple.f)
+    return Sl2Images(e_mp, f_mp, h_int), e_mp, f_mp, h_int
+
+
+def _sl2_samples():
+    """Seeded unimodular matrices with a > 0, a < 0, |a| < |c| and a = 0,
+    plus the conjugators of the genus-2 side pairings."""
+    import mpmath as mp
+    rng = np.random.default_rng(7)
+    out = []
+    for a, c in [(1.3, 0.4), (-0.8, 0.5), (0.2, -1.7), (-0.3, -2.5), (2.0, 2.0)]:
+        b = float(rng.normal())
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        out.append(mp.matrix([[a, b], [c, (1 + b * c) / a]]))
+    for c in (mp.mpf(1.5), mp.mpf(-0.25)):
+        out.append(mp.matrix([[0, -1 / c], [c, mp.mpf(float(rng.normal()))]]))
+    a_seed, b_seed = mp_fuchsian(2)
+    out += [_mp_conjugator(g) for g in a_seed + b_seed]
+    return out
+
+
+def _rel(got, want):
+    import mpmath as mp
+    return mp.norm(got - want) / mp.norm(want)
+
+
+@pytest.mark.parametrize("triple", CONSTRUCTED,
+                         ids=[f"{t.algebra.family}{t.algebra.params}-{t.label}"
+                              for t in CONSTRUCTED])
+def test_closed_form_matches_iwasawa_oracle(triple):
+    import mpmath as mp
+    with mp.workdps(40):
+        rho, e_mp, f_mp, h_int = _images(triple)
+        samples = _sl2_samples()
+        assert any(g[0, 0] < 0 for g in samples)
+        assert any(g[0, 0] == 0 for g in samples)
+        assert any(abs(g[0, 0]) < abs(g[1, 0]) for g in samples)
+        for g in samples:
+            assert _rel(rho(g), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
+
+
+@pytest.mark.parametrize("triple", CONSTRUCTED[::3],
+                         ids=[f"{t.algebra.family}{t.algebra.params}-{t.label}"
+                              for t in CONSTRUCTED[::3]])
+def test_closed_form_is_a_homomorphism(triple):
+    import mpmath as mp
+    with mp.workdps(40):
+        rho = _images(triple)[0]
+        samples = _sl2_samples()
+        eye = mp.eye(triple.algebra.size)
+        for g, k in zip(samples, samples[1:] + samples[:1]):
+            g_img, g_inv = rho(g), rho(sl2_inverse(g))
+            assert mp.norm(g_img * g_inv - eye) < 1e-30 * mp.norm(g_img) * mp.norm(g_inv)
+            assert _rel(rho(g) * rho(k), rho(g * k)) < 1e-30
+
+
+def test_quarter_turn_image(sl5):
+    import mpmath as mp
+    with mp.workdps(40):
+        rho = _images(sl2_from_partition(sl5, (5,)))[0]
+        w = mp.matrix([[0, 1], [-1, 0]])
+        assert _rel(rho(w), rho.quarter) < 1e-35
+
+
+def test_block_twist_matches_expm(rng):
+    import mpmath as mp
+    from liebend.algebra import make_algebra
+    alg = make_algebra("sl", 5)
+    triple = sl2_from_partition(alg, (3, 1, 1))  # H = diag(2, 0, 0, 0, -2)
+    h_int = [round(float(triple.h[i, i])) for i in range(5)]
+    x = _weight_purify(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int)
+    assert x[0, 1] == 0 and x[1, 2] != 0
+    with mp.workdps(40):
+        for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
+            assert _rel(block_expm(x, h_int, t), mp.expm(t * x)) < 1e-35
+
+
+def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
+    import mpmath as mp
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.report import PRESETS, _algebra_from_plan, _triple_from_spec
+    spec = PRESETS["su21-rho1-g2"]
+    alg = _algebra_from_plan(spec)
+    seed = fuchsian_generators(spec["genus"])
+    plan = build_plan(alg, _triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
+    bent = bend(seed, plan)
+    sizes = []
+    real_expm = mp.expm
+
+    def counting_expm(a, *args, **kwargs):
+        sizes.append(a.rows)
+        return real_expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "expm", counting_expm)
+    report = verify_bent_relation(plan, bent, dps=spec["verify_dps"])
+    assert report.bent_residual < 1e-35
+    assert alg.size not in sizes
+
+
+def test_verify_rejects_non_integer_weights(su21):
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.sl2 import rho1_su
+    triple = rho1_su(su21)
+    seed = fuchsian_generators(2)
+    plan = build_plan(su21, triple, seed, t=0.01)
+    bent = bend(seed, plan)
+    scaled = Sl2Triple(su21, 1.5 * triple.h, triple.e, triple.f, "custom", "scaled")
+    bad_plan = plan.__class__(scaled, plan.seed, plan.iso, plan.Lambda, plan.f,
+                              plan.x_vectors, plan.y_vectors, plan.t, plan.star_kinds)
+    with pytest.raises(ParameterError, match="integer H-weights"):
+        verify_bent_relation(bad_plan, bent, dps=20)
+
+
+def test_closed_form_rejects_misgraded_e(sl3):
+    import mpmath as mp
+    triple = sl2_from_partition(sl3, (3,))
+    with mp.workdps(20):
+        with pytest.raises(ParameterError, match="weights"):
+            Sl2Images(reconstruct_sqrtint_matrix(triple.e),
+                      reconstruct_sqrtint_matrix(triple.f), [1, 0, -1])

@@ -141,6 +141,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+_SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": "auto"}
+
+
+@pytest.mark.parametrize("plan, message", [
+    ([], "a plan must be a JSON object, got list"),
+    (dict(_SU21_PLAN, verify_dps="40"), "verify_dps must be an integer >= 0, got '40'"),
+    (dict(_SU21_PLAN, verify_dps=-3), "verify_dps must be an integer >= 0, got -3"),
+    (dict(_SU21_PLAN, verify_dps=True), "verify_dps must be an integer >= 0, got True"),
+])
+def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    assert main(["bend", "--plan", str(plan_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_cli_witness_output(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["reproduce", "sec53", "--witness", "--out", str(out)]) == 0
