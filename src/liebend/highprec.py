@@ -12,13 +12,15 @@ Only the constructed triple families are supported: their E/F entries are
 (possibly imaginary) square roots of integers and H is an integer diagonal,
 so exact reconstructions exist.  The integer diagonal also gives every image
 in closed form (`Sl2Images`): no matrix exponential and no LU inverse of an
-n x n matrix is needed.
+n x n matrix is needed.  Every matrix product of this module (not those
+inside mp.expm on a block) runs on one exact integer kernel (`FixedMatrix`).
 """
 
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import ParameterError
 
@@ -26,6 +28,88 @@ from .errors import ParameterError
 # of a few factors whose entries span many orders of magnitude; the relation
 # words are then multiplied out at the working precision
 GUARD_BITS = 20
+
+
+class FixedMatrix:
+    """An mp matrix held as integer mantissas over one shared binary
+    exponent: entry (i, j) is (re[i, j] + 1j im[i, j]) * 2**exp, with im None
+    for a real matrix.
+
+    Every matrix product of this module runs here (mp.expm, called on
+    small blocks only, keeps its own).  The product is formed
+    exactly, in numpy object arrays of Python ints (a complex product as four
+    real ones), and each entry is rounded once with libmp.from_man_exp at
+    the current mp precision and rounding.  mp.fdot also sums exactly and
+    rounds once, so the entries agree with mp.matrix.__mul__ bit for bit
+    unless fdot drops a term more than 2**(2 prec) below its running sum.
+    A product stays in this form, so the next product reads its integers
+    instead of converting mp entries again.
+    """
+
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, re, im, exp):
+        self.re, self.im, self.exp = re, im, exp
+
+    @property
+    def shape(self):
+        return self.re.shape
+
+    @classmethod
+    def from_raw(cls, shape, parts):
+        """From raw mpf tuples: parts is [re] for a real matrix or [re, im],
+        each a row-major list of (sign, man, exp, bc).  Mantissas go through
+        int() so that gmpy mpz work too."""
+        if any(not man and exp for part in parts for _, man, exp, _ in part):
+            raise ValueError("a FixedMatrix holds finite entries only")
+        emin = min((exp for part in parts for _, man, exp, _ in part if man), default=0)
+        arrays = [np.array([(-int(man) if sign else int(man)) << (exp - emin) if man else 0
+                            for sign, man, exp, _ in part], dtype=object).reshape(shape)
+                  for part in parts]
+        return cls(arrays[0], arrays[1] if len(arrays) > 1 else None, emin)
+
+    @classmethod
+    def from_mp(cls, m):
+        """From an mp.matrix, or from a list of rows of mp numbers."""
+        if isinstance(m, mp.matrix):
+            m = m.tolist()
+        rows = [[mp.mpmathify(v) for v in row] for row in m]
+        flat = [v for row in rows for v in row]
+        shape = (len(rows), len(rows[0]))
+        if not any(hasattr(v, "_mpc_") for v in flat):
+            return cls.from_raw(shape, [[v._mpf_ for v in flat]])
+        pairs = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, libmp.fzero) for v in flat]
+        return cls.from_raw(shape, [[re for re, _ in pairs], [im for _, im in pairs]])
+
+    def __mul__(self, other):
+        a, b = self, other
+        parts = [a.re @ b.re]
+        if a.im is not None and b.im is not None:
+            parts = [parts[0] - a.im @ b.im, a.re @ b.im + a.im @ b.re]
+        elif a.im is not None:
+            parts.append(a.im @ b.re)
+        elif b.im is not None:
+            parts.append(a.re @ b.im)
+        # fdot's precision and rounding mode, so that workprec() applies here too
+        prec, rnd = mp.mp._prec_rounding
+        exp = a.exp + b.exp
+        return FixedMatrix.from_raw(parts[0].shape, [
+            [libmp.from_man_exp(int(v), exp, prec, rnd) if v else libmp.fzero
+             for v in part.ravel().tolist()]
+            for part in parts])
+
+    def to_mp(self):
+        def raw(part):
+            return [libmp.from_man_exp(int(v), self.exp) for v in part.ravel().tolist()]
+        if self.im is None:
+            flat = [mp.mp.make_mpf(re) for re in raw(self.re)]
+        else:
+            flat = [mp.mp.make_mpc(z) for z in zip(raw(self.re), raw(self.im))]
+        cols = self.shape[1]
+        return mp.matrix([flat[r:r + cols] for r in range(0, len(flat), cols)])
+
+
+_fixed = FixedMatrix.from_mp
 
 
 def reconstruct_sqrtint_matrix(a, tol=1e-9):
@@ -58,25 +142,27 @@ def sl2_inverse(g2):
 
 
 def mp_fuchsian(genus):
-    """The 4g-gon side pairings of fuchsian_generators, in mpmath."""
+    """The 4g-gon side pairings of fuchsian_generators, in mpmath.
+
+    Built in real form: the Cayley map takes the disk rotation by phi to
+    rot(phi) = [[cos phi/2, sin phi/2], [-sin phi/2, cos phi/2]] and the
+    translation by d to diag(e^(d/2), e^(-d/2)), so the pairing
+    rot(psi_dst + pi) diag(e^rho, e^-rho) rot(-psi_src) is one real 2x2
+    product once the diagonal has scaled the columns of the first rotation.
+    """
     n = 4 * genus
-    rho = mp.acosh(1 / mp.tan(mp.pi / n))
-    mob = mp.matrix([[1, -1j], [1, 1j]])
-    mob_inv = mp.matrix([[1, 1], [1j, -1j]]) / 2
+    scale = mp.exp(mp.acosh(1 / mp.tan(mp.pi / n)))
 
-    def rot(phi):
-        return mp.matrix([[mp.e ** (0.5j * phi), 0], [0, mp.e ** (-0.5j * phi)]])
-
-    def trans(d):
-        return mp.matrix([[mp.cosh(d / 2), mp.sinh(d / 2)],
-                          [mp.sinh(d / 2), mp.cosh(d / 2)]])
+    def rot(phi, col_scale=(1, 1)):
+        c, s = mp.cos(phi / 2), mp.sin(phi / 2)
+        return _fixed([[c * col_scale[0], s * col_scale[1]],
+                       [-s * col_scale[0], c * col_scale[1]]])
 
     def psi(j):
         return 2 * mp.pi * (j + mp.mpf(1) / 2) / n
 
     def glue(src, dst):
-        m = mob_inv * (rot(psi(dst) + mp.pi) * trans(2 * rho) * rot(-psi(src))) * mob
-        return mp.matrix([[mp.re(m[i, j]) for j in range(2)] for i in range(2)])
+        return (rot(psi(dst) + mp.pi, (scale, 1 / scale)) * rot(-psi(src))).to_mp()
 
     a_list = [glue(4 * k + 2, 4 * k) for k in range(genus)]
     b_list = [glue(4 * k + 1, 4 * k + 3) for k in range(genus)]
@@ -87,8 +173,9 @@ def _nilpotent_exp(m):
     """exp(m) of a nilpotent mp matrix: its finite Taylor sum."""
     out = mp.eye(m.rows)
     term = mp.eye(m.rows)
-    for k in range(1, m.rows):
-        term = term * m / k
+    m = _fixed(m)
+    for k in range(1, m.shape[0]):
+        term = (_fixed(term) * m).to_mp() / k
         out += term
     return out
 
@@ -133,10 +220,10 @@ class Sl2Images:
         powers = [mp.mpf(1)]
         for _ in range(n):
             powers.append(powers[-1] * x)
-        out = mp.matrix(n, n)
+        rows = [[0] * n for _ in range(n)]
         for i, j, k, v in graded:
-            out[i, j] = powers[k] * v if col_scale is None else powers[k] * v * col_scale[j]
-        return out
+            rows[i][j] = powers[k] * v if col_scale is None else powers[k] * v * col_scale[j]
+        return FixedMatrix.from_mp(rows)
 
     def __call__(self, g2):
         a, b, c, d = g2[0, 0], g2[0, 1], g2[1, 0], g2[1, 1]
@@ -151,23 +238,27 @@ class Sl2Images:
 
 
 def block_expm(x, h_int, t):
-    """exp(t x) for an x that commutes with the integer diagonal H: x is block
-    diagonal over H's eigenvalue classes, so each block is exponentiated on
-    its own, a block of size 1 as a scalar."""
+    """(exp(t x), exp(-t x)) for an x that commutes with the integer diagonal
+    H: x is block diagonal over H's eigenvalue classes, so each block is
+    exponentiated once, a block of size 1 as a scalar, and inverted on its
+    own."""
     n = len(h_int)
-    out = mp.matrix(n, n)
+    out, out_inv = mp.matrix(n, n), mp.matrix(n, n)
     classes = {}
     for i, h in enumerate(h_int):
         classes.setdefault(h, []).append(i)
     for idx in classes.values():
         if len(idx) == 1:
-            out[idx[0], idx[0]] = mp.exp(t * x[idx[0], idx[0]])
+            i = idx[0]
+            out[i, i] = mp.exp(t * x[i, i])
+            out_inv[i, i] = 1 / out[i, i]
             continue
         blk = mp.expm(t * mp.matrix([[x[i, j] for j in idx] for i in idx]))
+        blk_inv = mp.inverse(blk)
         for r, i in enumerate(idx):
             for s, j in enumerate(idx):
-                out[i, j] = blk[r, s]
-    return out
+                out[i, j], out_inv[i, j] = blk[r, s], blk_inv[r, s]
+    return out, out_inv
 
 
 def _mp_conjugator(g2):
@@ -252,21 +343,21 @@ def verify_bent_relation(plan, bent, dps=40):
                         reconstruct_sqrtint_matrix(triple.f), h_int)
         a_seed, b_seed = mp_fuchsian(plan.genus)
 
-        prod = mp.eye(2)
+        prod = _fixed(mp.eye(2))
         for a, b in zip(a_seed, b_seed):
-            prod = prod * a * b * sl2_inverse(a) * sl2_inverse(b)
-        seed_resid = float(mp.norm(prod - mp.eye(2)))
+            prod = prod * _fixed(a) * _fixed(b) * _fixed(sl2_inverse(a)) * _fixed(sl2_inverse(b))
+        seed_resid = float(mp.norm(prod.to_mp() - mp.eye(2)))
 
         # rho(g)^-1 = rho(g^-1)
         a_img = [(rho(a), rho(sl2_inverse(a))) for a in a_seed]
         b_img = [(rho(b), rho(sl2_inverse(b))) for b in b_seed]
         n = alg.size
-        prod = mp.eye(n)
+        prod = _fixed(mp.eye(n))
         for (a, a_inv), (b, b_inv) in zip(a_img, b_img):
             prod = prod * a * b * a_inv * b_inv
-        pushed_resid = float(mp.norm(prod - mp.eye(n)))
+        pushed_resid = float(mp.norm(prod.to_mp() - mp.eye(n)))
 
-        prod = mp.eye(n)
+        prod = _fixed(mp.eye(n))
         bent_mp = []
         for k, ((a, a_inv), (b, b_inv)) in enumerate(zip(a_img, b_img), start=1):
             twist = _twist(plan, rho, h_int, a_seed[k - 1], k)
@@ -274,11 +365,11 @@ def verify_bent_relation(plan, bent, dps=40):
                 b, b_inv = b * twist[0], twist[1] * b_inv
             bent_mp.append((a, b))
             prod = prod * a * b * a_inv * b_inv
-        bent_resid = float(mp.norm(prod - mp.eye(n)))
+        bent_resid = float(mp.norm(prod.to_mp() - mp.eye(n)))
 
         dist = 0.0
         for (a, bt), (a_f, b_f) in zip(bent_mp, zip(bent.a, bent.b)):
-            for m_mp, m_f in ((a, a_f), (bt, b_f)):
+            for m_mp, m_f in ((a.to_mp(), a_f), (bt.to_mp(), b_f)):
                 for i in range(n):
                     for j in range(n):
                         z = complex(np.asarray(m_f)[i, j])
@@ -301,7 +392,7 @@ def _twist(plan, rho, h_int, a_seed, k):
         if i == 0:
             # commutes with the whole image; weight purification w.r.t. H
             x_mp = _weight_purify(alg.from_coordinates(plan.x_vectors[ij]), h_int)
-            return block_expm(x_mp, h_int, t), block_expm(x_mp, h_int, -t)
+            return tuple(map(_fixed, block_expm(x_mp, h_int, t)))
         # rebuild the fixed line: conjugate the purified weight-zero vector of
         # the piece by the mp image of the mp conjugator (the line does not
         # depend on the conjugator choice), then match scale and sign to the
@@ -310,9 +401,8 @@ def _twist(plan, rho, h_int, a_seed, k):
         v0_mp = _weight_purify(alg.from_coordinates(plan.iso.piece_columns[ij][:, i]), h_int)
         conj = _mp_conjugator(a_seed)
         rho_k, rho_k_inv = rho(conj), rho(sl2_inverse(conj))
-        x_mp = rho_k * v0_mp * rho_k_inv
+        x_mp = (rho_k * _fixed(v0_mp) * rho_k_inv).to_mp()
         x_ship = np.asarray(alg.from_coordinates(plan.x_vectors[ij]), dtype=complex)
         x_f = np.array([[complex(x_mp[r, c]) for c in range(n)] for r in range(n)])
         scale = mp.mpf(float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f))))
-        return (rho_k * block_expm(v0_mp, h_int, scale * t) * rho_k_inv,
-                rho_k * block_expm(v0_mp, h_int, -scale * t) * rho_k_inv)
+        return tuple(rho_k * _fixed(m) * rho_k_inv for m in block_expm(v0_mp, h_int, scale * t))

@@ -6,6 +6,7 @@ but excluded from the canonical bytes.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -242,12 +243,18 @@ def cmd_bend(plan_spec, config=None):
     verify_dps = plan_spec.get("verify_dps", 0)
     if isinstance(verify_dps, bool) or not isinstance(verify_dps, int) or verify_dps < 0:
         raise ParameterError(f"verify_dps must be an integer >= 0, got {verify_dps!r}")
+    genus = plan_spec["genus"]
+    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
+        raise ParameterError(f"genus must be an integer >= 2, got {genus!r}")
+    t_req = plan_spec.get("t", "auto")
+    if t_req != "auto" and (isinstance(t_req, bool) or not isinstance(t_req, (int, float))
+                            or not math.isfinite(t_req) or t_req == 0):
+        raise ParameterError(f't must be "auto" or a finite non-zero number, got {t_req!r}')
     report = ReportDocument("bending certificate", _config_echo(cfg))
     report.config["plan"] = {k: v for k, v in plan_spec.items()}
 
     alg = _algebra_from_plan(plan_spec)
     triple = _triple_from_spec(alg, plan_spec["triple"])
-    genus = int(plan_spec["genus"])
 
     seed, ms = _timed(lambda: fuchsian_generators(genus, relation_tol=cfg.seed_relation_tol))
     report.add("bend/seed", {"genus": genus},
@@ -255,7 +262,6 @@ def cmd_bend(plan_spec, config=None):
                 "generators_hyperbolic": True},
                runtime_ms=ms)
 
-    t_req = plan_spec.get("t", "auto")
     plan, ms = _timed(lambda: build_plan(alg, triple, seed, t=t_req, config=cfg))
     report.add("bend/plan",
                {"triple": plan_spec["triple"], "t_requested": t_req},

@@ -1,10 +1,14 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from liebend.errors import ParameterError
-from liebend.highprec import (Sl2Images, _mp_conjugator, _weight_purify, block_expm,
-                               mp_fuchsian, reconstruct_sqrtint_matrix, sl2_inverse,
-                               verify_bent_relation)
+from liebend.highprec import (FixedMatrix, Sl2Images, _mp_conjugator, _weight_purify,
+                               block_expm, mp_fuchsian, reconstruct_sqrtint_matrix,
+                               sl2_inverse, verify_bent_relation)
 from liebend.sl2 import Sl2Triple, rho2_su, sl2_from_partition
 
 
@@ -36,6 +40,128 @@ def test_mp_fuchsian_matches_float(sl2):
             diff = max(abs(complex(m_mp[i, j]) - m_f[i, j])
                        for i in range(2) for j in range(2))
             assert diff < 1e-13
+
+
+def _complex_fuchsian(genus):
+    """Reference oracle: the side pairings as disk isometries conjugated by
+    the Cayley map in complex arithmetic, the form mp_fuchsian replaced."""
+    import mpmath as mp
+    n = 4 * genus
+    rho = mp.acosh(1 / mp.tan(mp.pi / n))
+    mob = mp.matrix([[1, -1j], [1, 1j]])
+    mob_inv = mp.matrix([[1, 1], [1j, -1j]]) / 2
+
+    def rot(phi):
+        return mp.matrix([[mp.e ** (0.5j * phi), 0], [0, mp.e ** (-0.5j * phi)]])
+
+    def trans(d):
+        return mp.matrix([[mp.cosh(d / 2), mp.sinh(d / 2)],
+                          [mp.sinh(d / 2), mp.cosh(d / 2)]])
+
+    def psi(j):
+        return 2 * mp.pi * (j + mp.mpf(1) / 2) / n
+
+    def glue(src, dst):
+        m = mob_inv * (rot(psi(dst) + mp.pi) * trans(2 * rho) * rot(-psi(src))) * mob
+        return mp.matrix([[mp.re(m[i, j]) for j in range(2)] for i in range(2)])
+
+    return ([glue(4 * k + 2, 4 * k) for k in range(genus)],
+            [glue(4 * k + 1, 4 * k + 3) for k in range(genus)])
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+def test_real_polygon_matches_complex_oracle(dps):
+    import mpmath as mp
+    with mp.workdps(dps):
+        for genus in (2, 4, 6):
+            got, want = mp_fuchsian(genus), _complex_fuchsian(genus)
+            for g, w in zip(got[0] + got[1], want[0] + want[1]):
+                assert mp.norm(g - w) < mp.mpf(10) ** (3 - dps) * mp.norm(w)
+
+
+# --- the exact integer kernel ----------------------------------------------
+
+def _random_mp(rng, rows, cols, kind):
+    """Seeded mp matrix; entries / 3 fill every mantissa bit.  Binary
+    exponents stay within +-8, so product terms are never 2**prec apart."""
+    import mpmath as mp
+    out = mp.matrix(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            if kind == "sparse" and rng.random() < 0.6:
+                continue
+            scale = mp.mpf(2) ** int(rng.integers(-8, 9)) / 3
+            out[i, j] = scale * mp.mpf(rng.normal())
+            if kind == "complex" or (kind == "mixed" and rng.random() < 0.5):
+                out[i, j] += 1j * scale * mp.mpf(rng.normal())
+    return out
+
+
+def _exact(z):
+    """An mp number as a pair of Fractions (real, imaginary)."""
+    import mpmath as mp
+    from mpmath import libmp
+    z = mp.mpc(z)
+    return tuple(Fraction(*libmp.to_rational(part)) for part in z._mpc_)
+
+
+def _correctly_rounded(a, b, i, j):
+    """Entry (i, j) of a b: the exact Fraction sum, rounded once."""
+    import mpmath as mp
+    from mpmath import libmp
+    re = im = Fraction(0)
+    for k in range(a.cols):
+        (ar, ai), (br, bi) = _exact(a[i, k]), _exact(b[k, j])
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    prec, rnd = mp.mp._prec_rounding
+    return tuple(mp.mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec, rnd))
+                 for x in (re, im))
+
+
+@pytest.mark.parametrize("dps", [15, 40])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed", "sparse"])
+def test_kernel_rounds_the_exact_sum_once(dps, kind):
+    import mpmath as mp
+    rng = np.random.default_rng(dps * 7 + len(kind))
+    with mp.workdps(dps):
+        for rows, inner, cols in ((5, 5, 5), (2, 2, 2), (3, 4, 2)):
+            a, b = _random_mp(rng, rows, inner, kind), _random_mp(rng, inner, cols, kind)
+            got = (FixedMatrix.from_mp(a) * FixedMatrix.from_mp(b)).to_mp()
+            via_fdot = a * b
+            for i in range(rows):
+                for j in range(cols):
+                    assert (mp.re(got[i, j]), mp.im(got[i, j])) == _correctly_rounded(a, b, i, j)
+                    assert got[i, j] == via_fdot[i, j]
+
+
+def test_kernel_keeps_terms_far_below_the_sum():
+    import mpmath as mp
+    with mp.workdps(15):
+        a = mp.matrix([[mp.mpf(2) ** -200, 1, -1]])
+        b = mp.matrix([[1], [1], [1]])
+        got = (FixedMatrix.from_mp(a) * FixedMatrix.from_mp(b)).to_mp()
+        assert got[0, 0] == mp.mpf(2) ** -200
+        assert (mp.re(got[0, 0]), mp.im(got[0, 0])) == _correctly_rounded(a, b, 0, 0)
+
+
+def test_kernel_rounds_at_the_working_precision():
+    import mpmath as mp
+    with mp.workdps(40):
+        a = _random_mp(np.random.default_rng(3), 4, 4, "complex")
+        fa = FixedMatrix.from_mp(a)
+        with mp.workprec(mp.mp.prec + 20):
+            fine = (fa * fa).to_mp()[1, 2]
+            assert (mp.re(fine), mp.im(fine)) == _correctly_rounded(a, a, 1, 2)
+        coarse = (fa * fa).to_mp()[1, 2]
+        assert (mp.re(coarse), mp.im(coarse)) == _correctly_rounded(a, a, 1, 2)
+        assert coarse != fine
+
+
+def test_kernel_rejects_non_finite_entries():
+    import mpmath as mp
+    with pytest.raises(ValueError, match="finite"):
+        FixedMatrix.from_mp(mp.matrix([[mp.inf, 0], [0, 1]]))
 
 
 def test_verify_requires_diagonal_h(su21):
@@ -138,7 +264,7 @@ def test_closed_form_matches_iwasawa_oracle(triple):
         assert any(g[0, 0] == 0 for g in samples)
         assert any(abs(g[0, 0]) < abs(g[1, 0]) for g in samples)
         for g in samples:
-            assert _rel(rho(g), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
+            assert _rel(rho(g).to_mp(), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
 
 
 @pytest.mark.parametrize("triple", CONSTRUCTED[::3],
@@ -152,8 +278,9 @@ def test_closed_form_is_a_homomorphism(triple):
         eye = mp.eye(triple.algebra.size)
         for g, k in zip(samples, samples[1:] + samples[:1]):
             g_img, g_inv = rho(g), rho(sl2_inverse(g))
-            assert mp.norm(g_img * g_inv - eye) < 1e-30 * mp.norm(g_img) * mp.norm(g_inv)
-            assert _rel(rho(g) * rho(k), rho(g * k)) < 1e-30
+            assert (mp.norm((g_img * g_inv).to_mp() - eye)
+                    < 1e-30 * mp.norm(g_img.to_mp()) * mp.norm(g_inv.to_mp()))
+            assert _rel((rho(g) * rho(k)).to_mp(), rho(g * k).to_mp()) < 1e-30
 
 
 def test_quarter_turn_image(sl5):
@@ -161,7 +288,7 @@ def test_quarter_turn_image(sl5):
     with mp.workdps(40):
         rho = _images(sl2_from_partition(sl5, (5,)))[0]
         w = mp.matrix([[0, 1], [-1, 0]])
-        assert _rel(rho(w), rho.quarter) < 1e-35
+        assert _rel(rho(w).to_mp(), rho.quarter.to_mp()) < 1e-35
 
 
 def test_block_twist_matches_expm(rng):
@@ -174,7 +301,9 @@ def test_block_twist_matches_expm(rng):
     assert x[0, 1] == 0 and x[1, 2] != 0
     with mp.workdps(40):
         for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
-            assert _rel(block_expm(x, h_int, t), mp.expm(t * x)) < 1e-35
+            twist, twist_inv = block_expm(x, h_int, t)
+            assert _rel(twist, mp.expm(t * x)) < 1e-35
+            assert _rel(twist_inv, mp.expm(-t * x)) < 1e-35
 
 
 def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
@@ -220,3 +349,34 @@ def test_closed_form_rejects_misgraded_e(sl3):
         with pytest.raises(ParameterError, match="weights"):
             Sl2Images(reconstruct_sqrtint_matrix(triple.e),
                       reconstruct_sqrtint_matrix(triple.f), [1, 0, -1])
+
+
+# --- accuracy guard against the benchmark's recorded residuals ----------------
+
+_RECORDED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expect"
+                        / "bend_plans.json").read_text())["plans"]
+_GUARDED = [
+    pytest.param({"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 4},
+                 id="sl5-[5]-g4"),
+    pytest.param({"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 6},
+                 id="sl5-[5]-g6"),
+    pytest.param({"family": "su", "p": 3, "q": 2, "triple": "rho2", "genus": 4},
+                 id="su3,2-rho2-g4"),
+    pytest.param({"family": "sl", "n": 4, "triple": {"partition": [4]}, "genus": 6},
+                 id="sl4-[4]-g6"),
+    pytest.param("su21-rho1-g2", id="su21-rho1-g2"),
+]
+
+
+@pytest.mark.parametrize("plan", _GUARDED)
+def test_verified_residual_within_100x_of_recorded(plan):
+    """The benchmark's rule: a verified bent residual may grow to 100 times
+    the value recorded in perfbench/expect/bend_plans.json, no further."""
+    from liebend.report import PRESETS, cmd_bend
+    spec = PRESETS[plan] if isinstance(plan, str) else dict(plan, t="auto", verify_dps=40)
+    key = {k: spec[k] for k in spec if k not in ("t", "verify_dps")}
+    recorded = next(r["verified_residual"] for r in _RECORDED if r["plan"] == key)
+    report = cmd_bend(spec)
+    resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
+    assert resid["verified"]["dps"] == 40
+    assert resid["verified"]["bent_residual"] <= 100 * recorded

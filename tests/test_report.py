@@ -149,6 +149,15 @@ _SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t":
     (dict(_SU21_PLAN, verify_dps="40"), "verify_dps must be an integer >= 0, got '40'"),
     (dict(_SU21_PLAN, verify_dps=-3), "verify_dps must be an integer >= 0, got -3"),
     (dict(_SU21_PLAN, verify_dps=True), "verify_dps must be an integer >= 0, got True"),
+    (dict(_SU21_PLAN, genus=2.9), "genus must be an integer >= 2, got 2.9"),
+    (dict(_SU21_PLAN, genus="3"), "genus must be an integer >= 2, got '3'"),
+    (dict(_SU21_PLAN, genus=True), "genus must be an integer >= 2, got True"),
+    (dict(_SU21_PLAN, genus=1), "genus must be an integer >= 2, got 1"),
+    (dict(_SU21_PLAN, t=0), 't must be "auto" or a finite non-zero number, got 0'),
+    (dict(_SU21_PLAN, t=float("nan")), 't must be "auto" or a finite non-zero number, got nan'),
+    (dict(_SU21_PLAN, t=float("inf")), 't must be "auto" or a finite non-zero number, got inf'),
+    (dict(_SU21_PLAN, t="abc"), 't must be "auto" or a finite non-zero number, got \'abc\''),
+    (dict(_SU21_PLAN, t=True), 't must be "auto" or a finite non-zero number, got True'),
 ])
 def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
