@@ -130,21 +130,29 @@ class LieAlgebraSpace:
         return max(np.linalg.norm(m) for m in self.basis)
 
     def coordinates(self, x, check=True, rtol=None):
-        """Real coordinates of an ambient matrix in the algebra basis."""
+        """Real coordinates in the algebra basis of an ambient matrix (n, n),
+        shape (dim,), or of a stack of them (k, n, n), shape (k, dim).
+
+        With check=True every matrix of the stack must be a member; the
+        residual is taken row by row against the matrix's own norm.
+        """
         x = np.asarray(x)
-        if x.shape != (self.size, self.size):
-            raise ShapeError(f"expected {self.size}x{self.size} matrix, got {x.shape}")
-        vec = np.concatenate([x.reshape(-1).real, x.reshape(-1).imag])
-        coords = self._solver @ vec
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.size, self.size):
+            raise ShapeError(f"expected {self.size}x{self.size} matrices, got {x.shape}")
+        flat = x.reshape(-1, self.size * self.size)
+        vecs = np.hstack([flat.real, flat.imag])
+        coords = vecs @ self._solver.T
         if check:
-            resid = np.linalg.norm(self._flat @ coords - vec)
-            scale = max(np.linalg.norm(x), 1.0)
+            resid = np.linalg.norm(coords @ self._flat.T - vecs, axis=1)
+            scale = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
             tol = (rtol if rtol is not None else DEFAULT.membership_rtol)
-            if resid > tol * scale:
+            bad = np.flatnonzero(resid > tol * scale)
+            if bad.size:
+                k = bad[0]
                 raise MembershipError(
                     f"matrix is not in {self.family}{self.params}: "
-                    f"residual {resid:.3e} exceeds {tol:.1e} * {scale:.3e}")
-        return coords
+                    f"residual {resid[k]:.3e} exceeds {tol:.1e} * {scale[k]:.3e}")
+        return coords if x.ndim == 3 else coords[0]
 
     def contains(self, x, rtol=None):
         try:
@@ -154,8 +162,10 @@ class LieAlgebraSpace:
             return False
 
     def from_coordinates(self, coords):
+        """Ambient matrix of coordinates (dim,), or stack of matrices of (k, dim)."""
         coords = np.asarray(coords, dtype=float)
-        return np.tensordot(coords, self.basis, axes=(0, 0))
+        flat = coords @ self.basis.reshape(self.dim, -1)
+        return flat.reshape(coords.shape[:-1] + (self.size, self.size))
 
     def defining_residual(self, x):
         """Residual of the defining conditions (trace and, for su, the form)."""
@@ -195,19 +205,17 @@ def bracket(x, y):
 
 
 def cartan_involution(alg, x, check=True):
-    """theta(X) = -X^T for sl(n,R), -X^* for su(p,q)."""
+    """theta(X) = -X^T for sl(n,R), -X^* for su(p,q); X may be a stack."""
     if check:
         alg.coordinates(x, check=True)
-    x = np.asarray(x)
-    return -x.conj().T if alg.family == SU else -np.asarray(x).T
+    xt = np.swapaxes(np.asarray(x), -1, -2)
+    return -xt.conj() if alg.family == SU else -xt
 
 
 def adjoint_operator(alg, x):
     """Matrix of ad X in the algebra basis (real, dim x dim)."""
-    coords_x = alg.coordinates(x, check=True)
-    x = alg.from_coordinates(coords_x)  # project to kill off-algebra noise
-    cols = [alg.coordinates(bracket(x, bm), check=False) for bm in alg.basis]
-    return np.array(cols).T
+    x = alg.from_coordinates(alg.coordinates(x, check=True))  # project off-algebra noise
+    return alg.coordinates(x @ alg.basis - alg.basis @ x, check=False).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,18 +229,22 @@ class SubspaceOfG:
         return self.onb.shape[0]
 
     def project(self, coords):
-        return self.onb.T @ (self.onb @ np.asarray(coords, dtype=float))
+        """Orthogonal projection of a coordinate vector, or of rows (k, dim)."""
+        return (np.asarray(coords, dtype=float) @ self.onb.T) @ self.onb
 
     def contains_vector(self, coords, tol=1e-8):
+        """Whether a coordinate vector, or every row of (k, dim), lies in the subspace."""
         coords = np.asarray(coords, dtype=float)
-        scale = max(np.linalg.norm(coords), 1.0)
-        return np.linalg.norm(coords - self.project(coords)) <= tol * scale
+        resid = np.linalg.norm(coords - self.project(coords), axis=-1)
+        scale = np.maximum(np.linalg.norm(coords, axis=-1), 1.0)
+        return bool(np.all(resid <= tol * scale))
 
     def contains_subspace(self, other, tol=1e-8):
-        return all(self.contains_vector(row, tol) for row in other.onb)
+        return self.contains_vector(other.onb, tol)
 
     def matrices(self):
-        return [self.algebra.from_coordinates(row) for row in self.onb]
+        """Ambient matrices of the orthonormal rows, as a (dim, n, n) stack."""
+        return self.algebra.from_coordinates(self.onb)
 
 
 _RANK_ATOL = 1e-12  # absolute floor so numerically-zero inputs have rank zero
@@ -250,24 +262,24 @@ def subspace_from_coordinates(alg, vectors, rank_rtol=None):
 
 
 def subspace_from_matrices(alg, mats, rank_rtol=None):
-    coords = [alg.coordinates(m, check=True) for m in mats]
+    coords = alg.coordinates(mats, check=True) if len(mats) else []
     return subspace_from_coordinates(alg, coords, rank_rtol)
 
 
-def kernel_of(operators, alg, rank_rtol=None):
-    """Joint numerical kernel of stacked operators on algebra coordinates."""
+def kernel_of(operators, dim, rank_rtol=None):
+    """Joint numerical kernel of stacked operators on a coordinate space of
+    dimension dim, as orthonormal rows (k, dim)."""
     rtol = rank_rtol if rank_rtol is not None else DEFAULT.rank_rtol
     stack = np.vstack([np.atleast_2d(op) for op in operators])
     u, s, vt = np.linalg.svd(stack)
     if s.size == 0 or s[0] <= _RANK_ATOL:
-        return SubspaceOfG(alg, np.eye(alg.dim))
-    ker = vt[np.sum(s > max(rtol * s[0], _RANK_ATOL)):]
-    return SubspaceOfG(alg, ker)
+        return np.eye(dim)
+    return vt[np.sum(s > max(rtol * s[0], _RANK_ATOL)):]
 
 
 def centralizer(alg, x):
     """Numerical kernel of ad X as a SubspaceOfG."""
-    return kernel_of([adjoint_operator(alg, x)], alg)
+    return SubspaceOfG(alg, kernel_of([adjoint_operator(alg, x)], alg.dim))
 
 
 def generated_subalgebra(alg, seeds, rank_rtol=None):
@@ -277,14 +289,12 @@ def generated_subalgebra(alg, seeds, rank_rtol=None):
     dimension stabilizes.
     """
     rtol = rank_rtol if rank_rtol is not None else DEFAULT.rank_rtol
-    coords = [alg.coordinates(m, check=True) for m in seeds]
-    space = subspace_from_coordinates(alg, coords, rtol)
+    space = subspace_from_matrices(alg, seeds, rtol)
     while space.dim > 0:
         mats = space.matrices()
-        new_rows = list(space.onb)
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                new_rows.append(alg.coordinates(bracket(mats[i], mats[j]), check=False))
+        i, j = np.triu_indices(space.dim, k=1)
+        pairs = mats[i] @ mats[j] - mats[j] @ mats[i]
+        new_rows = np.vstack([space.onb, alg.coordinates(pairs, check=False)])
         bigger = subspace_from_coordinates(alg, new_rows, rtol)
         if bigger.dim == space.dim:
             break
@@ -333,12 +343,10 @@ def classify_element(alg, x, kind="auto", tol=1e-8):
 
 def theta_operator(alg):
     """Matrix of the Cartan involution on algebra coordinates."""
-    cols = [alg.coordinates(cartan_involution(alg, bm, check=False), check=False)
-            for bm in alg.basis]
-    return np.array(cols).T
+    return alg.coordinates(cartan_involution(alg, alg.basis, check=False), check=False).T
 
 
 def compact_part_basis(alg):
     """Orthonormal coordinate basis of the +1 eigenspace of theta (i.e. of k)."""
     th = theta_operator(alg)
-    return kernel_of([th - np.eye(alg.dim)], alg)
+    return SubspaceOfG(alg, kernel_of([th - np.eye(alg.dim)], alg.dim))

@@ -10,8 +10,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import (adjoint_operator, bracket, generated_subalgebra,
-                      kernel_of)
+from .algebra import (SubspaceOfG, adjoint_operator, bracket,
+                      generated_subalgebra, kernel_of)
 from .config import DEFAULT
 from .errors import (GenusConditionError, ParameterError, RealizationError,
                      ShapeError)
@@ -71,7 +71,9 @@ def fuchsian_generators(genus, relation_tol=None):
     [A_1,B_1]...[A_g,B_g] = I in SL(2,R).
     """
     tol = DEFAULT.seed_relation_tol if relation_tol is None else relation_tol
-    g = int(genus)
+    if isinstance(genus, bool) or not isinstance(genus, int):
+        raise ParameterError(f"genus must be an int, got {genus!r}")
+    g = genus
     if g < 2:
         raise ParameterError(f"surface groups need genus >= 2, got {g}")
     n = 4 * g
@@ -249,14 +251,14 @@ def build_plan(alg, triple, seed, t="auto", target=None, config=None):
 
 
 def _triple_centralizer(alg, triple):
-    ops = [adjoint_operator(alg, m) for m in triple.images()]
-    return kernel_of(ops, alg)
+    ops = [triple.ad_h, adjoint_operator(alg, triple.e), adjoint_operator(alg, triple.f)]
+    return SubspaceOfG(alg, kernel_of(ops, alg.dim))
 
 
 def _intersect(alg, s1, s2):
     p1 = np.eye(alg.dim) - s1.onb.T @ s1.onb
     p2 = np.eye(alg.dim) - s2.onb.T @ s2.onb
-    return kernel_of([p1, p2], alg)
+    return SubspaceOfG(alg, kernel_of([p1, p2], alg.dim))
 
 
 def z_vector(alg, x_mat, y_mat, t):

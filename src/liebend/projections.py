@@ -22,8 +22,18 @@ class GroupElement:
 
 
 def group_residual(alg, g):
+    """Largest residual of the defining conditions of g.
+
+    |log|det g|| is taken as |sum of log sigma_i| over the singular values,
+    which stays accurate on long products where det g itself loses digits
+    like the product of the singular values; the sign (real g) or phase
+    (complex g) of det g is checked separately."""
     g = np.asarray(g)
-    r = abs(np.linalg.det(g) - 1.0)
+    sv = np.linalg.svd(g, compute_uv=False)
+    if not sv[-1] > 0:
+        return np.inf
+    sign, _ = np.linalg.slogdet(g)
+    r = max(abs(float(np.sum(np.log(sv)))), abs(sign - 1.0))
     if alg.family == SU:
         r = max(r, np.linalg.norm(g.conj().T @ alg.form @ g - alg.form))
     return r

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import serialize
-from .algebra import make_algebra, centralizer
+from .algebra import kernel_of, make_algebra
 from .bending import (bend, bending_inequalities, build_plan, density_certificate,
                       fuchsian_generators, pushed_forward)
 from .config import DEFAULT
@@ -158,7 +158,7 @@ def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
     sig_diag = _sigma_diagonal(sig)
     off = np.linalg.norm(np.asarray(sig) - np.diag(np.array(sig_diag, dtype=float)))
     gb = genus_bound(alg, triple)
-    cz = centralizer(alg, triple.h).dim
+    cz = len(kernel_of([triple.ad_h], alg.dim))  # dim of the centralizer of H
     return {
         "even": even,
         "proper": sl2_action_proper(torus, triple, ah),

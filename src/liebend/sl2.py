@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from . import _ratlin
 from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, bracket,
-                      centralizer, classify_element, kernel_of,
+                      classify_element, kernel_of,
                       subspace_from_coordinates, theta_operator)
 from .config import DEFAULT
 from .errors import (MembershipError, ParameterError, RealizationError,
@@ -40,6 +40,15 @@ class Sl2Triple:
     def is_zero(self):
         return max(np.linalg.norm(self.h), np.linalg.norm(self.e),
                    np.linalg.norm(self.f)) == 0.0
+
+    @cached_property
+    def ad_h(self):
+        """Matrix of ad H in the algebra basis, built once per triple."""
+        return adjoint_operator(self.algebra, self.h)
+
+    @cached_property
+    def ad_h_eigenvalues(self):
+        return np.linalg.eigvals(self.ad_h)
 
     def images(self):
         return [self.h, self.e, self.f]
@@ -154,8 +163,7 @@ def verify_sl2_triple(triple, rtol=1e-9):
 def ad_weight_multiplicities(triple, guard=None):
     """Multiplicities m_j of the integer eigenvalues of ad H on the algebra."""
     guard = DEFAULT.integer_guard if guard is None else guard
-    ad = adjoint_operator(triple.algebra, triple.h)
-    eigs = np.linalg.eigvals(ad)
+    eigs = triple.ad_h_eigenvalues
     scale = max(np.max(np.abs(eigs)), 1.0)
     if np.max(np.abs(eigs.imag)) > 1e-7 * scale:
         raise RealizationError("ad H has non-real eigenvalues")
@@ -218,27 +226,26 @@ def sigma(triple, tol=1e-9):
 def ad_sigma_operator(triple):
     alg = triple.algebra
     s = sigma(triple)
-    s_inv = np.linalg.inv(s)
-    cols = [alg.coordinates(s @ bm @ s_inv, check=False) for bm in alg.basis]
-    return np.array(cols).T
+    return alg.coordinates(s @ alg.basis @ np.linalg.inv(s), check=False).T
 
 
 def g_even(alg, triple, rank_rtol=None):
     """Sum of the even ad H eigenspaces, cross-checked against the +1
     eigenspace of Ad(sigma)."""
     rtol = DEFAULT.rank_rtol if rank_rtol is None else rank_rtol
-    ad = adjoint_operator(alg, triple.h)
+    ad = triple.ad_h
     mults = ad_weight_multiplicities(triple)
     rows = []
     dim = alg.dim
     for j in sorted(m for m in mults if m % 2 == 0):
-        ker = kernel_of([ad - float(j) * np.eye(dim)], alg, rank_rtol=rtol)
-        if ker.dim != mults[j]:
+        ker = kernel_of([ad - float(j) * np.eye(dim)], dim, rank_rtol=rtol)
+        if len(ker) != mults[j]:
             raise RealizationError(
-                f"even eigenspace for weight {j} has dim {ker.dim}, expected {mults[j]}")
-        rows.extend(ker.onb)
+                f"even eigenspace for weight {j} has dim {len(ker)}, expected {mults[j]}")
+        rows.extend(ker)
     space = subspace_from_coordinates(alg, rows, rtol)
-    fixed = kernel_of([ad_sigma_operator(triple) - np.eye(dim)], alg, rank_rtol=rtol)
+    fixed = SubspaceOfG(alg, kernel_of([ad_sigma_operator(triple) - np.eye(dim)], dim,
+                                       rank_rtol=rtol))
     if fixed.dim != space.dim or not fixed.contains_subspace(space, tol=1e-7):
         raise RealizationError("even part disagrees with the Ad(sigma) fixed space")
     return space
@@ -335,7 +342,7 @@ def module_multiplicities(alg, triple, target=None, rank_rtol=None):
         target = g_even(alg, triple, rank_rtol=rtol)
     q_rows = target.onb
     k_t = q_rows.shape[0]
-    ad_h = q_rows @ adjoint_operator(alg, triple.h) @ q_rows.T
+    ad_h = q_rows @ triple.ad_h @ q_rows.T
     ad_e = q_rows @ adjoint_operator(alg, triple.e) @ q_rows.T
     ad_f = q_rows @ adjoint_operator(alg, triple.f) @ q_rows.T
 
@@ -356,13 +363,12 @@ def module_multiplicities(alg, triple, target=None, rank_rtol=None):
     pieces = {}
     for i in sorted(target_odd, reverse=True):
         r = target_odd[i]
-        hw = kernel_of([ad_e, ad_h - 2.0 * i * np.eye(k_t)],
-                       _LocalSpace(k_t), rank_rtol=rtol)
-        if hw.dim != r:
+        hw = kernel_of([ad_e, ad_h - 2.0 * i * np.eye(k_t)], k_t, rank_rtol=rtol)
+        if len(hw) != r:
             raise RealizationError(
-                f"highest-weight space at weight {2*i} has numerical rank {hw.dim}, "
+                f"highest-weight space at weight {2*i} has numerical rank {len(hw)}, "
                 f"expected {r}")
-        for j, row in enumerate(_canonical_hw_rows(list(hw.onb)), start=1):
+        for j, row in enumerate(_canonical_hw_rows(list(hw)), start=1):
             cols = [row]
             for _ in range(2 * i):
                 cols.append(ad_f @ cols[-1])
@@ -387,13 +393,6 @@ def module_multiplicities(alg, triple, target=None, rank_rtol=None):
                         tuple(lam_list), pieces, stacked, block_slices, solver)
 
 
-class _LocalSpace:
-    """Adapter so kernel_of can operate on plain coordinate spaces."""
-
-    def __init__(self, dim):
-        self.dim = dim
-
-
 def genus_bound(alg, triple, target=None):
     """Sum of the odd multiplicities of the target (full algebra by default;
     the even part gives the same value since odd pieces all lie inside it).
@@ -409,7 +408,7 @@ def genus_bound(alg, triple, target=None):
         data = module_multiplicities(alg, triple, target=target)
         odd_sum = sum(data.target_odd_mults.values())
         full_target = target.dim in (alg.dim, g_even(alg, triple).dim)
-    cz = centralizer(alg, triple.h).dim
+    cz = len(kernel_of([triple.ad_h], alg.dim))
     if full_target and odd_sum != cz:
         raise RealizationError(
             f"genus bound {odd_sum} disagrees with centralizer dimension {cz}")
@@ -513,16 +512,11 @@ def property_star_basis(alg, centralizer_subspace, triple=None, tol=1e-7):
     z = centralizer_subspace
     if z.dim == 0:
         return []
-    theta = theta_operator(alg)
-    k_rows, p_rows = [], []
-    for row in z.onb:
-        timg = theta @ row
-        if not z.contains_vector(timg, tol):
-            raise UnsupportedCentralizerError("centralizer is not theta-stable")
-        k_rows.append(0.5 * (row + timg))
-        p_rows.append(0.5 * (row - timg))
-    k_part = subspace_from_coordinates(alg, k_rows)
-    p_part = subspace_from_coordinates(alg, p_rows)
+    timg = z.onb @ theta_operator(alg).T
+    if not z.contains_vector(timg, tol):
+        raise UnsupportedCentralizerError("centralizer is not theta-stable")
+    k_part = subspace_from_coordinates(alg, 0.5 * (z.onb + timg))
+    p_part = subspace_from_coordinates(alg, 0.5 * (z.onb - timg))
     if k_part.dim + p_part.dim != z.dim:
         raise UnsupportedCentralizerError("theta does not split the centralizer")
 

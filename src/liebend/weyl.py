@@ -204,28 +204,24 @@ def _root_multiplicities(alg, torus_free_basis, root_coeffs):
 
     A generic real combination of the commuting ad operators separates the
     integer root functionals (square roots of primes are rationally
-    independent), so one eigendecomposition yields every multiplicity.
+    independent), so one eigendecomposition yields every multiplicity.  ad is
+    linear, so the combination is the ad operator of the combined element.
     """
     from .algebra import adjoint_operator
 
-    ads = [adjoint_operator(alg, a_mat) for _, a_mat in torus_free_basis]
-    rank = len(ads)
-    mu = _GENERIC_WEIGHTS[:rank]
-    combined = sum(m * ad for m, ad in zip(mu, ads))
-    eigs = np.linalg.eigvals(combined)
+    mu = np.array(_GENERIC_WEIGHTS[:len(torus_free_basis)])
+    generic = sum(m * a_mat for m, (_, a_mat) in zip(mu, torus_free_basis))
+    eigs = np.linalg.eigvals(adjoint_operator(alg, generic))
     if np.max(np.abs(eigs.imag)) > 1e-7 * max(np.max(np.abs(eigs)), 1.0):
         raise RealizationError("ad operators of the split torus are not real-diagonalizable")
     eigs = np.sort(eigs.real)
 
     # eigenvalue of the combined operator attached to each root functional
-    free_coords = [fc for fc, _ in torus_free_basis]
+    free_coords = np.array([fc for fc, _ in torus_free_basis], dtype=float)
+    targets = np.array(root_coeffs, dtype=float) @ free_coords.T @ mu
     mults = {}
     used = np.zeros(len(eigs), dtype=bool)
-    for coeffs in root_coeffs:
-        lam = sum(
-            m * float(sum(c * x for c, x in zip(coeffs, fc)))
-            for m, fc in zip(mu, free_coords)
-        )
+    for coeffs, lam in zip(root_coeffs, targets):
         hits = np.nonzero(~used & (np.abs(eigs - lam) < 1e-6))[0]
         used[hits] = True
         mults[coeffs] = len(hits)

@@ -57,6 +57,26 @@ def random_algebra_element(alg, rng, scale=1.0):
     return alg.from_coordinates(coords)
 
 
+def oracle_coordinates(alg, x):
+    """Coordinates of one matrix by one pinv mat-vec, as before the batched map."""
+    x = np.asarray(x)
+    return alg._solver @ np.concatenate([x.reshape(-1).real, x.reshape(-1).imag])
+
+
+def constructed_triples(n_max, p_max):
+    """Every triple the package constructs in sl(2..n_max) and su(p,q), p <= p_max."""
+    from liebend.sl2 import _partitions, rho1_su, rho2_su, sl2_from_partition
+    out = []
+    for n in range(2, n_max + 1):
+        alg = make_algebra("sl", n)
+        out += [sl2_from_partition(alg, parts) for parts in _partitions(n) if max(parts) > 1]
+    for p in range(1, p_max + 1):
+        for q in range(1, p + 1):
+            alg = make_algebra("su", p, q)
+            out += [rho1_su(alg)] + ([rho2_su(alg)] if p > q else [])
+    return out
+
+
 def random_group_element(alg, rng, scale=0.3):
     from scipy.linalg import expm
     return expm(random_algebra_element(alg, rng, scale))

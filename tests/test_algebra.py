@@ -4,10 +4,11 @@ import pytest
 from liebend.algebra import (bracket, cartan_involution, adjoint_operator,
                              centralizer, classify_element, compact_part_basis,
                              generated_subalgebra, make_algebra,
-                             subspace_from_matrices, theta_operator)
+                             subspace_from_coordinates, subspace_from_matrices,
+                             theta_operator)
 from liebend.errors import MembershipError, ParameterError, ShapeError
 
-from conftest import random_algebra_element
+from conftest import constructed_triples, oracle_coordinates, random_algebra_element
 
 H2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 E2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -171,3 +172,110 @@ def test_subspace_from_matrices_rank(sl3):
     sub = subspace_from_matrices(sl3, [H2_pad := np.diag([1.0, -1.0, 0.0]),
                                        2.0 * H2_pad])
     assert sub.dim == 1
+
+
+# The per-basis-element loops that the batched coordinate map replaced, kept
+# as oracles: one pinv mat-vec per matrix and one bracket per basis element.
+
+ORACLE_ALGEBRAS = ([("sl", (n,)) for n in range(2, 7)]
+                   + [("su", (p, q)) for p in range(1, 5) for q in range(1, p + 1)])
+
+
+def _oracle_from_coordinates(alg, coords):
+    return np.tensordot(np.asarray(coords, dtype=float), alg.basis, axes=(0, 0))
+
+
+def _oracle_adjoint(alg, x):
+    x = _oracle_from_coordinates(alg, oracle_coordinates(alg, x))
+    return np.array([oracle_coordinates(alg, bracket(x, bm)) for bm in alg.basis]).T
+
+
+def _oracle_theta(alg):
+    return np.array([oracle_coordinates(alg, -bm.conj().T) for bm in alg.basis]).T
+
+
+def _oracle_generated_dim(alg, seeds):
+    space = subspace_from_coordinates(alg, [oracle_coordinates(alg, m) for m in seeds])
+    while space.dim > 0:
+        mats = [_oracle_from_coordinates(alg, row) for row in space.onb]
+        rows = list(space.onb)
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                rows.append(oracle_coordinates(alg, bracket(mats[i], mats[j])))
+        bigger = subspace_from_coordinates(alg, rows)
+        if bigger.dim == space.dim:
+            break
+        space = bigger
+    return space.dim
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1.0)
+
+
+@pytest.mark.parametrize("family,params", ORACLE_ALGEBRAS)
+def test_batched_coordinates_match_oracle(family, params):
+    alg = make_algebra(family, *params)
+    rng = np.random.default_rng(61)
+    coords = rng.normal(size=(4, alg.dim))
+    stack = alg.from_coordinates(coords)
+    assert stack.shape == (4, alg.size, alg.size)
+    for k in range(4):
+        _assert_rel_close(stack[k], _oracle_from_coordinates(alg, coords[k]))
+    got = alg.coordinates(stack)
+    assert got.shape == (4, alg.dim)
+    for k in range(4):
+        _assert_rel_close(got[k], oracle_coordinates(alg, stack[k]))
+        _assert_rel_close(alg.coordinates(stack[k]), oracle_coordinates(alg, stack[k]))
+    _assert_rel_close(got, coords)
+
+
+@pytest.mark.parametrize("family,params", ORACLE_ALGEBRAS)
+def test_batched_adjoint_and_theta_match_oracle(family, params):
+    alg = make_algebra(family, *params)
+    rng = np.random.default_rng(62)
+    for _ in range(2):
+        x = random_algebra_element(alg, rng)
+        _assert_rel_close(adjoint_operator(alg, x), _oracle_adjoint(alg, x))
+    _assert_rel_close(theta_operator(alg), _oracle_theta(alg))
+
+
+def test_coordinate_stack_with_one_non_member_raises(sl3, su21, rng):
+    for alg in (sl3, su21):
+        stack = np.array([random_algebra_element(alg, rng) for _ in range(3)])
+        stack[1] = stack[1] + np.eye(alg.size)  # nonzero trace
+        with pytest.raises(MembershipError):
+            alg.coordinates(stack)
+        assert alg.coordinates(stack, check=False).shape == (3, alg.dim)
+        assert not alg.contains(stack)
+        with pytest.raises(ShapeError):
+            alg.coordinates(np.zeros((2, alg.size + 1, alg.size + 1)))
+        with pytest.raises(ShapeError):
+            alg.coordinates(np.zeros(alg.size))
+
+
+def test_generated_subalgebra_matches_oracle_on_presets():
+    """Batched closure dimensions equal the per-pair loop's, on the bend
+    presets' certificate seeds and on every constructed triple of sl(2..5)
+    and su(p,q) with p <= 3."""
+    from liebend.bending import build_plan, fuchsian_generators, z_vector
+    from liebend.report import PRESETS, _triple_from_spec
+    for spec in PRESETS.values():
+        params = (spec["n"],) if spec["family"] == "sl" else (spec["p"], spec["q"])
+        alg = make_algebra(spec["family"], *params)
+        triple = _triple_from_spec(alg, spec["triple"])
+        plan = build_plan(alg, triple, fuchsian_generators(spec["genus"]))
+        seeds = list(triple.images())
+        for (i, j) in plan.Lambda:
+            if i == 0:
+                seeds.append(alg.from_coordinates(plan.x_vectors[(0, j)]))
+            else:
+                z = z_vector(alg, plan.x_matrix((i, j)), plan.y_matrix((i, j)), plan.t)
+                seeds.append(alg.from_coordinates(z))
+        dim = generated_subalgebra(alg, seeds).dim
+        assert dim == _oracle_generated_dim(alg, seeds) == plan.iso.target.dim
+    rng = np.random.default_rng(63)
+    for triple in constructed_triples(5, 3):
+        alg = triple.algebra
+        for seeds in (triple.images(), triple.images()[1:] + [random_algebra_element(alg, rng)]):
+            assert generated_subalgebra(alg, seeds).dim == _oracle_generated_dim(alg, seeds)

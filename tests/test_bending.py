@@ -30,6 +30,13 @@ def test_fuchsian_rejects_torus():
         fuchsian_generators(1)
 
 
+@pytest.mark.parametrize("genus", [2.9, True, 1])
+def test_fuchsian_rejects_non_int_genus(genus):
+    """A fractional genus is not truncated, and a bool is not an int here."""
+    with pytest.raises(ParameterError):
+        fuchsian_generators(genus)
+
+
 def test_fixed_vector_adjoint_module(sl2):
     triple = sl2_from_partition(sl2, (2,))
     iso = module_multiplicities(sl2, triple)

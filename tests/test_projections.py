@@ -43,6 +43,33 @@ def test_group_element_validation(sl3, su21):
         GroupElement(sl3, 2.0 * np.eye(3))
 
 
+def test_group_validation_accepts_long_bent_products(sl5):
+    """Products of the bent sl(5) [5] genus-4 generators are group elements;
+    det g loses digits like the product of the singular values, the sum of
+    their logs does not."""
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.sl2 import sl2_from_partition
+    seed = fuchsian_generators(4)
+    bent = bend(seed, build_plan(sl5, sl2_from_partition(sl5, (5,)), seed))
+    letters = bent.generators() + [np.linalg.inv(m) for m in bent.generators()]
+    rng = np.random.default_rng(20240817)
+    for length in (5, 8):
+        for _ in range(100):
+            g = np.eye(5)
+            for k in rng.integers(len(letters), size=length):
+                g = g @ letters[k]
+            validate_group_element(sl5, g)
+
+
+def test_group_validation_rejects_wrong_determinant(sl5, su21):
+    for bad in (2.0 ** 0.2 * np.eye(5), np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]),
+                np.zeros((5, 5))):
+        with pytest.raises(MembershipError):
+            validate_group_element(sl5, bad)
+    with pytest.raises(MembershipError):  # det = i: right modulus, wrong phase
+        validate_group_element(su21, np.diag([1.0, 1j, 1.0]))
+
+
 def test_lyapunov_examples(sl3, su21):
     from liebend.weyl import split_torus
     t3 = split_torus(sl3)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from liebend.algebra import (adjoint_operator, bracket, centralizer, kernel_of,
-                             make_algebra)
+import liebend.algebra
+import liebend.sl2
+from liebend.algebra import (SubspaceOfG, adjoint_operator, bracket, centralizer,
+                             kernel_of, make_algebra)
 from liebend.errors import (ParameterError, RealizationError,
                             UnsupportedCentralizerError)
 from liebend.sl2 import (Sl2Triple, ad_weight_multiplicities, even_partitions,
@@ -14,6 +16,8 @@ from liebend.sl2 import (Sl2Triple, ad_weight_multiplicities, even_partitions,
                          module_multiplicities, property_star_basis, rho1_su,
                          rho2_su, rho_of, sigma, sl2_from_partition,
                          verify_sl2_triple)
+
+from conftest import constructed_triples, oracle_coordinates
 
 SEC53_TABLE = [
     ((5,), True, (4, 2, 0, -2, -4)),
@@ -26,7 +30,8 @@ SEC53_TABLE = [
 
 
 def triple_centralizer(alg, triple):
-    return kernel_of([adjoint_operator(alg, m) for m in triple.images()], alg)
+    ops = [adjoint_operator(alg, m) for m in triple.images()]
+    return SubspaceOfG(alg, kernel_of(ops, alg.dim))
 
 
 @pytest.mark.parametrize("parts,even,vector", SEC53_TABLE)
@@ -393,3 +398,39 @@ def test_rho_of_homomorphism(su21, rng):
         lhs = rho_of(t, g1 @ g2)
         rhs = rho_of(t, g1) @ rho_of(t, g2)
         assert np.linalg.norm(lhs - rhs) < 1e-9 * max(np.linalg.norm(lhs), 1.0)
+
+
+def test_ad_sigma_operator_matches_oracle():
+    """The batched Ad(sigma) equals the per-basis-element loop it replaced."""
+    from liebend.sl2 import ad_sigma_operator
+    for triple in constructed_triples(6, 4):
+        alg = triple.algebra
+        s = sigma(triple)
+        s_inv = np.linalg.inv(s)
+        want = np.array([oracle_coordinates(alg, s @ bm @ s_inv) for bm in alg.basis]).T
+        got = ad_sigma_operator(triple)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+
+def test_ad_h_built_once_per_triple(monkeypatch, sl5, su32):
+    """is_even, genus_bound, g_even and module_multiplicities share one ad H."""
+    real = liebend.algebra.adjoint_operator
+    for alg, make in ((sl5, lambda: sl2_from_partition(sl5, (5,))),
+                      (sl5, lambda: sl2_from_partition(sl5, (3, 1, 1))),
+                      (su32, lambda: rho2_su(su32))):
+        triple = make()
+        calls = []
+
+        def counting(alg_, x):
+            if np.array_equal(np.asarray(x), triple.h):
+                calls.append(1)
+            return real(alg_, x)
+
+        monkeypatch.setattr(liebend.algebra, "adjoint_operator", counting)
+        monkeypatch.setattr(liebend.sl2, "adjoint_operator", counting)
+        is_even(triple)
+        genus_bound(alg, triple)
+        g_even(alg, triple)
+        module_multiplicities(alg, triple)
+        assert len(calls) == 1
+        assert np.array_equal(triple.ad_h, real(alg, triple.h))
