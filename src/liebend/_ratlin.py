@@ -4,10 +4,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def to_fractions(seq):
-    return tuple(Fraction(x) for x in seq)
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot_columns); input not mutated."""
     mat = [list(r) for r in rows]

@@ -125,10 +125,6 @@ class LieAlgebraSpace:
     def _solver(self):
         return np.linalg.pinv(self._flat)
 
-    @cached_property
-    def basis_scale(self):
-        return max(np.linalg.norm(m) for m in self.basis)
-
     def coordinates(self, x, check=True, rtol=None):
         """Real coordinates in the algebra basis of an ambient matrix (n, n),
         shape (dim,), or of a stack of them (k, n, n), shape (k, dim).

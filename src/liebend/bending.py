@@ -10,8 +10,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import (SubspaceOfG, adjoint_operator, bracket,
-                      generated_subalgebra, kernel_of)
+from .algebra import SubspaceOfG, bracket, generated_subalgebra, kernel_of
 from .config import DEFAULT
 from .errors import (GenusConditionError, ParameterError, RealizationError,
                      ShapeError)
@@ -29,11 +28,12 @@ class SurfaceGroupRep:
     b: tuple  # g matrices
 
     def relation_residual(self):
-        return self.relation_diagnostics()[0]
+        return self.relation_diagnostics[0]
 
+    @cached_property
     def relation_diagnostics(self):
-        """(residual, max partial-product norm, word length); the partial norm
-        measures how strongly rounding noise is amplified along the word."""
+        """(residual, max partial-product norm, word length), multiplied out
+        once; the partial norm measures how the word amplifies rounding noise."""
         n = self.a[0].shape[0]
         prod = np.eye(n, dtype=complex)
         peak = 1.0
@@ -251,8 +251,7 @@ def build_plan(alg, triple, seed, t="auto", target=None, config=None):
 
 
 def _triple_centralizer(alg, triple):
-    ops = [triple.ad_h, adjoint_operator(alg, triple.e), adjoint_operator(alg, triple.f)]
-    return SubspaceOfG(alg, kernel_of(ops, alg.dim))
+    return SubspaceOfG(alg, kernel_of([triple.ad_h, triple.ad_e, triple.ad_f], alg.dim))
 
 
 def _intersect(alg, s1, s2):
@@ -328,9 +327,10 @@ def pushed_forward(triple, seed):
                            tuple(rho_of(triple, bk) for bk in seed.b))
 
 
-def bend(seed, plan, seed_tol=None):
+def bend(seed, plan, seed_tol=None, pushed=None):
     """The deformed representation: a_k images unchanged, b_k images multiplied
-    by exp(t X_k).
+    by exp(t X_k).  pushed is pushed_forward(plan.triple, seed), built here
+    unless the caller already holds it.
 
     The deformation is algebraically relation-preserving: the output residual
     is bounded by a small multiple of the undeformed pushed-forward residual
@@ -349,7 +349,8 @@ def bend(seed, plan, seed_tol=None):
         raise RealizationError(f"seed relation residual {seed_resid:.3e} exceeds {cfg_seed:.1e}")
     triple = plan.triple
     alg = triple.algebra
-    pushed = pushed_forward(triple, seed)
+    if pushed is None:
+        pushed = pushed_forward(triple, seed)
     pushed_resid = pushed.relation_residual()
 
     twists = []
@@ -361,7 +362,7 @@ def bend(seed, plan, seed_tol=None):
             twists.append(expm(plan.t * alg.from_coordinates(plan.x_vectors[ij])))
     bent = SurfaceGroupRep(seed.genus, pushed.a,
                            tuple(bb @ tw for bb, tw in zip(pushed.b, twists)))
-    resid, peak, length = bent.relation_diagnostics()
+    resid, peak, length = bent.relation_diagnostics
     gen_norm = max(np.linalg.norm(m) for m in bent.generators())
     noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm
     if resid > 10.0 * pushed_resid + noise + 1e-12:

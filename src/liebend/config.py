@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+from .errors import ParameterError
+
 GOLDEN_RATIO = (1.0 + 5.0 ** 0.5) / 2.0
 
 
@@ -14,13 +16,10 @@ class Config:
     # relative to the largest singular value; looser than membership because
     # iterated bracketing amplifies noise
     rank_rtol: float = 1e-7
-    # absolute tolerance on log scale for the Cartan-projection pairing checks
-    mu_pairing_tol: float = 1e-8
     # how far an ad-eigenvalue may sit from the nearest integer
     integer_guard: float = 1e-8
-    # surface-group relation residual bounds
+    # bound on the seed polygon's relation residual
     seed_relation_tol: float = 1e-10
-    relation_tol: float = 1e-8
     # samples with smaller Cartan projection are ignored by the pitchfork margin
     pitchfork_radius: float = 5.0
     # bending parameters tried in order; first one passing the inequalities wins
@@ -29,6 +28,10 @@ class Config:
     positivity: str = "lexicographic on (a_1,...,a_r)"
 
     def replace(self, **kw):
+        known = {f.name for f in dataclasses.fields(self)}
+        for key in kw:
+            if key not in known:
+                raise ParameterError(f"unknown config key {key!r}; known: {sorted(known)}")
         return dataclasses.replace(self, **kw)
 
     def echo(self):
@@ -46,6 +49,8 @@ def load(path=None, **overrides):
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ParameterError(f"config must be a JSON object, got {type(data).__name__}")
         if "t_grid" in data:
             data["t_grid"] = tuple(float(t) for t in data["t_grid"])
         cfg = cfg.replace(**data)

@@ -4,18 +4,23 @@ For homomorphisms with large ad-weights the relation word has condition
 number far beyond double precision: the shipped float64 matrices of a bent
 representation cannot exhibit a small residual even though the underlying
 representation satisfies the relation exactly.  This module recomputes the
-seed polygon, the homomorphism images, and weight-purified bending twists in
-mpmath and reports the residual of that representation, together with the
-entrywise distance to the shipped matrices.
+seed polygon, the homomorphism images and the bending twists in mpmath and
+reports the residual of that representation, together with the entrywise
+distance to the shipped matrices.
 
-Only the constructed triple families are supported: their E/F entries are
-(possibly imaginary) square roots of integers and H is an integer diagonal,
-so exact reconstructions exist.  The integer diagonal also gives every image
-in closed form (`Sl2Images`): no matrix exponential and no LU inverse of an
-n x n matrix is needed.  Every matrix product of this module (not those
-inside mp.expm on a block) runs on one exact integer kernel (`FixedMatrix`).
+Only triples that carry their exact form (`Sl2Triple.exact`, filled by the
+constructors in `sl2`) are supported: H is an integer diagonal and every
+entry of E is unit * sqrt(m), so E and F are built at the working precision
+and no float entry of H, E or F is read.  The integer diagonal also gives
+every image in closed form (`Sl2Images`): no matrix exponential and no LU
+inverse of an n x n matrix is needed.  A bending vector X_{0,j} of a trivial
+piece is projected onto the centralizer of the triple (`central_part`), so
+it commutes with the image to the working precision, not to float
+precision.  Every matrix product of this module (not those inside mp.expm
+on a block) runs on one exact integer kernel (`FixedMatrix`).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -112,28 +117,15 @@ class FixedMatrix:
 _fixed = FixedMatrix.from_mp
 
 
-def reconstruct_sqrtint_matrix(a, tol=1e-9):
-    """Entries +-sqrt(m) or +-i*sqrt(m) with m a nonnegative integer."""
-    a = np.asarray(a)
-    out = mp.matrix(a.shape[0], a.shape[1])
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            z = complex(a[i, j])
-            if z == 0:
-                continue
-            if abs(z.imag) < tol:
-                m = round(z.real ** 2)
-                if abs(z.real ** 2 - m) > tol:
-                    raise ParameterError("entry is not a square root of an integer")
-                out[i, j] = mp.sign(z.real) * mp.sqrt(m)
-            elif abs(z.real) < tol:
-                m = round(z.imag ** 2)
-                if abs(z.imag ** 2 - m) > tol:
-                    raise ParameterError("entry is not a square root of an integer")
-                out[i, j] = mp.mpc(0, mp.sign(z.imag) * mp.sqrt(m))
-            else:
-                raise ParameterError("entry mixes real and imaginary parts")
-    return out
+def mp_triple(exact):
+    """E and F of an exact triple as mp matrices: E[row, col] = unit sqrt(m)
+    and F = E's conjugate transpose."""
+    n = len(exact.h)
+    e, f = mp.matrix(n, n), mp.matrix(n, n)
+    for row, col, m, unit in exact.e:
+        e[row, col] = unit * mp.sqrt(m)
+        f[col, row] = unit.conjugate() * mp.sqrt(m)
+    return e, f
 
 
 def sl2_inverse(g2):
@@ -181,8 +173,8 @@ def _nilpotent_exp(m):
 
 
 class Sl2Images:
-    """The homomorphism SL(2,R) -> SL(n) of a triple (H, E, F) whose H is an
-    integer diagonal h, in closed form.
+    """The homomorphism SL(2,R) -> SL(n) of an exact triple (H, E, F), whose
+    H is an integer diagonal h, in closed form.
 
     [H, E] = 2E means E, hence E^k, links H-weights 2k apart, so
     exp(xE)[i, j] = x^((h_i - h_j)/2) exp(E)[i, j], and likewise for F.  For
@@ -194,9 +186,10 @@ class Sl2Images:
     once.
     """
 
-    def __init__(self, e_mp, f_mp, h_int):
-        self.h = list(h_int)
+    def __init__(self, exact):
+        self.h = list(exact.h)
         with mp.workprec(mp.mp.prec + GUARD_BITS):
+            e_mp, f_mp = mp_triple(exact)
             self._exp_e = self._graded(e_mp, 1)
             self._exp_f = self._graded(f_mp, -1)
             minus_f = self._unipotent(self._exp_f, -1)
@@ -308,13 +301,36 @@ def _weight_purify(x_float, h_int_diag):
     return out
 
 
+def central_part(x, exact):
+    """The part of x that commutes with H, E and F.  The Casimir
+    Omega = 1/2 ad_H^2 + ad_E ad_F + ad_F ad_E is c_m = m(m+2)/2 on an
+    ad-module of highest weight m and 0 on the trivial part, so the product
+    of (1 - Omega/c_m) over the highest weights m >= 1 of gl(n) keeps the
+    trivial part alone.  The highest weights are the m for which the
+    difference h_i - h_j = m occurs more often than m + 2."""
+    h = exact.h
+    n = len(h)
+    e, f = map(_fixed, mp_triple(exact))
+    s = _fixed((e * f).to_mp() + (f * e).to_mp())
+    counts = Counter(a - b for a in h for b in h)
+    for m in sorted((m for m in counts if m >= 1 and counts[m] > counts[m + 2]), reverse=True):
+        xf = _fixed(x)
+        # Omega(X) = 1/2 ad_H^2 X + (EF + FE) X + X (EF + FE) - 2 (E X F + F X E)
+        omega = ((s * xf).to_mp() + (xf * s).to_mp()
+                 - 2 * ((e * xf * f).to_mp() + (f * xf * e).to_mp()))
+        for i in range(n):
+            for j in range(n):
+                omega[i, j] += (h[i] - h[j]) ** 2 * x[i, j] / 2
+        x = x - omega * (mp.mpf(2) / (m * (m + 2)))
+    return x
+
+
 @dataclass(frozen=True)
 class HighPrecisionReport:
     dps: int
     seed_residual: float
     pushed_residual: float
     bent_residual: float
-    shipped_residual: float
     max_entry_distance: float
 
 
@@ -322,25 +338,20 @@ def verify_bent_relation(plan, bent, dps=40):
     """Residuals of the high-precision representation underlying a bent rep.
 
     Returns the mp residuals of the seed polygon, the undeformed pushed
-    representation and the bent representation, plus the float64 residual of
-    the shipped matrices and their maximal entrywise distance from the
-    verified ones.
+    representation and the bent representation, plus the maximal entrywise
+    distance of the shipped matrices from the verified ones.  The triple
+    must carry its exact form; custom triples do not.
     """
     triple = plan.triple
     alg = triple.algebra
     if plan.t is None:
         raise ParameterError("plan has no bending parameter")
-    h_arr = np.asarray(triple.h)
-    if np.linalg.norm(h_arr - np.diag(np.diag(h_arr))) > 1e-12 * max(np.linalg.norm(h_arr), 1.0):
-        raise ParameterError("high-precision verification needs an a-diagonal H")
-    h_diag = np.diag(h_arr)
-    h_int = [round(float(h.real)) for h in h_diag]
-    if any(abs(h - k) > 1e-9 for h, k in zip(h_diag, h_int)):
-        raise ParameterError("high-precision verification needs integer H-weights")
+    if triple.exact is None:
+        raise ParameterError("high-precision verification needs an a-diagonal H with "
+                             "integer H-weights and exact E, F: a constructed triple")
 
     with mp.workdps(dps):
-        rho = Sl2Images(reconstruct_sqrtint_matrix(triple.e),
-                        reconstruct_sqrtint_matrix(triple.f), h_int)
+        rho = Sl2Images(triple.exact)
         a_seed, b_seed = mp_fuchsian(plan.genus)
 
         prod = _fixed(mp.eye(2))
@@ -360,38 +371,36 @@ def verify_bent_relation(plan, bent, dps=40):
         prod = _fixed(mp.eye(n))
         bent_mp = []
         for k, ((a, a_inv), (b, b_inv)) in enumerate(zip(a_img, b_img), start=1):
-            twist = _twist(plan, rho, h_int, a_seed[k - 1], k)
+            twist = _twist(plan, rho, a_seed[k - 1], k)
             if twist is not None:
                 b, b_inv = b * twist[0], twist[1] * b_inv
             bent_mp.append((a, b))
             prod = prod * a * b * a_inv * b_inv
         bent_resid = float(mp.norm(prod.to_mp() - mp.eye(n)))
 
-        dist = 0.0
-        for (a, bt), (a_f, b_f) in zip(bent_mp, zip(bent.a, bent.b)):
-            for m_mp, m_f in ((a.to_mp(), a_f), (bt.to_mp(), b_f)):
-                for i in range(n):
-                    for j in range(n):
-                        z = complex(np.asarray(m_f)[i, j])
-                        diff = abs(m_mp[i, j] - mp.mpc(z.real, z.imag))
-                        dist = max(dist, float(diff))
-    return HighPrecisionReport(dps, seed_resid, pushed_resid, bent_resid,
-                               bent.relation_residual(), dist)
+        dist = max(float(abs(m_mp[i, j] - mp.mpmathify(complex(m_f[i, j]))))
+                   for (a, b), a_f, b_f in zip(bent_mp, bent.a, bent.b)
+                   for m_mp, m_f in ((a.to_mp(), a_f), (b.to_mp(), b_f))
+                   for i in range(n) for j in range(n))
+    return HighPrecisionReport(dps, seed_resid, pushed_resid, bent_resid, dist)
 
 
-def _twist(plan, rho, h_int, a_seed, k):
+def _twist(plan, rho, a_seed, k):
     """(exp(t X), exp(-t X)) for the k-th generator's bending vector X, or
     None when the generator is not bent."""
     ij = plan.generator_assignment.get(k)
     if ij is None:
         return None
-    alg = plan.triple.algebra
+    alg, exact = plan.triple.algebra, plan.triple.exact
+    h_int = exact.h
     i, j = ij
     with mp.workprec(mp.mp.prec + GUARD_BITS):
         t = mp.mpf(plan.t)
         if i == 0:
-            # commutes with the whole image; weight purification w.r.t. H
-            x_mp = _weight_purify(alg.from_coordinates(plan.x_vectors[ij]), h_int)
+            # commutes with the whole image: project the shipped vector onto
+            # the centralizer of the triple at the working precision
+            x_mp = central_part(_weight_purify(alg.from_coordinates(plan.x_vectors[ij]), h_int),
+                                exact)
             return tuple(map(_fixed, block_expm(x_mp, h_int, t)))
         # rebuild the fixed line: conjugate the purified weight-zero vector of
         # the piece by the mp image of the mp conjugator (the line does not

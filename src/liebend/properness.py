@@ -35,10 +35,6 @@ class HSubalgebraTorus:
         return len(self.basis)
 
     @cached_property
-    def _rref(self):
-        return _ratlin.rref(self.basis)
-
-    @cached_property
     def annihilator(self):
         """Primitive integer functionals cutting out span(a_h); u is in the
         span iff every functional vanishes on u (fast exact membership)."""

@@ -93,10 +93,6 @@ class ReportDocument:
         return "\n".join(lines)
 
 
-def _config_echo(cfg):
-    return cfg.echo()
-
-
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -113,7 +109,7 @@ def cmd_reproduce_sec53(config=None, witness=False):
     of the vector in the Weyl orbit of the fixed abelian subalgebra, and the
     properness verdict of the corresponding action."""
     cfg = config or DEFAULT
-    report = ReportDocument("sl(5,R) partition table (preset sec53)", _config_echo(cfg))
+    report = ReportDocument("sl(5,R) partition table (preset sec53)", cfg.echo())
     alg = make_algebra("sl", 5)
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, SEC53_AH_BASIS)
@@ -180,7 +176,7 @@ def cmd_reproduce_sec6(p, q, config=None, witness=False):
     p, q = int(p), int(q)
     if q < 1 or p < q:
         raise ParameterError(f"need p >= q >= 1, got ({p}, {q})")
-    report = ReportDocument(f"su({p},{q}) family table (preset sec6)", _config_echo(cfg))
+    report = ReportDocument(f"su({p},{q}) family table (preset sec6)", cfg.echo())
     alg = make_algebra("su", p, q)
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, tuple(
@@ -250,7 +246,7 @@ def cmd_bend(plan_spec, config=None):
     if t_req != "auto" and (isinstance(t_req, bool) or not isinstance(t_req, (int, float))
                             or not math.isfinite(t_req) or t_req == 0):
         raise ParameterError(f't must be "auto" or a finite non-zero number, got {t_req!r}')
-    report = ReportDocument("bending certificate", _config_echo(cfg))
+    report = ReportDocument("bending certificate", cfg.echo())
     report.config["plan"] = {k: v for k, v in plan_spec.items()}
 
     alg = _algebra_from_plan(plan_spec)
@@ -289,8 +285,9 @@ def cmd_bend(plan_spec, config=None):
                                             "reason": "no grid t satisfied the inequalities"})
         return report
 
-    bent, ms = _timed(lambda: bend(seed, plan, seed_tol=cfg.seed_relation_tol))
-    pushed = pushed_forward(triple, seed)
+    pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed))
+    bent, ms = _timed(lambda: bend(seed, plan, seed_tol=cfg.seed_relation_tol, pushed=pushed))
+    ms += ms_pushed
     resid_rec = {
         "pushed_residual": serialize.f17(pushed.relation_residual()),
         "bent_residual": serialize.f17(bent.relation_residual()),
@@ -327,7 +324,7 @@ def cmd_check(family_spec, ah_basis, config=None):
     existence criterion with an interior-point certificate, and (for sl) an
     even-triple witness search over partitions."""
     cfg = config or DEFAULT
-    report = ReportDocument("properness check", _config_echo(cfg))
+    report = ReportDocument("properness check", cfg.echo())
     alg = _algebra_from_plan(family_spec)
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, tuple(tuple(Fraction(x) for x in row) for row in ah_basis))

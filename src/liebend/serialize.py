@@ -26,10 +26,6 @@ def matrix_from_json(rows):
     return np.array(rows, dtype=float)
 
 
-def vector_to_json(v):
-    return [f17(x) for x in v]
-
-
 def rational_to_str(x):
     return str(Fraction(x))
 

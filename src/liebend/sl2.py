@@ -26,6 +26,16 @@ SL2_E = np.array([[0.0, 1.0], [0.0, 0.0]])
 SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 
+@dataclass(frozen=True)
+class ExactTriple:
+    """Exact form of a constructed triple: H = diag(h) with integer weights,
+    and E with the entry unit * sqrt(m) at (row, col), unit 1 in sl and i in
+    su.  F is E's conjugate transpose (its transpose in sl, where every unit
+    is real)."""
+    h: tuple  # integer H-weights
+    e: tuple  # (row, col, m, unit) for each nonzero entry of E
+
+
 @dataclass(frozen=True, eq=False)
 class Sl2Triple:
     algebra: object
@@ -35,6 +45,20 @@ class Sl2Triple:
     provenance: str  # partition | rho1 | rho2 | custom
     label: str = ""
     torus_vector: tuple | None = None  # exact free coords when h is a-diagonal
+    exact: ExactTriple | None = None  # None for custom triples
+
+    @classmethod
+    def from_exact(cls, alg, exact, provenance, label):
+        """The float images and the torus vector, read off the exact form."""
+        n = len(exact.h)
+        dtype = complex if alg.is_complex else float
+        h = np.diag(np.array(exact.h, dtype=dtype))
+        e = np.zeros((n, n), dtype=dtype)
+        for row, col, m, unit in exact.e:
+            e[row, col] = unit * math.sqrt(m)
+        f = e.conj().T if alg.is_complex else e.T
+        free = exact.h if alg.family == SL else exact.h[:alg.params[1]]
+        return cls(alg, h, e, f, provenance, label, tuple(Fraction(w) for w in free), exact)
 
     @cached_property
     def is_zero(self):
@@ -45,6 +69,14 @@ class Sl2Triple:
     def ad_h(self):
         """Matrix of ad H in the algebra basis, built once per triple."""
         return adjoint_operator(self.algebra, self.h)
+
+    @cached_property
+    def ad_e(self):
+        return adjoint_operator(self.algebra, self.e)
+
+    @cached_property
+    def ad_f(self):
+        return adjoint_operator(self.algebra, self.f)
 
     @cached_property
     def ad_h_eigenvalues(self):
@@ -75,26 +107,16 @@ def sl2_from_partition(alg, partition):
     parts = tuple(int(p) for p in partition)
     if any(p < 1 for p in parts) or sum(parts) != n:
         raise ParameterError(f"{parts} is not a partition of {n}")
-    h_blk = np.zeros((n, n))
-    e_blk = np.zeros((n, n))
-    offset = 0
-    for p in parts:
-        for m, w in enumerate(range(p - 1, -p, -2)):
-            h_blk[offset + m, offset + m] = w
-        for k in range(1, p):
-            e_blk[offset + k - 1, offset + k] = math.sqrt(k * (p - k))
-        offset += p
+    weights = _partition_weight_string(parts)
+    starts = itertools.accumulate(parts, initial=0)
+    entries = [(s + k - 1, s + k, k * (p - k)) for s, p in zip(starts, parts) for k in range(1, p)]
     # stable sort of the diagonal into the closed chamber
-    order = sorted(range(n), key=lambda i: (-h_blk[i, i], i))
-    perm = np.zeros((n, n))
-    for new, old in enumerate(order):
-        perm[new, old] = 1.0
-    h = perm @ h_blk @ perm.T
-    e = perm @ e_blk @ perm.T
-    f = e.T
+    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    new = {old: k for k, old in enumerate(order)}
+    exact = ExactTriple(tuple(weights[i] for i in order),
+                        tuple((new[r], new[c], m, 1) for r, c, m in entries))
     label = "[" + ",".join(str(p) for p in sorted(parts, reverse=True)) + "]"
-    vec = tuple(Fraction(int(round(h[i, i]))) for i in range(n))
-    return Sl2Triple(alg, h, e, f, "partition", label, vec)
+    return Sl2Triple.from_exact(alg, exact, "partition", label)
 
 
 def rho1_su(alg):
@@ -103,14 +125,9 @@ def rho1_su(alg):
         raise ParameterError("rho1 lives in su(p,q)")
     p, q = alg.params
     n = p + q
-    h = np.zeros((n, n), dtype=complex)
-    e = np.zeros((n, n), dtype=complex)
-    for k in range(q):
-        h[k, k] = 1.0
-        h[n - 1 - k, n - 1 - k] = -1.0
-        e[k, p + k] = 1j
-    f = e.conj().T
-    return Sl2Triple(alg, h, e, f, "rho1", "rho1", (Fraction(1),) * q)
+    h = tuple(1 if i < q else -1 if i >= n - q else 0 for i in range(n))
+    exact = ExactTriple(h, tuple((k, p + k, 1, 1j) for k in range(q)))
+    return Sl2Triple.from_exact(alg, exact, "rho1", "rho1")
 
 
 def rho2_su(alg):
@@ -121,21 +138,13 @@ def rho2_su(alg):
     p, q = alg.params
     if p < q + 1:
         raise ParameterError(f"rho2 is undefined for p = q (got p={p}, q={q})")
-    n = p + q
-    c = [1j * math.sqrt(k * (2 * q + 1 - k)) for k in range(1, q + 1)]
-    h = np.zeros((n, n), dtype=complex)
-    for j, w in enumerate(range(2 * q, 0, -2)):
-        h[j, j] = w
-        h[n - 1 - j, n - 1 - j] = -w
-    e = np.zeros((n, n), dtype=complex)
-    for k in range(q):  # leading (q+1)-block, entries c_1..c_q
-        e[k, k + 1] = c[k]
-    for j in range(q - 1):  # trailing q-block, entries c_{q-1}..c_1
-        e[p + j, p + j + 1] = c[q - 2 - j]
-    e[q, p] = c[q - 1]  # bridge term c_q E_{q+1,p+1}
-    f = e.conj().T
-    vec = tuple(Fraction(w) for w in range(2 * q, 0, -2))
-    return Sl2Triple(alg, h, e, f, "rho2", "rho2", vec)
+    m = [k * (2 * q + 1 - k) for k in range(q + 1)]  # c_k = sqrt(-1) sqrt(m[k])
+    tops = list(range(2 * q, 0, -2))
+    h = tuple(tops + [0] * (p - q) + [-w for w in reversed(tops)])
+    e = ([(k, k + 1, m[k + 1], 1j) for k in range(q)]  # leading (q+1)-block, c_1..c_q
+         + [(p + j, p + j + 1, m[q - 1 - j], 1j) for j in range(q - 1)]  # trailing q-block
+         + [(q, p, m[q], 1j)])  # bridge term c_q E_{q+1,p+1}
+    return Sl2Triple.from_exact(alg, ExactTriple(h, tuple(e)), "rho2", "rho2")
 
 
 def verify_sl2_triple(triple, rtol=1e-9):
@@ -271,12 +280,6 @@ class IsotypicData:
     block_slices: dict
     solver: np.ndarray          # pinv of stacked
 
-    def multiplicity(self, k):
-        return self.mults.get(k, 0)
-
-    def piece_dimension(self, i):
-        return 2 * i + 1
-
     def decompose(self, coords, tol=1e-7):
         """Coefficients of a target-subspace vector in the stacked weight basis."""
         coords = np.asarray(coords, dtype=float)
@@ -343,8 +346,8 @@ def module_multiplicities(alg, triple, target=None, rank_rtol=None):
     q_rows = target.onb
     k_t = q_rows.shape[0]
     ad_h = q_rows @ triple.ad_h @ q_rows.T
-    ad_e = q_rows @ adjoint_operator(alg, triple.e) @ q_rows.T
-    ad_f = q_rows @ adjoint_operator(alg, triple.f) @ q_rows.T
+    ad_e = q_rows @ triple.ad_e @ q_rows.T
+    ad_f = q_rows @ triple.ad_f @ q_rows.T
 
     # target weight multiplicities, for the odd multiplicities of g'
     t_eigs = np.linalg.eigvals(ad_h)

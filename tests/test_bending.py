@@ -112,7 +112,7 @@ def test_bend_relation_exactness_random_plans(rng):
         plan = build_plan(alg, triple, seed, t=t)
         bent = bend(seed, plan, seed_tol=1e-9)  # raises if the bound is violated
         pushed = pushed_forward(triple, seed)
-        resid, peak, length = bent.relation_diagnostics()
+        resid, peak, length = bent.relation_diagnostics
         gen_norm = max(np.linalg.norm(m) for m in bent.generators())
         noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm
         assert resid <= 10.0 * pushed.relation_residual() + noise + 1e-12

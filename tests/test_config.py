@@ -32,3 +32,17 @@ def test_echo_round_trips():
     assert echo["positivity"].startswith("lexicographic")
     assert isinstance(echo["t_grid"], list)
     assert json.dumps(echo, sort_keys=True)
+
+
+def test_unknown_key_is_a_typed_input_error(tmp_path, capsys):
+    from liebend.cli import main
+    from liebend.errors import ParameterError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"relation_tol": 1e-8}))
+    with pytest.raises(ParameterError, match="relation_tol"):
+        config_mod.load(str(path))
+    assert main(["reproduce", "sec53", "--config", str(path)]) == 2
+    assert "unknown config key 'relation_tol'" in capsys.readouterr().err
+    path.write_text(json.dumps([["rank_rtol", 1e-7]]))
+    with pytest.raises(ParameterError, match="JSON object"):
+        config_mod.load(str(path))

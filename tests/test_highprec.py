@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,27 +8,9 @@ import pytest
 
 from liebend.errors import ParameterError
 from liebend.highprec import (FixedMatrix, Sl2Images, _mp_conjugator, _weight_purify,
-                               block_expm, mp_fuchsian, reconstruct_sqrtint_matrix,
+                               block_expm, central_part, mp_fuchsian, mp_triple,
                                sl2_inverse, verify_bent_relation)
 from liebend.sl2 import Sl2Triple, rho2_su, sl2_from_partition
-
-
-def test_reconstruct_sqrtint_entries(su21, sl5):
-    import mpmath as mp
-    t = rho2_su(su21)
-    e_mp = reconstruct_sqrtint_matrix(t.e)
-    assert abs(complex(e_mp[0, 1]) - 1j * np.sqrt(2)) < 1e-15
-    t5 = sl2_from_partition(sl5, (5,))
-    e5 = reconstruct_sqrtint_matrix(t5.e)
-    got = np.array([[complex(e5[i, j]) for j in range(5)] for i in range(5)])
-    assert np.linalg.norm(got - np.asarray(t5.e, dtype=complex)) < 1e-14
-
-
-def test_reconstruct_rejects_generic_entries():
-    with pytest.raises(ParameterError):
-        reconstruct_sqrtint_matrix(np.array([[0.0, 0.3], [0.0, 0.0]]))
-    with pytest.raises(ParameterError):
-        reconstruct_sqrtint_matrix(np.array([[0.0, 1.0 + 1.0j], [0.0, 0.0]]))
 
 
 def test_mp_fuchsian_matches_float(sl2):
@@ -223,11 +206,90 @@ def _constructed_triples():
 CONSTRUCTED = _constructed_triples()
 
 
+@pytest.mark.parametrize("triple", CONSTRUCTED,
+                         ids=[f"{t.algebra.family}{t.algebra.params}-{t.label}"
+                              for t in CONSTRUCTED])
+def test_exact_form_is_the_float_triple(triple):
+    """The float images are the exact form read once, and the exact form is
+    an sl2-triple: E moves the weights by 2 and [E, F] = H at dps 60."""
+    import mpmath as mp
+    exact = triple.exact
+    n = triple.algebra.size
+    e = np.zeros((n, n), dtype=complex)
+    for row, col, m, unit in exact.e:
+        assert exact.h[row] - exact.h[col] == 2
+        e[row, col] = unit * np.sqrt(m)
+    assert np.array_equal(triple.h, np.diag(exact.h))
+    assert np.array_equal(triple.e, e)
+    assert np.array_equal(triple.f, e.conj().T)
+    with mp.workdps(60):
+        e_mp, f_mp = mp_triple(exact)
+        h_mp = mp.diag(list(exact.h))
+        assert mp.norm(e_mp * f_mp - f_mp * e_mp - h_mp) < mp.mpf(10) ** -55
+
+
+_TRIVIAL_PIECES = [("sl", (5,), (4, 1), 4), ("sl", (3,), (2, 1), 2),
+                   ("sl", (4,), (2, 1, 1), 5), ("su", (3, 1), "rho2", 5)]
+
+
+@pytest.mark.parametrize("dps", [20, 40])
+@pytest.mark.parametrize("case", _TRIVIAL_PIECES, ids=lambda c: f"{c[0]}{c[1]}-{c[2]}")
+def test_central_part_commutes_with_the_triple(case, dps):
+    """The projected X_{0,j} commutes with H, E and F at the working
+    precision and stays within 1e-12 of the shipped vector."""
+    import mpmath as mp
+    from liebend.algebra import make_algebra
+    from liebend.bending import build_plan, fuchsian_generators
+    from liebend.sl2 import rho1_su
+    family, params, spec, genus = case
+    alg = make_algebra(family, *params)
+    triple = (sl2_from_partition(alg, spec) if family == "sl"
+              else {"rho1": rho1_su, "rho2": rho2_su}[spec](alg))
+    plan = build_plan(alg, triple, fuchsian_generators(genus), t=0.01)
+    trivial = [ij for ij in plan.Lambda if ij[0] == 0]
+    assert trivial
+    with mp.workdps(dps):
+        e_mp, f_mp = mp_triple(triple.exact)
+        h_mp = mp.diag(list(triple.exact.h))
+        for ij in trivial:
+            x_ship = alg.from_coordinates(plan.x_vectors[ij])
+            x = central_part(_weight_purify(x_ship, triple.exact.h), triple.exact)
+            bound = mp.mpf(10) ** (5 - dps) * mp.norm(x)
+            for y in (h_mp, e_mp, f_mp):
+                assert mp.norm(x * y - y * x) <= bound
+            moved = max(abs(complex(x[i, j]) - x_ship[i, j])
+                        for i in range(alg.size) for j in range(alg.size))
+            assert moved <= 1e-12
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (4, 1), (3, 2)])
+def test_central_part_of_a_generic_matrix(parts, rng):
+    """Any input, not only a weight-zero one, lands in the centralizer: the
+    odd highest weights carry no weight-zero vector but must be removed too."""
+    import mpmath as mp
+    from liebend.algebra import make_algebra
+    exact = sl2_from_partition(make_algebra("sl", sum(parts)), parts).exact
+    n = len(exact.h)
+    with mp.workdps(30):
+        x = central_part(mp.matrix(rng.normal(size=(n, n)).tolist()), exact)
+        e_mp, f_mp = mp_triple(exact)
+        for y in (mp.diag(list(exact.h)), e_mp, f_mp):
+            assert mp.norm(x * y - y * x) <= mp.mpf(10) ** -25 * mp.norm(x)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "sl", "n": 5, "triple": {"partition": [4, 1]}, "genus": 4},
+    {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
+], ids=["sl5-[4,1]-g4", "su3,1-rho2-g5"])
+def test_trivial_pieces_verify_to_working_precision(spec):
+    from liebend.report import cmd_bend
+    report = cmd_bend(dict(spec, t="auto", verify_dps=40))
+    resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
+    assert resid["verified"]["bent_residual"] <= 1e-20
+
+
 def _images(triple):
-    h_int = [round(float(np.real(triple.h[i, i]))) for i in range(triple.algebra.size)]
-    e_mp = reconstruct_sqrtint_matrix(triple.e)
-    f_mp = reconstruct_sqrtint_matrix(triple.f)
-    return Sl2Images(e_mp, f_mp, h_int), e_mp, f_mp, h_int
+    return (Sl2Images(triple.exact), *mp_triple(triple.exact), list(triple.exact.h))
 
 
 def _sl2_samples():
@@ -344,11 +406,10 @@ def test_verify_rejects_non_integer_weights(su21):
 
 def test_closed_form_rejects_misgraded_e(sl3):
     import mpmath as mp
-    triple = sl2_from_partition(sl3, (3,))
+    exact = sl2_from_partition(sl3, (3,)).exact
     with mp.workdps(20):
         with pytest.raises(ParameterError, match="weights"):
-            Sl2Images(reconstruct_sqrtint_matrix(triple.e),
-                      reconstruct_sqrtint_matrix(triple.f), [1, 0, -1])
+            Sl2Images(replace(exact, h=(1, 0, -1)))
 
 
 # --- accuracy guard against the benchmark's recorded residuals ----------------
