@@ -12,12 +12,13 @@ split abelian subspace.  Algebra elements are stored as ambient matrices;
 most computations run in real coordinates with respect to a fixed basis.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT
+from . import config as _config
 from .errors import MembershipError, ParameterError, ShapeError
 
 SL = "sl"
@@ -27,9 +28,10 @@ _FAMILY_ALIASES = {
     "sl": SL, "sl_n_r": SL, "slnr": SL, "sl(n,r)": SL,
     "su": SU, "su_p_q": SU, "supq": SU, "su(p,q)": SU,
 }
+PARAM_NAMES = {SL: ("n",), SU: ("p", "q")}
 
 
-def _canonical_family(family):
+def canonical_family(family):
     key = str(family).strip().lower()
     if key not in _FAMILY_ALIASES:
         raise ParameterError(f"unknown family {family!r}")
@@ -106,6 +108,7 @@ class LieAlgebraSpace:
     size: int
     form: np.ndarray | None
     basis: np.ndarray  # (dim, size, size)
+    config: _config.Config  # the tolerances every computation on this algebra reads
 
     @property
     def dim(self):
@@ -130,7 +133,8 @@ class LieAlgebraSpace:
         shape (dim,), or of a stack of them (k, n, n), shape (k, dim).
 
         With check=True every matrix of the stack must be a member; the
-        residual is taken row by row against the matrix's own norm.
+        residual is taken row by row against the matrix's own norm, with
+        rtol defaulting to the config's membership_rtol.
         """
         x = np.asarray(x)
         if x.ndim not in (2, 3) or x.shape[-2:] != (self.size, self.size):
@@ -141,7 +145,7 @@ class LieAlgebraSpace:
         if check:
             resid = np.linalg.norm(coords @ self._flat.T - vecs, axis=1)
             scale = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
-            tol = (rtol if rtol is not None else DEFAULT.membership_rtol)
+            tol = self.config.membership_rtol if rtol is None else rtol
             bad = np.flatnonzero(resid > tol * scale)
             if bad.size:
                 k = bad[0]
@@ -174,22 +178,34 @@ class LieAlgebraSpace:
         return r
 
 
-def make_algebra(family, *params):
-    """Construct sl(n,R) (params: n) or su(p,q) (params: p, q)."""
-    family = _canonical_family(family)
+def integer_param(name, value):
+    """value as an int; bools and non-integral values raise ParameterError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def make_algebra(family, *params, config=_config.DEFAULT):
+    """Construct sl(n,R) (params: n) or su(p,q) (params: p, q); the algebra
+    holds config, the tolerances of every computation on it."""
+    family = canonical_family(family)
+    names = PARAM_NAMES[family]
+    if len(params) != len(names):
+        raise ParameterError(f"{family} takes parameters {names}, got {params!r}")
+    params = tuple(integer_param(k, v) for k, v in zip(names, params))
     if family == SL:
         (n,) = params
-        n = int(n)
         if n < 2:
             raise ParameterError(f"sl(n,R) needs n >= 2, got {n}")
-        basis = np.array(_sl_basis(n))
-        return LieAlgebraSpace(SL, (n,), n, None, basis)
-    p, q = (int(v) for v in params)
+        return LieAlgebraSpace(SL, params, n, None, np.array(_sl_basis(n)), config)
+    p, q = params
     if q < 1 or p < q:
         raise ParameterError(f"su(p,q) needs p >= q >= 1, got ({p}, {q})")
     b = form_matrix(p, q)
-    basis = np.array(_su_basis(p, q, b))
-    return LieAlgebraSpace(SU, (p, q), p + q, b, basis)
+    return LieAlgebraSpace(SU, params, p + q, b, np.array(_su_basis(p, q, b)), config)
 
 
 def bracket(x, y):
@@ -246,52 +262,49 @@ class SubspaceOfG:
 _RANK_ATOL = 1e-12  # absolute floor so numerically-zero inputs have rank zero
 
 
-def subspace_from_coordinates(alg, vectors, rank_rtol=None):
+def subspace_from_coordinates(alg, vectors):
     """Rank-revealing orthonormalization of coordinate vectors into a SubspaceOfG."""
-    rtol = rank_rtol if rank_rtol is not None else DEFAULT.rank_rtol
     vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
     if vecs.size == 0 or not np.any(vecs):
         return SubspaceOfG(alg, np.zeros((0, alg.dim)))
     u, s, vt = np.linalg.svd(vecs, full_matrices=False)
-    keep = s > max(rtol * s[0], _RANK_ATOL)
+    keep = s > max(alg.config.rank_rtol * s[0], _RANK_ATOL)
     return SubspaceOfG(alg, vt[keep])
 
 
-def subspace_from_matrices(alg, mats, rank_rtol=None):
+def subspace_from_matrices(alg, mats):
     coords = alg.coordinates(mats, check=True) if len(mats) else []
-    return subspace_from_coordinates(alg, coords, rank_rtol)
+    return subspace_from_coordinates(alg, coords)
 
 
-def kernel_of(operators, dim, rank_rtol=None):
+def kernel_of(operators, dim, rank_rtol):
     """Joint numerical kernel of stacked operators on a coordinate space of
     dimension dim, as orthonormal rows (k, dim)."""
-    rtol = rank_rtol if rank_rtol is not None else DEFAULT.rank_rtol
     stack = np.vstack([np.atleast_2d(op) for op in operators])
     u, s, vt = np.linalg.svd(stack)
     if s.size == 0 or s[0] <= _RANK_ATOL:
         return np.eye(dim)
-    return vt[np.sum(s > max(rtol * s[0], _RANK_ATOL)):]
+    return vt[np.sum(s > max(rank_rtol * s[0], _RANK_ATOL)):]
 
 
 def centralizer(alg, x):
     """Numerical kernel of ad X as a SubspaceOfG."""
-    return SubspaceOfG(alg, kernel_of([adjoint_operator(alg, x)], alg.dim))
+    return SubspaceOfG(alg, kernel_of([adjoint_operator(alg, x)], alg.dim, alg.config.rank_rtol))
 
 
-def generated_subalgebra(alg, seeds, rank_rtol=None):
+def generated_subalgebra(alg, seeds):
     """Smallest bracket-closed subspace containing the seeds.
 
     Iterated bracketing with rank-revealing orthonormalization until the
     dimension stabilizes.
     """
-    rtol = rank_rtol if rank_rtol is not None else DEFAULT.rank_rtol
-    space = subspace_from_matrices(alg, seeds, rtol)
+    space = subspace_from_matrices(alg, seeds)
     while space.dim > 0:
         mats = space.matrices()
         i, j = np.triu_indices(space.dim, k=1)
         pairs = mats[i] @ mats[j] - mats[j] @ mats[i]
         new_rows = np.vstack([space.onb, alg.coordinates(pairs, check=False)])
-        bigger = subspace_from_coordinates(alg, new_rows, rtol)
+        bigger = subspace_from_coordinates(alg, new_rows)
         if bigger.dim == space.dim:
             break
         space = bigger
@@ -345,4 +358,4 @@ def theta_operator(alg):
 def compact_part_basis(alg):
     """Orthonormal coordinate basis of the +1 eigenspace of theta (i.e. of k)."""
     th = theta_operator(alg)
-    return SubspaceOfG(alg, kernel_of([th - np.eye(alg.dim)], alg.dim))
+    return SubspaceOfG(alg, kernel_of([th - np.eye(alg.dim)], alg.dim, alg.config.rank_rtol))

@@ -10,8 +10,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import SubspaceOfG, bracket, generated_subalgebra, kernel_of
-from .config import DEFAULT
+from .algebra import SubspaceOfG, bracket, generated_subalgebra, integer_param, kernel_of
 from .errors import (GenusConditionError, ParameterError, RealizationError,
                      ShapeError)
 from .sl2 import module_multiplicities, property_star_basis, rho_of
@@ -61,19 +60,17 @@ def _disk_translation(d):
                      [math.sinh(d / 2.0), math.cosh(d / 2.0)]], dtype=complex)
 
 
-def fuchsian_generators(genus, relation_tol=None):
+def fuchsian_generators(genus):
     """Side-pairing matrices of the regular hyperbolic 4g-gon with vertex
     angle 2*pi/4g (angle sum 2*pi, one vertex cycle).
 
     Sides are numbered counterclockwise and carry the boundary word
     a_1 b_1 a_1^{-1} b_1^{-1} ...; A_k glues side 4k+2 onto side 4k and B_k
     glues side 4k+1 onto side 4k+3, which realizes
-    [A_1,B_1]...[A_g,B_g] = I in SL(2,R).
+    [A_1,B_1]...[A_g,B_g] = I in SL(2,R).  Its float residual grows with the
+    genus; build_plan checks it against the algebra's seed_relation_tol.
     """
-    tol = DEFAULT.seed_relation_tol if relation_tol is None else relation_tol
-    if isinstance(genus, bool) or not isinstance(genus, int):
-        raise ParameterError(f"genus must be an int, got {genus!r}")
-    g = genus
+    g = integer_param("genus", genus)
     if g < 2:
         raise ParameterError(f"surface groups need genus >= 2, got {g}")
     n = 4 * g
@@ -96,9 +93,6 @@ def fuchsian_generators(genus, relation_tol=None):
         a_list.append(glue(4 * k + 2, 4 * k))
         b_list.append(glue(4 * k + 1, 4 * k + 3))
     rep = SurfaceGroupRep(g, tuple(a_list), tuple(b_list))
-    resid = rep.relation_residual()
-    if resid > tol:
-        raise RealizationError(f"polygon relation residual {resid:.3e} exceeds {tol:.1e}")
     for m in rep.generators():
         if abs(np.trace(m)) <= 2.0:
             raise RealizationError("polygon side pairing produced a non-hyperbolic generator")
@@ -191,10 +185,14 @@ class BendingPlan:
         return {k: ij for ij, k in self.f.items()}
 
 
-def build_plan(alg, triple, seed, t="auto", target=None, config=None):
+def build_plan(alg, triple, seed, t="auto", target=None):
     """Assemble a bending plan: isotypic pieces, the injection into generator
-    indices, the fixed vectors, companions and the bending parameter."""
-    cfg = config or DEFAULT
+    indices, the fixed vectors, companions and the bending parameter.  The
+    seed's relation residual is checked first, against seed_relation_tol."""
+    tol = alg.config.seed_relation_tol
+    seed_resid = seed.relation_residual()
+    if seed_resid > tol:
+        raise RealizationError(f"polygon relation residual {seed_resid:.3e} exceeds {tol:.1e}")
     if target is not None:
         closed = generated_subalgebra(alg, [alg.from_coordinates(r) for r in target.onb])
         if closed.dim != target.dim:
@@ -242,7 +240,7 @@ def build_plan(alg, triple, seed, t="auto", target=None, config=None):
 
     plan = BendingPlan(triple, seed, iso, lam, f_map, x_vectors, y_vectors, None, star_kinds)
     if t == "auto":
-        for cand in cfg.t_grid:
+        for cand in alg.config.t_grid:
             trial = plan.with_t(float(cand))
             if bending_inequalities(trial).ok:
                 return trial
@@ -251,13 +249,14 @@ def build_plan(alg, triple, seed, t="auto", target=None, config=None):
 
 
 def _triple_centralizer(alg, triple):
-    return SubspaceOfG(alg, kernel_of([triple.ad_h, triple.ad_e, triple.ad_f], alg.dim))
+    return SubspaceOfG(alg, kernel_of([triple.ad_h, triple.ad_e, triple.ad_f], alg.dim,
+                                      alg.config.rank_rtol))
 
 
 def _intersect(alg, s1, s2):
     p1 = np.eye(alg.dim) - s1.onb.T @ s1.onb
     p2 = np.eye(alg.dim) - s2.onb.T @ s2.onb
-    return SubspaceOfG(alg, kernel_of([p1, p2], alg.dim))
+    return SubspaceOfG(alg, kernel_of([p1, p2], alg.dim, alg.config.rank_rtol))
 
 
 def z_vector(alg, x_mat, y_mat, t):
@@ -327,7 +326,7 @@ def pushed_forward(triple, seed):
                            tuple(rho_of(triple, bk) for bk in seed.b))
 
 
-def bend(seed, plan, seed_tol=None, pushed=None):
+def bend(seed, plan, pushed=None):
     """The deformed representation: a_k images unchanged, b_k images multiplied
     by exp(t X_k).  pushed is pushed_forward(plan.triple, seed), built here
     unless the caller already holds it.
@@ -339,14 +338,10 @@ def bend(seed, plan, seed_tol=None, pushed=None):
     bending).  The algebraically exact statement is certified separately by
     the high-precision lane.  Absolute residual policies live with the caller.
     """
-    cfg_seed = DEFAULT.seed_relation_tol if seed_tol is None else seed_tol
     if plan.t is None:
         raise ParameterError("plan has no bending parameter; the grid search failed")
     if plan.genus != seed.genus:
         raise GenusConditionError("plan and seed genus differ")
-    seed_resid = seed.relation_residual()
-    if seed_resid > cfg_seed:
-        raise RealizationError(f"seed relation residual {seed_resid:.3e} exceeds {cfg_seed:.1e}")
     triple = plan.triple
     alg = triple.algebra
     if pushed is None:

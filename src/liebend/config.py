@@ -1,11 +1,25 @@
-"""Run configuration: tolerances, the bending parameter grid, conventions."""
+"""Run configuration: tolerances and the bending parameter grid.  The
+algebra holds its Config (`make_algebra(..., config=)`); every tolerance is
+read from there at its one use site."""
 
 import dataclasses
 import json
+import math
+import numbers
 
 from .errors import ParameterError
 
 GOLDEN_RATIO = (1.0 + 5.0 ** 0.5) / 2.0
+
+# positivity convention for restricted roots, echoed in reports
+POSITIVITY = "lexicographic on (a_1,...,a_r)"
+
+
+def _finite(key, value, ok, need):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or not ok(value):
+        raise ParameterError(f"config key {key!r} needs {need}, got {value!r}")
+    return float(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -24,8 +38,20 @@ class Config:
     pitchfork_radius: float = 5.0
     # bending parameters tried in order; first one passing the inequalities wins
     t_grid: tuple = (1e-2 * GOLDEN_RATIO, 1e-3 * GOLDEN_RATIO, 1e-4 * GOLDEN_RATIO)
-    # positivity convention for restricted roots, echoed in reports
-    positivity: str = "lexicographic on (a_1,...,a_r)"
+
+    def __post_init__(self):
+        def put(key, value):
+            object.__setattr__(self, key, value)
+
+        for key in ("membership_rtol", "rank_rtol", "integer_guard", "seed_relation_tol"):
+            put(key, _finite(key, getattr(self, key), lambda v: v > 0, "a finite number > 0"))
+        put("pitchfork_radius", _finite("pitchfork_radius", self.pitchfork_radius,
+                                        lambda v: v >= 0, "a finite number >= 0"))
+        grid = self.t_grid
+        if not isinstance(grid, (list, tuple)) or not grid:
+            raise ParameterError(f"config key 't_grid' needs a non-empty list, got {grid!r}")
+        put("t_grid", tuple(_finite("t_grid", t, lambda v: v != 0, "finite non-zero numbers")
+                            for t in grid))
 
     def replace(self, **kw):
         known = {f.name for f in dataclasses.fields(self)}
@@ -35,9 +61,7 @@ class Config:
         return dataclasses.replace(self, **kw)
 
     def echo(self):
-        d = dataclasses.asdict(self)
-        d["t_grid"] = list(d["t_grid"])
-        return d
+        return dict(dataclasses.asdict(self), t_grid=list(self.t_grid), positivity=POSITIVITY)
 
 
 DEFAULT = Config()
@@ -51,9 +75,5 @@ def load(path=None, **overrides):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ParameterError(f"config must be a JSON object, got {type(data).__name__}")
-        if "t_grid" in data:
-            data["t_grid"] = tuple(float(t) for t in data["t_grid"])
         cfg = cfg.replace(**data)
-    if overrides:
-        cfg = cfg.replace(**{k: v for k, v in overrides.items() if v is not None})
-    return cfg
+    return cfg.replace(**overrides)

@@ -141,15 +141,14 @@ class PitchforkResult:
     inconclusive: bool
 
 
-def pitchfork_margin(torus, mu_samples, ah, radius=None):
+def pitchfork_margin(torus, mu_samples, ah):
     """Minimal distance from the qualifying mu samples to W.span(a_h).
 
-    Samples with ||mu|| below the radius are ignored (the relative-compactness
-    condition is vacuous on a bounded core).  A diagnostic, not a decision.
+    Samples with ||mu|| below the config's pitchfork_radius are ignored (the
+    relative-compactness condition is vacuous on a bounded core).  A
+    diagnostic, not a decision.
     """
-    from .config import DEFAULT
-    r = DEFAULT.pitchfork_radius if radius is None else float(radius)
-
+    r = torus.algebra.config.pitchfork_radius
     basis = np.array([[float(x) for x in b] for b in ah.basis]).reshape(ah.dim, torus.coord_len)
     # translate w.span(a_h) as the columns w.b, one n x dim(a_h) matrix per w
     cols = torus.signs[:, :, None] * basis.T[torus.perms]

@@ -15,10 +15,9 @@ from importlib import resources
 import numpy as np
 
 from . import serialize
-from .algebra import kernel_of, make_algebra
+from .algebra import PARAM_NAMES, canonical_family, make_algebra
 from .bending import (bend, bending_inequalities, build_plan, density_certificate,
                       fuchsian_generators, pushed_forward)
-from .config import DEFAULT
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
@@ -104,13 +103,12 @@ def load_golden(name):
         return json.load(fh)
 
 
-def cmd_reproduce_sec53(config=None, witness=False):
+def cmd_reproduce_sec53(config, witness=False):
     """The six sl(5,R) partition rows: evenness, dominant vector, membership
     of the vector in the Weyl orbit of the fixed abelian subalgebra, and the
     properness verdict of the corresponding action."""
-    cfg = config or DEFAULT
-    report = ReportDocument("sl(5,R) partition table (preset sec53)", cfg.echo())
-    alg = make_algebra("sl", 5)
+    alg = make_algebra("sl", 5, config=config)
+    report = ReportDocument("sl(5,R) partition table (preset sec53)", alg.config.echo())
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, SEC53_AH_BASIS)
     for parts in SEC53_PARTITIONS:
@@ -154,7 +152,7 @@ def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
     sig_diag = _sigma_diagonal(sig)
     off = np.linalg.norm(np.asarray(sig) - np.diag(np.array(sig_diag, dtype=float)))
     gb = genus_bound(alg, triple)
-    cz = len(kernel_of([triple.ad_h], alg.dim))  # dim of the centralizer of H
+    cz = len(triple.h_centralizer)
     return {
         "even": even,
         "proper": sl2_action_proper(torus, triple, ah),
@@ -168,16 +166,13 @@ def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
     }
 
 
-def cmd_reproduce_sec6(p, q, config=None, witness=False):
+def cmd_reproduce_sec6(p, q, config, witness=False):
     """The su(p,q) family rows: evenness, sigma, genus bounds against the
     closed formulas and the centralizer dimension, properness against the
     hyperplane subalgebra, and the equal-signature evenness check."""
-    cfg = config or DEFAULT
-    p, q = int(p), int(q)
-    if q < 1 or p < q:
-        raise ParameterError(f"need p >= q >= 1, got ({p}, {q})")
-    report = ReportDocument(f"su({p},{q}) family table (preset sec6)", cfg.echo())
-    alg = make_algebra("su", p, q)
+    alg = make_algebra("su", p, q, config=config)
+    p, q = alg.params
+    report = ReportDocument(f"su({p},{q}) family table (preset sec6)", alg.config.echo())
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, tuple(
         tuple(1 if j == i else 0 for j in range(q)) for i in range(1, q)))
@@ -213,23 +208,22 @@ def _triple_from_spec(alg, spec):
         return rho1_su(alg)
     if spec == "rho2":
         return rho2_su(alg)
-    if isinstance(spec, dict) and "partition" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("partition"), (list, tuple)):
         return sl2_from_partition(alg, tuple(spec["partition"]))
-    raise ParameterError(f"unknown triple spec {spec!r}")
+    raise ParameterError(f'triple must be "rho1", "rho2" or {{"partition": [...]}}, '
+                         f'got {spec!r}')
 
 
-def _algebra_from_plan(plan_spec):
-    family = plan_spec["family"]
-    if family == "sl":
-        return make_algebra("sl", plan_spec["n"])
-    return make_algebra("su", plan_spec["p"], plan_spec["q"])
+def _algebra_from_plan(plan_spec, config):
+    family = canonical_family(plan_spec.get("family"))
+    return make_algebra(family, *(plan_spec.get(k) for k in PARAM_NAMES[family]),
+                        config=config)
 
 
-def cmd_bend(plan_spec, config=None):
+def cmd_bend(plan_spec, config):
     """Full bending audit: polygon seed, plan, inequalities, bent images,
     residuals (with a high-precision verification when available), and the
     bracket-closure density certificate."""
-    cfg = config or DEFAULT
     if isinstance(plan_spec, str):
         if plan_spec not in PRESETS:
             raise ParameterError(f"unknown preset {plan_spec!r}; known: {sorted(PRESETS)}")
@@ -239,32 +233,31 @@ def cmd_bend(plan_spec, config=None):
     verify_dps = plan_spec.get("verify_dps", 0)
     if isinstance(verify_dps, bool) or not isinstance(verify_dps, int) or verify_dps < 0:
         raise ParameterError(f"verify_dps must be an integer >= 0, got {verify_dps!r}")
-    genus = plan_spec["genus"]
+    genus = plan_spec.get("genus")
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
         raise ParameterError(f"genus must be an integer >= 2, got {genus!r}")
     t_req = plan_spec.get("t", "auto")
     if t_req != "auto" and (isinstance(t_req, bool) or not isinstance(t_req, (int, float))
                             or not math.isfinite(t_req) or t_req == 0):
         raise ParameterError(f't must be "auto" or a finite non-zero number, got {t_req!r}')
-    report = ReportDocument("bending certificate", cfg.echo())
+    alg = _algebra_from_plan(plan_spec, config)
+    triple = _triple_from_spec(alg, plan_spec.get("triple"))
+    report = ReportDocument("bending certificate", alg.config.echo())
     report.config["plan"] = {k: v for k, v in plan_spec.items()}
 
-    alg = _algebra_from_plan(plan_spec)
-    triple = _triple_from_spec(alg, plan_spec["triple"])
-
-    seed, ms = _timed(lambda: fuchsian_generators(genus, relation_tol=cfg.seed_relation_tol))
+    seed, ms = _timed(lambda: fuchsian_generators(genus))
     report.add("bend/seed", {"genus": genus},
                {"relation_residual": serialize.f17(seed.relation_residual()),
                 "generators_hyperbolic": True},
                runtime_ms=ms)
 
-    plan, ms = _timed(lambda: build_plan(alg, triple, seed, t=t_req, config=cfg))
+    plan, ms = _timed(lambda: build_plan(alg, triple, seed, t=t_req))
     report.add("bend/plan",
                {"triple": plan_spec["triple"], "t_requested": t_req},
                {"Lambda": [list(ij) for ij in plan.Lambda],
                 "injection": {f"({i},{j})": k for (i, j), k in plan.f.items()},
                 "t": serialize.f17(plan.t) if plan.t is not None else None,
-                "t_grid": [serialize.f17(t) for t in cfg.t_grid],
+                "t_grid": [serialize.f17(t) for t in alg.config.t_grid],
                 "ad_weight_histogram": {str(j): m for j, m in
                                         sorted(plan.iso.weight_mults.items())},
                 "multiplicities": {str(k): m for k, m in
@@ -286,7 +279,7 @@ def cmd_bend(plan_spec, config=None):
         return report
 
     pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed))
-    bent, ms = _timed(lambda: bend(seed, plan, seed_tol=cfg.seed_relation_tol, pushed=pushed))
+    bent, ms = _timed(lambda: bend(seed, plan, pushed=pushed))
     ms += ms_pushed
     resid_rec = {
         "pushed_residual": serialize.f17(pushed.relation_residual()),
@@ -319,16 +312,28 @@ def cmd_bend(plan_spec, config=None):
     return report
 
 
-def cmd_check(family_spec, ah_basis, config=None):
+def _rational(x):
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+            pass
+    raise ParameterError(f'a_h entries must be exact rationals such as 3 or "-1/2", got {x!r}')
+
+
+def cmd_check(family_spec, ah_basis, config):
     """User-supplied properness screening: the equal-rank obstruction, the
     existence criterion with an interior-point certificate, and (for sl) an
     even-triple witness search over partitions."""
-    cfg = config or DEFAULT
-    report = ReportDocument("properness check", cfg.echo())
-    alg = _algebra_from_plan(family_spec)
+    if not isinstance(ah_basis, (list, tuple)) \
+            or not all(isinstance(row, (list, tuple)) for row in ah_basis):
+        raise ParameterError(f"the a_h basis must be a list of rows, got {ah_basis!r}")
+    rows = tuple(tuple(_rational(x) for x in row) for row in ah_basis)
+    alg = _algebra_from_plan(family_spec, config)
+    report = ReportDocument("properness check", alg.config.echo())
     torus = split_torus(alg)
-    ah = HSubalgebraTorus(torus, tuple(tuple(Fraction(x) for x in row) for row in ah_basis))
-    report.config["ah_basis"] = [[str(Fraction(x)) for x in row] for row in ah_basis]
+    ah = HSubalgebraTorus(torus, rows)
+    report.config["ah_basis"] = [[str(x) for x in row] for row in rows]
 
     cm, ms = _timed(lambda: calabi_markus(torus, ah))
     report.add("check/calabi-markus", {"ah_dim": ah.dim, "rank": torus.rank}, cm, runtime_ms=ms)

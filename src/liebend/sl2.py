@@ -15,9 +15,8 @@ from scipy.linalg import expm
 
 from . import _ratlin
 from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, bracket,
-                      classify_element, kernel_of,
+                      classify_element, integer_param, kernel_of,
                       subspace_from_coordinates, theta_operator)
-from .config import DEFAULT
 from .errors import (MembershipError, ParameterError, RealizationError,
                      UnsupportedCentralizerError)
 
@@ -79,6 +78,11 @@ class Sl2Triple:
         return adjoint_operator(self.algebra, self.f)
 
     @cached_property
+    def h_centralizer(self):
+        """Orthonormal coordinate rows of the centralizer of H (the kernel of ad H)."""
+        return kernel_of([self.ad_h], self.algebra.dim, self.algebra.config.rank_rtol)
+
+    @cached_property
     def ad_h_eigenvalues(self):
         return np.linalg.eigvals(self.ad_h)
 
@@ -104,7 +108,7 @@ def sl2_from_partition(alg, partition):
     if alg.family != SL:
         raise ParameterError("partition triples live in sl(n,R)")
     (n,) = alg.params
-    parts = tuple(int(p) for p in partition)
+    parts = tuple(integer_param("partition part", p) for p in partition)
     if any(p < 1 for p in parts) or sum(parts) != n:
         raise ParameterError(f"{parts} is not a partition of {n}")
     weights = _partition_weight_string(parts)
@@ -169,9 +173,9 @@ def verify_sl2_triple(triple, rtol=1e-9):
     return ok, residuals
 
 
-def ad_weight_multiplicities(triple, guard=None):
+def ad_weight_multiplicities(triple):
     """Multiplicities m_j of the integer eigenvalues of ad H on the algebra."""
-    guard = DEFAULT.integer_guard if guard is None else guard
+    guard = triple.algebra.config.integer_guard
     eigs = triple.ad_h_eigenvalues
     scale = max(np.max(np.abs(eigs)), 1.0)
     if np.max(np.abs(eigs.imag)) > 1e-7 * scale:
@@ -238,23 +242,23 @@ def ad_sigma_operator(triple):
     return alg.coordinates(s @ alg.basis @ np.linalg.inv(s), check=False).T
 
 
-def g_even(alg, triple, rank_rtol=None):
+def g_even(alg, triple):
     """Sum of the even ad H eigenspaces, cross-checked against the +1
     eigenspace of Ad(sigma)."""
-    rtol = DEFAULT.rank_rtol if rank_rtol is None else rank_rtol
+    rtol = alg.config.rank_rtol
     ad = triple.ad_h
     mults = ad_weight_multiplicities(triple)
     rows = []
     dim = alg.dim
     for j in sorted(m for m in mults if m % 2 == 0):
-        ker = kernel_of([ad - float(j) * np.eye(dim)], dim, rank_rtol=rtol)
+        ker = (triple.h_centralizer if j == 0
+               else kernel_of([ad - float(j) * np.eye(dim)], dim, rtol))
         if len(ker) != mults[j]:
             raise RealizationError(
                 f"even eigenspace for weight {j} has dim {len(ker)}, expected {mults[j]}")
         rows.extend(ker)
-    space = subspace_from_coordinates(alg, rows, rtol)
-    fixed = SubspaceOfG(alg, kernel_of([ad_sigma_operator(triple) - np.eye(dim)], dim,
-                                       rank_rtol=rtol))
+    space = subspace_from_coordinates(alg, rows)
+    fixed = SubspaceOfG(alg, kernel_of([ad_sigma_operator(triple) - np.eye(dim)], dim, rtol))
     if fixed.dim != space.dim or not fixed.contains_subspace(space, tol=1e-7):
         raise RealizationError("even part disagrees with the Ad(sigma) fixed space")
     return space
@@ -321,14 +325,13 @@ def _canonical_hw_rows(rows, tol=1e-9):
     return canon
 
 
-def module_multiplicities(alg, triple, target=None, rank_rtol=None):
+def module_multiplicities(alg, triple, target=None):
     """Full isotypic data: weight multiplicities, [g:V_k], and ordered weight
     bases of the odd pieces of the target subalgebra (default: the even part).
 
     Highest-weight vectors are extracted per weight in descending order with a
     deterministic lexicographic normalization, then lowered by ad F.
     """
-    rtol = DEFAULT.rank_rtol if rank_rtol is None else rank_rtol
     weight_mults = ad_weight_multiplicities(triple)
     mults = {}
     top = max(weight_mults) if weight_mults else 0
@@ -342,7 +345,7 @@ def module_multiplicities(alg, triple, target=None, rank_rtol=None):
         raise RealizationError("multiplicities do not sum to dim g")
 
     if target is None:
-        target = g_even(alg, triple, rank_rtol=rtol)
+        target = g_even(alg, triple)
     q_rows = target.onb
     k_t = q_rows.shape[0]
     ad_h = q_rows @ triple.ad_h @ q_rows.T
@@ -366,7 +369,7 @@ def module_multiplicities(alg, triple, target=None, rank_rtol=None):
     pieces = {}
     for i in sorted(target_odd, reverse=True):
         r = target_odd[i]
-        hw = kernel_of([ad_e, ad_h - 2.0 * i * np.eye(k_t)], k_t, rank_rtol=rtol)
+        hw = kernel_of([ad_e, ad_h - 2.0 * i * np.eye(k_t)], k_t, alg.config.rank_rtol)
         if len(hw) != r:
             raise RealizationError(
                 f"highest-weight space at weight {2*i} has numerical rank {len(hw)}, "
@@ -411,7 +414,7 @@ def genus_bound(alg, triple, target=None):
         data = module_multiplicities(alg, triple, target=target)
         odd_sum = sum(data.target_odd_mults.values())
         full_target = target.dim in (alg.dim, g_even(alg, triple).dim)
-    cz = len(kernel_of([triple.ad_h], alg.dim))
+    cz = len(triple.h_centralizer)
     if full_target and odd_sum != cz:
         raise RealizationError(
             f"genus bound {odd_sum} disagrees with centralizer dimension {cz}")
@@ -577,7 +580,7 @@ def property_star_basis(alg, centralizer_subspace, triple=None, tol=1e-7):
         picked_rows = []
         rank = 0
         for m in candidates:
-            if not alg.contains(m, rtol=1e-9):
+            if not alg.contains(m):
                 continue
             coords = alg.coordinates(m, check=False)
             if not z.contains_vector(coords, tol):

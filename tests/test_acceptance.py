@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from liebend.algebra import (bracket, cartan_involution, centralizer,
                              compact_part_basis, make_algebra)
+from liebend.config import DEFAULT
 from liebend.projections import lyapunov, mu
 from liebend.properness import (HSubalgebraTorus, benoist_criterion,
                                 calabi_markus, sl2_action_proper)
@@ -30,7 +31,7 @@ def _line(num, ok, text):
 
 def test_criterion_1_sec53_table():
     t0 = time.perf_counter()
-    report = cmd_reproduce_sec53()
+    report = cmd_reproduce_sec53(DEFAULT)
     elapsed = time.perf_counter() - t0
     ok, mismatches = compare_to_golden(report, load_golden("golden_sec53.json"))
     proper = {c.verdict["symbol"] for c in report.checks if c.verdict["proper"]}
@@ -44,7 +45,7 @@ def test_criterion_2_sec6_grid():
     all_ok = True
     for q in range(1, 7):
         for p in range(q, 7):
-            report = cmd_reproduce_sec6(p, q)
+            report = cmd_reproduce_sec6(p, q, DEFAULT)
             present = {c.check_id for c in report.checks}
             ok, mismatches = compare_to_golden(
                 report, {k: v for k, v in golden.items() if k in present})
@@ -75,7 +76,7 @@ def test_criterion_3_properness_grid():
 
 def test_criterion_4_bending_presets():
     t0 = time.perf_counter()
-    rep1 = cmd_bend("su21-rho1-g2")
+    rep1 = cmd_bend("su21-rho1-g2", DEFAULT)
     t1 = time.perf_counter() - t0
     by1 = {c.check_id: c.verdict for c in rep1.checks}
     ok1 = (by1["bend/residuals"]["bent_residual"] <= 1e-8
@@ -85,7 +86,7 @@ def test_criterion_4_bending_presets():
            and t1 < 30.0)
 
     t0 = time.perf_counter()
-    rep2 = cmd_bend("sl5-even5-g4")
+    rep2 = cmd_bend("sl5-even5-g4", DEFAULT)
     t2 = time.perf_counter() - t0
     by2 = {c.check_id: c.verdict for c in rep2.checks}
     ok2 = (by2["bend/certificate"]["verdict"] == "PASS"
@@ -217,11 +218,11 @@ def test_criterion_5_property_suites():
 
 
 def test_criterion_6_determinism():
-    r1 = cmd_reproduce_sec53().to_json()
-    r2 = cmd_reproduce_sec53().to_json()
-    b1 = cmd_bend("su21-rho1-g2").to_json()
-    b2 = cmd_bend("su21-rho1-g2").to_json()
-    s1 = cmd_reproduce_sec6(3, 2).to_json()
-    s2 = cmd_reproduce_sec6(3, 2).to_json()
+    r1 = cmd_reproduce_sec53(DEFAULT).to_json()
+    r2 = cmd_reproduce_sec53(DEFAULT).to_json()
+    b1 = cmd_bend("su21-rho1-g2", DEFAULT).to_json()
+    b2 = cmd_bend("su21-rho1-g2", DEFAULT).to_json()
+    s1 = cmd_reproduce_sec6(3, 2, DEFAULT).to_json()
+    s2 = cmd_reproduce_sec6(3, 2, DEFAULT).to_json()
     ok = (r1 == r2) and (b1 == b2) and (s1 == s2)
     _line(6, ok, "byte-identical reports across two runs with identical config")

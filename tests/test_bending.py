@@ -6,6 +6,7 @@ from liebend.algebra import bracket, generated_subalgebra, make_algebra
 from liebend.bending import (bend, bending_inequalities, build_plan,
                              density_certificate, fixed_weight_zero_vector,
                              fuchsian_generators, pushed_forward, z_vector)
+from liebend.config import Config
 from liebend.errors import GenusConditionError, ParameterError
 from liebend.sl2 import (module_multiplicities, rho1_su, rho2_su,
                          sl2_from_partition)
@@ -89,9 +90,10 @@ def test_bend_relation_exactness_random_plans(rng):
     of the undeformed pushed-forward residual plus the rounding allowance
     tied to the measured conditioning of the relation word (the allowance is
     what bend() enforces; it raises on violation)."""
-    su21 = make_algebra("su", 2, 1)
-    sl3 = make_algebra("sl", 3)
-    sl4 = make_algebra("sl", 4)
+    cfg = Config(seed_relation_tol=1e-9)
+    su21 = make_algebra("su", 2, 1, config=cfg)
+    sl3 = make_algebra("sl", 3, config=cfg)
+    sl4 = make_algebra("sl", 4, config=cfg)
     pool = [
         (su21, rho1_su(su21), 2),
         (su21, rho2_su(su21), 2),
@@ -106,11 +108,11 @@ def test_bend_relation_exactness_random_plans(rng):
         alg, triple, min_genus = pool[int(rng.integers(0, len(pool)))]
         genus = min_genus + int(rng.integers(0, 2))
         if genus not in seeds:
-            seeds[genus] = fuchsian_generators(genus, relation_tol=1e-9)
+            seeds[genus] = fuchsian_generators(genus)
         seed = seeds[genus]
         t = float(10 ** rng.uniform(-4, -1.4))
         plan = build_plan(alg, triple, seed, t=t)
-        bent = bend(seed, plan, seed_tol=1e-9)  # raises if the bound is violated
+        bent = bend(seed, plan)  # raises if the bound is violated
         pushed = pushed_forward(triple, seed)
         resid, peak, length = bent.relation_diagnostics
         gen_norm = max(np.linalg.norm(m) for m in bent.generators())
@@ -170,11 +172,12 @@ def test_inequalities_multiplicity_one(su21):
     assert all(r["margin"] > 0.0 for r in rep.margins)
 
 
-def test_inequalities_multiplicity_five_report(sl5):
+def test_inequalities_multiplicity_five_report():
     """Multiplicity-5 case: the cross family is present and every margin is
     reported, including at a deliberately large t."""
+    sl5 = make_algebra("sl", 5, config=Config(seed_relation_tol=1e-8))
     triple = sl2_from_partition(sl5, (3, 1, 1))
-    seed = fuchsian_generators(10, relation_tol=1e-8)
+    seed = fuchsian_generators(10)
     plan = build_plan(sl5, triple, seed, t="auto")
     rep = bending_inequalities(plan)
     assert rep.ok
@@ -285,12 +288,12 @@ def test_density_certificate_equal_signature_family():
     """The equal-signature family member is even, so its deformation certifies
     density in the full algebra; needs the glued-pair torsion generators."""
     from liebend.sl2 import genus_bound, is_even, rho1_su
-    alg = make_algebra("su", 2, 2)
+    alg = make_algebra("su", 2, 2, config=Config(seed_relation_tol=1e-8))
     triple = rho1_su(alg)
     assert is_even(triple)
-    seed = fuchsian_generators(genus_bound(alg, triple), relation_tol=1e-8)
+    seed = fuchsian_generators(genus_bound(alg, triple))
     plan = build_plan(alg, triple, seed, t="auto")
-    bent = bend(seed, plan, seed_tol=1e-8)
+    bent = bend(seed, plan)
     cert = density_certificate(alg, triple, bent, plan)
     assert cert.verdict == "PASS"
     assert cert.achieved_dim == alg.dim == cert.target_dim

@@ -1,8 +1,21 @@
+import ast
+import dataclasses
 import json
+import pathlib
 
+import numpy as np
 import pytest
 
+import liebend
 from liebend import config as config_mod
+from liebend.algebra import generated_subalgebra, make_algebra
+from liebend.bending import build_plan, fuchsian_generators
+from liebend.cli import main
+from liebend.errors import MembershipError, ParameterError, RealizationError
+from liebend.properness import HSubalgebraTorus, pitchfork_margin
+from liebend.report import cmd_bend, cmd_reproduce_sec53
+from liebend.sl2 import ad_weight_multiplicities, rho1_su, sl2_from_partition
+from liebend.weyl import split_torus
 
 
 def test_defaults():
@@ -35,8 +48,6 @@ def test_echo_round_trips():
 
 
 def test_unknown_key_is_a_typed_input_error(tmp_path, capsys):
-    from liebend.cli import main
-    from liebend.errors import ParameterError
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"relation_tol": 1e-8}))
     with pytest.raises(ParameterError, match="relation_tol"):
@@ -46,3 +57,121 @@ def test_unknown_key_is_a_typed_input_error(tmp_path, capsys):
     path.write_text(json.dumps([["rank_rtol", 1e-7]]))
     with pytest.raises(ParameterError, match="JSON object"):
         config_mod.load(str(path))
+
+
+@pytest.mark.parametrize("key", ["membership_rtol", "rank_rtol", "integer_guard",
+                                 "seed_relation_tol"])
+@pytest.mark.parametrize("value", ["x", True, 0.0, -1e-9, float("nan"), float("inf"), None])
+def test_tolerances_are_validated_when_loaded(key, value):
+    with pytest.raises(ParameterError, match=key):
+        config_mod.DEFAULT.replace(**{key: value})
+
+
+@pytest.mark.parametrize("grid", [[], "0.1", 0.1, ["a"], [0.1, 0], [True], [float("nan")]])
+def test_t_grid_is_validated_when_loaded(grid):
+    with pytest.raises(ParameterError, match="t_grid"):
+        config_mod.DEFAULT.replace(t_grid=grid)
+
+
+def test_pitchfork_radius_is_validated_when_loaded():
+    assert config_mod.Config(pitchfork_radius=0).pitchfork_radius == 0.0
+    for bad in (-1.0, "5", float("inf")):
+        with pytest.raises(ParameterError, match="pitchfork_radius"):
+            config_mod.Config(pitchfork_radius=bad)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--tol", "nan"], "membership_rtol"),
+    (["--tol=-1e-9"], "membership_rtol"),
+    (["--t-grid", "abc"], "t_grid"),
+    (["--t-grid", "0.1,0"], "t_grid"),
+])
+def test_cli_flags_go_through_the_config_checks(argv, key, capsys):
+    assert main(["reproduce", "sec53", *argv]) == 2
+    assert f"input error: config key {key!r} needs" in capsys.readouterr().err
+
+
+def test_six_settable_fields_and_the_same_echo():
+    names = [f.name for f in dataclasses.fields(config_mod.Config)]
+    assert names == ["membership_rtol", "rank_rtol", "integer_guard", "seed_relation_tol",
+                     "pitchfork_radius", "t_grid"]
+    assert sorted(config_mod.DEFAULT.echo()) == sorted(names + ["positivity"])
+
+
+# ---- every field changes a result --------------------------------------
+
+
+def test_membership_rtol_reaches_the_membership_checks(capsys):
+    with pytest.raises(MembershipError):
+        cmd_bend("su21-rho1-g2", config_mod.Config(membership_rtol=1e-300))
+    assert main(["bend", "--preset", "su21-rho1-g2", "--tol", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: matrix is not in su(2, 1)") and "1.0e-300" in err
+
+
+def test_rank_rtol_shrinks_a_closure():
+    h = np.diag([1.0, -1.0])
+    e = np.array([[0.0, 1.0], [0.0, 0.0]])
+    seeds = [h, e + 1e-4 * e.T]  # [H, E + dF] = 2E - 2dF is nearly parallel to E + dF
+    assert generated_subalgebra(make_algebra("sl", 2), seeds).dim == 3
+    loose = make_algebra("sl", 2, config=config_mod.Config(rank_rtol=1e-2))
+    assert generated_subalgebra(loose, seeds).dim == 2
+
+
+def test_integer_guard_reaches_the_weight_decision():
+    assert ad_weight_multiplicities(rho1_su(make_algebra("su", 3, 2)))[0] == 8
+    strict = make_algebra("su", 3, 2, config=config_mod.Config(integer_guard=1e-30))
+    with pytest.raises(RealizationError, match="not an integer"):
+        ad_weight_multiplicities(rho1_su(strict))
+
+
+def test_pitchfork_radius_changes_qualifying():
+    rays = [(float(t),) for t in range(1, 11)]
+    counts = []
+    for cfg in (config_mod.DEFAULT, config_mod.Config(pitchfork_radius=0.0)):
+        torus = split_torus(make_algebra("su", 2, 1, config=cfg))
+        counts.append(pitchfork_margin(torus, rays, HSubalgebraTorus(torus, ())).qualifying)
+    assert counts == [6, 10]
+
+
+def test_seed_relation_tol_admits_the_genus_10_seed():
+    seed = fuchsian_generators(10)
+    alg = make_algebra("sl", 5)
+    with pytest.raises(RealizationError, match="polygon relation residual"):
+        build_plan(alg, sl2_from_partition(alg, (3, 1, 1)), seed)
+    loose = make_algebra("sl", 5, config=config_mod.Config(seed_relation_tol=1e-8))
+    assert build_plan(loose, sl2_from_partition(loose, (3, 1, 1)), seed).t is not None
+
+
+def test_t_grid_sets_the_bending_parameter():
+    seed = fuchsian_generators(2)
+    ts = []
+    for grid in ((0.5,), (0.003,)):
+        alg = make_algebra("su", 2, 1, config=config_mod.Config(t_grid=grid))
+        ts.append(build_plan(alg, rho1_su(alg), seed).t)
+    assert ts == [0.5, 0.003]
+
+
+def test_reports_echo_the_algebras_config():
+    cfg = config_mod.Config(membership_rtol=1e-8, t_grid=(0.5,))
+    echo = cmd_reproduce_sec53(cfg).config
+    assert echo == cfg.echo() and echo["membership_rtol"] == 1e-8
+
+
+def test_default_is_named_only_in_make_algebras_signature():
+    """No module reads DEFAULT at a call site: the config comes from the algebra."""
+    found = []
+    for path in sorted(pathlib.Path(liebend.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "DEFAULT" in names:
+                found.append((path.name, node.lineno))
+    make = next(n for n in ast.walk(ast.parse(
+        (pathlib.Path(liebend.__file__).parent / "algebra.py").read_text()))
+        if isinstance(n, ast.FunctionDef) and n.name == "make_algebra")
+    assert found == [("algebra.py", make.lineno)]

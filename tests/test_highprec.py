@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liebend.config import DEFAULT
 from liebend.errors import ParameterError
 from liebend.highprec import (FixedMatrix, Sl2Images, _mp_conjugator, _weight_purify,
                                block_expm, central_part, mp_fuchsian, mp_triple,
@@ -283,7 +284,7 @@ def test_central_part_of_a_generic_matrix(parts, rng):
 ], ids=["sl5-[4,1]-g4", "su3,1-rho2-g5"])
 def test_trivial_pieces_verify_to_working_precision(spec):
     from liebend.report import cmd_bend
-    report = cmd_bend(dict(spec, t="auto", verify_dps=40))
+    report = cmd_bend(dict(spec, t="auto", verify_dps=40), DEFAULT)
     resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
     assert resid["verified"]["bent_residual"] <= 1e-20
 
@@ -373,7 +374,7 @@ def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
     from liebend.bending import bend, build_plan, fuchsian_generators
     from liebend.report import PRESETS, _algebra_from_plan, _triple_from_spec
     spec = PRESETS["su21-rho1-g2"]
-    alg = _algebra_from_plan(spec)
+    alg = _algebra_from_plan(spec, DEFAULT)
     seed = fuchsian_generators(spec["genus"])
     plan = build_plan(alg, _triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
     bent = bend(seed, plan)
@@ -437,7 +438,7 @@ def test_verified_residual_within_100x_of_recorded(plan):
     spec = PRESETS[plan] if isinstance(plan, str) else dict(plan, t="auto", verify_dps=40)
     key = {k: spec[k] for k in spec if k not in ("t", "verify_dps")}
     recorded = next(r["verified_residual"] for r in _RECORDED if r["plan"] == key)
-    report = cmd_bend(spec)
+    report = cmd_bend(spec, DEFAULT)
     resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
     assert resid["verified"]["dps"] == 40
     assert resid["verified"]["bent_residual"] <= 100 * recorded

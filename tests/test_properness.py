@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liebend.algebra import make_algebra
+from liebend.config import Config
 from liebend.errors import RealizationError
 from liebend.properness import (HSubalgebraTorus, benoist_certificate,
                                 benoist_criterion, calabi_markus,
@@ -156,12 +157,14 @@ def test_chamber_identity_for_symmetric_pair(su32_torus, rng):
 
 def test_pitchfork_margin(su21_torus):
     ah = hyperplane_ah(su21_torus)  # {a1 = 0} has empty basis at q = 1
+    torus0 = split_torus(make_algebra("su", 2, 1, config=Config(pitchfork_radius=0.0)))
+    ah0 = hyperplane_ah(torus0)
     on_ah = [(0.0,)] * 5
-    res = pitchfork_margin(su21_torus, on_ah, ah, radius=0.0)
+    res = pitchfork_margin(torus0, on_ah, ah0)
     assert res.margin == 0.0 and not res.inconclusive
 
     rays = [(float(t),) for t in range(1, 11)]
-    res = pitchfork_margin(su21_torus, rays, ah, radius=0.0)
+    res = pitchfork_margin(torus0, rays, ah0)
     assert res.margin == pytest.approx(1.0)
     res5 = pitchfork_margin(su21_torus, rays, ah)  # default radius 5
     assert res5.margin == pytest.approx(5.0)
@@ -172,13 +175,13 @@ def test_pitchfork_margin(su21_torus):
 def test_pitchfork_distinguishes_sign_translates():
     # span{(1,1)} and its sign-flipped translate span{(1,-1)} are distinct;
     # a sample on the flipped translate must have zero margin
-    torus = split_torus(make_algebra("su", 2, 2))
+    torus = split_torus(make_algebra("su", 2, 2, config=Config(pitchfork_radius=0.0)))
     ah = HSubalgebraTorus(torus, ((1, 1),))
-    res = pitchfork_margin(torus, [(3.0, -3.0)], ah, radius=0.0)
+    res = pitchfork_margin(torus, [(3.0, -3.0)], ah)
     assert res.margin == pytest.approx(0.0, abs=1e-12)
-    res_on = pitchfork_margin(torus, [(3.0, 3.0)], ah, radius=0.0)
+    res_on = pitchfork_margin(torus, [(3.0, 3.0)], ah)
     assert res_on.margin == pytest.approx(0.0, abs=1e-12)
-    res_off = pitchfork_margin(torus, [(3.0, 0.0)], ah, radius=0.0)
+    res_off = pitchfork_margin(torus, [(3.0, 0.0)], ah)
     assert res_off.margin == pytest.approx(3.0 / np.sqrt(2.0))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from liebend import serialize
 from liebend.cli import main
+from liebend.config import DEFAULT
 from liebend.report import (PRESETS, cmd_bend, cmd_check, cmd_reproduce_sec53,
                             cmd_reproduce_sec6, compare_to_golden, load_golden)
 
@@ -12,7 +13,7 @@ SEC53_AH = [["2", "-2", "0", "0", "0"], ["4", "2", "0", "-2", "-4"]]
 
 
 def test_sec53_matches_golden():
-    report = cmd_reproduce_sec53()
+    report = cmd_reproduce_sec53(DEFAULT)
     ok, mismatches = compare_to_golden(report, load_golden("golden_sec53.json"))
     assert ok, mismatches
 
@@ -20,7 +21,7 @@ def test_sec53_matches_golden():
 def test_sec6_sample_matches_golden():
     golden = load_golden("golden_sec6.json")
     for p, q in [(2, 1), (2, 2), (3, 2), (6, 6)]:
-        report = cmd_reproduce_sec6(p, q)
+        report = cmd_reproduce_sec6(p, q, DEFAULT)
         present = {c.check_id for c in report.checks}
         ok, mismatches = compare_to_golden(
             report, {k: v for k, v in golden.items() if k in present})
@@ -28,7 +29,7 @@ def test_sec6_sample_matches_golden():
 
 
 def test_golden_mismatch_detected():
-    report = cmd_reproduce_sec53()
+    report = cmd_reproduce_sec53(DEFAULT)
     golden = dict(load_golden("golden_sec53.json"))
     golden["sec53/row[5]"] = dict(golden["sec53/row[5]"], proper=True)
     ok, mismatches = compare_to_golden(report, golden)
@@ -36,23 +37,23 @@ def test_golden_mismatch_detected():
 
 
 def test_report_determinism():
-    r1 = cmd_reproduce_sec53()
-    r2 = cmd_reproduce_sec53()
+    r1 = cmd_reproduce_sec53(DEFAULT)
+    r2 = cmd_reproduce_sec53(DEFAULT)
     assert r1.to_json() == r2.to_json()
     assert r1.to_text() == r2.to_text()
-    b1 = cmd_bend("su21-rho1-g2")
-    b2 = cmd_bend("su21-rho1-g2")
+    b1 = cmd_bend("su21-rho1-g2", DEFAULT)
+    b2 = cmd_bend("su21-rho1-g2", DEFAULT)
     assert b1.to_json() == b2.to_json()
 
 
 def test_timings_excluded_from_canonical_bytes():
-    report = cmd_reproduce_sec53()
+    report = cmd_reproduce_sec53(DEFAULT)
     assert "runtime_ms" not in report.to_json()
     assert "runtime_ms" in report.to_json(include_timings=True)
 
 
 def test_bend_preset_reports():
-    report = cmd_bend("su21-rho1-g2")
+    report = cmd_bend("su21-rho1-g2", DEFAULT)
     by_id = {c.check_id: c.verdict for c in report.checks}
     assert by_id["bend/certificate"]["verdict"] == "PASS"
     assert by_id["bend/certificate"]["achieved_dim"] == 4
@@ -60,7 +61,7 @@ def test_bend_preset_reports():
     assert by_id["bend/residuals"]["verified"]["bent_residual"] < 1e-20
     assert by_id["bend/inequalities"]["ok"] is True
 
-    report5 = cmd_bend("sl5-even5-g4")
+    report5 = cmd_bend("sl5-even5-g4", DEFAULT)
     by_id5 = {c.check_id: c.verdict for c in report5.checks}
     assert by_id5["bend/certificate"]["verdict"] == "PASS"
     assert by_id5["bend/certificate"]["achieved_dim"] == 24
@@ -68,7 +69,7 @@ def test_bend_preset_reports():
 
 
 def test_bend_generators_serialized():
-    report = cmd_bend("su21-rho1-g2")
+    report = cmd_bend("su21-rho1-g2", DEFAULT)
     gens = next(c for c in report.checks if c.check_id == "bend/generators")
     mats = gens.verdict["matrices"]
     assert len(mats) == 2
@@ -77,20 +78,20 @@ def test_bend_generators_serialized():
 
 
 def test_cmd_check_su_examples(su32_torus):
-    report = cmd_check({"family": "su", "p": 3, "q": 2}, [["0", "1"]])
+    report = cmd_check({"family": "su", "p": 3, "q": 2}, [["0", "1"]], DEFAULT)
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["check/benoist"].verdict is True
     assert by_id["check/benoist"].witness is not None
     assert by_id["check/calabi-markus"].verdict is False
 
-    full = cmd_check({"family": "su", "p": 3, "q": 2}, [["1", "0"], ["0", "1"]])
+    full = cmd_check({"family": "su", "p": 3, "q": 2}, [["1", "0"], ["0", "1"]], DEFAULT)
     by_id = {c.check_id: c for c in full.checks}
     assert by_id["check/benoist"].verdict is False
     assert by_id["check/calabi-markus"].verdict is True
 
 
 def test_cmd_check_sl5_no_even_witness():
-    report = cmd_check({"family": "sl", "n": 5}, SEC53_AH)
+    report = cmd_check({"family": "sl", "n": 5}, SEC53_AH, DEFAULT)
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["check/benoist"].verdict is True
     ew = by_id["check/even-witness"].verdict
@@ -100,7 +101,7 @@ def test_cmd_check_sl5_no_even_witness():
 
 def test_cmd_check_sl4_has_even_witness(tmp_path):
     # a_h = span{(1,-1,0,0)}: the even [4]-vector (3,1,-1,-3) avoids its orbit
-    report = cmd_check({"family": "sl", "n": 4}, [["1", "-1", "0", "0"]])
+    report = cmd_check({"family": "sl", "n": 4}, [["1", "-1", "0", "0"]], DEFAULT)
     by_id = {c.check_id: c for c in report.checks}
     assert by_id["check/even-witness"].verdict["even_witness"] is not None
 
@@ -158,6 +159,20 @@ _SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t":
     (dict(_SU21_PLAN, t=float("inf")), 't must be "auto" or a finite non-zero number, got inf'),
     (dict(_SU21_PLAN, t="abc"), 't must be "auto" or a finite non-zero number, got \'abc\''),
     (dict(_SU21_PLAN, t=True), 't must be "auto" or a finite non-zero number, got True'),
+    (dict(_SU21_PLAN, family="so"), "unknown family 'so'"),
+    ({k: v for k, v in _SU21_PLAN.items() if k != "family"}, "unknown family None"),
+    ({k: v for k, v in _SU21_PLAN.items() if k != "p"}, "p must be an integer, got None"),
+    (dict(_SU21_PLAN, p=2.5), "p must be an integer, got 2.5"),
+    (dict(_SU21_PLAN, q=True), "q must be an integer, got True"),
+    (dict(_SU21_PLAN, family="sl", n=3.7), "n must be an integer, got 3.7"),
+    ({k: v for k, v in _SU21_PLAN.items() if k != "triple"},
+     'triple must be "rho1", "rho2" or {"partition": [...]}, got None'),
+    (dict(_SU21_PLAN, triple="rho3"),
+     'triple must be "rho1", "rho2" or {"partition": [...]}, got \'rho3\''),
+    (dict(_SU21_PLAN, family="sl", n=5, triple={"partition": [2.5, 2.5]}),
+     "partition part must be an integer, got 2.5"),
+    ({k: v for k, v in _SU21_PLAN.items() if k != "genus"},
+     "genus must be an integer >= 2, got None"),
 ])
 def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
@@ -166,6 +181,37 @@ def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({"rows": [[0, 1]]}, "the a_h basis must be a list of rows, got {'rows': [[0, 1]]}"),
+    ([[0, 1], 1], "the a_h basis must be a list of rows, got [[0, 1], 1]"),
+    ([["a", "1"]], 'a_h entries must be exact rationals such as 3 or "-1/2", got \'a\''),
+    ([["1/0", "1"]], 'a_h entries must be exact rationals such as 3 or "-1/2", got \'1/0\''),
+    ([[True, 1]], 'a_h entries must be exact rationals such as 3 or "-1/2", got True'),
+    ([[float("inf"), 1]], 'a_h entries must be exact rationals such as 3 or "-1/2", got inf'),
+])
+def test_cli_rejects_malformed_ah(tmp_path, capsys, rows, message):
+    ah = tmp_path / "ah.json"
+    ah.write_text(json.dumps(rows))
+    assert main(["check", "--family", "su", "--p", "3", "--q", "2", "--ah", str(ah)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_cli_lets_program_faults_escape(monkeypatch, capsys):
+    """A numpy LinAlgError is a ValueError, but it is a fault of the program,
+    not an input error: main does not turn it into exit 2."""
+    import liebend.cli
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(liebend.cli, "cmd_reproduce_sec53", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["reproduce", "sec53"])
+    assert "input error" not in capsys.readouterr().err
 
 
 def test_cli_witness_output(tmp_path, capsys):

@@ -31,7 +31,7 @@ SEC53_TABLE = [
 
 def triple_centralizer(alg, triple):
     ops = [adjoint_operator(alg, m) for m in triple.images()]
-    return SubspaceOfG(alg, kernel_of(ops, alg.dim))
+    return SubspaceOfG(alg, kernel_of(ops, alg.dim, alg.config.rank_rtol))
 
 
 @pytest.mark.parametrize("parts,even,vector", SEC53_TABLE)
@@ -434,3 +434,32 @@ def test_ad_h_built_once_per_triple(monkeypatch, sl5, su32):
         module_multiplicities(alg, triple)
         assert len(calls) == 1
         assert np.array_equal(triple.ad_h, real(alg, triple.h))
+
+
+def test_h_centralizer_is_the_kernel_of_ad_h():
+    for triple in constructed_triples(5, 4):
+        alg = triple.algebra
+        rows = triple.h_centralizer
+        assert rows is triple.h_centralizer
+        assert np.array_equal(rows, kernel_of([triple.ad_h], alg.dim, alg.config.rank_rtol))
+        assert len(rows) == ad_weight_multiplicities(triple)[0]
+
+
+def test_sec6_takes_each_kernel_once(monkeypatch):
+    """The sec6 record, genus_bound and g_even's weight-0 eigenspace share the
+    triple's one centralizer of H: no operator on the algebra is decomposed
+    twice."""
+    from liebend.config import DEFAULT
+    from liebend.report import cmd_reproduce_sec6
+    dim = make_algebra("su", 3, 2).dim
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-1] == dim:
+            seen.append(np.asarray(a).tobytes())
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    cmd_reproduce_sec6(3, 2, DEFAULT)
+    assert seen and len(seen) == len(set(seen))
