@@ -13,15 +13,23 @@ constructors in `sl2`) are supported: H is an integer diagonal and every
 entry of E is unit * sqrt(m), so E and F are built at the working precision
 and no float entry of H, E or F is read.  The integer diagonal also gives
 every image in closed form (`Sl2Images`): no matrix exponential and no LU
-inverse of an n x n matrix is needed.  A bending vector X_{0,j} of a trivial
-piece is projected onto the centralizer of the triple (`central_part`), so
-it commutes with the image to the working precision, not to float
-precision.  Every matrix product of this module (not those inside mp.expm
-on a block) runs on one exact integer kernel (`FixedMatrix`).
+inverse of an n x n matrix is needed.  A twist commutes with H, so it is
+exponentiated per H-block (`block_expm`): a 2x2 block, the only size the
+constructed triples' bending vectors reach, in closed form, and only a
+block of size 3 or more with mp.expm.  A bending vector X_{0,j} of a
+trivial piece is projected onto the centralizer of the triple
+(`central_part`), so it commutes with the image to the working precision,
+not to float precision.  Every matrix product of this module (not those
+inside mp.expm on a block of size 3 or more) runs on one exact integer
+kernel (`FixedMatrix`), which rounds in Python ints, and the distance to the
+shipped float64 matrices is taken from its mantissas.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import mpmath as mp
 import numpy as np
@@ -35,16 +43,40 @@ from .errors import ParameterError
 GUARD_BITS = 20
 
 
+class RoundingModeError(ValueError):
+    """The mp context rounds other than to nearest, the one mode the integer
+    kernel implements."""
+
+
+def _round_nearest(v, prec):
+    """The int v rounded to prec significant bits, to nearest with ties to
+    even: the value of libmp.from_man_exp(v, 0, prec, 'n')."""
+    m = -v if v < 0 else v
+    n = m.bit_length() - prec
+    if n <= 0:
+        return v
+    half = 1 << (n - 1)
+    low = m & ((half << 1) - 1)
+    m -= low
+    if low > half or (low == half and m >> n & 1):
+        m += half << 1
+    return -m if v < 0 else m
+
+
 class FixedMatrix:
     """An mp matrix held as integer mantissas over one shared binary
     exponent: entry (i, j) is (re[i, j] + 1j im[i, j]) * 2**exp, with im None
     for a real matrix.
 
     Every matrix product of this module runs here (mp.expm, called on
-    small blocks only, keeps its own).  The product is formed
-    exactly, in numpy object arrays of Python ints (a complex product as four
-    real ones), and each entry is rounded once with libmp.from_man_exp at
-    the current mp precision and rounding.  mp.fdot also sums exactly and
+    blocks of size 3 or more only, keeps its own).  The product is formed
+    exactly, in numpy object arrays of Python ints (a complex product as three
+    real ones).  Each entry is rounded once in Python ints to the current mp
+    precision, to nearest with ties to even, the value
+    libmp.from_man_exp(v, exp, prec, 'n') gives; the trailing zeros all
+    entries share then move into the exponent, so the arrays and the
+    exponent are those of from_raw on the rounded entries.  Another mp
+    rounding mode raises RoundingModeError.  mp.fdot also sums exactly and
     rounds once, so the entries agree with mp.matrix.__mul__ bit for bit
     unless fdot drops a term more than 2**(2 prec) below its running sum.
     A product stays in this form, so the next product reads its integers
@@ -78,9 +110,11 @@ class FixedMatrix:
         """From an mp.matrix, or from a list of rows of mp numbers."""
         if isinstance(m, mp.matrix):
             m = m.tolist()
-        rows = [[mp.mpmathify(v) for v in row] for row in m]
-        flat = [v for row in rows for v in row]
-        shape = (len(rows), len(rows[0]))
+        return cls.from_numbers((len(m), len(m[0])), [mp.mpmathify(v) for row in m for v in row])
+
+    @classmethod
+    def from_numbers(cls, shape, flat):
+        """From a row-major list of mpf and mpc, read through their raw tuples."""
         if not any(hasattr(v, "_mpc_") for v in flat):
             return cls.from_raw(shape, [[v._mpf_ for v in flat]])
         pairs = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, libmp.fzero) for v in flat]
@@ -90,18 +124,26 @@ class FixedMatrix:
         a, b = self, other
         parts = [a.re @ b.re]
         if a.im is not None and b.im is not None:
-            parts = [parts[0] - a.im @ b.im, a.re @ b.im + a.im @ b.re]
+            # three real products in place of four (Gauss), exact in integers
+            im_im = a.im @ b.im
+            parts = [parts[0] - im_im, (a.re + a.im) @ (b.re + b.im) - parts[0] - im_im]
         elif a.im is not None:
             parts.append(a.im @ b.re)
         elif b.im is not None:
             parts.append(a.re @ b.im)
-        # fdot's precision and rounding mode, so that workprec() applies here too
+        # fdot's precision, so that workprec() applies here too
         prec, rnd = mp.mp._prec_rounding
-        exp = a.exp + b.exp
-        return FixedMatrix.from_raw(parts[0].shape, [
-            [libmp.from_man_exp(int(v), exp, prec, rnd) if v else libmp.fzero
-             for v in part.ravel().tolist()]
-            for part in parts])
+        if rnd != libmp.round_nearest:
+            raise RoundingModeError(f"the integer kernel rounds to nearest only, "
+                                    f"the mp context rounds {rnd!r}")
+        rounded = [[_round_nearest(v, prec) for v in part.ravel().tolist()] for part in parts]
+        # the trailing zeros every entry shares move into the exponent
+        low = reduce(or_, [reduce(or_, part) for part in rounded])
+        shift = (low & -low).bit_length() - 1 if low else 0
+        arrays = [np.array([v >> shift for v in part], dtype=object).reshape(parts[0].shape)
+                  for part in rounded]
+        return FixedMatrix(arrays[0], arrays[1] if len(arrays) > 1 else None,
+                           a.exp + b.exp + shift if low else 0)
 
     def to_mp(self):
         def raw(part):
@@ -213,10 +255,10 @@ class Sl2Images:
         powers = [mp.mpf(1)]
         for _ in range(n):
             powers.append(powers[-1] * x)
-        rows = [[0] * n for _ in range(n)]
+        flat = [mp.mpf(0)] * (n * n)
         for i, j, k, v in graded:
-            rows[i][j] = powers[k] * v if col_scale is None else powers[k] * v * col_scale[j]
-        return FixedMatrix.from_mp(rows)
+            flat[i * n + j] = powers[k] * v if col_scale is None else powers[k] * v * col_scale[j]
+        return FixedMatrix.from_numbers((n, n), flat)
 
     def __call__(self, g2):
         a, b, c, d = g2[0, 0], g2[0, 1], g2[1, 0], g2[1, 1]
@@ -230,11 +272,33 @@ class Sl2Images:
         return lower_diag * self._unipotent(self._exp_e, b / a)
 
 
+def _expm2(x, t):
+    """exp(t x) of a 2x2 mp matrix by Cayley-Hamilton: with tau = tr x / 2,
+    mu**2 = tau**2 - det x and x - tau I = [[d, x01], [x10, -d]],
+    exp(t x) = e^(t tau) (cosh(t mu) I + sinh(t mu)/mu (x - tau I)), where
+    sinh(t mu)/mu is t at mu = 0.  A real x with mu**2 < 0 takes
+    cos and sin of t |mu| and stays real."""
+    d = (x[0][0] - x[1][1]) / 2
+    mu2 = d * d + x[0][1] * x[1][0]
+    if mu2 == 0:
+        c, s = mp.mpf(1), t
+    elif isinstance(mu2, mp.mpf) and mu2 < 0:
+        nu = mp.sqrt(-mu2)
+        c, s = mp.cos(t * nu), mp.sin(t * nu) / nu
+    else:
+        mu = mp.sqrt(mu2)
+        c, s = mp.cosh(t * mu), mp.sinh(t * mu) / mu
+    scale = mp.exp(t * (x[0][0] + x[1][1]) / 2)
+    c, s = scale * c, scale * s
+    return [[c + s * d, s * x[0][1]], [s * x[1][0], c - s * d]]
+
+
 def block_expm(x, h_int, t):
     """(exp(t x), exp(-t x)) for an x that commutes with the integer diagonal
     H: x is block diagonal over H's eigenvalue classes, so each block is
-    exponentiated once, a block of size 1 as a scalar, and inverted on its
-    own."""
+    exponentiated on its own, a block of size 1 as a scalar, a 2x2 block in
+    closed form at t and at -t (`_expm2`), and a larger one with mp.expm and
+    mp.inverse."""
     n = len(h_int)
     out, out_inv = mp.matrix(n, n), mp.matrix(n, n)
     classes = {}
@@ -246,11 +310,16 @@ def block_expm(x, h_int, t):
             out[i, i] = mp.exp(t * x[i, i])
             out_inv[i, i] = 1 / out[i, i]
             continue
-        blk = mp.expm(t * mp.matrix([[x[i, j] for j in idx] for i in idx]))
-        blk_inv = mp.inverse(blk)
+        sub = [[x[i, j] for j in idx] for i in idx]
+        if len(idx) == 2:
+            blk, blk_inv = _expm2(sub, t), _expm2(sub, -t)
+        else:
+            blk = mp.expm(t * mp.matrix(sub))
+            blk_inv = mp.inverse(blk).tolist()
+            blk = blk.tolist()
         for r, i in enumerate(idx):
             for s, j in enumerate(idx):
-                out[i, j], out_inv[i, j] = blk[r, s], blk_inv[r, s]
+                out[i, j], out_inv[i, j] = blk[r][s], blk_inv[r][s]
     return out, out_inv
 
 
@@ -325,6 +394,36 @@ def central_part(x, exact):
     return x
 
 
+def _dyadic(x):
+    """A finite float64 array as integer mantissas and exponents:
+    x = man * 2**exp entrywise, exactly."""
+    frac, exp = np.frexp(x)
+    return (frac * 2.0 ** 53).astype(np.int64), exp.astype(np.int64) - 53
+
+
+def max_entry_distance(m, f):
+    """max |m[i, j] - f[i, j]| for a FixedMatrix m and a float64 array f, from
+    m's mantissas and the exact dyadic value of each float: the differences
+    are exact integers over one exponent, and the largest modulus is rounded
+    once, to nearest, to a float."""
+    f = np.asarray(f, dtype=complex)
+    if not np.isfinite(f).all():
+        return math.inf
+    parts = [_dyadic(f.real), _dyadic(f.imag)]
+    exp = min([m.exp] + [int(e[man != 0].min()) for man, e in parts if man.any()])
+
+    def shipped(man, e):
+        return man.astype(object) << np.where(man != 0, e - exp, 0).astype(object)
+
+    diff_re = (m.re << (m.exp - exp)) - shipped(*parts[0])
+    diff_im = (0 if m.im is None else m.im << (m.exp - exp)) - shipped(*parts[1])
+    top = int((diff_re * diff_re + diff_im * diff_im).max())
+    if not top:
+        return 0.0
+    dist = libmp.mpf_sqrt(libmp.from_man_exp(top, 2 * exp), 53, libmp.round_nearest)
+    return libmp.to_float(dist)
+
+
 @dataclass(frozen=True)
 class HighPrecisionReport:
     dps: int
@@ -378,10 +477,9 @@ def verify_bent_relation(plan, bent, dps=40):
             prod = prod * a * b * a_inv * b_inv
         bent_resid = float(mp.norm(prod.to_mp() - mp.eye(n)))
 
-        dist = max(float(abs(m_mp[i, j] - mp.mpmathify(complex(m_f[i, j]))))
+        dist = max(max_entry_distance(m, m_f)
                    for (a, b), a_f, b_f in zip(bent_mp, bent.a, bent.b)
-                   for m_mp, m_f in ((a.to_mp(), a_f), (b.to_mp(), b_f))
-                   for i in range(n) for j in range(n))
+                   for m, m_f in ((a, a_f), (b, b_f)))
     return HighPrecisionReport(dps, seed_resid, pushed_resid, bent_resid, dist)
 
 

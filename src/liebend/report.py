@@ -21,8 +21,7 @@ from .bending import (bend, bending_inequalities, build_plan, density_certificat
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
-from .sl2 import (g_even, genus_bound, is_even, rho1_su, rho2_su, sigma,
-                  sl2_from_partition)
+from .sl2 import g_even, genus_bound, is_even, rho1_su, rho2_su, sl2_from_partition
 from .weyl import split_torus
 
 VERSION = "0.1.0"
@@ -46,6 +45,7 @@ class CheckRecord:
     witness: object = None
     margins: object = None
     runtime_ms: float = 0.0
+    stage_ms: dict | None = None  # runtime_ms split by stage, for checks that have stages
 
     def to_dict(self, include_timings=False):
         d = {"check": self.check_id, "inputs": self.inputs, "verdict": self.verdict}
@@ -55,6 +55,8 @@ class CheckRecord:
             d["margins"] = self.margins
         if include_timings:
             d["runtime_ms"] = serialize.f17(self.runtime_ms)
+            if self.stage_ms is not None:
+                d["stage_ms"] = {k: serialize.f17(v) for k, v in self.stage_ms.items()}
         return d
 
 
@@ -64,8 +66,10 @@ class ReportDocument:
     config: dict
     checks: list = field(default_factory=list)
 
-    def add(self, check_id, inputs, verdict, witness=None, margins=None, runtime_ms=0.0):
-        self.checks.append(CheckRecord(check_id, inputs, verdict, witness, margins, runtime_ms))
+    def add(self, check_id, inputs, verdict, witness=None, margins=None, runtime_ms=0.0,
+            stage_ms=None):
+        self.checks.append(CheckRecord(check_id, inputs, verdict, witness, margins, runtime_ms,
+                                       stage_ms))
 
     def to_dict(self, include_timings=False):
         return {
@@ -141,7 +145,7 @@ def _sigma_diagonal(mat):
 
 def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
     even = is_even(triple)
-    sig = sigma(triple)
+    sig = triple.sigma
     n = p + q
     if which == "rho1":
         sigma_formula = [-1] * q + [1] * (p - q) + [-1] * q
@@ -280,14 +284,14 @@ def cmd_bend(plan_spec, config):
 
     pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed))
     bent, ms = _timed(lambda: bend(seed, plan, pushed=pushed))
-    ms += ms_pushed
+    stages = {"float": ms + ms_pushed}
     resid_rec = {
         "pushed_residual": serialize.f17(pushed.relation_residual()),
         "bent_residual": serialize.f17(bent.relation_residual()),
     }
     if verify_dps:
         from .highprec import verify_bent_relation
-        hp, ms_hp = _timed(lambda: verify_bent_relation(plan, bent, dps=verify_dps))
+        hp, stages["verify"] = _timed(lambda: verify_bent_relation(plan, bent, dps=verify_dps))
         resid_rec["verified"] = {
             "dps": hp.dps,
             "seed_residual": serialize.f17(hp.seed_residual),
@@ -295,8 +299,8 @@ def cmd_bend(plan_spec, config):
             "bent_residual": serialize.f17(hp.bent_residual),
             "max_entry_distance_to_shipped": serialize.f17(hp.max_entry_distance),
         }
-        ms += ms_hp
-    report.add("bend/residuals", {"t": serialize.f17(plan.t)}, resid_rec, runtime_ms=ms)
+    report.add("bend/residuals", {"t": serialize.f17(plan.t)}, resid_rec,
+               runtime_ms=sum(stages.values()), stage_ms=stages)
 
     cert, ms = _timed(lambda: density_certificate(alg, triple, bent, plan))
     report.add("bend/certificate", {"target": "even subalgebra"},

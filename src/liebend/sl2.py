@@ -86,6 +86,11 @@ class Sl2Triple:
     def ad_h_eigenvalues(self):
         return np.linalg.eigvals(self.ad_h)
 
+    @cached_property
+    def sigma(self):
+        """exp(pi sqrt(-1) H), built once per triple (see `sigma`)."""
+        return sigma(self)
+
     def images(self):
         return [self.h, self.e, self.f]
 
@@ -238,7 +243,7 @@ def sigma(triple, tol=1e-9):
 
 def ad_sigma_operator(triple):
     alg = triple.algebra
-    s = sigma(triple)
+    s = triple.sigma
     return alg.coordinates(s @ alg.basis @ np.linalg.inv(s), check=False).T
 
 

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liebend import highprec
 from liebend.config import DEFAULT
 from liebend.errors import ParameterError
-from liebend.highprec import (FixedMatrix, Sl2Images, _mp_conjugator, _weight_purify,
-                               block_expm, central_part, mp_fuchsian, mp_triple,
-                               sl2_inverse, verify_bent_relation)
+from liebend.highprec import (FixedMatrix, RoundingModeError, Sl2Images, _mp_conjugator,
+                              _round_nearest, _weight_purify, block_expm, central_part,
+                              max_entry_distance, mp_fuchsian, mp_triple, sl2_inverse,
+                              verify_bent_relation)
 from liebend.sl2 import Sl2Triple, rho2_su, sl2_from_partition
 
 
@@ -140,6 +142,69 @@ def test_kernel_rounds_at_the_working_precision():
         coarse = (fa * fa).to_mp()[1, 2]
         assert (mp.re(coarse), mp.im(coarse)) == _correctly_rounded(a, a, 1, 2)
         assert coarse != fine
+
+
+@pytest.mark.parametrize("prec", [53, 153, 180])
+def test_integer_rounding_is_libmp_round_nearest(prec):
+    """10**4 seeded ints: longer and shorter than prec, both signs, and forced
+    ties (a prec-bit odd or even mantissa followed by a single set half bit)."""
+    from mpmath import libmp
+    rng = np.random.default_rng(prec)
+    values = []
+    for _ in range(2500):
+        bits = int(rng.integers(1, 3 * prec))
+        v = int.from_bytes(rng.bytes(bits // 8 + 1), "little") >> (8 - bits % 8)
+        extra = int(rng.integers(1, prec))
+        tie = ((int.from_bytes(rng.bytes(prec // 8 + 1), "little") | 1 << prec) >> 1
+               << extra | 1 << (extra - 1))
+        values += [v, -v, tie, -tie]
+    assert sum(abs(v).bit_length() < prec for v in values) > 1000
+    assert sum(abs(v).bit_length() > prec for v in values) > 1000
+    for v in values:
+        sign, man, exp, _ = libmp.from_man_exp(v, 0, prec, libmp.round_nearest)
+        assert _round_nearest(v, prec) == (-1) ** sign * man << exp
+
+
+@pytest.mark.parametrize("kinds", [("real", "complex"), ("complex", "real"),
+                                   ("complex", "complex"), ("real", "real")])
+def test_kernel_arrays_are_those_of_the_mp_product(kinds):
+    """A product holds the very mantissas and exponent that from_mp gives
+    for mpmath's own product."""
+    import mpmath as mp
+    rng = np.random.default_rng(11)
+    with mp.workdps(40):
+        for rows, inner, cols in ((5, 5, 5), (3, 4, 2)):
+            a = _random_mp(rng, rows, inner, kinds[0])
+            b = _random_mp(rng, inner, cols, kinds[1])
+            got = FixedMatrix.from_mp(a) * FixedMatrix.from_mp(b)
+            want = FixedMatrix.from_mp(a * b)
+            assert got.exp == want.exp
+            assert got.re.tolist() == want.re.tolist()
+            assert (got.im is None) == (want.im is None) == (kinds == ("real", "real"))
+            if got.im is not None:
+                assert got.im.tolist() == want.im.tolist()
+
+
+def test_kernel_product_of_zeros_has_exponent_zero():
+    import mpmath as mp
+    with mp.workdps(20):
+        zero = FixedMatrix.from_mp(mp.zeros(2, 2))
+        got = zero * FixedMatrix.from_mp(mp.matrix([[mp.mpf(3) / 7, 1], [2, -1]]))
+        assert got.exp == 0 and got.re.tolist() == [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("rounding", ["f", "c", "d", "u"])
+def test_kernel_rejects_other_rounding_modes(rounding):
+    import mpmath as mp
+    a = FixedMatrix.from_mp(mp.matrix([[mp.mpf(1) / 3, 1], [0, 1]]))
+    # mpmath keeps [prec, rounding] here and has no public setter for the mode
+    mp.mp._prec_rounding[1] = rounding
+    try:
+        with pytest.raises(RoundingModeError, match="nearest"):
+            a * a
+    finally:
+        mp.mp._prec_rounding[1] = "n"
+    assert (a * a).re.shape == (2, 2)
 
 
 def test_kernel_rejects_non_finite_entries():
@@ -367,6 +432,124 @@ def test_block_twist_matches_expm(rng):
             twist, twist_inv = block_expm(x, h_int, t)
             assert _rel(twist, mp.expm(t * x)) < 1e-35
             assert _rel(twist_inv, mp.expm(-t * x)) < 1e-35
+
+
+def _block_cases():
+    """2x2 blocks: mu**2 > 0, mu**2 < 0, mu = 0 with a nilpotent part (real and
+    complex), a complex block, and one with mu**2 complex."""
+    import mpmath as mp
+    return {
+        "mu2-positive": mp.matrix([[mp.mpf("0.7"), mp.mpf("1.3")], [mp.mpf("0.4"), -0.2]]),
+        "mu2-negative": mp.matrix([[mp.mpf("0.3"), mp.mpf("-2.1")], [mp.mpf("1.7"), 0.5]]),
+        "nilpotent": mp.matrix([[mp.mpf("0.25"), mp.mpf("1.5")], [0, mp.mpf("0.25")]]),
+        "complex-nilpotent": mp.matrix([[1j, mp.mpf(1)], [mp.mpf(1), -1j]]),
+        "complex": mp.matrix([[mp.mpc("0.3", "-1.2"), mp.mpc("0.8", "0.1")],
+                              [mp.mpc("-0.5", "0.6"), mp.mpc("-0.3", "1.2")]]),
+        "complex-mu2": mp.matrix([[mp.mpc("0.1", "0.4"), mp.mpf("0.9")],
+                                  [mp.mpc("0", "0.7"), mp.mpf("-0.6")]]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_block_cases()))
+def test_closed_form_2x2_block_matches_expm(case, monkeypatch):
+    """Cayley-Hamilton on a 2x2 block agrees with mp.expm at dps 40, and its
+    value at -t inverts it; neither mp.expm nor mp.inverse runs."""
+    import mpmath as mp
+    dps = 40
+    with mp.workdps(dps):
+        x = _block_cases()[case]
+        if case.endswith("nilpotent"):
+            d = (x[0, 0] - x[1, 1]) / 2
+            assert d * d + x[0, 1] * x[1, 0] == 0
+        h_int = [3, 3]
+        for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
+            want = mp.expm(t * x)
+            with monkeypatch.context() as m:
+                m.setattr(mp, "expm", None)
+                m.setattr(mp, "inverse", None)
+                twist, twist_inv = block_expm(x, h_int, t)
+            assert _rel(twist, want) < mp.mpf(10) ** (5 - dps)
+            assert mp.norm(twist * twist_inv - mp.eye(2)) < mp.mpf(10) ** (5 - dps)
+            if all(isinstance(v, mp.mpf) for v in x):
+                assert all(isinstance(v, mp.mpf) for v in twist)
+
+
+def test_3x3_block_keeps_expm(rng):
+    import mpmath as mp
+    h_int = [2, 0, 0, 0, -2]  # one 3x3 block between two scalars
+    x = _weight_purify(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int)
+    with mp.workdps(40):
+        twist, twist_inv = block_expm(x, h_int, mp.mpf("0.4"))
+        assert _rel(twist, mp.expm(mp.mpf("0.4") * x)) < 1e-35
+        assert mp.norm(twist * twist_inv - mp.eye(5)) < mp.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "sl", "n": 4, "triple": {"partition": [3, 1]}, "genus": 5},
+    {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
+], ids=["sl4-[3,1]-g5", "su3,1-rho2-g5"])
+def test_verify_runs_no_expm_on_2x2_blocks(spec, monkeypatch):
+    """The plans whose twists have 2x2 H-blocks verify without mp.expm or
+    mp.inverse."""
+    import mpmath as mp
+    from liebend.report import cmd_bend
+    calls = []
+    real = highprec._expm2
+
+    def counting(x, t):
+        calls.append(len(x))
+        return real(x, t)
+
+    monkeypatch.setattr(highprec, "_expm2", counting)
+    monkeypatch.setattr(mp, "expm", None)
+    monkeypatch.setattr(mp, "inverse", None)
+    report = cmd_bend(dict(spec, t="auto", verify_dps=40), DEFAULT)
+    resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
+    assert calls and set(calls) == {2}
+    assert resid["verified"]["bent_residual"] <= 1e-20
+
+
+def _old_distance(m, f):
+    """Reference oracle: the entry loop max_entry_distance replaced."""
+    import mpmath as mp
+    m_mp = m.to_mp()
+    rows, cols = m.shape
+    return max(float(abs(m_mp[i, j] - mp.mpmathify(complex(f[i, j]))))
+               for i in range(rows) for j in range(cols))
+
+
+@pytest.mark.parametrize("spec", [
+    "su21-rho1-g2", "sl5-even5-g4",
+    {"family": "sl", "n": 4, "triple": {"partition": [4]}, "genus": 3},
+    {"family": "su", "p": 3, "q": 2, "triple": "rho2", "genus": 4},
+], ids=["su21-rho1-g2", "sl5-even5-g4", "sl4-[4]-g3", "su3,2-rho2-g4"])
+def test_mantissa_distance_is_the_entry_loop(spec, monkeypatch):
+    from liebend.report import cmd_bend
+    real = highprec.max_entry_distance
+    pairs = []
+
+    def checked(m, f):
+        got = real(m, f)
+        assert got == _old_distance(m, f)
+        pairs.append(got)
+        return got
+
+    monkeypatch.setattr(highprec, "max_entry_distance", checked)
+    spec = spec if isinstance(spec, str) else dict(spec, t="auto", verify_dps=40)
+    report = cmd_bend(spec, DEFAULT)
+    resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
+    assert pairs and resid["verified"]["max_entry_distance_to_shipped"] == max(pairs)
+
+
+def test_mantissa_distance_edge_cases():
+    import mpmath as mp
+    with mp.workdps(30):
+        third = FixedMatrix.from_mp(mp.matrix([[mp.mpf(1) / 3, 0], [mp.mpc(0, -2), 2]]))
+        f = np.array([[1 / 3, 1e-300], [-2j, 2.0]])
+        assert max_entry_distance(third, f) == _old_distance(third, f)
+        exact = FixedMatrix.from_mp(mp.matrix([[0.5, -0.25]]))
+        assert max_entry_distance(exact, np.array([[0.5, -0.25]])) == 0.0
+        assert max_entry_distance(exact, np.array([[0.5, np.nan]])) == np.inf
 
 
 def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):

@@ -52,6 +52,31 @@ def test_timings_excluded_from_canonical_bytes():
     assert "runtime_ms" in report.to_json(include_timings=True)
 
 
+def test_bend_timings_split_float_and_verify_stages(tmp_path, capsys):
+    """--timings splits bend/residuals into the float check and the mp
+    verification; without it the report carries no timing at all."""
+    assert main(["bend", "--preset", "su21-rho1-g2", "--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert main(["bend", "--preset", "su21-rho1-g2"]) == 0
+    plain = capsys.readouterr().out
+    resid = next(c for c in timed["checks"] if c["check"] == "bend/residuals")
+    assert set(resid["stage_ms"]) == {"float", "verify"}
+    assert resid["runtime_ms"] == pytest.approx(sum(resid["stage_ms"].values()))
+    assert "stage_ms" not in plain and "runtime_ms" not in plain
+    for check in timed["checks"]:
+        check.pop("runtime_ms")
+        check.pop("stage_ms", None)
+    assert json.dumps(timed, indent=2, sort_keys=True) + "\n" == plain
+    assert plain == cmd_bend("su21-rho1-g2", DEFAULT).to_json()
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(dict(PRESETS["su21-rho1-g2"], verify_dps=0)))
+    assert main(["bend", "--plan", str(plan), "--timings"]) == 0
+    resid = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                 if c["check"] == "bend/residuals")
+    assert set(resid["stage_ms"]) == {"float"}
+
+
 def test_bend_preset_reports():
     report = cmd_bend("su21-rho1-g2", DEFAULT)
     by_id = {c.check_id: c.verdict for c in report.checks}

@@ -463,3 +463,30 @@ def test_sec6_takes_each_kernel_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     cmd_reproduce_sec6(3, 2, DEFAULT)
     assert seen and len(seen) == len(set(seen))
+
+
+def test_sec6_takes_sigma_once_per_triple(monkeypatch):
+    """The sec6 record and g_even's Ad(sigma) cross-check read the triple's
+    one sigma."""
+    from liebend import sl2
+    from liebend.config import DEFAULT
+    from liebend.report import cmd_reproduce_sec6
+    seen = []
+    real_sigma = sl2.sigma
+
+    def counting(triple, *args, **kwargs):
+        seen.append(triple)
+        return real_sigma(triple, *args, **kwargs)
+
+    monkeypatch.setattr(sl2, "sigma", counting)
+    report = cmd_reproduce_sec6(3, 2, DEFAULT)
+    assert len(seen) == 2 and len({id(t) for t in seen}) == 2
+    rows = {c.check_id: c.verdict for c in report.checks}
+    assert rows["sec6/su(3,2)/rho1"]["sigma_matches_formula"]
+    assert rows["sec6/su(3,2)/rho2"]["sigma_matches_formula"]
+
+
+def test_sigma_property_is_sigma(su21):
+    triple = rho1_su(su21)
+    assert triple.sigma is triple.sigma
+    assert np.array_equal(triple.sigma, sigma(triple))
