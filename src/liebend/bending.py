@@ -4,7 +4,7 @@ the deformation certify, and the bracket-closure density certificate.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -118,9 +118,10 @@ def _hyperbolic_conjugator(a_matrix):
     return vecs / math.sqrt(det)
 
 
-def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7):
+def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
     """The Ad(rho(a))-fixed line in the piece V_{i,j}, unit-normalized with a
-    deterministic sign.  a must be hyperbolic in SL(2,R).
+    deterministic sign.  a must be hyperbolic in SL(2,R).  rho_a is
+    rho_of(triple, a_matrix), computed here unless the caller holds it.
 
     With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
     weight-zero basis vector of the piece: conjugation avoids extracting a
@@ -144,7 +145,8 @@ def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7):
     if lead < 0:
         x = -x
     # fixed-point residual, relative to how strongly Ad(rho(a)) stretches
-    rho_a = rho_of(triple, a_matrix)
+    if rho_a is None:
+        rho_a = rho_of(triple, a_matrix)
     moved = rho_a @ alg.from_coordinates(x) @ np.linalg.inv(rho_a)
     stretch = max(np.linalg.norm(moved), 1.0)
     resid = np.linalg.norm(moved - alg.from_coordinates(x))
@@ -165,6 +167,7 @@ class BendingPlan:
     y_vectors: dict            # (i,j) -> algebra coordinates, i != 0 only
     t: float | None
     star_kinds: dict           # j -> classification of X_{0,j}
+    a_images: dict = field(default_factory=dict)  # k -> rho(a_k), bent a_k with i != 0
 
     @property
     def genus(self):
@@ -178,6 +181,11 @@ class BendingPlan:
 
     def with_t(self, t):
         return replace(self, t=t)
+
+    @cached_property
+    def inequalities(self):
+        """bending_inequalities(self), computed once per plan."""
+        return bending_inequalities(self)
 
     @cached_property
     def generator_assignment(self):
@@ -219,14 +227,15 @@ def build_plan(alg, triple, seed, t="auto", target=None):
                 f"{len(zero_js)}")
         star = property_star_basis(alg, z_sub, triple=triple)
 
-    x_vectors, y_vectors, star_kinds = {}, {}, {}
+    x_vectors, y_vectors, star_kinds, a_images = {}, {}, {}, {}
     for (i, j) in lam:
         if i == 0:
             x_vectors[(0, j)] = np.array(star[j - 1].coords, dtype=float)
             star_kinds[j] = star[j - 1].kind
             continue
-        a_matrix = seed.a[f_map[(i, j)] - 1]
-        x = fixed_weight_zero_vector(triple, iso, i, j, a_matrix)
+        k = f_map[(i, j)]
+        a_images[k] = rho_of(triple, seed.a[k - 1])
+        x = fixed_weight_zero_vector(triple, iso, i, j, seed.a[k - 1], rho_a=a_images[k])
         x_vectors[(i, j)] = x
         x_mat = alg.from_coordinates(x)
         best, best_norm = None, -1.0
@@ -238,11 +247,12 @@ def build_plan(alg, triple, seed, t="auto", target=None):
             raise RealizationError(f"[X,Y] vanishes for every triple image at {(i, j)}")
         y_vectors[(i, j)] = alg.coordinates(best)
 
-    plan = BendingPlan(triple, seed, iso, lam, f_map, x_vectors, y_vectors, None, star_kinds)
+    plan = BendingPlan(triple, seed, iso, lam, f_map, x_vectors, y_vectors, None, star_kinds,
+                       a_images)
     if t == "auto":
         for cand in alg.config.t_grid:
             trial = plan.with_t(float(cand))
-            if bending_inequalities(trial).ok:
+            if trial.inequalities.ok:
                 return trial
         return plan  # t stays None; caller reports the failed grid
     return plan.with_t(float(t))
@@ -319,17 +329,21 @@ def bending_inequalities(plan):
     return InequalityReport(ok, tuple(records))
 
 
-def pushed_forward(triple, seed):
-    """The undeformed representation: generator images under the homomorphism."""
+def pushed_forward(triple, seed, a_images=None):
+    """The undeformed representation: generator images under the homomorphism.
+    a_images maps k to rho(a_k) where the caller already holds it (a plan's
+    a_images); the other images are computed here."""
+    a_images = a_images or {}
     return SurfaceGroupRep(seed.genus,
-                           tuple(rho_of(triple, ak) for ak in seed.a),
+                           tuple(a_images[k] if k in a_images else rho_of(triple, ak)
+                                 for k, ak in enumerate(seed.a, start=1)),
                            tuple(rho_of(triple, bk) for bk in seed.b))
 
 
 def bend(seed, plan, pushed=None):
     """The deformed representation: a_k images unchanged, b_k images multiplied
-    by exp(t X_k).  pushed is pushed_forward(plan.triple, seed), built here
-    unless the caller already holds it.
+    by exp(t X_k).  pushed is pushed_forward(plan.triple, seed, plan.a_images),
+    built here unless the caller already holds it.
 
     The deformation is algebraically relation-preserving: the output residual
     is bounded by a small multiple of the undeformed pushed-forward residual
@@ -345,7 +359,7 @@ def bend(seed, plan, pushed=None):
     triple = plan.triple
     alg = triple.algebra
     if pushed is None:
-        pushed = pushed_forward(triple, seed)
+        pushed = pushed_forward(triple, seed, plan.a_images)
     pushed_resid = pushed.relation_residual()
 
     twists = []
@@ -384,7 +398,7 @@ def density_certificate(alg, triple, bent_rep, plan):
     PASS means they generate the full target subalgebra; a failed inequality
     check downgrades the verdict to INCONCLUSIVE, never to FAIL.
     """
-    ineq = bending_inequalities(plan)
+    ineq = plan.inequalities
     seeds = [m for m in triple.images() if np.linalg.norm(m) > 0]
     for (i, j) in plan.Lambda:
         if i == 0:

@@ -9,24 +9,24 @@ reports the residual of that representation, together with the entrywise
 distance to the shipped matrices.
 
 Only triples that carry their exact form (`Sl2Triple.exact`, filled by the
-constructors in `sl2`) are supported: H is an integer diagonal and every
-entry of E is unit * sqrt(m), so E and F are built at the working precision
-and no float entry of H, E or F is read.  The integer diagonal also gives
-every image in closed form (`Sl2Images`): no matrix exponential and no LU
-inverse of an n x n matrix is needed.  A twist commutes with H, so it is
-exponentiated per H-block (`block_expm`): a 2x2 block, the only size the
-constructed triples' bending vectors reach, in closed form, and only a
-block of size 3 or more with mp.expm.  A bending vector X_{0,j} of a
-trivial piece is projected onto the centralizer of the triple
-(`central_part`), so it commutes with the image to the working precision,
-not to float precision.  Every matrix product of this module (not those
-inside mp.expm on a block of size 3 or more) runs on one exact integer
-kernel (`FixedMatrix`), which rounds in Python ints, and the distance to the
-shipped float64 matrices is taken from its mantissas.
+constructors in `sl2`) are supported: H is an integer diagonal and E is a
+union of chains with entries unit * sqrt(m) (`ExactTriple.chains`), so no
+float entry of H, E or F is read.  The chains give every image in closed
+form (`Sl2Images`): no matrix exponential and no LU inverse of an n x n
+matrix is needed.  A twist commutes with H, so it is exponentiated per
+H-block (`block_expm`): a 2x2 block, the only size the constructed triples'
+bending vectors reach, in closed form, and only a block of size 3 or more
+with mp.expm.  A bending vector X_{0,j} of a trivial piece is projected onto
+the centralizer of the triple by averaging along matched chains
+(`central_part`), so it commutes with H, E and F exactly, not to float
+precision.  Every n x n matrix product of this module (not those inside
+mp.expm on a block of size 3 or more) runs on one exact integer kernel
+(`FixedMatrix`), which rounds in Python ints, and the distance to the
+shipped float64 matrices is taken from its mantissas.  The 2x2 products of
+the polygon and its relation use mp.fdot, which rounds the same way.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -68,7 +68,7 @@ class FixedMatrix:
     exponent: entry (i, j) is (re[i, j] + 1j im[i, j]) * 2**exp, with im None
     for a real matrix.
 
-    Every matrix product of this module runs here (mp.expm, called on
+    Every n x n matrix product of this module runs here (mp.expm, called on
     blocks of size 3 or more only, keeps its own).  The product is formed
     exactly, in numpy object arrays of Python ints (a complex product as three
     real ones).  Each entry is rounded once in Python ints to the current mp
@@ -159,17 +159,6 @@ class FixedMatrix:
 _fixed = FixedMatrix.from_mp
 
 
-def mp_triple(exact):
-    """E and F of an exact triple as mp matrices: E[row, col] = unit sqrt(m)
-    and F = E's conjugate transpose."""
-    n = len(exact.h)
-    e, f = mp.matrix(n, n), mp.matrix(n, n)
-    for row, col, m, unit in exact.e:
-        e[row, col] = unit * mp.sqrt(m)
-        f[col, row] = unit.conjugate() * mp.sqrt(m)
-    return e, f
-
-
 def sl2_inverse(g2):
     """Inverse of a determinant-1 2x2 matrix: its adjugate."""
     return mp.matrix([[g2[1, 1], -g2[0, 1]], [-g2[1, 0], g2[0, 0]]])
@@ -183,34 +172,43 @@ def mp_fuchsian(genus):
     translation by d to diag(e^(d/2), e^(-d/2)), so the pairing
     rot(psi_dst + pi) diag(e^rho, e^-rho) rot(-psi_src) is one real 2x2
     product once the diagonal has scaled the columns of the first rotation.
+    Each entry of that product is one mp.fdot: the exact sum of two exact
+    products, rounded once, as the integer kernel rounds it.
     """
     n = 4 * genus
     scale = mp.exp(mp.acosh(1 / mp.tan(mp.pi / n)))
-
-    def rot(phi, col_scale=(1, 1)):
-        c, s = mp.cos(phi / 2), mp.sin(phi / 2)
-        return _fixed([[c * col_scale[0], s * col_scale[1]],
-                       [-s * col_scale[0], c * col_scale[1]]])
+    inv_scale = 1 / scale
 
     def psi(j):
         return 2 * mp.pi * (j + mp.mpf(1) / 2) / n
 
     def glue(src, dst):
-        return (rot(psi(dst) + mp.pi, (scale, 1 / scale)) * rot(-psi(src))).to_mp()
+        c, s = mp.cos_sin((psi(dst) + mp.pi) / 2)
+        left = [[c * scale, s * inv_scale], [-s * scale, c * inv_scale]]
+        c, s = mp.cos_sin(-psi(src) / 2)
+        return mp.matrix([[mp.fdot(row, col) for col in ((c, -s), (s, c))] for row in left])
 
     a_list = [glue(4 * k + 2, 4 * k) for k in range(genus)]
     b_list = [glue(4 * k + 1, 4 * k + 3) for k in range(genus)]
     return a_list, b_list
 
 
-def _nilpotent_exp(m):
-    """exp(m) of a nilpotent mp matrix: its finite Taylor sum."""
-    out = mp.eye(m.rows)
-    term = mp.eye(m.rows)
-    m = _fixed(m)
-    for k in range(1, m.shape[0]):
-        term = (_fixed(term) * m).to_mp() / k
-        out += term
+def _chain_exp(chains, conjugate):
+    """The nonzero entries (i, j, k, exp(E)[i, j]) of exp(E), E^k linking j
+    to i, in closed form along each chain a (`ExactTriple.chains`):
+    exp(E)[a_i, a_(i+k)] = unit_i ... unit_(i+k-1) sqrt(m_i ... m_(i+k-1)) / k!.
+    With conjugate, those of exp(F) for F = E's conjugate transpose: the
+    same entries, conjugated, at (a_(i+k), a_i)."""
+    out = []
+    for idx, sig in chains:
+        for i, top in enumerate(idx):
+            out.append((top, top, 0, mp.mpf(1)))
+            m, unit = 1, 1
+            for k, ((m_k, unit_k), low) in enumerate(zip(sig[i:], idx[i + 1:]), start=1):
+                m, unit = m * m_k, unit * unit_k
+                v = mp.sqrt(m) / math.factorial(k)
+                out.append((low, top, k, unit.conjugate() * v) if conjugate
+                           else (top, low, k, unit * v))
     return out
 
 
@@ -219,8 +217,9 @@ class Sl2Images:
     H is an integer diagonal h, in closed form.
 
     [H, E] = 2E means E, hence E^k, links H-weights 2k apart, so
-    exp(xE)[i, j] = x^((h_i - h_j)/2) exp(E)[i, j], and likewise for F.  For
-    g = [[a, b], [c, d]] with |a| >= |c| the factorization
+    exp(xE)[i, j] = x^((h_i - h_j)/2) exp(E)[i, j], and likewise for F; the
+    entries of exp(E) and exp(F) are read off the chains of E (`_chain_exp`).
+    For g = [[a, b], [c, d]] with |a| >= |c| the factorization
     g = exp((c/a) F_2) diag(a, 1/a) exp((b/a) E_2) gives
     rho(g) = exp((c/a) F) diag(a^h_i) exp((b/a) E): two entrywise scalings and
     one product.  Otherwise g = w (w^-1 g) with the quarter turn
@@ -231,22 +230,10 @@ class Sl2Images:
     def __init__(self, exact):
         self.h = list(exact.h)
         with mp.workprec(mp.mp.prec + GUARD_BITS):
-            e_mp, f_mp = mp_triple(exact)
-            self._exp_e = self._graded(e_mp, 1)
-            self._exp_f = self._graded(f_mp, -1)
+            self._exp_e = _chain_exp(exact.chains, False)
+            self._exp_f = _chain_exp(exact.chains, True)
             minus_f = self._unipotent(self._exp_f, -1)
             self.quarter = minus_f * self._unipotent(self._exp_e, 1) * minus_f
-
-    def _graded(self, m, sign):
-        """Nonzero entries (i, j, k, exp(m)[i, j]), k = sign (h_i - h_j) / 2."""
-        n = len(self.h)
-        for i in range(n):
-            for j in range(n):
-                if m[i, j] != 0 and sign * (self.h[i] - self.h[j]) != 2:
-                    raise ParameterError("E and F must move the H-weights by +2 and -2")
-        em = _nilpotent_exp(m)
-        return [(i, j, sign * (self.h[i] - self.h[j]) // 2, em[i, j])
-                for i in range(n) for j in range(n) if em[i, j] != 0]
 
     def _unipotent(self, graded, x, col_scale=None):
         """exp(x E) (or exp(x F)) from its graded entries, with column j
@@ -371,27 +358,24 @@ def _weight_purify(x_float, h_int_diag):
 
 
 def central_part(x, exact):
-    """The part of x that commutes with H, E and F.  The Casimir
-    Omega = 1/2 ad_H^2 + ad_E ad_F + ad_F ad_E is c_m = m(m+2)/2 on an
-    ad-module of highest weight m and 0 on the trivial part, so the product
-    of (1 - Omega/c_m) over the highest weights m >= 1 of gl(n) keeps the
-    trivial part alone.  The highest weights are the m for which the
-    difference h_i - h_j = m occurs more often than m + 2."""
-    h = exact.h
-    n = len(h)
-    e, f = map(_fixed, mp_triple(exact))
-    s = _fixed((e * f).to_mp() + (f * e).to_mp())
-    counts = Counter(a - b for a in h for b in h)
-    for m in sorted((m for m in counts if m >= 1 and counts[m] > counts[m + 2]), reverse=True):
-        xf = _fixed(x)
-        # Omega(X) = 1/2 ad_H^2 X + (EF + FE) X + X (EF + FE) - 2 (E X F + F X E)
-        omega = ((s * xf).to_mp() + (xf * s).to_mp()
-                 - 2 * ((e * xf * f).to_mp() + (f * xf * e).to_mp()))
-        for i in range(n):
-            for j in range(n):
-                omega[i, j] += (h[i] - h[j]) ** 2 * x[i, j] / 2
-        x = x - omega * (mp.mpf(2) / (m * (m + 2)))
-    return x
+    """The orthogonal projection of x onto the commutant of the triple.  By
+    Schur the commutant holds the matrices that are equal multiples of the
+    identity between chains of equal length (`ExactTriple.chains`, whose
+    equal-length chains carry equal coefficients), so each entry x[a_k, b_k]
+    of a pair (a, b) of such chains becomes the mean of those entries and
+    every other entry 0."""
+    n = len(exact.h)
+    out = mp.matrix(n, n)
+    by_length = {}
+    for idx, _ in exact.chains:
+        by_length.setdefault(len(idx), []).append(idx)
+    for group in by_length.values():
+        for a in group:
+            for b in group:
+                mean = mp.fsum(x[i, j] for i, j in zip(a, b)) / len(a)
+                for i, j in zip(a, b):
+                    out[i, j] = mean
+    return out
 
 
 def _dyadic(x):
@@ -453,10 +437,11 @@ def verify_bent_relation(plan, bent, dps=40):
         rho = Sl2Images(triple.exact)
         a_seed, b_seed = mp_fuchsian(plan.genus)
 
-        prod = _fixed(mp.eye(2))
+        # 2x2 mp.matrix products: mp.fdot rounds each entry as FixedMatrix would
+        prod = mp.eye(2)
         for a, b in zip(a_seed, b_seed):
-            prod = prod * _fixed(a) * _fixed(b) * _fixed(sl2_inverse(a)) * _fixed(sl2_inverse(b))
-        seed_resid = float(mp.norm(prod.to_mp() - mp.eye(2)))
+            prod = prod * a * b * sl2_inverse(a) * sl2_inverse(b)
+        seed_resid = float(mp.norm(prod - mp.eye(2)))
 
         # rho(g)^-1 = rho(g^-1)
         a_img = [(rho(a), rho(sl2_inverse(a))) for a in a_seed]

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import serialize
 from .algebra import PARAM_NAMES, canonical_family, make_algebra
-from .bending import (bend, bending_inequalities, build_plan, density_certificate,
-                      fuchsian_generators, pushed_forward)
+from .bending import bend, build_plan, density_certificate, fuchsian_generators, pushed_forward
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
@@ -92,6 +91,11 @@ class ReportDocument:
                 lines.append(f"{'':<{width}}  witness: {json.dumps(c.witness, sort_keys=True)}")
             if c.margins is not None:
                 lines.append(f"{'':<{width}}  margins: {json.dumps(c.margins, sort_keys=True)}")
+            if include_timings:
+                lines.append(f"{'':<{width}}  runtime_ms: {serialize.f17(c.runtime_ms)}")
+                if c.stage_ms is not None:
+                    stages = {k: serialize.f17(v) for k, v in c.stage_ms.items()}
+                    lines.append(f"{'':<{width}}  stage_ms: {json.dumps(stages, sort_keys=True)}")
         lines.append("")
         return "\n".join(lines)
 
@@ -268,7 +272,7 @@ def cmd_bend(plan_spec, config):
                                    sorted(plan.iso.mults.items())}},
                runtime_ms=ms)
 
-    ineq, ms = _timed(lambda: bending_inequalities(plan))
+    ineq, ms = _timed(lambda: plan.inequalities)
     margins = [
         {k: (serialize.f17(v) if isinstance(v, float) else
              list(v) if isinstance(v, tuple) else v) for k, v in rec.items()}
@@ -282,7 +286,7 @@ def cmd_bend(plan_spec, config):
                                             "reason": "no grid t satisfied the inequalities"})
         return report
 
-    pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed))
+    pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed, plan.a_images))
     bent, ms = _timed(lambda: bend(seed, plan, pushed=pushed))
     stages = {"float": ms + ms_pushed}
     resid_rec = {

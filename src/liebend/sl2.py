@@ -34,6 +34,41 @@ class ExactTriple:
     h: tuple  # integer H-weights
     e: tuple  # (row, col, m, unit) for each nonzero entry of E
 
+    @cached_property
+    def chains(self):
+        """E as a union of chains: ((indices, signature), ...) ordered by top
+        index.  A chain of length d runs down the weights d-1, d-3, ..., -(d-1)
+        with E[indices[k], indices[k+1]] = unit_k sqrt(m_k); its signature is
+        ((m_0, unit_0), ..., (m_{d-2}, unit_{d-2})).  An index no entry of E
+        touches is a chain of length 1.  Equal-length chains must carry equal
+        signatures, so the commutant of the triple is the matrices with equal
+        multiples of the identity between matched chains."""
+        down, up = {}, {}
+        for row, col, m, unit in self.e:
+            if self.h[row] - self.h[col] != 2:
+                raise ParameterError("E and F must move the H-weights by +2 and -2")
+            if row in down or col in up:
+                raise ParameterError("E is not a union of chains: an index is linked twice")
+            down[row], up[col] = (col, (m, unit)), row
+        chains, by_length = [], {}
+        for top in range(len(self.h)):
+            if top in up:
+                continue
+            idx, sig = [top], []
+            while idx[-1] in down:
+                nxt, link = down[idx[-1]]
+                idx.append(nxt)
+                sig.append(link)
+            weights = [self.h[i] for i in idx]
+            if weights != list(range(len(idx) - 1, -len(idx), -2)):
+                raise ParameterError(f"a chain of E carries the weights {weights}, "
+                                     f"not d-1, ..., -(d-1)")
+            if by_length.setdefault(len(idx), tuple(sig)) != tuple(sig):
+                raise ParameterError(f"two chains of length {len(idx)} carry different "
+                                     f"coefficients")
+            chains.append((tuple(idx), tuple(sig)))
+        return tuple(chains)
+
 
 @dataclass(frozen=True, eq=False)
 class Sl2Triple:

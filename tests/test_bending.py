@@ -329,3 +329,48 @@ def test_highprec_verification(su21, sl5):
         assert hp.pushed_residual < bound
         assert hp.bent_residual < bound
         assert hp.max_entry_distance < 1e-8
+
+
+@pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
+def test_bend_takes_the_inequality_report_once(preset, monkeypatch):
+    """When the first grid t is accepted, build_plan's grid check, the
+    bend/inequalities record and density_certificate share one report."""
+    from liebend import bending
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, cmd_bend
+    calls = []
+    real = bending.bending_inequalities
+
+    def counting(plan):
+        calls.append(plan.t)
+        return real(plan)
+
+    monkeypatch.setattr(bending, "bending_inequalities", counting)
+    report = cmd_bend(dict(PRESETS[preset], verify_dps=0), DEFAULT)
+    verdicts = {c.check_id: c.verdict for c in report.checks}
+    assert verdicts["bend/plan"]["t"] == DEFAULT.t_grid[0]
+    assert verdicts["bend/certificate"]["verdict"] == "PASS"
+    assert calls == [DEFAULT.t_grid[0]]
+
+
+@pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
+def test_bend_takes_each_rho_image_once(preset, monkeypatch):
+    """rho(a_k) of a bent generator serves both its fixed line and the pushed
+    representation: one rho_of per generator plus one per conjugator."""
+    from liebend import bending
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, cmd_bend
+    seen = []
+    real = bending.rho_of
+
+    def recording(triple, g2):
+        seen.append(np.asarray(g2, dtype=float).tobytes())
+        return real(triple, g2)
+
+    monkeypatch.setattr(bending, "rho_of", recording)
+    spec = dict(PRESETS[preset], verify_dps=0)
+    report = cmd_bend(spec, DEFAULT)
+    lam = next(c.verdict["Lambda"] for c in report.checks if c.check_id == "bend/plan")
+    fixed_lines = sum(1 for i, _ in lam if i != 0)
+    assert fixed_lines
+    assert len(seen) == len(set(seen)) == 2 * spec["genus"] + fixed_lines

@@ -9,11 +9,23 @@ import pytest
 from liebend import highprec
 from liebend.config import DEFAULT
 from liebend.errors import ParameterError
-from liebend.highprec import (FixedMatrix, RoundingModeError, Sl2Images, _mp_conjugator,
-                              _round_nearest, _weight_purify, block_expm, central_part,
-                              max_entry_distance, mp_fuchsian, mp_triple, sl2_inverse,
+from liebend.highprec import (FixedMatrix, RoundingModeError, Sl2Images, _chain_exp,
+                              _mp_conjugator, _round_nearest, _weight_purify, block_expm,
+                              central_part, max_entry_distance, mp_fuchsian, sl2_inverse,
                               verify_bent_relation)
-from liebend.sl2 import Sl2Triple, rho2_su, sl2_from_partition
+from liebend.sl2 import ExactTriple, Sl2Triple, rho2_su, sl2_from_partition
+
+
+def mp_triple(exact):
+    """E and F of an exact triple as mp matrices: E[row, col] = unit sqrt(m)
+    and F = E's conjugate transpose."""
+    import mpmath as mp
+    n = len(exact.h)
+    e, f = mp.matrix(n, n), mp.matrix(n, n)
+    for row, col, m, unit in exact.e:
+        e[row, col] = unit * mp.sqrt(m)
+        f[col, row] = unit.conjugate() * mp.sqrt(m)
+    return e, f
 
 
 def test_mp_fuchsian_matches_float(sl2):
@@ -343,6 +355,126 @@ def test_central_part_of_a_generic_matrix(parts, rng):
             assert mp.norm(x * y - y * x) <= mp.mpf(10) ** -25 * mp.norm(x)
 
 
+# --- the chains of the exact triple -------------------------------------
+
+def _casimir_projection(x, exact):
+    """Reference oracle: the Casimir polynomial that chain averaging replaced.
+    Omega = 1/2 ad_H^2 + ad_E ad_F + ad_F ad_E is c_m = m(m+2)/2 on an
+    ad-module of highest weight m and 0 on the trivial part, so the product
+    of (1 - Omega/c_m) over the highest weights m >= 1 of gl(n) keeps the
+    trivial part alone.  The highest weights are the m for which the
+    difference h_i - h_j = m occurs more often than m + 2."""
+    import mpmath as mp
+    from collections import Counter
+    h = exact.h
+    n = len(h)
+    e, f = mp_triple(exact)
+    s = e * f + f * e
+    counts = Counter(a - b for a in h for b in h)
+    for m in sorted((m for m in counts if m >= 1 and counts[m] > counts[m + 2]), reverse=True):
+        omega = s * x + x * s - 2 * (e * x * f + f * x * e)
+        for i in range(n):
+            for j in range(n):
+                omega[i, j] += (h[i] - h[j]) ** 2 * x[i, j] / 2
+        x = x - omega * (mp.mpf(2) / (m * (m + 2)))
+    return x
+
+
+def _taylor_exp(m):
+    """Reference oracle: exp of a nilpotent mp matrix as its finite Taylor sum."""
+    import mpmath as mp
+    out, term = mp.eye(m.rows), mp.eye(m.rows)
+    for k in range(1, m.rows):
+        term = term * m / k
+        out = out + term
+    return out
+
+
+def _chain_triples():
+    """Every constructed triple with n <= 7 and p <= 4, the zero triples too."""
+    from liebend.algebra import make_algebra
+    from liebend.sl2 import _partitions, rho1_su
+    out = []
+    for n in range(2, 8):
+        alg = make_algebra("sl", n)
+        out += [sl2_from_partition(alg, parts) for parts in _partitions(n)]
+    for p in range(1, 5):
+        for q in range(1, p + 1):
+            alg = make_algebra("su", p, q)
+            out.append(rho1_su(alg))
+            if p > q:
+                out.append(rho2_su(alg))
+    return out
+
+
+CHAIN_TRIPLES = _chain_triples()
+_CHAIN_IDS = [f"{t.algebra.family}{t.algebra.params}-{t.label}" for t in CHAIN_TRIPLES]
+
+
+@pytest.mark.parametrize("triple", CHAIN_TRIPLES, ids=_CHAIN_IDS)
+def test_chains_cover_the_triple(triple):
+    """Each index lies on one chain, the chain's links are the entries of E,
+    and its weights run d-1, ..., -(d-1)."""
+    exact = triple.exact
+    chains = exact.chains
+    assert sorted(i for idx, _ in chains for i in idx) == list(range(len(exact.h)))
+    links = {(idx[k], idx[k + 1], m, unit) for idx, sig in chains
+             for k, (m, unit) in enumerate(sig)}
+    assert links == set(exact.e)
+    for idx, sig in chains:
+        assert [exact.h[i] for i in idx] == list(range(len(idx) - 1, -len(idx), -2))
+        assert len(sig) == len(idx) - 1
+
+
+@pytest.mark.parametrize("triple", CHAIN_TRIPLES, ids=_CHAIN_IDS)
+def test_chain_averaging_is_the_casimir_projection(triple):
+    """On seeded random complex inputs the chain average equals the Casimir
+    polynomial, and it commutes with H, E and F exactly."""
+    import mpmath as mp
+    exact = triple.exact
+    n = len(exact.h)
+    rng = np.random.default_rng(n * 100 + len(exact.chains))
+    with mp.workdps(40):
+        e_mp, f_mp = mp_triple(exact)
+        for _ in range(2):
+            x = mp.matrix((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))).tolist())
+            got = central_part(x, exact)
+            want = _casimir_projection(x, exact)
+            assert mp.norm(got - want) <= mp.mpf(10) ** -32 * mp.norm(x)
+            for y in (mp.diag(list(exact.h)), e_mp, f_mp):
+                comm = got * y - y * got
+                assert all(comm[i, j] == 0 for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("triple", CHAIN_TRIPLES, ids=_CHAIN_IDS)
+def test_closed_form_entries_are_the_taylor_sum(triple):
+    """The chain entries of exp(E) and exp(F) are those of the Taylor sum,
+    with the same zero pattern and the grading k = |h_i - h_j| / 2."""
+    import mpmath as mp
+    exact = triple.exact
+    n = len(exact.h)
+    with mp.workdps(40):
+        for conjugate, m in zip((False, True), mp_triple(exact)):
+            want = _taylor_exp(m)
+            got = {(i, j): (k, v) for i, j, k, v in _chain_exp(exact.chains, conjugate)}
+            assert set(got) == {(i, j) for i in range(n) for j in range(n) if want[i, j] != 0}
+            for (i, j), (k, v) in got.items():
+                assert 2 * k == abs(exact.h[i] - exact.h[j])
+                assert abs(v - want[i, j]) <= mp.mpf(10) ** -38 * abs(want[i, j])
+
+
+@pytest.mark.parametrize("exact, match", [
+    (ExactTriple((1, 0, -1), ((0, 1, 2, 1), (1, 2, 2, 1))), "weights"),
+    (ExactTriple((2, 0), ((0, 1, 1, 1),)), "weights"),
+    (ExactTriple((1, -1, 1, -1), ((0, 1, 1, 1), (2, 3, 2, 1))), "different coefficients"),
+    (ExactTriple((1, -1, 1, -1), ((0, 1, 1, 1j), (2, 3, 1, 1))), "different coefficients"),
+    (ExactTriple((1, -1, -1), ((0, 1, 1, 1), (0, 2, 1, 1))), "linked twice"),
+], ids=["misgraded", "off-centre-chain", "mismatched-m", "mismatched-unit", "branching"])
+def test_chains_reject_other_shapes(exact, match):
+    with pytest.raises(ParameterError, match=match):
+        exact.chains
+
+
 @pytest.mark.parametrize("spec", [
     {"family": "sl", "n": 5, "triple": {"partition": [4, 1]}, "genus": 4},
     {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
@@ -600,17 +732,18 @@ def test_closed_form_rejects_misgraded_e(sl3):
 
 _RECORDED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expect"
                         / "bend_plans.json").read_text())["plans"]
-_GUARDED = [
-    pytest.param({"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 4},
-                 id="sl5-[5]-g4"),
-    pytest.param({"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 6},
-                 id="sl5-[5]-g6"),
-    pytest.param({"family": "su", "p": 3, "q": 2, "triple": "rho2", "genus": 4},
-                 id="su3,2-rho2-g4"),
-    pytest.param({"family": "sl", "n": 4, "triple": {"partition": [4]}, "genus": 6},
-                 id="sl4-[4]-g6"),
-    pytest.param("su21-rho1-g2", id="su21-rho1-g2"),
-]
+
+
+def _plan_id(plan):
+    fam = (f"sl{plan['n']}" if plan["family"] == "sl" else f"su{plan['p']},{plan['q']}")
+    tri = plan["triple"]
+    tri = "[" + ",".join(map(str, tri["partition"])) + "]" if isinstance(tri, dict) else tri
+    return f"{fam}-{tri}-g{plan['genus']}"
+
+
+# every timed plan of the benchmark (those that PASS), plus the su(2,1) preset
+_GUARDED = [pytest.param(r["plan"], id=_plan_id(r["plan"])) for r in _RECORDED if r["timed"]]
+_GUARDED.append(pytest.param("su21-rho1-g2", id="su21-rho1-g2"))
 
 
 @pytest.mark.parametrize("plan", _GUARDED)

@@ -77,6 +77,29 @@ def test_bend_timings_split_float_and_verify_stages(tmp_path, capsys):
     assert set(resid["stage_ms"]) == {"float"}
 
 
+
+def test_text_timings(capsys):
+    """--text --timings adds a runtime_ms line to every check, and a stage_ms
+    line where the check has stages; plain --text carries no timing."""
+    assert main(["reproduce", "sec53", "--text"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["reproduce", "sec53", "--text", "--timings"]) == 0
+    timed = capsys.readouterr().out
+    assert "runtime_ms" not in plain and "stage_ms" not in plain
+    timing_lines = [ln for ln in timed.splitlines() if ln.lstrip().startswith("runtime_ms: ")]
+    assert len(timing_lines) == 6 and "stage_ms" not in timed
+    assert "\n".join(ln for ln in timed.splitlines() if ln not in timing_lines) + "\n" == plain
+    assert plain == cmd_reproduce_sec53(DEFAULT).to_text()
+
+    assert main(["bend", "--preset", "su21-rho1-g2", "--text", "--timings"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    stages = [ln for ln in lines if ln.lstrip().startswith("stage_ms: ")]
+    assert len(stages) == 1
+    assert set(json.loads(stages[0].split("stage_ms: ", 1)[1])) == {"float", "verify"}
+    resid = next(k for k, ln in enumerate(lines) if ln.startswith("bend/residuals"))
+    assert lines[resid + 1].lstrip().startswith("runtime_ms: ")
+    assert lines[resid + 2] == stages[0]
+
 def test_bend_preset_reports():
     report = cmd_bend("su21-rho1-g2", DEFAULT)
     by_id = {c.check_id: c.verdict for c in report.checks}
