@@ -128,6 +128,13 @@ class LieAlgebraSpace:
     def _solver(self):
         return np.linalg.pinv(self._flat)
 
+    @cached_property
+    def _support(self):
+        """(element, row, col) of every nonzero basis entry, element ascending,
+        and the index into them of each element's first entry."""
+        elem, rows, cols = np.nonzero(self.basis)
+        return elem, rows, cols, np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])
+
     def coordinates(self, x, check=True, rtol=None):
         """Real coordinates in the algebra basis of an ambient matrix (n, n),
         shape (dim,), or of a stack of them (k, n, n), shape (k, dim).
@@ -206,6 +213,27 @@ def make_algebra(family, *params, config=_config.DEFAULT):
         raise ParameterError(f"su(p,q) needs p >= q >= 1, got ({p}, {q})")
     b = form_matrix(p, q)
     return LieAlgebraSpace(SU, params, p + q, b, np.array(_su_basis(p, q, b)), config)
+
+
+def diagonal_weights(alg, diags):
+    """Exact ad-weights of the basis under diagonal matrices: row k holds, for
+    each basis element, the single value d_i - d_j that diag(d) = diags[k]
+    takes on the element's support {(i, j)}, so [diag(d), X] = (d_i - d_j) X.
+    The entries of d may be integers or Fractions.  An element whose support
+    carries two values is not an ad-eigenvector and raises ParameterError."""
+    d = np.asarray(diags)
+    if d.ndim != 2 or d.shape[1] != alg.size:
+        raise ShapeError(f"expected rows of {alg.size} diagonal entries, got {d.shape}")
+    elem, rows, cols, first = alg._support
+    values = d[:, rows] - d[:, cols]
+    weights = values[:, first]
+    bad = np.argwhere(values != weights[:, elem])
+    if bad.size:
+        k, at = bad[0]
+        raise ParameterError(
+            f"basis element {elem[at]} spans the weights {weights[k, elem[at]]} and "
+            f"{values[k, at]} under diag{tuple(d[k].tolist())}")
+    return weights
 
 
 def bracket(x, y):
@@ -354,8 +382,3 @@ def theta_operator(alg):
     """Matrix of the Cartan involution on algebra coordinates."""
     return alg.coordinates(cartan_involution(alg, alg.basis, check=False), check=False).T
 
-
-def compact_part_basis(alg):
-    """Orthonormal coordinate basis of the +1 eigenspace of theta (i.e. of k)."""
-    th = theta_operator(alg)
-    return SubspaceOfG(alg, kernel_of([th - np.eye(alg.dim)], alg.dim, alg.config.rank_rtol))

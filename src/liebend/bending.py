@@ -126,7 +126,9 @@ def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
     With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
     weight-zero basis vector of the piece: conjugation avoids extracting a
     near-kernel from an operator whose spectrum spreads exponentially in the
-    highest weight.  The fixed-point equation is verified afterwards.
+    highest weight.  The fixed-point equation is verified afterwards; for an
+    exact triple whose float line misses it, the line is rebuilt in the mp
+    lane (`highprec.mp_fixed_line`) and verified again.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     if a_matrix.shape != (2, 2):
@@ -134,22 +136,32 @@ def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
     if abs(np.trace(a_matrix)) <= 2.0:
         raise ParameterError("the fixed line needs a hyperbolic element")
     alg = triple.algebra
-    k = _hyperbolic_conjugator(a_matrix)
-    rho_k = rho_of(triple, k)
-    cols = iso.piece_columns[(i, j)]
-    v0 = alg.from_coordinates(cols[:, i])  # weight-zero vector of the piece
-    x_mat = rho_k @ v0 @ np.linalg.inv(rho_k)
-    x = alg.coordinates(x_mat)
-    x = x / np.linalg.norm(x)
-    lead = x[np.argmax(np.abs(x) > 1e-9)]
-    if lead < 0:
-        x = -x
-    # fixed-point residual, relative to how strongly Ad(rho(a)) stretches
     if rho_a is None:
         rho_a = rho_of(triple, a_matrix)
-    moved = rho_a @ alg.from_coordinates(x) @ np.linalg.inv(rho_a)
-    stretch = max(np.linalg.norm(moved), 1.0)
-    resid = np.linalg.norm(moved - alg.from_coordinates(x))
+    rho_a_inv = np.linalg.inv(rho_a)
+
+    def line(x_mat):
+        """Unit coordinates with a deterministic sign, the fixed-point
+        residual, and how strongly Ad(rho(a)) stretches."""
+        x = alg.coordinates(x_mat)
+        x = x / np.linalg.norm(x)
+        lead = x[np.argmax(np.abs(x) > 1e-9)]
+        if lead < 0:
+            x = -x
+        moved = rho_a @ alg.from_coordinates(x) @ rho_a_inv
+        return x, np.linalg.norm(moved - alg.from_coordinates(x)), max(np.linalg.norm(moved), 1.0)
+
+    k = _hyperbolic_conjugator(a_matrix)
+    rho_k = rho_of(triple, k)
+    v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])  # weight-zero vector of the piece
+    x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
+    if resid > tol * stretch and triple.exact is not None:
+        # Ad(rho(a)) stretches the rounding of the float conjugation: take the
+        # line from the mp lane, rounded once (imported here: mpmath stays out
+        # of the CLI's import)
+        from .highprec import mp_fixed_line
+        x_mat = mp_fixed_line(triple.exact, a_matrix, v0)
+        x, resid, stretch = line(x_mat if alg.is_complex else x_mat.real)
     if resid > tol * stretch:
         raise RealizationError(
             f"fixed-point residual {resid:.3e} too large in V_({i},{j})")

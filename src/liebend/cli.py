@@ -11,6 +11,7 @@ certificate, 2 input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,7 +78,9 @@ def _golden_verdict(report, golden_name):
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every main call."""
     parser = argparse.ArgumentParser(prog="liebend")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -104,7 +107,11 @@ def main(argv=None):
     p_check.add_argument("--ah", type=str, required=True,
                          help="JSON file: list of rows of exact rationals")
     _add_common(p_check)
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)

@@ -30,7 +30,8 @@ class Config:
     # relative to the largest singular value; looser than membership because
     # iterated bracketing amplifies noise
     rank_rtol: float = 1e-7
-    # how far an ad-eigenvalue may sit from the nearest integer
+    # how far an ad-eigenvalue of a custom triple may sit from the nearest
+    # integer (constructed triples carry exact integer weights)
     integer_guard: float = 1e-8
     # bound on the seed polygon's relation residual
     seed_relation_tol: float = 1e-10

@@ -498,3 +498,16 @@ def _twist(plan, rho, a_seed, k):
         x_f = np.array([[complex(x_mp[r, c]) for c in range(n)] for r in range(n)])
         scale = mp.mpf(float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f))))
         return tuple(rho_k * _fixed(m) * rho_k_inv for m in block_expm(v0_mp, h_int, scale * t))
+
+
+def mp_fixed_line(exact, a_matrix, v0, dps=32):
+    """Ad(rho(k)) v0 for k the conjugator of a hyperbolic float 2x2 matrix a,
+    built at dps digits from the weight-purified matrix v0 and rounded once:
+    the fixed line of Ad(rho(a)) through a piece whose weight-zero vector is
+    v0, where the float conjugation loses it to Ad(rho(a))'s stretch."""
+    with mp.workdps(dps):
+        rho = Sl2Images(exact)
+        conj = _mp_conjugator(mp.matrix(np.asarray(a_matrix, dtype=float).tolist()))
+        x = (rho(conj) * _fixed(_weight_purify(v0, exact.h)) * rho(sl2_inverse(conj))).to_mp()
+    n = len(exact.h)
+    return np.array([[complex(x[r, c]) for c in range(n)] for r in range(n)])

@@ -171,15 +171,3 @@ def pitchfork_margin(torus, mu_samples, ah):
         margin = min(margin, np.linalg.norm(resid, axis=1).min())
     return PitchforkResult(margin, qualifying, qualifying == 0)
 
-
-def weyl_compatible_identity_holds(torus, ah, samples):
-    """Cross-check of the chamber identity a_+ ∩ W.a_h = a_+ ∩ a_h on the given
-    exact dominant samples; meaningful only for symmetric-pair subalgebras."""
-    for v in samples:
-        v = torus.vector(v)
-        if not torus.is_dominant(v):
-            v, _ = torus.dominant_representative(v)
-        member, _ = in_weyl_orbit_of_subspace(torus, v, ah)
-        if member != ah.contains(v):
-            return False
-    return True

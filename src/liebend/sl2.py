@@ -4,6 +4,7 @@ sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
 genus bounds, even bases of b, and torsion-free spanning sets of centralizers.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from scipy.linalg import expm
 
 from . import _ratlin
 from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, bracket,
-                      classify_element, integer_param, kernel_of,
+                      classify_element, diagonal_weights, integer_param, kernel_of,
                       subspace_from_coordinates, theta_operator)
 from .errors import (MembershipError, ParameterError, RealizationError,
                      UnsupportedCentralizerError)
@@ -113,13 +114,25 @@ class Sl2Triple:
         return adjoint_operator(self.algebra, self.f)
 
     @cached_property
-    def h_centralizer(self):
-        """Orthonormal coordinate rows of the centralizer of H (the kernel of ad H)."""
-        return kernel_of([self.ad_h], self.algebra.dim, self.algebra.config.rank_rtol)
+    def basis_weights(self):
+        """The integer ad H weight of each basis element, read off its support
+        (exact triples only: H is diagonal with integer entries)."""
+        return diagonal_weights(self.algebra, [self.exact.h])[0]
 
     @cached_property
-    def ad_h_eigenvalues(self):
-        return np.linalg.eigvals(self.ad_h)
+    def weight_frame(self):
+        """(weights, frame): the rows of frame are a basis of the algebra of ad H
+        weight vectors, row k of weight weights[k].  For an exact triple frame is
+        None, standing for the algebra basis itself."""
+        if self.exact is None:
+            return _float_weight_frame(self)
+        return self.basis_weights, None
+
+    @cached_property
+    def h_centralizer(self):
+        """Orthonormal coordinate rows of the centralizer of H (the kernel of ad H)."""
+        weights, frame = self.weight_frame
+        return (np.eye(self.algebra.dim) if frame is None else frame)[weights == 0]
 
     @cached_property
     def sigma(self):
@@ -213,21 +226,35 @@ def verify_sl2_triple(triple, rtol=1e-9):
     return ok, residuals
 
 
-def ad_weight_multiplicities(triple):
-    """Multiplicities m_j of the integer eigenvalues of ad H on the algebra."""
-    guard = triple.algebra.config.integer_guard
-    eigs = triple.ad_h_eigenvalues
+def _float_weight_frame(triple):
+    """The float fallback of the weight path, for custom triples (exact is
+    None): the eigenvalues of ad H rounded against integer_guard, then one
+    kernel of ad H - w per weight w.  Returns (weights, frame) as
+    Sl2Triple.weight_frame."""
+    alg = triple.algebra
+    guard, dim = alg.config.integer_guard, alg.dim
+    ad = triple.ad_h
+    eigs = np.linalg.eigvals(ad)
     scale = max(np.max(np.abs(eigs)), 1.0)
     if np.max(np.abs(eigs.imag)) > 1e-7 * scale:
         raise RealizationError("ad H has non-real eigenvalues")
-    mults = {}
-    for lam in eigs.real:
-        j = round(float(lam))
-        if abs(lam - j) > max(guard * scale, guard):
-            raise RealizationError(f"ad H eigenvalue {lam} is not an integer")
-        mults[j] = mults.get(j, 0) + 1
-    if sum(mults.values()) != triple.algebra.dim:
-        raise RealizationError("weight multiplicities do not sum to dim g")
+    ints = np.round(eigs.real)
+    off = np.abs(eigs.real - ints) > max(guard * scale, guard)
+    if off.any():
+        raise RealizationError(f"ad H eigenvalue {eigs.real[np.argmax(off)]} is not an integer")
+    weights, rows = [], []
+    for w, m in sorted(collections.Counter(ints.astype(int).tolist()).items()):
+        ker = kernel_of([ad - float(w) * np.eye(dim)], dim, alg.config.rank_rtol)
+        if len(ker) != m:
+            raise RealizationError(f"eigenspace for weight {w} has dim {len(ker)}, expected {m}")
+        weights += [w] * m
+        rows.append(ker)
+    return np.array(weights), np.vstack(rows)
+
+
+def ad_weight_multiplicities(triple):
+    """Multiplicities m_j of the integer eigenvalues of ad H on the algebra."""
+    mults = collections.Counter(triple.weight_frame[0].tolist())
     for j, m in mults.items():
         if mults.get(-j, 0) != m:
             raise RealizationError("ad H weight multiset is not symmetric")
@@ -276,32 +303,21 @@ def sigma(triple, tol=1e-9):
     return s.astype(complex) if triple.algebra.is_complex else s
 
 
-def ad_sigma_operator(triple):
-    alg = triple.algebra
-    s = triple.sigma
-    return alg.coordinates(s @ alg.basis @ np.linalg.inv(s), check=False).T
-
-
 def g_even(alg, triple):
-    """Sum of the even ad H eigenspaces, cross-checked against the +1
-    eigenspace of Ad(sigma)."""
-    rtol = alg.config.rank_rtol
-    ad = triple.ad_h
-    mults = ad_weight_multiplicities(triple)
-    rows = []
-    dim = alg.dim
-    for j in sorted(m for m in mults if m % 2 == 0):
-        ker = (triple.h_centralizer if j == 0
-               else kernel_of([ad - float(j) * np.eye(dim)], dim, rtol))
-        if len(ker) != mults[j]:
-            raise RealizationError(
-                f"even eigenspace for weight {j} has dim {len(ker)}, expected {mults[j]}")
-        rows.extend(ker)
-    space = subspace_from_coordinates(alg, rows)
-    fixed = SubspaceOfG(alg, kernel_of([ad_sigma_operator(triple) - np.eye(dim)], dim, rtol))
-    if fixed.dim != space.dim or not fixed.contains_subspace(space, tol=1e-7):
+    """Sum of the even ad H eigenspaces, cross-checked against Ad(sigma),
+    which must act on each weight vector by (-1)^weight.  For an exact triple
+    the weight vectors are the basis elements and sigma is diagonal, so this
+    compares sigma_i sigma_j with (-1)^weight on each element's support."""
+    weights, frame = triple.weight_frame
+    parity = np.where(weights % 2 == 0, 1.0, -1.0)
+    mats = alg.basis if frame is None else alg.from_coordinates(frame)
+    s = triple.sigma
+    if (np.linalg.norm(s @ mats @ np.linalg.inv(s) - mats * parity[:, None, None])
+            > 1e-7 * np.linalg.norm(mats)):
         raise RealizationError("even part disagrees with the Ad(sigma) fixed space")
-    return space
+    if frame is None:
+        return SubspaceOfG(alg, np.eye(alg.dim)[parity > 0])
+    return subspace_from_coordinates(alg, frame[parity > 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,8 +385,10 @@ def module_multiplicities(alg, triple, target=None):
     """Full isotypic data: weight multiplicities, [g:V_k], and ordered weight
     bases of the odd pieces of the target subalgebra (default: the even part).
 
-    Highest-weight vectors are extracted per weight in descending order with a
-    deterministic lexicographic normalization, then lowered by ad F.
+    Highest-weight vectors of weight 2i are the kernel of the block of ad E
+    from weight 2i to 2i + 2, in the weight frame of the triple (the algebra
+    basis for an exact triple), extracted per weight in descending order with
+    a deterministic lexicographic normalization, then lowered by ad F.
     """
     weight_mults = ad_weight_multiplicities(triple)
     mults = {}
@@ -384,23 +402,27 @@ def module_multiplicities(alg, triple, target=None):
     if sum(k * m for k, m in mults.items()) != alg.dim:
         raise RealizationError("multiplicities do not sum to dim g")
 
+    rtol = alg.config.rank_rtol
+    weights, frame = triple.weight_frame
+    ad_e, ad_f = triple.ad_e, triple.ad_f
+    if frame is not None:
+        ad_e, ad_f = (np.linalg.solve(frame.T, ad @ frame.T) for ad in (ad_e, ad_f))
     if target is None:
         target = g_even(alg, triple)
-    q_rows = target.onb
-    k_t = q_rows.shape[0]
-    ad_h = q_rows @ triple.ad_h @ q_rows.T
-    ad_e = q_rows @ triple.ad_e @ q_rows.T
-    ad_f = q_rows @ triple.ad_f @ q_rows.T
-
-    # target weight multiplicities, for the odd multiplicities of g'
-    t_eigs = np.linalg.eigvals(ad_h)
-    t_mults = {}
-    for lam in t_eigs.real:
-        j = round(float(lam))
-        t_mults[j] = t_mults.get(j, 0) + 1
+        outside = None  # every even weight vector lies in the even part
+        t_mults = {w: m for w, m in weight_mults.items() if w % 2 == 0}
+    else:
+        # x lies in the target when (1 - Q^T Q) x = 0, Q the target's rows;
+        # with a frame, outside acts on frame coordinates
+        outside = np.eye(alg.dim) - target.onb.T @ target.onb
+        if frame is not None:
+            outside = outside @ frame.T
+        t_mults = {w: len(kernel_of([outside[:, weights == w]], m, rtol))
+                   for w, m in weight_mults.items()}
+        if sum(t_mults.values()) != target.dim:
+            raise RealizationError("target subalgebra is not spanned by ad H weight vectors")
     target_odd = {}
-    t_top = max(t_mults) if t_mults else 0
-    for i in range(0, t_top // 2 + 1):
+    for i in range(max(t_mults, default=0) // 2 + 1):
         m = t_mults.get(2 * i, 0) - t_mults.get(2 * i + 2, 0)
         if m > 0:
             target_odd[i] = m
@@ -409,17 +431,22 @@ def module_multiplicities(alg, triple, target=None):
     pieces = {}
     for i in sorted(target_odd, reverse=True):
         r = target_odd[i]
-        hw = kernel_of([ad_e, ad_h - 2.0 * i * np.eye(k_t)], k_t, alg.config.rank_rtol)
+        low = weights == 2 * i
+        ops = [ad_e[weights == 2 * i + 2][:, low]]
+        if outside is not None:
+            ops.append(outside[:, low])
+        hw = kernel_of(ops, int(low.sum()), rtol)
         if len(hw) != r:
             raise RealizationError(
                 f"highest-weight space at weight {2*i} has numerical rank {len(hw)}, "
                 f"expected {r}")
         for j, row in enumerate(_canonical_hw_rows(list(hw)), start=1):
-            cols = [row]
-            for _ in range(2 * i):
-                cols.append(ad_f @ cols[-1])
-            local = np.array(cols).T  # (k_t, 2i+1)
-            pieces[(i, j)] = q_rows.T @ local
+            cols = np.zeros((alg.dim, 2 * i + 1))  # column k: weight 2i - 2k
+            cols[low, 0] = row
+            for k in range(1, 2 * i + 1):
+                above, at = weights == 2 * i - 2 * k + 2, weights == 2 * i - 2 * k
+                cols[at, k] = ad_f[at][:, above] @ cols[above, k - 1]
+            pieces[(i, j)] = cols if frame is None else frame.T @ cols
             lam_list.append((i, j))
     lam_list.sort(key=lambda ij: (-ij[0], ij[1]))
     if sum(2 * i + 1 for i, _ in lam_list) != target.dim:

@@ -9,6 +9,7 @@ coordinates and is stored as two small-integer arrays, `perms` and `signs`
 vectorized exact integer scans; `element(i)` gives row i as a WeylElement.
 """
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlin
-from .algebra import SL, SU
+from .algebra import SL, SU, diagonal_weights
 from .errors import ParameterError, RealizationError
 
 WEYL_RANK_CAP = 8
@@ -87,9 +88,6 @@ class SplitTorusData:
 
     def identity(self):
         return WeylElement(tuple(range(self.coord_len)), (1,) * self.coord_len)
-
-    def matrix_of(self, v):
-        return _diagonal_matrix(self.algebra, v)
 
     def vector_from_diagonal(self, h, tol=1e-9):
         """Exact free coordinates of a diagonal integer matrix in the a-pattern."""
@@ -196,39 +194,21 @@ def _su_root_patterns(p, q):
     return roots
 
 
-_GENERIC_WEIGHTS = tuple(p ** 0.5 for p in (2, 3, 5, 7, 11, 13, 17, 19))
-
-
 def _root_multiplicities(alg, torus_free_basis, root_coeffs):
-    """Multiplicities from ad-eigenspace dimensions of the realized operators.
+    """Multiplicities read off the basis supports.
 
-    A generic real combination of the commuting ad operators separates the
-    integer root functionals (square roots of primes are rationally
-    independent), so one eigendecomposition yields every multiplicity.  ad is
-    linear, so the combination is the ad operator of the combined element.
+    Every basis element lies in one joint ad-eigenspace of the split torus, so
+    its tuple of weights under the torus basis is the tuple of values of one
+    restricted root on that basis, or 0; counting the tuples counts each
+    root space.
     """
-    from .algebra import adjoint_operator
-
-    mu = np.array(_GENERIC_WEIGHTS[:len(torus_free_basis)])
-    generic = sum(m * a_mat for m, (_, a_mat) in zip(mu, torus_free_basis))
-    eigs = np.linalg.eigvals(adjoint_operator(alg, generic))
-    if np.max(np.abs(eigs.imag)) > 1e-7 * max(np.max(np.abs(eigs)), 1.0):
-        raise RealizationError("ad operators of the split torus are not real-diagonalizable")
-    eigs = np.sort(eigs.real)
-
-    # eigenvalue of the combined operator attached to each root functional
-    free_coords = np.array([fc for fc, _ in torus_free_basis], dtype=float)
-    targets = np.array(root_coeffs, dtype=float) @ free_coords.T @ mu
-    mults = {}
-    used = np.zeros(len(eigs), dtype=bool)
-    for coeffs, lam in zip(root_coeffs, targets):
-        hits = np.nonzero(~used & (np.abs(eigs - lam) < 1e-6))[0]
-        used[hits] = True
-        mults[coeffs] = len(hits)
-    zero_count = int(np.sum(~used & (np.abs(eigs) < 1e-6)))
-    if sum(mults.values()) + zero_count != alg.dim:
+    weights = diagonal_weights(alg, [_diagonal(alg, v) for v in torus_free_basis])
+    counts = collections.Counter(map(tuple, weights.T.tolist()))
+    zero_count = counts.pop((0,) * len(torus_free_basis), 0)
+    values = list(map(tuple, (np.array(root_coeffs) @ np.array(torus_free_basis).T).tolist()))
+    if not set(counts) <= set(values) or sum(counts.values()) + zero_count != alg.dim:
         raise RealizationError("root-space dimensions do not exhaust the algebra")
-    return mults
+    return {c: counts.get(v, 0) for c, v in zip(root_coeffs, values)}
 
 
 def _lex_positive(coeffs):
@@ -238,14 +218,12 @@ def _lex_positive(coeffs):
     return False
 
 
-def _diagonal_matrix(alg, v):
-    """Ambient diagonal matrix of a free-coordinate vector (the a-pattern)."""
-    diag = [float(x) for x in v]
-    if alg.family == SU:
-        p, q = alg.params
-        diag += [0.0] * (p - q) + [-x for x in reversed(diag)]
-    m = np.diag(diag)
-    return m.astype(complex) if alg.is_complex else m
+def _diagonal(alg, v):
+    """The full diagonal of a free-coordinate vector (the a-pattern)."""
+    if alg.family == SL:
+        return list(v)
+    p, q = alg.params
+    return list(v) + [0] * (p - q) + [-x for x in reversed(v)]
 
 
 def _weyl_arrays(family, coord_len):
@@ -277,15 +255,15 @@ def split_torus(alg):
         raise ParameterError(f"rank {rank} exceeds the extensional Weyl cap {WEYL_RANK_CAP}")
     perms, signs = _weyl_arrays(alg.family, coord_len)
 
-    # multiplicities from ad-eigenspace dimensions, validating the realization
+    # multiplicities from the root-space dimensions, validating the realization
     torus_basis = []
     for i in range(rank):
-        free = [Fraction(0)] * coord_len
+        free = [0] * coord_len
         if alg.family == SL:
-            free[i], free[i + 1] = Fraction(1), Fraction(-1)
+            free[i], free[i + 1] = 1, -1
         else:
-            free[i] = Fraction(1)
-        torus_basis.append((tuple(free), _diagonal_matrix(alg, free)))
+            free[i] = 1
+        torus_basis.append(free)
     ordered = sorted(root_coeffs, reverse=True)
     mults = _root_multiplicities(alg, torus_basis, ordered)
     roots = tuple(Root(c, mults[c]) for c in ordered)

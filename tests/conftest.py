@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from liebend.algebra import make_algebra
-from liebend.weyl import split_torus
+from liebend.algebra import SubspaceOfG, kernel_of, make_algebra, theta_operator
+from liebend.properness import in_weyl_orbit_of_subspace
+from liebend.weyl import _diagonal, split_torus
 
 SEED = 20240817
 
@@ -75,6 +76,31 @@ def constructed_triples(n_max, p_max):
             alg = make_algebra("su", p, q)
             out += [rho1_su(alg)] + ([rho2_su(alg)] if p > q else [])
     return out
+
+
+def torus_matrix(torus, v):
+    """Ambient diagonal matrix of a free-coordinate torus vector (the a-pattern)."""
+    m = np.diag(np.array(_diagonal(torus.algebra, v), dtype=float))
+    return m.astype(complex) if torus.algebra.is_complex else m
+
+
+def compact_part_basis(alg):
+    """Orthonormal coordinate basis of the +1 eigenspace of theta (i.e. of k)."""
+    th = theta_operator(alg)
+    return SubspaceOfG(alg, kernel_of([th - np.eye(alg.dim)], alg.dim, alg.config.rank_rtol))
+
+
+def weyl_compatible_identity_holds(torus, ah, samples):
+    """Cross-check of the chamber identity a_+ ∩ W.a_h = a_+ ∩ a_h on the given
+    exact dominant samples; meaningful only for symmetric-pair subalgebras."""
+    for v in samples:
+        v = torus.vector(v)
+        if not torus.is_dominant(v):
+            v, _ = torus.dominant_representative(v)
+        member, _ = in_weyl_orbit_of_subspace(torus, v, ah)
+        if member != ah.contains(v):
+            return False
+    return True
 
 
 def random_group_element(alg, rng, scale=0.3):

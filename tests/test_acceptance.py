@@ -7,8 +7,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from liebend.algebra import (bracket, cartan_involution, centralizer,
-                             compact_part_basis, make_algebra)
+from liebend.algebra import bracket, cartan_involution, centralizer, make_algebra
 from liebend.config import DEFAULT
 from liebend.projections import lyapunov, mu
 from liebend.properness import (HSubalgebraTorus, benoist_criterion,
@@ -18,6 +17,8 @@ from liebend.report import (cmd_bend, cmd_reproduce_sec53, cmd_reproduce_sec6,
 from liebend.sl2 import (Sl2Triple, ad_weight_multiplicities, g_even,
                          genus_bound, rho1_su, rho2_su, sl2_from_partition)
 from liebend.weyl import split_torus
+
+from conftest import compact_part_basis, torus_matrix
 
 SEED = 919
 
@@ -208,7 +209,7 @@ def test_criterion_5_property_suites():
                 free[i], free[i + 1] = Fraction(1), Fraction(-1)
             else:
                 free[i] = Fraction(1)
-            mat = torus.matrix_of(torus.vector(free))
+            mat = torus_matrix(torus, torus.vector(free))
             ok = ok and ge.contains_vector(alg.coordinates(mat), tol=1e-8)
     lines.append(("split torus inside the even part", ok))
 

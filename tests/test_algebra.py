@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from liebend.algebra import (bracket, cartan_involution, adjoint_operator,
-                             centralizer, classify_element, compact_part_basis,
+                             centralizer, classify_element,
                              generated_subalgebra, make_algebra,
                              subspace_from_coordinates, subspace_from_matrices,
                              theta_operator)
 from liebend.errors import MembershipError, ParameterError, ShapeError
 
-from conftest import constructed_triples, oracle_coordinates, random_algebra_element
+from conftest import (compact_part_basis, constructed_triples, oracle_coordinates,
+                      random_algebra_element)
 
 H2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 E2 = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -119,10 +119,14 @@ def test_rank_rtol_shrinks_a_closure():
 
 
 def test_integer_guard_reaches_the_weight_decision():
-    assert ad_weight_multiplicities(rho1_su(make_algebra("su", 3, 2)))[0] == 8
+    """The guard rounds the float eigenvalues of a custom triple's ad H; an
+    exact triple reads integer weights off the basis and never consults it."""
+    custom = dataclasses.replace(rho1_su(make_algebra("su", 3, 2)), exact=None)
+    assert ad_weight_multiplicities(custom)[0] == 8
     strict = make_algebra("su", 3, 2, config=config_mod.Config(integer_guard=1e-30))
     with pytest.raises(RealizationError, match="not an integer"):
-        ad_weight_multiplicities(rho1_su(strict))
+        ad_weight_multiplicities(dataclasses.replace(rho1_su(strict), exact=None))
+    assert ad_weight_multiplicities(rho1_su(strict))[0] == 8
 
 
 def test_pitchfork_radius_changes_qualifying():

@@ -10,10 +10,11 @@ from liebend.errors import RealizationError
 from liebend.properness import (HSubalgebraTorus, benoist_certificate,
                                 benoist_criterion, calabi_markus,
                                 in_weyl_orbit_of_subspace, pitchfork_margin,
-                                sl2_action_proper,
-                                weyl_compatible_identity_holds)
+                                sl2_action_proper)
 from liebend.sl2 import Sl2Triple, rho1_su, rho2_su, sl2_from_partition
 from liebend.weyl import split_torus
+
+from conftest import weyl_compatible_identity_holds
 
 SEC53_BASIS = ((2, -2, 0, 0, 0), (4, 2, 0, -2, -4))
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -188,6 +189,36 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["reproduce", "sec6", "--p", "1", "--q", "2"]) == 2
     capsys.readouterr()
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    from liebend import cli
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["reproduce", "sec53"]) == 0
+    first = len(built)
+    assert main(["reproduce", "sec53", "--text"]) == 0
+    capsys.readouterr()
+    assert built.count("liebend") == 1 and len(built) == first
+    assert cli._parser() is cli._parser()
+
+
+def test_cli_check_sl_without_n_is_a_usage_error(tmp_path, capsys):
+    ah = tmp_path / "ah.json"
+    ah.write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
+    for _ in range(2):  # the shared parser reports the same error every time
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--family", "sl", "--ah", str(ah)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == ("usage: liebend [-h] {reproduce,bend,check} ...\n"
+                                           "liebend: error: --family sl needs --n\n")
 
 
 _SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": "auto"}

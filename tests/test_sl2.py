@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from liebend.sl2 import (Sl2Triple, ad_weight_multiplicities, even_partitions,
                          rho2_su, rho_of, sigma, sl2_from_partition,
                          verify_sl2_triple)
 
-from conftest import constructed_triples, oracle_coordinates
+from conftest import constructed_triples, oracle_coordinates, torus_matrix
 
 SEC53_TABLE = [
     ((5,), True, (4, 2, 0, -2, -4)),
@@ -176,7 +177,7 @@ def test_rank_inside_even_part(sl5, su32, sl5_torus, su32_torus):
                 free[i], free[i + 1] = Fraction(1), Fraction(-1)
             else:
                 free[i] = Fraction(1)
-            mat = torus.matrix_of(torus.vector(free))
+            mat = torus_matrix(torus, torus.vector(free))
             assert ge.contains_vector(alg.coordinates(mat), tol=1e-8)
 
 
@@ -401,23 +402,29 @@ def test_rho_of_homomorphism(su21, rng):
 
 
 def test_ad_sigma_operator_matches_oracle():
-    """The batched Ad(sigma) equals the per-basis-element loop it replaced."""
-    from liebend.sl2 import ad_sigma_operator
+    """Ad(sigma), as a per-basis-element loop, is the diagonal operator of
+    the parities (-1)^w of the exact basis weights that g_even's cross-check
+    compares against."""
     for triple in constructed_triples(6, 4):
         alg = triple.algebra
         s = sigma(triple)
         s_inv = np.linalg.inv(s)
         want = np.array([oracle_coordinates(alg, s @ bm @ s_inv) for bm in alg.basis]).T
-        got = ad_sigma_operator(triple)
+        got = np.diag(np.where(triple.basis_weights % 2 == 0, 1.0, -1.0))
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_ad_h_built_once_per_triple(monkeypatch, sl5, su32):
-    """is_even, genus_bound, g_even and module_multiplicities share one ad H."""
+    """is_even, genus_bound, g_even and module_multiplicities share one ad H:
+    a custom triple builds it once, an exact triple reads its weights off the
+    basis supports and never builds it."""
     real = liebend.algebra.adjoint_operator
-    for alg, make in ((sl5, lambda: sl2_from_partition(sl5, (5,))),
-                      (sl5, lambda: sl2_from_partition(sl5, (3, 1, 1))),
-                      (su32, lambda: rho2_su(su32))):
+    for alg, make, builds in (
+            (sl5, lambda: sl2_from_partition(sl5, (5,)), 0),
+            (sl5, lambda: sl2_from_partition(sl5, (3, 1, 1)), 0),
+            (su32, lambda: rho2_su(su32), 0),
+            (sl5, lambda: dataclasses.replace(sl2_from_partition(sl5, (4, 1)), exact=None), 1),
+            (su32, lambda: dataclasses.replace(rho1_su(su32), exact=None), 1)):
         triple = make()
         calls = []
 
@@ -432,37 +439,46 @@ def test_ad_h_built_once_per_triple(monkeypatch, sl5, su32):
         genus_bound(alg, triple)
         g_even(alg, triple)
         module_multiplicities(alg, triple)
-        assert len(calls) == 1
+        assert len(calls) == builds
         assert np.array_equal(triple.ad_h, real(alg, triple.h))
 
 
+def _projector(rows):
+    rows = np.atleast_2d(rows)
+    return rows.T @ np.linalg.pinv(rows.T)
+
+
 def test_h_centralizer_is_the_kernel_of_ad_h():
+    """The exact rows span the kernel of ad H that the SVD oracle finds."""
     for triple in constructed_triples(5, 4):
         alg = triple.algebra
         rows = triple.h_centralizer
         assert rows is triple.h_centralizer
-        assert np.array_equal(rows, kernel_of([triple.ad_h], alg.dim, alg.config.rank_rtol))
-        assert len(rows) == ad_weight_multiplicities(triple)[0]
+        oracle = kernel_of([triple.ad_h], alg.dim, alg.config.rank_rtol)
+        assert len(rows) == len(oracle) == ad_weight_multiplicities(triple)[0]
+        assert np.linalg.norm(_projector(rows) - _projector(oracle), 2) <= 1e-12
 
 
 def test_sec6_takes_each_kernel_once(monkeypatch):
-    """The sec6 record, genus_bound and g_even's weight-0 eigenspace share the
-    triple's one centralizer of H: no operator on the algebra is decomposed
-    twice."""
+    """reproduce sec6 --p 3 --q 2 reads every weight off the basis supports:
+    it decomposes no operator on the algebra (no dim x dim SVD, no eigvals)."""
     from liebend.config import DEFAULT
     from liebend.report import cmd_reproduce_sec6
     dim = make_algebra("su", 3, 2).dim
     seen = []
-    svd = np.linalg.svd
 
-    def counting(a, *args, **kwargs):
-        if np.shape(a)[-1] == dim:
-            seen.append(np.asarray(a).tobytes())
-        return svd(a, *args, **kwargs)
+    def counting(real):
+        def wrapped(a, *args, **kwargs):
+            if dim in np.shape(a):
+                seen.append((real.__name__, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    cmd_reproduce_sec6(3, 2, DEFAULT)
-    assert seen and len(seen) == len(set(seen))
+    for name in ("svd", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    report = cmd_reproduce_sec6(3, 2, DEFAULT)
+    assert seen == []
+    assert report.checks[0].verdict["g_even_dim"] == 16
 
 
 def test_sec6_takes_sigma_once_per_triple(monkeypatch):
