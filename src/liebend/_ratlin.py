@@ -82,13 +82,21 @@ def solve_coefficients(basis_vectors, v):
     return tuple(coeffs)
 
 
+def integer_multiple(vec):
+    """The entries of a rational vector (ints or Fractions) times their
+    common denominator, a positive integer, as Python ints: the signs and
+    ratios of the entries are kept."""
+    scale = 1
+    for x in vec:
+        d = x.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    return [int(x * scale) for x in vec]
+
+
 def primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero entry positive."""
-    denoms = [x.denominator for x in vec]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in vec]
+    ints = integer_multiple(vec)
     g = 0
     for x in ints:
         g = gcd(g, abs(x))

@@ -12,6 +12,8 @@ split abelian subspace.  Algebra elements are stored as ambient matrices;
 most computations run in real coordinates with respect to a fixed basis.
 """
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +38,22 @@ def canonical_family(family):
     if key not in _FAMILY_ALIASES:
         raise ParameterError(f"unknown family {family!r}")
     return _FAMILY_ALIASES[key]
+
+
+def readonly(value):
+    """value, with every numpy array in it (through tuples and dict values)
+    made read-only.  Objects shared between the commands of a process hold
+    only such arrays, so a caller that writes into one raises ValueError
+    instead of changing what later commands read."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            readonly(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            readonly(v)
+    return value
 
 
 def form_matrix(p, q):
@@ -67,38 +85,36 @@ def _sl_basis(n):
 
 
 def _su_basis(p, q, b):
-    """Basis of {X : X*B + BX = 0, tr X = 0} as B @ A over a u(n) basis.
+    """Basis of {X : X*B + BX = 0, tr X = 0} as B @ A over a u(n) basis,
+    shape (dim, n, n), with one stacked product.
 
     tr(BA) vanishes for all u(n) basis elements except the anti-diagonal-pair
     symmetric ones and the middle-diagonal ones; those are combined pairwise
     into traceless differences, which keeps the enumeration explicit.
     """
     n = p + q
-
-    def eu(i, j):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, j] = 1.0
-        return e
-
-    pair_of = {k: n - 1 - k for k in range(q)}
-    mats = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            mats.append(b @ (eu(k, l) - eu(l, k)))
-    for k in range(n):
-        for l in range(k + 1, n):
-            if pair_of.get(k) == l:
-                continue
-            mats.append(b @ (1j * (eu(k, l) + eu(l, k))))
-    for k in list(range(q)) + list(range(p, n)):
-        mats.append(b @ (1j * eu(k, k)))
+    upper = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    symmetric = [(k, l) for k, l in upper if not (k < q and l == n - 1 - k)]
+    imaginary_diagonal = list(range(q)) + list(range(p, n))
     # trace carriers: q pair-symmetric elements (weight 2) then p-q middle
     # diagonals (weight 1); consecutive weighted differences are traceless
-    carriers = [(1j * (eu(k, n - 1 - k) + eu(n - 1 - k, k)), 2.0) for k in range(q)]
-    carriers += [(1j * eu(m, m), 1.0) for m in range(q, p)]
-    for (a1, w1), (a2, w2) in zip(carriers, carriers[1:]):
-        mats.append(b @ (w2 * a1 - w1 * a2))
-    return mats
+    carriers = [((k, n - 1 - k), 2.0) for k in range(q)] + [((m, m), 1.0) for m in range(q, p)]
+    a = np.zeros((len(upper) + len(symmetric) + len(imaginary_diagonal) + len(carriers) - 1,
+                  n, n), dtype=complex)
+    rows = iter(a)
+    for k, l in upper:
+        x = next(rows)
+        x[k, l], x[l, k] = 1.0, -1.0
+    for k, l in symmetric:
+        x = next(rows)
+        x[k, l] = x[l, k] = 1j
+    for k in imaginary_diagonal:
+        next(rows)[k, k] = 1j
+    for ((i, j), w1), ((k, l), w2) in zip(carriers, carriers[1:]):
+        x = next(rows)
+        x[i, j] = x[j, i] = complex(0.0, w2)
+        x[k, l] = x[l, k] = complex(0.0, -w1)
+    return b @ a
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,18 +138,18 @@ class LieAlgebraSpace:
     def _flat(self):
         """Real (2*size^2, dim) matrix whose columns are the flattened basis."""
         cols = self.basis.reshape(self.dim, -1).T
-        return np.vstack([cols.real, cols.imag])
+        return readonly(np.vstack([cols.real, cols.imag]))
 
     @cached_property
     def _solver(self):
-        return np.linalg.pinv(self._flat)
+        return readonly(np.linalg.pinv(self._flat))
 
     @cached_property
     def _support(self):
         """(element, row, col) of every nonzero basis entry, element ascending,
         and the index into them of each element's first entry."""
         elem, rows, cols = np.nonzero(self.basis)
-        return elem, rows, cols, np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])
+        return readonly((elem, rows, cols, np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])))
 
     def coordinates(self, x, check=True, rtol=None):
         """Real coordinates in the algebra basis of an ambient matrix (n, n),
@@ -197,7 +213,12 @@ def integer_param(name, value):
 
 def make_algebra(family, *params, config=_config.DEFAULT):
     """Construct sl(n,R) (params: n) or su(p,q) (params: p, q); the algebra
-    holds config, the tolerances of every computation on it."""
+    holds config, the tolerances of every computation on it.
+
+    The input is validated and canonicalized first; then one algebra, with
+    read-only arrays, serves every call with the same (family, params,
+    config) in the process.  Equal configs share it, configs that differ in
+    any value (or only in the sign of a zero pitchfork_radius) do not."""
     family = canonical_family(family)
     names = PARAM_NAMES[family]
     if len(params) != len(names):
@@ -207,12 +228,25 @@ def make_algebra(family, *params, config=_config.DEFAULT):
         (n,) = params
         if n < 2:
             raise ParameterError(f"sl(n,R) needs n >= 2, got {n}")
-        return LieAlgebraSpace(SL, params, n, None, np.array(_sl_basis(n)), config)
-    p, q = params
-    if q < 1 or p < q:
-        raise ParameterError(f"su(p,q) needs p >= q >= 1, got ({p}, {q})")
-    b = form_matrix(p, q)
-    return LieAlgebraSpace(SU, params, p + q, b, np.array(_su_basis(p, q, b)), config)
+    else:
+        p, q = params
+        if q < 1 or p < q:
+            raise ParameterError(f"su(p,q) needs p >= q >= 1, got ({p}, {q})")
+    # configs with pitchfork_radius 0.0 and -0.0 compare equal but echo
+    # differently; it is the one config value that may be zero
+    return _shared_algebra(family, params, config, math.copysign(1.0, config.pitchfork_radius))
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_algebra(family, params, config, _radius_sign):
+    if family == SL:
+        (n,) = params
+        form, basis = None, np.array(_sl_basis(n))
+    else:
+        form = form_matrix(*params)
+        basis = _su_basis(*params, form)
+    return LieAlgebraSpace(family, params, basis.shape[1], readonly(form), readonly(basis),
+                           config)
 
 
 def diagonal_weights(alg, diags):

@@ -3,6 +3,7 @@ under an sl(2,R)-homomorphism, the strict separation inequalities that make
 the deformation certify, and the bracket-closure density certificate.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -10,7 +11,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import SubspaceOfG, bracket, generated_subalgebra, integer_param, kernel_of
+from .algebra import (SubspaceOfG, bracket, generated_subalgebra, integer_param, kernel_of,
+                      readonly)
 from .errors import (GenusConditionError, ParameterError, RealizationError,
                      ShapeError)
 from .sl2 import module_multiplicities, property_star_basis, rho_of
@@ -69,10 +71,17 @@ def fuchsian_generators(genus):
     glues side 4k+1 onto side 4k+3, which realizes
     [A_1,B_1]...[A_g,B_g] = I in SL(2,R).  Its float residual grows with the
     genus; build_plan checks it against the algebra's seed_relation_tol.
+    One polygon, with read-only matrices, serves every call with the same
+    genus in a process.
     """
     g = integer_param("genus", genus)
     if g < 2:
         raise ParameterError(f"surface groups need genus >= 2, got {g}")
+    return _polygon(g)
+
+
+@functools.lru_cache(maxsize=8)
+def _polygon(g):
     n = 4 * g
     rho = math.acosh(1.0 / math.tan(math.pi / n))  # center-to-side distance
 
@@ -92,7 +101,7 @@ def fuchsian_generators(genus):
     for k in range(g):
         a_list.append(glue(4 * k + 2, 4 * k))
         b_list.append(glue(4 * k + 1, 4 * k + 3))
-    rep = SurfaceGroupRep(g, tuple(a_list), tuple(b_list))
+    rep = SurfaceGroupRep(g, readonly(tuple(a_list)), readonly(tuple(b_list)))
     for m in rep.generators():
         if abs(np.trace(m)) <= 2.0:
             raise RealizationError("polygon side pairing produced a non-hyperbolic generator")

@@ -26,6 +26,7 @@ shipped float64 matrices is taken from its mantissas.  The 2x2 products of
 the polygon and its relation use mp.fdot, which rounds the same way.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -174,7 +175,18 @@ def mp_fuchsian(genus):
     product once the diagonal has scaled the columns of the first rotation.
     Each entry of that product is one mp.fdot: the exact sum of two exact
     products, rounded once, as the integer kernel rounds it.
+
+    Returns (a, b), two tuples of genus matrices, built once per process for
+    each genus and mp precision and rounding; callers must not write into
+    the matrices.
     """
+    return _mp_polygon(genus, *mp.mp._prec_rounding)
+
+
+@functools.lru_cache(maxsize=8)
+def _mp_polygon(genus, prec, rounding):
+    # prec and rounding only key the cache: they are those of the context
+    # the body computes in
     n = 4 * genus
     scale = mp.exp(mp.acosh(1 / mp.tan(mp.pi / n)))
     inv_scale = 1 / scale
@@ -188,8 +200,8 @@ def mp_fuchsian(genus):
         c, s = mp.cos_sin(-psi(src) / 2)
         return mp.matrix([[mp.fdot(row, col) for col in ((c, -s), (s, c))] for row in left])
 
-    a_list = [glue(4 * k + 2, 4 * k) for k in range(genus)]
-    b_list = [glue(4 * k + 1, 4 * k + 3) for k in range(genus)]
+    a_list = tuple(glue(4 * k + 2, 4 * k) for k in range(genus))
+    b_list = tuple(glue(4 * k + 1, 4 * k + 3) for k in range(genus))
     return a_list, b_list
 
 

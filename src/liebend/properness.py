@@ -62,7 +62,8 @@ def _orbit_mask(torus, v, ah):
     n = torus.coord_len
     bound = n * max(map(abs, vec)) * max((abs(c) for row in ann for c in row), default=0)
     dtype = np.int64 if bound < 2 ** 62 else object
-    images = torus.signs * np.array(vec, dtype=dtype)[torus.perms]
+    images = np.array(vec, dtype=dtype)[torus.perms]
+    images *= torus.signs  # in place: one |W| x coord_len array at a time
     return (images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T == 0).all(axis=1)
 
 

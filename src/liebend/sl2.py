@@ -2,9 +2,14 @@
 sl(n,R), the two explicit su(p,q) families, evenness, the involution matrix
 sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
 genus bounds, even bases of b, and torsion-free spanning sets of centralizers.
+
+The constructed triples, their even parts and their isotypic data are built
+once per process for each algebra (and partition, and target), and hold
+read-only arrays.
 """
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ from scipy.linalg import expm
 from . import _ratlin
 from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, bracket,
                       classify_element, diagonal_weights, integer_param, kernel_of,
-                      subspace_from_coordinates, theta_operator)
+                      readonly, subspace_from_coordinates, theta_operator)
 from .errors import (MembershipError, ParameterError, RealizationError,
                      UnsupportedCentralizerError)
 
@@ -93,7 +98,8 @@ class Sl2Triple:
             e[row, col] = unit * math.sqrt(m)
         f = e.conj().T if alg.is_complex else e.T
         free = exact.h if alg.family == SL else exact.h[:alg.params[1]]
-        return cls(alg, h, e, f, provenance, label, tuple(Fraction(w) for w in free), exact)
+        return cls(alg, readonly(h), readonly(e), readonly(f), provenance, label,
+                   tuple(Fraction(w) for w in free), exact)
 
     @cached_property
     def is_zero(self):
@@ -103,21 +109,21 @@ class Sl2Triple:
     @cached_property
     def ad_h(self):
         """Matrix of ad H in the algebra basis, built once per triple."""
-        return adjoint_operator(self.algebra, self.h)
+        return readonly(adjoint_operator(self.algebra, self.h))
 
     @cached_property
     def ad_e(self):
-        return adjoint_operator(self.algebra, self.e)
+        return readonly(adjoint_operator(self.algebra, self.e))
 
     @cached_property
     def ad_f(self):
-        return adjoint_operator(self.algebra, self.f)
+        return readonly(adjoint_operator(self.algebra, self.f))
 
     @cached_property
     def basis_weights(self):
         """The integer ad H weight of each basis element, read off its support
         (exact triples only: H is diagonal with integer entries)."""
-        return diagonal_weights(self.algebra, [self.exact.h])[0]
+        return readonly(diagonal_weights(self.algebra, [self.exact.h])[0])
 
     @cached_property
     def weight_frame(self):
@@ -125,19 +131,19 @@ class Sl2Triple:
         weight vectors, row k of weight weights[k].  For an exact triple frame is
         None, standing for the algebra basis itself."""
         if self.exact is None:
-            return _float_weight_frame(self)
+            return readonly(_float_weight_frame(self))
         return self.basis_weights, None
 
     @cached_property
     def h_centralizer(self):
         """Orthonormal coordinate rows of the centralizer of H (the kernel of ad H)."""
         weights, frame = self.weight_frame
-        return (np.eye(self.algebra.dim) if frame is None else frame)[weights == 0]
+        return readonly((np.eye(self.algebra.dim) if frame is None else frame)[weights == 0])
 
     @cached_property
     def sigma(self):
         """exp(pi sqrt(-1) H), built once per triple (see `sigma`)."""
-        return sigma(self)
+        return readonly(sigma(self))
 
     def images(self):
         return [self.h, self.e, self.f]
@@ -157,13 +163,20 @@ def _partition_weight_string(parts):
 
 def sl2_from_partition(alg, partition):
     """Jordan-type block triple for a partition of n, conjugated so that the
-    H-image is the dominant diagonal matrix of concatenated weight strings."""
+    H-image is the dominant diagonal matrix of concatenated weight strings.
+    One triple serves every call with the same algebra and parts."""
     if alg.family != SL:
         raise ParameterError("partition triples live in sl(n,R)")
     (n,) = alg.params
     parts = tuple(integer_param("partition part", p) for p in partition)
     if any(p < 1 for p in parts) or sum(parts) != n:
         raise ParameterError(f"{parts} is not a partition of {n}")
+    return _partition_triple(alg, parts)
+
+
+@functools.lru_cache(maxsize=32)
+def _partition_triple(alg, parts):
+    (n,) = alg.params
     weights = _partition_weight_string(parts)
     starts = itertools.accumulate(parts, initial=0)
     entries = [(s + k - 1, s + k, k * (p - k)) for s, p in zip(starts, parts) for k in range(1, p)]
@@ -176,8 +189,10 @@ def sl2_from_partition(alg, partition):
     return Sl2Triple.from_exact(alg, exact, "partition", label)
 
 
+@functools.lru_cache(maxsize=4)
 def rho1_su(alg):
-    """diag(1..1,0..0,-1..-1) with E = sqrt(-1) times the corner identity block."""
+    """diag(1..1,0..0,-1..-1) with E = sqrt(-1) times the corner identity
+    block; one triple per algebra object."""
     if alg.family != SU:
         raise ParameterError("rho1 lives in su(p,q)")
     p, q = alg.params
@@ -187,9 +202,11 @@ def rho1_su(alg):
     return Sl2Triple.from_exact(alg, exact, "rho1", "rho1")
 
 
+@functools.lru_cache(maxsize=4)
 def rho2_su(alg):
     """diag(2q,...,2,0..0,-2,...,-2q) with superdiagonal constants
-    c_k = sqrt(-1) sqrt(k(2q+1-k)); undefined for p = q."""
+    c_k = sqrt(-1) sqrt(k(2q+1-k)); undefined for p = q.  One triple per
+    algebra object."""
     if alg.family != SU:
         raise ParameterError("rho2 lives in su(p,q)")
     p, q = alg.params
@@ -278,9 +295,12 @@ def is_even(triple):
 def sigma(triple, tol=1e-9):
     """exp(pi*sqrt(-1)*H) evaluated in an eigenbasis of H.
 
-    Integer eigenvalues make every exponential factor +-1, so the result is a
-    real matrix lying in the group.
+    Integer eigenvalues make every exponential factor +-1, so the result lies
+    in the group.  It is real in sl(n,R); in su(p,q) an H that is not
+    diagonal may give a complex sigma, since the eigenbasis of H is then
+    complex.
     """
+    alg = triple.algebra
     h = np.asarray(triple.h, dtype=complex)
     n = h.shape[0]
     offdiag = h - np.diag(np.diag(h))
@@ -294,20 +314,23 @@ def sigma(triple, tol=1e-9):
         raise RealizationError("H has non-integer eigenvalues; sigma is undefined")
     signs = np.where(ints % 2 == 0, 1.0, -1.0)
     s = vecs @ np.diag(signs.astype(complex)) @ np.linalg.inv(vecs)
-    if np.linalg.norm(s.imag) > 1e-8 * n:
+    if np.linalg.norm(s.imag) <= 1e-8 * n:
+        s = s.real.astype(complex) if alg.is_complex else s.real
+    elif not alg.is_complex:
         raise RealizationError("sigma is not real in this realization")
-    s = s.real
     from .projections import group_residual
-    if group_residual(triple.algebra, s.astype(complex) if triple.algebra.is_complex else s) > 1e-8 * n:
+    if group_residual(alg, s) > 1e-8 * n:
         raise RealizationError("sigma violates the group's defining condition")
-    return s.astype(complex) if triple.algebra.is_complex else s
+    return s
 
 
+@functools.lru_cache(maxsize=4)
 def g_even(alg, triple):
     """Sum of the even ad H eigenspaces, cross-checked against Ad(sigma),
     which must act on each weight vector by (-1)^weight.  For an exact triple
     the weight vectors are the basis elements and sigma is diagonal, so this
-    compares sigma_i sigma_j with (-1)^weight on each element's support."""
+    compares sigma_i sigma_j with (-1)^weight on each element's support.
+    One subspace, with read-only rows, per (alg, triple) in a process."""
     weights, frame = triple.weight_frame
     parity = np.where(weights % 2 == 0, 1.0, -1.0)
     mats = alg.basis if frame is None else alg.from_coordinates(frame)
@@ -315,9 +338,10 @@ def g_even(alg, triple):
     if (np.linalg.norm(s @ mats @ np.linalg.inv(s) - mats * parity[:, None, None])
             > 1e-7 * np.linalg.norm(mats)):
         raise RealizationError("even part disagrees with the Ad(sigma) fixed space")
-    if frame is None:
-        return SubspaceOfG(alg, np.eye(alg.dim)[parity > 0])
-    return subspace_from_coordinates(alg, frame[parity > 0])
+    space = (SubspaceOfG(alg, np.eye(alg.dim)[parity > 0]) if frame is None
+             else subspace_from_coordinates(alg, frame[parity > 0]))
+    readonly(space.onb)
+    return space
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +413,14 @@ def module_multiplicities(alg, triple, target=None):
     from weight 2i to 2i + 2, in the weight frame of the triple (the algebra
     basis for an exact triple), extracted per weight in descending order with
     a deterministic lexicographic normalization, then lowered by ad F.
+    One IsotypicData, with read-only arrays, serves every call with the same
+    (alg, triple, target) in a process.
     """
+    return _isotypic_data(alg, triple, target)
+
+
+@functools.lru_cache(maxsize=4)
+def _isotypic_data(alg, triple, target):
     weight_mults = ad_weight_multiplicities(triple)
     mults = {}
     top = max(weight_mults) if weight_mults else 0
@@ -463,7 +494,8 @@ def module_multiplicities(alg, triple, target=None):
     stacked = np.hstack(stacked_cols) if stacked_cols else np.zeros((alg.dim, 0))
     solver = np.linalg.pinv(stacked) if stacked.size else np.zeros((0, alg.dim))
     return IsotypicData(alg, triple, target, weight_mults, mults, target_odd,
-                        tuple(lam_list), pieces, stacked, block_slices, solver)
+                        tuple(lam_list), readonly(pieces), readonly(stacked), block_slices,
+                        readonly(solver))
 
 
 def genus_bound(alg, triple, target=None):

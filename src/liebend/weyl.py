@@ -7,9 +7,11 @@ su(p,q)).  The Weyl group acts by signed permutations of the free
 coordinates and is stored as two small-integer arrays, `perms` and `signs`
 (one row per element, |W| x coord_len), so that quantifiers over W run as
 vectorized exact integer scans; `element(i)` gives row i as a WeylElement.
+`split_torus` builds one torus per algebra object in a process.
 """
 
 import collections
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlin
-from .algebra import SL, SU, diagonal_weights
+from .algebra import SL, SU, diagonal_weights, readonly
 from .errors import ParameterError, RealizationError
 
 WEYL_RANK_CAP = 8
@@ -52,9 +54,6 @@ class WeylElement:
 class Root:
     coeffs: tuple  # integer functional on the free coordinates
     multiplicity: int
-
-    def value(self, v):
-        return sum(c * x for c, x in zip(self.coeffs, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +112,24 @@ class SplitTorusData:
                 raise RealizationError("middle diagonal entries must vanish")
         return self.vector(ints[:q])
 
+    @cached_property
+    def _positive_functionals(self):
+        """The positive-root coefficients as a read-only int64 matrix, one row
+        per root, and the largest sum of |coefficients| over its rows."""
+        coeffs = np.array([r.coeffs for r in self.positive_roots], dtype=np.int64)
+        return readonly(coeffs), int(np.abs(coeffs).sum(axis=1).max())
+
     def is_dominant(self, v):
-        return all(r.value(v) >= 0 for r in self.positive_roots)
+        """Every positive root is >= 0 on the rational vector v.  v is scaled
+        to integers over its common denominator, and all root values come
+        from one exact integer product: in int64 when the largest row sum
+        times max|v| stays below 2**63, so no value can wrap, else in Python
+        ints."""
+        ints = _ratlin.integer_multiple(v)
+        coeffs, row_sum = self._positive_functionals
+        if row_sum * max(map(abs, ints)) < 2 ** 63:
+            return bool((coeffs @ np.array(ints, dtype=np.int64) >= 0).all())
+        return bool((coeffs.astype(object) @ np.array(ints, dtype=object) >= 0).all())
 
     def dominant_representative(self, v):
         """(v_plus, w) with w.v = v_plus in the closed chamber; w is a witness."""
@@ -241,8 +256,11 @@ def _weyl_arrays(family, coord_len):
     return perms, signs
 
 
+@functools.lru_cache(maxsize=8)
 def split_torus(alg):
-    """SplitTorusData for a supported algebra; W stored as signed-permutation arrays."""
+    """SplitTorusData for a supported algebra; W stored as signed-permutation
+    arrays.  Built once per algebra object in a process (its arrays are
+    read-only); a rank above the cap raises on every call."""
     if alg.family == SL:
         (n,) = alg.params
         rank, coord_len = n - 1, n

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,27 @@ from liebend.properness import in_weyl_orbit_of_subspace
 from liebend.weyl import _diagonal, split_torus
 
 SEED = 20240817
+
+
+def shared_caches():
+    """Every module-level cache of the package (functools.lru_cache and
+    functools.cache objects), found in the loaded liebend modules."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "liebend" or name.startswith("liebend."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+@pytest.fixture
+def fresh_caches():
+    """Clears the per-process construction caches, so that a test counting
+    work sees the work done and not read from an earlier test's objects."""
+    import liebend.highprec  # noqa: F401  (its polygon cache too)
+    for cache in shared_caches():
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,38 @@ def test_dimensions():
     assert make_algebra("su", 6, 6).dim == 143
 
 
+def _su_basis_by_element(p, q):
+    """Reference oracle: the su(p,q) basis built element by element as
+    B @ A for each u(n) basis combination A, the loop the stacked product
+    replaced."""
+    from liebend.algebra import form_matrix
+    n = p + q
+    b = form_matrix(p, q)
+
+    def eu(i, j):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    mats = [b @ (eu(k, l) - eu(l, k)) for k in range(n) for l in range(k + 1, n)]
+    mats += [b @ (1j * (eu(k, l) + eu(l, k))) for k in range(n) for l in range(k + 1, n)
+             if not (k < q and l == n - 1 - k)]
+    mats += [b @ (1j * eu(k, k)) for k in list(range(q)) + list(range(p, n))]
+    carriers = [(1j * (eu(k, n - 1 - k) + eu(n - 1 - k, k)), 2.0) for k in range(q)]
+    carriers += [(1j * eu(m, m), 1.0) for m in range(q, p)]
+    mats += [b @ (w2 * a1 - w1 * a2) for (a1, w1), (a2, w2) in zip(carriers, carriers[1:])]
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 8) for q in range(1, p + 1)])
+def test_su_basis_matches_element_loop(p, q):
+    """Same order, values, signed zeros and layout as the element loop."""
+    want = _su_basis_by_element(p, q)
+    got = make_algebra("su", p, q).basis
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_form_matrix_su21(su21):
     assert su21.form.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 

@@ -414,7 +414,7 @@ def test_ad_sigma_operator_matches_oracle():
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
-def test_ad_h_built_once_per_triple(monkeypatch, sl5, su32):
+def test_ad_h_built_once_per_triple(monkeypatch, fresh_caches, sl5, su32):
     """is_even, genus_bound, g_even and module_multiplicities share one ad H:
     a custom triple builds it once, an exact triple reads its weights off the
     basis supports and never builds it."""
@@ -459,7 +459,7 @@ def test_h_centralizer_is_the_kernel_of_ad_h():
         assert np.linalg.norm(_projector(rows) - _projector(oracle), 2) <= 1e-12
 
 
-def test_sec6_takes_each_kernel_once(monkeypatch):
+def test_sec6_takes_each_kernel_once(monkeypatch, fresh_caches):
     """reproduce sec6 --p 3 --q 2 reads every weight off the basis supports:
     it decomposes no operator on the algebra (no dim x dim SVD, no eigvals)."""
     from liebend.config import DEFAULT
@@ -481,7 +481,7 @@ def test_sec6_takes_each_kernel_once(monkeypatch):
     assert report.checks[0].verdict["g_even_dim"] == 16
 
 
-def test_sec6_takes_sigma_once_per_triple(monkeypatch):
+def test_sec6_takes_sigma_once_per_triple(monkeypatch, fresh_caches):
     """The sec6 record and g_even's Ad(sigma) cross-check read the triple's
     one sigma."""
     from liebend import sl2
@@ -506,3 +506,37 @@ def test_sigma_property_is_sigma(su21):
     triple = rho1_su(su21)
     assert triple.sigma is triple.sigma
     assert np.array_equal(triple.sigma, sigma(triple))
+
+
+def test_sigma_of_complex_conjugates(su32):
+    """In su(p,q) a conjugate of rho1 by a complex group element has a complex
+    sigma: exp(i pi H) with H no longer diagonal.  It is an involution in
+    the group, and g_even and the isotypic pieces agree with the exact
+    triple's.  A real realization still demands a real sigma."""
+    base = rho1_su(su32)
+    want = module_multiplicities(su32, base)
+    rng = np.random.default_rng(7)
+    complex_sigmas = 0
+    for _ in range(5):
+        g = expm(su32.from_coordinates(rng.normal(size=su32.dim) * 0.2))
+        g_inv = np.linalg.inv(g)
+        t = Sl2Triple(su32, g @ base.h @ g_inv, g @ base.e @ g_inv, g @ base.f @ g_inv,
+                      "custom", "conj")
+        s = sigma(t)
+        complex_sigmas += np.linalg.norm(s.imag) > 1e-3
+        assert np.linalg.norm(s @ s - np.eye(5)) <= 1e-13
+        assert np.linalg.norm(s - g @ base.sigma @ g_inv) <= 1e-12
+        assert g_even(su32, t).dim == 16
+        got = module_multiplicities(su32, t)
+        assert got.Lambda == want.Lambda and got.mults == want.mults
+    assert complex_sigmas == 5
+
+
+def test_sigma_in_real_realization_stays_real(sl5, rng):
+    base = sl2_from_partition(sl5, (4, 1))
+    g = expm(sl5.from_coordinates(rng.normal(size=sl5.dim) * 0.2))
+    t = Sl2Triple(sl5, g @ base.h @ np.linalg.inv(g), g @ base.e @ np.linalg.inv(g),
+                  g @ base.f @ np.linalg.inv(g), "custom", "conj")
+    s = sigma(t)
+    assert not np.iscomplexobj(s)
+    assert np.linalg.norm(s - g @ base.sigma @ np.linalg.inv(g)) <= 1e-10

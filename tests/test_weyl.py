@@ -134,3 +134,39 @@ def test_rank_cap():
 def test_trace_constraint(sl5_torus):
     with pytest.raises(ParameterError):
         sl5_torus.vector((1, 0, 0, 0, 0))
+
+
+def _tori_up_to_sl7_su66():
+    algs = [make_algebra("sl", n) for n in range(2, 8)]
+    algs += [make_algebra("su", p, q) for p in range(1, 7) for q in range(1, p + 1)]
+    return [split_torus(alg) for alg in algs]
+
+
+def _fraction_dominant(torus, v):
+    """Oracle: every positive-root value as a Fraction sum, root by root."""
+    return all(sum(c * x for c, x in zip(r.coeffs, v)) >= 0 for r in torus.positive_roots)
+
+
+def test_integer_dominance_matches_fraction_oracle():
+    """is_dominant on seeded random rational vectors (with root values of
+    exactly 0 and entries past int64) against root-by-root Fraction sums,
+    for every torus up to sl(7) and su(6,6)."""
+    rng = np.random.default_rng(20240817)
+    on_a_wall = big = 0
+    for torus in _tori_up_to_sl7_su66():
+        n = torus.coord_len
+        for k in range(60):
+            nums = rng.integers(-3, 4, size=n)
+            dens = rng.integers(1, 4, size=n)
+            v = [Fraction(int(a), int(d)) for a, d in zip(nums, dens)]
+            if k % 3 == 0:  # dominant vectors with ties: root values exactly 0
+                v, _ = torus.dominant_representative(
+                    [x - sum(v) / n for x in v] if torus.family == "sl" else v)
+            if k % 10 == 9:  # beyond int64
+                v = [x * 2 ** 70 / 3 for x in v]
+                big += 1
+            want = _fraction_dominant(torus, v)
+            assert torus.is_dominant(v) == want
+            on_a_wall += want and any(
+                sum(c * x for c, x in zip(r.coeffs, v)) == 0 for r in torus.positive_roots)
+    assert on_a_wall >= 100 and big >= 100
