@@ -8,22 +8,21 @@ seed polygon, the homomorphism images and the bending twists in mpmath and
 reports the residual of that representation, together with the entrywise
 distance to the shipped matrices.
 
-Only triples that carry their exact form (`Sl2Triple.exact`, filled by the
-constructors in `sl2`) are supported: H is an integer diagonal and E is a
-union of chains with entries unit * sqrt(m) (`ExactTriple.chains`), so no
-float entry of H, E or F is read.  The chains give every image in closed
-form (`Sl2Images`): no matrix exponential and no LU inverse of an n x n
-matrix is needed.  A twist commutes with H, so it is exponentiated per
-H-block (`block_expm`): a 2x2 block, the only size the constructed triples'
-bending vectors reach, in closed form, and only a block of size 3 or more
-with mp.expm.  A bending vector X_{0,j} of a trivial piece is projected onto
-the centralizer of the triple by averaging along matched chains
-(`central_part`), so it commutes with H, E and F exactly, not to float
-precision.  Every n x n matrix product of this module (not those inside
+Only triples that carry their exact form (`Sl2Triple.exact`) are supported:
+H is an integer diagonal and E a union of chains with entries unit * sqrt(m)
+(`ExactTriple.chains`), so no float entry of H, E or F is read.  Each chain
+is an irreducible sl2-module, on which rho(g) is the symmetric power
+Sym^k(g) in a rescaled basis: `Sl2Images` forms it and rho(g^-1) in Python
+ints from the entries of g and their adjugate, with no matrix exponential,
+no n x n inverse and no mp arithmetic.  A twist commutes with H, so it is
+exponentiated per H-block (`block_expm`), a 2x2 block in closed form.  A
+bending vector X_{0,j} of a trivial piece is projected onto the centralizer
+of the triple by averaging along matched chains (`central_part`), so it
+commutes with H, E and F exactly.  Every n x n product (not those inside
 mp.expm on a block of size 3 or more) runs on one exact integer kernel
-(`FixedMatrix`), which rounds in Python ints, and the distance to the
-shipped float64 matrices is taken from its mantissas.  The 2x2 products of
-the polygon and its relation use mp.fdot, which rounds the same way.
+(`FixedMatrix`), and the distance to the shipped float64 matrices is taken
+from its mantissas.  The 2x2 products of the polygon and its relation use
+mp.fdot, which rounds the same way.
 """
 
 import functools
@@ -38,9 +37,8 @@ from mpmath import libmp
 
 from .errors import ParameterError
 
-# extra bits carried while building the images and twists: each is a product
-# of a few factors whose entries span many orders of magnitude; the relation
-# words are then multiplied out at the working precision
+# extra bits carried by the images and twists, whose entries span many orders
+# of magnitude; the relation words are multiplied out at the working precision
 GUARD_BITS = 20
 
 
@@ -74,10 +72,9 @@ class FixedMatrix:
     exactly, in numpy object arrays of Python ints (a complex product as three
     real ones).  Each entry is rounded once in Python ints to the current mp
     precision, to nearest with ties to even, the value
-    libmp.from_man_exp(v, exp, prec, 'n') gives; the trailing zeros all
-    entries share then move into the exponent, so the arrays and the
-    exponent are those of from_raw on the rounded entries.  Another mp
-    rounding mode raises RoundingModeError.  mp.fdot also sums exactly and
+    libmp.from_man_exp(v, exp, prec, 'n') gives (another mp rounding mode
+    raises RoundingModeError); the trailing zeros all entries share then move
+    into the exponent, as from_mp places them.  mp.fdot also sums exactly and
     rounds once, so the entries agree with mp.matrix.__mul__ bit for bit
     unless fdot drops a term more than 2**(2 prec) below its running sum.
     A product stays in this form, so the next product reads its integers
@@ -94,32 +91,24 @@ class FixedMatrix:
         return self.re.shape
 
     @classmethod
-    def from_raw(cls, shape, parts):
-        """From raw mpf tuples: parts is [re] for a real matrix or [re, im],
-        each a row-major list of (sign, man, exp, bc).  Mantissas go through
-        int() so that gmpy mpz work too."""
+    def identity(cls, n):
+        return cls(np.eye(n, dtype=int).astype(object), None, 0)
+
+    @classmethod
+    def from_mp(cls, m):
+        """From an mp.matrix, read through the raw (sign, man, exp, bc) tuples
+        of its entries.  Mantissas go through int() so that gmpy mpz work too."""
+        flat = [mp.mpmathify(v) for v in m]
+        parts = [[v._mpc_[0] if hasattr(v, "_mpc_") else v._mpf_ for v in flat]]
+        if any(hasattr(v, "_mpc_") for v in flat):
+            parts.append([v._mpc_[1] if hasattr(v, "_mpc_") else libmp.fzero for v in flat])
         if any(not man and exp for part in parts for _, man, exp, _ in part):
             raise ValueError("a FixedMatrix holds finite entries only")
         emin = min((exp for part in parts for _, man, exp, _ in part if man), default=0)
         arrays = [np.array([(-int(man) if sign else int(man)) << (exp - emin) if man else 0
-                            for sign, man, exp, _ in part], dtype=object).reshape(shape)
+                            for sign, man, exp, _ in part], dtype=object).reshape(m.rows, m.cols)
                   for part in parts]
         return cls(arrays[0], arrays[1] if len(arrays) > 1 else None, emin)
-
-    @classmethod
-    def from_mp(cls, m):
-        """From an mp.matrix, or from a list of rows of mp numbers."""
-        if isinstance(m, mp.matrix):
-            m = m.tolist()
-        return cls.from_numbers((len(m), len(m[0])), [mp.mpmathify(v) for row in m for v in row])
-
-    @classmethod
-    def from_numbers(cls, shape, flat):
-        """From a row-major list of mpf and mpc, read through their raw tuples."""
-        if not any(hasattr(v, "_mpc_") for v in flat):
-            return cls.from_raw(shape, [[v._mpf_ for v in flat]])
-        pairs = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, libmp.fzero) for v in flat]
-        return cls.from_raw(shape, [[re for re, _ in pairs], [im for _, im in pairs]])
 
     def __mul__(self, other):
         a, b = self, other
@@ -205,70 +194,87 @@ def _mp_polygon(genus, prec, rounding):
     return a_list, b_list
 
 
-def _chain_exp(chains, conjugate):
-    """The nonzero entries (i, j, k, exp(E)[i, j]) of exp(E), E^k linking j
-    to i, in closed form along each chain a (`ExactTriple.chains`):
-    exp(E)[a_i, a_(i+k)] = unit_i ... unit_(i+k-1) sqrt(m_i ... m_(i+k-1)) / k!.
-    With conjugate, those of exp(F) for F = E's conjugate transpose: the
-    same entries, conjugated, at (a_(i+k), a_i)."""
-    out = []
-    for idx, sig in chains:
-        for i, top in enumerate(idx):
-            out.append((top, top, 0, mp.mpf(1)))
-            m, unit = 1, 1
-            for k, ((m_k, unit_k), low) in enumerate(zip(sig[i:], idx[i + 1:]), start=1):
-                m, unit = m * m_k, unit * unit_k
-                v = mp.sqrt(m) / math.factorial(k)
-                out.append((low, top, k, unit.conjugate() * v) if conjugate
-                           else (top, low, k, unit * v))
-    return out
+@functools.lru_cache(maxsize=32)
+def _chain_constants(k, bits):
+    """(root, frac): root[q][p] = sqrt(C(k, p) / C(k, q)) * 2**frac rounded
+    down, in ints, and frac = bits + the length of C(k, k // 2), so that each
+    constant is good to bits significant bits."""
+    binom = [math.comb(k, p) for p in range(k + 1)]
+    frac = bits + binom[k // 2].bit_length()
+    return tuple(tuple(math.isqrt((bp << 2 * frac) // bq) for bp in binom) for bq in binom), frac
+
+
+def _sym_power(k, a, b, c, d):
+    """The columns of Sym^k [[a, b], [c, d]] in ints: column p holds the
+    coefficients of (a x + c y)^(k-p) (b x + d y)^p, the image of
+    x^(k-p) y^p under (x, y) -> (x, y) g, row q that of x^(k-q) y^q."""
+    left, right = [[1]], [[1]]  # the coefficients of (a x + c y)^j and (b x + d y)^j
+    for _ in range(k):
+        left.append([a * s + c * t for s, t in zip(left[-1] + [0], [0] + left[-1])])
+        right.append([b * s + d * t for s, t in zip(right[-1] + [0], [0] + right[-1])])
+    cols = [[0] * (k + 1) for _ in range(k + 1)]
+    for p, col in enumerate(cols):
+        for i, s in enumerate(left[k - p]):
+            for j, t in enumerate(right[p]):
+                col[i + j] += s * t
+    return cols
+
+
+# the power of i that each unit of an exact triple is (`ExactTriple.chains`)
+_QUARTER_TURNS = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
 
 class Sl2Images:
-    """The homomorphism SL(2,R) -> SL(n) of an exact triple (H, E, F), whose
-    H is an integer diagonal h, in closed form.
+    """The homomorphism SL(2,R) -> SL(n) of an exact triple, in closed form
+    along the chains of E (`ExactTriple.chains`).
 
-    [H, E] = 2E means E, hence E^k, links H-weights 2k apart, so
-    exp(xE)[i, j] = x^((h_i - h_j)/2) exp(E)[i, j], and likewise for F; the
-    entries of exp(E) and exp(F) are read off the chains of E (`_chain_exp`).
-    For g = [[a, b], [c, d]] with |a| >= |c| the factorization
-    g = exp((c/a) F_2) diag(a, 1/a) exp((b/a) E_2) gives
-    rho(g) = exp((c/a) F) diag(a^h_i) exp((b/a) E): two entrywise scalings and
-    one product.  Otherwise g = w (w^-1 g) with the quarter turn
-    w = exp(-F_2) exp(E_2) exp(-F_2) = [[0, 1], [-1, 0]], whose image is built
-    once.
+    A chain a_0, ..., a_k carries the signature m_p = (p+1)(k-p) of the
+    irreducible module, so in the basis w_p = U_p sqrt(C(k, p)) x^(k-p) y^p,
+    U_p = unit_0 ... unit_(p-1), the triple acts as on Sym^k of the plane:
+    rho(g)[a_q, a_p] = Sym^k(g)[q, p] (U_p / U_q) sqrt(C(k, p) / C(k, q)).
+    Sym^k(g) is formed exactly in ints, each entry is multiplied by its
+    integer constant, and U_p / U_q, a power of i, only picks the part and
+    the sign.  The products go into the FixedMatrix over one exponent,
+    rounded down so that each keeps at least the working precision plus
+    GUARD_BITS.
     """
 
     def __init__(self, exact):
-        self.h = list(exact.h)
-        with mp.workprec(mp.mp.prec + GUARD_BITS):
-            self._exp_e = _chain_exp(exact.chains, False)
-            self._exp_f = _chain_exp(exact.chains, True)
-            minus_f = self._unipotent(self._exp_f, -1)
-            self.quarter = minus_f * self._unipotent(self._exp_e, 1) * minus_f
+        # per chain length k + 1, a term (q, p, sign, part, flat positions
+        # a_q n + a_p of the chains a) per entry: U_p / U_q = sign * i**part
+        self.n = len(exact.h)
+        self._terms = {}
+        for idx, sig in exact.chains:
+            turns = [sum(_QUARTER_TURNS[unit] for _, unit in sig[:p]) for p in range(len(idx))]
+            terms = self._terms.setdefault(len(sig), [
+                (q, p, (-1) ** ((tp - tq) % 4 // 2), (tp - tq) % 2, [])
+                for q, tq in enumerate(turns) for p, tp in enumerate(turns)])
+            for q, p, _, _, positions in terms:
+                positions.append(idx[q] * self.n + idx[p])
 
-    def _unipotent(self, graded, x, col_scale=None):
-        """exp(x E) (or exp(x F)) from its graded entries, with column j
-        multiplied by col_scale[j] when given."""
-        n = len(self.h)
-        powers = [mp.mpf(1)]
-        for _ in range(n):
-            powers.append(powers[-1] * x)
-        flat = [mp.mpf(0)] * (n * n)
-        for i, j, k, v in graded:
-            flat[i * n + j] = powers[k] * v if col_scale is None else powers[k] * v * col_scale[j]
-        return FixedMatrix.from_numbers((n, n), flat)
+    def pair(self, g2):
+        """(rho(g), rho(g^-1)) for a real 2x2 mp matrix g of determinant 1, from
+        g's mantissas over one exponent and their adjugate [[d, -b], [-c, a]]."""
+        g = FixedMatrix.from_mp(g2)
+        (a, b), (c, d) = g.re.tolist()
+        return self._image((a, b, c, d), g.exp), self._image((d, -b, -c, a), g.exp)
 
-    def __call__(self, g2):
-        a, b, c, d = g2[0, 0], g2[0, 1], g2[1, 0], g2[1, 1]
-        with mp.workprec(mp.mp.prec + GUARD_BITS):
-            if abs(a) < abs(c):
-                return self.quarter * self._ldu(-c, -d, a)  # w^-1 g = [[-c, -d], [a, b]]
-            return self._ldu(a, b, c)
-
-    def _ldu(self, a, b, c):
-        lower_diag = self._unipotent(self._exp_f, c / a, [a ** h for h in self.h])
-        return lower_diag * self._unipotent(self._exp_e, b / a)
+    def _image(self, abcd, exp):
+        prec, entries = mp.mp.prec + GUARD_BITS, []
+        for k, terms in self._terms.items():
+            root, frac = _chain_constants(k, prec)
+            cols = _sym_power(k, *abcd)
+            entries += [(sign * cols[p][q] * root[q][p], k * exp - frac, part, positions)
+                        for q, p, sign, part, positions in terms if cols[p][q]]
+        # the lowest exponent at which every entry keeps prec bits
+        emin = min(e + v.bit_length() - prec for v, e, _, _ in entries)
+        parts = [[0] * self.n ** 2, [0] * self.n ** 2]
+        for v, e, part, positions in entries:
+            v = v >> (emin - e) if e < emin else v << (e - emin)
+            for pos in positions:
+                parts[part][pos] = v
+        re, im = (np.array(part, dtype=object).reshape(self.n, self.n) for part in parts)
+        return FixedMatrix(re, im if any(parts[1]) else None, emin)
 
 
 def _expm2(x, t):
@@ -455,24 +461,20 @@ def verify_bent_relation(plan, bent, dps=40):
             prod = prod * a * b * sl2_inverse(a) * sl2_inverse(b)
         seed_resid = float(mp.norm(prod - mp.eye(2)))
 
-        # rho(g)^-1 = rho(g^-1)
-        a_img = [(rho(a), rho(sl2_inverse(a))) for a in a_seed]
-        b_img = [(rho(b), rho(sl2_inverse(b))) for b in b_seed]
+        # rho(g)^-1 = rho(g^-1); the pushed and the bent relation words
         n = alg.size
-        prod = _fixed(mp.eye(n))
-        for (a, a_inv), (b, b_inv) in zip(a_img, b_img):
-            prod = prod * a * b * a_inv * b_inv
-        pushed_resid = float(mp.norm(prod.to_mp() - mp.eye(n)))
-
-        prod = _fixed(mp.eye(n))
+        pushed = bent_prod = FixedMatrix.identity(n)
         bent_mp = []
-        for k, ((a, a_inv), (b, b_inv)) in enumerate(zip(a_img, b_img), start=1):
-            twist = _twist(plan, rho, a_seed[k - 1], k)
+        for k, (a_2, b_2) in enumerate(zip(a_seed, b_seed), start=1):
+            (a, a_inv), (b, b_inv) = rho.pair(a_2), rho.pair(b_2)
+            pushed = pushed * a * b * a_inv * b_inv
+            twist = _twist(plan, rho, a_2, k)
             if twist is not None:
                 b, b_inv = b * twist[0], twist[1] * b_inv
             bent_mp.append((a, b))
-            prod = prod * a * b * a_inv * b_inv
-        bent_resid = float(mp.norm(prod.to_mp() - mp.eye(n)))
+            bent_prod = bent_prod * a * b * a_inv * b_inv
+        pushed_resid, bent_resid = (float(mp.norm(m.to_mp() - mp.eye(n)))
+                                    for m in (pushed, bent_prod))
 
         dist = max(max_entry_distance(m, m_f)
                    for (a, b), a_f, b_f in zip(bent_mp, bent.a, bent.b)
@@ -501,13 +503,11 @@ def _twist(plan, rho, a_seed, k):
         # the piece by the mp image of the mp conjugator (the line does not
         # depend on the conjugator choice), then match scale and sign to the
         # shipped vector; exp(t rho_k v0 rho_k^-1) = rho_k exp(t v0) rho_k^-1
-        n = alg.size
         v0_mp = _weight_purify(alg.from_coordinates(plan.iso.piece_columns[ij][:, i]), h_int)
         conj = _mp_conjugator(a_seed)
-        rho_k, rho_k_inv = rho(conj), rho(sl2_inverse(conj))
-        x_mp = (rho_k * _fixed(v0_mp) * rho_k_inv).to_mp()
+        rho_k, rho_k_inv = rho.pair(conj)
+        x_f = np.array((rho_k * _fixed(v0_mp) * rho_k_inv).to_mp().tolist(), dtype=complex)
         x_ship = np.asarray(alg.from_coordinates(plan.x_vectors[ij]), dtype=complex)
-        x_f = np.array([[complex(x_mp[r, c]) for c in range(n)] for r in range(n)])
         scale = mp.mpf(float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f))))
         return tuple(rho_k * _fixed(m) * rho_k_inv for m in block_expm(v0_mp, h_int, scale * t))
 
@@ -518,8 +518,7 @@ def mp_fixed_line(exact, a_matrix, v0, dps=32):
     the fixed line of Ad(rho(a)) through a piece whose weight-zero vector is
     v0, where the float conjugation loses it to Ad(rho(a))'s stretch."""
     with mp.workdps(dps):
-        rho = Sl2Images(exact)
         conj = _mp_conjugator(mp.matrix(np.asarray(a_matrix, dtype=float).tolist()))
-        x = (rho(conj) * _fixed(_weight_purify(v0, exact.h)) * rho(sl2_inverse(conj))).to_mp()
-    n = len(exact.h)
-    return np.array([[complex(x[r, c]) for c in range(n)] for r in range(n)])
+        rho_k, rho_k_inv = Sl2Images(exact).pair(conj)
+        x = (rho_k * _fixed(_weight_purify(v0, exact.h)) * rho_k_inv).to_mp()
+    return np.array(x.tolist(), dtype=complex)

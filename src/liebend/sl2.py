@@ -48,7 +48,11 @@ class ExactTriple:
         ((m_0, unit_0), ..., (m_{d-2}, unit_{d-2})).  An index no entry of E
         touches is a chain of length 1.  Equal-length chains must carry equal
         signatures, so the commutant of the triple is the matrices with equal
-        multiples of the identity between matched chains."""
+        multiples of the identity between matched chains.  The signature must
+        be that of the irreducible sl2-module of dimension d,
+        m_k = (k+1)(d-1-k), with each unit a power of i (so |unit| = 1): on
+        such a chain SL(2,R) acts by its (d-1)-th symmetric power
+        (`highprec.Sl2Images`)."""
         down, up = {}, {}
         for row, col, m, unit in self.e:
             if self.h[row] - self.h[col] != 2:
@@ -72,6 +76,10 @@ class ExactTriple:
             if by_length.setdefault(len(idx), tuple(sig)) != tuple(sig):
                 raise ParameterError(f"two chains of length {len(idx)} carry different "
                                      f"coefficients")
+            if any(m != (k + 1) * (len(sig) - k) or unit not in (1, -1, 1j, -1j)
+                   for k, (m, unit) in enumerate(sig)):
+                raise ParameterError(f"a chain of length {len(idx)} carries the signature "
+                                     f"{sig}, not m_k = (k+1)(d-1-k) with units powers of i")
             chains.append((tuple(idx), tuple(sig)))
         return tuple(chains)
 

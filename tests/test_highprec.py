@@ -9,7 +9,7 @@ import pytest
 from liebend import highprec
 from liebend.config import DEFAULT
 from liebend.errors import ParameterError
-from liebend.highprec import (FixedMatrix, RoundingModeError, Sl2Images, _chain_exp,
+from liebend.highprec import (FixedMatrix, RoundingModeError, Sl2Images, _chain_constants,
                               _mp_conjugator, _round_nearest, _weight_purify, block_expm,
                               central_part, max_entry_distance, mp_fuchsian, sl2_inverse,
                               verify_bent_relation)
@@ -448,19 +448,55 @@ def test_chain_averaging_is_the_casimir_projection(triple):
 
 @pytest.mark.parametrize("triple", CHAIN_TRIPLES, ids=_CHAIN_IDS)
 def test_closed_form_entries_are_the_taylor_sum(triple):
-    """The chain entries of exp(E) and exp(F) are those of the Taylor sum,
-    with the same zero pattern and the grading k = |h_i - h_j| / 2."""
+    """rho(exp(s E_2)) and rho(exp(s F_2)) are the Taylor sums of exp(s E) and
+    exp(s F), with the same zero pattern, and rho(diag(r, 1/r)) is
+    diag(r**h_i), entry by entry, at s = 1, -3/7 and r = 5/3, -2, 10**6 (whose
+    entries span up to 72 orders of magnitude)."""
     import mpmath as mp
     exact = triple.exact
     n = len(exact.h)
+    rho = Sl2Images(exact)
     with mp.workdps(40):
-        for conjugate, m in zip((False, True), mp_triple(exact)):
-            want = _taylor_exp(m)
-            got = {(i, j): (k, v) for i, j, k, v in _chain_exp(exact.chains, conjugate)}
-            assert set(got) == {(i, j) for i in range(n) for j in range(n) if want[i, j] != 0}
-            for (i, j), (k, v) in got.items():
-                assert 2 * k == abs(exact.h[i] - exact.h[j])
-                assert abs(v - want[i, j]) <= mp.mpf(10) ** -38 * abs(want[i, j])
+        e_mp, f_mp = mp_triple(exact)
+        for s in (mp.mpf(1), mp.mpf(-3) / 7):
+            for g, m in ((mp.matrix([[1, s], [0, 1]]), e_mp), (mp.matrix([[1, 0], [s, 1]]), f_mp)):
+                got, want = rho.pair(g)[0].to_mp(), _taylor_exp(s * m)
+                for i in range(n):
+                    for j in range(n):
+                        assert (got[i, j] == 0) == (want[i, j] == 0)
+                        assert abs(got[i, j] - want[i, j]) <= mp.mpf(10) ** -38 * abs(want[i, j])
+        for r in (mp.mpf(5) / 3, mp.mpf(-2), mp.mpf(10) ** 6):
+            got = rho.pair(mp.matrix([[r, 0], [0, 1 / r]]))[0].to_mp()
+            for i in range(n):
+                for j in range(n):
+                    want = r ** exact.h[i] if i == j else 0
+                    assert abs(got[i, j] - want) <= mp.mpf(10) ** -38 * abs(want)
+
+
+@pytest.mark.parametrize("bits", [1, 53, 156, 352])
+@pytest.mark.parametrize("k", range(9))
+def test_chain_constants_are_the_binomial_square_roots(k, bits):
+    """root[q][p] is floor(sqrt(C(k, p) / C(k, q)) * 2**frac), checked in
+    integers, and carries more than bits bits, the smallest one too."""
+    from math import comb
+    root, frac = _chain_constants(k, bits)
+    assert len(root) == k + 1 and all(len(row) == k + 1 for row in root)
+    for q in range(k + 1):
+        for p in range(k + 1):
+            r, num, den = root[q][p], comb(k, p) << 2 * frac, comb(k, q)
+            assert r * r * den <= num < (r + 1) ** 2 * den
+            assert r.bit_length() > bits
+        assert root[q][q] == 1 << frac
+    assert _chain_constants(k, bits) is _chain_constants(k, bits)
+
+
+def test_chain_constants_are_not_built_at_import():
+    import subprocess
+    import sys
+    code = ("import liebend.highprec as h; "
+            "assert h._chain_constants.cache_info().currsize == 0")
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
 
 
 @pytest.mark.parametrize("exact, match", [
@@ -469,7 +505,11 @@ def test_closed_form_entries_are_the_taylor_sum(triple):
     (ExactTriple((1, -1, 1, -1), ((0, 1, 1, 1), (2, 3, 2, 1))), "different coefficients"),
     (ExactTriple((1, -1, 1, -1), ((0, 1, 1, 1j), (2, 3, 1, 1))), "different coefficients"),
     (ExactTriple((1, -1, -1), ((0, 1, 1, 1), (0, 2, 1, 1))), "linked twice"),
-], ids=["misgraded", "off-centre-chain", "mismatched-m", "mismatched-unit", "branching"])
+    (ExactTriple((1, -1), ((0, 1, 2, 1),)), "signature"),
+    (ExactTriple((2, 0, -2), ((0, 1, 2, 1), (1, 2, 2, 2))), "signature"),
+    (ExactTriple((1, -1), ((0, 1, 1, (1 + 1j) / abs(1 + 1j)),)), "signature"),
+], ids=["misgraded", "off-centre-chain", "mismatched-m", "mismatched-unit", "branching",
+        "not-sl2-m", "unit-not-unimodular", "unit-not-power-of-i"])
 def test_chains_reject_other_shapes(exact, match):
     with pytest.raises(ParameterError, match=match):
         exact.chains
@@ -491,8 +531,8 @@ def _images(triple):
 
 
 def _sl2_samples():
-    """Seeded unimodular matrices with a > 0, a < 0, |a| < |c| and a = 0,
-    plus the conjugators of the genus-2 side pairings."""
+    """Seeded unimodular matrices with a > 0, a < 0, |a| < |c|, a = 0 and
+    d = 0, plus the conjugators of the genus-2 side pairings."""
     import mpmath as mp
     rng = np.random.default_rng(7)
     out = []
@@ -502,6 +542,7 @@ def _sl2_samples():
         out.append(mp.matrix([[a, b], [c, (1 + b * c) / a]]))
     for c in (mp.mpf(1.5), mp.mpf(-0.25)):
         out.append(mp.matrix([[0, -1 / c], [c, mp.mpf(float(rng.normal()))]]))
+        out.append(mp.matrix([[mp.mpf(float(rng.normal())), -1 / c], [c, 0]]))
     a_seed, b_seed = mp_fuchsian(2)
     out += [_mp_conjugator(g) for g in a_seed + b_seed]
     return out
@@ -512,9 +553,15 @@ def _rel(got, want):
     return mp.norm(got - want) / mp.norm(want)
 
 
-@pytest.mark.parametrize("triple", CONSTRUCTED,
-                         ids=[f"{t.algebra.family}{t.algebra.params}-{t.label}"
-                              for t in CONSTRUCTED])
+# the constructed triples, plus the longest chains: lengths 6 and 7
+_ORACLE_TRIPLES = CONSTRUCTED + [
+    t for t in CHAIN_TRIPLES
+    if (t.algebra.family, t.algebra.params, t.label) in {
+        ("sl", (6,), "[6]"), ("sl", (7,), "[7]"), ("su", (4, 3), "rho2")}]
+_ORACLE_IDS = [f"{t.algebra.family}{t.algebra.params}-{t.label}" for t in _ORACLE_TRIPLES]
+
+
+@pytest.mark.parametrize("triple", _ORACLE_TRIPLES, ids=_ORACLE_IDS)
 def test_closed_form_matches_iwasawa_oracle(triple):
     import mpmath as mp
     with mp.workdps(40):
@@ -522,33 +569,73 @@ def test_closed_form_matches_iwasawa_oracle(triple):
         samples = _sl2_samples()
         assert any(g[0, 0] < 0 for g in samples)
         assert any(g[0, 0] == 0 for g in samples)
+        assert any(g[1, 1] == 0 for g in samples)
         assert any(abs(g[0, 0]) < abs(g[1, 0]) for g in samples)
         for g in samples:
-            assert _rel(rho(g).to_mp(), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
+            assert _rel(rho.pair(g)[0].to_mp(), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
 
 
-@pytest.mark.parametrize("triple", CONSTRUCTED[::3],
+_HOMOMORPHISM_TRIPLES = CONSTRUCTED[::3] + _ORACLE_TRIPLES[len(CONSTRUCTED):]
+
+
+@pytest.mark.parametrize("triple", _HOMOMORPHISM_TRIPLES,
                          ids=[f"{t.algebra.family}{t.algebra.params}-{t.label}"
-                              for t in CONSTRUCTED[::3]])
+                              for t in _HOMOMORPHISM_TRIPLES])
 def test_closed_form_is_a_homomorphism(triple):
+    """rho(g) rho(g^-1) = I and rho(g) rho(k) = rho(g k); the inverse of a
+    pair is the image of the adjugate, to the bit."""
     import mpmath as mp
     with mp.workdps(40):
         rho = _images(triple)[0]
         samples = _sl2_samples()
         eye = mp.eye(triple.algebra.size)
         for g, k in zip(samples, samples[1:] + samples[:1]):
-            g_img, g_inv = rho(g), rho(sl2_inverse(g))
+            g_img, g_inv = rho.pair(g)
+            adj = rho.pair(sl2_inverse(g))[0]
+            assert g_inv.exp == adj.exp and np.array_equal(g_inv.re, adj.re)
+            assert (g_inv.im is None) == (adj.im is None)
+            assert g_inv.im is None or np.array_equal(g_inv.im, adj.im)
             assert (mp.norm((g_img * g_inv).to_mp() - eye)
                     < 1e-30 * mp.norm(g_img.to_mp()) * mp.norm(g_inv.to_mp()))
-            assert _rel((rho(g) * rho(k)).to_mp(), rho(g * k).to_mp()) < 1e-30
+            assert _rel((g_img * rho.pair(k)[0]).to_mp(), rho.pair(g * k)[0].to_mp()) < 1e-30
+
+
+@pytest.mark.parametrize("genus", [2, 6])
+def test_length_two_chain_images_are_the_matrices(genus):
+    """On a chain of length 2 with unit 1, rho is the identity map: rho(g)
+    holds g's own mantissas, so sl(2) [2]'s pushed relation word is the seed
+    word multiplied on the integer kernel, and its residual is the seed
+    residual to the bit."""
+    import mpmath as mp
+    from liebend.algebra import make_algebra
+    from liebend.report import cmd_bend
+    triple = sl2_from_partition(make_algebra("sl", 2), (2,))
+    with mp.workdps(40):
+        rho = Sl2Images(triple.exact)
+        for g in mp_fuchsian(genus)[0] + mp_fuchsian(genus)[1]:
+            got, got_inv = rho.pair(g)
+            assert got.to_mp() == g and got_inv.to_mp() == sl2_inverse(g)
+    plan = {"family": "sl", "n": 2, "triple": {"partition": [2]}, "genus": genus}
+    report = cmd_bend(dict(plan, t="auto", verify_dps=40), DEFAULT)
+    verified = next(c.verdict for c in report.checks
+                    if c.check_id == "bend/residuals")["verified"]
+    assert verified["pushed_residual"] == verified["seed_residual"]
 
 
 def test_quarter_turn_image(sl5):
+    """rho(w) of the quarter turn w = [[0, 1], [-1, 0]] (a = d = 0) against
+    the Iwasawa oracle, and rho(w)^2 = rho(-I) = diag((-1)**h_i)."""
     import mpmath as mp
+    from liebend.algebra import make_algebra
     with mp.workdps(40):
-        rho = _images(sl2_from_partition(sl5, (5,)))[0]
-        w = mp.matrix([[0, 1], [-1, 0]])
-        assert _rel(rho(w).to_mp(), rho.quarter.to_mp()) < 1e-35
+        for triple in (sl2_from_partition(sl5, (5,)), sl2_from_partition(sl5, (3, 2)),
+                       rho2_su(make_algebra("su", 3, 2))):
+            rho, e_mp, f_mp, h_int = _images(triple)
+            w, w_inv = rho.pair(mp.matrix([[0, 1], [-1, 0]]))
+            want = _iwasawa_rho(e_mp, f_mp, h_int, mp.matrix([[0, 1], [-1, 0]]))
+            assert _rel(w.to_mp(), want) < 1e-35
+            assert _rel(w_inv.to_mp(), want ** -1) < 1e-35
+            assert mp.norm((w * w).to_mp() - mp.diag([(-1) ** h for h in h_int])) < 1e-35
 
 
 def test_block_twist_matches_expm(rng):
@@ -758,3 +845,16 @@ def test_verified_residual_within_100x_of_recorded(plan):
     resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
     assert resid["verified"]["dps"] == 40
     assert resid["verified"]["bent_residual"] <= 100 * recorded
+
+
+@pytest.mark.parametrize("plan", [p for p in _GUARDED if not isinstance(p.values[0], str)])
+def test_float_residual_within_100x_of_recorded(plan):
+    """The benchmark's rule for bend-float: without verification, the
+    float64 bent residual may grow to 100 times the value recorded in
+    perfbench/expect/bend_plans.json, no further."""
+    from liebend.report import cmd_bend
+    recorded = next(r["float_residual"] for r in _RECORDED if r["plan"] == plan)
+    report = cmd_bend(dict(plan, t="auto", verify_dps=0), DEFAULT)
+    resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
+    assert "verified" not in resid
+    assert resid["bent_residual"] <= 100 * recorded
