@@ -17,4 +17,4 @@ from .sl2 import (IsotypicData, Sl2Triple, even_sl2_basis_of_b, g_even,
                   genus_bound, is_even, module_multiplicities,
                   property_star_basis, rho1_su, rho2_su, sigma,
                   sl2_from_partition, verify_sl2_triple)
-from .weyl import SplitTorusData, WeylElement, b_space, split_torus, torus_vector
+from .weyl import SplitTorusData, WeylElement, split_torus, torus_vector

@@ -30,20 +30,6 @@ def rref(rows):
     return [tuple(r) for r in mat[:rank]], pivots
 
 
-def reduce_against(v, rref_rows, pivots):
-    """Residual of v after elimination against an RREF basis."""
-    out = list(v)
-    for row, p in zip(rref_rows, pivots):
-        c = out[p]
-        if c != 0:
-            out = [a - c * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
-def in_span(v, rref_rows, pivots):
-    return all(x == 0 for x in reduce_against(v, rref_rows, pivots))
-
-
 def rank(rows):
     return len(rref(rows)[0])
 
@@ -62,24 +48,6 @@ def nullspace(rows, ncols):
             vec[p] = -row[free]
         basis.append(tuple(vec))
     return basis
-
-
-def solve_coefficients(basis_vectors, v):
-    """Coefficients c with sum(c_i * basis_i) = v, or None if v is outside the span."""
-    if not basis_vectors:
-        return () if all(x == 0 for x in v) else None
-    ncols = len(basis_vectors)
-    nrows = len(basis_vectors[0])
-    aug = [[basis_vectors[j][i] for j in range(ncols)] + [v[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    coeffs = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
-        coeffs[p] = row[ncols]
-    # consistency: rows with zero coefficient part must have zero rhs (handled by
-    # the pivot check above since such a row would pivot in the last column)
-    return tuple(coeffs)
 
 
 def integer_multiple(vec):

@@ -313,9 +313,6 @@ class SubspaceOfG:
         scale = np.maximum(np.linalg.norm(coords, axis=-1), 1.0)
         return bool(np.all(resid <= tol * scale))
 
-    def contains_subspace(self, other, tol=1e-8):
-        return self.contains_vector(other.onb, tol)
-
     def matrices(self):
         """Ambient matrices of the orthonormal rows, as a (dim, n, n) stack."""
         return self.algebra.from_coordinates(self.onb)

@@ -20,6 +20,8 @@ from .sl2 import module_multiplicities, property_star_basis, rho_of
 _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 _MOBIUS_INV = np.linalg.inv(_MOBIUS)
 
+FIXED_POINT_TOL = 1e-7  # a bending line's fixed-point residual, relative to Ad(rho(a))'s stretch
+
 
 @dataclass(frozen=True, eq=False)
 class SurfaceGroupRep:
@@ -127,10 +129,11 @@ def _hyperbolic_conjugator(a_matrix):
     return vecs / math.sqrt(det)
 
 
-def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
-    """The Ad(rho(a))-fixed line in the piece V_{i,j}, unit-normalized with a
-    deterministic sign.  a must be hyperbolic in SL(2,R).  rho_a is
-    rho_of(triple, a_matrix), computed here unless the caller holds it.
+def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
+    """The Ad(rho(a))-fixed line in the piece V_{i,j} of the isotypic data
+    iso, unit-normalized with a deterministic sign.  a must be hyperbolic in
+    SL(2,R).  rho_a is rho_of(iso.triple, a_matrix), computed here unless the
+    caller holds it.
 
     With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
     weight-zero basis vector of the piece: conjugation avoids extracting a
@@ -144,6 +147,7 @@ def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
         raise ShapeError("a must be a 2x2 matrix")
     if abs(np.trace(a_matrix)) <= 2.0:
         raise ParameterError("the fixed line needs a hyperbolic element")
+    triple = iso.triple
     alg = triple.algebra
     if rho_a is None:
         rho_a = rho_of(triple, a_matrix)
@@ -164,14 +168,14 @@ def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
     rho_k = rho_of(triple, k)
     v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])  # weight-zero vector of the piece
     x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
-    if resid > tol * stretch and triple.exact is not None:
+    if resid > FIXED_POINT_TOL * stretch and triple.exact is not None:
         # Ad(rho(a)) stretches the rounding of the float conjugation: take the
         # line from the mp lane, rounded once (imported here: mpmath stays out
         # of the CLI's import)
         from .highprec import mp_fixed_line
         x_mat = mp_fixed_line(triple.exact, a_matrix, v0)
         x, resid, stretch = line(x_mat if alg.is_complex else x_mat.real)
-    if resid > tol * stretch:
+    if resid > FIXED_POINT_TOL * stretch:
         raise RealizationError(
             f"fixed-point residual {resid:.3e} too large in V_({i},{j})")
     return x
@@ -181,8 +185,7 @@ def fixed_weight_zero_vector(triple, iso, i, j, a_matrix, tol=1e-7, rho_a=None):
 class BendingPlan:
     triple: object
     seed: SurfaceGroupRep
-    iso: object                # IsotypicData of the target subalgebra
-    Lambda: tuple
+    iso: object                # IsotypicData of the target subalgebra, iso.Lambda its pieces
     f: dict                    # (i,j) -> generator index in 1..g
     x_vectors: dict            # (i,j) -> algebra coordinates
     y_vectors: dict            # (i,j) -> algebra coordinates, i != 0 only
@@ -214,10 +217,11 @@ class BendingPlan:
         return {k: ij for ij, k in self.f.items()}
 
 
-def build_plan(alg, triple, seed, t="auto", target=None):
+def build_plan(triple, seed, t="auto", target=None):
     """Assemble a bending plan: isotypic pieces, the injection into generator
     indices, the fixed vectors, companions and the bending parameter.  The
     seed's relation residual is checked first, against seed_relation_tol."""
+    alg = triple.algebra
     tol = alg.config.seed_relation_tol
     seed_resid = seed.relation_residual()
     if seed_resid > tol:
@@ -239,14 +243,14 @@ def build_plan(alg, triple, seed, t="auto", target=None):
     zero_js = sorted(j for (i, j) in lam if i == 0)
     star = []
     if zero_js:
-        z_sub = _triple_centralizer(alg, triple)
+        z_sub = _triple_centralizer(triple)
         if target is not None:
-            z_sub = _intersect(alg, z_sub, iso.target)
+            z_sub = _intersect(z_sub, iso.target)
         if z_sub.dim != len(zero_js):
             raise RealizationError(
                 f"centralizer dimension {z_sub.dim} disagrees with the trivial-piece count "
                 f"{len(zero_js)}")
-        star = property_star_basis(alg, z_sub, triple=triple)
+        star = property_star_basis(z_sub, triple)
 
     x_vectors, y_vectors, star_kinds, a_images = {}, {}, {}, {}
     for (i, j) in lam:
@@ -256,7 +260,7 @@ def build_plan(alg, triple, seed, t="auto", target=None):
             continue
         k = f_map[(i, j)]
         a_images[k] = rho_of(triple, seed.a[k - 1])
-        x = fixed_weight_zero_vector(triple, iso, i, j, seed.a[k - 1], rho_a=a_images[k])
+        x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1], rho_a=a_images[k])
         x_vectors[(i, j)] = x
         x_mat = alg.from_coordinates(x)
         best, best_norm = None, -1.0
@@ -268,7 +272,7 @@ def build_plan(alg, triple, seed, t="auto", target=None):
             raise RealizationError(f"[X,Y] vanishes for every triple image at {(i, j)}")
         y_vectors[(i, j)] = alg.coordinates(best)
 
-    plan = BendingPlan(triple, seed, iso, lam, f_map, x_vectors, y_vectors, None, star_kinds,
+    plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None, star_kinds,
                        a_images)
     if t == "auto":
         for cand in alg.config.t_grid:
@@ -279,12 +283,14 @@ def build_plan(alg, triple, seed, t="auto", target=None):
     return plan.with_t(float(t))
 
 
-def _triple_centralizer(alg, triple):
+def _triple_centralizer(triple):
+    alg = triple.algebra
     return SubspaceOfG(alg, kernel_of([triple.ad_h, triple.ad_e, triple.ad_f], alg.dim,
                                       alg.config.rank_rtol))
 
 
-def _intersect(alg, s1, s2):
+def _intersect(s1, s2):
+    alg = s1.algebra
     p1 = np.eye(alg.dim) - s1.onb.T @ s1.onb
     p2 = np.eye(alg.dim) - s2.onb.T @ s2.onb
     return SubspaceOfG(alg, kernel_of([p1, p2], alg.dim, alg.config.rank_rtol))
@@ -320,7 +326,7 @@ def bending_inequalities(plan):
     iso = plan.iso
     records = []
     ok = True
-    for (i, j) in plan.Lambda:
+    for (i, j) in iso.Lambda:
         if i == 0:
             continue
         mult = iso.target_odd_mults[i]
@@ -361,10 +367,11 @@ def pushed_forward(triple, seed, a_images=None):
                            tuple(rho_of(triple, bk) for bk in seed.b))
 
 
-def bend(seed, plan, pushed=None):
-    """The deformed representation: a_k images unchanged, b_k images multiplied
-    by exp(t X_k).  pushed is pushed_forward(plan.triple, seed, plan.a_images),
-    built here unless the caller already holds it.
+def bend(plan, pushed=None):
+    """The deformed representation of the plan's seed: a_k images unchanged,
+    b_k images multiplied by exp(t X_k).  pushed is
+    pushed_forward(plan.triple, plan.seed, plan.a_images), built here unless
+    the caller already holds it.
 
     The deformation is algebraically relation-preserving: the output residual
     is bounded by a small multiple of the undeformed pushed-forward residual
@@ -375,9 +382,7 @@ def bend(seed, plan, pushed=None):
     """
     if plan.t is None:
         raise ParameterError("plan has no bending parameter; the grid search failed")
-    if plan.genus != seed.genus:
-        raise GenusConditionError("plan and seed genus differ")
-    triple = plan.triple
+    seed, triple = plan.seed, plan.triple
     alg = triple.algebra
     if pushed is None:
         pushed = pushed_forward(triple, seed, plan.a_images)
@@ -411,8 +416,9 @@ class CertificateResult:
     seed_count: int
 
 
-def density_certificate(alg, triple, bent_rep, plan):
-    """Bracket-closure certificate at the Lie-algebra level.
+def density_certificate(plan):
+    """Bracket-closure certificate at the Lie-algebra level, for the group
+    that bend(plan) returns.
 
     Seeds are the triple images, the Z_{i,j}(t) vectors and the X_{0,j};
     all of them lie in the Lie algebra of the closure of the bent group.
@@ -420,8 +426,9 @@ def density_certificate(alg, triple, bent_rep, plan):
     check downgrades the verdict to INCONCLUSIVE, never to FAIL.
     """
     ineq = plan.inequalities
-    seeds = [m for m in triple.images() if np.linalg.norm(m) > 0]
-    for (i, j) in plan.Lambda:
+    alg = plan.triple.algebra
+    seeds = [m for m in plan.triple.images() if np.linalg.norm(m) > 0]
+    for (i, j) in plan.iso.Lambda:
         if i == 0:
             seeds.append(alg.from_coordinates(plan.x_vectors[(0, j)]))
         elif plan.t not in (None, 0):

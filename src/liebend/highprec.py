@@ -41,6 +41,8 @@ from .errors import ParameterError
 # of magnitude; the relation words are multiplied out at the working precision
 GUARD_BITS = 20
 
+MP_FIXED_LINE_DPS = 32  # the digits at which mp_fixed_line rebuilds a bending line
+
 
 class RoundingModeError(ValueError):
     """The mp context rounds other than to nearest, the one mode the integer
@@ -242,7 +244,7 @@ class Sl2Images:
     def __init__(self, exact):
         # per chain length k + 1, a term (q, p, sign, part, flat positions
         # a_q n + a_p of the chains a) per entry: U_p / U_q = sign * i**part
-        self.n = len(exact.h)
+        self.h, self.n = exact.h, len(exact.h)
         self._terms = {}
         for idx, sig in exact.chains:
             turns = [sum(_QUARTER_TURNS[unit] for _, unit in sig[:p]) for p in range(len(idx))]
@@ -499,26 +501,30 @@ def _twist(plan, rho, a_seed, k):
             x_mp = central_part(_weight_purify(alg.from_coordinates(plan.x_vectors[ij]), h_int),
                                 exact)
             return tuple(map(_fixed, block_expm(x_mp, h_int, t)))
-        # rebuild the fixed line: conjugate the purified weight-zero vector of
-        # the piece by the mp image of the mp conjugator (the line does not
-        # depend on the conjugator choice), then match scale and sign to the
-        # shipped vector; exp(t rho_k v0 rho_k^-1) = rho_k exp(t v0) rho_k^-1
-        v0_mp = _weight_purify(alg.from_coordinates(plan.iso.piece_columns[ij][:, i]), h_int)
-        conj = _mp_conjugator(a_seed)
-        rho_k, rho_k_inv = rho.pair(conj)
-        x_f = np.array((rho_k * _fixed(v0_mp) * rho_k_inv).to_mp().tolist(), dtype=complex)
+        # rebuild the fixed line (it does not depend on the conjugator
+        # choice), then match scale and sign to the shipped vector;
+        # exp(t rho_k v0 rho_k^-1) = rho_k exp(t v0) rho_k^-1
+        v0_mp, rho_k, rho_k_inv, x_f = _fixed_line(
+            rho, a_seed, alg.from_coordinates(plan.iso.piece_columns[ij][:, i]))
         x_ship = np.asarray(alg.from_coordinates(plan.x_vectors[ij]), dtype=complex)
         scale = mp.mpf(float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f))))
         return tuple(rho_k * _fixed(m) * rho_k_inv for m in block_expm(v0_mp, h_int, scale * t))
 
 
-def mp_fixed_line(exact, a_matrix, v0, dps=32):
-    """Ad(rho(k)) v0 for k the conjugator of a hyperbolic float 2x2 matrix a,
-    built at dps digits from the weight-purified matrix v0 and rounded once:
-    the fixed line of Ad(rho(a)) through a piece whose weight-zero vector is
-    v0, where the float conjugation loses it to Ad(rho(a))'s stretch."""
-    with mp.workdps(dps):
-        conj = _mp_conjugator(mp.matrix(np.asarray(a_matrix, dtype=float).tolist()))
-        rho_k, rho_k_inv = Sl2Images(exact).pair(conj)
-        x = (rho_k * _fixed(_weight_purify(v0, exact.h)) * rho_k_inv).to_mp()
-    return np.array(x.tolist(), dtype=complex)
+def _fixed_line(rho, a2, v0):
+    """(v0_mp, rho(k), rho(k)^-1, line) at the current mp precision, for k the
+    conjugator of the hyperbolic 2x2 mp matrix a2 and v0_mp the purified float
+    weight-zero vector v0: line, Ad(rho(k)) v0_mp rounded once to a complex
+    array, is the fixed line of Ad(rho(a2)) through v0's piece."""
+    v0_mp = _weight_purify(v0, rho.h)
+    rho_k, rho_k_inv = rho.pair(_mp_conjugator(a2))
+    line = np.array((rho_k * _fixed(v0_mp) * rho_k_inv).to_mp().tolist(), dtype=complex)
+    return v0_mp, rho_k, rho_k_inv, line
+
+
+def mp_fixed_line(exact, a_matrix, v0):
+    """The fixed line of `_fixed_line` for a float a, at MP_FIXED_LINE_DPS
+    digits, where the float conjugation loses it to Ad(rho(a))'s stretch."""
+    with mp.workdps(MP_FIXED_LINE_DPS):
+        a2 = mp.matrix(np.asarray(a_matrix, dtype=float).tolist())
+        return _fixed_line(Sl2Images(exact), a2, v0)[3]

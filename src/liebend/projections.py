@@ -11,6 +11,9 @@ import numpy as np
 from .algebra import SL, SU
 from .errors import MembershipError, RealizationError, ShapeError
 
+GROUP_TOL = 1e-8         # defining-condition residual of a group element, relative to |g|^2
+MU_PAIRING_TOL = 1e-8    # how far the su log-spectrum may sit from the pattern +-a_i, 0
+
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
@@ -39,18 +42,18 @@ def group_residual(alg, g):
     return r
 
 
-def validate_group_element(alg, g, tol=1e-8):
+def validate_group_element(alg, g):
     g = np.asarray(g)
     if g.shape != (alg.size, alg.size):
         raise ShapeError(f"expected {alg.size}x{alg.size} matrix, got {g.shape}")
     scale = max(np.linalg.norm(g) ** 2, 1.0)
-    if group_residual(alg, g) > tol * scale:
+    if group_residual(alg, g) > GROUP_TOL * scale:
         raise MembershipError(
             f"matrix violates the defining condition of {alg.family}{alg.params}")
     return g
 
 
-def mu(alg, torus, g, pairing_tol=1e-8):
+def mu(alg, torus, g):
     """Cartan projection: half the log-spectrum of theta(g)^{-1} g = g^* g,
     sorted into the chamber.
 
@@ -67,11 +70,11 @@ def mu(alg, torus, g, pairing_tol=1e-8):
     p, q = alg.params
     n = p + q
     for k in range(q):
-        if abs(logs[k] + logs[n - 1 - k]) > pairing_tol:
+        if abs(logs[k] + logs[n - 1 - k]) > MU_PAIRING_TOL:
             raise RealizationError(
                 f"mu logs do not pair as +-a_i: {logs[k]:.3e} vs {logs[n-1-k]:.3e}")
     for m in range(q, p):
-        if abs(logs[m]) > pairing_tol:
+        if abs(logs[m]) > MU_PAIRING_TOL:
             raise RealizationError(f"middle mu log {logs[m]:.3e} does not vanish")
     return tuple(float(x) for x in logs[:q])
 

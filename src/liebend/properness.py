@@ -17,6 +17,9 @@ import numpy as np
 from . import _ratlin
 from .errors import ParameterError, RealizationError
 
+# the certificate search gives up past this step denominator
+CERTIFICATE_MAX_DENOMINATOR = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class HSubalgebraTorus:
@@ -101,7 +104,7 @@ def benoist_criterion(torus, ah):
     return not np.logical_and.reduce(masks).any()
 
 
-def benoist_certificate(torus, ah, max_denominator=1000):
+def benoist_certificate(torus, ah):
     """A rational point of b_plus outside every Weyl translate of a_h, or None.
 
     Starts from the strictly dominant staircase restricted to b and perturbs
@@ -118,7 +121,7 @@ def benoist_certificate(torus, ah, max_denominator=1000):
     if outside_all(base):
         return base
     denom = 2
-    while denom <= max_denominator:
+    while denom <= CERTIFICATE_MAX_DENOMINATOR:
         for direction in torus.b_basis:
             cand = tuple(x + Fraction(1, denom) * d for x, d in zip(base, direction))
             if torus.is_dominant(cand) and torus.in_b(cand) and outside_all(cand):

@@ -20,7 +20,8 @@ from .bending import bend, build_plan, density_certificate, fuchsian_generators,
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
-from .sl2 import g_even, genus_bound, is_even, rho1_su, rho2_su, sl2_from_partition
+from .sl2 import (even_partitions, g_even, genus_bound, is_even, rho1_su, rho2_su,
+                  sl2_from_partition)
 from .weyl import split_torus
 
 VERSION = "0.1.0"
@@ -147,11 +148,12 @@ def _sigma_diagonal(mat):
     return [int(round(float(m[i, i].real))) for i in range(m.shape[0])]
 
 
-def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
+def _sec6_rho_record(torus, ah, triple):
     even = is_even(triple)
     sig = triple.sigma
+    p, q = triple.algebra.params
     n = p + q
-    if which == "rho1":
+    if triple.provenance == "rho1":
         sigma_formula = [-1] * q + [1] * (p - q) + [-1] * q
         gb_formula = 2 * q * q + (p - q) ** 2 - 1
     else:
@@ -159,7 +161,7 @@ def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
         gb_formula = (p - q) ** 2 + 2 * q - 1
     sig_diag = _sigma_diagonal(sig)
     off = np.linalg.norm(np.asarray(sig) - np.diag(np.array(sig_diag, dtype=float)))
-    gb = genus_bound(alg, triple)
+    gb = genus_bound(triple)
     cz = len(triple.h_centralizer)
     return {
         "even": even,
@@ -170,7 +172,7 @@ def _sec6_rho_record(alg, torus, ah, triple, which, p, q):
         "genus_bound_formula": gb_formula,
         "centralizer_dim": cz,
         "counts_agree": bool(gb == gb_formula == cz),
-        "g_even_dim": g_even(alg, triple).dim,
+        "g_even_dim": g_even(triple).dim,
     }
 
 
@@ -186,12 +188,12 @@ def cmd_reproduce_sec6(p, q, config, witness=False):
         tuple(1 if j == i else 0 for j in range(q)) for i in range(1, q)))
 
     rho1, ms1 = _timed(lambda: rho1_su(alg))
-    rec1, ms1b = _timed(lambda: _sec6_rho_record(alg, torus, ah, rho1, "rho1", p, q))
+    rec1, ms1b = _timed(lambda: _sec6_rho_record(torus, ah, rho1))
     report.add(f"sec6/su({p},{q})/rho1", {"p": p, "q": q}, rec1, runtime_ms=ms1 + ms1b)
 
     if p > q:
         rho2, ms2 = _timed(lambda: rho2_su(alg))
-        rec2, ms2b = _timed(lambda: _sec6_rho_record(alg, torus, ah, rho2, "rho2", p, q))
+        rec2, ms2b = _timed(lambda: _sec6_rho_record(torus, ah, rho2))
         report.add(f"sec6/su({p},{q})/rho2", {"p": p, "q": q}, rec2, runtime_ms=ms2 + ms2b)
     else:
         report.add(f"sec6/su({p},{q})/rho2", {"p": p, "q": q}, "undefined")
@@ -259,10 +261,10 @@ def cmd_bend(plan_spec, config):
                 "generators_hyperbolic": True},
                runtime_ms=ms)
 
-    plan, ms = _timed(lambda: build_plan(alg, triple, seed, t=t_req))
+    plan, ms = _timed(lambda: build_plan(triple, seed, t=t_req))
     report.add("bend/plan",
                {"triple": plan_spec["triple"], "t_requested": t_req},
-               {"Lambda": [list(ij) for ij in plan.Lambda],
+               {"Lambda": [list(ij) for ij in plan.iso.Lambda],
                 "injection": {f"({i},{j})": k for (i, j), k in plan.f.items()},
                 "t": serialize.f17(plan.t) if plan.t is not None else None,
                 "t_grid": [serialize.f17(t) for t in alg.config.t_grid],
@@ -287,7 +289,7 @@ def cmd_bend(plan_spec, config):
         return report
 
     pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed, plan.a_images))
-    bent, ms = _timed(lambda: bend(seed, plan, pushed=pushed))
+    bent, ms = _timed(lambda: bend(plan, pushed=pushed))
     stages = {"float": ms + ms_pushed}
     resid_rec = {
         "pushed_residual": serialize.f17(pushed.relation_residual()),
@@ -306,7 +308,7 @@ def cmd_bend(plan_spec, config):
     report.add("bend/residuals", {"t": serialize.f17(plan.t)}, resid_rec,
                runtime_ms=sum(stages.values()), stage_ms=stages)
 
-    cert, ms = _timed(lambda: density_certificate(alg, triple, bent, plan))
+    cert, ms = _timed(lambda: density_certificate(plan))
     report.add("bend/certificate", {"target": "even subalgebra"},
                {"verdict": cert.verdict, "achieved_dim": cert.achieved_dim,
                 "target_dim": cert.target_dim, "seed_count": cert.seed_count},
@@ -357,7 +359,6 @@ def cmd_check(family_spec, ah_basis, config):
 
     if alg.family == "sl" and bc:
         def search():
-            from .sl2 import even_partitions
             (n,) = alg.params
             for parts in even_partitions(n):
                 triple = sl2_from_partition(alg, parts)

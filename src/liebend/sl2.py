@@ -25,10 +25,20 @@ from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, bracket,
                       readonly, subspace_from_coordinates, theta_operator)
 from .errors import (MembershipError, ParameterError, RealizationError,
                      UnsupportedCentralizerError)
+from .projections import group_residual
+from .weyl import split_torus
 
 A0 = np.array([[1.0, 0.0], [0.0, -1.0]])
 SL2_E = np.array([[0.0, 1.0], [0.0, 0.0]])
 SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+# thresholds of the float decisions below; none is a Config field
+TRIPLE_RTOL = 1e-9         # bracket and membership residuals of a triple, relative to its norm
+SIGMA_DIAGONAL_TOL = 1e-9  # H counts as diagonal below this off-diagonal norm, relative
+DECOMPOSE_TOL = 1e-7       # residual of a vector against the stacked isotypic pieces
+HW_PIVOT_TOL = 1e-9        # smallest pivot of the highest-weight normalization
+E_SUPPORT_TOL = 1e-12      # an entry of E counts as support above this modulus
+STAR_TOL = 1e-7            # centralizer membership and rank of the torsion spanning set
 
 
 @dataclass(frozen=True)
@@ -229,7 +239,7 @@ def rho2_su(alg):
     return Sl2Triple.from_exact(alg, ExactTriple(h, tuple(e)), "rho2", "rho2")
 
 
-def verify_sl2_triple(triple, rtol=1e-9):
+def verify_sl2_triple(triple):
     """Bracket relations and algebra membership, with a residual report."""
     alg = triple.algebra
     h, e, f = triple.h, triple.e, triple.f
@@ -242,7 +252,7 @@ def verify_sl2_triple(triple, rtol=1e-9):
         "E in g": float(alg.defining_residual(e)),
         "F in g": float(alg.defining_residual(f)),
     }
-    ok = all(r <= rtol * scale for r in residuals.values())
+    ok = all(r <= TRIPLE_RTOL * scale for r in residuals.values())
     if ok and not triple.is_zero:
         try:
             ad_weight_multiplicities(triple)
@@ -300,7 +310,7 @@ def is_even(triple):
     return even
 
 
-def sigma(triple, tol=1e-9):
+def sigma(triple):
     """exp(pi*sqrt(-1)*H) evaluated in an eigenbasis of H.
 
     Integer eigenvalues make every exponential factor +-1, so the result lies
@@ -312,7 +322,7 @@ def sigma(triple, tol=1e-9):
     h = np.asarray(triple.h, dtype=complex)
     n = h.shape[0]
     offdiag = h - np.diag(np.diag(h))
-    if np.linalg.norm(offdiag) <= tol * max(np.linalg.norm(h), 1.0):
+    if np.linalg.norm(offdiag) <= SIGMA_DIAGONAL_TOL * max(np.linalg.norm(h), 1.0):
         eigs = np.diag(h)
         vecs = np.eye(n, dtype=complex)
     else:
@@ -326,19 +336,19 @@ def sigma(triple, tol=1e-9):
         s = s.real.astype(complex) if alg.is_complex else s.real
     elif not alg.is_complex:
         raise RealizationError("sigma is not real in this realization")
-    from .projections import group_residual
     if group_residual(alg, s) > 1e-8 * n:
         raise RealizationError("sigma violates the group's defining condition")
     return s
 
 
 @functools.lru_cache(maxsize=4)
-def g_even(alg, triple):
+def g_even(triple):
     """Sum of the even ad H eigenspaces, cross-checked against Ad(sigma),
     which must act on each weight vector by (-1)^weight.  For an exact triple
     the weight vectors are the basis elements and sigma is diagonal, so this
     compares sigma_i sigma_j with (-1)^weight on each element's support.
-    One subspace, with read-only rows, per (alg, triple) in a process."""
+    One subspace, with read-only rows, per triple in a process."""
+    alg = triple.algebra
     weights, frame = triple.weight_frame
     parity = np.where(weights % 2 == 0, 1.0, -1.0)
     mats = alg.basis if frame is None else alg.from_coordinates(frame)
@@ -360,7 +370,6 @@ class IsotypicData:
     odd-dimensional pieces V_{i,j} of the target subalgebra (the even part by
     default), each with an ordered weight basis produced by repeated ad F.
     """
-    algebra: object
     triple: object
     target: SubspaceOfG
     weight_mults: dict
@@ -372,12 +381,12 @@ class IsotypicData:
     block_slices: dict
     solver: np.ndarray          # pinv of stacked
 
-    def decompose(self, coords, tol=1e-7):
+    def decompose(self, coords):
         """Coefficients of a target-subspace vector in the stacked weight basis."""
         coords = np.asarray(coords, dtype=float)
         coeffs = self.solver @ coords
         resid = np.linalg.norm(self.stacked @ coeffs - coords)
-        if resid > tol * max(np.linalg.norm(coords), 1.0):
+        if resid > DECOMPOSE_TOL * max(np.linalg.norm(coords), 1.0):
             raise MembershipError("vector is not in the decomposed subalgebra")
         return coeffs
 
@@ -386,7 +395,7 @@ class IsotypicData:
         return self.decompose(coords)[self.block_slices[(i, j)]]
 
 
-def _canonical_hw_rows(rows, tol=1e-9):
+def _canonical_hw_rows(rows):
     """Deterministic basis of a floating row space: float RREF in natural
     column order, unit rows, first significant entry positive."""
     work = [np.array(r, dtype=float) for r in rows]
@@ -396,7 +405,7 @@ def _canonical_hw_rows(rows, tol=1e-9):
     while work and col < ncols:
         scores = [abs(r[col]) for r in work]
         best = int(np.argmax(scores))
-        if scores[best] <= tol * max(np.linalg.norm(work[best]), 1.0):
+        if scores[best] <= HW_PIVOT_TOL * max(np.linalg.norm(work[best]), 1.0):
             col += 1
             continue
         pivot = work.pop(best)
@@ -408,7 +417,7 @@ def _canonical_hw_rows(rows, tol=1e-9):
     canon = []
     for r in rows_sorted:
         r = r / np.linalg.norm(r)
-        lead = r[np.argmax(np.abs(r) > tol)]
+        lead = r[np.argmax(np.abs(r) > HW_PIVOT_TOL)]
         canon.append(r if lead > 0 else -r)
     return canon
 
@@ -422,13 +431,17 @@ def module_multiplicities(alg, triple, target=None):
     basis for an exact triple), extracted per weight in descending order with
     a deterministic lexicographic normalization, then lowered by ad F.
     One IsotypicData, with read-only arrays, serves every call with the same
-    (alg, triple, target) in a process.
+    (triple, target) in a process.  alg must be triple.algebra: the triple
+    holds the algebra, and so its config.
     """
-    return _isotypic_data(alg, triple, target)
+    if alg is not triple.algebra:
+        raise ParameterError("module_multiplicities needs the triple's own algebra")
+    return _isotypic_data(triple, target)
 
 
 @functools.lru_cache(maxsize=4)
-def _isotypic_data(alg, triple, target):
+def _isotypic_data(triple, target):
+    alg = triple.algebra
     weight_mults = ad_weight_multiplicities(triple)
     mults = {}
     top = max(weight_mults) if weight_mults else 0
@@ -447,7 +460,7 @@ def _isotypic_data(alg, triple, target):
     if frame is not None:
         ad_e, ad_f = (np.linalg.solve(frame.T, ad @ frame.T) for ad in (ad_e, ad_f))
     if target is None:
-        target = g_even(alg, triple)
+        target = g_even(triple)
         outside = None  # every even weight vector lies in the even part
         t_mults = {w: m for w, m in weight_mults.items() if w % 2 == 0}
     else:
@@ -501,28 +514,19 @@ def _isotypic_data(alg, triple, target):
         pos += width
     stacked = np.hstack(stacked_cols) if stacked_cols else np.zeros((alg.dim, 0))
     solver = np.linalg.pinv(stacked) if stacked.size else np.zeros((0, alg.dim))
-    return IsotypicData(alg, triple, target, weight_mults, mults, target_odd,
+    return IsotypicData(triple, target, weight_mults, mults, target_odd,
                         tuple(lam_list), readonly(pieces), readonly(stacked), block_slices,
                         readonly(solver))
 
 
-def genus_bound(alg, triple, target=None):
-    """Sum of the odd multiplicities of the target (full algebra by default;
-    the even part gives the same value since odd pieces all lie inside it).
-
-    Cross-checked against the centralizer dimension of the H-image whenever
-    the target contains every odd piece.
+def genus_bound(triple):
+    """Sum of the odd multiplicities of the algebra (the even part gives the
+    same value since odd pieces all lie inside it), cross-checked against the
+    centralizer dimension of the H-image.
     """
-    if target is None:
-        weight_mults = ad_weight_multiplicities(triple)
-        odd_sum = weight_mults.get(0, 0)  # odd multiplicities telescope to m_0
-        full_target = True
-    else:
-        data = module_multiplicities(alg, triple, target=target)
-        odd_sum = sum(data.target_odd_mults.values())
-        full_target = target.dim in (alg.dim, g_even(alg, triple).dim)
+    odd_sum = ad_weight_multiplicities(triple).get(0, 0)  # odd multiplicities telescope to m_0
     cz = len(triple.h_centralizer)
-    if full_target and odd_sum != cz:
+    if odd_sum != cz:
         raise RealizationError(
             f"genus bound {odd_sum} disagrees with centralizer dimension {cz}")
     return odd_sum
@@ -551,15 +555,13 @@ def even_partitions(n):
     return out
 
 
-def even_sl2_basis_of_b(alg, torus=None):
+def even_sl2_basis_of_b(alg):
     """Even triples whose dominant H-vectors form a basis of b, found by a
     greedy exact-rank scan over equal-parity partitions in dominance order."""
     if alg.family != SL:
         raise ParameterError("the even basis search is implemented for sl(n,R)")
     (n,) = alg.params
-    if torus is None:
-        from .weyl import split_torus
-        torus = split_torus(alg)
+    torus = split_torus(alg)
     target_dim = torus.b_dim
     chosen = []
     vectors = []
@@ -589,17 +591,17 @@ class SpanningElement:
     kind: str  # elliptic | hyperbolic | nilpotent
 
 
-def _su_diagonal_lattice(alg, triple, support_tol=1e-12):
+def _su_diagonal_lattice(triple):
     """Primitive integer diagonals t with 2*pi*i*diag(t) in g commuting with
     the triple: equality of entries across the support of E, the mirrored
     su-pattern, and zero trace, solved exactly."""
-    p, q = alg.params
+    p, q = triple.algebra.params
     n = p + q
     rows = []
     e = np.asarray(triple.e)
     for a in range(n):
         for b in range(n):
-            if a != b and abs(e[a, b]) > support_tol:
+            if a != b and abs(e[a, b]) > E_SUPPORT_TOL:
                 row = [Fraction(0)] * n
                 row[a], row[b] = Fraction(1), Fraction(-1)
                 rows.append(tuple(row))
@@ -612,7 +614,7 @@ def _su_diagonal_lattice(alg, triple, support_tol=1e-12):
     return [tuple(int(x) for x in _ratlin.primitive(v)) for v in null]
 
 
-def property_star_basis(alg, centralizer_subspace, triple=None, tol=1e-7):
+def property_star_basis(centralizer_subspace, triple):
     """Basis of the centralizer in which every element is hyperbolic or
     elliptic with exp(X) = 1 (no nilpotents arise: the centralizer of a triple
     image is reductive).
@@ -623,10 +625,11 @@ def property_star_basis(alg, centralizer_subspace, triple=None, tol=1e-7):
     UnsupportedCentralizerError.
     """
     z = centralizer_subspace
+    alg = z.algebra
     if z.dim == 0:
         return []
     timg = z.onb @ theta_operator(alg).T
-    if not z.contains_vector(timg, tol):
+    if not z.contains_vector(timg, STAR_TOL):
         raise UnsupportedCentralizerError("centralizer is not theta-stable")
     k_part = subspace_from_coordinates(alg, 0.5 * (z.onb + timg))
     p_part = subspace_from_coordinates(alg, 0.5 * (z.onb - timg))
@@ -638,10 +641,7 @@ def property_star_basis(alg, centralizer_subspace, triple=None, tol=1e-7):
         candidates = []
         n = alg.size
         if alg.family == SU:
-            if triple is None:
-                raise UnsupportedCentralizerError(
-                    "su elliptic generators need the triple's support pattern")
-            for t_vec in _su_diagonal_lattice(alg, triple):
+            for t_vec in _su_diagonal_lattice(triple):
                 candidates.append(2.0 * np.pi * 1j * np.diag(np.array(t_vec, dtype=float)))
             # two-plane rotations and i-symmetric pairs with integer spectrum,
             # singly and glued to their form-mirrored partner; membership
@@ -690,11 +690,11 @@ def property_star_basis(alg, centralizer_subspace, triple=None, tol=1e-7):
             if not alg.contains(m):
                 continue
             coords = alg.coordinates(m, check=False)
-            if not z.contains_vector(coords, tol):
+            if not z.contains_vector(coords, STAR_TOL):
                 continue
             trial = picked_rows + [coords]
             s = np.linalg.svd(np.array(trial), compute_uv=False)
-            if s[-1] <= tol * s[0]:
+            if s[-1] <= STAR_TOL * s[0]:
                 continue
             exp_m = expm(m)
             if np.linalg.norm(exp_m - np.eye(n)) > 1e-8 * n:

@@ -13,7 +13,7 @@ vectorized exact integer scans; `element(i)` gives row i as a WeylElement.
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -42,10 +42,6 @@ class WeylElement:
         """Coefficients of alpha o w^{-1} given those of alpha."""
         return tuple(s * coeffs[p] for s, p in zip(self.signs, self.perm))
 
-    @property
-    def is_identity(self):
-        return all(s == 1 for s in self.signs) and self.perm == tuple(range(len(self.perm)))
-
     def describe(self):
         return {"perm": list(self.perm), "signs": list(self.signs)}
 
@@ -59,7 +55,6 @@ class Root:
 @dataclass(frozen=True, eq=False)
 class SplitTorusData:
     algebra: object
-    family: str
     rank: int
     coord_len: int
     roots: tuple
@@ -81,36 +76,12 @@ class SplitTorusData:
         v = torus_vector(values)
         if len(v) != self.coord_len:
             raise ParameterError(f"expected {self.coord_len} coordinates, got {len(v)}")
-        if self.family == SL and sum(v) != 0:
+        if self.algebra.family == SL and sum(v) != 0:
             raise ParameterError("sl(n,R) torus vectors must have zero trace")
         return v
 
     def identity(self):
         return WeylElement(tuple(range(self.coord_len)), (1,) * self.coord_len)
-
-    def vector_from_diagonal(self, h, tol=1e-9):
-        """Exact free coordinates of a diagonal integer matrix in the a-pattern."""
-        h = np.asarray(h)
-        off = h - np.diag(np.diag(h))
-        if np.linalg.norm(off) > tol * max(np.linalg.norm(h), 1.0):
-            raise RealizationError("matrix is not diagonal; conjugate into a first")
-        diag = np.diag(h)
-        if np.linalg.norm(np.asarray(diag).imag) > tol:
-            raise RealizationError("diagonal is not real")
-        ints = [round(float(x.real)) for x in diag]
-        if max(abs(float(x.real) - r) for x, r in zip(diag, ints)) > 1e-8:
-            raise RealizationError("diagonal entries are not integers")
-        if self.family == SL:
-            return self.vector(ints)
-        p, q = self.algebra.params
-        n = p + q
-        for k in range(q):
-            if ints[k] != -ints[n - 1 - k]:
-                raise RealizationError("diagonal does not match the mirrored a-pattern")
-        for m in range(q, p):
-            if ints[m] != 0:
-                raise RealizationError("middle diagonal entries must vanish")
-        return self.vector(ints[:q])
 
     @cached_property
     def _positive_functionals(self):
@@ -136,7 +107,7 @@ class SplitTorusData:
         v = self.vector(v)
         if self.is_dominant(v):
             return v, self.identity()
-        if self.family == SL:
+        if self.algebra.family == SL:
             order = sorted(range(self.coord_len), key=lambda i: (-v[i], i))
             w = WeylElement(tuple(order), (1,) * self.coord_len)
         else:
@@ -163,7 +134,7 @@ class SplitTorusData:
 
     def chamber_interior_point(self):
         """A strictly dominant iota-fixed rational vector (staircase)."""
-        if self.family == SU:
+        if self.algebra.family == SU:
             return self.vector(range(self.rank, 0, -1))
         n = self.coord_len
         return self.vector([n + 1 - 2 * (i + 1) for i in range(n)])
@@ -290,30 +261,25 @@ def split_torus(alg):
             raise RealizationError(f"root {r.coeffs} has no ad-eigenspace in this realization")
     positive = tuple(r for r in roots if _lex_positive(r.coeffs))
 
-    proto = SplitTorusData(alg, alg.family, rank, coord_len, roots, positive,
-                           perms, signs, WeylElement(tuple(range(coord_len)), (1,) * coord_len), ())
+    # w0 and b come from the chamber data, which needs neither of them
+    proto = SplitTorusData(alg, rank, coord_len, roots, positive, perms, signs, None, ())
     w0 = _longest_element(proto)
-    b_basis = _b_basis(proto, w0)
-    return SplitTorusData(alg, alg.family, rank, coord_len, roots, positive,
-                          perms, signs, w0, b_basis)
+    return replace(proto, w0=w0, b_basis=_b_basis(proto, w0))
 
 
 def _longest_element(torus):
     """w0 found constructively: the unique w sending the staircase to the
     antidominant representative; verified to map positive roots to negatives."""
-    if torus.family == SU:
-        rho = torus.vector(range(torus.rank, 0, -1))
-    else:
-        n = torus.coord_len
-        rho = torus.vector([n + 1 - 2 * (i + 1) for i in range(n)])
+    su = torus.algebra.family == SU
+    rho = torus.chamber_interior_point()
     v_plus, _ = torus.dominant_representative([-x for x in rho])
     target = tuple(-x for x in v_plus)  # antidominant image of rho
     perm, signs = [], []
     values = list(rho)
     for t in target:
-        j = values.index(abs(t)) if torus.family == SU else values.index(t)
+        j = values.index(abs(t)) if su else values.index(t)
         perm.append(j)
-        signs.append(-1 if (torus.family == SU and t < 0) else 1)
+        signs.append(-1 if (su and t < 0) else 1)
     w0 = WeylElement(tuple(perm), tuple(signs))
     pos = {r.coeffs for r in torus.positive_roots}
     for r in torus.positive_roots:
@@ -333,17 +299,8 @@ def _b_basis(torus, w0):
         # iota(v)_i = -signs[i] * v[perm[i]]
         row[w0.perm[i]] += w0.signs[i]
         rows.append(tuple(row))
-    if torus.family == SL:
+    if torus.algebra.family == SL:
         rows.append(tuple(Fraction(1) for _ in range(m)))
     basis = _ratlin.nullspace(rows, m)
     prim = sorted(_ratlin.primitive(v) for v in basis)
     return tuple(tuple(x for x in v) for v in prim)
-
-
-def b_space(torus):
-    """(exact basis of b, inequality description of b_plus).
-
-    The inequalities are the positive-root functionals; b_plus is the set of
-    b-vectors on which all of them are nonnegative.
-    """
-    return torus.b_basis, torus.positive_roots

@@ -107,6 +107,14 @@ def torus_matrix(torus, v):
     return m.astype(complex) if torus.algebra.is_complex else m
 
 
+def matrix_from_json(rows):
+    """A matrix read back from its report form (`serialize.matrix_to_json`):
+    rows of floats, or rows of [re, im] pairs."""
+    if rows and rows[0] and isinstance(rows[0][0], (list, tuple)):
+        return np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+    return np.array(rows, dtype=float)
+
+
 def compact_part_basis(alg):
     """Orthonormal coordinate basis of the +1 eigenspace of theta (i.e. of k)."""
     th = theta_operator(alg)

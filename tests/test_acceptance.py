@@ -187,7 +187,7 @@ def test_criterion_5_property_suites():
     # odd multiplicities = centralizer dimension, all constructed triples
     ok = True
     for alg, triple in pool:
-        ok = ok and genus_bound(alg, triple) == centralizer(alg, triple.h).dim
+        ok = ok and genus_bound(triple) == centralizer(alg, triple.h).dim
     lines.append(("sum of odd multiplicities = centralizer dim", ok))
 
     # dominant H-vector in b_plus (exact), all constructed triples
@@ -202,7 +202,7 @@ def test_criterion_5_property_suites():
     ok = True
     for alg, triple in pool:
         torus = split_torus(alg)
-        ge = g_even(alg, triple)
+        ge = g_even(triple)
         for i in range(torus.rank):
             free = [Fraction(0)] * torus.coord_len
             if alg.family == "sl":

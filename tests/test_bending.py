@@ -43,14 +43,14 @@ def test_fixed_vector_adjoint_module(sl2):
     iso = module_multiplicities(sl2, triple)
     (i, j) = iso.Lambda[0]
     a = expm(0.8 * H2)
-    x = fixed_weight_zero_vector(triple, iso, i, j, a)
+    x = fixed_weight_zero_vector(iso, i, j, a)
     x_mat = sl2.from_coordinates(x)
     x_mat /= np.linalg.norm(x_mat)
     assert np.linalg.norm(x_mat - H2 / np.linalg.norm(H2)) < 1e-9
 
     k = expm(0.6 * (E2 - F2))
     a_conj = k @ a @ np.linalg.inv(k)
-    x2 = sl2.from_coordinates(fixed_weight_zero_vector(triple, iso, i, j, a_conj))
+    x2 = sl2.from_coordinates(fixed_weight_zero_vector(iso, i, j, a_conj))
     x2 /= np.linalg.norm(x2)
     target = k @ H2 @ np.linalg.inv(k)
     target /= np.linalg.norm(target)
@@ -62,14 +62,14 @@ def test_fixed_vector_needs_hyperbolic(sl2):
     iso = module_multiplicities(sl2, triple)
     rot = expm(0.5 * (E2 - F2))
     with pytest.raises(ParameterError):
-        fixed_weight_zero_vector(triple, iso, *iso.Lambda[0], rot)
+        fixed_weight_zero_vector(iso, *iso.Lambda[0], rot)
 
 
 def test_bend_t_zero_is_pushforward(su21):
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t=0.0)
-    bent = bend(seed, plan)
+    plan = build_plan(triple, seed, t=0.0)
+    bent = bend(plan)
     pushed = pushed_forward(triple, seed)
     for m1, m2 in zip(bent.generators(), pushed.generators()):
         assert np.allclose(m1, m2)
@@ -78,8 +78,8 @@ def test_bend_t_zero_is_pushforward(su21):
 def test_bend_su21_residual(su21):
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t=0.01)
-    bent = bend(seed, plan)
+    plan = build_plan(triple, seed, t=0.01)
+    bent = bend(plan)
     assert bent.relation_residual() <= 1e-9
     pushed = pushed_forward(triple, seed)
     assert bent.relation_residual() <= 10.0 * pushed.relation_residual() + 1e-12
@@ -111,8 +111,8 @@ def test_bend_relation_exactness_random_plans(rng):
             seeds[genus] = fuchsian_generators(genus)
         seed = seeds[genus]
         t = float(10 ** rng.uniform(-4, -1.4))
-        plan = build_plan(alg, triple, seed, t=t)
-        bent = bend(seed, plan)  # raises if the bound is violated
+        plan = build_plan(triple, seed, t=t)
+        bent = bend(plan)  # raises if the bound is violated
         pushed = pushed_forward(triple, seed)
         resid, peak, length = bent.relation_diagnostics
         gen_norm = max(np.linalg.norm(m) for m in bent.generators())
@@ -126,16 +126,7 @@ def test_genus_condition_rejected(sl5):
     triple = sl2_from_partition(sl5, (5,))
     seed3 = fuchsian_generators(3)
     with pytest.raises(GenusConditionError):
-        build_plan(sl5, triple, seed3, t=0.01)
-
-
-def test_plan_seed_genus_mismatch(su21):
-    triple = rho1_su(su21)
-    seed2 = fuchsian_generators(2)
-    seed3 = fuchsian_generators(3)
-    plan = build_plan(su21, triple, seed2, t=0.01)
-    with pytest.raises(GenusConditionError):
-        bend(seed3, plan)
+        build_plan(triple, seed3, t=0.01)
 
 
 def test_z_vector_properties(su21, rng):
@@ -163,7 +154,7 @@ def test_z_vector_properties(su21, rng):
 def test_inequalities_multiplicity_one(su21):
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t=0.01)
+    plan = build_plan(triple, seed, t=0.01)
     rep = bending_inequalities(plan)
     assert rep.ok
     assert all(r["kind"] == "self" for r in rep.margins)  # cross family empty
@@ -178,7 +169,7 @@ def test_inequalities_multiplicity_five_report():
     sl5 = make_algebra("sl", 5, config=Config(seed_relation_tol=1e-8))
     triple = sl2_from_partition(sl5, (3, 1, 1))
     seed = fuchsian_generators(10)
-    plan = build_plan(sl5, triple, seed, t="auto")
+    plan = build_plan(triple, seed, t="auto")
     rep = bending_inequalities(plan)
     assert rep.ok
     kinds = {r["kind"] for r in rep.margins}
@@ -192,9 +183,9 @@ def test_inequalities_multiplicity_five_report():
 def test_density_certificate_su21(su21):
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t="auto")
-    bent = bend(seed, plan)
-    cert = density_certificate(su21, triple, bent, plan)
+    plan = build_plan(triple, seed, t="auto")
+    bent = bend(plan)
+    cert = density_certificate(plan)
     assert cert.verdict == "PASS"
     assert cert.achieved_dim == 4 == cert.target_dim
 
@@ -202,9 +193,9 @@ def test_density_certificate_su21(su21):
 def test_density_certificate_sl5(sl5):
     triple = sl2_from_partition(sl5, (5,))
     seed = fuchsian_generators(4)
-    plan = build_plan(sl5, triple, seed, t="auto")
-    bent = bend(seed, plan)
-    cert = density_certificate(sl5, triple, bent, plan)
+    plan = build_plan(triple, seed, t="auto")
+    bent = bend(plan)
+    cert = density_certificate(plan)
     assert cert.verdict == "PASS"
     assert cert.achieved_dim == 24 == cert.target_dim
 
@@ -215,17 +206,17 @@ def test_density_certificate_no_bending(su21, sl5):
     # cannot be PASS
     triple5 = sl2_from_partition(sl5, (5,))
     seed4 = fuchsian_generators(4)
-    plan5 = build_plan(sl5, triple5, seed4, t=0.01)
-    bent5 = bend(seed4, plan5)
-    cert5 = density_certificate(sl5, triple5, bent5, plan5.with_t(None))
+    plan5 = build_plan(triple5, seed4, t=0.01)
+    bent5 = bend(plan5)
+    cert5 = density_certificate(plan5.with_t(None))
     assert cert5.verdict != "PASS"
     assert cert5.achieved_dim == 3 < cert5.target_dim  # just the sl2 image
 
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t=0.01)
-    bent = bend(seed, plan)
-    cert = density_certificate(su21, triple, bent, plan.with_t(None))
+    plan = build_plan(triple, seed, t=0.01)
+    bent = bend(plan)
+    cert = density_certificate(plan.with_t(None))
     # here sl2 + centralizer happens to exhaust the target, yet the verdict
     # still must not PASS without the inequality premise
     assert cert.verdict == "INCONCLUSIVE"
@@ -234,12 +225,12 @@ def test_density_certificate_no_bending(su21, sl5):
 def test_density_certificate_monotone_in_seeds(sl5):
     triple = sl2_from_partition(sl5, (5,))
     seed = fuchsian_generators(4)
-    plan = build_plan(sl5, triple, seed, t=0.01)
+    plan = build_plan(triple, seed, t=0.01)
     base = [m for m in triple.images()]
     dims = []
     seeds = list(base)
     dims.append(generated_subalgebra(sl5, seeds).dim)
-    for (i, j) in plan.Lambda:
+    for (i, j) in plan.iso.Lambda:
         if i == 0:
             continue
         z = z_vector(sl5, plan.x_matrix((i, j)), plan.y_matrix((i, j)), plan.t)
@@ -255,10 +246,10 @@ def test_density_certificate_t_halving(su21, sl5):
         seed = fuchsian_generators(genus)
         dims = []
         for t in (0.01, 0.005):
-            plan = build_plan(alg, triple, seed, t=t)
+            plan = build_plan(triple, seed, t=t)
             assert bending_inequalities(plan).ok
-            bent = bend(seed, plan)
-            cert = density_certificate(alg, triple, bent, plan)
+            bent = bend(plan)
+            cert = density_certificate(plan)
             dims.append(cert.achieved_dim)
         assert dims[0] == dims[1]
 
@@ -268,12 +259,12 @@ def test_certificate_seeds_recomputable(su21):
     bent representation (conditional certificate, documented)."""
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t="auto")
-    bent = bend(seed, plan)
-    cert = density_certificate(su21, triple, bent, plan)
+    plan = build_plan(triple, seed, t="auto")
+    bent = bend(plan)
+    cert = density_certificate(plan)
     assert cert.verdict == "PASS"
     recomputed = [m for m in triple.images()]
-    for (i, j) in plan.Lambda:
+    for (i, j) in plan.iso.Lambda:
         if i == 0:
             recomputed.append(su21.from_coordinates(plan.x_vectors[(0, j)]))
         else:
@@ -291,10 +282,10 @@ def test_density_certificate_equal_signature_family():
     alg = make_algebra("su", 2, 2, config=Config(seed_relation_tol=1e-8))
     triple = rho1_su(alg)
     assert is_even(triple)
-    seed = fuchsian_generators(genus_bound(alg, triple))
-    plan = build_plan(alg, triple, seed, t="auto")
-    bent = bend(seed, plan)
-    cert = density_certificate(alg, triple, bent, plan)
+    seed = fuchsian_generators(genus_bound(triple))
+    plan = build_plan(triple, seed, t="auto")
+    bent = bend(plan)
+    cert = density_certificate(plan)
     assert cert.verdict == "PASS"
     assert cert.achieved_dim == alg.dim == cert.target_dim
 
@@ -306,15 +297,15 @@ def test_custom_intermediate_target(su21):
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
     sl2_img = generated_subalgebra(su21, triple.images())
-    plan = build_plan(su21, triple, seed, t="auto", target=sl2_img)
-    assert plan.Lambda == ((1, 1),)
-    bent = bend(seed, plan)
-    cert = density_certificate(su21, triple, bent, plan)
+    plan = build_plan(triple, seed, t="auto", target=sl2_img)
+    assert plan.iso.Lambda == ((1, 1),)
+    bent = bend(plan)
+    cert = density_certificate(plan)
     assert cert.verdict == "PASS" and cert.achieved_dim == 3 == cert.target_dim
 
     bad = subspace_from_coordinates(su21, [su21.coordinates(triple.e)])
     with pytest.raises(ParameterError):
-        build_plan(su21, triple, seed, t="auto", target=bad)
+        build_plan(triple, seed, t="auto", target=bad)
 
 
 def test_highprec_verification(su21, sl5):
@@ -322,8 +313,8 @@ def test_highprec_verification(su21, sl5):
     for alg, triple, genus, bound in ((su21, rho1_su(su21), 2, 1e-20),
                                       (sl5, sl2_from_partition(sl5, (5,)), 4, 1e-15)):
         seed = fuchsian_generators(genus)
-        plan = build_plan(alg, triple, seed, t="auto")
-        bent = bend(seed, plan)
+        plan = build_plan(triple, seed, t="auto")
+        bent = bend(plan)
         hp = verify_bent_relation(plan, bent, dps=40)
         assert hp.seed_residual < 1e-25
         assert hp.pushed_residual < bound

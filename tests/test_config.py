@@ -142,9 +142,9 @@ def test_seed_relation_tol_admits_the_genus_10_seed():
     seed = fuchsian_generators(10)
     alg = make_algebra("sl", 5)
     with pytest.raises(RealizationError, match="polygon relation residual"):
-        build_plan(alg, sl2_from_partition(alg, (3, 1, 1)), seed)
+        build_plan(sl2_from_partition(alg, (3, 1, 1)), seed)
     loose = make_algebra("sl", 5, config=config_mod.Config(seed_relation_tol=1e-8))
-    assert build_plan(loose, sl2_from_partition(loose, (3, 1, 1)), seed).t is not None
+    assert build_plan(sl2_from_partition(loose, (3, 1, 1)), seed).t is not None
 
 
 def test_t_grid_sets_the_bending_parameter():
@@ -152,7 +152,7 @@ def test_t_grid_sets_the_bending_parameter():
     ts = []
     for grid in ((0.5,), (0.003,)):
         alg = make_algebra("su", 2, 1, config=config_mod.Config(t_grid=grid))
-        ts.append(build_plan(alg, rho1_su(alg), seed).t)
+        ts.append(build_plan(rho1_su(alg), seed).t)
     assert ts == [0.5, 0.003]
 
 

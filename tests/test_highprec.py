@@ -230,16 +230,15 @@ def test_verify_requires_diagonal_h(su21):
     from liebend.sl2 import rho1_su
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t=0.01)
-    bent = bend(seed, plan)
+    plan = build_plan(triple, seed, t=0.01)
+    bent = bend(plan)
     rot = np.eye(3, dtype=complex)
     c, s = np.cos(0.2), np.sin(0.2)
     rot[0, 0], rot[0, 1], rot[1, 0], rot[1, 1] = c, s, -s, c
     skew = Sl2Triple(su21, rot @ triple.h @ rot.conj().T,
                      rot @ triple.e @ rot.conj().T,
                      rot @ triple.f @ rot.conj().T, "custom", "rot")
-    bad_plan = plan.__class__(skew, plan.seed, plan.iso, plan.Lambda, plan.f,
-                              plan.x_vectors, plan.y_vectors, plan.t, plan.star_kinds)
+    bad_plan = replace(plan, triple=skew)
     with pytest.raises(ParameterError):
         verify_bent_relation(bad_plan, bent, dps=20)
 
@@ -323,8 +322,8 @@ def test_central_part_commutes_with_the_triple(case, dps):
     alg = make_algebra(family, *params)
     triple = (sl2_from_partition(alg, spec) if family == "sl"
               else {"rho1": rho1_su, "rho2": rho2_su}[spec](alg))
-    plan = build_plan(alg, triple, fuchsian_generators(genus), t=0.01)
-    trivial = [ij for ij in plan.Lambda if ij[0] == 0]
+    plan = build_plan(triple, fuchsian_generators(genus), t=0.01)
+    trivial = [ij for ij in plan.iso.Lambda if ij[0] == 0]
     assert trivial
     with mp.workdps(dps):
         e_mp, f_mp = mp_triple(triple.exact)
@@ -778,8 +777,8 @@ def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
     spec = PRESETS["su21-rho1-g2"]
     alg = _algebra_from_plan(spec, DEFAULT)
     seed = fuchsian_generators(spec["genus"])
-    plan = build_plan(alg, _triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
-    bent = bend(seed, plan)
+    plan = build_plan(_triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
+    bent = bend(plan)
     sizes = []
     real_expm = mp.expm
 
@@ -798,11 +797,10 @@ def test_verify_rejects_non_integer_weights(su21):
     from liebend.sl2 import rho1_su
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t=0.01)
-    bent = bend(seed, plan)
+    plan = build_plan(triple, seed, t=0.01)
+    bent = bend(plan)
     scaled = Sl2Triple(su21, 1.5 * triple.h, triple.e, triple.f, "custom", "scaled")
-    bad_plan = plan.__class__(scaled, plan.seed, plan.iso, plan.Lambda, plan.f,
-                              plan.x_vectors, plan.y_vectors, plan.t, plan.star_kinds)
+    bad_plan = replace(plan, triple=scaled)
     with pytest.raises(ParameterError, match="integer H-weights"):
         verify_bent_relation(bad_plan, bent, dps=20)
 

@@ -50,7 +50,7 @@ def test_group_validation_accepts_long_bent_products(sl5):
     from liebend.bending import bend, build_plan, fuchsian_generators
     from liebend.sl2 import sl2_from_partition
     seed = fuchsian_generators(4)
-    bent = bend(seed, build_plan(sl5, sl2_from_partition(sl5, (5,)), seed))
+    bent = bend(build_plan(sl2_from_partition(sl5, (5,)), seed))
     letters = bent.generators() + [np.linalg.inv(m) for m in bent.generators()]
     rng = np.random.default_rng(20240817)
     for length in (5, 8):

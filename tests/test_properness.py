@@ -191,8 +191,8 @@ def test_pitchfork_bent_word_sample(su21, su21_torus):
     from liebend.projections import mu
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)
-    plan = build_plan(su21, triple, seed, t="auto")
-    bent = bend(seed, plan)
+    plan = build_plan(triple, seed, t="auto")
+    bent = bend(plan)
     gens = bent.generators()
     samples = []
     frontier = [np.eye(3, dtype=complex)]

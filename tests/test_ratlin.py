@@ -14,29 +14,12 @@ def test_rref_and_rank():
     assert _ratlin.rank(rows) == 2
 
 
-def test_in_span_and_reduce():
-    basis = [F(2, -2, 0, 0, 0), F(4, 2, 0, -2, -4)]
-    red, piv = _ratlin.rref(basis)
-    assert _ratlin.in_span(F(2, 1, 0, -1, -2), red, piv)
-    assert not _ratlin.in_span(F(3, 1, 0, -1, -3), red, piv)
-    assert _ratlin.in_span(F(0, 0, 0, 0, 0), red, piv)
-
-
 def test_nullspace():
     rows = [F(1, 1, 1)]
     null = _ratlin.nullspace(rows, 3)
     assert len(null) == 2
     for v in null:
         assert sum(v) == 0
-
-
-def test_solve_coefficients():
-    basis = [F(1, 0, 1), F(0, 1, 1)]
-    coeffs = _ratlin.solve_coefficients(basis, F(2, 3, 5))
-    assert coeffs == (Fraction(2), Fraction(3))
-    assert _ratlin.solve_coefficients(basis, F(0, 0, 1)) is None
-    assert _ratlin.solve_coefficients([], F(0, 0)) == ()
-    assert _ratlin.solve_coefficients([], F(1, 0)) is None
 
 
 def test_primitive():

@@ -10,6 +10,8 @@ from liebend.config import DEFAULT
 from liebend.report import (PRESETS, cmd_bend, cmd_check, cmd_reproduce_sec53,
                             cmd_reproduce_sec6, compare_to_golden, load_golden)
 
+from conftest import matrix_from_json
+
 SEC53_AH = [["2", "-2", "0", "0", "0"], ["4", "2", "0", "-2", "-4"]]
 
 
@@ -122,7 +124,7 @@ def test_bend_generators_serialized():
     gens = next(c for c in report.checks if c.check_id == "bend/generators")
     mats = gens.verdict["matrices"]
     assert len(mats) == 2
-    m = serialize.matrix_from_json(mats[0]["a"])
+    m = matrix_from_json(mats[0]["a"])
     assert m.shape == (3, 3) and np.iscomplexobj(m)
 
 
@@ -157,12 +159,12 @@ def test_cmd_check_sl4_has_even_witness(tmp_path):
 
 def test_serialize_roundtrips():
     m = np.array([[1.5, -2.0], [0.25, 3.0]])
-    assert np.allclose(serialize.matrix_from_json(serialize.matrix_to_json(m)), m)
+    assert np.allclose(matrix_from_json(serialize.matrix_to_json(m)), m)
     c = np.array([[1 + 2j, 0], [0.5j, -1]])
-    assert np.allclose(serialize.matrix_from_json(serialize.matrix_to_json(c)), c)
+    assert np.allclose(matrix_from_json(serialize.matrix_to_json(c)), c)
     from fractions import Fraction
     vec = (Fraction(3, 2), Fraction(-4), Fraction(0))
-    assert serialize.rationals_from_json(serialize.rationals_to_json(vec)) == vec
+    assert tuple(map(Fraction, serialize.rationals_to_json(vec))) == vec
     x = 0.1234567890123456789
     assert serialize.f17(x) == pytest.approx(x, abs=0.0)
 

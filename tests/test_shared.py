@@ -15,7 +15,7 @@ import pytest
 
 from liebend import config as config_mod
 from liebend.algebra import make_algebra
-from liebend.bending import fuchsian_generators
+from liebend.bending import build_plan, fuchsian_generators
 from liebend.cli import main
 from liebend.errors import ParameterError
 from liebend.sl2 import (g_even, module_multiplicities, rho1_su, rho2_su,
@@ -37,11 +37,11 @@ def test_same_key_same_object():
     triple = sl2_from_partition(sl5, (3, 1, 1))
     assert sl2_from_partition(sl5, [3, 1, 1]) is triple
     assert rho1_su(su32) is rho1_su(su32) and rho2_su(su32) is rho2_su(su32)
-    assert g_even(sl5, triple) is g_even(sl5, triple)
+    assert g_even(triple) is g_even(triple)
     iso = module_multiplicities(sl5, triple)
     assert module_multiplicities(sl5, triple, None) is iso
     assert module_multiplicities(sl5, triple, target=None) is iso
-    assert iso.target is g_even(sl5, triple)
+    assert iso.target is g_even(triple)
     assert fuchsian_generators(3) is fuchsian_generators(np.int64(3))
 
 
@@ -56,6 +56,18 @@ def test_different_configs_do_not_share():
     minus = make_algebra("su", 2, 1, config=config_mod.load(pitchfork_radius=-0.0))
     assert zero is not minus
     assert json.dumps(zero.config.echo()) != json.dumps(minus.config.echo())
+
+
+def test_module_multiplicities_takes_only_the_triples_algebra():
+    """A second algebra beside the triple, here one with a loose rank_rtol,
+    would decompose the triple under the other algebra's config."""
+    triple = rho2_su(make_algebra("su", 3, 2))
+    loose = make_algebra("su", 3, 2, config=config_mod.Config(rank_rtol=1e-2))
+    assert loose is not triple.algebra
+    with pytest.raises(ParameterError, match="the triple's own algebra"):
+        module_multiplicities(loose, triple)
+    iso = module_multiplicities(triple.algebra, triple)
+    assert build_plan(triple, fuchsian_generators(4)).iso is iso
 
 
 def test_mp_polygon_is_keyed_by_precision():
@@ -82,7 +94,7 @@ def _shared_arrays():
         "perms": torus.perms, "positive roots": torus._positive_functionals[0],
         "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_h": triple.ad_h, "ad_e": rho1.ad_e,
         "basis_weights": rho1.basis_weights, "h_centralizer": rho1.h_centralizer,
-        "sigma": rho1.sigma, "g_even": g_even(sl5, triple).onb,
+        "sigma": rho1.sigma, "g_even": g_even(triple).onb,
         "stacked": iso.stacked, "solver of pieces": iso.solver,
         "piece": next(iter(iso.piece_columns.values())),
         "polygon a": seed.a[0], "polygon b": seed.b[1],
@@ -136,7 +148,7 @@ def test_custom_triples_are_not_shared():
     iso = module_multiplicities(sl5, custom)
     assert iso is not module_multiplicities(sl5, exact)
     assert iso.Lambda == module_multiplicities(sl5, exact).Lambda
-    assert g_even(sl5, custom).dim == g_even(sl5, exact).dim
+    assert g_even(custom).dim == g_even(exact).dim
 
 
 def test_shared_caches_are_all_found():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebend import _ratlin
+from liebend import _ratlin, properness
 from liebend.algebra import make_algebra
 from liebend.errors import RealizationError
 from liebend.properness import (HSubalgebraTorus, benoist_certificate,
@@ -29,7 +29,7 @@ def torus(request):
 
 def oracle_weyl(torus):
     n = torus.coord_len
-    if torus.family == "sl":
+    if torus.algebra.family == "sl":
         return [WeylElement(p, (1,) * n) for p in itertools.permutations(range(n))]
     return [WeylElement(p, s) for p in itertools.permutations(range(n))
             for s in itertools.product((1, -1), repeat=n)]
@@ -90,7 +90,7 @@ def random_vector(torus, rng, big):
     else:
         raw = [Fraction(int(a), int(b)) for a, b in
                zip(rng.integers(-4, 5, n), rng.integers(1, 4, n))]
-    if torus.family == "sl":
+    if torus.algebra.family == "sl":
         raw[-1] = -sum(raw[:-1])
     return torus.vector(raw)
 
@@ -158,7 +158,8 @@ def benoist_queries(torus, seed, count):
     return out
 
 
-def test_benoist_matches_oracle(torus):
+def test_benoist_matches_oracle(torus, monkeypatch):
+    monkeypatch.setattr(properness, "CERTIFICATE_MAX_DENOMINATOR", CERT_MAX_DENOMINATOR)
     verdicts = set()
     for ah in benoist_queries(torus, 12, 12):
         verdict = benoist_criterion(torus, ah)
@@ -168,9 +169,9 @@ def test_benoist_matches_oracle(torus):
             expected = oracle_certificate(torus, ah, CERT_MAX_DENOMINATOR)
         except RealizationError:
             with pytest.raises(RealizationError):
-                benoist_certificate(torus, ah, CERT_MAX_DENOMINATOR)
+                benoist_certificate(torus, ah)
             continue
-        assert benoist_certificate(torus, ah, CERT_MAX_DENOMINATOR) == expected
+        assert benoist_certificate(torus, ah) == expected
     assert verdicts == {True, False}
 
 
