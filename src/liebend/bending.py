@@ -21,6 +21,7 @@ _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 _MOBIUS_INV = np.linalg.inv(_MOBIUS)
 
 FIXED_POINT_TOL = 1e-7  # a bending line's fixed-point residual, relative to Ad(rho(a))'s stretch
+FIXED_LINE_BITS = 110  # the precision at which the integer kernel rebuilds a bending line
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +140,9 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
     weight-zero basis vector of the piece: conjugation avoids extracting a
     near-kernel from an operator whose spectrum spreads exponentially in the
     highest weight.  The fixed-point equation is verified afterwards; for an
-    exact triple whose float line misses it, the line is rebuilt in the mp
-    lane (`highprec.mp_fixed_line`) and verified again.
+    exact triple whose float line misses it, the line is rebuilt on the
+    integer kernel at FIXED_LINE_BITS (`intkernel.fixed_line`, no mpmath)
+    and verified again.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     if a_matrix.shape != (2, 2):
@@ -169,11 +171,13 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
     v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])  # weight-zero vector of the piece
     x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
     if resid > FIXED_POINT_TOL * stretch and triple.exact is not None:
-        # Ad(rho(a)) stretches the rounding of the float conjugation: take the
-        # line from the mp lane, rounded once (imported here: mpmath stays out
-        # of the CLI's import)
-        from .highprec import mp_fixed_line
-        x_mat = mp_fixed_line(triple.exact, a_matrix, v0)
+        # Ad(rho(a)) stretches the rounding of the float conjugation: build
+        # the line in integers at FIXED_LINE_BITS, rounded once (imported
+        # here: only plans that miss the float line load the kernel)
+        from . import intkernel
+        x_mat = intkernel.fixed_line(intkernel.Sl2Images(triple.exact),
+                                     intkernel.FixedMatrix.from_float(a_matrix), v0,
+                                     FIXED_LINE_BITS)[3]
         x, resid, stretch = line(x_mat if alg.is_complex else x_mat.real)
     if resid > FIXED_POINT_TOL * stretch:
         raise RealizationError(
@@ -192,6 +196,7 @@ class BendingPlan:
     t: float | None
     star_kinds: dict           # j -> classification of X_{0,j}
     a_images: dict = field(default_factory=dict)  # k -> rho(a_k), bent a_k with i != 0
+    _z: dict = field(default_factory=dict, init=False, repr=False)  # (i,j) -> Z_{i,j}(t)
 
     @property
     def genus(self):
@@ -205,6 +210,14 @@ class BendingPlan:
 
     def with_t(self, t):
         return replace(self, t=t)
+
+    def z(self, ij):
+        """z_vector of the piece ij at the plan's t, computed once per plan:
+        the inequalities and the density certificate read the same values."""
+        if ij not in self._z:
+            self._z[ij] = z_vector(self.triple.algebra, self.x_matrix(ij), self.y_matrix(ij),
+                                   self.t)
+        return self._z[ij]
 
     @cached_property
     def inequalities(self):
@@ -332,7 +345,7 @@ def bending_inequalities(plan):
         mult = iso.target_odd_mults[i]
         x_mat = plan.x_matrix((i, j))
         y_mat = plan.y_matrix((i, j))
-        z = z_vector(alg, x_mat, y_mat, plan.t)
+        z = plan.z((i, j))
         if not np.all(np.isfinite(z)):
             return InequalityReport(False, tuple(records),
                                     f"Ad(e^(tX)) overflowed at t={plan.t:g}")
@@ -432,8 +445,7 @@ def density_certificate(plan):
         if i == 0:
             seeds.append(alg.from_coordinates(plan.x_vectors[(0, j)]))
         elif plan.t not in (None, 0):
-            z = z_vector(alg, plan.x_matrix((i, j)), plan.y_matrix((i, j)), plan.t)
-            seeds.append(alg.from_coordinates(z))
+            seeds.append(alg.from_coordinates(plan.z((i, j))))
     closure = generated_subalgebra(alg, seeds)
     achieved = closure.dim
     target = plan.iso.target.dim

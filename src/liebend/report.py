@@ -54,9 +54,9 @@ class CheckRecord:
         if self.margins is not None:
             d["margins"] = self.margins
         if include_timings:
-            d["runtime_ms"] = serialize.f17(self.runtime_ms)
+            d["runtime_ms"] = float(self.runtime_ms)
             if self.stage_ms is not None:
-                d["stage_ms"] = {k: serialize.f17(v) for k, v in self.stage_ms.items()}
+                d["stage_ms"] = {k: float(v) for k, v in self.stage_ms.items()}
         return d
 
 
@@ -93,9 +93,9 @@ class ReportDocument:
             if c.margins is not None:
                 lines.append(f"{'':<{width}}  margins: {json.dumps(c.margins, sort_keys=True)}")
             if include_timings:
-                lines.append(f"{'':<{width}}  runtime_ms: {serialize.f17(c.runtime_ms)}")
+                lines.append(f"{'':<{width}}  runtime_ms: {float(c.runtime_ms)}")
                 if c.stage_ms is not None:
-                    stages = {k: serialize.f17(v) for k, v in c.stage_ms.items()}
+                    stages = {k: float(v) for k, v in c.stage_ms.items()}
                     lines.append(f"{'':<{width}}  stage_ms: {json.dumps(stages, sort_keys=True)}")
         lines.append("")
         return "\n".join(lines)
@@ -257,7 +257,7 @@ def cmd_bend(plan_spec, config):
 
     seed, ms = _timed(lambda: fuchsian_generators(genus))
     report.add("bend/seed", {"genus": genus},
-               {"relation_residual": serialize.f17(seed.relation_residual()),
+               {"relation_residual": float(seed.relation_residual()),
                 "generators_hyperbolic": True},
                runtime_ms=ms)
 
@@ -266,8 +266,8 @@ def cmd_bend(plan_spec, config):
                {"triple": plan_spec["triple"], "t_requested": t_req},
                {"Lambda": [list(ij) for ij in plan.iso.Lambda],
                 "injection": {f"({i},{j})": k for (i, j), k in plan.f.items()},
-                "t": serialize.f17(plan.t) if plan.t is not None else None,
-                "t_grid": [serialize.f17(t) for t in alg.config.t_grid],
+                "t": float(plan.t) if plan.t is not None else None,
+                "t_grid": [float(t) for t in alg.config.t_grid],
                 "ad_weight_histogram": {str(j): m for j, m in
                                         sorted(plan.iso.weight_mults.items())},
                 "multiplicities": {str(k): m for k, m in
@@ -276,11 +276,10 @@ def cmd_bend(plan_spec, config):
 
     ineq, ms = _timed(lambda: plan.inequalities)
     margins = [
-        {k: (serialize.f17(v) if isinstance(v, float) else
-             list(v) if isinstance(v, tuple) else v) for k, v in rec.items()}
+        {k: list(v) if isinstance(v, tuple) else v for k, v in rec.items()}
         for rec in ineq.margins
     ]
-    report.add("bend/inequalities", {"t": serialize.f17(plan.t) if plan.t else None},
+    report.add("bend/inequalities", {"t": float(plan.t) if plan.t else None},
                {"ok": ineq.ok, "note": ineq.note}, margins=margins, runtime_ms=ms)
 
     if plan.t is None:
@@ -292,20 +291,20 @@ def cmd_bend(plan_spec, config):
     bent, ms = _timed(lambda: bend(plan, pushed=pushed))
     stages = {"float": ms + ms_pushed}
     resid_rec = {
-        "pushed_residual": serialize.f17(pushed.relation_residual()),
-        "bent_residual": serialize.f17(bent.relation_residual()),
+        "pushed_residual": float(pushed.relation_residual()),
+        "bent_residual": float(bent.relation_residual()),
     }
     if verify_dps:
         from .highprec import verify_bent_relation
         hp, stages["verify"] = _timed(lambda: verify_bent_relation(plan, bent, dps=verify_dps))
         resid_rec["verified"] = {
             "dps": hp.dps,
-            "seed_residual": serialize.f17(hp.seed_residual),
-            "pushed_residual": serialize.f17(hp.pushed_residual),
-            "bent_residual": serialize.f17(hp.bent_residual),
-            "max_entry_distance_to_shipped": serialize.f17(hp.max_entry_distance),
+            "seed_residual": float(hp.seed_residual),
+            "pushed_residual": float(hp.pushed_residual),
+            "bent_residual": float(hp.bent_residual),
+            "max_entry_distance_to_shipped": float(hp.max_entry_distance),
         }
-    report.add("bend/residuals", {"t": serialize.f17(plan.t)}, resid_rec,
+    report.add("bend/residuals", {"t": float(plan.t)}, resid_rec,
                runtime_ms=sum(stages.values()), stage_ms=stages)
 
     cert, ms = _timed(lambda: density_certificate(plan))

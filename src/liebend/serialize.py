@@ -1,7 +1,7 @@
 """JSON formats: matrices as row arrays, complex entries as [re, im], rationals as strings.
 
-Floats are rounded to 17 significant digits before encoding so that reports are
-byte-stable and round-trip exactly.
+Floats are written as the shortest repr that reads back to the same float64,
+so reports are byte-stable and round-trip exactly.
 """
 
 from fractions import Fraction
@@ -9,15 +9,12 @@ from fractions import Fraction
 import numpy as np
 
 
-def f17(x):
-    return float(format(float(x), ".17g"))
-
-
 def matrix_to_json(m):
+    """Rows of floats, or of [re, im] pairs for a complex matrix."""
     m = np.asarray(m)
     if np.iscomplexobj(m):
-        return [[[f17(z.real), f17(z.imag)] for z in row] for row in m]
-    return [[f17(x) for x in row] for row in m]
+        return np.stack([m.real, m.imag], axis=-1).astype(float).tolist()
+    return m.astype(float).tolist()
 
 
 def rational_to_str(x):

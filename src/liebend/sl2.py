@@ -62,7 +62,7 @@ class ExactTriple:
         be that of the irreducible sl2-module of dimension d,
         m_k = (k+1)(d-1-k), with each unit a power of i (so |unit| = 1): on
         such a chain SL(2,R) acts by its (d-1)-th symmetric power
-        (`highprec.Sl2Images`)."""
+        (`intkernel.Sl2Images`)."""
         down, up = {}, {}
         for row, col, m, unit in self.e:
             if self.h[row] - self.h[col] != 2:

@@ -115,6 +115,22 @@ def matrix_from_json(rows):
     return np.array(rows, dtype=float)
 
 
+def to_mp(m):
+    """A FixedMatrix as an mp.matrix, exactly: mpf entries for a real matrix,
+    mpc entries for a complex one."""
+    import mpmath as mp
+    from mpmath import libmp
+
+    def raw(part):
+        return [libmp.from_man_exp(int(v), m.exp) for v in part.ravel().tolist()]
+    if m.im is None:
+        flat = [mp.mp.make_mpf(re) for re in raw(m.re)]
+    else:
+        flat = [mp.mp.make_mpc(z) for z in zip(raw(m.re), raw(m.im))]
+    cols = m.shape[1]
+    return mp.matrix([flat[r:r + cols] for r in range(0, len(flat), cols)])
+
+
 def compact_part_basis(alg):
     """Orthonormal coordinate basis of the +1 eigenspace of theta (i.e. of k)."""
     th = theta_operator(alg)

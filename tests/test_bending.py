@@ -344,6 +344,33 @@ def test_bend_takes_the_inequality_report_once(preset, monkeypatch):
     assert calls == [DEFAULT.t_grid[0]]
 
 
+@pytest.mark.parametrize("spec", [
+    "su21-rho1-g2", "sl5-even5-g4",
+    {"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 6},
+], ids=["su21-rho1-g2", "sl5-even5-g4", "sl5-[5]-g6"])
+def test_bend_takes_each_z_vector_once(spec, monkeypatch):
+    """The inequalities and the density certificate read Z_{i,j}(t) of the
+    accepted t from the plan: one z_vector per bent piece with i != 0."""
+    from liebend import bending
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, cmd_bend
+    calls = []
+    real = bending.z_vector
+
+    def counting(alg, x_mat, y_mat, t):
+        calls.append(t)
+        return real(alg, x_mat, y_mat, t)
+
+    monkeypatch.setattr(bending, "z_vector", counting)
+    spec = (dict(PRESETS[spec], verify_dps=0) if isinstance(spec, str)
+            else dict(spec, t="auto", verify_dps=0))
+    report = cmd_bend(spec, DEFAULT)
+    verdicts = {c.check_id: c.verdict for c in report.checks}
+    assert verdicts["bend/certificate"]["verdict"] == "PASS"
+    bent = [ij for ij in verdicts["bend/plan"]["Lambda"] if ij[0] != 0]
+    assert bent and calls == [verdicts["bend/plan"]["t"]] * len(bent)
+
+
 @pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
 def test_bend_takes_each_rho_image_once(preset, monkeypatch):
     """rho(a_k) of a bent generator serves both its fixed line and the pushed

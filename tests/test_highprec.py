@@ -9,11 +9,95 @@ import pytest
 from liebend import highprec
 from liebend.config import DEFAULT
 from liebend.errors import ParameterError
-from liebend.highprec import (FixedMatrix, RoundingModeError, Sl2Images, _chain_constants,
-                              _mp_conjugator, _round_nearest, _weight_purify, block_expm,
-                              central_part, max_entry_distance, mp_fuchsian, sl2_inverse,
-                              verify_bent_relation)
+from liebend.highprec import (RoundingModeError, block_expm, from_mp, max_entry_distance,
+                              mp_fuchsian, sl2_inverse, verify_bent_relation)
+from liebend.intkernel import (FixedMatrix, Sl2Images, _chain_constants, _round_nearest,
+                               central_part, conjugator, product, weight_zero_part)
 from liebend.sl2 import ExactTriple, Sl2Triple, rho2_su, sl2_from_partition
+
+from conftest import constructed_triples, to_mp
+
+
+def _times(a, b):
+    """a b on the integer kernel at the mp context's precision."""
+    import mpmath as mp
+    return product(mp.mp.prec, a, b)
+
+
+def _pair(rho, g2):
+    """(rho(g), rho(g^-1)) for a 2x2 mp matrix, at the mp context's precision."""
+    import mpmath as mp
+    return rho.pair(from_mp(g2), mp.mp.prec)
+
+
+def _mp_conjugator(g2):
+    """Reference oracle: the closed-form det-1 eigenvector matrix of a
+    hyperbolic 2x2 mp matrix, each step rounded by mpmath, which
+    `intkernel.conjugator` replaced."""
+    import mpmath as mp
+    a, b, c, d = g2[0, 0], g2[0, 1], g2[1, 0], g2[1, 1]
+    tr = a + d
+    disc = mp.sqrt(tr * tr - 4)
+    lam = [(tr + disc) / 2, (tr - disc) / 2]  # descending
+    cols = []
+    for l in lam:
+        if abs(b) > mp.mpf(10) ** (-30):
+            v = (b, l - a)
+        elif abs(c) > mp.mpf(10) ** (-30):
+            v = (l - d, c)
+        else:
+            v = (1, 0) if abs(l - a) < abs(l - d) else (0, 1)
+        norm = mp.sqrt(v[0] * v[0] + v[1] * v[1])
+        v = (v[0] / norm, v[1] / norm)
+        lead = v[0] if abs(v[0]) > mp.mpf(10) ** (-12) else v[1]
+        if lead < 0:
+            v = (-v[0], -v[1])
+        cols.append(v)
+    k = mp.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
+    if det < 0:
+        k[0, 1] = -k[0, 1]
+        k[1, 1] = -k[1, 1]
+        det = -det
+    return k / mp.sqrt(det)
+
+
+def _weight_purify(x_float, h_int_diag):
+    """Reference oracle: the mp weight-zero projection that
+    `intkernel.weight_zero_part` replaced.  Zero the entries of x that carry
+    a nonzero ad H weight and remove the residual trace, in mpmath at the
+    context's precision."""
+    import mpmath as mp
+    x = np.asarray(x_float)
+    n = x.shape[0]
+    out = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            if h_int_diag[i] == h_int_diag[j]:
+                z = complex(x[i, j])
+                out[i, j] = mp.mpc(z.real, z.imag) if z.imag else mp.mpf(z.real)
+    tr = sum(out[i, i] for i in range(n)) / n
+    for i in range(n):
+        out[i, i] -= tr
+    return out
+
+
+def _mp_central_part(x, exact):
+    """Reference oracle: the mp chain averaging that `intkernel.central_part`
+    replaced, at the context's precision."""
+    import mpmath as mp
+    n = len(exact.h)
+    out = mp.matrix(n, n)
+    by_length = {}
+    for idx, _ in exact.chains:
+        by_length.setdefault(len(idx), []).append(idx)
+    for group in by_length.values():
+        for a in group:
+            for b in group:
+                mean = mp.fsum(x[i, j] for i, j in zip(a, b)) / len(a)
+                for i, j in zip(a, b):
+                    out[i, j] = mean
+    return out
 
 
 def mp_triple(exact):
@@ -32,7 +116,7 @@ def test_mp_fuchsian_matches_float(sl2):
     import mpmath as mp
     from liebend.bending import fuchsian_generators
     with mp.workdps(30):
-        a_mp, b_mp = mp_fuchsian(2)
+        a_mp, b_mp, _ = mp_fuchsian(2)
         seed = fuchsian_generators(2)
         for m_mp, m_f in zip(a_mp + b_mp, list(seed.a) + list(seed.b)):
             diff = max(abs(complex(m_mp[i, j]) - m_f[i, j])
@@ -125,7 +209,7 @@ def test_kernel_rounds_the_exact_sum_once(dps, kind):
     with mp.workdps(dps):
         for rows, inner, cols in ((5, 5, 5), (2, 2, 2), (3, 4, 2)):
             a, b = _random_mp(rng, rows, inner, kind), _random_mp(rng, inner, cols, kind)
-            got = (FixedMatrix.from_mp(a) * FixedMatrix.from_mp(b)).to_mp()
+            got = to_mp(_times(from_mp(a), from_mp(b)))
             via_fdot = a * b
             for i in range(rows):
                 for j in range(cols):
@@ -138,7 +222,7 @@ def test_kernel_keeps_terms_far_below_the_sum():
     with mp.workdps(15):
         a = mp.matrix([[mp.mpf(2) ** -200, 1, -1]])
         b = mp.matrix([[1], [1], [1]])
-        got = (FixedMatrix.from_mp(a) * FixedMatrix.from_mp(b)).to_mp()
+        got = to_mp(_times(from_mp(a), from_mp(b)))
         assert got[0, 0] == mp.mpf(2) ** -200
         assert (mp.re(got[0, 0]), mp.im(got[0, 0])) == _correctly_rounded(a, b, 0, 0)
 
@@ -147,11 +231,11 @@ def test_kernel_rounds_at_the_working_precision():
     import mpmath as mp
     with mp.workdps(40):
         a = _random_mp(np.random.default_rng(3), 4, 4, "complex")
-        fa = FixedMatrix.from_mp(a)
+        fa = from_mp(a)
         with mp.workprec(mp.mp.prec + 20):
-            fine = (fa * fa).to_mp()[1, 2]
+            fine = to_mp(_times(fa, fa))[1, 2]
             assert (mp.re(fine), mp.im(fine)) == _correctly_rounded(a, a, 1, 2)
-        coarse = (fa * fa).to_mp()[1, 2]
+        coarse = to_mp(_times(fa, fa))[1, 2]
         assert (mp.re(coarse), mp.im(coarse)) == _correctly_rounded(a, a, 1, 2)
         assert coarse != fine
 
@@ -188,8 +272,8 @@ def test_kernel_arrays_are_those_of_the_mp_product(kinds):
         for rows, inner, cols in ((5, 5, 5), (3, 4, 2)):
             a = _random_mp(rng, rows, inner, kinds[0])
             b = _random_mp(rng, inner, cols, kinds[1])
-            got = FixedMatrix.from_mp(a) * FixedMatrix.from_mp(b)
-            want = FixedMatrix.from_mp(a * b)
+            got = _times(from_mp(a), from_mp(b))
+            want = from_mp(a * b)
             assert got.exp == want.exp
             assert got.re.tolist() == want.re.tolist()
             assert (got.im is None) == (want.im is None) == (kinds == ("real", "real"))
@@ -200,29 +284,40 @@ def test_kernel_arrays_are_those_of_the_mp_product(kinds):
 def test_kernel_product_of_zeros_has_exponent_zero():
     import mpmath as mp
     with mp.workdps(20):
-        zero = FixedMatrix.from_mp(mp.zeros(2, 2))
-        got = zero * FixedMatrix.from_mp(mp.matrix([[mp.mpf(3) / 7, 1], [2, -1]]))
+        zero = from_mp(mp.zeros(2, 2))
+        got = _times(zero, from_mp(mp.matrix([[mp.mpf(3) / 7, 1], [2, -1]])))
         assert got.exp == 0 and got.re.tolist() == [[0, 0], [0, 0]]
 
 
 @pytest.mark.parametrize("rounding", ["f", "c", "d", "u"])
-def test_kernel_rejects_other_rounding_modes(rounding):
+def test_kernel_rejects_other_rounding_modes(rounding, su21):
+    """The integer kernel takes its precision from highprec, which reads the
+    mp context and refuses a rounding mode other than to nearest."""
     import mpmath as mp
-    a = FixedMatrix.from_mp(mp.matrix([[mp.mpf(1) / 3, 1], [0, 1]]))
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.sl2 import rho1_su
+    plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
+    bent = bend(plan)
+    a = from_mp(mp.matrix([[mp.mpf(1) / 3, 1], [0, 1]]))
     # mpmath keeps [prec, rounding] here and has no public setter for the mode
     mp.mp._prec_rounding[1] = rounding
     try:
         with pytest.raises(RoundingModeError, match="nearest"):
-            a * a
+            highprec._context_prec()
+        with pytest.raises(RoundingModeError, match="nearest"):
+            verify_bent_relation(plan, bent, dps=20)
     finally:
         mp.mp._prec_rounding[1] = "n"
-    assert (a * a).re.shape == (2, 2)
+    assert product(highprec._context_prec(), a, a).re.shape == (2, 2)
 
 
 def test_kernel_rejects_non_finite_entries():
     import mpmath as mp
     with pytest.raises(ValueError, match="finite"):
-        FixedMatrix.from_mp(mp.matrix([[mp.inf, 0], [0, 1]]))
+        from_mp(mp.matrix([[mp.inf, 0], [0, 1]]))
+    for bad in (np.inf, np.nan, complex(0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            FixedMatrix.from_float(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_verify_requires_diagonal_h(su21):
@@ -330,7 +425,9 @@ def test_central_part_commutes_with_the_triple(case, dps):
         h_mp = mp.diag(list(triple.exact.h))
         for ij in trivial:
             x_ship = alg.from_coordinates(plan.x_vectors[ij])
-            x = central_part(_weight_purify(x_ship, triple.exact.h), triple.exact)
+            prec = mp.mp.prec
+            x = to_mp(central_part(weight_zero_part(x_ship, triple.exact.h, prec),
+                                   triple.exact, prec))
             bound = mp.mpf(10) ** (5 - dps) * mp.norm(x)
             for y in (h_mp, e_mp, f_mp):
                 assert mp.norm(x * y - y * x) <= bound
@@ -348,7 +445,8 @@ def test_central_part_of_a_generic_matrix(parts, rng):
     exact = sl2_from_partition(make_algebra("sl", sum(parts)), parts).exact
     n = len(exact.h)
     with mp.workdps(30):
-        x = central_part(mp.matrix(rng.normal(size=(n, n)).tolist()), exact)
+        x = to_mp(central_part(from_mp(mp.matrix(rng.normal(size=(n, n)).tolist())), exact,
+                               mp.mp.prec))
         e_mp, f_mp = mp_triple(exact)
         for y in (mp.diag(list(exact.h)), e_mp, f_mp):
             assert mp.norm(x * y - y * x) <= mp.mpf(10) ** -25 * mp.norm(x)
@@ -437,7 +535,7 @@ def test_chain_averaging_is_the_casimir_projection(triple):
         e_mp, f_mp = mp_triple(exact)
         for _ in range(2):
             x = mp.matrix((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))).tolist())
-            got = central_part(x, exact)
+            got = to_mp(central_part(from_mp(x), exact, mp.mp.prec))
             want = _casimir_projection(x, exact)
             assert mp.norm(got - want) <= mp.mpf(10) ** -32 * mp.norm(x)
             for y in (mp.diag(list(exact.h)), e_mp, f_mp):
@@ -459,13 +557,13 @@ def test_closed_form_entries_are_the_taylor_sum(triple):
         e_mp, f_mp = mp_triple(exact)
         for s in (mp.mpf(1), mp.mpf(-3) / 7):
             for g, m in ((mp.matrix([[1, s], [0, 1]]), e_mp), (mp.matrix([[1, 0], [s, 1]]), f_mp)):
-                got, want = rho.pair(g)[0].to_mp(), _taylor_exp(s * m)
+                got, want = to_mp(_pair(rho, g)[0]), _taylor_exp(s * m)
                 for i in range(n):
                     for j in range(n):
                         assert (got[i, j] == 0) == (want[i, j] == 0)
                         assert abs(got[i, j] - want[i, j]) <= mp.mpf(10) ** -38 * abs(want[i, j])
         for r in (mp.mpf(5) / 3, mp.mpf(-2), mp.mpf(10) ** 6):
-            got = rho.pair(mp.matrix([[r, 0], [0, 1 / r]]))[0].to_mp()
+            got = to_mp(_pair(rho, mp.matrix([[r, 0], [0, 1 / r]]))[0])
             for i in range(n):
                 for j in range(n):
                     want = r ** exact.h[i] if i == j else 0
@@ -492,7 +590,7 @@ def test_chain_constants_are_the_binomial_square_roots(k, bits):
 def test_chain_constants_are_not_built_at_import():
     import subprocess
     import sys
-    code = ("import liebend.highprec as h; "
+    code = ("import liebend.intkernel as h; "
             "assert h._chain_constants.cache_info().currsize == 0")
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
@@ -542,8 +640,8 @@ def _sl2_samples():
     for c in (mp.mpf(1.5), mp.mpf(-0.25)):
         out.append(mp.matrix([[0, -1 / c], [c, mp.mpf(float(rng.normal()))]]))
         out.append(mp.matrix([[mp.mpf(float(rng.normal())), -1 / c], [c, 0]]))
-    a_seed, b_seed = mp_fuchsian(2)
-    out += [_mp_conjugator(g) for g in a_seed + b_seed]
+    a_seed, b_seed, _ = mp_fuchsian(2)
+    out += [to_mp(conjugator(from_mp(g), mp.mp.prec)) for g in a_seed + b_seed]
     return out
 
 
@@ -571,7 +669,7 @@ def test_closed_form_matches_iwasawa_oracle(triple):
         assert any(g[1, 1] == 0 for g in samples)
         assert any(abs(g[0, 0]) < abs(g[1, 0]) for g in samples)
         for g in samples:
-            assert _rel(rho.pair(g)[0].to_mp(), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
+            assert _rel(to_mp(_pair(rho, g)[0]), _iwasawa_rho(e_mp, f_mp, h_int, g)) < 1e-30
 
 
 _HOMOMORPHISM_TRIPLES = CONSTRUCTED[::3] + _ORACLE_TRIPLES[len(CONSTRUCTED):]
@@ -589,14 +687,14 @@ def test_closed_form_is_a_homomorphism(triple):
         samples = _sl2_samples()
         eye = mp.eye(triple.algebra.size)
         for g, k in zip(samples, samples[1:] + samples[:1]):
-            g_img, g_inv = rho.pair(g)
-            adj = rho.pair(sl2_inverse(g))[0]
+            g_img, g_inv = _pair(rho, g)
+            adj = _pair(rho, sl2_inverse(g))[0]
             assert g_inv.exp == adj.exp and np.array_equal(g_inv.re, adj.re)
             assert (g_inv.im is None) == (adj.im is None)
             assert g_inv.im is None or np.array_equal(g_inv.im, adj.im)
-            assert (mp.norm((g_img * g_inv).to_mp() - eye)
-                    < 1e-30 * mp.norm(g_img.to_mp()) * mp.norm(g_inv.to_mp()))
-            assert _rel((g_img * rho.pair(k)[0]).to_mp(), rho.pair(g * k)[0].to_mp()) < 1e-30
+            assert (mp.norm(to_mp(_times(g_img, g_inv)) - eye)
+                    < 1e-30 * mp.norm(to_mp(g_img)) * mp.norm(to_mp(g_inv)))
+            assert _rel(to_mp(_times(g_img, _pair(rho, k)[0])), to_mp(_pair(rho, g * k)[0])) < 1e-30
 
 
 @pytest.mark.parametrize("genus", [2, 6])
@@ -612,8 +710,8 @@ def test_length_two_chain_images_are_the_matrices(genus):
     with mp.workdps(40):
         rho = Sl2Images(triple.exact)
         for g in mp_fuchsian(genus)[0] + mp_fuchsian(genus)[1]:
-            got, got_inv = rho.pair(g)
-            assert got.to_mp() == g and got_inv.to_mp() == sl2_inverse(g)
+            got, got_inv = _pair(rho, g)
+            assert to_mp(got) == g and to_mp(got_inv) == sl2_inverse(g)
     plan = {"family": "sl", "n": 2, "triple": {"partition": [2]}, "genus": genus}
     report = cmd_bend(dict(plan, t="auto", verify_dps=40), DEFAULT)
     verified = next(c.verdict for c in report.checks
@@ -630,11 +728,11 @@ def test_quarter_turn_image(sl5):
         for triple in (sl2_from_partition(sl5, (5,)), sl2_from_partition(sl5, (3, 2)),
                        rho2_su(make_algebra("su", 3, 2))):
             rho, e_mp, f_mp, h_int = _images(triple)
-            w, w_inv = rho.pair(mp.matrix([[0, 1], [-1, 0]]))
+            w, w_inv = _pair(rho, mp.matrix([[0, 1], [-1, 0]]))
             want = _iwasawa_rho(e_mp, f_mp, h_int, mp.matrix([[0, 1], [-1, 0]]))
-            assert _rel(w.to_mp(), want) < 1e-35
-            assert _rel(w_inv.to_mp(), want ** -1) < 1e-35
-            assert mp.norm((w * w).to_mp() - mp.diag([(-1) ** h for h in h_int])) < 1e-35
+            assert _rel(to_mp(w), want) < 1e-35
+            assert _rel(to_mp(w_inv), want ** -1) < 1e-35
+            assert mp.norm(to_mp(_times(w, w)) - mp.diag([(-1) ** h for h in h_int])) < 1e-35
 
 
 def test_block_twist_matches_expm(rng):
@@ -643,11 +741,13 @@ def test_block_twist_matches_expm(rng):
     alg = make_algebra("sl", 5)
     triple = sl2_from_partition(alg, (3, 1, 1))  # H = diag(2, 0, 0, 0, -2)
     h_int = [round(float(triple.h[i, i])) for i in range(5)]
-    x = _weight_purify(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int)
+    x_fixed = weight_zero_part(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int,
+                               mp.mp.prec)
+    x = to_mp(x_fixed)
     assert x[0, 1] == 0 and x[1, 2] != 0
     with mp.workdps(40):
         for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
-            twist, twist_inv = block_expm(x, h_int, t)
+            twist, twist_inv = map(to_mp, block_expm(x_fixed, h_int, t))
             assert _rel(twist, mp.expm(t * x)) < 1e-35
             assert _rel(twist_inv, mp.expm(-t * x)) < 1e-35
 
@@ -685,19 +785,22 @@ def test_closed_form_2x2_block_matches_expm(case, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(mp, "expm", None)
                 m.setattr(mp, "inverse", None)
-                twist, twist_inv = block_expm(x, h_int, t)
+                twist, twist_inv = block_expm(from_mp(x), h_int, t)
+            if all(isinstance(v, mp.mpf) for v in x):
+                assert twist.im is None and twist_inv.im is None
+            twist, twist_inv = to_mp(twist), to_mp(twist_inv)
             assert _rel(twist, want) < mp.mpf(10) ** (5 - dps)
             assert mp.norm(twist * twist_inv - mp.eye(2)) < mp.mpf(10) ** (5 - dps)
-            if all(isinstance(v, mp.mpf) for v in x):
-                assert all(isinstance(v, mp.mpf) for v in twist)
 
 
 def test_3x3_block_keeps_expm(rng):
     import mpmath as mp
     h_int = [2, 0, 0, 0, -2]  # one 3x3 block between two scalars
-    x = _weight_purify(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int)
+    x_fixed = weight_zero_part(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int,
+                               mp.mp.prec)
+    x = to_mp(x_fixed)
     with mp.workdps(40):
-        twist, twist_inv = block_expm(x, h_int, mp.mpf("0.4"))
+        twist, twist_inv = map(to_mp, block_expm(x_fixed, h_int, mp.mpf("0.4")))
         assert _rel(twist, mp.expm(mp.mpf("0.4") * x)) < 1e-35
         assert mp.norm(twist * twist_inv - mp.eye(5)) < mp.mpf(10) ** -35
 
@@ -730,7 +833,7 @@ def test_verify_runs_no_expm_on_2x2_blocks(spec, monkeypatch):
 def _old_distance(m, f):
     """Reference oracle: the entry loop max_entry_distance replaced."""
     import mpmath as mp
-    m_mp = m.to_mp()
+    m_mp = to_mp(m)
     rows, cols = m.shape
     return max(float(abs(m_mp[i, j] - mp.mpmathify(complex(f[i, j]))))
                for i in range(rows) for j in range(cols))
@@ -762,10 +865,10 @@ def test_mantissa_distance_is_the_entry_loop(spec, monkeypatch):
 def test_mantissa_distance_edge_cases():
     import mpmath as mp
     with mp.workdps(30):
-        third = FixedMatrix.from_mp(mp.matrix([[mp.mpf(1) / 3, 0], [mp.mpc(0, -2), 2]]))
+        third = from_mp(mp.matrix([[mp.mpf(1) / 3, 0], [mp.mpc(0, -2), 2]]))
         f = np.array([[1 / 3, 1e-300], [-2j, 2.0]])
         assert max_entry_distance(third, f) == _old_distance(third, f)
-        exact = FixedMatrix.from_mp(mp.matrix([[0.5, -0.25]]))
+        exact = from_mp(mp.matrix([[0.5, -0.25]]))
         assert max_entry_distance(exact, np.array([[0.5, -0.25]])) == 0.0
         assert max_entry_distance(exact, np.array([[0.5, np.nan]])) == np.inf
 
@@ -856,3 +959,179 @@ def test_float_residual_within_100x_of_recorded(plan):
     resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
     assert "verified" not in resid
     assert resid["bent_residual"] <= 100 * recorded
+
+
+# --- the integer kernel against the mp closed forms it replaced ----------
+
+@pytest.mark.parametrize("dps", [15, 32, 40, 60])
+def test_conjugator_is_the_mp_closed_form(dps):
+    """On the mp polygon generators of genus 2-8 and on seeded hyperbolic
+    matrices (diagonal ones too) the integer conjugator holds the very value
+    each mp step of the closed form rounds to."""
+    import mpmath as mp
+    rng = np.random.default_rng(dps)
+    with mp.workdps(dps):
+        samples = [g for genus in range(2, 9) for side in mp_fuchsian(genus)[:2] for g in side]
+        while len(samples) < 120:
+            a, b, c = (mp.mpf(float(v)) for v in 3 * rng.normal(size=3))
+            g = mp.matrix([[a, b], [c, (1 + b * c) / a]])
+            if abs(g[0, 0] + g[1, 1]) > 2:
+                samples.append(g)
+        samples += [mp.diag([mp.mpf(3), 1 / mp.mpf(3)]), mp.diag([1 / mp.mpf(3), mp.mpf(3)])]
+        for g in samples:
+            got = to_mp(conjugator(from_mp(g), mp.mp.prec))
+            assert got == _mp_conjugator(g)
+
+
+def test_conjugator_follows_the_float_conventions():
+    """Column order (descending eigenvalue), signs and det-1 scaling are
+    those of bending._hyperbolic_conjugator, on the float polygon
+    generators of genus 2-8."""
+    from liebend.bending import FIXED_LINE_BITS, _hyperbolic_conjugator, fuchsian_generators
+    for g in (g for genus in range(2, 9) for g in fuchsian_generators(genus).generators()):
+        k = conjugator(FixedMatrix.from_float(g), FIXED_LINE_BITS).to_complex()
+        assert not k.imag.any()
+        k = k.real
+        assert np.abs(k - _hyperbolic_conjugator(g)).max() < 1e-9
+        assert abs(np.linalg.det(k) - 1) < 1e-14
+        d = np.linalg.inv(k) @ g @ k
+        assert abs(d[0, 1]) + abs(d[1, 0]) < 1e-9 * abs(d[0, 0]) and d[0, 0] > d[1, 1]
+
+
+def test_conjugator_rejects_an_elliptic_element():
+    rot = np.array([[np.cos(0.4), np.sin(0.4)], [-np.sin(0.4), np.cos(0.4)]])
+    with pytest.raises(ValueError, match="hyperbolic"):
+        conjugator(FixedMatrix.from_float(rot), 110)
+
+
+def _same_value(got, want):
+    """Two FixedMatrix hold the same entries, whatever their exponents."""
+    def value(m):
+        return [(Fraction(r) * Fraction(2) ** m.exp, Fraction(i) * Fraction(2) ** m.exp)
+                for row in m.pairs() for (r, _), (i, _) in row]
+    return value(got) == value(want)
+
+
+_PROJECTION_CASES = [("sl", (5,), (3, 1, 1)), ("sl", (5,), (2, 2, 1)), ("sl", (4,), (2, 1, 1)),
+                     ("su", (3, 1), "rho2"), ("su", (3, 2), "rho2")]
+
+
+@pytest.mark.parametrize("dps", [20, 40])
+@pytest.mark.parametrize("case", _PROJECTION_CASES, ids=lambda c: f"{c[0]}{c[1]}-{c[2]}")
+def test_projections_are_the_mp_projections(case, dps):
+    """weight_zero_part and central_part hold the values that the mp
+    projections they replaced round to, on seeded inputs whose entries span
+    many binary orders of magnitude."""
+    import mpmath as mp
+    from liebend.algebra import make_algebra
+    family, params, spec = case
+    alg = make_algebra(family, *params)
+    exact = (sl2_from_partition(alg, spec) if family == "sl" else rho2_su(alg)).exact
+    n = len(exact.h)
+    rng = np.random.default_rng(dps + n)
+    with mp.workdps(dps):
+        for _ in range(10):
+            x = rng.normal(size=(n, n)) * np.exp(10 * rng.normal(size=(n, n)))
+            if alg.is_complex:
+                x = x + 1j * rng.normal(size=(n, n))
+            got = weight_zero_part(x, exact.h, mp.mp.prec)
+            want = _weight_purify(x, exact.h)
+            assert _same_value(got, from_mp(want))
+            assert _same_value(central_part(got, exact, mp.mp.prec),
+                               from_mp(_mp_central_part(want, exact)))
+
+
+def _line_oracle(exact, a, v0):
+    """Reference oracle: Ad(rho(k)) v0 at 60 digits, with k the mp closed-form
+    conjugator and rho by the Iwasawa factorization, rounded once."""
+    import mpmath as mp
+    with mp.workdps(60):
+        k = _mp_conjugator(mp.matrix(np.asarray(a, dtype=float).tolist()))
+        e_mp, f_mp = mp_triple(exact)
+        h_int = list(exact.h)
+        rho_k = _iwasawa_rho(e_mp, f_mp, h_int, k)
+        line = rho_k * _weight_purify(v0, exact.h) * mp.inverse(rho_k)
+        return np.array(line.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("triple", constructed_triples(6, 4),
+                         ids=lambda t: f"{t.algebra.family}{t.algebra.params}-{t.label}")
+def test_fixed_line_matches_the_60_digit_oracle(triple):
+    """The kernel's line at FIXED_LINE_BITS is within 1e-25 of its largest
+    entry of the 60-digit oracle, for every piece with i > 0, at genus
+    max(|Lambda|, 2) and at genus 6 (pieces whose generator index exceeds
+    the genus have no generator there)."""
+    from liebend.bending import FIXED_LINE_BITS, fuchsian_generators
+    from liebend.intkernel import fixed_line
+    from liebend.sl2 import module_multiplicities
+    alg = triple.algebra
+    iso = module_multiplicities(alg, triple)
+    rho = Sl2Images(triple.exact)
+    checked = 0
+    for genus in sorted({max(len(iso.Lambda), 2), 6}):
+        seed = fuchsian_generators(genus)
+        for k, (i, j) in enumerate(iso.Lambda, start=1):
+            if i == 0 or k > genus:
+                continue
+            a = seed.a[k - 1]
+            v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])
+            got = fixed_line(rho, FixedMatrix.from_float(a), v0, FIXED_LINE_BITS)[3]
+            want = _line_oracle(triple.exact, a, v0)
+            assert np.abs(got - want).max() <= 1e-25 * np.abs(want).max()
+            checked += 1
+    assert checked or all(i == 0 for i, _ in iso.Lambda)
+
+
+def test_float_fallback_loads_no_mpmath(tmp_path):
+    """sl(5) [5] at genus 6 misses the float fixed line, so bend takes the
+    kernel's line; with verify_dps 0 neither mpmath nor the mp lane loads."""
+    import os
+    import subprocess
+    import sys
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"family": "sl", "n": 5, "triple": {"partition": [5]},
+                                "genus": 6, "t": "auto", "verify_dps": 0}))
+    code = (
+        "import json, sys\n"
+        "import liebend.cli, liebend.intkernel as k\n"
+        "calls = []\n"
+        "real = k.fixed_line\n"
+        "k.fixed_line = lambda *a: calls.append(a[3]) or real(*a)\n"
+        f"rc = liebend.cli.main(['bend', '--plan', {str(plan)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "loaded = [m for m in ('mpmath', 'liebend.highprec') if m in sys.modules]\n"
+        "print(json.dumps({'rc': rc, 'calls': calls, 'loaded': loaded}))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert out["rc"] == 0 and out["loaded"] == []
+    assert out["calls"] and set(out["calls"]) == {110}
+
+
+@pytest.mark.parametrize("spec", [
+    "su21-rho1-g2", "sl5-even5-g4",
+    {"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 6},
+    {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
+], ids=["su21-rho1-g2", "sl5-even5-g4", "sl5-[5]-g6", "su3,1-rho2-g5"])
+def test_identity_distance_is_the_mp_norm(spec, monkeypatch):
+    """The verified residuals read from the mantissas are the floats that
+    mp.norm(W - I) gives at the working precision."""
+    import mpmath as mp
+    from liebend.report import cmd_bend
+    real = highprec.identity_distance
+    seen = []
+
+    def checked(m, prec):
+        got = real(m, prec)
+        with mp.workprec(prec):
+            assert got == float(mp.norm(to_mp(m) - mp.eye(m.shape[0])))
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(highprec, "identity_distance", checked)
+    spec = spec if isinstance(spec, str) else dict(spec, t="auto", verify_dps=40)
+    report = cmd_bend(spec, DEFAULT)
+    verified = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")["verified"]
+    assert seen == [verified["pushed_residual"], verified["bent_residual"]]

@@ -158,15 +158,18 @@ def test_cmd_check_sl4_has_even_witness(tmp_path):
 
 
 def test_serialize_roundtrips():
-    m = np.array([[1.5, -2.0], [0.25, 3.0]])
-    assert np.allclose(matrix_from_json(serialize.matrix_to_json(m)), m)
-    c = np.array([[1 + 2j, 0], [0.5j, -1]])
-    assert np.allclose(matrix_from_json(serialize.matrix_to_json(c)), c)
+    """Matrices read back from their JSON text equal the float64 and
+    complex128 originals exactly, bit for bit (signed zeros, subnormals and
+    17-digit values included)."""
+    x = 0.1234567890123456789
+    m = np.array([[1.5, -2.0, x], [0.25, 3.0, -0.0], [5e-324, 1 / 3, 1e308]])
+    c = np.array([[1 + 2j, 0, x * 1j], [0.5j, -1, complex(-0.0, 5e-324)]])
+    for a in (m, c):
+        back = matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(a))))
+        assert back.dtype == a.dtype and back.tobytes() == a.tobytes()
     from fractions import Fraction
     vec = (Fraction(3, 2), Fraction(-4), Fraction(0))
     assert tuple(map(Fraction, serialize.rationals_to_json(vec))) == vec
-    x = 0.1234567890123456789
-    assert serialize.f17(x) == pytest.approx(x, abs=0.0)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
