@@ -28,8 +28,8 @@ FIXED_LINE_BITS = 110  # the precision at which the integer kernel rebuilds a be
 class SurfaceGroupRep:
     """Images of the standard generators a_1,b_1,...,a_g,b_g."""
     genus: int
-    a: tuple  # g matrices
-    b: tuple  # g matrices
+    a: np.ndarray  # (g, n, n)
+    b: np.ndarray  # (g, n, n)
 
     def relation_residual(self):
         return self.relation_diagnostics[0]
@@ -38,12 +38,12 @@ class SurfaceGroupRep:
     def relation_diagnostics(self):
         """(residual, max partial-product norm, word length), multiplied out
         once; the partial norm measures how the word amplifies rounding noise."""
-        n = self.a[0].shape[0]
+        n = self.a.shape[-1]
         prod = np.eye(n, dtype=complex)
         peak = 1.0
         length = 0
-        for ak, bk in zip(self.a, self.b):
-            for m in (ak, bk, np.linalg.inv(ak), np.linalg.inv(bk)):
+        for word in zip(self.a, self.b, np.linalg.inv(self.a), np.linalg.inv(self.b)):
+            for m in word:
                 prod = prod @ m
                 peak = max(peak, float(np.linalg.norm(prod)))
                 length += 1
@@ -104,7 +104,7 @@ def _polygon(g):
     for k in range(g):
         a_list.append(glue(4 * k + 2, 4 * k))
         b_list.append(glue(4 * k + 1, 4 * k + 3))
-    rep = SurfaceGroupRep(g, readonly(tuple(a_list)), readonly(tuple(b_list)))
+    rep = SurfaceGroupRep(g, readonly(np.array(a_list)), readonly(np.array(b_list)))
     for m in rep.generators():
         if abs(np.trace(m)) <= 2.0:
             raise RealizationError("polygon side pairing produced a non-hyperbolic generator")
@@ -130,10 +130,11 @@ def _hyperbolic_conjugator(a_matrix):
     return vecs / math.sqrt(det)
 
 
-def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
+def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
     """The Ad(rho(a))-fixed line in the piece V_{i,j} of the isotypic data
     iso, unit-normalized with a deterministic sign.  a must be hyperbolic in
-    SL(2,R).  rho_a is rho_of(iso.triple, a_matrix), computed here unless the
+    SL(2,R).  rho_ak is the pair (rho(a), rho(k)) for a and its conjugator k
+    (`_hyperbolic_conjugator`), computed here in one rho_of call unless the
     caller holds it.
 
     With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
@@ -151,8 +152,9 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
         raise ParameterError("the fixed line needs a hyperbolic element")
     triple = iso.triple
     alg = triple.algebra
-    if rho_a is None:
-        rho_a = rho_of(triple, a_matrix)
+    if rho_ak is None:
+        rho_ak = rho_of(triple, np.array([a_matrix, _hyperbolic_conjugator(a_matrix)]))
+    rho_a, rho_k = rho_ak
     rho_a_inv = np.linalg.inv(rho_a)
 
     def line(x_mat):
@@ -166,8 +168,6 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
         moved = rho_a @ alg.from_coordinates(x) @ rho_a_inv
         return x, np.linalg.norm(moved - alg.from_coordinates(x)), max(np.linalg.norm(moved), 1.0)
 
-    k = _hyperbolic_conjugator(a_matrix)
-    rho_k = rho_of(triple, k)
     v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])  # weight-zero vector of the piece
     x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
     if resid > FIXED_POINT_TOL * stretch and triple.exact is not None:
@@ -195,7 +195,7 @@ class BendingPlan:
     y_vectors: dict            # (i,j) -> algebra coordinates, i != 0 only
     t: float | None
     star_kinds: dict           # j -> classification of X_{0,j}
-    a_images: dict = field(default_factory=dict)  # k -> rho(a_k), bent a_k with i != 0
+    images: np.ndarray         # (2g, n, n): rho(a_1), ..., rho(a_g), rho(b_1), ..., rho(b_g)
     _z: dict = field(default_factory=dict, init=False, repr=False)  # (i,j) -> Z_{i,j}(t)
 
     @property
@@ -265,15 +265,21 @@ def build_plan(triple, seed, t="auto", target=None):
                 f"{len(zero_js)}")
         star = property_star_basis(z_sub, triple)
 
-    x_vectors, y_vectors, star_kinds, a_images = {}, {}, {}, {}
+    # one rho_of call for the generators and the conjugator of each bent a_k
+    bent = [ij for ij in lam if ij[0] != 0]
+    conjugators = [_hyperbolic_conjugator(seed.a[f_map[ij] - 1]) for ij in bent]
+    images = rho_of(triple, np.concatenate([seed.a, seed.b, np.reshape(conjugators, (-1, 2, 2))]))
+    rho_k = dict(zip(bent, images[2 * seed.genus:]))
+
+    x_vectors, y_vectors, star_kinds = {}, {}, {}
     for (i, j) in lam:
         if i == 0:
             x_vectors[(0, j)] = np.array(star[j - 1].coords, dtype=float)
             star_kinds[j] = star[j - 1].kind
             continue
         k = f_map[(i, j)]
-        a_images[k] = rho_of(triple, seed.a[k - 1])
-        x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1], rho_a=a_images[k])
+        x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1],
+                                     rho_ak=(images[k - 1], rho_k[(i, j)]))
         x_vectors[(i, j)] = x
         x_mat = alg.from_coordinates(x)
         best, best_norm = None, -1.0
@@ -286,7 +292,7 @@ def build_plan(triple, seed, t="auto", target=None):
         y_vectors[(i, j)] = alg.coordinates(best)
 
     plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None, star_kinds,
-                       a_images)
+                       readonly(images[:2 * seed.genus]))
     if t == "auto":
         for cand in alg.config.t_grid:
             trial = plan.with_t(float(cand))
@@ -369,21 +375,20 @@ def bending_inequalities(plan):
     return InequalityReport(ok, tuple(records))
 
 
-def pushed_forward(triple, seed, a_images=None):
+def pushed_forward(triple, seed, images=None):
     """The undeformed representation: generator images under the homomorphism.
-    a_images maps k to rho(a_k) where the caller already holds it (a plan's
-    a_images); the other images are computed here."""
-    a_images = a_images or {}
-    return SurfaceGroupRep(seed.genus,
-                           tuple(a_images[k] if k in a_images else rho_of(triple, ak)
-                                 for k, ak in enumerate(seed.a, start=1)),
-                           tuple(rho_of(triple, bk) for bk in seed.b))
+    images is the (2g, n, n) stack rho(a_1), ..., rho(a_g), rho(b_1), ...,
+    rho(b_g) where the caller already holds it (a plan's images), computed
+    here in one rho_of call otherwise."""
+    if images is None:
+        images = rho_of(triple, np.concatenate([seed.a, seed.b]))
+    return SurfaceGroupRep(seed.genus, images[:seed.genus], images[seed.genus:])
 
 
 def bend(plan, pushed=None):
     """The deformed representation of the plan's seed: a_k images unchanged,
     b_k images multiplied by exp(t X_k).  pushed is
-    pushed_forward(plan.triple, plan.seed, plan.a_images), built here unless
+    pushed_forward(plan.triple, plan.seed, plan.images), built here unless
     the caller already holds it.
 
     The deformation is algebraically relation-preserving: the output residual
@@ -398,7 +403,7 @@ def bend(plan, pushed=None):
     seed, triple = plan.seed, plan.triple
     alg = triple.algebra
     if pushed is None:
-        pushed = pushed_forward(triple, seed, plan.a_images)
+        pushed = pushed_forward(triple, seed, plan.images)
     pushed_resid = pushed.relation_residual()
 
     twists = []
@@ -408,8 +413,9 @@ def bend(plan, pushed=None):
             twists.append(np.eye(alg.size, dtype=complex if alg.is_complex else float))
         else:
             twists.append(expm(plan.t * alg.from_coordinates(plan.x_vectors[ij])))
-    bent = SurfaceGroupRep(seed.genus, pushed.a,
-                           tuple(bb @ tw for bb, tw in zip(pushed.b, twists)))
+    # an unbent b_k is multiplied by I too: the shipped bytes keep the signs of
+    # zero entries that this product gives
+    bent = SurfaceGroupRep(seed.genus, pushed.a, pushed.b @ np.array(twists))
     resid, peak, length = bent.relation_diagnostics
     gen_norm = max(np.linalg.norm(m) for m in bent.generators())
     noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm

@@ -93,8 +93,9 @@ def mp_fuchsian(genus):
     Each entry of that product is one mp.fdot: the exact sum of two exact
     products, rounded once, as the integer kernel rounds it.
 
-    Returns (a, b, residual): two tuples of genus matrices and the norm of
-    their relation word less I, multiplied out as 2x2 mp.matrix products.
+    Returns (a, b, residual, pairs): two tuples of genus matrices, the norm
+    of their relation word less I, multiplied out as 2x2 mp.matrix
+    products, and the pairs (a_k, b_k) as FixedMatrix (`from_mp`, exact).
     They are built once per process for each genus and mp precision and
     rounding; callers must not write into the matrices.
     """
@@ -123,7 +124,8 @@ def _mp_polygon(genus, prec, rounding):
     prod = mp.eye(2)
     for a, b in zip(a_list, b_list):
         prod = prod * a * b * sl2_inverse(a) * sl2_inverse(b)
-    return a_list, b_list, float(mp.norm(prod - mp.eye(2)))
+    pairs = tuple((from_mp(a), from_mp(b)) for a, b in zip(a_list, b_list))
+    return a_list, b_list, float(mp.norm(prod - mp.eye(2))), pairs
 
 
 def _expm2(x, t):
@@ -252,14 +254,13 @@ def verify_bent_relation(plan, bent, dps=40):
     with mp.workdps(dps):
         prec = _context_prec()
         rho = Sl2Images(triple.exact)
-        a_seed, b_seed, seed_resid = mp_fuchsian(plan.genus)
+        _, _, seed_resid, seed = mp_fuchsian(plan.genus)
 
         # rho(g)^-1 = rho(g^-1); the pushed and the bent relation words
         pushed = bent_prod = FixedMatrix.identity(rho.n)
         bent_mp = []
-        for k, (a_2, b_2) in enumerate(zip(a_seed, b_seed), start=1):
-            a_2 = from_mp(a_2)
-            (a, a_inv), (b, b_inv) = rho.pair(a_2, prec), rho.pair(from_mp(b_2), prec)
+        for k, (a_2, b_2) in enumerate(seed, start=1):
+            (a, a_inv), (b, b_inv) = rho.pair(a_2, prec), rho.pair(b_2, prec)
             pushed = product(prec, pushed, a, b, a_inv, b_inv)
             twist = _twist(plan, rho, a_2, k, prec)
             if twist is not None:

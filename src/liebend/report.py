@@ -5,9 +5,11 @@ byte-identical JSON and text renderings.  Wall-clock timings are collected
 but excluded from the canonical bytes.
 """
 
+import functools
 import json
 import math
 import time
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -107,9 +109,13 @@ def _timed(fn):
     return out, (time.perf_counter() - t0) * 1000.0
 
 
+@functools.lru_cache(maxsize=4)
 def load_golden(name):
+    """The packaged golden file name, parsed once per process.  The mapping
+    is shared by every caller: its top level is read-only, and callers must
+    not write into its rows either (copy them, as with dict(...))."""
     with resources.files("liebend.data").joinpath(name).open() as fh:
-        return json.load(fh)
+        return types.MappingProxyType(json.load(fh))
 
 
 def cmd_reproduce_sec53(config, witness=False):
@@ -287,7 +293,7 @@ def cmd_bend(plan_spec, config):
                                             "reason": "no grid t satisfied the inequalities"})
         return report
 
-    pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed, plan.a_images))
+    pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed, plan.images))
     bent, ms = _timed(lambda: bend(plan, pushed=pushed))
     stages = {"float": ms + ms_pushed}
     resid_rec = {

@@ -167,9 +167,11 @@ class Sl2Triple:
         return [self.h, self.e, self.f]
 
     def drho(self, xi):
-        """Image of a 2x2 traceless matrix under the algebra homomorphism."""
-        xi = np.asarray(xi)
-        return (xi[0, 0] * self.h + xi[0, 1] * self.e + xi[1, 0] * self.f)
+        """Image of a 2x2 traceless matrix, or of each matrix of a stack
+        (m, 2, 2), under the algebra homomorphism."""
+        xi = np.asarray(xi)[..., None, None]
+        return (xi[..., 0, 0, :, :] * self.h + xi[..., 0, 1, :, :] * self.e
+                + xi[..., 1, 0, :, :] * self.f)
 
 
 def _partition_weight_string(parts):
@@ -720,9 +722,12 @@ def property_star_basis(centralizer_subspace, triple):
 
 
 def _expm_nilpotent(m):
-    n = m.shape[0]
-    out = np.eye(n, dtype=m.dtype)
-    term = np.eye(n, dtype=m.dtype)
+    """exp of each nilpotent matrix of a stack (m, n, n) by its Taylor
+    series, up to the first term that is zero for every matrix.  A matrix
+    whose own terms vanish earlier adds zeros, which leave its sum's bits
+    as they are: the sum starts at I and never holds a -0.0."""
+    n = m.shape[-1]
+    out = term = np.eye(n, dtype=m.dtype)
     for k in range(1, n + 1):
         term = term @ m / k
         out = out + term
@@ -732,26 +737,45 @@ def _expm_nilpotent(m):
 
 
 def rho_of(triple, g2):
-    """Group image of a 2x2 unimodular matrix under the homomorphism attached
-    to the triple, via the Iwasawa factorization g = K A N."""
+    """Group image of a 2x2 unimodular matrix, or of each matrix of a stack
+    (m, 2, 2), under the homomorphism attached to the triple, via the
+    Iwasawa factorization g = K A N.  A stack goes through each step at
+    once; every matrix of it takes the same float operations as it would on
+    its own, so its image is the same to the bit."""
     g2 = np.asarray(g2, dtype=float)
-    if g2.shape != (2, 2) or abs(np.linalg.det(g2) - 1.0) > 1e-9:
+    stack = g2.reshape(-1, 2, 2) if g2.ndim in (2, 3) and g2.shape[-2:] == (2, 2) else None
+    if stack is None or np.any(np.abs(np.linalg.det(stack) - 1.0) > 1e-9):
         raise ParameterError("rho_of needs a 2x2 matrix of determinant 1")
-    q_mat, r_mat = np.linalg.qr(g2)
-    d = np.sign(np.diag(r_mat))
-    q_mat = q_mat * d
-    r_mat = (r_mat.T * d).T
-    s = math.atan2(q_mat[0, 1], q_mat[0, 0])
-    u = math.log(r_mat[0, 0])
-    x = r_mat[0, 1] / r_mat[0, 0]
-    rot = expm(triple.drho(s * (SL2_E - SL2_F)))
-    diag_part = _expm_diagonalish(triple.drho(u * A0))
-    nil = _expm_nilpotent(triple.drho(x * SL2_E))
-    return rot @ diag_part @ nil
+    q_mat, r_mat = np.linalg.qr(stack)
+    d = np.sign(np.diagonal(r_mat, axis1=1, axis2=2))
+    q_mat = q_mat * d[:, None, :]
+    r_mat = r_mat * d[:, :, None]
+    # math, not numpy ufuncs, whose atan2 and log may round otherwise
+    s = np.array(list(map(math.atan2, q_mat[:, 0, 1].tolist(), q_mat[:, 0, 0].tolist())))
+    u = np.array(list(map(math.log, r_mat[:, 0, 0].tolist())))
+    x = r_mat[:, 0, 1] / r_mat[:, 0, 0]
+    rot = expm(triple.drho(s[:, None, None] * (SL2_E - SL2_F)))
+    diag_part = _expm_diagonalish(triple.drho(u[:, None, None] * A0))
+    nil = _expm_nilpotent(triple.drho(x[:, None, None] * SL2_E))
+    out = rot @ diag_part @ nil
+    return out if g2.ndim == 3 else out[0]
 
 
 def _expm_diagonalish(m):
-    m = np.asarray(m)
+    """exp of each matrix of a stack (m, n, n): one exp of the diagonals
+    when no matrix has an off-diagonal entry, else matrix by matrix."""
+    idx = np.arange(m.shape[-1])
+    diag = np.zeros_like(m)
+    diag[:, idx, idx] = m[:, idx, idx]
+    if not (m - diag).any():
+        diag[:, idx, idx] = np.exp(m[:, idx, idx])
+        return diag
+    return np.stack([_expm_diagonalish_one(mk) for mk in m])
+
+
+def _expm_diagonalish_one(m):
+    """exp from the diagonal where the off-diagonal part is below 1e-12 of
+    the norm, else scipy's expm."""
     off = m - np.diag(np.diag(m))
     if np.linalg.norm(off) <= 1e-12 * max(np.linalg.norm(m), 1.0):
         return np.diag(np.exp(np.diag(m)))

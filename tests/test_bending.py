@@ -371,18 +371,44 @@ def test_bend_takes_each_z_vector_once(spec, monkeypatch):
     assert bent and calls == [verdicts["bend/plan"]["t"]] * len(bent)
 
 
-@pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
-def test_bend_takes_each_rho_image_once(preset, monkeypatch):
-    """rho(a_k) of a bent generator serves both its fixed line and the pushed
-    representation: one rho_of per generator plus one per conjugator."""
+def test_standalone_images_match_the_plan_stack(monkeypatch):
+    """fixed_weight_zero_vector and pushed_forward without the plan's stack
+    each make one rho_of call of their own, and agree with the plan to the
+    bit."""
     from liebend import bending
-    from liebend.config import DEFAULT
-    from liebend.report import PRESETS, cmd_bend
-    seen = []
+    triple = sl2_from_partition(make_algebra("sl", 5), (5,))
+    seed = fuchsian_generators(4)
+    plan = build_plan(triple, seed)
+    calls = []
     real = bending.rho_of
 
     def recording(triple, g2):
-        seen.append(np.asarray(g2, dtype=float).tobytes())
+        calls.append(np.shape(g2))
+        return real(triple, g2)
+
+    monkeypatch.setattr(bending, "rho_of", recording)
+    bent = [((i, j), k) for (i, j), k in plan.f.items() if i != 0]
+    for (i, j), k in bent:
+        x = fixed_weight_zero_vector(plan.iso, i, j, seed.a[k - 1])
+        assert x.tobytes() == plan.x_vectors[(i, j)].tobytes()
+    pushed = pushed_forward(triple, seed)
+    assert np.concatenate([pushed.a, pushed.b]).tobytes() == plan.images.tobytes()
+    assert bent and calls == [(2, 2, 2)] * len(bent) + [(8, 2, 2)]
+
+
+@pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
+def test_bend_takes_each_rho_image_once(preset, monkeypatch):
+    """One rho_of call per plan, on a stack: each generator and the
+    conjugator of each bent a_k once.  rho(a_k) of a bent generator serves
+    both its fixed line and the pushed representation."""
+    from liebend import bending
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, cmd_bend
+    calls = []
+    real = bending.rho_of
+
+    def recording(triple, g2):
+        calls.append([m.tobytes() for m in np.asarray(g2, dtype=float).reshape(-1, 2, 2)])
         return real(triple, g2)
 
     monkeypatch.setattr(bending, "rho_of", recording)
@@ -391,4 +417,6 @@ def test_bend_takes_each_rho_image_once(preset, monkeypatch):
     lam = next(c.verdict["Lambda"] for c in report.checks if c.check_id == "bend/plan")
     fixed_lines = sum(1 for i, _ in lam if i != 0)
     assert fixed_lines
+    assert len(calls) == 1
+    seen = calls[0]
     assert len(seen) == len(set(seen)) == 2 * spec["genus"] + fixed_lines

@@ -116,7 +116,7 @@ def test_mp_fuchsian_matches_float(sl2):
     import mpmath as mp
     from liebend.bending import fuchsian_generators
     with mp.workdps(30):
-        a_mp, b_mp, _ = mp_fuchsian(2)
+        a_mp, b_mp = mp_fuchsian(2)[:2]
         seed = fuchsian_generators(2)
         for m_mp, m_f in zip(a_mp + b_mp, list(seed.a) + list(seed.b)):
             diff = max(abs(complex(m_mp[i, j]) - m_f[i, j])
@@ -640,7 +640,7 @@ def _sl2_samples():
     for c in (mp.mpf(1.5), mp.mpf(-0.25)):
         out.append(mp.matrix([[0, -1 / c], [c, mp.mpf(float(rng.normal()))]]))
         out.append(mp.matrix([[mp.mpf(float(rng.normal())), -1 / c], [c, 0]]))
-    a_seed, b_seed, _ = mp_fuchsian(2)
+    a_seed, b_seed = mp_fuchsian(2)[:2]
     out += [to_mp(conjugator(from_mp(g), mp.mp.prec)) for g in a_seed + b_seed]
     return out
 
@@ -1135,3 +1135,28 @@ def test_identity_distance_is_the_mp_norm(spec, monkeypatch):
     report = cmd_bend(spec, DEFAULT)
     verified = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")["verified"]
     assert seen == [verified["pushed_residual"], verified["bent_residual"]]
+
+
+def test_polygon_integer_form_is_built_once_per_genus_and_dps(fresh_caches, monkeypatch):
+    """The FixedMatrix form of the mp polygon is cached with it: a second
+    plan of the same genus verified at the same dps converts nothing."""
+    from liebend.algebra import make_algebra
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.sl2 import rho1_su
+    calls = []
+    real = highprec.from_mp
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(highprec, "from_mp", counting)
+    seed = fuchsian_generators(3)
+    counts = []
+    for triple in (sl2_from_partition(make_algebra("sl", 3), (3,)),
+                   rho1_su(make_algebra("su", 2, 1))):
+        plan = build_plan(triple, seed)
+        calls.clear()
+        verify_bent_relation(plan, bend(plan), dps=30)
+        counts.append(len(calls))
+    assert counts == [6, 0]

@@ -39,6 +39,22 @@ def test_golden_mismatch_detected():
     assert not ok and mismatches[0]["check"] == "sec53/row[5]"
 
 
+def test_golden_file_is_read_once(monkeypatch):
+    """load_golden parses each file once per process and hands out the same
+    mapping, whose top level refuses writes."""
+    from liebend import report as report_mod
+    golden = load_golden("golden_sec6.json")
+
+    class NoFiles:
+        def files(self, package):
+            raise AssertionError("the golden file was opened again")
+
+    monkeypatch.setattr(report_mod, "resources", NoFiles())
+    assert load_golden("golden_sec6.json") is golden
+    with pytest.raises(TypeError):
+        golden["sec6/extra"] = {}
+
+
 def test_report_determinism():
     r1 = cmd_reproduce_sec53(DEFAULT)
     r2 = cmd_reproduce_sec53(DEFAULT)

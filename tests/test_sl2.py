@@ -12,11 +12,10 @@ from liebend.algebra import (SubspaceOfG, adjoint_operator, bracket, centralizer
                              kernel_of, make_algebra)
 from liebend.errors import (ParameterError, RealizationError,
                             UnsupportedCentralizerError)
-from liebend.sl2 import (Sl2Triple, ad_weight_multiplicities, even_partitions,
-                         even_sl2_basis_of_b, g_even, genus_bound, is_even,
-                         module_multiplicities, property_star_basis, rho1_su,
-                         rho2_su, rho_of, sigma, sl2_from_partition,
-                         verify_sl2_triple)
+from liebend.sl2 import (A0, SL2_E, SL2_F, Sl2Triple, ad_weight_multiplicities,
+                         even_partitions, even_sl2_basis_of_b, g_even, genus_bound,
+                         is_even, module_multiplicities, property_star_basis, rho1_su,
+                         rho2_su, rho_of, sigma, sl2_from_partition, verify_sl2_triple)
 
 from conftest import constructed_triples, oracle_coordinates, torus_matrix
 
@@ -384,6 +383,87 @@ def test_rho_of_matches_symmetric_power(n, rng):
         got = rho_of(t, g2)
         want = _sym_power_oracle(g2, n - 1)
         assert np.linalg.norm(got - want) < 1e-9 * max(np.linalg.norm(want), 1.0)
+
+
+def _oracle_expm_nilpotent(m):
+    n = m.shape[0]
+    out = np.eye(n, dtype=m.dtype)
+    term = np.eye(n, dtype=m.dtype)
+    for k in range(1, n + 1):
+        term = term @ m / k
+        out = out + term
+        if not np.any(term):
+            break
+    return out
+
+
+def _oracle_expm_diagonalish(m):
+    off = m - np.diag(np.diag(m))
+    if np.linalg.norm(off) <= 1e-12 * max(np.linalg.norm(m), 1.0):
+        return np.diag(np.exp(np.diag(m)))
+    return expm(m)
+
+
+def _oracle_rho_of(triple, g2):
+    """rho_of one matrix at a time, as it stood before it took stacks: the
+    bitwise reference for the stacked form."""
+    def drho(xi):
+        return xi[0, 0] * triple.h + xi[0, 1] * triple.e + xi[1, 0] * triple.f
+
+    g2 = np.asarray(g2, dtype=float)
+    q_mat, r_mat = np.linalg.qr(g2)
+    d = np.sign(np.diag(r_mat))
+    q_mat = q_mat * d
+    r_mat = (r_mat.T * d).T
+    s = math.atan2(q_mat[0, 1], q_mat[0, 0])
+    u = math.log(r_mat[0, 0])
+    x = r_mat[0, 1] / r_mat[0, 0]
+    rot = expm(drho(s * (SL2_E - SL2_F)))
+    diag_part = _oracle_expm_diagonalish(drho(u * A0))
+    nil = _oracle_expm_nilpotent(drho(x * SL2_E))
+    return rot @ diag_part @ nil
+
+
+def _polygon_stack(genera):
+    """Every polygon generator of the genera and the conjugator of each."""
+    from liebend.bending import _hyperbolic_conjugator, fuchsian_generators
+    gens = [g for genus in genera for g in fuchsian_generators(genus).generators()]
+    return np.array(gens + [_hyperbolic_conjugator(g) for g in gens])
+
+
+def _assert_bitwise_oracle(triple, stack):
+    got = rho_of(triple, stack)
+    assert got.shape == (len(stack), triple.h.shape[0], triple.h.shape[0])
+    for g2, image in zip(stack, got):
+        # tobytes, so that -0.0 and 0.0 count as different
+        assert image.tobytes() == _oracle_rho_of(triple, g2).tobytes()
+    assert rho_of(triple, stack[0]).tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("triple", constructed_triples(6, 4), ids=lambda t: t.label)
+def test_stacked_rho_of_is_bitwise_the_per_matrix_form(triple):
+    """Every constructed triple (sl(n), n <= 6; su(p,q), p <= 4) on the
+    polygon generators of genus 2..8 and their conjugators."""
+    _assert_bitwise_oracle(triple, _polygon_stack(range(2, 9)))
+
+
+def test_stacked_rho_of_custom_triple_takes_expm_per_matrix(sl5, rng):
+    """A conjugated triple has an off-diagonal H: each matrix of the stack
+    falls back to scipy's expm, as on its own."""
+    base = sl2_from_partition(sl5, (3, 2))
+    g = np.eye(5) + 0.3 * rng.normal(size=(5, 5))
+    g_inv = np.linalg.inv(g)
+    t = Sl2Triple(sl5, g @ base.h @ g_inv, g @ base.e @ g_inv, g @ base.f @ g_inv,
+                  "custom", "conj")
+    _assert_bitwise_oracle(t, _polygon_stack([2, 3]))
+
+
+def test_rho_of_rejects_a_non_unimodular_slice(sl5):
+    t = sl2_from_partition(sl5, (5,))
+    with pytest.raises(ParameterError):
+        rho_of(t, np.array([np.eye(2), 2.0 * np.eye(2)]))
+    with pytest.raises(ParameterError):
+        rho_of(t, np.eye(3))
 
 
 def test_rho_of_homomorphism(su21, rng):
