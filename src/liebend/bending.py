@@ -256,14 +256,14 @@ def build_plan(triple, seed, t="auto", target=None):
     zero_js = sorted(j for (i, j) in lam if i == 0)
     star = []
     if zero_js:
-        z_sub = _triple_centralizer(triple)
+        z_sub = triple.centralizer
         if target is not None:
             z_sub = _intersect(z_sub, iso.target)
         if z_sub.dim != len(zero_js):
             raise RealizationError(
                 f"centralizer dimension {z_sub.dim} disagrees with the trivial-piece count "
                 f"{len(zero_js)}")
-        star = property_star_basis(z_sub, triple)
+        star = triple.star_basis if target is None else property_star_basis(z_sub, triple)
 
     # one rho_of call for the generators and the conjugator of each bent a_k
     bent = [ij for ij in lam if ij[0] != 0]
@@ -300,12 +300,6 @@ def build_plan(triple, seed, t="auto", target=None):
                 return trial
         return plan  # t stays None; caller reports the failed grid
     return plan.with_t(float(t))
-
-
-def _triple_centralizer(triple):
-    alg = triple.algebra
-    return SubspaceOfG(alg, kernel_of([triple.ad_h, triple.ad_e, triple.ad_f], alg.dim,
-                                      alg.config.rank_rtol))
 
 
 def _intersect(s1, s2):

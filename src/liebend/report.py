@@ -353,14 +353,12 @@ def cmd_check(family_spec, ah_basis, config):
     cm, ms = _timed(lambda: calabi_markus(torus, ah))
     report.add("check/calabi-markus", {"ah_dim": ah.dim, "rank": torus.rank}, cm, runtime_ms=ms)
 
-    bc, ms = _timed(lambda: benoist_criterion(torus, ah))
-    cert_point = None
-    if bc:
-        # auditable output: a rational chamber point outside every translate
-        point, ms2 = _timed(lambda: benoist_certificate(torus, ah))
-        cert_point = serialize.rationals_to_json(point)
-        ms += ms2
-    report.add("check/benoist", {"ah_dim": ah.dim}, bc, witness=cert_point, runtime_ms=ms)
+    # the criterion holds iff there is an auditable point: a rational chamber
+    # point outside every translate
+    point, ms = _timed(lambda: benoist_certificate(torus, ah))
+    bc = point is not None
+    report.add("check/benoist", {"ah_dim": ah.dim}, bc,
+               witness=serialize.rationals_to_json(point) if bc else None, runtime_ms=ms)
 
     if alg.family == "sl" and bc:
         def search():

@@ -3,9 +3,9 @@ sl(n,R), the two explicit su(p,q) families, evenness, the involution matrix
 sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
 genus bounds, even bases of b, and torsion-free spanning sets of centralizers.
 
-The constructed triples, their even parts and their isotypic data are built
-once per process for each algebra (and partition, and target), and hold
-read-only arrays.
+The constructed triples, their even parts, their isotypic data, their
+centralizers and the star bases of those are built once per process for each
+algebra (and partition, and target), and hold read-only arrays.
 """
 
 import collections
@@ -162,6 +162,21 @@ class Sl2Triple:
     def sigma(self):
         """exp(pi sqrt(-1) H), built once per triple (see `sigma`)."""
         return readonly(sigma(self))
+
+    @cached_property
+    def centralizer(self):
+        """The centralizer of the triple (the common kernel of ad H, ad E and
+        ad F), built once per triple."""
+        alg = self.algebra
+        return SubspaceOfG(alg, readonly(kernel_of([self.ad_h, self.ad_e, self.ad_f],
+                                                   alg.dim, alg.config.rank_rtol)))
+
+    @cached_property
+    def star_basis(self):
+        """`property_star_basis` of the centralizer, built once per triple."""
+        star = tuple(property_star_basis(self.centralizer, self))
+        readonly(tuple((el.matrix, el.coords) for el in star))
+        return star
 
     def images(self):
         return [self.h, self.e, self.f]

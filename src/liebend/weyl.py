@@ -133,7 +133,7 @@ class SplitTorusData:
         return len(self.b_basis)
 
     def chamber_interior_point(self):
-        """A strictly dominant iota-fixed rational vector (staircase)."""
+        """A strictly dominant iota-fixed integer vector (staircase)."""
         if self.algebra.family == SU:
             return self.vector(range(self.rank, 0, -1))
         n = self.coord_len

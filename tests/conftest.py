@@ -1,4 +1,5 @@
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ def fresh_caches():
     import liebend.highprec  # noqa: F401  (its polygon cache too)
     for cache in shared_caches():
         cache.cache_clear()
+
+
+@pytest.fixture
+def scan_count(monkeypatch):
+    """Counts the exact scans over W while the test runs: each orbit mask,
+    criterion mask and line scan of `properness` is one `_scan` call.  Read
+    and reset `scan_count.calls`."""
+    from liebend import properness
+    counter = types.SimpleNamespace(calls=0)
+    scan = properness._scan
+
+    def counted(*args):
+        counter.calls += 1
+        return scan(*args)
+
+    monkeypatch.setattr(properness, "_scan", counted)
+    return counter
 
 
 @pytest.fixture(scope="session")

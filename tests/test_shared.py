@@ -1,7 +1,8 @@
 """Constructions shared by the commands of one process: the algebra, its
-split torus, the constructed triples with their even parts and isotypic
-data, and the seed polygons are built once per key, hold read-only arrays,
-and leave every report's bytes independent of command order."""
+split torus, the constructed triples with their even parts, isotypic data,
+centralizers and star bases, and the seed polygons are built once per key,
+hold read-only arrays, and leave every report's bytes independent of
+command order."""
 
 import dataclasses
 import json
@@ -95,6 +96,7 @@ def _shared_arrays():
         "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_h": triple.ad_h, "ad_e": rho1.ad_e,
         "basis_weights": rho1.basis_weights, "h_centralizer": rho1.h_centralizer,
         "sigma": rho1.sigma, "g_even": g_even(triple).onb,
+        "centralizer": triple.centralizer.onb, "star": triple.star_basis[0].coords,
         "stacked": iso.stacked, "solver of pieces": iso.solver,
         "piece": next(iter(iso.piece_columns.values())),
         "polygon a": seed.a[0], "polygon b": seed.b[1],
@@ -103,7 +105,7 @@ def _shared_arrays():
 
 SHARED_ARRAYS = ("basis", "form", "solver", "flat", "support", "perms", "positive roots",
                  "h", "e", "f", "ad_h", "ad_e", "basis_weights", "h_centralizer", "sigma",
-                 "g_even", "stacked", "solver of pieces", "piece", "polygon a", "polygon b")
+                 "g_even", "centralizer", "star", "stacked", "solver of pieces", "piece", "polygon a", "polygon b")
 
 
 def test_shared_array_names():
@@ -139,6 +141,29 @@ def test_invalid_input_raises_on_every_call(call, error):
     for _ in range(3):
         with pytest.raises(ParameterError, match=error):
             call()
+
+
+def test_centralizer_and_star_basis_built_once_per_triple(fresh_caches, monkeypatch):
+    """A triple that returns at a second genus reuses its centralizer and its
+    star basis: one kernel of (ad H, ad E, ad F) and one star basis."""
+    from liebend import sl2
+    triple = sl2_from_partition(make_algebra("sl", 4), (2, 1, 1))
+    stars, kernels = [], []
+    star_basis, kernel_of = sl2.property_star_basis, sl2.kernel_of
+
+    def counted_star(z, t):
+        stars.append(t)
+        return star_basis(z, t)
+
+    def counted_kernel(ops, *args):
+        kernels.append(len(ops) == 3 and ops[0] is triple.ad_h)
+        return kernel_of(ops, *args)
+
+    monkeypatch.setattr(sl2, "property_star_basis", counted_star)
+    monkeypatch.setattr(sl2, "kernel_of", counted_kernel)
+    plans = [build_plan(triple, fuchsian_generators(genus)) for genus in (5, 6)]
+    assert stars == [triple] and sum(kernels) == 1
+    assert all(0 in {i for i, _ in plan.iso.Lambda} for plan in plans)
 
 
 def test_custom_triples_are_not_shared():
