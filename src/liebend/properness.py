@@ -150,9 +150,8 @@ def benoist_certificate(torus, ah):
     outer loop and the b basis directions in order inside it, keeping only
     dominant points.  Each line is decided by one scan of its direction
     (`_line_hits`), which gives the finitely many s where a translate meets
-    it, or says that a translate holds all of it.  Before that scan, the
-    line's first point is tried with one orbit scan; where the criterion
-    has already scanned the b basis, neither scan is needed.
+    it, or says that a translate holds all of it; where the criterion has
+    already scanned the b basis, those scans are reused.
 
     The search ends.  A line that no translate holds meets the translates in
     finitely many points, and its points are dominant for small |s|, so its
@@ -188,9 +187,6 @@ def benoist_certificate(torus, ah):
                 if torus.is_dominant(point):
                     yield d, m, point
 
-    def line_scan(direction):
-        return _line_hits(alpha, _scan(torus, direction, ah))
-
     best = None  # (d, point) of the earliest point found so far
     for direction, b_scan in zip(directions, b_scans):
         if best is not None and best[0] == 2:
@@ -199,13 +195,7 @@ def benoist_certificate(torus, ah):
         first = next(points)
         if best is not None and first[0] >= best[0]:
             continue  # an earlier direction has a point at this d or before
-        if b_scan is None:
-            if not _orbit_mask(torus, first[2], ah).any():
-                best = first[0], first[2]
-                continue
-            hits = line_scan(direction)
-        else:
-            hits = _line_hits(alpha, b_scan)
+        hits = _line_hits(alpha, b_scan if b_scan is not None else _scan(torus, direction, ah))
         if hits is None:
             continue
         d, _, point = next(c for c in itertools.chain([first], points) if c[1] not in hits)
@@ -216,7 +206,7 @@ def benoist_certificate(torus, ah):
     for c in itertools.count(1):
         direction = [sum(c ** k * b[i] for k, b in enumerate(directions))
                      for i in range(torus.coord_len)]
-        hits = line_scan(direction)
+        hits = _line_hits(alpha, _scan(torus, direction, ah))
         if hits is not None:
             return next(p for _, m, p in walk(direction) if m not in hits)
 

@@ -16,10 +16,13 @@ from liebend.properness import (HSubalgebraTorus, _line_hits, _scan, benoist_cer
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import split_torus
 
-# a search scans W at most twice per b basis line (once where the criterion
-# has scanned b), once for the staircase, and once per fallback line; the
-# queries below need at most two fallback lines
-SCAN_SLACK = 3
+# a search scans W once per b basis line, once for the staircase, and once
+# per fallback line; the queries below need at most three fallback lines
+SCAN_SLACK = 4
+
+# scales of one line at which the scans stay in int64 with small entries,
+# stay in int64 with products of entries past 2**63, and need Python ints
+LINE_SCALES = (1, 2 ** 28, 2 ** 58)
 
 # queries on which every point base +- b_k/d lies in a translate of a_h
 PINNED = (
@@ -54,12 +57,15 @@ def test_line_hits_match_pointwise_scans(family):
     which staircase + dir/m has a Weyl image in a_h, and None means that a
     translate holds the staircase and dir.  Each a_h holds a Weyl image of
     one point of the line and has codimension 2 in a, so that the annihilator
-    rows of one w can disagree on s."""
+    rows of one w can disagree on s.  The answer holds with the staircase
+    and dir both scaled by each of LINE_SCALES (the same line), so every
+    arithmetic path of `_line_hits` is compared with the pointwise masks."""
     torus = split_torus(make_algebra(*family))
     rng = np.random.default_rng(5)
     base = torus.chamber_interior_point()
     span = range(-12, 13)
     found = 0
+    paths = set()
     for _ in range(10):
         coeffs = [int(c) for c in rng.integers(-2, 3, torus.b_dim)]
         direction = [sum(c * b[i] for c, b in zip(coeffs, torus.b_basis))
@@ -74,15 +80,32 @@ def test_line_hits_match_pointwise_scans(family):
             if _ratlin.rank(rows + [row]) > len(rows):
                 rows.append(row)
         ah = HSubalgebraTorus(torus, tuple(tuple(r) for r in rows))
-        hits = _line_hits(_scan(torus, [int(x) for x in base], ah), _scan(torus, direction, ah))
-        if (translate_mask(torus, base, ah) & translate_mask(torus, direction, ah)).any():
-            assert hits is None
-            continue
-        expected = {m for m in span if m and translate_mask(
-            torus, [x + Fraction(y, m) for x, y in zip(base, direction)], ah).any()}
-        assert {m for m in hits if m in span} == expected
-        found += len(expected)
+        expected = None
+        if not (translate_mask(torus, base, ah) & translate_mask(torus, direction, ah)).any():
+            expected = {m for m in span if m and translate_mask(
+                torus, [x + Fraction(y, m) for x, y in zip(base, direction)], ah).any()}
+            found += len(expected)
+        for scale in LINE_SCALES:
+            alpha = _scan(torus, [scale * int(x) for x in base], ah)
+            beta = _scan(torus, [scale * y for y in direction], ah)
+            if object in (alpha.dtype, beta.dtype):
+                paths.add("object")
+            elif int(np.abs(alpha).max()) * int(np.abs(beta).max()) >= 2 ** 63:
+                paths.add("int64 past 2**63")
+            hits = _line_hits(alpha, beta)
+            assert (hits if hits is None else {m for m in hits if m in span}) == expected
     assert found
+    assert paths == {"object", "int64 past 2**63"}
+
+
+def test_line_hits_do_not_wrap():
+    """Int64 scans whose products pass 2**63 are compared in Python ints.
+    Here alpha_w1 * beta_w0 and beta_w1 * alpha_w0 differ by exactly 2**64,
+    so int64 products would wrap to equal values and report that w meets
+    the line at s = -1."""
+    alpha = np.array([[2 ** 32, 1]], dtype=np.int64)
+    beta = np.array([[2 ** 32, 2 ** 32 + 1]], dtype=np.int64)
+    assert _line_hits(alpha, beta) == set()
 
 
 @pytest.mark.parametrize("family, rows, expected", PINNED, ids=["su55", "sl7"])
@@ -100,7 +123,7 @@ def test_pinned_queries_print_a_certificate(family, rows, expected, tmp_path, sc
     ah = HSubalgebraTorus(torus, tuple(tuple(r) for r in rows))
     scan_count.calls = 0
     point = benoist_certificate(torus, ah)
-    assert scan_count.calls <= 2 * torus.b_dim + SCAN_SLACK
+    assert scan_count.calls <= torus.b_dim + SCAN_SLACK
     assert tuple(str(x) for x in point) == expected
     assert_certificate(torus, ah, point)
 
@@ -145,7 +168,7 @@ def test_adversarial_queries_end_in_bounded_scans(scan_count):
         assert benoist_criterion(torus, ah)
         scan_count.calls = 0
         point = benoist_certificate(torus, ah)
-        assert scan_count.calls <= 2 * torus.b_dim + SCAN_SLACK, family
+        assert scan_count.calls <= torus.b_dim + SCAN_SLACK, family
         assert_certificate(torus, ah, point)
         # the point is on none of the b basis lines through the staircase
         staircase = torus.chamber_interior_point()
