@@ -355,10 +355,10 @@ def generated_subalgebra(alg, seeds):
     """Smallest bracket-closed subspace containing the seeds.
 
     Iterated bracketing with rank-revealing orthonormalization until the
-    dimension stabilizes.
+    dimension stabilizes or reaches dim g.
     """
     space = subspace_from_matrices(alg, seeds)
-    while space.dim > 0:
+    while 0 < space.dim < alg.dim:
         mats = space.matrices()
         i, j = np.triu_indices(space.dim, k=1)
         pairs = mats[i] @ mats[j] - mats[j] @ mats[i]

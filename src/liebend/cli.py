@@ -16,6 +16,7 @@ import json
 import sys
 
 from . import config as config_mod
+from . import serialize
 from .errors import LieBendError
 from .report import (PRESETS, cmd_bend, cmd_check, cmd_reproduce_sec53,
                      cmd_reproduce_sec6, compare_to_golden, load_golden)
@@ -73,8 +74,7 @@ def _golden_verdict(report, golden_name):
     subset = {k: v for k, v in golden.items() if k in present}
     ok, mismatches = compare_to_golden(report, subset)
     if not ok:
-        sys.stderr.write("golden mismatches:\n" + json.dumps(mismatches, indent=2,
-                                                             sort_keys=True) + "\n")
+        sys.stderr.write("golden mismatches:\n" + serialize.dumps(mismatches) + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

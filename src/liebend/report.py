@@ -82,7 +82,7 @@ class ReportDocument:
         }
 
     def to_json(self, include_timings=False):
-        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=True) + "\n"
+        return serialize.dumps(self.to_dict(include_timings)) + "\n"
 
     def to_text(self, include_timings=False):
         lines = [f"liebend {VERSION} :: {self.title}", ""]

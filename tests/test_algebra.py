@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liebend import algebra
 from liebend.algebra import (bracket, cartan_involution, adjoint_operator,
                              centralizer, classify_element,
                              generated_subalgebra, make_algebra,
@@ -185,6 +186,18 @@ def test_generated_subalgebra_idempotent_monotone(sl3, rng):
     assert s1.dim == s2.dim and s1.contains_vector(s2.onb)
     bigger = generated_subalgebra(sl3, seeds + [random_algebra_element(sl3, rng)])
     assert bigger.dim >= s1.dim
+
+
+def test_generated_subalgebra_stops_at_dim_g(sl3, rng, monkeypatch):
+    """Seeds that span g are their own closure: the seeds' rows are the only
+    ones reduced, and no stack of brackets is formed."""
+    seeds = [random_algebra_element(sl3, rng) for _ in range(sl3.dim + 1)]
+    reduced = []
+    reduce = algebra.subspace_from_coordinates
+    monkeypatch.setattr(algebra, "subspace_from_coordinates",
+                        lambda alg, rows: reduced.append(len(rows)) or reduce(alg, rows))
+    assert generated_subalgebra(sl3, seeds).dim == sl3.dim
+    assert reduced == [len(seeds)]
 
 
 def test_classify_element_examples(sl2):

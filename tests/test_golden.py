@@ -2,6 +2,7 @@
 
 import json
 
+from liebend import serialize
 from liebend.report import load_golden
 
 
@@ -50,3 +51,4 @@ def test_goldens_are_canonical_json():
         raw = resources.files("liebend.data").joinpath(name).read_text()
         parsed = json.loads(raw)
         assert raw == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+        assert raw == serialize.dumps(parsed) + "\n"

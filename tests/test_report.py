@@ -15,6 +15,24 @@ from conftest import matrix_from_json
 SEC53_AH = [["2", "-2", "0", "0", "0"], ["4", "2", "0", "-2", "-4"]]
 
 
+@pytest.fixture(autouse=True)
+def written(monkeypatch):
+    """Every document this module's reports and CLI calls write goes through
+    serialize.dumps, and each must read as its oracle json.dumps(doc,
+    indent=2, sort_keys=True).  The fixture's value lists the documents."""
+    docs = []
+    dumps = serialize.dumps
+
+    def checked(doc):
+        text = dumps(doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
+        docs.append(doc)
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", checked)
+    return docs
+
+
 def test_sec53_matches_golden():
     report = cmd_reproduce_sec53(DEFAULT)
     ok, mismatches = compare_to_golden(report, load_golden("golden_sec53.json"))
@@ -37,6 +55,18 @@ def test_golden_mismatch_detected():
     golden["sec53/row[5]"] = dict(golden["sec53/row[5]"], proper=True)
     ok, mismatches = compare_to_golden(report, golden)
     assert not ok and mismatches[0]["check"] == "sec53/row[5]"
+
+
+def test_cli_prints_golden_mismatches(monkeypatch, capsys, written):
+    import liebend.cli
+    golden = dict(load_golden("golden_sec53.json"))
+    golden["sec53/row[5]"] = dict(golden["sec53/row[5]"], proper=True)
+    monkeypatch.setattr(liebend.cli, "load_golden", lambda name: golden)
+    assert main(["reproduce", "sec53"]) == 1
+    _, mismatches = compare_to_golden(cmd_reproduce_sec53(DEFAULT), golden)
+    assert capsys.readouterr().err == (
+        "golden mismatches:\n" + json.dumps(mismatches, indent=2, sort_keys=True) + "\n")
+    assert written[-1] == mismatches
 
 
 def test_golden_file_is_read_once(monkeypatch):
@@ -344,6 +374,31 @@ def test_cli_deterministic_bytes(tmp_path, capsys):
     assert main(["bend", "--preset", "sl5-even5-g4", "--out", str(f2)]) == 0
     capsys.readouterr()
     assert f1.read_bytes() == f2.read_bytes()
+
+
+CLI_REPORTS = {
+    "sec53": ["reproduce", "sec53"],
+    "sec6": ["reproduce", "sec6", "--p", "3", "--q", "2"],
+    "bend-su21": ["bend", "--preset", "su21-rho1-g2"],
+    "bend-sl5": ["bend", "--preset", "sl5-even5-g4"],
+    "check-su32": ["check", "--family", "su", "--p", "3", "--q", "2", "--ah"],
+    "check-sl5": ["check", "--family", "sl", "--n", "5", "--ah"],
+}
+AH_ROWS = {"su": [["0", "1"]], "sl": SEC53_AH}
+
+
+@pytest.mark.parametrize("flags", [[], ["--timings"], ["--witness"], ["--timings", "--witness"]],
+                         ids=["plain", "timings", "witness", "timings-witness"])
+@pytest.mark.parametrize("name", CLI_REPORTS)
+def test_cli_report_is_its_document_in_json(name, flags, tmp_path, capsys, written):
+    argv = list(CLI_REPORTS[name])
+    if argv[0] == "check":
+        ah = tmp_path / "ah.json"
+        ah.write_text(json.dumps(AH_ROWS[argv[2]]))
+        argv.append(str(ah))
+    assert main(argv + flags) == 0
+    assert len(written) == 1
+    assert capsys.readouterr().out == json.dumps(written[0], indent=2, sort_keys=True) + "\n"
 
 
 def test_presets_cover_spec_names():

@@ -1,6 +1,7 @@
 """W as signed-permutation arrays, checked against a reference oracle: the
 element-by-element Fraction scans over an itertools enumeration of W that
-the properness decisions are defined by.  The oracle is kept for rank <= 5."""
+the properness decisions are defined by.  The oracle is kept for rank <= 5,
+and for the short certificate walk on sl(7) (rank 6)."""
 
 import itertools
 from fractions import Fraction
@@ -14,6 +15,8 @@ from liebend.errors import RealizationError
 from liebend.properness import (HSubalgebraTorus, benoist_certificate,
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import WeylElement, split_torus
+
+from test_certificate import adversarial_queries
 
 FAMILIES = [("sl", 3), ("sl", 4), ("sl", 5), ("su", 1, 1), ("su", 2, 1), ("su", 2, 2),
             ("su", 3, 2), ("su", 3, 3), ("su", 4, 3)]
@@ -158,24 +161,43 @@ def benoist_queries(torus, seed, count):
     return out
 
 
-def test_benoist_matches_oracle(torus):
+def check_certificate(torus, ah, max_denominator):
     """Where the oracle's short walk finds a point, the search returns that
     point; past it, the search still returns a point of b_plus outside every
-    translate, checked against the oracle's list of W."""
+    translate, checked against the oracle's list of W.  True when the walk
+    found no point."""
+    point = benoist_certificate(torus, ah)
+    try:
+        expected = oracle_certificate(torus, ah, max_denominator)
+    except RealizationError:
+        assert torus.in_b_plus(point)
+        assert not any(_in_translate(ah, w, point) for w in oracle_weyl(torus))
+        return True
+    assert point == expected
+    return False
+
+
+def test_benoist_matches_oracle(torus):
     verdicts = set()
     for ah in benoist_queries(torus, 12, 12):
         verdict = benoist_criterion(torus, ah)
         assert verdict == oracle_criterion(torus, ah)
         verdicts.add(verdict)
-        point = benoist_certificate(torus, ah)
-        try:
-            expected = oracle_certificate(torus, ah, CERT_MAX_DENOMINATOR)
-        except RealizationError:
-            assert torus.in_b_plus(point)
-            assert not any(_in_translate(ah, w, point) for w in oracle_weyl(torus))
-            continue
-        assert point == expected
+        check_certificate(torus, ah, CERT_MAX_DENOMINATOR)
     assert verdicts == {True, False}
+
+
+def test_benoist_past_the_oracle():
+    """The adversarial a_h of tests/test_certificate.py put every line
+    through the staircase along a b basis vector in a translate, so the
+    oracle's walk finds nothing below any cap (2 keeps it short).  One query
+    per family, sl(7) and su(5,5)."""
+    queries = {}
+    for family, ah in adversarial_queries(17, 12):
+        queries.setdefault(family, ah)
+    assert set(queries) == {("sl", 7), ("su", 5, 5)}
+    for ah in queries.values():
+        assert check_certificate(ah.torus, ah, 2)
 
 
 def test_integer_scan_does_not_wrap():
