@@ -8,7 +8,7 @@ from .algebra import (LieAlgebraSpace, SubspaceOfG, bracket, cartan_involution,
 from .bending import (BendingPlan, SurfaceGroupRep, bend, bending_inequalities,
                       build_plan, density_certificate, fixed_weight_zero_vector,
                       fuchsian_generators, z_vector)
-from .projections import GroupElement, lyapunov, mu
+from .projections import lyapunov, mu
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, pitchfork_margin,
                          sl2_action_proper)

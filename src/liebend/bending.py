@@ -11,11 +11,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import (SubspaceOfG, bracket, generated_subalgebra, integer_param, kernel_of,
-                      readonly)
+from .algebra import bracket, generated_subalgebra, integer_param, readonly
 from .errors import (GenusConditionError, ParameterError, RealizationError,
                      ShapeError)
-from .sl2 import module_multiplicities, property_star_basis, rho_of
+from .sl2 import module_multiplicities, rho_of
 
 _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 _MOBIUS_INV = np.linalg.inv(_MOBIUS)
@@ -140,10 +139,9 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
     With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
     weight-zero basis vector of the piece: conjugation avoids extracting a
     near-kernel from an operator whose spectrum spreads exponentially in the
-    highest weight.  The fixed-point equation is verified afterwards; for an
-    exact triple whose float line misses it, the line is rebuilt on the
-    integer kernel at FIXED_LINE_BITS (`intkernel.fixed_line`, no mpmath)
-    and verified again.
+    highest weight.  The fixed-point equation is verified afterwards; where
+    the float line misses it, the line is rebuilt on the integer kernel at
+    FIXED_LINE_BITS (`intkernel.fixed_line`, no mpmath) and verified again.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     if a_matrix.shape != (2, 2):
@@ -170,7 +168,7 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
 
     v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])  # weight-zero vector of the piece
     x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
-    if resid > FIXED_POINT_TOL * stretch and triple.exact is not None:
+    if resid > FIXED_POINT_TOL * stretch:
         # Ad(rho(a)) stretches the rounding of the float conjugation: build
         # the line in integers at FIXED_LINE_BITS, rounded once (imported
         # here: only plans that miss the float line load the kernel)
@@ -189,7 +187,7 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
 class BendingPlan:
     triple: object
     seed: SurfaceGroupRep
-    iso: object                # IsotypicData of the target subalgebra, iso.Lambda its pieces
+    iso: object                # IsotypicData of the triple's even part, iso.Lambda its pieces
     f: dict                    # (i,j) -> generator index in 1..g
     x_vectors: dict            # (i,j) -> algebra coordinates
     y_vectors: dict            # (i,j) -> algebra coordinates, i != 0 only
@@ -230,7 +228,7 @@ class BendingPlan:
         return {k: ij for ij, k in self.f.items()}
 
 
-def build_plan(triple, seed, t="auto", target=None):
+def build_plan(triple, seed, t="auto"):
     """Assemble a bending plan: isotypic pieces, the injection into generator
     indices, the fixed vectors, companions and the bending parameter.  The
     seed's relation residual is checked first, against seed_relation_tol."""
@@ -239,14 +237,7 @@ def build_plan(triple, seed, t="auto", target=None):
     seed_resid = seed.relation_residual()
     if seed_resid > tol:
         raise RealizationError(f"polygon relation residual {seed_resid:.3e} exceeds {tol:.1e}")
-    if target is not None:
-        closed = generated_subalgebra(alg, [alg.from_coordinates(r) for r in target.onb])
-        if closed.dim != target.dim:
-            raise ParameterError("custom target subalgebra is not bracket-closed")
-        for m in triple.images():
-            if not triple.is_zero and not target.contains_vector(alg.coordinates(m), 1e-7):
-                raise ParameterError("triple image leaves the target subalgebra")
-    iso = module_multiplicities(alg, triple, target=target)
+    iso = module_multiplicities(alg, triple)
     lam = iso.Lambda
     if seed.genus < len(lam):
         raise GenusConditionError(
@@ -256,14 +247,12 @@ def build_plan(triple, seed, t="auto", target=None):
     zero_js = sorted(j for (i, j) in lam if i == 0)
     star = []
     if zero_js:
-        z_sub = triple.centralizer
-        if target is not None:
-            z_sub = _intersect(z_sub, iso.target)
-        if z_sub.dim != len(zero_js):
+        z_dim = triple.centralizer.dim
+        if z_dim != len(zero_js):
             raise RealizationError(
-                f"centralizer dimension {z_sub.dim} disagrees with the trivial-piece count "
+                f"centralizer dimension {z_dim} disagrees with the trivial-piece count "
                 f"{len(zero_js)}")
-        star = triple.star_basis if target is None else property_star_basis(z_sub, triple)
+        star = triple.star_basis
 
     # one rho_of call for the generators and the conjugator of each bent a_k
     bent = [ij for ij in lam if ij[0] != 0]
@@ -300,13 +289,6 @@ def build_plan(triple, seed, t="auto", target=None):
                 return trial
         return plan  # t stays None; caller reports the failed grid
     return plan.with_t(float(t))
-
-
-def _intersect(s1, s2):
-    alg = s1.algebra
-    p1 = np.eye(alg.dim) - s1.onb.T @ s1.onb
-    p2 = np.eye(alg.dim) - s2.onb.T @ s2.onb
-    return SubspaceOfG(alg, kernel_of([p1, p2], alg.dim, alg.config.rank_rtol))
 
 
 def z_vector(alg, x_mat, y_mat, t):

@@ -30,9 +30,6 @@ class Config:
     # relative to the largest singular value; looser than membership because
     # iterated bracketing amplifies noise
     rank_rtol: float = 1e-7
-    # how far an ad-eigenvalue of a custom triple may sit from the nearest
-    # integer (constructed triples carry exact integer weights)
-    integer_guard: float = 1e-8
     # bound on the seed polygon's relation residual
     seed_relation_tol: float = 1e-10
     # samples with smaller Cartan projection are ignored by the pitchfork margin
@@ -44,7 +41,7 @@ class Config:
         def put(key, value):
             object.__setattr__(self, key, value)
 
-        for key in ("membership_rtol", "rank_rtol", "integer_guard", "seed_relation_tol"):
+        for key in ("membership_rtol", "rank_rtol", "seed_relation_tol"):
             put(key, _finite(key, getattr(self, key), lambda v: v > 0, "a finite number > 0"))
         put("pitchfork_radius", _finite("pitchfork_radius", self.pitchfork_radius,
                                         lambda v: v >= 0, "a finite number >= 0"))

@@ -9,8 +9,8 @@ precision of an mp context and reports the residual of that
 representation, together with the entrywise distance to the shipped
 matrices.
 
-Only triples that carry their exact form (`Sl2Triple.exact`) are supported:
-H is an integer diagonal and E a union of chains with entries unit * sqrt(m)
+Every triple carries its exact form (`Sl2Triple.exact`): H is an integer
+diagonal and E a union of chains with entries unit * sqrt(m)
 (`ExactTriple.chains`), so no float entry of H, E or F is read.  The images
 rho(g) and rho(g^-1) (symmetric powers along the chains), the conjugator of
 a bent generator, its fixed line, the weight-zero and central projections
@@ -241,15 +241,12 @@ def verify_bent_relation(plan, bent, dps=40):
 
     Returns the mp residuals of the seed polygon, the undeformed pushed
     representation and the bent representation, plus the maximal entrywise
-    distance of the shipped matrices from the verified ones.  The triple
-    must carry its exact form; custom triples do not.
+    distance of the shipped matrices from the verified ones.  The images
+    are built from the triple's exact form.
     """
     triple = plan.triple
     if plan.t is None:
         raise ParameterError("plan has no bending parameter")
-    if triple.exact is None:
-        raise ParameterError("high-precision verification needs an a-diagonal H with "
-                             "integer H-weights and exact E, F: a constructed triple")
 
     with mp.workdps(dps):
         prec = _context_prec()

@@ -4,8 +4,6 @@ Both return plain tuples of floats in the free coordinates of the torus;
 exact rational torus vectors are reserved for the properness lane.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import SL, SU
@@ -13,15 +11,6 @@ from .errors import MembershipError, RealizationError, ShapeError
 
 GROUP_TOL = 1e-8         # defining-condition residual of a group element, relative to |g|^2
 MU_PAIRING_TOL = 1e-8    # how far the su log-spectrum may sit from the pattern +-a_i, 0
-
-
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    algebra: object
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        validate_group_element(self.algebra, self.matrix)
 
 
 def group_residual(alg, g):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlin
-from .errors import ParameterError, RealizationError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +84,6 @@ def in_weyl_orbit_of_subspace(torus, v, ah):
 def sl2_action_proper(torus, triple, ah):
     """Properness of the SL(2,R)-action via the triple: the dominant image of
     the H-vector must avoid the Weyl orbit of a_h."""
-    if triple.torus_vector is None:
-        raise RealizationError(
-            "triple has no a-diagonal H; conjugate it into the torus first")
     v_plus, _ = torus.dominant_representative(triple.torus_vector)
     member, _ = in_weyl_orbit_of_subspace(torus, v_plus, ah)
     return not member

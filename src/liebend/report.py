@@ -258,6 +258,10 @@ def cmd_bend(plan_spec, config):
         raise ParameterError(f't must be "auto" or a finite non-zero number, got {t_req!r}')
     alg = _algebra_from_plan(plan_spec, config)
     triple = _triple_from_spec(alg, plan_spec.get("triple"))
+    known = {"family", *PARAM_NAMES[alg.family], "triple", "genus", "t", "verify_dps"}
+    for key in sorted(map(str, plan_spec)):
+        if key not in known:
+            raise ParameterError(f"unknown plan key {key!r}; known: {sorted(known)}")
     report = ReportDocument("bending certificate", alg.config.echo())
     report.config["plan"] = {k: v for k, v in plan_spec.items()}
 

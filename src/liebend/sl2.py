@@ -3,9 +3,11 @@ sl(n,R), the two explicit su(p,q) families, evenness, the involution matrix
 sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
 genus bounds, even bases of b, and torsion-free spanning sets of centralizers.
 
-The constructed triples, their even parts, their isotypic data, their
-centralizers and the star bases of those are built once per process for each
-algebra (and partition, and target), and hold read-only arrays.
+Every triple is built from its exact form (`ExactTriple`): H is an integer
+diagonal, so ad H weights are read off the basis.  The constructed triples,
+their even parts, their isotypic data, their centralizers and the star bases
+of those are built once per process for each algebra (and partition), and
+hold read-only arrays.
 """
 
 import collections
@@ -34,7 +36,6 @@ SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 # thresholds of the float decisions below; none is a Config field
 TRIPLE_RTOL = 1e-9         # bracket and membership residuals of a triple, relative to its norm
-SIGMA_DIAGONAL_TOL = 1e-9  # H counts as diagonal below this off-diagonal norm, relative
 DECOMPOSE_TOL = 1e-7       # residual of a vector against the stacked isotypic pieces
 HW_PIVOT_TOL = 1e-9        # smallest pivot of the highest-weight normalization
 E_SUPPORT_TOL = 1e-12      # an entry of E counts as support above this modulus
@@ -96,28 +97,41 @@ class ExactTriple:
 
 @dataclass(frozen=True, eq=False)
 class Sl2Triple:
+    """A triple built from its exact form: H, E, F and the torus vector are
+    read off exact."""
     algebra: object
-    h: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-    provenance: str  # partition | rho1 | rho2 | custom
+    exact: ExactTriple
+    provenance: str  # partition | rho1 | rho2
     label: str = ""
-    torus_vector: tuple | None = None  # exact free coords when h is a-diagonal
-    exact: ExactTriple | None = None  # None for custom triples
 
-    @classmethod
-    def from_exact(cls, alg, exact, provenance, label):
-        """The float images and the torus vector, read off the exact form."""
-        n = len(exact.h)
-        dtype = complex if alg.is_complex else float
-        h = np.diag(np.array(exact.h, dtype=dtype))
-        e = np.zeros((n, n), dtype=dtype)
-        for row, col, m, unit in exact.e:
+    def __post_init__(self):
+        if not isinstance(self.exact, ExactTriple):
+            raise ParameterError("an Sl2Triple is built from an ExactTriple, "
+                                 f"got {type(self.exact).__name__}")
+
+    @cached_property
+    def h(self):
+        dtype = complex if self.algebra.is_complex else float
+        return readonly(np.diag(np.array(self.exact.h, dtype=dtype)))
+
+    @cached_property
+    def e(self):
+        n = len(self.exact.h)
+        e = np.zeros((n, n), dtype=complex if self.algebra.is_complex else float)
+        for row, col, m, unit in self.exact.e:
             e[row, col] = unit * math.sqrt(m)
-        f = e.conj().T if alg.is_complex else e.T
-        free = exact.h if alg.family == SL else exact.h[:alg.params[1]]
-        return cls(alg, readonly(h), readonly(e), readonly(f), provenance, label,
-                   tuple(Fraction(w) for w in free), exact)
+        return readonly(e)
+
+    @cached_property
+    def f(self):
+        return readonly(self.e.conj().T if self.algebra.is_complex else self.e.T)
+
+    @cached_property
+    def torus_vector(self):
+        """The exact free torus coordinates of H."""
+        alg = self.algebra
+        free = self.exact.h if alg.family == SL else self.exact.h[:alg.params[1]]
+        return tuple(Fraction(w) for w in free)
 
     @cached_property
     def is_zero(self):
@@ -140,23 +154,14 @@ class Sl2Triple:
     @cached_property
     def basis_weights(self):
         """The integer ad H weight of each basis element, read off its support
-        (exact triples only: H is diagonal with integer entries)."""
+        (H is diagonal with integer entries)."""
         return readonly(diagonal_weights(self.algebra, [self.exact.h])[0])
 
     @cached_property
-    def weight_frame(self):
-        """(weights, frame): the rows of frame are a basis of the algebra of ad H
-        weight vectors, row k of weight weights[k].  For an exact triple frame is
-        None, standing for the algebra basis itself."""
-        if self.exact is None:
-            return readonly(_float_weight_frame(self))
-        return self.basis_weights, None
-
-    @cached_property
     def h_centralizer(self):
-        """Orthonormal coordinate rows of the centralizer of H (the kernel of ad H)."""
-        weights, frame = self.weight_frame
-        return readonly((np.eye(self.algebra.dim) if frame is None else frame)[weights == 0])
+        """Orthonormal coordinate rows of the centralizer of H (the kernel of ad H):
+        the basis elements of weight zero."""
+        return readonly(np.eye(self.algebra.dim)[self.basis_weights == 0])
 
     @cached_property
     def sigma(self):
@@ -221,7 +226,7 @@ def _partition_triple(alg, parts):
     exact = ExactTriple(tuple(weights[i] for i in order),
                         tuple((new[r], new[c], m, 1) for r, c, m in entries))
     label = "[" + ",".join(str(p) for p in sorted(parts, reverse=True)) + "]"
-    return Sl2Triple.from_exact(alg, exact, "partition", label)
+    return Sl2Triple(alg, exact, "partition", label)
 
 
 @functools.lru_cache(maxsize=4)
@@ -234,7 +239,7 @@ def rho1_su(alg):
     n = p + q
     h = tuple(1 if i < q else -1 if i >= n - q else 0 for i in range(n))
     exact = ExactTriple(h, tuple((k, p + k, 1, 1j) for k in range(q)))
-    return Sl2Triple.from_exact(alg, exact, "rho1", "rho1")
+    return Sl2Triple(alg, exact, "rho1", "rho1")
 
 
 @functools.lru_cache(maxsize=4)
@@ -253,7 +258,7 @@ def rho2_su(alg):
     e = ([(k, k + 1, m[k + 1], 1j) for k in range(q)]  # leading (q+1)-block, c_1..c_q
          + [(p + j, p + j + 1, m[q - 1 - j], 1j) for j in range(q - 1)]  # trailing q-block
          + [(q, p, m[q], 1j)])  # bridge term c_q E_{q+1,p+1}
-    return Sl2Triple.from_exact(alg, ExactTriple(h, tuple(e)), "rho2", "rho2")
+    return Sl2Triple(alg, ExactTriple(h, tuple(e)), "rho2", "rho2")
 
 
 def verify_sl2_triple(triple):
@@ -278,35 +283,9 @@ def verify_sl2_triple(triple):
     return ok, residuals
 
 
-def _float_weight_frame(triple):
-    """The float fallback of the weight path, for custom triples (exact is
-    None): the eigenvalues of ad H rounded against integer_guard, then one
-    kernel of ad H - w per weight w.  Returns (weights, frame) as
-    Sl2Triple.weight_frame."""
-    alg = triple.algebra
-    guard, dim = alg.config.integer_guard, alg.dim
-    ad = triple.ad_h
-    eigs = np.linalg.eigvals(ad)
-    scale = max(np.max(np.abs(eigs)), 1.0)
-    if np.max(np.abs(eigs.imag)) > 1e-7 * scale:
-        raise RealizationError("ad H has non-real eigenvalues")
-    ints = np.round(eigs.real)
-    off = np.abs(eigs.real - ints) > max(guard * scale, guard)
-    if off.any():
-        raise RealizationError(f"ad H eigenvalue {eigs.real[np.argmax(off)]} is not an integer")
-    weights, rows = [], []
-    for w, m in sorted(collections.Counter(ints.astype(int).tolist()).items()):
-        ker = kernel_of([ad - float(w) * np.eye(dim)], dim, alg.config.rank_rtol)
-        if len(ker) != m:
-            raise RealizationError(f"eigenspace for weight {w} has dim {len(ker)}, expected {m}")
-        weights += [w] * m
-        rows.append(ker)
-    return np.array(weights), np.vstack(rows)
-
-
 def ad_weight_multiplicities(triple):
     """Multiplicities m_j of the integer eigenvalues of ad H on the algebra."""
-    mults = collections.Counter(triple.weight_frame[0].tolist())
+    mults = collections.Counter(triple.basis_weights.tolist())
     for j, m in mults.items():
         if mults.get(-j, 0) != m:
             raise RealizationError("ad H weight multiset is not symmetric")
@@ -328,32 +307,19 @@ def is_even(triple):
 
 
 def sigma(triple):
-    """exp(pi*sqrt(-1)*H) evaluated in an eigenbasis of H.
+    """exp(pi*sqrt(-1)*H) = diag((-1)^h_i), read off the exact weights of H.
 
-    Integer eigenvalues make every exponential factor +-1, so the result lies
-    in the group.  It is real in sl(n,R); in su(p,q) an H that is not
-    diagonal may give a complex sigma, since the eigenbasis of H is then
-    complex.
+    Integer weights make every factor +-1, so the result lies in the group;
+    it is real, with a complex dtype in su(p,q).
     """
     alg = triple.algebra
-    h = np.asarray(triple.h, dtype=complex)
-    n = h.shape[0]
-    offdiag = h - np.diag(np.diag(h))
-    if np.linalg.norm(offdiag) <= SIGMA_DIAGONAL_TOL * max(np.linalg.norm(h), 1.0):
-        eigs = np.diag(h)
-        vecs = np.eye(n, dtype=complex)
-    else:
-        eigs, vecs = np.linalg.eig(h)
-    ints = np.array([round(float(l.real)) for l in eigs])
-    if np.max(np.abs(eigs - ints)) > 1e-8 * max(np.max(np.abs(eigs)), 1.0):
+    weights = [Fraction(w) for w in triple.exact.h]
+    if any(w.denominator != 1 for w in weights):
         raise RealizationError("H has non-integer eigenvalues; sigma is undefined")
-    signs = np.where(ints % 2 == 0, 1.0, -1.0)
-    s = vecs @ np.diag(signs.astype(complex)) @ np.linalg.inv(vecs)
-    if np.linalg.norm(s.imag) <= 1e-8 * n:
-        s = s.real.astype(complex) if alg.is_complex else s.real
-    elif not alg.is_complex:
-        raise RealizationError("sigma is not real in this realization")
-    if group_residual(alg, s) > 1e-8 * n:
+    s = np.diag([1.0 if w % 2 == 0 else -1.0 for w in weights])
+    if alg.is_complex:
+        s = s.astype(complex)
+    if group_residual(alg, s) > 1e-8 * len(weights):
         raise RealizationError("sigma violates the group's defining condition")
     return s
 
@@ -361,20 +327,17 @@ def sigma(triple):
 @functools.lru_cache(maxsize=4)
 def g_even(triple):
     """Sum of the even ad H eigenspaces, cross-checked against Ad(sigma),
-    which must act on each weight vector by (-1)^weight.  For an exact triple
-    the weight vectors are the basis elements and sigma is diagonal, so this
-    compares sigma_i sigma_j with (-1)^weight on each element's support.
+    which must act on each weight vector by (-1)^weight.  The weight vectors
+    are the basis elements and sigma is diagonal, so this compares
+    sigma_i sigma_j with (-1)^weight on each element's support.
     One subspace, with read-only rows, per triple in a process."""
     alg = triple.algebra
-    weights, frame = triple.weight_frame
-    parity = np.where(weights % 2 == 0, 1.0, -1.0)
-    mats = alg.basis if frame is None else alg.from_coordinates(frame)
-    s = triple.sigma
+    parity = np.where(triple.basis_weights % 2 == 0, 1.0, -1.0)
+    mats, s = alg.basis, triple.sigma
     if (np.linalg.norm(s @ mats @ np.linalg.inv(s) - mats * parity[:, None, None])
             > 1e-7 * np.linalg.norm(mats)):
         raise RealizationError("even part disagrees with the Ad(sigma) fixed space")
-    space = (SubspaceOfG(alg, np.eye(alg.dim)[parity > 0]) if frame is None
-             else subspace_from_coordinates(alg, frame[parity > 0]))
+    space = SubspaceOfG(alg, np.eye(alg.dim)[parity > 0])
     readonly(space.onb)
     return space
 
@@ -384,8 +347,9 @@ class IsotypicData:
     """Decomposition data for the adjoint action of the triple.
 
     mults holds [g : V_k] for the full algebra; Lambda indexes the
-    odd-dimensional pieces V_{i,j} of the target subalgebra (the even part by
-    default), each with an ordered weight basis produced by repeated ad F.
+    odd-dimensional pieces V_{i,j} of the target subalgebra, the even part
+    g_even(triple), each with an ordered weight basis produced by repeated
+    ad F.
     """
     triple: object
     target: SubspaceOfG
@@ -439,25 +403,24 @@ def _canonical_hw_rows(rows):
     return canon
 
 
-def module_multiplicities(alg, triple, target=None):
+def module_multiplicities(alg, triple):
     """Full isotypic data: weight multiplicities, [g:V_k], and ordered weight
-    bases of the odd pieces of the target subalgebra (default: the even part).
+    bases of the odd pieces of the even part g_even(triple).
 
     Highest-weight vectors of weight 2i are the kernel of the block of ad E
-    from weight 2i to 2i + 2, in the weight frame of the triple (the algebra
-    basis for an exact triple), extracted per weight in descending order with
-    a deterministic lexicographic normalization, then lowered by ad F.
-    One IsotypicData, with read-only arrays, serves every call with the same
-    (triple, target) in a process.  alg must be triple.algebra: the triple
-    holds the algebra, and so its config.
+    from weight 2i to 2i + 2 in the algebra basis, extracted per weight in
+    descending order with a deterministic lexicographic normalization, then
+    lowered by ad F.  One IsotypicData, with read-only arrays, serves every
+    call with the same triple in a process.  alg must be triple.algebra: the
+    triple holds the algebra, and so its config.
     """
     if alg is not triple.algebra:
         raise ParameterError("module_multiplicities needs the triple's own algebra")
-    return _isotypic_data(triple, target)
+    return _isotypic_data(triple)
 
 
 @functools.lru_cache(maxsize=4)
-def _isotypic_data(triple, target):
+def _isotypic_data(triple):
     alg = triple.algebra
     weight_mults = ad_weight_multiplicities(triple)
     mults = {}
@@ -471,28 +434,12 @@ def _isotypic_data(triple, target):
     if sum(k * m for k, m in mults.items()) != alg.dim:
         raise RealizationError("multiplicities do not sum to dim g")
 
-    rtol = alg.config.rank_rtol
-    weights, frame = triple.weight_frame
+    weights = triple.basis_weights
     ad_e, ad_f = triple.ad_e, triple.ad_f
-    if frame is not None:
-        ad_e, ad_f = (np.linalg.solve(frame.T, ad @ frame.T) for ad in (ad_e, ad_f))
-    if target is None:
-        target = g_even(triple)
-        outside = None  # every even weight vector lies in the even part
-        t_mults = {w: m for w, m in weight_mults.items() if w % 2 == 0}
-    else:
-        # x lies in the target when (1 - Q^T Q) x = 0, Q the target's rows;
-        # with a frame, outside acts on frame coordinates
-        outside = np.eye(alg.dim) - target.onb.T @ target.onb
-        if frame is not None:
-            outside = outside @ frame.T
-        t_mults = {w: len(kernel_of([outside[:, weights == w]], m, rtol))
-                   for w, m in weight_mults.items()}
-        if sum(t_mults.values()) != target.dim:
-            raise RealizationError("target subalgebra is not spanned by ad H weight vectors")
+    target = g_even(triple)
     target_odd = {}
-    for i in range(max(t_mults, default=0) // 2 + 1):
-        m = t_mults.get(2 * i, 0) - t_mults.get(2 * i + 2, 0)
+    for i in range(max(weight_mults, default=0) // 2 + 1):
+        m = weight_mults.get(2 * i, 0) - weight_mults.get(2 * i + 2, 0)
         if m > 0:
             target_odd[i] = m
 
@@ -501,10 +448,7 @@ def _isotypic_data(triple, target):
     for i in sorted(target_odd, reverse=True):
         r = target_odd[i]
         low = weights == 2 * i
-        ops = [ad_e[weights == 2 * i + 2][:, low]]
-        if outside is not None:
-            ops.append(outside[:, low])
-        hw = kernel_of(ops, int(low.sum()), rtol)
+        hw = kernel_of([ad_e[weights == 2 * i + 2][:, low]], int(low.sum()), alg.config.rank_rtol)
         if len(hw) != r:
             raise RealizationError(
                 f"highest-weight space at weight {2*i} has numerical rank {len(hw)}, "
@@ -515,7 +459,7 @@ def _isotypic_data(triple, target):
             for k in range(1, 2 * i + 1):
                 above, at = weights == 2 * i - 2 * k + 2, weights == 2 * i - 2 * k
                 cols[at, k] = ad_f[at][:, above] @ cols[above, k - 1]
-            pieces[(i, j)] = cols if frame is None else frame.T @ cols
+            pieces[(i, j)] = cols
             lam_list.append((i, j))
     lam_list.sort(key=lambda ij: (-ij[0], ij[1]))
     if sum(2 * i + 1 for i, _ in lam_list) != target.dim:
@@ -770,28 +714,11 @@ def rho_of(triple, g2):
     u = np.array(list(map(math.log, r_mat[:, 0, 0].tolist())))
     x = r_mat[:, 0, 1] / r_mat[:, 0, 0]
     rot = expm(triple.drho(s[:, None, None] * (SL2_E - SL2_F)))
-    diag_part = _expm_diagonalish(triple.drho(u[:, None, None] * A0))
+    # H is diagonal, so exp(u H) is the exp of its diagonal
+    u_h = triple.drho(u[:, None, None] * A0)
+    idx = np.arange(u_h.shape[-1])
+    diag_part = np.zeros_like(u_h)
+    diag_part[:, idx, idx] = np.exp(u_h[:, idx, idx])
     nil = _expm_nilpotent(triple.drho(x[:, None, None] * SL2_E))
     out = rot @ diag_part @ nil
     return out if g2.ndim == 3 else out[0]
-
-
-def _expm_diagonalish(m):
-    """exp of each matrix of a stack (m, n, n): one exp of the diagonals
-    when no matrix has an off-diagonal entry, else matrix by matrix."""
-    idx = np.arange(m.shape[-1])
-    diag = np.zeros_like(m)
-    diag[:, idx, idx] = m[:, idx, idx]
-    if not (m - diag).any():
-        diag[:, idx, idx] = np.exp(m[:, idx, idx])
-        return diag
-    return np.stack([_expm_diagonalish_one(mk) for mk in m])
-
-
-def _expm_diagonalish_one(m):
-    """exp from the diagonal where the off-diagonal part is below 1e-12 of
-    the norm, else scipy's expm."""
-    off = m - np.diag(np.diag(m))
-    if np.linalg.norm(off) <= 1e-12 * max(np.linalg.norm(m), 1.0):
-        return np.diag(np.exp(np.diag(m)))
-    return expm(m)

@@ -1,10 +1,12 @@
+import collections
 import sys
 import types
 
 import numpy as np
 import pytest
 
-from liebend.algebra import SubspaceOfG, kernel_of, make_algebra, theta_operator
+from liebend.algebra import (SubspaceOfG, adjoint_operator, kernel_of, make_algebra,
+                             theta_operator)
 from liebend.properness import in_weyl_orbit_of_subspace
 from liebend.weyl import _diagonal, split_torus
 
@@ -97,6 +99,16 @@ def su32_torus(su32):
 def random_algebra_element(alg, rng, scale=1.0):
     coords = rng.normal(size=alg.dim) * scale
     return alg.from_coordinates(coords)
+
+
+def oracle_weight_mults(alg, h):
+    """Multiplicities of the ad h eigenvalues on the algebra, from eigvals,
+    asserted to be integers."""
+    eigs = np.linalg.eigvals(adjoint_operator(alg, h))
+    assert np.max(np.abs(eigs.imag)) <= 1e-9
+    ints = np.round(eigs.real)
+    assert np.max(np.abs(eigs.real - ints)) <= 1e-8
+    return dict(sorted(collections.Counter(ints.astype(int).tolist()).items()))
 
 
 def oracle_coordinates(alg, x):

@@ -290,24 +290,6 @@ def test_density_certificate_equal_signature_family():
     assert cert.achieved_dim == alg.dim == cert.target_dim
 
 
-def test_custom_intermediate_target(su21):
-    """Any bracket-closed subalgebra between the triple image and the even
-    part is accepted as a certificate target; invalid targets are rejected."""
-    from liebend.algebra import subspace_from_coordinates
-    triple = rho1_su(su21)
-    seed = fuchsian_generators(2)
-    sl2_img = generated_subalgebra(su21, triple.images())
-    plan = build_plan(triple, seed, t="auto", target=sl2_img)
-    assert plan.iso.Lambda == ((1, 1),)
-    bent = bend(plan)
-    cert = density_certificate(plan)
-    assert cert.verdict == "PASS" and cert.achieved_dim == 3 == cert.target_dim
-
-    bad = subspace_from_coordinates(su21, [su21.coordinates(triple.e)])
-    with pytest.raises(ParameterError):
-        build_plan(triple, seed, t="auto", target=bad)
-
-
 def test_highprec_verification(su21, sl5):
     from liebend.highprec import verify_bent_relation
     for alg, triple, genus, bound in ((su21, rho1_su(su21), 2, 1e-20),

@@ -14,7 +14,7 @@ from liebend.cli import main
 from liebend.errors import MembershipError, ParameterError, RealizationError
 from liebend.properness import HSubalgebraTorus, pitchfork_margin
 from liebend.report import cmd_bend, cmd_reproduce_sec53
-from liebend.sl2 import ad_weight_multiplicities, rho1_su, sl2_from_partition
+from liebend.sl2 import rho1_su, sl2_from_partition
 from liebend.weyl import split_torus
 
 
@@ -59,8 +59,7 @@ def test_unknown_key_is_a_typed_input_error(tmp_path, capsys):
         config_mod.load(str(path))
 
 
-@pytest.mark.parametrize("key", ["membership_rtol", "rank_rtol", "integer_guard",
-                                 "seed_relation_tol"])
+@pytest.mark.parametrize("key", ["membership_rtol", "rank_rtol", "seed_relation_tol"])
 @pytest.mark.parametrize("value", ["x", True, 0.0, -1e-9, float("nan"), float("inf"), None])
 def test_tolerances_are_validated_when_loaded(key, value):
     with pytest.raises(ParameterError, match=key):
@@ -91,9 +90,9 @@ def test_cli_flags_go_through_the_config_checks(argv, key, capsys):
     assert f"input error: config key {key!r} needs" in capsys.readouterr().err
 
 
-def test_six_settable_fields_and_the_same_echo():
+def test_five_settable_fields_and_the_same_echo():
     names = [f.name for f in dataclasses.fields(config_mod.Config)]
-    assert names == ["membership_rtol", "rank_rtol", "integer_guard", "seed_relation_tol",
+    assert names == ["membership_rtol", "rank_rtol", "seed_relation_tol",
                      "pitchfork_radius", "t_grid"]
     assert sorted(config_mod.DEFAULT.echo()) == sorted(names + ["positivity"])
 
@@ -116,17 +115,6 @@ def test_rank_rtol_shrinks_a_closure():
     assert generated_subalgebra(make_algebra("sl", 2), seeds).dim == 3
     loose = make_algebra("sl", 2, config=config_mod.Config(rank_rtol=1e-2))
     assert generated_subalgebra(loose, seeds).dim == 2
-
-
-def test_integer_guard_reaches_the_weight_decision():
-    """The guard rounds the float eigenvalues of a custom triple's ad H; an
-    exact triple reads integer weights off the basis and never consults it."""
-    custom = dataclasses.replace(rho1_su(make_algebra("su", 3, 2)), exact=None)
-    assert ad_weight_multiplicities(custom)[0] == 8
-    strict = make_algebra("su", 3, 2, config=config_mod.Config(integer_guard=1e-30))
-    with pytest.raises(RealizationError, match="not an integer"):
-        ad_weight_multiplicities(dataclasses.replace(rho1_su(strict), exact=None))
-    assert ad_weight_multiplicities(rho1_su(strict))[0] == 8
 
 
 def test_pitchfork_radius_changes_qualifying():

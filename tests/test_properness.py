@@ -6,12 +6,11 @@ import pytest
 
 from liebend.algebra import make_algebra
 from liebend.config import Config
-from liebend.errors import RealizationError
 from liebend.properness import (HSubalgebraTorus, benoist_certificate,
                                 benoist_criterion, calabi_markus,
                                 in_weyl_orbit_of_subspace, pitchfork_margin,
                                 sl2_action_proper)
-from liebend.sl2 import Sl2Triple, rho1_su, rho2_su, sl2_from_partition
+from liebend.sl2 import rho1_su, rho2_su, sl2_from_partition
 from liebend.weyl import split_torus
 
 from conftest import weyl_compatible_identity_holds
@@ -72,17 +71,6 @@ def test_sl2_action_proper_sl5(sl5, sl5_torus, ah53):
     assert sl2_action_proper(sl5_torus, sl2_from_partition(sl5, (2, 2, 1)), ah53)
     assert not sl2_action_proper(sl5_torus, sl2_from_partition(sl5, (5,)), ah53)
     assert not sl2_action_proper(sl5_torus, sl2_from_partition(sl5, (3, 1, 1)), ah53)
-
-
-def test_sl2_action_proper_requires_diagonal(sl5, sl5_torus, ah53):
-    t = sl2_from_partition(sl5, (5,))
-    rot = np.eye(5)
-    rot[0, 0] = rot[1, 1] = math.cos(0.3)
-    rot[0, 1], rot[1, 0] = math.sin(0.3), -math.sin(0.3)
-    conj = Sl2Triple(sl5, rot @ t.h @ rot.T, rot @ t.e @ rot.T, rot @ t.f @ rot.T,
-                     "custom", "conj", None)
-    with pytest.raises(RealizationError):
-        sl2_action_proper(sl5_torus, conj, ah53)
 
 
 def test_benoist_criterion(sl5_torus, su21_torus, su32_torus, ah53):

@@ -313,6 +313,25 @@ def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("plan, key", [
+    (dict(_SU21_PLAN, verfiy_dps=40, n=7), "n"),
+    (dict(_SU21_PLAN, verfiy_dps=40), "verfiy_dps"),
+    ({"family": "sl", "n": 3, "p": 2, "triple": {"partition": [3]}, "genus": 2}, "p"),
+])
+def test_cli_rejects_an_unknown_plan_key(tmp_path, capsys, plan, key):
+    """A misspelled verify_dps would skip the mp verification, and a
+    parameter of the other family would be ignored: each is an input error
+    naming the key."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    assert main(["bend", "--plan", str(plan_file)]) == 2
+    captured = capsys.readouterr()
+    params = ["n"] if plan["family"] == "sl" else ["p", "q"]
+    known = sorted(["family", *params, "genus", "t", "triple", "verify_dps"])
+    assert captured.out == ""
+    assert captured.err == f"input error: unknown plan key {key!r}; known: {known}\n"
+
+
 @pytest.mark.parametrize("rows, message", [
     ({"rows": [[0, 1]]}, "the a_h basis must be a list of rows, got {'rows': [[0, 1]]}"),
     ([[0, 1], 1], "the a_h basis must be a list of rows, got [[0, 1], 1]"),

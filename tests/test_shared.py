@@ -4,7 +4,6 @@ centralizers and star bases, and the seed polygons are built once per key,
 hold read-only arrays, and leave every report's bytes independent of
 command order."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -40,8 +39,7 @@ def test_same_key_same_object():
     assert rho1_su(su32) is rho1_su(su32) and rho2_su(su32) is rho2_su(su32)
     assert g_even(triple) is g_even(triple)
     iso = module_multiplicities(sl5, triple)
-    assert module_multiplicities(sl5, triple, None) is iso
-    assert module_multiplicities(sl5, triple, target=None) is iso
+    assert module_multiplicities(sl5, triple) is iso
     assert iso.target is g_even(triple)
     assert fuchsian_generators(3) is fuchsian_generators(np.int64(3))
 
@@ -164,16 +162,6 @@ def test_centralizer_and_star_basis_built_once_per_triple(fresh_caches, monkeypa
     plans = [build_plan(triple, fuchsian_generators(genus)) for genus in (5, 6)]
     assert stars == [triple] and sum(kernels) == 1
     assert all(0 in {i for i, _ in plan.iso.Lambda} for plan in plans)
-
-
-def test_custom_triples_are_not_shared():
-    sl5 = make_algebra("sl", 5)
-    exact = sl2_from_partition(sl5, (3, 1, 1))
-    custom = dataclasses.replace(exact, exact=None)
-    iso = module_multiplicities(sl5, custom)
-    assert iso is not module_multiplicities(sl5, exact)
-    assert iso.Lambda == module_multiplicities(sl5, exact).Lambda
-    assert g_even(custom).dim == g_even(exact).dim
 
 
 def test_shared_caches_are_all_found():

@@ -12,12 +12,13 @@ from liebend.algebra import (SubspaceOfG, adjoint_operator, bracket, centralizer
                              kernel_of, make_algebra)
 from liebend.errors import (ParameterError, RealizationError,
                             UnsupportedCentralizerError)
-from liebend.sl2 import (A0, SL2_E, SL2_F, Sl2Triple, ad_weight_multiplicities,
+from liebend.sl2 import (A0, SL2_E, SL2_F, ExactTriple, Sl2Triple, ad_weight_multiplicities,
                          even_partitions, even_sl2_basis_of_b, g_even, genus_bound,
                          is_even, module_multiplicities, property_star_basis, rho1_su,
                          rho2_su, rho_of, sigma, sl2_from_partition, verify_sl2_triple)
 
-from conftest import constructed_triples, oracle_coordinates, torus_matrix
+from conftest import (constructed_triples, oracle_coordinates, oracle_weight_mults,
+                      torus_matrix)
 
 SEC53_TABLE = [
     ((5,), True, (4, 2, 0, -2, -4)),
@@ -93,10 +94,8 @@ def test_rho2_undefined_for_equal_signature():
 
 
 def test_verify_rejects_scaled_triple(sl2):
-    h = np.array([[1.0, 0.0], [0.0, -1.0]])
-    e = np.array([[0.0, 2.0], [0.0, 0.0]])  # scaled: [e, f] != h
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    t = Sl2Triple(sl2, h, e, f, "custom", "scaled")
+    # E = 2 E_12 and F = 2 E_21: [E, F] = 4 H != H
+    t = Sl2Triple(sl2, ExactTriple((1, -1), ((0, 1, 4, 1),)), "partition", "scaled")
     ok, residuals = verify_sl2_triple(t)
     assert not ok
     assert residuals["[E,F]-H"] > 1e-6
@@ -125,10 +124,19 @@ def test_sigma_zero_triple(sl5):
 
 
 def test_sigma_non_integer_error(sl2):
-    h = np.array([[0.5, 0.0], [0.0, -0.5]])
-    t = Sl2Triple(sl2, h, np.zeros((2, 2)), np.zeros((2, 2)), "custom", "half")
-    with pytest.raises(RealizationError):
+    t = Sl2Triple(sl2, ExactTriple((Fraction(1, 2), Fraction(-1, 2)), ()), "partition", "half")
+    with pytest.raises(RealizationError, match="non-integer"):
         sigma(t)
+
+
+def test_a_triple_needs_its_exact_form(sl5):
+    base = sl2_from_partition(sl5, (3, 2))
+    with pytest.raises(ParameterError, match="ExactTriple"):
+        Sl2Triple(sl5, None, "partition", "none")
+    with pytest.raises(ParameterError, match="ExactTriple"):
+        dataclasses.replace(base, exact=base.exact.h)
+    with pytest.raises(TypeError):
+        Sl2Triple(sl5, base.h, base.e, base.f, "partition", "floats")
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (4, 2)])
@@ -209,7 +217,8 @@ def test_module_multiplicities_examples(sl3, sl5):
 
 def test_multiplicity_identities(sl5, su32, rng):
     """m symmetry, the difference formula, the dimension sum, and the piece
-    exhaustion, over constructed triples and random conjugates (>= 100)."""
+    exhaustion, over the ad-H weights of random conjugates gHg^-1 of
+    constructed triples (>= 100), computed by eigvals."""
     pool = []
     for parts in [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)]:
         pool.append((sl5, sl2_from_partition(sl5, parts)))
@@ -221,9 +230,8 @@ def test_multiplicity_identities(sl5, su32, rng):
             coords = rng.normal(size=alg.dim) * 0.2
             g = expm(alg.from_coordinates(coords))
             g_inv = np.linalg.inv(g)
-            t = Sl2Triple(alg, g @ base.h @ g_inv, g @ base.e @ g_inv,
-                          g @ base.f @ g_inv, "custom", "conj")
-            mults = ad_weight_multiplicities(t)
+            mults = oracle_weight_mults(alg, g @ base.h @ g_inv)
+            assert mults == ad_weight_multiplicities(base)
             assert all(mults[j] == mults[-j] for j in mults)
             assert sum(mults.values()) == alg.dim
             top = max(mults)
@@ -397,13 +405,6 @@ def _oracle_expm_nilpotent(m):
     return out
 
 
-def _oracle_expm_diagonalish(m):
-    off = m - np.diag(np.diag(m))
-    if np.linalg.norm(off) <= 1e-12 * max(np.linalg.norm(m), 1.0):
-        return np.diag(np.exp(np.diag(m)))
-    return expm(m)
-
-
 def _oracle_rho_of(triple, g2):
     """rho_of one matrix at a time, as it stood before it took stacks: the
     bitwise reference for the stacked form."""
@@ -419,7 +420,7 @@ def _oracle_rho_of(triple, g2):
     u = math.log(r_mat[0, 0])
     x = r_mat[0, 1] / r_mat[0, 0]
     rot = expm(drho(s * (SL2_E - SL2_F)))
-    diag_part = _oracle_expm_diagonalish(drho(u * A0))
+    diag_part = np.diag(np.exp(np.diag(drho(u * A0))))
     nil = _oracle_expm_nilpotent(drho(x * SL2_E))
     return rot @ diag_part @ nil
 
@@ -445,17 +446,6 @@ def test_stacked_rho_of_is_bitwise_the_per_matrix_form(triple):
     """Every constructed triple (sl(n), n <= 6; su(p,q), p <= 4) on the
     polygon generators of genus 2..8 and their conjugators."""
     _assert_bitwise_oracle(triple, _polygon_stack(range(2, 9)))
-
-
-def test_stacked_rho_of_custom_triple_takes_expm_per_matrix(sl5, rng):
-    """A conjugated triple has an off-diagonal H: each matrix of the stack
-    falls back to scipy's expm, as on its own."""
-    base = sl2_from_partition(sl5, (3, 2))
-    g = np.eye(5) + 0.3 * rng.normal(size=(5, 5))
-    g_inv = np.linalg.inv(g)
-    t = Sl2Triple(sl5, g @ base.h @ g_inv, g @ base.e @ g_inv, g @ base.f @ g_inv,
-                  "custom", "conj")
-    _assert_bitwise_oracle(t, _polygon_stack([2, 3]))
 
 
 def test_rho_of_rejects_a_non_unimodular_slice(sl5):
@@ -495,16 +485,15 @@ def test_ad_sigma_operator_matches_oracle():
 
 
 def test_ad_h_built_once_per_triple(monkeypatch, fresh_caches, sl5, su32):
-    """is_even, genus_bound, g_even and module_multiplicities share one ad H:
-    a custom triple builds it once, an exact triple reads its weights off the
-    basis supports and never builds it."""
+    """is_even, genus_bound, g_even and module_multiplicities read the ad H
+    weights off the basis supports and never build ad H; the ad_h property
+    builds it once, on demand."""
     real = liebend.algebra.adjoint_operator
-    for alg, make, builds in (
-            (sl5, lambda: sl2_from_partition(sl5, (5,)), 0),
-            (sl5, lambda: sl2_from_partition(sl5, (3, 1, 1)), 0),
-            (su32, lambda: rho2_su(su32), 0),
-            (sl5, lambda: dataclasses.replace(sl2_from_partition(sl5, (4, 1)), exact=None), 1),
-            (su32, lambda: dataclasses.replace(rho1_su(su32), exact=None), 1)):
+    for alg, make in (
+            (sl5, lambda: sl2_from_partition(sl5, (5,))),
+            (sl5, lambda: sl2_from_partition(sl5, (3, 1, 1))),
+            (su32, lambda: rho2_su(su32)),
+            (su32, lambda: rho1_su(su32))):
         triple = make()
         calls = []
 
@@ -519,7 +508,8 @@ def test_ad_h_built_once_per_triple(monkeypatch, fresh_caches, sl5, su32):
         genus_bound(triple)
         g_even(triple)
         module_multiplicities(alg, triple)
-        assert len(calls) == builds
+        assert calls == []
+        assert triple.ad_h is triple.ad_h and calls == [1]
         assert np.array_equal(triple.ad_h, real(alg, triple.h))
 
 
@@ -588,35 +578,18 @@ def test_sigma_property_is_sigma(su21):
     assert np.array_equal(triple.sigma, sigma(triple))
 
 
-def test_sigma_of_complex_conjugates(su32):
-    """In su(p,q) a conjugate of rho1 by a complex group element has a complex
-    sigma: exp(i pi H) with H no longer diagonal.  It is an involution in
-    the group, and g_even and the isotypic pieces agree with the exact
-    triple's.  A real realization still demands a real sigma."""
-    base = rho1_su(su32)
-    want = module_multiplicities(su32, base)
-    rng = np.random.default_rng(7)
-    complex_sigmas = 0
-    for _ in range(5):
-        g = expm(su32.from_coordinates(rng.normal(size=su32.dim) * 0.2))
-        g_inv = np.linalg.inv(g)
-        t = Sl2Triple(su32, g @ base.h @ g_inv, g @ base.e @ g_inv, g @ base.f @ g_inv,
-                      "custom", "conj")
-        s = sigma(t)
-        complex_sigmas += np.linalg.norm(s.imag) > 1e-3
-        assert np.linalg.norm(s @ s - np.eye(5)) <= 1e-13
-        assert np.linalg.norm(s - g @ base.sigma @ g_inv) <= 1e-12
-        assert g_even(t).dim == 16
-        got = module_multiplicities(su32, t)
-        assert got.Lambda == want.Lambda and got.mults == want.mults
-    assert complex_sigmas == 5
-
-
-def test_sigma_in_real_realization_stays_real(sl5, rng):
-    base = sl2_from_partition(sl5, (4, 1))
-    g = expm(sl5.from_coordinates(rng.normal(size=sl5.dim) * 0.2))
-    t = Sl2Triple(sl5, g @ base.h @ np.linalg.inv(g), g @ base.e @ np.linalg.inv(g),
-                  g @ base.f @ np.linalg.inv(g), "custom", "conj")
-    s = sigma(t)
-    assert not np.iscomplexobj(s)
-    assert np.linalg.norm(s - g @ base.sigma @ np.linalg.inv(g)) <= 1e-10
+def test_sigma_matches_the_eigenbasis_oracle():
+    """sigma = diag((-1)^h_i) of every constructed triple (sl(n), n <= 7, every
+    partition; su(p,q), p <= 6) equals V diag((-1)^lambda) V^-1 from an
+    eigendecomposition H = V diag(lambda) V^-1, in value and in dtype."""
+    triples = constructed_triples(7, 6) + [
+        sl2_from_partition(make_algebra("sl", n), (1,) * n) for n in range(2, 8)]
+    assert len(triples) == 79
+    for triple in triples:
+        lam, v = np.linalg.eig(np.asarray(triple.h, dtype=complex))
+        ints = np.round(lam.real)
+        assert np.max(np.abs(lam - ints)) <= 1e-12
+        want = v @ np.diag(np.where(ints % 2 == 0, 1.0, -1.0)) @ np.linalg.inv(v)
+        got = sigma(triple)
+        assert np.iscomplexobj(got) == triple.algebra.is_complex
+        assert np.array_equal(got, want), triple.label
