@@ -9,9 +9,8 @@ torus.  Floats appear only in the sampled margin.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -21,45 +20,51 @@ from .errors import ParameterError
 
 @dataclass(frozen=True, eq=False)
 class HSubalgebraTorus:
-    """Exact rational subspace a_h of the split torus (basis in free coordinates)."""
+    """Exact rational subspace a_h of the split torus (basis in free coordinates).
+
+    `annihilator` holds primitive integer functionals cutting out span(a_h):
+    u is in the span iff every functional vanishes on u (fast exact
+    membership).  One elimination of the basis gives both them and the
+    independence check."""
     torus: object
     basis: tuple
+    annihilator: tuple = field(init=False)
 
     def __post_init__(self):
         vecs = tuple(self.torus.vector(v) for v in self.basis)
-        object.__setattr__(self, "basis", vecs)
-        if vecs and _ratlin.rank(vecs) != len(vecs):
+        n = self.torus.coord_len
+        ann = tuple(_ratlin.primitive_nullspace(vecs, n))
+        if len(ann) != n - len(vecs):
             raise ParameterError("a_h basis vectors are linearly dependent over Q")
+        object.__setattr__(self, "basis", vecs)
+        object.__setattr__(self, "annihilator", ann)
 
     @property
     def dim(self):
         return len(self.basis)
-
-    @cached_property
-    def annihilator(self):
-        """Primitive integer functionals cutting out span(a_h); u is in the
-        span iff every functional vanishes on u (fast exact membership)."""
-        n = self.torus.coord_len
-        if not self.basis:
-            return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        null = _ratlin.nullspace(self.basis, n)
-        return tuple(tuple(int(x) for x in _ratlin.primitive(v)) for v in null)
 
     def contains(self, v):
         v = self.torus.vector(v)
         return all(sum(c * x for c, x in zip(row, v)) == 0 for row in self.annihilator)
 
 
+# float64 holds every integer below 2**53 exactly
+FLOAT_EXACT = 2 ** 53
+
+
 def _scan(torus, ints, ah):
     """A.(w.v) for every w in W, where v is an integer vector and the rows of
-    A are the annihilator rows of a_h: one |W| x rows exact integer matrix,
-    row k zero iff w_k.v lies in span(a_h).  int64 is used only when
-    max|v| * max|ann| * coord_len < 2**62, so that no dot product can wrap;
-    otherwise object arrays of Python ints keep the scan exact."""
+    A are the annihilator rows of a_h: one |W| x rows integer-valued matrix,
+    row k zero iff w_k.v lies in span(a_h).
+
+    When coord_len * max|v| * max|ann| < 2**53, every partial sum of every
+    dot product is an integer below 2**53 in absolute value, so one float64
+    BLAS product is exact in any summation order; the result is float64.
+    Otherwise object arrays of Python ints keep the scan exact."""
     ann = ah.annihilator
     n = torus.coord_len
     bound = n * max(map(abs, ints)) * max((abs(c) for row in ann for c in row), default=0)
-    dtype = np.int64 if bound < 2 ** 62 else object
+    dtype = np.float64 if bound < FLOAT_EXACT else object
     images = np.array(ints, dtype=dtype)[torus.perms]
     images *= torus.signs  # in place: one |W| x coord_len array at a time
     return images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T
@@ -68,8 +73,8 @@ def _scan(torus, ints, ah):
 def _orbit_mask(torus, v, ah):
     """Mask over W: entry k is True iff w_k.v lies in span(a_h).  v is scaled
     to primitive integers first (membership in a rational subspace does not
-    depend on scale), which keeps the scan in int64 where it can."""
-    return (_scan(torus, [int(x) for x in _ratlin.primitive(v)], ah) == 0).all(axis=1)
+    depend on scale), which keeps the scan in float64 where it can."""
+    return (_scan(torus, _ratlin.primitive(v), ah) == 0).all(axis=1)
 
 
 def in_weyl_orbit_of_subspace(torus, v, ah):
@@ -91,7 +96,7 @@ def sl2_action_proper(torus, triple, ah):
 
 def _b_scans(torus, ah):
     """One scan per basis vector of b (each is a primitive integer vector)."""
-    return [_scan(torus, [int(x) for x in b], ah) for b in torus.b_basis]
+    return [_scan(torus, b, ah) for b in torus.b_basis]
 
 
 def _covers_b(b_scans):
@@ -125,9 +130,12 @@ def _line_hits(alpha, beta):
     if ((alpha == 0).all(axis=1) & ~moving).any():
         return None
     alpha, beta = alpha[moving], beta[moving]
-    if object in (alpha.dtype, beta.dtype) or \
-            int(np.abs(alpha).max(initial=0)) * int(np.abs(beta).max(initial=0)) >= 2 ** 63:
-        alpha, beta = alpha.astype(object), beta.astype(object)
+    # the scans hold exact integers (float64 ones below 2**53, or Python
+    # ints); the cross products below run in int64 when they cannot reach 2**63
+    big = object in (alpha.dtype, beta.dtype) or \
+        int(np.abs(alpha).max(initial=0)) * int(np.abs(beta).max(initial=0)) >= 2 ** 63
+    dtype = object if big else np.int64
+    alpha, beta = alpha.astype(dtype), beta.astype(dtype)
     rows = np.arange(len(beta))
     pivot = (beta != 0).argmax(axis=1)
     a_p, b_p = alpha[rows, pivot], beta[rows, pivot]
@@ -173,7 +181,7 @@ def benoist_certificate(torus, ah):
     alpha = _scan(torus, [int(x) for x in base], ah)
     if not (alpha == 0).all(axis=1).any():
         return base
-    directions = [[int(x) for x in b] for b in torus.b_basis]
+    directions = torus.b_basis
 
     def walk(direction):
         """(d, m, point) along base + direction/m: m = d, -d for

@@ -108,6 +108,7 @@ class Sl2Triple:
         if not isinstance(self.exact, ExactTriple):
             raise ParameterError("an Sl2Triple is built from an ExactTriple, "
                                  f"got {type(self.exact).__name__}")
+        self.exact.chains  # raises ParameterError unless E, F, H form an sl2-triple
 
     @cached_property
     def h(self):
@@ -563,16 +564,15 @@ def _su_diagonal_lattice(triple):
     for a in range(n):
         for b in range(n):
             if a != b and abs(e[a, b]) > E_SUPPORT_TOL:
-                row = [Fraction(0)] * n
-                row[a], row[b] = Fraction(1), Fraction(-1)
-                rows.append(tuple(row))
+                row = [0] * n
+                row[a], row[b] = 1, -1
+                rows.append(row)
     for k in range(q):
-        row = [Fraction(0)] * n
-        row[k], row[n - 1 - k] = Fraction(1), Fraction(-1)
-        rows.append(tuple(row))
-    rows.append((Fraction(1),) * n)
-    null = _ratlin.nullspace(rows, n)
-    return [tuple(int(x) for x in _ratlin.primitive(v)) for v in null]
+        row = [0] * n
+        row[k], row[n - 1 - k] = 1, -1
+        rows.append(row)
+    rows.append([1] * n)
+    return _ratlin.primitive_nullspace(rows, n)
 
 
 def property_star_basis(centralizer_subspace, triple):

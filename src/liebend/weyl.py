@@ -12,7 +12,6 @@ vectorized exact integer scans; `element(i)` gives row i as a WeylElement.
 
 import collections
 import functools
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +26,7 @@ WEYL_RANK_CAP = 8
 
 
 def torus_vector(values):
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class SplitTorusData:
     perms: np.ndarray  # |W| x coord_len: (w.v)_i = signs[k, i] * v[perms[k, i]]
     signs: np.ndarray
     w0: WeylElement
-    b_basis: tuple  # exact primitive-integer vectors spanning the iota-fixed subspace
+    b_basis: tuple  # primitive int tuples spanning the iota-fixed subspace (never printed)
 
     @property
     def weyl_order(self):
@@ -212,14 +211,30 @@ def _diagonal(alg, v):
     return list(v) + [0] * (p - q) + [-x for x in reversed(v)]
 
 
+def _permutations(n):
+    """Every permutation of range(n) as an int8 array, one per row, in the
+    lexicographic order of itertools.permutations.  Built one position at a
+    time: for each first element f in increasing order, the previous block
+    (the permutations of range(k), in order) with every entry >= f shifted
+    up by one."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):
+        first = np.repeat(np.arange(k + 1, dtype=np.int8), len(perms))
+        rest = np.tile(perms, (k + 1, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack([first, rest])
+    return perms
+
+
 def _weyl_arrays(family, coord_len):
     """(perms, signs) of W: S_n for sl(n); for su the signed permutations, the
     sign vectors in itertools.product((1, -1)) order inside each permutation."""
-    perms = np.array(list(itertools.permutations(range(coord_len))), dtype=np.int8)
+    perms = _permutations(coord_len)
     if family == SL:
         signs = np.ones_like(perms)
     else:
-        sign_rows = np.array(list(itertools.product((1, -1), repeat=coord_len)), dtype=np.int8)
+        bits = np.arange(2 ** coord_len)[:, None] >> np.arange(coord_len - 1, -1, -1)
+        sign_rows = (1 - 2 * (bits & 1)).astype(np.int8)
         perms = np.repeat(perms, len(sign_rows), axis=0)
         signs = np.tile(sign_rows, (len(perms) // len(sign_rows), 1))
     perms.flags.writeable = False
@@ -290,17 +305,16 @@ def _longest_element(torus):
 
 
 def _b_basis(torus, w0):
-    """Exact primitive basis of {v : iota(v) = v} (with zero trace for sl)."""
+    """Exact primitive integer basis of {v : iota(v) = v} (with zero trace
+    for sl), as int tuples in increasing order."""
     m = torus.coord_len
     rows = []
     for i in range(m):
-        row = [Fraction(0)] * m
+        row = [0] * m
         row[i] += 1
         # iota(v)_i = -signs[i] * v[perm[i]]
         row[w0.perm[i]] += w0.signs[i]
-        rows.append(tuple(row))
+        rows.append(row)
     if torus.algebra.family == SL:
-        rows.append(tuple(Fraction(1) for _ in range(m)))
-    basis = _ratlin.nullspace(rows, m)
-    prim = sorted(_ratlin.primitive(v) for v in basis)
-    return tuple(tuple(x for x in v) for v in prim)
+        rows.append([1] * m)
+    return tuple(sorted(_ratlin.primitive_nullspace(rows, m)))

@@ -1,6 +1,7 @@
 import collections
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,49 @@ def su32_torus(su32):
 def random_algebra_element(alg, rng, scale=1.0):
     coords = rng.normal(size=alg.dim) * scale
     return alg.from_coordinates(coords)
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction, (rows, pivot_columns): the
+    oracle of `_ratlin`'s fraction-free elimination."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return [tuple(r) for r in mat[:rank]], pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : rows @ x = 0} over Fraction, one vector per free column
+    of the RREF (1 there): the oracle of `_ratlin.primitive_nullspace`."""
+    red, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def oracle_weight_mults(alg, h):

@@ -16,12 +16,14 @@ from liebend.properness import (HSubalgebraTorus, _line_hits, _scan, benoist_cer
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import split_torus
 
+from conftest import nullspace
+
 # a search scans W once per b basis line, once for the staircase, and once
 # per fallback line; the queries below need at most three fallback lines
 SCAN_SLACK = 4
 
-# scales of one line at which the scans stay in int64 with small entries,
-# stay in int64 with products of entries past 2**63, and need Python ints
+# scales of one line at which the scans run in float64 with small entries,
+# run in float64 with products of entries past 2**63, and need Python ints
 LINE_SCALES = (1, 2 ** 28, 2 ** 58)
 
 # queries on which every point base +- b_k/d lies in a translate of a_h
@@ -88,24 +90,29 @@ def test_line_hits_match_pointwise_scans(family):
         for scale in LINE_SCALES:
             alpha = _scan(torus, [scale * int(x) for x in base], ah)
             beta = _scan(torus, [scale * y for y in direction], ah)
+            if scale == 2 ** 58:
+                assert alpha.dtype == object
             if object in (alpha.dtype, beta.dtype):
                 paths.add("object")
             elif int(np.abs(alpha).max()) * int(np.abs(beta).max()) >= 2 ** 63:
-                paths.add("int64 past 2**63")
+                paths.add("float64 past 2**63")
+            else:
+                paths.add("float64")
             hits = _line_hits(alpha, beta)
             assert (hits if hits is None else {m for m in hits if m in span}) == expected
     assert found
-    assert paths == {"object", "int64 past 2**63"}
+    assert paths == {"float64", "float64 past 2**63", "object"}
 
 
 def test_line_hits_do_not_wrap():
-    """Int64 scans whose products pass 2**63 are compared in Python ints.
-    Here alpha_w1 * beta_w0 and beta_w1 * alpha_w0 differ by exactly 2**64,
-    so int64 products would wrap to equal values and report that w meets
-    the line at s = -1."""
-    alpha = np.array([[2 ** 32, 1]], dtype=np.int64)
-    beta = np.array([[2 ** 32, 2 ** 32 + 1]], dtype=np.int64)
+    """Scans whose products pass 2**63 are compared in Python ints.  Here
+    alpha_w1 * beta_w0 and beta_w1 * alpha_w0 differ by exactly 2**64, so
+    int64 products would wrap to equal values and report that w meets the
+    line at s = -1.  The entries are exact in float64, as `_scan` gives them."""
+    alpha = np.array([[2 ** 32, 1]], dtype=np.float64)
+    beta = np.array([[2 ** 32, 2 ** 32 + 1]], dtype=np.float64)
     assert _line_hits(alpha, beta) == set()
+    assert _line_hits(alpha.astype(np.int64), beta.astype(np.int64)) == set()
 
 
 @pytest.mark.parametrize("family, rows, expected", PINNED, ids=["su55", "sl7"])
@@ -147,7 +154,7 @@ def adversarial_queries(seed, draws):
             normals = [[int(x) for x in rng.integers(-3, 4, n)]]
             if family[0] == "sl":
                 normals.append([1] * n)
-            basis = _ratlin.nullspace(normals, n)
+            basis = nullspace(normals, n)
             if not basis or len(basis) != n - len(normals):
                 continue
             ah = HSubalgebraTorus(torus, tuple(basis))

@@ -94,11 +94,10 @@ def test_rho2_undefined_for_equal_signature():
 
 
 def test_verify_rejects_scaled_triple(sl2):
-    # E = 2 E_12 and F = 2 E_21: [E, F] = 4 H != H
-    t = Sl2Triple(sl2, ExactTriple((1, -1), ((0, 1, 4, 1),)), "partition", "scaled")
-    ok, residuals = verify_sl2_triple(t)
-    assert not ok
-    assert residuals["[E,F]-H"] > 1e-6
+    # E = 2 E_12 and F = 2 E_21: [E, F] = 4 H != H, so the chain of length 2
+    # carries m = 4, not 1, and the triple is refused where it is built
+    with pytest.raises(ParameterError, match="signature"):
+        Sl2Triple(sl2, ExactTriple((1, -1), ((0, 1, 4, 1),)), "partition", "scaled")
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (2, 2), (4, 4), (6, 6)])
@@ -124,9 +123,10 @@ def test_sigma_zero_triple(sl5):
 
 
 def test_sigma_non_integer_error(sl2):
-    t = Sl2Triple(sl2, ExactTriple((Fraction(1, 2), Fraction(-1, 2)), ()), "partition", "half")
-    with pytest.raises(RealizationError, match="non-integer"):
-        sigma(t)
+    # weights (1/2, -1/2) are no chain's d-1, ..., -(d-1): refused where built,
+    # so sigma never sees them
+    with pytest.raises(ParameterError, match="weights"):
+        Sl2Triple(sl2, ExactTriple((Fraction(1, 2), Fraction(-1, 2)), ()), "partition", "half")
 
 
 def test_a_triple_needs_its_exact_form(sl5):

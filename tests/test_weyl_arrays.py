@@ -12,9 +12,9 @@ import pytest
 from liebend import _ratlin
 from liebend.algebra import make_algebra
 from liebend.errors import RealizationError
-from liebend.properness import (HSubalgebraTorus, benoist_certificate,
+from liebend.properness import (FLOAT_EXACT, HSubalgebraTorus, _scan, benoist_certificate,
                                 benoist_criterion, in_weyl_orbit_of_subspace)
-from liebend.weyl import WeylElement, split_torus
+from liebend.weyl import WeylElement, _weyl_arrays, split_torus
 
 from test_certificate import adversarial_queries
 
@@ -88,7 +88,7 @@ def oracle_certificate(torus, ah, max_denominator):
 
 def random_vector(torus, rng, big):
     n = torus.coord_len
-    if big:  # entries near 2**40: dot products pass 2**62, so the object lane runs
+    if big:  # entries near 2**40: dot products pass 2**53, so the object lane runs
         raw = [Fraction(int(x)) for x in rng.integers(-2 ** 40, 2 ** 40, n)]
     else:
         raw = [Fraction(int(a), int(b)) for a, b in
@@ -201,10 +201,61 @@ def test_benoist_past_the_oracle():
 
 
 def test_integer_scan_does_not_wrap():
-    """Dot products past 2**63 must stay exact (the int64 guard)."""
+    """Dot products past 2**63 must stay exact (the float64 bound sends them
+    to Python ints)."""
     torus = split_torus(make_algebra("su", 2, 2))
     ah = HSubalgebraTorus(torus, ((2 ** 32, 1),))  # annihilator (1, -2**32)
     assert in_weyl_orbit_of_subspace(torus, (0, 2 ** 32), ah) == (False, None)
     # primitive already: the identity image gives 2**32 - 2**32 * (2**32 + 1)
     # = -2**64, which int64 arithmetic would wrap to 0, a false member
     assert in_weyl_orbit_of_subspace(torus, (2 ** 32, 2 ** 32 + 1), ah) == (False, None)
+
+
+@pytest.mark.parametrize("family, n", [("sl", n) for n in range(1, 9)] +
+                         [("su", q) for q in range(1, 7)], ids=lambda v: str(v))
+def test_weyl_arrays_match_itertools(family, n):
+    """The numpy-built W, row for row: permutations in
+    itertools.permutations order and, for su, the sign vectors in
+    itertools.product((1, -1)) order inside each permutation."""
+    perms, signs = _weyl_arrays(family, n)
+    ref = list(itertools.permutations(range(n)))
+    if family == "sl":
+        assert perms.tolist() == [list(p) for p in ref]
+        assert (signs == 1).all()
+    else:
+        ref_signs = list(itertools.product((1, -1), repeat=n))
+        assert perms.tolist() == [list(p) for p in ref for _ in ref_signs]
+        assert signs.tolist() == [list(s) for _ in ref for s in ref_signs]
+    assert perms.dtype == signs.dtype == np.int8
+    assert not perms.flags.writeable and not signs.flags.writeable
+
+
+def object_scan(torus, ints, ah):
+    """A.(w.v) over W in Python ints: the reference for `_scan`."""
+    images = torus.signs.astype(object) * np.array(ints, dtype=object)[torus.perms]
+    return (images @ np.array(ah.annihilator, dtype=object).T).tolist()
+
+
+# (family, a_h basis, v, coord_len * max|v| * max|ann|)
+SCAN_EDGES = [
+    # one coordinate, annihilator (1,): the bound is |v|
+    (("su", 2, 1), (), [FLOAT_EXACT - 1], FLOAT_EXACT - 1),
+    (("su", 2, 1), (), [FLOAT_EXACT], FLOAT_EXACT),
+    # annihilator (1, 1): sums of two entries reach +-(2**53 - 2)
+    (("su", 2, 2), ((1, -1),), [2 ** 52 - 1, 2 ** 52 - 1], FLOAT_EXACT - 2),
+    (("su", 2, 2), ((1, -1),), [2 ** 52, -2 ** 52], FLOAT_EXACT),
+]
+
+
+@pytest.mark.parametrize("family, basis, ints, bound", SCAN_EDGES,
+                         ids=["2**53-1", "2**53", "sum-2**53-2", "sum-2**53"])
+def test_scan_is_float64_below_2_53_and_exact(family, basis, ints, bound):
+    """A bound below 2**53 takes the float64 BLAS product, which equals the
+    Python-int scan; a bound of 2**53 takes the object path."""
+    torus = split_torus(make_algebra(*family))
+    ah = HSubalgebraTorus(torus, basis)
+    assert torus.coord_len * max(map(abs, ints)) * \
+        max(abs(c) for row in ah.annihilator for c in row) == bound
+    got = _scan(torus, ints, ah)
+    assert got.dtype == (np.float64 if bound < FLOAT_EXACT else object)
+    assert [[int(x) for x in row] for row in got.tolist()] == object_scan(torus, ints, ah)
