@@ -4,7 +4,8 @@ and a sampled transversality margin.
 
 Every yes/no decision here is exact: each quantifier over W is one
 vectorized integer scan (`_scan`) over the signed-permutation arrays of the
-torus.  Floats appear only in the sampled margin.
+torus.  Floats appear only in the sampled margin, and inside `_scan` as a
+BLAS product of integers that float64 holds exactly.
 """
 
 import itertools
@@ -59,21 +60,23 @@ def _scan(torus, ints, ah):
 
     When coord_len * max|v| * max|ann| < 2**53, every partial sum of every
     dot product is an integer below 2**53 in absolute value, so one float64
-    BLAS product is exact in any summation order; the result is float64.
-    Otherwise object arrays of Python ints keep the scan exact."""
+    BLAS product is exact in any summation order, and the result is returned
+    as int64.  Otherwise object arrays of Python ints keep the scan exact."""
     ann = ah.annihilator
     n = torus.coord_len
     bound = n * max(map(abs, ints)) * max((abs(c) for row in ann for c in row), default=0)
     dtype = np.float64 if bound < FLOAT_EXACT else object
     images = np.array(ints, dtype=dtype)[torus.perms]
     images *= torus.signs  # in place: one |W| x coord_len array at a time
-    return images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T
+    scan = images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T
+    del images  # free the |W| x coord_len array before the int64 copy
+    return scan if dtype is object else scan.astype(np.int64)
 
 
 def _orbit_mask(torus, v, ah):
     """Mask over W: entry k is True iff w_k.v lies in span(a_h).  v is scaled
     to primitive integers first (membership in a rational subspace does not
-    depend on scale), which keeps the scan in float64 where it can."""
+    depend on scale), which keeps the scan off object arrays where it can."""
     return (_scan(torus, _ratlin.primitive(v), ah) == 0).all(axis=1)
 
 
@@ -130,12 +133,9 @@ def _line_hits(alpha, beta):
     if ((alpha == 0).all(axis=1) & ~moving).any():
         return None
     alpha, beta = alpha[moving], beta[moving]
-    # the scans hold exact integers (float64 ones below 2**53, or Python
-    # ints); the cross products below run in int64 when they cannot reach 2**63
-    big = object in (alpha.dtype, beta.dtype) or \
-        int(np.abs(alpha).max(initial=0)) * int(np.abs(beta).max(initial=0)) >= 2 ** 63
-    dtype = object if big else np.int64
-    alpha, beta = alpha.astype(dtype), beta.astype(dtype)
+    if object in (alpha.dtype, beta.dtype) or \
+            int(np.abs(alpha).max(initial=0)) * int(np.abs(beta).max(initial=0)) >= 2 ** 63:
+        alpha, beta = alpha.astype(object), beta.astype(object)
     rows = np.arange(len(beta))
     pivot = (beta != 0).argmax(axis=1)
     a_p, b_p = alpha[rows, pivot], beta[rows, pivot]

@@ -22,8 +22,8 @@ from conftest import nullspace
 # per fallback line; the queries below need at most three fallback lines
 SCAN_SLACK = 4
 
-# scales of one line at which the scans run in float64 with small entries,
-# run in float64 with products of entries past 2**63, and need Python ints
+# scales of one line at which the scans are int64 with small entries, are
+# int64 with products of entries past 2**63, and need Python ints
 LINE_SCALES = (1, 2 ** 28, 2 ** 58)
 
 # queries on which every point base +- b_k/d lies in a translate of a_h
@@ -95,24 +95,37 @@ def test_line_hits_match_pointwise_scans(family):
             if object in (alpha.dtype, beta.dtype):
                 paths.add("object")
             elif int(np.abs(alpha).max()) * int(np.abs(beta).max()) >= 2 ** 63:
-                paths.add("float64 past 2**63")
+                paths.add("int64 past 2**63")
             else:
-                paths.add("float64")
+                paths.add("int64")
             hits = _line_hits(alpha, beta)
             assert (hits if hits is None else {m for m in hits if m in span}) == expected
     assert found
-    assert paths == {"float64", "float64 past 2**63", "object"}
+    assert paths == {"int64", "int64 past 2**63", "object"}
 
 
 def test_line_hits_do_not_wrap():
-    """Scans whose products pass 2**63 are compared in Python ints.  Here
-    alpha_w1 * beta_w0 and beta_w1 * alpha_w0 differ by exactly 2**64, so
-    int64 products would wrap to equal values and report that w meets the
-    line at s = -1.  The entries are exact in float64, as `_scan` gives them."""
-    alpha = np.array([[2 ** 32, 1]], dtype=np.float64)
-    beta = np.array([[2 ** 32, 2 ** 32 + 1]], dtype=np.float64)
+    """Int64 scans whose products pass 2**63 are compared in Python ints.
+    Here alpha_w1 * beta_w0 and beta_w1 * alpha_w0 differ by exactly 2**64,
+    so int64 products would wrap to equal values and report that w meets
+    the line at s = -1."""
+    alpha = np.array([[2 ** 32, 1]], dtype=np.int64)
+    beta = np.array([[2 ** 32, 2 ** 32 + 1]], dtype=np.int64)
     assert _line_hits(alpha, beta) == set()
-    assert _line_hits(alpha.astype(np.int64), beta.astype(np.int64)) == set()
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    # int64 entries near 2**53: 3 * (2**53 - 5) and 3 * (2**53 - 6) differ,
+    # but both round to 3 * 2**53 - 16 as floats, a false hit at s = -1
+    (np.array([[3, 2 ** 53 - 5]], dtype=np.int64), np.array([[3, 2 ** 53 - 6]], dtype=np.int64)),
+    # an object scan beside an int64 one: -2**61 and -2**61 + 1 differ, but
+    # are one float, a false hit at s = 1/2
+    (np.array([[1, 2 ** 60]], dtype=object), np.array([[-2, -2 ** 61 + 1]], dtype=np.int64)),
+], ids=["int64-near-2**53", "object-and-int64"])
+def test_line_hits_are_exact_past_float64(alpha, beta):
+    """Cross products that float64 would round to equal values are told
+    apart: `_line_hits` compares the scans' integers exactly."""
+    assert _line_hits(alpha, beta) == set()
 
 
 @pytest.mark.parametrize("family, rows, expected", PINNED, ids=["su55", "sl7"])

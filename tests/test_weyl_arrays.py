@@ -201,7 +201,7 @@ def test_benoist_past_the_oracle():
 
 
 def test_integer_scan_does_not_wrap():
-    """Dot products past 2**63 must stay exact (the float64 bound sends them
+    """Dot products past 2**63 must stay exact (the 2**53 bound sends them
     to Python ints)."""
     torus = split_torus(make_algebra("su", 2, 2))
     ah = HSubalgebraTorus(torus, ((2 ** 32, 1),))  # annihilator (1, -2**32)
@@ -249,13 +249,14 @@ SCAN_EDGES = [
 
 @pytest.mark.parametrize("family, basis, ints, bound", SCAN_EDGES,
                          ids=["2**53-1", "2**53", "sum-2**53-2", "sum-2**53"])
-def test_scan_is_float64_below_2_53_and_exact(family, basis, ints, bound):
-    """A bound below 2**53 takes the float64 BLAS product, which equals the
-    Python-int scan; a bound of 2**53 takes the object path."""
+def test_scan_takes_float64_below_2_53_and_is_exact(family, basis, ints, bound):
+    """A bound below 2**53 takes the float64 BLAS product, returned as int64
+    and equal to the Python-int scan; a bound of 2**53 takes the object
+    path."""
     torus = split_torus(make_algebra(*family))
     ah = HSubalgebraTorus(torus, basis)
     assert torus.coord_len * max(map(abs, ints)) * \
         max(abs(c) for row in ah.annihilator for c in row) == bound
     got = _scan(torus, ints, ah)
-    assert got.dtype == (np.float64 if bound < FLOAT_EXACT else object)
-    assert [[int(x) for x in row] for row in got.tolist()] == object_scan(torus, ints, ah)
+    assert got.dtype == (np.int64 if bound < FLOAT_EXACT else object)
+    assert got.tolist() == object_scan(torus, ints, ah)
