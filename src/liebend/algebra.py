@@ -13,7 +13,6 @@ most computations run in real coordinates with respect to a fixed basis.
 """
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,13 +150,13 @@ class LieAlgebraSpace:
         elem, rows, cols = np.nonzero(self.basis)
         return readonly((elem, rows, cols, np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])))
 
-    def coordinates(self, x, check=True, rtol=None):
+    def coordinates(self, x, check=True):
         """Real coordinates in the algebra basis of an ambient matrix (n, n),
         shape (dim,), or of a stack of them (k, n, n), shape (k, dim).
 
         With check=True every matrix of the stack must be a member; the
         residual is taken row by row against the matrix's own norm, with
-        rtol defaulting to the config's membership_rtol.
+        the config's membership_rtol.
         """
         x = np.asarray(x)
         if x.ndim not in (2, 3) or x.shape[-2:] != (self.size, self.size):
@@ -168,7 +167,7 @@ class LieAlgebraSpace:
         if check:
             resid = np.linalg.norm(coords @ self._flat.T - vecs, axis=1)
             scale = np.maximum(np.linalg.norm(flat, axis=1), 1.0)
-            tol = self.config.membership_rtol if rtol is None else rtol
+            tol = self.config.membership_rtol
             bad = np.flatnonzero(resid > tol * scale)
             if bad.size:
                 k = bad[0]
@@ -177,9 +176,9 @@ class LieAlgebraSpace:
                     f"residual {resid[k]:.3e} exceeds {tol:.1e} * {scale[k]:.3e}")
         return coords if x.ndim == 3 else coords[0]
 
-    def contains(self, x, rtol=None):
+    def contains(self, x):
         try:
-            self.coordinates(x, check=True, rtol=rtol)
+            self.coordinates(x, check=True)
             return True
         except (MembershipError, ShapeError):
             return False
@@ -189,16 +188,6 @@ class LieAlgebraSpace:
         coords = np.asarray(coords, dtype=float)
         flat = coords @ self.basis.reshape(self.dim, -1)
         return flat.reshape(coords.shape[:-1] + (self.size, self.size))
-
-    def defining_residual(self, x):
-        """Residual of the defining conditions (trace and, for su, the form)."""
-        x = np.asarray(x)
-        r = abs(np.trace(x))
-        if self.family == SU:
-            r = max(r, np.linalg.norm(x.conj().T @ self.form + self.form @ x))
-        else:
-            r = max(r, np.linalg.norm(x.imag) if np.iscomplexobj(x) else 0.0)
-        return r
 
 
 def integer_param(name, value):
@@ -218,7 +207,7 @@ def make_algebra(family, *params, config=_config.DEFAULT):
     The input is validated and canonicalized first; then one algebra, with
     read-only arrays, serves every call with the same (family, params,
     config) in the process.  Equal configs share it, configs that differ in
-    any value (or only in the sign of a zero pitchfork_radius) do not."""
+    any value do not."""
     family = canonical_family(family)
     names = PARAM_NAMES[family]
     if len(params) != len(names):
@@ -232,13 +221,11 @@ def make_algebra(family, *params, config=_config.DEFAULT):
         p, q = params
         if q < 1 or p < q:
             raise ParameterError(f"su(p,q) needs p >= q >= 1, got ({p}, {q})")
-    # configs with pitchfork_radius 0.0 and -0.0 compare equal but echo
-    # differently; it is the one config value that may be zero
-    return _shared_algebra(family, params, config, math.copysign(1.0, config.pitchfork_radius))
+    return _shared_algebra(family, params, config)
 
 
 @functools.lru_cache(maxsize=8)
-def _shared_algebra(family, params, config, _radius_sign):
+def _shared_algebra(family, params, config):
     if family == SL:
         (n,) = params
         form, basis = None, np.array(_sl_basis(n))
@@ -370,7 +357,7 @@ def generated_subalgebra(alg, seeds):
     return space
 
 
-def _is_diagonalizable(x, tol=1e-8):
+def _is_diagonalizable(x, tol):
     x = np.asarray(x, dtype=complex)
     w, v = np.linalg.eig(x)
     cond = np.linalg.cond(v)
@@ -381,30 +368,16 @@ def _is_diagonalizable(x, tol=1e-8):
     return np.linalg.norm(recon - x) <= tol * max(np.linalg.norm(x), 1.0)
 
 
-def classify_element(alg, x, kind="auto", tol=1e-8):
-    """Classify as elliptic, hyperbolic, nilpotent (unipotent) or mixed.
-
-    kind="auto" treats members of the algebra as algebra elements and
-    invertible non-members as group elements.
-    """
-    x = np.asarray(x)
-    if kind == "auto":
-        kind = "algebra" if alg.contains(x, rtol=1e-7) else "group"
+def classify_element(alg, x):
+    """Classify an algebra element as elliptic, hyperbolic, nilpotent or mixed."""
+    tol = 1e-8
     w = np.linalg.eigvals(np.asarray(x, dtype=complex))
     scale = max(np.max(np.abs(w)), 1.0)
-    if kind == "algebra":
-        if np.all(np.abs(w) <= tol * scale):
-            return "nilpotent"
-        if np.all(np.abs(w.real) <= tol * scale) and _is_diagonalizable(x, tol):
-            return "elliptic"
-        if np.all(np.abs(w.imag) <= tol * scale) and _is_diagonalizable(x, tol):
-            return "hyperbolic"
-        return "mixed"
-    if np.all(np.abs(w - 1.0) <= tol):
-        return "nilpotent"  # unipotent
-    if np.all(np.abs(np.abs(w) - 1.0) <= tol) and _is_diagonalizable(x, tol):
+    if np.all(np.abs(w) <= tol * scale):
+        return "nilpotent"
+    if np.all(np.abs(w.real) <= tol * scale) and _is_diagonalizable(x, tol):
         return "elliptic"
-    if np.all(np.abs(w.imag) <= tol * scale) and np.all(w.real > 0) and _is_diagonalizable(x, tol):
+    if np.all(np.abs(w.imag) <= tol * scale) and _is_diagonalizable(x, tol):
         return "hyperbolic"
     return "mixed"
 

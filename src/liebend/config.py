@@ -32,8 +32,6 @@ class Config:
     rank_rtol: float = 1e-7
     # bound on the seed polygon's relation residual
     seed_relation_tol: float = 1e-10
-    # samples with smaller Cartan projection are ignored by the pitchfork margin
-    pitchfork_radius: float = 5.0
     # bending parameters tried in order; first one passing the inequalities wins
     t_grid: tuple = (1e-2 * GOLDEN_RATIO, 1e-3 * GOLDEN_RATIO, 1e-4 * GOLDEN_RATIO)
 
@@ -43,8 +41,6 @@ class Config:
 
         for key in ("membership_rtol", "rank_rtol", "seed_relation_tol"):
             put(key, _finite(key, getattr(self, key), lambda v: v > 0, "a finite number > 0"))
-        put("pitchfork_radius", _finite("pitchfork_radius", self.pitchfork_radius,
-                                        lambda v: v >= 0, "a finite number >= 0"))
         grid = self.t_grid
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ParameterError(f"config key 't_grid' needs a non-empty list, got {grid!r}")

@@ -1,15 +1,14 @@
 """Exact properness decisions: Weyl-orbit membership, the sl(2,R) criterion,
-the non-virtually-abelian existence criterion, the equal-rank obstruction,
-and a sampled transversality margin.
+the non-virtually-abelian existence criterion and the equal-rank
+obstruction.
 
-Every yes/no decision here is exact: each quantifier over W is one
-vectorized integer scan (`_scan`) over the signed-permutation arrays of the
-torus.  Floats appear only in the sampled margin, and inside `_scan` as a
-BLAS product of integers that float64 holds exactly.
+Every decision here is exact: each quantifier over W is one vectorized
+integer scan (`_scan`) over the signed-permutation arrays of the torus.
+Floats appear only inside `_scan`, as a BLAS product of integers that
+float64 holds exactly.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,10 +42,6 @@ class HSubalgebraTorus:
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains(self, v):
-        v = self.torus.vector(v)
-        return all(sum(c * x for c, x in zip(row, v)) == 0 for row in self.annihilator)
 
 
 # float64 holds every integer below 2**53 exactly
@@ -219,42 +214,3 @@ def benoist_certificate(torus, ah):
 def calabi_markus(torus, ah):
     """True (no infinite discontinuous groups) iff a_h has full rank in a."""
     return ah.dim == torus.rank
-
-
-@dataclass(frozen=True)
-class PitchforkResult:
-    margin: float
-    qualifying: int
-    inconclusive: bool
-
-
-def pitchfork_margin(torus, mu_samples, ah):
-    """Minimal distance from the qualifying mu samples to W.span(a_h).
-
-    Samples with ||mu|| below the config's pitchfork_radius are ignored (the
-    relative-compactness condition is vacuous on a bounded core).  A
-    diagnostic, not a decision.
-    """
-    r = torus.algebra.config.pitchfork_radius
-    basis = np.array([[float(x) for x in b] for b in ah.basis]).reshape(ah.dim, torus.coord_len)
-    # translate w.span(a_h) as the columns w.b, one n x dim(a_h) matrix per w
-    cols = torus.signs[:, :, None] * basis.T[torus.perms]
-    q_mats, _ = np.linalg.qr(cols)
-    # the orthogonal projector determines the subspace independently of the
-    # basis produced by qr, so it is a sound deduplication key
-    projectors = q_mats @ q_mats.transpose(0, 2, 1)
-    keys = np.round(projectors, 9).reshape(len(projectors), -1)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    projectors = projectors[first]
-
-    margin = math.inf
-    qualifying = 0
-    for sample in mu_samples:
-        v = np.asarray([float(x) for x in sample], dtype=float)
-        if np.linalg.norm(v) < r:
-            continue
-        qualifying += 1
-        resid = v - projectors @ v
-        margin = min(margin, np.linalg.norm(resid, axis=1).min())
-    return PitchforkResult(margin, qualifying, qualifying == 0)
-

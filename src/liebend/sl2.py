@@ -1,7 +1,7 @@
 """sl(2,R)-homomorphisms into the supported algebras: partition triples in
 sl(n,R), the two explicit su(p,q) families, evenness, the involution matrix
 sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
-genus bounds, even bases of b, and torsion-free spanning sets of centralizers.
+genus bounds, and torsion-free spanning sets of centralizers.
 
 Every triple is built from its exact form (`ExactTriple`): H is an integer
 diagonal, so ad H weights are read off the basis.  The constructed triples,
@@ -22,20 +22,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import _ratlin
-from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, bracket,
-                      classify_element, diagonal_weights, integer_param, kernel_of,
-                      readonly, subspace_from_coordinates, theta_operator)
+from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, classify_element,
+                      diagonal_weights, integer_param, kernel_of, readonly,
+                      subspace_from_coordinates, theta_operator)
 from .errors import (MembershipError, ParameterError, RealizationError,
                      UnsupportedCentralizerError)
-from .projections import group_residual
-from .weyl import split_torus
 
 A0 = np.array([[1.0, 0.0], [0.0, -1.0]])
 SL2_E = np.array([[0.0, 1.0], [0.0, 0.0]])
 SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 # thresholds of the float decisions below; none is a Config field
-TRIPLE_RTOL = 1e-9         # bracket and membership residuals of a triple, relative to its norm
 DECOMPOSE_TOL = 1e-7       # residual of a vector against the stacked isotypic pieces
 HW_PIVOT_TOL = 1e-9        # smallest pivot of the highest-weight normalization
 E_SUPPORT_TOL = 1e-12      # an entry of E counts as support above this modulus
@@ -133,11 +130,6 @@ class Sl2Triple:
         alg = self.algebra
         free = self.exact.h if alg.family == SL else self.exact.h[:alg.params[1]]
         return tuple(Fraction(w) for w in free)
-
-    @cached_property
-    def is_zero(self):
-        return max(np.linalg.norm(self.h), np.linalg.norm(self.e),
-                   np.linalg.norm(self.f)) == 0.0
 
     @cached_property
     def ad_h(self):
@@ -262,28 +254,6 @@ def rho2_su(alg):
     return Sl2Triple(alg, ExactTriple(h, tuple(e)), "rho2", "rho2")
 
 
-def verify_sl2_triple(triple):
-    """Bracket relations and algebra membership, with a residual report."""
-    alg = triple.algebra
-    h, e, f = triple.h, triple.e, triple.f
-    scale = max(np.linalg.norm(h), np.linalg.norm(e), np.linalg.norm(f), 1.0)
-    residuals = {
-        "[H,E]-2E": float(np.linalg.norm(bracket(h, e) - 2.0 * e)),
-        "[H,F]+2F": float(np.linalg.norm(bracket(h, f) + 2.0 * f)),
-        "[E,F]-H": float(np.linalg.norm(bracket(e, f) - h)),
-        "H in g": float(alg.defining_residual(h)),
-        "E in g": float(alg.defining_residual(e)),
-        "F in g": float(alg.defining_residual(f)),
-    }
-    ok = all(r <= TRIPLE_RTOL * scale for r in residuals.values())
-    if ok and not triple.is_zero:
-        try:
-            ad_weight_multiplicities(triple)
-        except RealizationError:
-            ok = False
-    return ok, residuals
-
-
 def ad_weight_multiplicities(triple):
     """Multiplicities m_j of the integer eigenvalues of ad H on the algebra."""
     mults = collections.Counter(triple.basis_weights.tolist())
@@ -310,19 +280,20 @@ def is_even(triple):
 def sigma(triple):
     """exp(pi*sqrt(-1)*H) = diag((-1)^h_i), read off the exact weights of H.
 
-    Integer weights make every factor +-1, so the result lies in the group;
-    it is real, with a complex dtype in su(p,q).
+    It lies in the group iff det = 1, an even number of odd weights, and,
+    in su(p,q), it keeps the form, h[k] and h[n-1-k] of equal parity for
+    k < q.  It is real, with a complex dtype in su(p,q).
     """
     alg = triple.algebra
     weights = [Fraction(w) for w in triple.exact.h]
     if any(w.denominator != 1 for w in weights):
         raise RealizationError("H has non-integer eigenvalues; sigma is undefined")
-    s = np.diag([1.0 if w % 2 == 0 else -1.0 for w in weights])
-    if alg.is_complex:
-        s = s.astype(complex)
-    if group_residual(alg, s) > 1e-8 * len(weights):
+    odd = [w % 2 == 1 for w in weights]
+    pairs = zip(odd[:alg.params[1]], reversed(odd)) if alg.family == SU else ()
+    if sum(odd) % 2 or any(a != b for a, b in pairs):
         raise RealizationError("sigma violates the group's defining condition")
-    return s
+    s = np.diag([-1.0 if o else 1.0 for o in odd])
+    return s.astype(complex) if alg.is_complex else s
 
 
 @functools.lru_cache(maxsize=4)
@@ -515,35 +486,6 @@ def even_partitions(n):
     out = [p for p in _partitions(n) if len({x % 2 for x in p}) == 1]
     out.sort(key=lambda p: _dominance_key(p, n), reverse=True)
     return out
-
-
-def even_sl2_basis_of_b(alg):
-    """Even triples whose dominant H-vectors form a basis of b, found by a
-    greedy exact-rank scan over equal-parity partitions in dominance order."""
-    if alg.family != SL:
-        raise ParameterError("the even basis search is implemented for sl(n,R)")
-    (n,) = alg.params
-    torus = split_torus(alg)
-    target_dim = torus.b_dim
-    chosen = []
-    vectors = []
-    for parts in even_partitions(n):
-        vec = tuple(Fraction(w) for w in sorted(_partition_weight_string(parts), reverse=True))
-        if _ratlin.rank(vectors + [vec]) <= len(vectors):
-            continue
-        triple = sl2_from_partition(alg, parts)
-        if not is_even(triple):
-            raise RealizationError(f"partition {parts} passed the parity filter but is not even")
-        chosen.append(triple)
-        vectors.append(vec)
-        if len(vectors) == target_dim:
-            break
-    if len(vectors) != target_dim:
-        raise RealizationError("even partitions failed to span b")
-    for v in vectors:
-        if not torus.in_b_plus(v):
-            raise RealizationError(f"even dominant vector {v} left b_plus")
-    return chosen
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebend.algebra import (SubspaceOfG, adjoint_operator, kernel_of, make_algebra,
-                             theta_operator)
+from liebend.algebra import (SU, SubspaceOfG, adjoint_operator, bracket, kernel_of,
+                             make_algebra, theta_operator)
+from liebend.errors import RealizationError
 from liebend.properness import in_weyl_orbit_of_subspace
+from liebend.sl2 import ad_weight_multiplicities
 from liebend.weyl import _diagonal, split_torus
 
 SEED = 20240817
@@ -211,6 +213,13 @@ def compact_part_basis(alg):
     return SubspaceOfG(alg, kernel_of([th - np.eye(alg.dim)], alg.dim, alg.config.rank_rtol))
 
 
+def ah_contains(ah, v):
+    """Whether the torus vector v lies in span(a_h), exactly: every
+    annihilator functional of `HSubalgebraTorus` vanishes on it."""
+    v = ah.torus.vector(v)
+    return all(sum(c * x for c, x in zip(row, v)) == 0 for row in ah.annihilator)
+
+
 def weyl_compatible_identity_holds(torus, ah, samples):
     """Cross-check of the chamber identity a_+ ∩ W.a_h = a_+ ∩ a_h on the given
     exact dominant samples; meaningful only for symmetric-pair subalgebras."""
@@ -219,7 +228,7 @@ def weyl_compatible_identity_holds(torus, ah, samples):
         if not torus.is_dominant(v):
             v, _ = torus.dominant_representative(v)
         member, _ = in_weyl_orbit_of_subspace(torus, v, ah)
-        if member != ah.contains(v):
+        if member != ah_contains(ah, v):
             return False
     return True
 
@@ -227,3 +236,47 @@ def weyl_compatible_identity_holds(torus, ah, samples):
 def random_group_element(alg, rng, scale=0.3):
     from scipy.linalg import expm
     return expm(random_algebra_element(alg, rng, scale))
+
+
+TRIPLE_RTOL = 1e-9  # bracket and membership residuals of a triple, relative to its norm
+
+
+def defining_residual(alg, x):
+    """Residual of the defining conditions of an algebra element (trace and,
+    for su, the form; for sl, the imaginary part)."""
+    x = np.asarray(x)
+    r = abs(np.trace(x))
+    if alg.family == SU:
+        r = max(r, np.linalg.norm(x.conj().T @ alg.form + alg.form @ x))
+    else:
+        r = max(r, np.linalg.norm(x.imag) if np.iscomplexobj(x) else 0.0)
+    return r
+
+
+def is_zero(triple):
+    return max(np.linalg.norm(triple.h), np.linalg.norm(triple.e),
+               np.linalg.norm(triple.f)) == 0.0
+
+
+def verify_sl2_triple(triple):
+    """Float cross-check of a triple: its bracket relations and the algebra
+    membership of H, E and F, each residual against TRIPLE_RTOL times the
+    triple's norm, plus a symmetric ad H weight multiset.  (ok, residuals)."""
+    alg = triple.algebra
+    h, e, f = triple.h, triple.e, triple.f
+    scale = max(np.linalg.norm(h), np.linalg.norm(e), np.linalg.norm(f), 1.0)
+    residuals = {
+        "[H,E]-2E": float(np.linalg.norm(bracket(h, e) - 2.0 * e)),
+        "[H,F]+2F": float(np.linalg.norm(bracket(h, f) + 2.0 * f)),
+        "[E,F]-H": float(np.linalg.norm(bracket(e, f) - h)),
+        "H in g": float(defining_residual(alg, h)),
+        "E in g": float(defining_residual(alg, e)),
+        "F in g": float(defining_residual(alg, f)),
+    }
+    ok = all(r <= TRIPLE_RTOL * scale for r in residuals.values())
+    if ok and not is_zero(triple):
+        try:
+            ad_weight_multiplicities(triple)
+        except RealizationError:
+            ok = False
+    return ok, residuals

@@ -12,17 +12,14 @@ from liebend.algebra import generated_subalgebra, make_algebra
 from liebend.bending import build_plan, fuchsian_generators
 from liebend.cli import main
 from liebend.errors import MembershipError, ParameterError, RealizationError
-from liebend.properness import HSubalgebraTorus, pitchfork_margin
 from liebend.report import cmd_bend, cmd_reproduce_sec53
 from liebend.sl2 import rho1_su, sl2_from_partition
-from liebend.weyl import split_torus
 
 
 def test_defaults():
     cfg = config_mod.DEFAULT
     assert cfg.membership_rtol == 1e-9
     assert cfg.rank_rtol == 1e-7
-    assert cfg.pitchfork_radius == 5.0
     assert len(cfg.t_grid) == 3
     # grid scaled by the golden ratio, decades apart
     assert cfg.t_grid[0] / cfg.t_grid[1] == pytest.approx(10.0)
@@ -36,8 +33,8 @@ def test_load_file_and_overrides(tmp_path):
     assert cfg.t_grid == (0.5, 0.05)
     cfg2 = config_mod.load(str(path), membership_rtol=1e-6)
     assert cfg2.membership_rtol == 1e-6
-    cfg3 = config_mod.load(None, pitchfork_radius=2.0)
-    assert cfg3.pitchfork_radius == 2.0 and cfg3.membership_rtol == 1e-9
+    cfg3 = config_mod.load(None, rank_rtol=1e-6)
+    assert cfg3.rank_rtol == 1e-6 and cfg3.membership_rtol == 1e-9
 
 
 def test_echo_round_trips():
@@ -72,13 +69,6 @@ def test_t_grid_is_validated_when_loaded(grid):
         config_mod.DEFAULT.replace(t_grid=grid)
 
 
-def test_pitchfork_radius_is_validated_when_loaded():
-    assert config_mod.Config(pitchfork_radius=0).pitchfork_radius == 0.0
-    for bad in (-1.0, "5", float("inf")):
-        with pytest.raises(ParameterError, match="pitchfork_radius"):
-            config_mod.Config(pitchfork_radius=bad)
-
-
 @pytest.mark.parametrize("argv, key", [
     (["--tol", "nan"], "membership_rtol"),
     (["--tol=-1e-9"], "membership_rtol"),
@@ -90,10 +80,11 @@ def test_cli_flags_go_through_the_config_checks(argv, key, capsys):
     assert f"input error: config key {key!r} needs" in capsys.readouterr().err
 
 
-def test_five_settable_fields_and_the_same_echo():
+def test_four_settable_fields_and_the_same_echo():
     names = [f.name for f in dataclasses.fields(config_mod.Config)]
-    assert names == ["membership_rtol", "rank_rtol", "seed_relation_tol",
-                     "pitchfork_radius", "t_grid"]
+    assert names == ["membership_rtol", "rank_rtol", "seed_relation_tol", "t_grid"]
+    with pytest.raises(ParameterError, match="unknown config key 'pitchfork_radius'"):
+        config_mod.load(None, pitchfork_radius=5.0)
     assert sorted(config_mod.DEFAULT.echo()) == sorted(names + ["positivity"])
 
 
@@ -115,15 +106,6 @@ def test_rank_rtol_shrinks_a_closure():
     assert generated_subalgebra(make_algebra("sl", 2), seeds).dim == 3
     loose = make_algebra("sl", 2, config=config_mod.Config(rank_rtol=1e-2))
     assert generated_subalgebra(loose, seeds).dim == 2
-
-
-def test_pitchfork_radius_changes_qualifying():
-    rays = [(float(t),) for t in range(1, 11)]
-    counts = []
-    for cfg in (config_mod.DEFAULT, config_mod.Config(pitchfork_radius=0.0)):
-        torus = split_torus(make_algebra("su", 2, 1, config=cfg))
-        counts.append(pitchfork_margin(torus, rays, HSubalgebraTorus(torus, ())).qualifying)
-    assert counts == [6, 10]
 
 
 def test_seed_relation_tol_admits_the_genus_10_seed():

@@ -1,19 +1,14 @@
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from liebend.algebra import make_algebra
-from liebend.config import Config
 from liebend.properness import (HSubalgebraTorus, benoist_certificate,
                                 benoist_criterion, calabi_markus,
-                                in_weyl_orbit_of_subspace, pitchfork_margin,
-                                sl2_action_proper)
+                                in_weyl_orbit_of_subspace, sl2_action_proper)
 from liebend.sl2 import rho1_su, rho2_su, sl2_from_partition
-from liebend.weyl import split_torus
 
-from conftest import weyl_compatible_identity_holds
+from conftest import ah_contains, weyl_compatible_identity_holds
 
 SEC53_BASIS = ((2, -2, 0, 0, 0), (4, 2, 0, -2, -4))
 
@@ -45,7 +40,7 @@ def test_weyl_orbit_membership(sl5_torus, ah53, vec, expected):
     got, wit = in_weyl_orbit_of_subspace(sl5_torus, sl5_torus.vector(vec), ah53)
     assert got is expected
     if expected:
-        assert ah53.contains(wit.apply(sl5_torus.vector(vec)))
+        assert ah_contains(ah53, wit.apply(sl5_torus.vector(vec)))
 
 
 def test_weyl_orbit_invariance(sl5_torus, ah53, rng):
@@ -142,57 +137,3 @@ def test_chamber_identity_for_symmetric_pair(su32_torus, rng):
         samples.append(tuple(raw))
     samples += [(0, 0), (0, 3), (5, 0), (2, 2)]
     assert weyl_compatible_identity_holds(su32_torus, ah, samples)
-
-
-def test_pitchfork_margin(su21_torus):
-    ah = hyperplane_ah(su21_torus)  # {a1 = 0} has empty basis at q = 1
-    torus0 = split_torus(make_algebra("su", 2, 1, config=Config(pitchfork_radius=0.0)))
-    ah0 = hyperplane_ah(torus0)
-    on_ah = [(0.0,)] * 5
-    res = pitchfork_margin(torus0, on_ah, ah0)
-    assert res.margin == 0.0 and not res.inconclusive
-
-    rays = [(float(t),) for t in range(1, 11)]
-    res = pitchfork_margin(torus0, rays, ah0)
-    assert res.margin == pytest.approx(1.0)
-    res5 = pitchfork_margin(su21_torus, rays, ah)  # default radius 5
-    assert res5.margin == pytest.approx(5.0)
-    empty = pitchfork_margin(su21_torus, [(0.5,)], ah)
-    assert empty.inconclusive and math.isinf(empty.margin)
-
-
-def test_pitchfork_distinguishes_sign_translates():
-    # span{(1,1)} and its sign-flipped translate span{(1,-1)} are distinct;
-    # a sample on the flipped translate must have zero margin
-    torus = split_torus(make_algebra("su", 2, 2, config=Config(pitchfork_radius=0.0)))
-    ah = HSubalgebraTorus(torus, ((1, 1),))
-    res = pitchfork_margin(torus, [(3.0, -3.0)], ah)
-    assert res.margin == pytest.approx(0.0, abs=1e-12)
-    res_on = pitchfork_margin(torus, [(3.0, 3.0)], ah)
-    assert res_on.margin == pytest.approx(0.0, abs=1e-12)
-    res_off = pitchfork_margin(torus, [(3.0, 0.0)], ah)
-    assert res_off.margin == pytest.approx(3.0 / np.sqrt(2.0))
-
-
-def test_pitchfork_bent_word_sample(su21, su21_torus):
-    from liebend.bending import bend, build_plan, fuchsian_generators
-    from liebend.projections import mu
-    triple = rho1_su(su21)
-    seed = fuchsian_generators(2)
-    plan = build_plan(triple, seed, t="auto")
-    bent = bend(plan)
-    gens = bent.generators()
-    samples = []
-    frontier = [np.eye(3, dtype=complex)]
-    for _ in range(6):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = w @ g
-                nxt.append(wg)
-                samples.append(mu(su21, su21_torus, wg))
-        frontier = nxt
-    ah = hyperplane_ah(su21_torus)
-    res = pitchfork_margin(su21_torus, samples, ah)
-    assert not res.inconclusive
-    assert res.margin > 0.0

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +14,14 @@ from liebend.algebra import (SubspaceOfG, adjoint_operator, bracket, centralizer
                              kernel_of, make_algebra)
 from liebend.errors import (ParameterError, RealizationError,
                             UnsupportedCentralizerError)
+from liebend.projections import group_residual
 from liebend.sl2 import (A0, SL2_E, SL2_F, ExactTriple, Sl2Triple, ad_weight_multiplicities,
-                         even_partitions, even_sl2_basis_of_b, g_even, genus_bound,
-                         is_even, module_multiplicities, property_star_basis, rho1_su,
-                         rho2_su, rho_of, sigma, sl2_from_partition, verify_sl2_triple)
+                         even_partitions, g_even, genus_bound, is_even,
+                         module_multiplicities, property_star_basis, rho1_su, rho2_su,
+                         rho_of, sigma, sl2_from_partition)
 
-from conftest import (constructed_triples, oracle_coordinates, oracle_weight_mults,
-                      torus_matrix)
+from conftest import (constructed_triples, is_zero, oracle_coordinates,
+                      oracle_weight_mults, torus_matrix, verify_sl2_triple)
 
 SEC53_TABLE = [
     ((5,), True, (4, 2, 0, -2, -4)),
@@ -46,7 +49,7 @@ def test_partition_table(sl5, parts, even, vector):
 
 def test_partition_zero_triple(sl5):
     t = sl2_from_partition(sl5, (1,) * 5)
-    assert t.is_zero
+    assert is_zero(t)
     assert is_even(t)
 
 
@@ -127,6 +130,29 @@ def test_sigma_non_integer_error(sl2):
     # so sigma never sees them
     with pytest.raises(ParameterError, match="weights"):
         Sl2Triple(sl2, ExactTriple((Fraction(1, 2), Fraction(-1, 2)), ()), "partition", "half")
+
+
+def test_sigma_refuses_an_odd_number_of_odd_weights(sl3):
+    # a stand-in with weights (1, 0, 0): diag(-1, 1, 1) has det -1
+    stand_in = types.SimpleNamespace(algebra=sl3, exact=ExactTriple((1, 0, 0), ()))
+    with pytest.raises(RealizationError, match="defining condition"):
+        sigma(stand_in)
+
+
+@pytest.mark.parametrize("family, params", [("sl", (3,)), ("sl", (4,)), ("su", (2, 1)),
+                                            ("su", (2, 2)), ("su", (3, 2))])
+def test_sigma_group_condition_matches_the_float_residual(family, params):
+    """sigma's exact condition on the weights accepts a parity pattern iff
+    diag((-1)^h_i) meets the group's defining conditions in floats."""
+    alg = make_algebra(family, *params)
+    for h in itertools.product((0, 1), repeat=alg.size):
+        s = np.diag([(-1.0) ** w for w in h]).astype(complex if alg.is_complex else float)
+        stand_in = types.SimpleNamespace(algebra=alg, exact=ExactTriple(h, ()))
+        if group_residual(alg, s) <= 1e-8 * alg.size:
+            assert np.array_equal(sigma(stand_in), s)
+        else:
+            with pytest.raises(RealizationError, match="defining condition"):
+                sigma(stand_in)
 
 
 def test_a_triple_needs_its_exact_form(sl5):
@@ -259,27 +285,6 @@ def test_genus_bound_equals_centralizer(sl5, su32):
         assert genus_bound(t) == centralizer(sl5, t.h).dim
     for t in (rho1_su(su32), rho2_su(su32)):
         assert genus_bound(t) == centralizer(su32, t.h).dim
-
-
-def test_even_basis_of_b(sl5, sl2):
-    triples = even_sl2_basis_of_b(sl5)
-    assert [t.label for t in triples] == ["[5]", "[3,1,1]"]
-    vectors = [t.torus_vector for t in triples]
-    assert vectors == [(4, 2, 0, -2, -4), (2, 0, 0, 0, -2)]
-    for t in triples:
-        assert is_even(t)
-
-    t2 = even_sl2_basis_of_b(sl2)
-    assert [t.label for t in t2] == ["[2]"] and t2[0].torus_vector == (1, -1)
-
-    sl4 = make_algebra("sl", 4)
-    from liebend.weyl import split_torus
-    torus4 = split_torus(sl4)
-    t4 = even_sl2_basis_of_b(sl4)
-    assert len(t4) == 2 == torus4.b_dim
-    from liebend import _ratlin
-    assert _ratlin.rank([t.torus_vector for t in t4]) == 2
-    assert all(is_even(t) for t in t4)
 
 
 def test_even_partitions_order():
