@@ -3,8 +3,7 @@ sl(2,R)-homomorphism analysis and bending certificates for sl(n,R) and
 su(p,q)."""
 
 from .algebra import (LieAlgebraSpace, SubspaceOfG, bracket, cartan_involution,
-                      adjoint_operator, centralizer, classify_element,
-                      generated_subalgebra, make_algebra)
+                      adjoint_operator, centralizer, generated_subalgebra, make_algebra)
 from .bending import (BendingPlan, SurfaceGroupRep, bend, bending_inequalities,
                       build_plan, density_certificate, fixed_weight_zero_vector,
                       fuchsian_generators, z_vector)

@@ -176,13 +176,6 @@ class LieAlgebraSpace:
                     f"residual {resid[k]:.3e} exceeds {tol:.1e} * {scale[k]:.3e}")
         return coords if x.ndim == 3 else coords[0]
 
-    def contains(self, x):
-        try:
-            self.coordinates(x, check=True)
-            return True
-        except (MembershipError, ShapeError):
-            return False
-
     def from_coordinates(self, coords):
         """Ambient matrix of coordinates (dim,), or stack of matrices of (k, dim)."""
         coords = np.asarray(coords, dtype=float)
@@ -355,34 +348,3 @@ def generated_subalgebra(alg, seeds):
             break
         space = bigger
     return space
-
-
-def _is_diagonalizable(x, tol):
-    x = np.asarray(x, dtype=complex)
-    w, v = np.linalg.eig(x)
-    cond = np.linalg.cond(v)
-    if cond < 1e7:
-        return True
-    # borderline: accept if the eigenbasis still reconstructs the matrix
-    recon = v @ np.diag(w) @ np.linalg.inv(v)
-    return np.linalg.norm(recon - x) <= tol * max(np.linalg.norm(x), 1.0)
-
-
-def classify_element(alg, x):
-    """Classify an algebra element as elliptic, hyperbolic, nilpotent or mixed."""
-    tol = 1e-8
-    w = np.linalg.eigvals(np.asarray(x, dtype=complex))
-    scale = max(np.max(np.abs(w)), 1.0)
-    if np.all(np.abs(w) <= tol * scale):
-        return "nilpotent"
-    if np.all(np.abs(w.real) <= tol * scale) and _is_diagonalizable(x, tol):
-        return "elliptic"
-    if np.all(np.abs(w.imag) <= tol * scale) and _is_diagonalizable(x, tol):
-        return "hyperbolic"
-    return "mixed"
-
-
-def theta_operator(alg):
-    """Matrix of the Cartan involution on algebra coordinates."""
-    return alg.coordinates(cartan_involution(alg, alg.basis, check=False), check=False).T
-

@@ -192,7 +192,6 @@ class BendingPlan:
     x_vectors: dict            # (i,j) -> algebra coordinates
     y_vectors: dict            # (i,j) -> algebra coordinates, i != 0 only
     t: float | None
-    star_kinds: dict           # j -> classification of X_{0,j}
     images: np.ndarray         # (2g, n, n): rho(a_1), ..., rho(a_g), rho(b_1), ..., rho(b_g)
     _z: dict = field(default_factory=dict, init=False, repr=False)  # (i,j) -> Z_{i,j}(t)
 
@@ -244,15 +243,11 @@ def build_plan(triple, seed, t="auto"):
             f"genus {seed.genus} is below the required {len(lam)} (sum of odd multiplicities)")
     f_map = {ij: k + 1 for k, ij in enumerate(lam)}
 
-    zero_js = sorted(j for (i, j) in lam if i == 0)
-    star = []
-    if zero_js:
-        z_dim = triple.centralizer.dim
-        if z_dim != len(zero_js):
-            raise RealizationError(
-                f"centralizer dimension {z_dim} disagrees with the trivial-piece count "
-                f"{len(zero_js)}")
-        star = triple.star_basis
+    star = triple.star_basis
+    trivial = sum(i == 0 for i, _ in lam)
+    if len(star) != trivial:
+        raise RealizationError(
+            f"centralizer dimension {len(star)} disagrees with the trivial-piece count {trivial}")
 
     # one rho_of call for the generators and the conjugator of each bent a_k
     bent = [ij for ij in lam if ij[0] != 0]
@@ -260,11 +255,10 @@ def build_plan(triple, seed, t="auto"):
     images = rho_of(triple, np.concatenate([seed.a, seed.b, np.reshape(conjugators, (-1, 2, 2))]))
     rho_k = dict(zip(bent, images[2 * seed.genus:]))
 
-    x_vectors, y_vectors, star_kinds = {}, {}, {}
+    x_vectors, y_vectors = {}, {}
     for (i, j) in lam:
         if i == 0:
             x_vectors[(0, j)] = np.array(star[j - 1].coords, dtype=float)
-            star_kinds[j] = star[j - 1].kind
             continue
         k = f_map[(i, j)]
         x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1],
@@ -280,7 +274,7 @@ def build_plan(triple, seed, t="auto"):
             raise RealizationError(f"[X,Y] vanishes for every triple image at {(i, j)}")
         y_vectors[(i, j)] = alg.coordinates(best)
 
-    plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None, star_kinds,
+    plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None,
                        readonly(images[:2 * seed.genus]))
     if t == "auto":
         for cand in alg.config.t_grid:

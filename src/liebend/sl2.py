@@ -4,10 +4,10 @@ sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
 genus bounds, and torsion-free spanning sets of centralizers.
 
 Every triple is built from its exact form (`ExactTriple`): H is an integer
-diagonal, so ad H weights are read off the basis.  The constructed triples,
-their even parts, their isotypic data, their centralizers and the star bases
-of those are built once per process for each algebra (and partition), and
-hold read-only arrays.
+diagonal, so ad H weights are read off the basis, and its centralizer off
+the chains of E.  The constructed triples, their even parts, their isotypic
+data and their star bases are built once per process for each algebra (and
+partition), and hold read-only arrays.
 """
 
 import collections
@@ -22,11 +22,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import _ratlin
-from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, classify_element,
-                      diagonal_weights, integer_param, kernel_of, readonly,
-                      subspace_from_coordinates, theta_operator)
-from .errors import (MembershipError, ParameterError, RealizationError,
-                     UnsupportedCentralizerError)
+from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, diagonal_weights,
+                      integer_param, kernel_of, readonly)
+from .errors import MembershipError, ParameterError, RealizationError
 
 A0 = np.array([[1.0, 0.0], [0.0, -1.0]])
 SL2_E = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -35,8 +33,6 @@ SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]])
 # thresholds of the float decisions below; none is a Config field
 DECOMPOSE_TOL = 1e-7       # residual of a vector against the stacked isotypic pieces
 HW_PIVOT_TOL = 1e-9        # smallest pivot of the highest-weight normalization
-E_SUPPORT_TOL = 1e-12      # an entry of E counts as support above this modulus
-STAR_TOL = 1e-7            # centralizer membership and rank of the torsion spanning set
 
 
 @dataclass(frozen=True)
@@ -132,11 +128,6 @@ class Sl2Triple:
         return tuple(Fraction(w) for w in free)
 
     @cached_property
-    def ad_h(self):
-        """Matrix of ad H in the algebra basis, built once per triple."""
-        return readonly(adjoint_operator(self.algebra, self.h))
-
-    @cached_property
     def ad_e(self):
         return readonly(adjoint_operator(self.algebra, self.e))
 
@@ -162,17 +153,9 @@ class Sl2Triple:
         return readonly(sigma(self))
 
     @cached_property
-    def centralizer(self):
-        """The centralizer of the triple (the common kernel of ad H, ad E and
-        ad F), built once per triple."""
-        alg = self.algebra
-        return SubspaceOfG(alg, readonly(kernel_of([self.ad_h, self.ad_e, self.ad_f],
-                                                   alg.dim, alg.config.rank_rtol)))
-
-    @cached_property
     def star_basis(self):
-        """`property_star_basis` of the centralizer, built once per triple."""
-        star = tuple(property_star_basis(self.centralizer, self))
+        """`property_star_basis` of the triple, built once per triple."""
+        star = tuple(property_star_basis(self))
         readonly(tuple((el.matrix, el.coords) for el in star))
         return star
 
@@ -492,7 +475,7 @@ def even_partitions(n):
 class SpanningElement:
     matrix: np.ndarray
     coords: np.ndarray
-    kind: str  # elliptic | hyperbolic | nilpotent
+    kind: str  # elliptic | hyperbolic
 
 
 def _su_diagonal_lattice(triple):
@@ -502,13 +485,10 @@ def _su_diagonal_lattice(triple):
     p, q = triple.algebra.params
     n = p + q
     rows = []
-    e = np.asarray(triple.e)
-    for a in range(n):
-        for b in range(n):
-            if a != b and abs(e[a, b]) > E_SUPPORT_TOL:
-                row = [0] * n
-                row[a], row[b] = 1, -1
-                rows.append(row)
+    for a, b, _, _ in triple.exact.e:
+        row = [0] * n
+        row[a], row[b] = 1, -1
+        rows.append(row)
     for k in range(q):
         row = [0] * n
         row[k], row[n - 1 - k] = 1, -1
@@ -517,108 +497,105 @@ def _su_diagonal_lattice(triple):
     return _ratlin.primitive_nullspace(rows, n)
 
 
-def property_star_basis(centralizer_subspace, triple):
-    """Basis of the centralizer in which every element is hyperbolic or
-    elliptic with exp(X) = 1 (no nilpotents arise: the centralizer of a triple
-    image is reductive).
+def _outer(u, v):
+    """u v^T / (|u| |v|) for two class-space vectors with entries 0 and
+    +-1: the outer product of their unit vectors."""
+    return np.outer(u, v) / math.sqrt((u @ u) * (v @ v))
 
-    Supports the block-diagonal centralizers of the constructed families:
-    elliptic generators come from exact diagonal-imaginary lattices (su) or
-    2*pi two-plane rotations (sl).  Anything else raises
-    UnsupportedCentralizerError.
+
+def property_star_basis(triple):
+    """Basis of the centralizer of the triple in which every element is
+    hyperbolic or elliptic with exp(X) = 1, read off the chains of E.
+
+    By Schur the commutant is spanned by J(a, b) = sum_k E[a_k, b_k] over
+    pairs of equal-length chains (`ExactTriple.chains`): each length class
+    of m chains carries a class-space matrix C in gl(m), acting on every
+    weight level at once, so exp(2*pi*X) = 1 when exp(2*pi*C) = 1.
+
+    In sl(n,R) each class is gl(m, R).  Elliptic: 2*pi(J(a,b) - J(b,a)),
+    single rotations before sums along longer chains.  Hyperbolic:
+    J(a,b) + J(b,a) and trace-balanced differences of chain projectors.
+
+    In su(p,q) the form maps chain c onto the chain pi(c), its mirror
+    k -> n-1-k (k < q or k >= p) taken in reverse order, so each class is
+    u(V+, V-) for the +1 and -1 eigenspaces of pi.  Elliptic, each 2*pi
+    times: the diagonal lattice, then, in lexicographic order of the chain
+    tops, i(J(c,c') + J(c',c)) for each pair that pi swaps and a rotation
+    and an i-symmetric pair for two basis vectors of V+ (or of V-).
+    Hyperbolic: f g* + g f* and i(f g* - g f*) for f in V+, g in V-.
+
+    Hyperbolic elements have unit coordinate norm.
     """
-    z = centralizer_subspace
-    alg = z.algebra
-    if z.dim == 0:
-        return []
-    timg = z.onb @ theta_operator(alg).T
-    if not z.contains_vector(timg, STAR_TOL):
-        raise UnsupportedCentralizerError("centralizer is not theta-stable")
-    k_part = subspace_from_coordinates(alg, 0.5 * (z.onb + timg))
-    p_part = subspace_from_coordinates(alg, 0.5 * (z.onb - timg))
-    if k_part.dim + p_part.dim != z.dim:
-        raise UnsupportedCentralizerError("theta does not split the centralizer")
+    alg = triple.algebra
+    n = alg.size
+    classes = {}
+    for idx, _ in triple.exact.chains:
+        classes.setdefault(len(idx), []).append(idx)
+    dtype = complex if alg.is_complex else float
 
-    out = []
-    if k_part.dim > 0:
-        candidates = []
-        n = alg.size
-        if alg.family == SU:
-            for t_vec in _su_diagonal_lattice(triple):
-                candidates.append(2.0 * np.pi * 1j * np.diag(np.array(t_vec, dtype=float)))
-            # two-plane rotations and i-symmetric pairs with integer spectrum,
-            # singly and glued to their form-mirrored partner; membership
-            # filtering keeps only the form-compatible ones
-            def rot(a, b):
-                m = np.zeros((n, n), dtype=complex)
-                m[a, b], m[b, a] = 1.0, -1.0
-                return m
+    def expand(chains, c):
+        """sum_{a,b} c[a,b] J(chains[a], chains[b])."""
+        rows = np.array(chains)
+        x = np.zeros((n, n), dtype=dtype)
+        x[rows[:, None, :], rows[None, :, :]] = c[:, :, None]
+        return x
 
-            def isym(a, b):
-                m = np.zeros((n, n), dtype=complex)
-                m[a, b] = m[b, a] = 1j
-                return m
+    def torsion(chains, c):
+        """2*pi times the chain sum of c, whose exp is 1 when exp(2*pi*c) is."""
+        return 2.0 * np.pi * expand(chains, c)
 
-            for a in range(n):
-                for b in range(a + 1, n):
-                    am, bm = n - 1 - b, n - 1 - a  # mirrored index pair
-                    for make in (rot, isym):
-                        candidates.append(2.0 * np.pi * make(a, b))
-                        if {a, b} != {am, bm}:
-                            for sign in (1.0, -1.0):
-                                candidates.append(
-                                    2.0 * np.pi * (make(a, b) + sign * make(am, bm)))
-        else:
-            singles = []
-            for a in range(n):
-                for b in range(a + 1, n):
-                    m = np.zeros((n, n))
-                    m[a, b], m[b, a] = 1.0, -1.0
-                    singles.append(((a, b), m))
-            candidates.extend(2.0 * np.pi * m for _, m in singles)
-            # sums of two disjoint plane rotations (so(2) acting diagonally on
-            # a two-dimensional multiplicity space); deeper sums are the
-            # general torus-lattice construction and stay out of scope
-            for idx1 in range(len(singles)):
-                (pair1, m1) = singles[idx1]
-                for idx2 in range(idx1 + 1, len(singles)):
-                    (pair2, m2) = singles[idx2]
-                    if set(pair1) & set(pair2):
-                        continue
-                    candidates.append(2.0 * np.pi * (m1 + m2))
-                    candidates.append(2.0 * np.pi * (m1 - m2))
-        picked_rows = []
-        rank = 0
-        for m in candidates:
-            if not alg.contains(m):
-                continue
-            coords = alg.coordinates(m, check=False)
-            if not z.contains_vector(coords, STAR_TOL):
-                continue
-            trial = picked_rows + [coords]
-            s = np.linalg.svd(np.array(trial), compute_uv=False)
-            if s[-1] <= STAR_TOL * s[0]:
-                continue
-            exp_m = expm(m)
-            if np.linalg.norm(exp_m - np.eye(n)) > 1e-8 * n:
-                raise RealizationError("lattice candidate does not have exp(X) = 1")
-            if classify_element(alg, m) != "elliptic":
-                raise RealizationError("lattice candidate is not elliptic")
-            picked_rows.append(coords)
-            out.append(SpanningElement(m, np.array(coords), "elliptic"))
-            rank += 1
-            if rank == k_part.dim:
-                break
-        if rank < k_part.dim:
-            raise UnsupportedCentralizerError(
-                "compact part of the centralizer is not spanned by block-diagonal "
-                "torsion generators")
-    for row in p_part.onb:
-        m = alg.from_coordinates(row)
-        kind = classify_element(alg, m)
-        if kind != "hyperbolic":
-            raise RealizationError(f"split-part basis element classified as {kind}")
-        out.append(SpanningElement(m, np.array(row), "hyperbolic"))
+    hyperbolic = []
+    if alg.family == SL:
+        elliptic = []
+        for chains in (classes[d] for d in sorted(classes)):
+            for a, b in itertools.combinations(range(len(chains)), 2):
+                e_ab = np.zeros((len(chains),) * 2)
+                e_ab[a, b] = 1.0
+                elliptic.append(torsion(chains, e_ab - e_ab.T))
+                hyperbolic.append(expand(chains, e_ab + e_ab.T))
+        every = [idx for idx, _ in triple.exact.chains]
+        for c1, c2 in zip(every, every[1:]):
+            x = np.zeros((n, n))
+            x[c1, c1], x[c2, c2] = len(c2), -len(c1)
+            hyperbolic.append(x)
+    else:
+        p, q = alg.params
+        mirror = [n - 1 - k if k < q or k >= p else k for k in range(n)]
+        keyed = []  # (order key, matrix)
+        for chains in classes.values():
+            pos = {idx: a for a, idx in enumerate(chains)}
+            plus, minus = [], []  # (top, class-space vector) of V+ and of V-
+            for a, idx in enumerate(chains):
+                b = pos.get(tuple(mirror[i] for i in reversed(idx)))
+                if b is None:
+                    raise RealizationError("the form does not map the chains of E onto chains")
+                if b < a:
+                    continue
+                vec = np.zeros(len(chains))
+                vec[a] = vec[b] = 1.0
+                plus.append((idx[0], vec))
+                if b > a:
+                    odd, swap = vec.copy(), np.zeros((len(chains),) * 2)
+                    odd[b] = -1.0
+                    swap[a, b] = swap[b, a] = 1.0
+                    minus.append((idx[0], odd))
+                    keyed.append(((idx[0], chains[b][0], 0, 1), torsion(chains, 1j * swap)))
+            for side, vecs in enumerate((plus, minus)):
+                for (top_u, u), (top_v, v) in itertools.combinations(vecs, 2):
+                    uv = _outer(u, v)
+                    keyed.append(((top_u, top_v, side, 0), torsion(chains, uv - uv.T)))
+                    keyed.append(((top_u, top_v, side, 1), torsion(chains, 1j * (uv + uv.T))))
+            for (_, f), (_, g) in itertools.product(plus, minus):
+                fg = _outer(f, g)
+                hyperbolic += [expand(chains, fg + fg.T), expand(chains, 1j * (fg - fg.T))]
+        elliptic = [2.0 * np.pi * 1j * np.diag(np.array(t, dtype=float))
+                    for t in _su_diagonal_lattice(triple)]
+        elliptic += [m for _, m in sorted(keyed, key=lambda km: km[0])]
+    out = [SpanningElement(m, alg.coordinates(m), "elliptic") for m in elliptic]
+    for m in hyperbolic:
+        coords = alg.coordinates(m)
+        scale = np.linalg.norm(coords)
+        out.append(SpanningElement(m / scale, coords / scale, "hyperbolic"))
     return out
 
 

@@ -35,11 +35,9 @@ class WeylElement:
     signs: tuple
 
     def apply(self, v):
+        """w.v; a root's coefficients map alike (alpha o w^{-1}), since a
+        signed permutation is orthogonal."""
         return tuple(s * v[p] for s, p in zip(self.signs, self.perm))
-
-    def apply_root(self, coeffs):
-        """Coefficients of alpha o w^{-1} given those of alpha."""
-        return tuple(s * coeffs[p] for s, p in zip(self.signs, self.perm))
 
     def describe(self):
         return {"perm": list(self.perm), "signs": list(self.signs)}
@@ -298,7 +296,7 @@ def _longest_element(torus):
     w0 = WeylElement(tuple(perm), tuple(signs))
     pos = {r.coeffs for r in torus.positive_roots}
     for r in torus.positive_roots:
-        image = w0.apply_root(r.coeffs)
+        image = w0.apply(r.coeffs)
         if tuple(-c for c in image) not in pos:
             raise RealizationError("constructed w0 does not negate the positive system")
     return w0

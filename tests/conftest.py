@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebend.algebra import (SU, SubspaceOfG, adjoint_operator, bracket, kernel_of,
-                             make_algebra, theta_operator)
+from liebend.algebra import (SU, SubspaceOfG, adjoint_operator, bracket, cartan_involution,
+                             kernel_of, make_algebra)
 from liebend.errors import RealizationError
 from liebend.properness import in_weyl_orbit_of_subspace
 from liebend.sl2 import ad_weight_multiplicities
@@ -205,6 +205,46 @@ def to_mp(m):
         flat = [mp.mp.make_mpc(z) for z in zip(raw(m.re), raw(m.im))]
     cols = m.shape[1]
     return mp.matrix([flat[r:r + cols] for r in range(0, len(flat), cols)])
+
+
+def theta_operator(alg):
+    """Matrix of the Cartan involution on algebra coordinates."""
+    return alg.coordinates(cartan_involution(alg, alg.basis, check=False), check=False).T
+
+
+def _is_diagonalizable(x, tol):
+    x = np.asarray(x, dtype=complex)
+    w, v = np.linalg.eig(x)
+    cond = np.linalg.cond(v)
+    if cond < 1e7:
+        return True
+    # borderline: accept if the eigenbasis still reconstructs the matrix
+    recon = v @ np.diag(w) @ np.linalg.inv(v)
+    return np.linalg.norm(recon - x) <= tol * max(np.linalg.norm(x), 1.0)
+
+
+def classify_element(alg, x):
+    """Classify an algebra element as elliptic, hyperbolic, nilpotent or
+    mixed, from its float eigenvalues: an oracle for well-separated
+    spectra (repeated eigenvalues make `eig` ill-conditioned)."""
+    tol = 1e-8
+    w = np.linalg.eigvals(np.asarray(x, dtype=complex))
+    scale = max(np.max(np.abs(w)), 1.0)
+    if np.all(np.abs(w) <= tol * scale):
+        return "nilpotent"
+    if np.all(np.abs(w.real) <= tol * scale) and _is_diagonalizable(x, tol):
+        return "elliptic"
+    if np.all(np.abs(w.imag) <= tol * scale) and _is_diagonalizable(x, tol):
+        return "hyperbolic"
+    return "mixed"
+
+
+def triple_centralizer(triple):
+    """The centralizer of the triple as the float kernel of the stacked
+    ad H, ad E and ad F."""
+    alg = triple.algebra
+    ops = [adjoint_operator(alg, m) for m in triple.images()]
+    return SubspaceOfG(alg, kernel_of(ops, alg.dim, alg.config.rank_rtol))
 
 
 def compact_part_basis(alg):

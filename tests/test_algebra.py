@@ -3,14 +3,13 @@ import pytest
 
 from liebend import algebra
 from liebend.algebra import (bracket, cartan_involution, adjoint_operator,
-                             centralizer, classify_element,
-                             generated_subalgebra, make_algebra,
-                             subspace_from_coordinates, subspace_from_matrices,
-                             theta_operator)
+                             centralizer, generated_subalgebra, make_algebra,
+                             subspace_from_coordinates, subspace_from_matrices)
 from liebend.errors import MembershipError, ParameterError, ShapeError
 
-from conftest import (compact_part_basis, constructed_triples, defining_residual,
-                      oracle_coordinates, random_algebra_element)
+from conftest import (classify_element, compact_part_basis, constructed_triples,
+                      defining_residual, oracle_coordinates, random_algebra_element,
+                      theta_operator)
 
 H2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 E2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -289,7 +288,6 @@ def test_coordinate_stack_with_one_non_member_raises(sl3, su21, rng):
         with pytest.raises(MembershipError):
             alg.coordinates(stack)
         assert alg.coordinates(stack, check=False).shape == (3, alg.dim)
-        assert not alg.contains(stack)
         with pytest.raises(ShapeError):
             alg.coordinates(np.zeros((2, alg.size + 1, alg.size + 1)))
         with pytest.raises(ShapeError):

@@ -402,3 +402,25 @@ def test_bend_takes_each_rho_image_once(preset, monkeypatch):
     assert len(calls) == 1
     seen = calls[0]
     assert len(seen) == len(set(seen)) == 2 * spec["genus"] + fixed_lines
+
+
+@pytest.mark.parametrize("spec, genus", [
+    ({"family": "sl", "n": 6, "triple": {"partition": [3, 3]}}, 11),
+    ({"family": "su", "p": 4, "q": 1, "triple": "rho1"}, 10),
+    ({"family": "su", "p": 3, "q": 3, "triple": "rho1"}, 17),
+    ({"family": "su", "p": 4, "q": 3, "triple": "rho1"}, 18),
+    ({"family": "su", "p": 4, "q": 4, "triple": "rho1"}, 31),
+], ids=["sl6-[3,3]", "su41-rho1", "su33-rho1", "su43-rho1", "su44-rho1"])
+def test_bend_with_compact_centralizer_sums(spec, genus):
+    """Triples whose compact centralizer needs sums of rotations along
+    chains of length three, rotations between a fixed chain and a
+    form-swapped pair, or rotations among middle indices (which the form
+    fixes) bend at genus |Lambda| to a density PASS.  The seed tolerance is
+    loosened, since the polygon's relation residual grows with the genus."""
+    from liebend.report import cmd_bend
+    cfg = Config(seed_relation_tol=1e-5)
+    report = cmd_bend(dict(spec, genus=genus, verify_dps=0), cfg)
+    verdicts = {c.check_id: c.verdict for c in report.checks}
+    assert len(verdicts["bend/plan"]["Lambda"]) == genus
+    cert = verdicts["bend/certificate"]
+    assert cert["verdict"] == "PASS" and cert["achieved_dim"] == cert["target_dim"]

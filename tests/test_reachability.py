@@ -1,5 +1,6 @@
-"""Every function, method and class in src/liebend is referenced somewhere in
-src outside its own body, and every Config field is read somewhere in src.
+"""Every function, method, class and module-level constant in src/liebend is
+referenced somewhere in src outside its own body, and every Config field is
+read somewhere in src.
 
 References to a module-level function or class are resolved through the
 imports: it is reached by a Name in its own module, by `from .mod import
@@ -8,15 +9,15 @@ name` in another module, or by `mod.name` where `from . import mod` (or
 not a caller: what it re-exports must still be reached from elsewhere.
 
 Methods and functions nested in other functions are matched by name alone:
-a method by any attribute of its name (so every `contains` method counts as
-reached by `alg.contains(...)`), a nested function by any Name of its name
-in its module.  A method that only tests call can pass this way.
+a method by any attribute of its name (so every `coordinates` method counts
+as reached by `alg.coordinates(...)`), a nested function by any Name of its
+name in its module.  A method that only tests call can pass this way.
 
 Exempt are dunder methods (`__post_init__` among them), `cli.main`, every
 identifier in `perfbench/*.py`, the benchmark that drives the package from
 outside (its tracer wraps functions by name), and every identifier in
 `tests/test_acceptance.py`, the acceptance gate (its property suites call
-`mu`, `lyapunov` and `in_b_plus`).  The exemptions are computed here from
+`mu`, `lyapunov`, `in_b_plus`, `cartan_involution` and `contains_vector`).  The exemptions are computed here from
 those files, not listed by hand.
 """
 
@@ -35,9 +36,14 @@ INIT = "__init__"
 
 def _definitions(tree):
     """(name, node, kind) for every function, method and class, nested ones
-    too; kind is "module", "method" or "nested"."""
+    too, and every module-level constant (a Name bound by a module-level
+    assignment, the assignment its node); kind is "module", "method" or
+    "nested"."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    out = []
+    out = [(target.id, node, "module") for node in tree.body
+           if isinstance(node, (ast.Assign, ast.AnnAssign))
+           for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+           if isinstance(target, ast.Name)]
 
     def visit(node, kind):
         for child in ast.iter_child_nodes(node):
@@ -145,7 +151,17 @@ def test_the_acceptance_gate_keeps_mu_lyapunov_and_in_b_plus():
     its property suites call are reported."""
     exempt = {"main"} | _identifiers(sorted((ROOT / "perfbench").glob("*.py")))
     found = {m.split()[1] for m in unreferenced(_package_sources(), exempt)}
-    assert found == {"mu", "lyapunov", "in_b_plus"}
+    assert found == {"mu", "lyapunov", "in_b_plus", "cartan_involution", "contains_vector"}
+
+
+def test_an_unread_constant_is_reported():
+    """A module-level constant that nothing in src reads is reported, as
+    a tolerance left behind by deleted code would be; one read by another
+    module through an import is not."""
+    sources = _package_sources()
+    sources["sl2"] += "\n\nLEFT_BEHIND_TOL = 1e-7\nREAD_ELSEWHERE = 2\n"
+    sources["bending"] += "\n\ndef _reader():\n    from .sl2 import READ_ELSEWHERE\n    return READ_ELSEWHERE\n"
+    assert {m.split()[1] for m in unreferenced(sources)} == {"LEFT_BEHIND_TOL", "_reader"}
 
 
 def test_every_config_field_is_read_in_src():

@@ -1,6 +1,6 @@
 """Constructions shared by the commands of one process: the algebra, its
 split torus, the constructed triples with their even parts, isotypic data,
-centralizers and star bases, and the seed polygons are built once per key,
+star bases, and the seed polygons are built once per key,
 hold read-only arrays, and leave every report's bytes independent of
 command order."""
 
@@ -86,10 +86,10 @@ def _shared_arrays():
         "basis": su32.basis, "form": su32.form, "solver": su32._solver,
         "flat": su32._flat, "support": su32._support[1],
         "perms": torus.perms, "positive roots": torus._positive_functionals[0],
-        "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_h": triple.ad_h, "ad_e": rho1.ad_e,
+        "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_e": rho1.ad_e, "ad_f": triple.ad_f,
         "basis_weights": rho1.basis_weights, "h_centralizer": rho1.h_centralizer,
         "sigma": rho1.sigma, "g_even": g_even(triple).onb,
-        "centralizer": triple.centralizer.onb, "star": triple.star_basis[0].coords,
+        "star": triple.star_basis[0].coords, "star matrix": rho1.star_basis[0].matrix,
         "stacked": iso.stacked, "solver of pieces": iso.solver,
         "piece": next(iter(iso.piece_columns.values())),
         "polygon a": seed.a[0], "polygon b": seed.b[1],
@@ -97,8 +97,9 @@ def _shared_arrays():
 
 
 SHARED_ARRAYS = ("basis", "form", "solver", "flat", "support", "perms", "positive roots",
-                 "h", "e", "f", "ad_h", "ad_e", "basis_weights", "h_centralizer", "sigma",
-                 "g_even", "centralizer", "star", "stacked", "solver of pieces", "piece", "polygon a", "polygon b")
+                 "h", "e", "f", "ad_e", "ad_f", "basis_weights", "h_centralizer", "sigma",
+                 "g_even", "star", "star matrix", "stacked", "solver of pieces", "piece",
+                 "polygon a", "polygon b")
 
 
 def test_shared_array_names():
@@ -137,25 +138,26 @@ def test_invalid_input_raises_on_every_call(call, error):
 
 
 def test_centralizer_and_star_basis_built_once_per_triple(fresh_caches, monkeypatch):
-    """A triple that returns at a second genus reuses its centralizer and its
-    star basis: one kernel of (ad H, ad E, ad F) and one star basis."""
+    """A triple that returns at a second genus reuses its star basis, the
+    basis of its centralizer: one star basis, and no kernel of
+    (ad H, ad E, ad F), since the chains of E fix the centralizer."""
     from liebend import sl2
     triple = sl2_from_partition(make_algebra("sl", 4), (2, 1, 1))
     stars, kernels = [], []
     star_basis, kernel_of = sl2.property_star_basis, sl2.kernel_of
 
-    def counted_star(z, t):
+    def counted_star(t):
         stars.append(t)
-        return star_basis(z, t)
+        return star_basis(t)
 
     def counted_kernel(ops, *args):
-        kernels.append(len(ops) == 3 and ops[0] is triple.ad_h)
+        kernels.append(len(ops))
         return kernel_of(ops, *args)
 
     monkeypatch.setattr(sl2, "property_star_basis", counted_star)
     monkeypatch.setattr(sl2, "kernel_of", counted_kernel)
     plans = [build_plan(triple, fuchsian_generators(genus)) for genus in (5, 6)]
-    assert stars == [triple] and sum(kernels) == 1
+    assert stars == [triple] and 3 not in kernels
     assert all(0 in {i for i, _ in plan.iso.Lambda} for plan in plans)
 
 

@@ -10,10 +10,9 @@ from scipy.linalg import expm
 
 import liebend.algebra
 import liebend.sl2
-from liebend.algebra import (SubspaceOfG, adjoint_operator, bracket, centralizer,
-                             kernel_of, make_algebra)
-from liebend.errors import (ParameterError, RealizationError,
-                            UnsupportedCentralizerError)
+from liebend.algebra import (adjoint_operator, bracket, centralizer, kernel_of,
+                             make_algebra, subspace_from_coordinates)
+from liebend.errors import ParameterError, RealizationError
 from liebend.projections import group_residual
 from liebend.sl2 import (A0, SL2_E, SL2_F, ExactTriple, Sl2Triple, ad_weight_multiplicities,
                          even_partitions, g_even, genus_bound, is_even,
@@ -21,7 +20,8 @@ from liebend.sl2 import (A0, SL2_E, SL2_F, ExactTriple, Sl2Triple, ad_weight_mul
                          rho_of, sigma, sl2_from_partition)
 
 from conftest import (constructed_triples, is_zero, oracle_coordinates,
-                      oracle_weight_mults, torus_matrix, verify_sl2_triple)
+                      oracle_weight_mults, torus_matrix, triple_centralizer,
+                      verify_sl2_triple)
 
 SEC53_TABLE = [
     ((5,), True, (4, 2, 0, -2, -4)),
@@ -31,11 +31,6 @@ SEC53_TABLE = [
     ((2, 2, 1), False, (1, 1, 0, -1, -1)),
     ((2, 1, 1, 1), False, (1, 0, 0, 0, -1)),
 ]
-
-
-def triple_centralizer(alg, triple):
-    ops = [adjoint_operator(alg, m) for m in triple.images()]
-    return SubspaceOfG(alg, kernel_of(ops, alg.dim, alg.config.rank_rtol))
 
 
 @pytest.mark.parametrize("parts,even,vector", SEC53_TABLE)
@@ -192,7 +187,7 @@ def test_g_even_structure(su21, sl5):
         for m in triple.images():
             if np.linalg.norm(m):
                 assert ge.contains_vector(alg.coordinates(m), tol=1e-7)
-        z = triple_centralizer(alg, triple)
+        z = triple_centralizer(triple)
         assert ge.contains_vector(z.onb, tol=1e-7)
 
 
@@ -296,8 +291,7 @@ def test_even_partitions_order():
 
 def test_property_star_u1(su21):
     t = rho1_su(su21)
-    z = triple_centralizer(su21, t)
-    star = property_star_basis(z, t)
+    star = property_star_basis(t)
     assert len(star) == 1 and star[0].kind == "elliptic"
     x = star[0].matrix
     assert np.linalg.norm(expm(x) - np.eye(3)) < 1e-9
@@ -307,15 +301,13 @@ def test_property_star_u1(su21):
 
 def test_property_star_split_part(sl3):
     t = sl2_from_partition(sl3, (2, 1))
-    z = triple_centralizer(sl3, t)
-    star = property_star_basis(z, t)
+    star = property_star_basis(t)
     assert [s.kind for s in star] == ["hyperbolic"]
 
 
 def test_property_star_rotation_and_hyperbolic(sl5):
     t = sl2_from_partition(sl5, (3, 1, 1))
-    z = triple_centralizer(sl5, t)
-    star = property_star_basis(z, t)
+    star = property_star_basis(t)
     kinds = [s.kind for s in star]
     assert kinds.count("elliptic") == 1 and kinds.count("hyperbolic") == 3
     for s in star:
@@ -328,8 +320,8 @@ def test_property_star_paired_rotation():
     # [2,2] needs a glued pair of plane rotations
     sl4 = make_algebra("sl", 4)
     t = sl2_from_partition(sl4, (2, 2))
-    z = triple_centralizer(sl4, t)
-    star = property_star_basis(z, t)
+    z = triple_centralizer(t)
+    star = property_star_basis(t)
     kinds = [s.kind for s in star]
     assert kinds.count("elliptic") == 1 and len(star) == z.dim
     for s in star:
@@ -342,29 +334,97 @@ def test_property_star_multiplicity_three():
     # rotation per weight space, i.e. a glued pair
     sl6 = make_algebra("sl", 6)
     t = sl2_from_partition(sl6, (2, 2, 2))
-    z = triple_centralizer(sl6, t)
-    star = property_star_basis(z, t)
+    z = triple_centralizer(t)
+    star = property_star_basis(t)
     assert [s.kind for s in star].count("elliptic") == 3
     assert len(star) == z.dim
 
 
-def test_property_star_unsupported():
-    # a repeated part of size three spreads each compact generator over three
-    # weight spaces; those triple sums stay outside the block-diagonal scope
+def test_property_star_repeated_part_of_size_three():
+    # a repeated part of size three spreads the compact generator over three
+    # weight spaces: one plane rotation on each
     sl6 = make_algebra("sl", 6)
     t = sl2_from_partition(sl6, (3, 3))
-    z = triple_centralizer(sl6, t)
-    with pytest.raises(UnsupportedCentralizerError):
-        property_star_basis(z, t)
+    star = property_star_basis(t)
+    assert [s.kind for s in star] == ["elliptic", "hyperbolic", "hyperbolic"]
+    want = np.zeros((6, 6))
+    for a, b in ((0, 1), (2, 3), (4, 5)):
+        want[a, b], want[b, a] = 1.0, -1.0
+    assert np.array_equal(star[0].matrix, 2.0 * np.pi * want)
+    assert len(star) == triple_centralizer(t).dim
 
 
 def test_property_star_spans(su21, sl5):
-    from liebend.algebra import subspace_from_coordinates
     for alg, t in ((su21, rho1_su(su21)), (sl5, sl2_from_partition(sl5, (3, 1, 1)))):
-        z = triple_centralizer(alg, t)
-        star = property_star_basis(z, t)
+        z = triple_centralizer(t)
+        star = property_star_basis(t)
         span = subspace_from_coordinates(alg, [s.coords for s in star])
         assert span.dim == z.dim == len(star)
+
+
+@pytest.mark.parametrize("triple", constructed_triples(6, 4),
+                         ids=lambda t: f"{t.algebra.family}{t.algebra.params}-{t.label}")
+def test_star_basis_structure(triple):
+    """Every constructed triple gets a star basis: each element lies in g
+    and commutes with H, E and F; an elliptic element is anti-hermitian
+    with exp(X) = 1, a hyperbolic one hermitian; and the elements span the
+    float kernel of (ad H, ad E, ad F)."""
+    alg = triple.algebra
+    n = alg.size
+    star = triple.star_basis
+    for el in star:
+        x = el.matrix
+        scale = max(np.linalg.norm(x), 1.0)
+        assert np.linalg.norm(alg.coordinates(x) - el.coords) <= 1e-12 * scale
+        for m in triple.images():
+            assert np.linalg.norm(bracket(x, m)) <= 1e-12 * scale * max(np.linalg.norm(m), 1.0)
+        adjoint = x.conj().T
+        if el.kind == "elliptic":
+            assert np.linalg.norm(adjoint + x) == 0.0
+            assert np.linalg.norm(expm(x) - np.eye(n)) <= 1e-8 * n
+        else:
+            assert el.kind == "hyperbolic"
+            assert np.linalg.norm(adjoint - x) <= 1e-15 * scale
+            assert abs(np.linalg.norm(el.coords) - 1.0) <= 1e-12
+    z = triple_centralizer(triple)
+    assert len(star) == z.dim
+    if star:
+        span = subspace_from_coordinates(alg, [el.coords for el in star])
+        assert span.dim == z.dim
+        assert z.contains_vector(span.onb, tol=1e-9)
+
+
+# elliptic elements over 2*pi: rotations E_ab - E_ba and i-symmetric pairs
+_R, _S = "rot", "isym"
+
+
+def _pinned(n, entries):
+    m = np.zeros((n, n), dtype=complex)
+    for kind, a, b in entries:
+        if kind == _R:
+            m[a, b], m[b, a] = 1.0, -1.0
+        else:
+            m[a, b] = m[b, a] = 1j
+    return m
+
+
+@pytest.mark.parametrize("family, params, make, want", [
+    ("su", (2, 1), rho1_su, [np.diag([1j, -2j, 1j])]),
+    ("su", (3, 1), rho1_su, [np.diag([0, 1j, -1j, 0]), np.diag([1j, -2j, 0, 1j]),
+                             _pinned(4, [(_R, 1, 2)]), _pinned(4, [(_S, 1, 2)])]),
+    ("su", (3, 1), rho2_su, [np.diag([1j, 1j, -3j, 1j])]),
+    ("sl", (4,), lambda a: sl2_from_partition(a, (2, 2)),
+     [_pinned(4, [(_R, 0, 1), (_R, 2, 3)]).real]),
+    ("sl", (4,), lambda a: sl2_from_partition(a, (2, 1, 1)), [_pinned(4, [(_R, 1, 2)]).real]),
+], ids=["su21-rho1", "su31-rho1", "su31-rho2", "sl4-[2,2]", "sl4-[2,1,1]"])
+def test_star_elliptic_elements_pinned(family, params, make, want):
+    """The elliptic elements keep their matrices, dtype and order: 2*pi
+    times the diagonal lattice, then rotations before i-symmetric pairs."""
+    star = make(make_algebra(family, *params)).star_basis
+    got = [el.matrix for el in star if el.kind == "elliptic"]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, 2.0 * np.pi * w)
 
 
 def _sym_power_oracle(g2, k):
@@ -489,10 +549,10 @@ def test_ad_sigma_operator_matches_oracle():
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
-def test_ad_h_built_once_per_triple(monkeypatch, fresh_caches, sl5, su32):
-    """is_even, genus_bound, g_even and module_multiplicities read the ad H
-    weights off the basis supports and never build ad H; the ad_h property
-    builds it once, on demand."""
+def test_weights_never_build_ad_h(monkeypatch, fresh_caches, sl5, su32):
+    """is_even, genus_bound, g_even, module_multiplicities and the star
+    basis read the ad H weights off the basis supports and the centralizer
+    off the chains: none of them builds ad H."""
     real = liebend.algebra.adjoint_operator
     for alg, make in (
             (sl5, lambda: sl2_from_partition(sl5, (5,))),
@@ -513,9 +573,8 @@ def test_ad_h_built_once_per_triple(monkeypatch, fresh_caches, sl5, su32):
         genus_bound(triple)
         g_even(triple)
         module_multiplicities(alg, triple)
+        property_star_basis(triple)
         assert calls == []
-        assert triple.ad_h is triple.ad_h and calls == [1]
-        assert np.array_equal(triple.ad_h, real(alg, triple.h))
 
 
 def _projector(rows):
@@ -529,7 +588,7 @@ def test_h_centralizer_is_the_kernel_of_ad_h():
         alg = triple.algebra
         rows = triple.h_centralizer
         assert rows is triple.h_centralizer
-        oracle = kernel_of([triple.ad_h], alg.dim, alg.config.rank_rtol)
+        oracle = kernel_of([adjoint_operator(alg, triple.h)], alg.dim, alg.config.rank_rtol)
         assert len(rows) == len(oracle) == ad_weight_multiplicities(triple)[0]
         assert np.linalg.norm(_projector(rows) - _projector(oracle), 2) <= 1e-12
 

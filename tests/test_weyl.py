@@ -35,7 +35,7 @@ def test_weyl_permutes_roots(su32_torus, sl5_torus):
         roots = {r.coeffs for r in torus.roots}
         for i in range(torus.weyl_order):
             w = torus.element(i)
-            assert {w.apply_root(c) for c in roots} == roots
+            assert {w.apply(c) for c in roots} == roots
 
 
 def test_dominant_representative_examples(sl5_torus, su32_torus):
@@ -77,7 +77,7 @@ def test_iota_involution_and_chamber_stability(sl5_torus, su32_torus):
     for torus in (sl5_torus, su32_torus):
         pos = {r.coeffs for r in torus.positive_roots}
         # iota = -w0 permutes the positive system
-        image = {tuple(-c for c in torus.w0.apply_root(r.coeffs)) for r in torus.positive_roots}
+        image = {tuple(-c for c in torus.w0.apply(r.coeffs)) for r in torus.positive_roots}
         assert image == pos
         probe = torus.chamber_interior_point()
         assert torus.is_dominant(torus.iota(probe))
