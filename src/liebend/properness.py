@@ -2,10 +2,12 @@
 the non-virtually-abelian existence criterion and the equal-rank
 obstruction.
 
-Every decision here is exact: each quantifier over W is one vectorized
-integer scan (`_scan`) over the signed-permutation arrays of the torus.
-Floats appear only inside `_scan`, as a BLAS product of integers that
-float64 holds exactly.
+Every decision here is exact: each quantifier over W is one pass of
+`_scan` over the chunks of W (`SplitTorusData.weyl_chunks`), in the enumeration
+order of W, with one vectorized integer scan per chunk, so memory stays
+bounded by the chunk size and not by |W|.  A pass stops at the first chunk
+that decides it.  Floats appear only inside `_scan`, as a BLAS product of
+integers that float64 holds exactly.
 """
 
 import itertools
@@ -48,40 +50,61 @@ class HSubalgebraTorus:
 FLOAT_EXACT = 2 ** 53
 
 
-def _scan(torus, ints, ah):
-    """A.(w.v) for every w in W, where v is an integer vector and the rows of
-    A are the annihilator rows of a_h: one |W| x rows integer-valued matrix,
-    row k zero iff w_k.v lies in span(a_h).
+def _scan(torus, vectors, ah):
+    """One pass over W: for each chunk of W in order, (start, scans), where
+    scans[j] holds A.(w.v_j) for the chunk's elements w, v_j is the j-th
+    integer vector and the rows of A are the annihilator rows of a_h.  Row k
+    of scans[j] is zero iff w_{start+k}.v_j lies in span(a_h).
 
-    When coord_len * max|v| * max|ann| < 2**53, every partial sum of every
-    dot product is an integer below 2**53 in absolute value, so one float64
-    BLAS product is exact in any summation order, and the result is returned
-    as int64.  Otherwise object arrays of Python ints keep the scan exact."""
+    w = (perm, signs) maps v to signs * v[perm], so A.(w.v) equals
+    v[perm] . (signs * A)^T: the signs are folded into A once per pass (one
+    block of columns per sign vector).  In a chunk, perm is a fixed prefix
+    followed by rest[tail], so the scan is v[rest][tail] times the rows of
+    that matrix for the tail positions, plus one row for the prefix
+    positions, shared by the chunk.  When coord_len * max|v| * max|ann| <
+    2**53, every partial sum of every dot product is an integer below 2**53
+    in absolute value, so the float64 BLAS products and their sum are exact
+    in any summation order, and the scan is returned as int64.  Otherwise
+    object arrays of Python ints keep it exact.  The rule is decided per
+    vector, so every chunk of one vector has one dtype."""
+    table = torus.weyl_chunks
     ann = ah.annihilator
-    n = torus.coord_len
-    bound = n * max(map(abs, ints)) * max((abs(c) for row in ann for c in row), default=0)
-    dtype = np.float64 if bound < FLOAT_EXACT else object
-    images = np.array(ints, dtype=dtype)[torus.perms]
-    images *= torus.signs  # in place: one |W| x coord_len array at a time
-    scan = images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T
-    del images  # free the |W| x coord_len array before the int64 copy
-    return scan if dtype is object else scan.astype(np.int64)
+    n, r, k = torus.coord_len, len(ann), table.prefix_len
+    ann_max = max((abs(c) for row in ann for c in row), default=0)
+    lanes = []
+    for ints in vectors:
+        dtype = np.float64 if n * max(map(abs, ints)) * ann_max < FLOAT_EXACT else object
+        ann_t = np.array(ann, dtype=dtype).reshape(r, n).T
+        signed = (table.signs[:, :, None] * ann_t).transpose(1, 0, 2).reshape(n, -1)
+        lanes.append((np.array(ints, dtype=dtype), signed[:k], signed[k:]))
+    rows = len(table.tail) * len(table.signs)
+    for start, prefix, rest in table.chunks():
+        scans = []
+        for v, prefix_rows, tail_rows in lanes:
+            scan = v[rest][table.tail] @ tail_rows
+            if k:
+                scan += v[list(prefix)] @ prefix_rows
+            scan = scan.reshape(rows, r)
+            scans.append(scan if scan.dtype == object else scan.astype(np.int64))
+        yield start, scans
 
 
-def _orbit_mask(torus, v, ah):
-    """Mask over W: entry k is True iff w_k.v lies in span(a_h).  v is scaled
-    to primitive integers first (membership in a rational subspace does not
-    depend on scale), which keeps the scan off object arrays where it can."""
-    return (_scan(torus, _ratlin.primitive(v), ah) == 0).all(axis=1)
+def _hits(scan):
+    """Mask over a chunk: True where the image lies in span(a_h)."""
+    return (scan == 0).all(axis=1)
 
 
 def in_weyl_orbit_of_subspace(torus, v, ah):
     """(bool, witness w) deciding whether some w in W moves v into span(a_h);
-    the witness is the first such w in the enumeration order of W."""
-    hits = np.flatnonzero(_orbit_mask(torus, torus.vector(v), ah))
-    if hits.size == 0:
-        return False, None
-    return True, torus.element(int(hits[0]))
+    the witness is the first such w in the enumeration order of W, and the
+    scan stops at the chunk that holds it.  v is scaled to primitive
+    integers first (membership in a rational subspace does not depend on
+    scale), which keeps the scan off object arrays where it can."""
+    for start, (scan,) in _scan(torus, [_ratlin.primitive(torus.vector(v))], ah):
+        hits = np.flatnonzero(_hits(scan))
+        if hits.size:
+            return True, torus.element(start + int(hits[0]))
+    return False, None
 
 
 def sl2_action_proper(torus, triple, ah):
@@ -92,14 +115,10 @@ def sl2_action_proper(torus, triple, ah):
     return not member
 
 
-def _b_scans(torus, ah):
-    """One scan per basis vector of b (each is a primitive integer vector)."""
-    return [_scan(torus, b, ah) for b in torus.b_basis]
-
-
 def _covers_b(b_scans):
-    """True iff some w moves every basis vector of b into span(a_h)."""
-    return bool(np.logical_and.reduce([(s == 0).all(axis=1) for s in b_scans]).any())
+    """True iff some w of the chunk moves every basis vector of b into
+    span(a_h)."""
+    return bool(np.logical_and.reduce([_hits(s) for s in b_scans]).any())
 
 
 def benoist_criterion(torus, ah):
@@ -108,9 +127,11 @@ def benoist_criterion(torus, ah):
     Since b_plus spans b and each translate is a subspace, covering the cone
     forces one translate to contain all of b.  Since W is a group, that
     happens iff some w moves every basis vector of b into span(a_h): one
-    scan per basis vector, intersected over W.
+    pass over W scanning the basis vectors of b, which stops at the first
+    chunk holding such a w.
     """
-    return ah.dim < torus.b_dim or not _covers_b(_b_scans(torus, ah))
+    return ah.dim < torus.b_dim or \
+        not any(_covers_b(scans) for _, scans in _scan(torus, torus.b_basis, ah))
 
 
 def _line_hits(alpha, beta):
@@ -150,8 +171,11 @@ def benoist_certificate(torus, ah):
     outer loop and the b basis directions in order inside it, keeping only
     dominant points.  Each line is decided by one scan of its direction
     (`_line_hits`), which gives the finitely many s where a translate meets
-    it, or says that a translate holds all of it; where the criterion has
-    already scanned the b basis, those scans are reused.
+    it, or says that a translate holds all of it.  The criterion and the
+    staircase share one pass over W.  Each line is one more pass, in which
+    the staircase and the direction are scanned chunk by chunk; when W is
+    one chunk, the first pass's scans are reused instead, so a b basis line
+    needs no pass and another line one scan of its direction.
 
     The search ends.  A line that no translate holds meets the translates in
     finitely many points, and its points are dominant for small |s|, so its
@@ -166,17 +190,41 @@ def benoist_certificate(torus, ah):
     (dim b - 1) * (number of translates through the staircase) + 1 gives a
     line that no translate holds.
     """
-    b_scans = [None] * torus.b_dim
-    if ah.dim >= torus.b_dim:
-        b_scans = _b_scans(torus, ah)
-        if _covers_b(b_scans):
-            return None
-    # the staircase is integral, so its scan and the directions' share one scale
     base = torus.chamber_interior_point()
-    alpha = _scan(torus, [int(x) for x in base], ah)
-    if not (alpha == 0).all(axis=1).any():
-        return base
+    # the staircase is integral, so its scan and the directions' share one scale
+    base_ints = [int(x) for x in base]
+    criterion = ah.dim >= torus.b_dim
     directions = torus.b_basis
+    on_base = False
+    for _, scans in _scan(torus, [*(directions if criterion else ()), base_ints], ah):
+        if criterion and _covers_b(scans[:-1]):
+            return None
+        on_base = on_base or bool(_hits(scans[-1]).any())
+        if on_base and not criterion:
+            break
+    if not on_base:
+        return base
+    # when W is one chunk, the pass's scans are all of W: keep them for the lines
+    whole = (scans[-1], dict(zip(directions, scans[:-1]))) \
+        if torus.weyl_chunks.prefix_len == 0 else None
+
+    def line_hits(direction):
+        """`_line_hits` over the whole line, one chunk of W at a time: None as
+        soon as a chunk holds the whole line, else the union of the chunks'
+        sets."""
+        if whole is not None:
+            alpha, kept = whole
+            beta = kept.get(tuple(direction))
+            if beta is None:
+                beta = next(_scan(torus, [direction], ah))[1][0]
+            return _line_hits(alpha, beta)
+        hits = set()
+        for _, (alpha, beta) in _scan(torus, [base_ints, direction], ah):
+            chunk_hits = _line_hits(alpha, beta)
+            if chunk_hits is None:
+                return None
+            hits |= chunk_hits
+        return hits
 
     def walk(direction):
         """(d, m, point) along base + direction/m: m = d, -d for
@@ -188,14 +236,14 @@ def benoist_certificate(torus, ah):
                     yield d, m, point
 
     best = None  # (d, point) of the earliest point found so far
-    for direction, b_scan in zip(directions, b_scans):
+    for direction in directions:
         if best is not None and best[0] == 2:
             break  # no later direction has a point before d = 2
         points = walk(direction)
         first = next(points)
         if best is not None and first[0] >= best[0]:
             continue  # an earlier direction has a point at this d or before
-        hits = _line_hits(alpha, b_scan if b_scan is not None else _scan(torus, direction, ah))
+        hits = line_hits(direction)
         if hits is None:
             continue
         d, _, point = next(c for c in itertools.chain([first], points) if c[1] not in hits)
@@ -206,7 +254,7 @@ def benoist_certificate(torus, ah):
     for c in itertools.count(1):
         direction = [sum(c ** k * b[i] for k, b in enumerate(directions))
                      for i in range(torus.coord_len)]
-        hits = _line_hits(alpha, _scan(torus, direction, ah))
+        hits = line_hits(direction)
         if hits is not None:
             return next(p for _, m, p in walk(direction) if m not in hits)
 

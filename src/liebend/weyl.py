@@ -4,14 +4,20 @@ subspace b of iota-fixed chamber directions, for sl(n,R) and su(p,q).
 Torus vectors are exact: tuples of Fraction in the free coordinates of the
 diagonal pattern (the full traceless diagonal for sl(n,R); (a_1..a_q) for
 su(p,q)).  The Weyl group acts by signed permutations of the free
-coordinates and is stored as two small-integer arrays, `perms` and `signs`
-(one row per element, |W| x coord_len), so that quantifiers over W run as
-vectorized exact integer scans; `element(i)` gives row i as a WeylElement.
-`split_torus` builds one torus per algebra object in a process.
+coordinates.  It is never stored whole: `SplitTorusData.weyl_chunks`
+produces it in contiguous chunks of at most WEYL_CHUNK_BYTES of float64
+rows, each a block of permutations sharing a prefix, built from one cached
+table of the tail's permutations, with the sign vectors running inside each
+permutation, so that quantifiers over W run as vectorized exact integer
+scans in bounded memory.
+`weyl_order` is arithmetic and `element(i)` unranks i.  `split_torus`
+builds one torus per algebra object in a process.
 """
 
 import collections
 import functools
+import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -22,7 +28,13 @@ from . import _ratlin
 from .algebra import SL, SU, diagonal_weights, readonly
 from .errors import ParameterError, RealizationError
 
-WEYL_RANK_CAP = 8
+# |W| above this is refused: su(8,8) (8! * 2**8) is the largest group
+# admitted, so sl(10) (10!) runs and su(9,9) (9! * 2**9) does not
+WEYL_ORDER_CAP = math.factorial(8) * 2 ** 8
+# a chunk of W holds at most this many bytes as float64 rows of coord_len
+# entries, which bounds each chunk's scan; su(6,6) spans six chunks, su(5,5)
+# and sl(7) one
+WEYL_CHUNK_BYTES = 2 ** 19
 
 
 def torus_vector(values):
@@ -56,18 +68,35 @@ class SplitTorusData:
     coord_len: int
     roots: tuple
     positive_roots: tuple
-    perms: np.ndarray  # |W| x coord_len: (w.v)_i = signs[k, i] * v[perms[k, i]]
-    signs: np.ndarray
     w0: WeylElement
     b_basis: tuple  # primitive int tuples spanning the iota-fixed subspace (never printed)
 
     @property
     def weyl_order(self):
-        return len(self.perms)
+        return _weyl_order(self.algebra.family, self.coord_len)
+
+    @property
+    def weyl_chunks(self):
+        """W as a `WeylChunks` table: the element w with permutation perm and
+        signs s maps v to w.v with (w.v)_i = s_i * v[perm_i]."""
+        return _weyl_chunks(self.algebra.family, self.coord_len)
 
     def element(self, i):
-        """The i-th Weyl element (row i of `perms`/`signs`)."""
-        return WeylElement(tuple(self.perms[i].tolist()), tuple(self.signs[i].tolist()))
+        """The i-th Weyl element: permutations in itertools.permutations
+        order and, for su, the sign vectors in itertools.product((1, -1))
+        order inside each permutation."""
+        n = self.coord_len
+        if not 0 <= i < self.weyl_order:
+            raise IndexError(f"Weyl element {i} out of range {self.weyl_order}")
+        signs = (1,) * n
+        if self.algebra.family == SU:
+            i, bits = divmod(i, 2 ** n)
+            signs = tuple(-1 if bits >> (n - 1 - j) & 1 else 1 for j in range(n))
+        pool, perm = list(range(n)), []
+        for j in range(n - 1, -1, -1):
+            d, i = divmod(i, math.factorial(j))
+            perm.append(pool.pop(d))
+        return WeylElement(tuple(perm), signs)
 
     def vector(self, values):
         v = torus_vector(values)
@@ -224,27 +253,58 @@ def _permutations(n):
     return perms
 
 
-def _weyl_arrays(family, coord_len):
-    """(perms, signs) of W: S_n for sl(n); for su the signed permutations, the
-    sign vectors in itertools.product((1, -1)) order inside each permutation."""
-    perms = _permutations(coord_len)
+def _weyl_order(family, coord_len):
+    """|W|: n! for sl(n); q! * 2**q for su(p,q), with n = q = coord_len."""
+    return math.factorial(coord_len) * (1 if family == SL else 2 ** coord_len)
+
+
+@dataclass(frozen=True, eq=False)
+class WeylChunks:
+    """W cut into contiguous chunks, in its enumeration order.  Chunk j holds
+    the permutations whose first `prefix_len` entries are the j-th prefix of
+    itertools.permutations(range(n), prefix_len), each followed by
+    rest[tail[p]] for the rows p of `tail` in order, where rest is the sorted
+    list of the other entries, so the chunk keeps itertools order.  The sign
+    vectors `signs` run inside each permutation (for sl one row of ones; for
+    su all of them, in itertools.product((1, -1)) order): element
+    p * len(signs) + s of a chunk is permutation p with the signs signs[s]."""
+    coord_len: int
+    prefix_len: int
+    tail: np.ndarray  # (n - prefix_len)! x (n - prefix_len) int8, read-only
+    signs: np.ndarray  # sign vectors x n int8, read-only
+
+    def chunks(self):
+        """(start, prefix, rest) for each chunk in order: element start + k of
+        W is the k-th element of the chunk."""
+        n, k = self.coord_len, self.prefix_len
+        size = len(self.tail) * len(self.signs)
+        for j, prefix in enumerate(itertools.permutations(range(n), k)):
+            yield j * size, prefix, np.array(sorted(set(range(n)).difference(prefix)))
+
+
+@functools.lru_cache(maxsize=8)
+def _weyl_chunks(family, coord_len):
+    """The chunk table of W: the shortest prefix whose chunks, as float64
+    rows of coord_len entries, fit in WEYL_CHUNK_BYTES, with the tail
+    permutations and sign vectors shared by every chunk."""
+    n = coord_len
+    sign_count = 1 if family == SL else 2 ** n
+    k = next((k for k in range(n)
+              if math.factorial(n - k) * sign_count * n * 8 <= WEYL_CHUNK_BYTES), n)
     if family == SL:
-        signs = np.ones_like(perms)
+        signs = np.ones((1, n), dtype=np.int8)
     else:
-        bits = np.arange(2 ** coord_len)[:, None] >> np.arange(coord_len - 1, -1, -1)
-        sign_rows = (1 - 2 * (bits & 1)).astype(np.int8)
-        perms = np.repeat(perms, len(sign_rows), axis=0)
-        signs = np.tile(sign_rows, (len(perms) // len(sign_rows), 1))
-    perms.flags.writeable = False
-    signs.flags.writeable = False
-    return perms, signs
+        bits = np.arange(sign_count)[:, None] >> np.arange(n - 1, -1, -1)
+        signs = (1 - 2 * (bits & 1)).astype(np.int8)
+    return WeylChunks(n, k, readonly(_permutations(n - k)), readonly(signs))
 
 
 @functools.lru_cache(maxsize=8)
 def split_torus(alg):
-    """SplitTorusData for a supported algebra; W stored as signed-permutation
-    arrays.  Built once per algebra object in a process (its arrays are
-    read-only); a rank above the cap raises on every call."""
+    """SplitTorusData for a supported algebra; W is produced in chunks
+    (`weyl_chunks`).  Built once per algebra object in a process; a Weyl group
+    larger than WEYL_ORDER_CAP raises on every call, before any chunk is
+    built."""
     if alg.family == SL:
         (n,) = alg.params
         rank, coord_len = n - 1, n
@@ -253,9 +313,9 @@ def split_torus(alg):
         p, q = alg.params
         rank, coord_len = q, q
         root_coeffs = _su_root_patterns(p, q)
-    if rank > WEYL_RANK_CAP:
-        raise ParameterError(f"rank {rank} exceeds the extensional Weyl cap {WEYL_RANK_CAP}")
-    perms, signs = _weyl_arrays(alg.family, coord_len)
+    order = _weyl_order(alg.family, coord_len)
+    if order > WEYL_ORDER_CAP:
+        raise ParameterError(f"|W| = {order} exceeds the Weyl group cap {WEYL_ORDER_CAP}")
 
     # multiplicities from the root-space dimensions, validating the realization
     torus_basis = []
@@ -275,7 +335,7 @@ def split_torus(alg):
     positive = tuple(r for r in roots if _lex_positive(r.coeffs))
 
     # w0 and b come from the chamber data, which needs neither of them
-    proto = SplitTorusData(alg, rank, coord_len, roots, positive, perms, signs, None, ())
+    proto = SplitTorusData(alg, rank, coord_len, roots, positive, None, ())
     w0 = _longest_element(proto)
     return replace(proto, w0=w0, b_basis=_b_basis(proto, w0))
 

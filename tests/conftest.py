@@ -1,4 +1,5 @@
 import collections
+import itertools
 import sys
 import types
 from fractions import Fraction
@@ -6,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liebend import _ratlin
 from liebend.algebra import (SU, SubspaceOfG, adjoint_operator, bracket, cartan_involution,
                              kernel_of, make_algebra)
 from liebend.errors import RealizationError
-from liebend.properness import in_weyl_orbit_of_subspace
+from liebend.properness import FLOAT_EXACT, _line_hits, _scan, in_weyl_orbit_of_subspace
 from liebend.sl2 import ad_weight_multiplicities
-from liebend.weyl import _diagonal, split_torus
+from liebend.weyl import _diagonal, _permutations, split_torus
 
 SEED = 20240817
 
@@ -39,9 +41,10 @@ def fresh_caches():
 
 @pytest.fixture
 def scan_count(monkeypatch):
-    """Counts the exact scans over W while the test runs: each orbit mask,
-    criterion mask and line scan of `properness` is one `_scan` call.  Read
-    and reset `scan_count.calls`."""
+    """Counts the exact passes over W while the test runs: each orbit scan,
+    criterion scan (with the staircase, in the certificate search) and line
+    scan of `properness` is one `_scan` call.  Read and reset
+    `scan_count.calls`."""
     from liebend import properness
     counter = types.SimpleNamespace(calls=0)
     scan = properness._scan
@@ -320,3 +323,98 @@ def verify_sl2_triple(triple):
         except RealizationError:
             ok = False
     return ok, residuals
+
+
+# --- whole-W scans: the oracle of the chunked passes of `properness` ---------
+
+def whole_weyl(torus):
+    """(perms, signs) of all of W, |W| x coord_len int8, built at once:
+    permutations in itertools.permutations order and, for su, the sign
+    vectors in itertools.product((1, -1)) order inside each permutation."""
+    n = torus.coord_len
+    perms = _permutations(n)
+    if torus.algebra.family != SU:
+        return perms, np.ones_like(perms)
+    bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)
+    sign_rows = (1 - 2 * (bits & 1)).astype(np.int8)
+    return np.repeat(perms, len(sign_rows), axis=0), np.tile(sign_rows, (len(perms), 1))
+
+
+def whole_scan(torus, ints, ah, weyl=None):
+    """A.(w.v) for every w in W at once, a |W| x rows integer matrix, with
+    the exactness rule of `properness._scan`."""
+    perms, signs = weyl or whole_weyl(torus)
+    ann = ah.annihilator
+    n = torus.coord_len
+    bound = n * max(map(abs, ints)) * max((abs(c) for row in ann for c in row), default=0)
+    dtype = np.float64 if bound < FLOAT_EXACT else object
+    images = np.array(ints, dtype=dtype)[perms] * signs
+    scan = images @ np.array(ann, dtype=dtype).reshape(len(ann), n).T
+    return scan if dtype is object else scan.astype(np.int64)
+
+
+def whole_orbit(torus, v, ah, weyl=None):
+    """(member, index of the first w moving v into span(a_h), or None)."""
+    scan = whole_scan(torus, _ratlin.primitive(torus.vector(v)), ah, weyl)
+    hits = np.flatnonzero((scan == 0).all(axis=1))
+    return (True, int(hits[0])) if hits.size else (False, None)
+
+
+def _whole_covers_b(b_scans):
+    return bool(np.logical_and.reduce([(s == 0).all(axis=1) for s in b_scans]).any())
+
+
+def whole_criterion(torus, ah, weyl=None):
+    return ah.dim < torus.b_dim or \
+        not _whole_covers_b([whole_scan(torus, b, ah, weyl) for b in torus.b_basis])
+
+
+def whole_certificate(torus, ah, weyl=None):
+    """The certificate search of `properness.benoist_certificate` with every
+    scan over all of W at once."""
+    b_scans = [None] * torus.b_dim
+    if ah.dim >= torus.b_dim:
+        b_scans = [whole_scan(torus, b, ah, weyl) for b in torus.b_basis]
+        if _whole_covers_b(b_scans):
+            return None
+    base = torus.chamber_interior_point()
+    alpha = whole_scan(torus, [int(x) for x in base], ah, weyl)
+    if not (alpha == 0).all(axis=1).any():
+        return base
+    directions = torus.b_basis
+
+    def walk(direction):
+        for d in itertools.count(2):
+            for m in (d, -d):
+                point = tuple(x + Fraction(1, m) * y for x, y in zip(base, direction))
+                if torus.is_dominant(point):
+                    yield d, m, point
+
+    best = None
+    for direction, b_scan in zip(directions, b_scans):
+        if best is not None and best[0] == 2:
+            break
+        points = walk(direction)
+        first = next(points)
+        if best is not None and first[0] >= best[0]:
+            continue
+        beta = b_scan if b_scan is not None else whole_scan(torus, direction, ah, weyl)
+        hits = _line_hits(alpha, beta)
+        if hits is None:
+            continue
+        d, _, point = next(c for c in itertools.chain([first], points) if c[1] not in hits)
+        if best is None or d < best[0]:
+            best = d, point
+    if best is not None:
+        return best[1]
+    for c in itertools.count(1):
+        direction = [sum(c ** k * b[i] for k, b in enumerate(directions))
+                     for i in range(torus.coord_len)]
+        hits = _line_hits(alpha, whole_scan(torus, direction, ah, weyl))
+        if hits is not None:
+            return next(p for _, m, p in walk(direction) if m not in hits)
+
+
+def chunked_scan(torus, ints, ah):
+    """The chunks of one `properness._scan` pass of v, concatenated."""
+    return np.concatenate([scans[0] for _, scans in _scan(torus, [ints], ah)])

@@ -1,29 +1,94 @@
-"""The calls perfbench/record.py makes into the package when it re-records
-the bend plan set: `module_multiplicities(alg, _triple_from_spec(alg, spec))`
-over `workloads.constructed_triples()`.  Each call must keep resolving with
-its current signature, and every timed plan of
-perfbench/expect/bend_plans.json must meet the genus condition
-genus >= |Lambda| of its triple.  perfbench's files are read, never written."""
+"""What perfbench reads of the package.
 
+- perfbench/tracer.py wraps the functions and methods named in its `LAYERS`
+  by name, and sums `SplitTorusData.weyl_order` over `split_torus` calls.
+  Each name must resolve, and `weyl_order` must stay arithmetic: building a
+  torus builds no chunk of W.
+- perfbench/record.py re-records the bend plan set with
+  `module_multiplicities(alg, _triple_from_spec(alg, spec))` over
+  `workloads.constructed_triples()`.  Each call must keep resolving with its
+  current signature, and every timed plan of perfbench/expect/bend_plans.json
+  must meet the genus condition genus >= |Lambda| of its triple.
+
+perfbench's files are read, never written: the module checks that their
+bytes are the same after its tests as before."""
+
+import hashlib
+import importlib
 import importlib.util
+import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from liebend import weyl
 from liebend.algebra import make_algebra
 from liebend.report import _triple_from_spec
 from liebend.sl2 import module_multiplicities
+from liebend.weyl import split_torus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
+def _perfbench_bytes():
+    return {path.relative_to(PERFBENCH).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(PERFBENCH.rglob("*")) if path.is_file()
+            and "__pycache__" not in path.parts}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def perfbench_is_only_read():
+    before = _perfbench_bytes()
+    assert before
+    yield
+    assert _perfbench_bytes() == before
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads():
+    return _perfbench_module("workloads")
+
+
+def test_every_traced_layer_resolves():
+    """Each name of the tracer's LAYERS is a function, or a method of a
+    class, defined in its liebend module."""
+    layers = _perfbench_module("tracer").LAYERS
+    assert "split_torus" in layers["weyl"]
+    for mod_name, names in layers.items():
+        module = importlib.import_module(f"liebend.{mod_name}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                target = getattr(module, cls_name).__dict__[meth]
+            else:
+                target = getattr(module, name)
+            function = inspect.unwrap(target)
+            assert inspect.isfunction(function), (mod_name, name)
+            assert function.__module__ == module.__name__, (mod_name, name)
+
+
+@pytest.mark.parametrize("family", [("sl", n) for n in range(2, 11)] +
+                         [("su", p, q) for p in range(1, 5) for q in range(1, p + 1)] +
+                         [("su", 7, 3), ("su", 8, 8)],
+                         ids=lambda f: f[0] + "".join(map(str, f[1:])))
+def test_weyl_order_builds_no_chunk(family, fresh_caches, monkeypatch):
+    """|W| is n! for sl(n) and q! * 2**q for su(p,q), read without building
+    any chunk of W (the tracer reads it on every `split_torus` call)."""
+    def refuse(*args):
+        raise AssertionError("a chunk of W was built")
+    monkeypatch.setattr(weyl, "_weyl_chunks", refuse)
+    monkeypatch.setattr(weyl.WeylChunks, "chunks", refuse)
+    torus = split_torus(make_algebra(*family))
+    n = family[1] if family[0] == "sl" else family[2]
+    assert torus.weyl_order == math.factorial(n) * (1 if family[0] == "sl" else 2 ** n)
 
 
 def _key(fam, triple_spec):

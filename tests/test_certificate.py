@@ -12,14 +12,17 @@ import pytest
 
 from liebend import _ratlin, cli
 from liebend.algebra import make_algebra
-from liebend.properness import (HSubalgebraTorus, _line_hits, _scan, benoist_certificate,
+from liebend.properness import (HSubalgebraTorus, _line_hits, benoist_certificate,
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import split_torus
 
-from conftest import nullspace
+from conftest import chunked_scan, nullspace, whole_weyl
 
-# a search scans W once per b basis line, once for the staircase, and once
-# per fallback line; the queries below need at most three fallback lines
+# a search passes over W once for the criterion and the staircase together,
+# once per b basis line and once per fallback line; the queries below need
+# at most three fallback lines.  When W is one chunk (as it is for sl(7) and
+# su(5,5)) and the criterion ran, the b basis lines reuse the first pass, so
+# the search makes at most SCAN_SLACK passes.
 SCAN_SLACK = 4
 
 # scales of one line at which the scans are int64 with small entries, are
@@ -43,7 +46,8 @@ def translate_mask(torus, v, ah):
     """Entry k is True iff w_k.v lies in span(a_h), in Python ints."""
     ints = np.array(_ratlin.integer_multiple(v), dtype=object)
     ann = np.array(ah.annihilator, dtype=object).reshape(-1, torus.coord_len)
-    return ((torus.signs * ints[torus.perms]) @ ann.T == 0).all(axis=1)
+    perms, signs = whole_weyl(torus)
+    return ((signs * ints[perms]) @ ann.T == 0).all(axis=1)
 
 
 def assert_certificate(torus, ah, point):
@@ -88,8 +92,8 @@ def test_line_hits_match_pointwise_scans(family):
                 torus, [x + Fraction(y, m) for x, y in zip(base, direction)], ah).any()}
             found += len(expected)
         for scale in LINE_SCALES:
-            alpha = _scan(torus, [scale * int(x) for x in base], ah)
-            beta = _scan(torus, [scale * y for y in direction], ah)
+            alpha = chunked_scan(torus, [scale * int(x) for x in base], ah)
+            beta = chunked_scan(torus, [scale * y for y in direction], ah)
             if scale == 2 ** 58:
                 assert alpha.dtype == object
             if object in (alpha.dtype, beta.dtype):
@@ -144,6 +148,8 @@ def test_pinned_queries_print_a_certificate(family, rows, expected, tmp_path, sc
     scan_count.calls = 0
     point = benoist_certificate(torus, ah)
     assert scan_count.calls <= torus.b_dim + SCAN_SLACK
+    assert torus.weyl_chunks.prefix_len == 0
+    assert ah.dim < torus.b_dim or scan_count.calls <= SCAN_SLACK
     assert tuple(str(x) for x in point) == expected
     assert_certificate(torus, ah, point)
 
@@ -189,6 +195,8 @@ def test_adversarial_queries_end_in_bounded_scans(scan_count):
         scan_count.calls = 0
         point = benoist_certificate(torus, ah)
         assert scan_count.calls <= torus.b_dim + SCAN_SLACK, family
+        assert torus.weyl_chunks.prefix_len == 0
+        assert ah.dim < torus.b_dim or scan_count.calls <= SCAN_SLACK, family
         assert_certificate(torus, ah, point)
         # the point is on none of the b basis lines through the staircase
         staircase = torus.chamber_interior_point()

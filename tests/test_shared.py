@@ -85,7 +85,8 @@ def _shared_arrays():
     return {
         "basis": su32.basis, "form": su32.form, "solver": su32._solver,
         "flat": su32._flat, "support": su32._support[1],
-        "perms": torus.perms, "positive roots": torus._positive_functionals[0],
+        "chunk table": torus.weyl_chunks.tail,
+        "positive roots": torus._positive_functionals[0],
         "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_e": rho1.ad_e, "ad_f": triple.ad_f,
         "basis_weights": rho1.basis_weights, "h_centralizer": rho1.h_centralizer,
         "sigma": rho1.sigma, "g_even": g_even(triple).onb,
@@ -96,7 +97,7 @@ def _shared_arrays():
     }
 
 
-SHARED_ARRAYS = ("basis", "form", "solver", "flat", "support", "perms", "positive roots",
+SHARED_ARRAYS = ("basis", "form", "solver", "flat", "support", "chunk table", "positive roots",
                  "h", "e", "f", "ad_e", "ad_f", "basis_weights", "h_centralizer", "sigma",
                  "g_even", "star", "star matrix", "stacked", "solver of pieces", "piece",
                  "polygon a", "polygon b")
@@ -122,14 +123,14 @@ def test_writing_into_shared_arrays_raises(name):
     (lambda: make_algebra("su", 2, 3), "p >= q >= 1"),
     (lambda: make_algebra("so", 3), "unknown family"),
     (lambda: make_algebra("sl", 2.5), "must be an integer"),
-    (lambda: split_torus(make_algebra("sl", 10)), "exceeds the extensional Weyl cap"),
+    (lambda: split_torus(make_algebra("su", 9, 9)), r"\|W\| = 185794560 exceeds the Weyl group"),
     (lambda: sl2_from_partition(make_algebra("sl", 5), (3, 1)), "not a partition of 5"),
     (lambda: sl2_from_partition(make_algebra("su", 2, 1), (2, 1)), "live in sl"),
     (lambda: rho2_su(make_algebra("su", 3, 3)), "undefined for p = q"),
     (lambda: rho1_su(make_algebra("sl", 3)), "lives in su"),
     (lambda: fuchsian_generators(1), "genus >= 2"),
     (lambda: fuchsian_generators(2.9), "must be an integer"),
-], ids=["sl1", "su23", "family", "float-n", "rank-cap", "partition", "partition-in-su",
+], ids=["sl1", "su23", "family", "float-n", "order-cap", "partition", "partition-in-su",
         "rho2-pq", "rho1-in-sl", "genus1", "genus-float"])
 def test_invalid_input_raises_on_every_call(call, error):
     for _ in range(3):

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liebend import weyl
 from liebend.algebra import make_algebra
+from liebend.cli import main
 from liebend.errors import ParameterError
 from liebend.weyl import split_torus
 
@@ -115,9 +117,24 @@ def test_rank_one_su():
     assert torus.iota(torus.vector((3,))) == torus.vector((3,))
 
 
-def test_rank_cap():
-    with pytest.raises(ParameterError):
-        split_torus(make_algebra("sl", 10))
+def test_weyl_order_cap(monkeypatch, tmp_path, capsys):
+    """The cap counts |W|: su(9,9) (|W| = 9! * 2**9) is refused on every
+    call, by a message naming |W| and the cap, before any chunk of W is
+    built, and `check` exits 2 on it; sl(10) (10!) and su(8,8) (8! * 2**8),
+    the largest group admitted, are accepted."""
+    assert weyl.WEYL_ORDER_CAP == 10_321_920
+    monkeypatch.setattr(weyl, "_weyl_chunks", None)  # calling it would raise TypeError
+    su99 = make_algebra("su", 9, 9)
+    for _ in range(3):
+        with pytest.raises(ParameterError, match=r"^\|W\| = 185794560 exceeds the Weyl group "
+                                                 r"cap 10321920$"):
+            split_torus(su99)
+    assert split_torus(make_algebra("sl", 10)).weyl_order == 3_628_800
+    assert split_torus(make_algebra("su", 8, 8)).weyl_order == weyl.WEYL_ORDER_CAP
+    ah = tmp_path / "ah.json"
+    ah.write_text("[[1, 0, 0, 0, 0, 0, 0, 0, 0]]")
+    assert main(["check", "--family", "su", "--p", "9", "--q", "9", "--ah", str(ah)]) == 2
+    assert "185794560 exceeds the Weyl group cap" in capsys.readouterr().err
 
 
 def test_trace_constraint(sl5_torus):

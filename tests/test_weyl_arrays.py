@@ -1,7 +1,9 @@
-"""W as signed-permutation arrays, checked against a reference oracle: the
-element-by-element Fraction scans over an itertools enumeration of W that
-the properness decisions are defined by.  The oracle is kept for rank <= 5,
-and for the short certificate walk on sl(7) (rank 6)."""
+"""W as chunks of signed-permutation arrays, checked against two oracles:
+the element-by-element Fraction scans over an itertools enumeration of W
+that the properness decisions are defined by (kept for rank <= 5, and for
+the short certificate walk on sl(7), rank 6), and the whole-W scans of
+tests/conftest.py, which build all of W at once (su(6,6), su(7,7) and sl(8),
+each of several chunks, with queries whose hits sit at chunk boundaries)."""
 
 import itertools
 from fractions import Fraction
@@ -9,13 +11,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebend import _ratlin
+from liebend import _ratlin, weyl
 from liebend.algebra import make_algebra
 from liebend.errors import RealizationError
 from liebend.properness import (FLOAT_EXACT, HSubalgebraTorus, _scan, benoist_certificate,
                                 benoist_criterion, in_weyl_orbit_of_subspace)
-from liebend.weyl import WeylElement, _weyl_arrays, split_torus
+from liebend.weyl import WeylElement, _weyl_chunks, split_torus
 
+from conftest import (chunked_scan, whole_certificate, whole_criterion, whole_orbit, whole_scan,
+                      whole_weyl)
 from test_certificate import adversarial_queries
 
 FAMILIES = [("sl", 3), ("sl", 4), ("sl", 5), ("su", 1, 1), ("su", 2, 1), ("su", 2, 2),
@@ -211,13 +215,31 @@ def test_integer_scan_does_not_wrap():
     assert in_weyl_orbit_of_subspace(torus, (2 ** 32, 2 ** 32 + 1), ah) == (False, None)
 
 
-@pytest.mark.parametrize("family, n", [("sl", n) for n in range(1, 9)] +
-                         [("su", q) for q in range(1, 7)], ids=lambda v: str(v))
-def test_weyl_arrays_match_itertools(family, n):
-    """The numpy-built W, row for row: permutations in
+def chunks_at_budget(family, n, budget, monkeypatch):
+    """The chunk table of W and its chunks, cut at the given byte budget."""
+    monkeypatch.setattr(weyl, "WEYL_CHUNK_BYTES", budget)
+    _weyl_chunks.cache_clear()
+    try:
+        table = _weyl_chunks(family, n)
+        return table, list(table.chunks())
+    finally:
+        _weyl_chunks.cache_clear()
+
+
+def assert_chunks_match_itertools(family, n, table, chunks):
+    """The concatenated chunks of W, element for element: permutations in
     itertools.permutations order and, for su, the sign vectors in
-    itertools.product((1, -1)) order inside each permutation."""
-    perms, signs = _weyl_arrays(family, n)
+    itertools.product((1, -1)) order inside each permutation.  Each chunk
+    starts where the previous one ends, the cached table is read-only, and
+    a chunk's float64 rows fit the budget unless one permutation's sign
+    vectors alone do not."""
+    signs_per_perm = len(table.signs)
+    size = len(table.tail) * signs_per_perm
+    assert [start for start, _, _ in chunks] == [j * size for j in range(len(chunks))]
+    blocks = [np.column_stack([np.tile(np.array(prefix, dtype=int), (len(table.tail), 1)),
+                               rest[table.tail]]) for _, prefix, rest in chunks]
+    perms = np.repeat(np.concatenate(blocks), signs_per_perm, axis=0)
+    signs = np.tile(table.signs, (len(perms) // signs_per_perm, 1))
     ref = list(itertools.permutations(range(n)))
     if family == "sl":
         assert perms.tolist() == [list(p) for p in ref]
@@ -226,13 +248,36 @@ def test_weyl_arrays_match_itertools(family, n):
         ref_signs = list(itertools.product((1, -1), repeat=n))
         assert perms.tolist() == [list(p) for p in ref for _ in ref_signs]
         assert signs.tolist() == [list(s) for _ in ref for s in ref_signs]
-    assert perms.dtype == signs.dtype == np.int8
-    assert not perms.flags.writeable and not signs.flags.writeable
+    assert table.tail.dtype == table.signs.dtype == np.int8
+    assert not table.tail.flags.writeable and not table.signs.flags.writeable
+    assert len(table.tail) * signs_per_perm * n * 8 <= weyl.WEYL_CHUNK_BYTES \
+        or table.prefix_len == n
+
+
+SMALL_WEYL = [("sl", n) for n in range(1, 9)] + [("su", q) for q in range(1, 7)]
+
+
+@pytest.mark.parametrize("family, n", SMALL_WEYL, ids=lambda v: str(v))
+def test_weyl_arrays_match_itertools(family, n, monkeypatch):
+    """At the package's budget, sl(8) and su(6,6) span several chunks and
+    the smaller groups one."""
+    table, chunks = chunks_at_budget(family, n, weyl.WEYL_CHUNK_BYTES, monkeypatch)
+    assert_chunks_match_itertools(family, n, table, chunks)
+    assert (len(chunks) > 1) == ((family, n) in (("sl", 8), ("su", 6)))
+
+
+@pytest.mark.parametrize("family, n", SMALL_WEYL, ids=lambda v: str(v))
+def test_weyl_chunks_at_a_tiny_budget(family, n, monkeypatch):
+    """A 64-byte budget cuts W into many chunks for every n >= 3."""
+    table, chunks = chunks_at_budget(family, n, 64, monkeypatch)
+    assert_chunks_match_itertools(family, n, table, chunks)
+    assert len(chunks) > 1 or n < 3
 
 
 def object_scan(torus, ints, ah):
     """A.(w.v) over W in Python ints: the reference for `_scan`."""
-    images = torus.signs.astype(object) * np.array(ints, dtype=object)[torus.perms]
+    perms, signs = whole_weyl(torus)
+    images = signs.astype(object) * np.array(ints, dtype=object)[perms]
     return (images @ np.array(ah.annihilator, dtype=object).T).tolist()
 
 
@@ -257,6 +302,166 @@ def test_scan_takes_float64_below_2_53_and_is_exact(family, basis, ints, bound):
     ah = HSubalgebraTorus(torus, basis)
     assert torus.coord_len * max(map(abs, ints)) * \
         max(abs(c) for row in ah.annihilator for c in row) == bound
-    got = _scan(torus, ints, ah)
-    assert got.dtype == (np.int64 if bound < FLOAT_EXACT else object)
-    assert got.tolist() == object_scan(torus, ints, ah)
+    dtypes = {scans[0].dtype for _, scans in _scan(torus, [ints], ah)}
+    assert dtypes == {np.dtype(np.int64) if bound < FLOAT_EXACT else np.dtype(object)}
+    assert chunked_scan(torus, ints, ah).tolist() == object_scan(torus, ints, ah)
+
+
+# --- chunk boundaries, against the whole-W scans of tests/conftest.py -------
+
+BOUNDARY_FAMILIES = [("su", 6, 6), ("su", 7, 7), ("sl", 8)]
+
+
+@pytest.fixture(scope="module", params=BOUNDARY_FAMILIES,
+                ids=lambda f: f[0] + "".join(map(str, f[1:])))
+def chunked(request):
+    """(torus, whole W, rows per chunk) for a torus whose W spans several
+    chunks."""
+    torus = split_torus(make_algebra(*request.param))
+    table = torus.weyl_chunks
+    rows = len(table.tail) * len(table.signs)
+    assert torus.weyl_order // rows >= 6
+    return torus, whole_weyl(torus), rows
+
+
+def preimage(w, u):
+    """The v with w.v = u."""
+    v = [None] * len(u)
+    for s, p, x in zip(w.signs, w.perm, u):
+        v[p] = s * x
+    return tuple(v)
+
+
+def generic_vector(torus, rng, big):
+    """Entries of distinct absolute values, not all of one sign, with zero
+    trace for sl: only w and, for su, -w move w^{-1}.u onto the line of u.
+    With big, the entries pass 2**50, so the scans take object arrays."""
+    n = torus.coord_len
+    offset = 2 ** 50 if big else 0
+    raw = [offset + int(x) for x in rng.choice(np.arange(1, 4 * n), n, replace=False)]
+    if torus.algebra.family == "sl":
+        raw[-1] = -sum(raw[:-1])
+    else:
+        raw[0] = -raw[0]
+    return torus.vector(raw)
+
+
+def boundary_indices(torus, rows, rng):
+    """Element indices at chunk boundaries: the last row of a chunk, the
+    first row of the next, and, for su, the first row of the last
+    permutation of a chunk (the last row of a chunk has all signs -1, and
+    its first hit is that row's sign-flipped twin)."""
+    out = []
+    for j in sorted(rng.choice(np.arange(1, torus.weyl_order // rows), 2, replace=False)):
+        end = int(j) * rows
+        out += [end - 1, end]
+        if torus.algebra.family == "su":
+            out.append(end - 2 ** torus.coord_len)
+    return out
+
+
+def test_orbit_first_hit_at_chunk_boundaries(chunked):
+    """The witness of a line span(u) hit only by w_i (and, for su, by -w_i)
+    is the same first hit as in the whole-W scan, for w_i at the last row of
+    a chunk and the first row of the next, and in the object lane."""
+    torus, weyl_arrays, rows = chunked
+    rng = np.random.default_rng(41)
+    big_done = torus.weyl_order > 10 ** 5  # su(7,7): the object lane over all of W is slow
+    for i in boundary_indices(torus, rows, rng):
+        for big in (False,) if big_done else (False, True):
+            u = generic_vector(torus, rng, big)
+            ah = HSubalgebraTorus(torus, (u,))
+            v = preimage(torus.element(i), u)
+            lane = next(_scan(torus, [_ratlin.primitive(v)], ah))[1][0].dtype
+            assert (lane == object) == big
+            member, w = in_weyl_orbit_of_subspace(torus, v, ah)
+            found, first = whole_orbit(torus, v, ah, weyl_arrays)
+            assert member and found and w == torus.element(first)
+            assert first == (i if torus.algebra.family == "sl" or i % 2 ** torus.coord_len == 0
+                             else i - (2 ** torus.coord_len - 1))
+        big_done = True
+    v = generic_vector(torus, rng, False)
+    ah = HSubalgebraTorus(torus, (generic_vector(torus, rng, False),))
+    assert in_weyl_orbit_of_subspace(torus, v, ah) == (False, None)
+    assert whole_orbit(torus, v, ah, weyl_arrays) == (False, None)
+
+
+def test_benoist_at_chunk_boundaries(chunked):
+    """The criterion verdict and the certificate point agree with the
+    whole-W search on seeded a_h that hold the w_i-translate of b (the
+    criterion fails) or of the staircase (the search walks), with w_i at
+    chunk boundaries; on su(6,6) and sl(8) one staircase query has random
+    rows past 2**40, so its scans take object arrays."""
+    torus, weyl_arrays, rows = chunked
+    rng = np.random.default_rng(43)
+    verdicts, walked = set(), False
+    for k, i in enumerate(boundary_indices(torus, rows, rng)[:4]):
+        w = torus.element(i)
+        if k % 2:
+            basis = [preimage(w, b) for b in torus.b_basis]
+        else:
+            basis = [preimage(w, torus.chamber_interior_point())]
+            big = k == 2 and torus.weyl_order < 10 ** 5
+            while len(basis) < torus.rank - 1:
+                row = random_vector(torus, rng, big)
+                if _ratlin.rank(basis + [row]) > len(basis):
+                    basis.append(row)
+        ah = HSubalgebraTorus(torus, tuple(basis))
+        verdict = benoist_criterion(torus, ah)
+        assert verdict == whole_criterion(torus, ah, weyl_arrays)
+        point = benoist_certificate(torus, ah)
+        assert point == whole_certificate(torus, ah, weyl_arrays)
+        verdicts.add(verdict)
+        walked |= verdict and point != torus.chamber_interior_point()
+    assert verdicts == {True, False} and walked
+
+
+def _first_point(torus, direction):
+    base = torus.chamber_interior_point()
+    for d in itertools.count(2):
+        for m in (d, -d):
+            point = tuple(x + Fraction(1, m) * y for x, y in zip(base, direction))
+            if torus.is_dominant(point):
+                return point
+
+
+@pytest.mark.parametrize("family", [("sl", 8), ("su", 6, 6)], ids=["sl8", "su66"])
+def test_certificate_merges_the_chunks(family):
+    """The certificate search gathers what each chunk of W says.  Each a_h
+    holds the w-translate of the staircase and the v-translate of the first
+    point of the first b basis line, so the staircase is hit and so is that
+    point; w and v are drawn until every hit of the staircase and of the
+    line lies before the last chunk, so a search that kept only the last
+    chunk's answer would return the staircase, or that point.  On sl(8)
+    dim a_h = dim b, so the criterion shares the staircase's pass."""
+    torus = split_torus(make_algebra(*family))
+    table = torus.weyl_chunks
+    last = torus.weyl_order - len(table.tail) * len(table.signs)
+    weyl_arrays = whole_weyl(torus)
+    base = torus.chamber_interior_point()
+    point = _first_point(torus, torus.b_basis[0])
+    rng = np.random.default_rng(47)
+    dim = torus.b_dim if family[0] == "sl" else 2
+    found = 0
+    for _ in range(40):
+        w, v = (torus.element(int(rng.integers(0, last))) for _ in range(2))
+        rows = [preimage(w, base), preimage(v, point)]
+        while len(rows) < dim:
+            row = random_vector(torus, rng, False)
+            if _ratlin.rank(rows + [row]) > len(rows):
+                rows.append(row)
+        if _ratlin.rank(rows) < dim:
+            continue
+        ah = HSubalgebraTorus(torus, tuple(rows))
+        hit_rows = [np.flatnonzero((whole_scan(torus, _ratlin.integer_multiple(x), ah, weyl_arrays)
+                                    == 0).all(axis=1)) for x in (base, point)]
+        if not whole_criterion(torus, ah, weyl_arrays) or \
+                any(hits.max() >= last for hits in hit_rows):
+            continue
+        expected = whole_certificate(torus, ah, weyl_arrays)
+        assert expected not in (base, point)
+        assert benoist_certificate(torus, ah) == expected
+        found += 1
+        if found == 2:
+            break
+    assert found == 2
