@@ -5,8 +5,11 @@ exponent.  Every operation here is formed exactly in ints and rounded once to
 a precision in bits that the caller passes, to nearest with ties to even:
 the value libmp gives for the same operation at that precision.  So the
 float lane builds a bending line without importing mpmath (`bending`, at
-`bending.FIXED_LINE_BITS`), and the mp lane gets the same bits at the
-precision of its context (`highprec`).
+`bending.FIXED_LINE_BITS`), and the high-precision lane (`highprec`) gets
+the same bits at its working precision.  The correctly rounded elementary
+functions on the same (mantissa, exponent) pairs, and the Taylor matrix
+exponential of a `FixedMatrix`, are in `elementary`, which only the
+high-precision lane imports.
 
 The pieces, each built in one place for both lanes:
 - `product`, the n x n matrix product, rounded entry by entry;

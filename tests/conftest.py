@@ -210,6 +210,41 @@ def to_mp(m):
     return mp.matrix([flat[r:r + cols] for r in range(0, len(flat), cols)])
 
 
+def from_mp(m):
+    """An mp.matrix as a FixedMatrix, exactly, read through the raw (sign,
+    man, exp, bc) tuples; mpc entries give the imaginary part."""
+    import mpmath as mp
+    from mpmath import libmp
+    from liebend.intkernel import FixedMatrix
+    parts = [[[None] * m.cols for _ in range(m.rows)] for _ in range(2)]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            v = mp.mpmathify(m[i, j])
+            raw = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, libmp.fzero)
+            for part, (sign, man, exp, _) in zip(parts, raw):
+                part[i][j] = (-int(man) if sign else int(man)), exp
+    return FixedMatrix.from_pairs(*parts)
+
+
+def mp_pair(v):
+    """A real mp number as an exact (mantissa, exponent) pair."""
+    sign, man, exp, _ = v._mpf_
+    return (-int(man) if sign else int(man)), exp
+
+
+def from_pair(x):
+    """An exact (mantissa, exponent) pair as an mpf."""
+    import mpmath as mp
+    from mpmath import libmp
+    return mp.mp.make_mpf(libmp.from_man_exp(*x))
+
+
+def sl2_inverse(g2):
+    """Inverse of a determinant-1 2x2 mp matrix: its adjugate."""
+    import mpmath as mp
+    return mp.matrix([[g2[1, 1], -g2[0, 1]], [-g2[1, 0], g2[0, 0]]])
+
+
 def theta_operator(alg):
     """Matrix of the Cartan involution on algebra coordinates."""
     return alg.coordinates(cartan_involution(alg, alg.basis, check=False), check=False).T

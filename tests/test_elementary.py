@@ -1,0 +1,183 @@
+"""The elementary functions of `elementary` are correctly rounded: each
+value is the one mpmath gives at 120 bits more, rounded once to the
+precision (a double rounding that differs would need a value within
+2**-120 ulp of a rounding boundary).  Seeded arguments, 3,400 per function
+and precision, at the precisions the verification lane uses (136 bits for
+dps 40, 156 for its twists) and at 253 bits; complex functions are checked
+part by part."""
+
+import random
+
+import pytest
+
+from liebend import elementary as el
+
+from conftest import from_pair, mp_pair
+
+PRECS = [136, 156, 253]
+COUNT = 3400
+
+
+def _rounded(f, args, prec, parts=1):
+    """f(*args) at prec + 120 bits rounded to prec bits, as normal pairs."""
+    import mpmath as mp
+    with mp.workprec(prec + 120):
+        v = f(*args)
+    with mp.workprec(prec):
+        vals = [+mp.re(v), +mp.im(v)] if parts == 2 else [+v]
+    out = tuple(el._normal(*mp_pair(x)) for x in vals)
+    return out if parts == 2 else out[0]
+
+
+def _dyadic(rng, prec, lo, hi, sign=True):
+    """A prec-bit odd mantissa times a power of two, of size 2**lo to 2**hi."""
+    m = rng.getrandbits(prec) | 1 << (prec - 1) | 1
+    m = -m if sign and rng.random() < 0.5 else m
+    return m, rng.randint(lo, hi) - prec
+
+
+def _near(rng, prec, target):
+    """The prec-bit dyadic nearest target (an mpf), nudged by a few ulps:
+    arguments where cos, tan or log nearly vanish."""
+    import mpmath as mp
+    with mp.workprec(prec):
+        m, e = mp_pair(+target)
+    shift = prec - abs(m).bit_length()  # a mantissa of prec bits, then the nudge
+    return (m << shift) + rng.randint(-3, 3), e - shift
+
+
+def _reals(rng, prec, kind):
+    import mpmath as mp
+    out = []
+    with mp.workprec(prec + 40):
+        for i in range(COUNT):
+            if kind in ("log", "acosh"):
+                x = (_dyadic(rng, prec, *((1, 40) if kind == "acosh" else (-60, 60)), sign=False)
+                     if i % 4 else _near(rng, prec, 1 + mp.mpf(2) ** -rng.randint(1, prec - 3)))
+            elif kind == "exp":
+                x = _dyadic(rng, prec, -40, 9)
+            else:  # cos_sin, tan: near multiples of pi / 2 every fourth argument
+                x = (_dyadic(rng, prec, -30, 12) if i % 4 else
+                     _near(rng, prec, (rng.randint(-200, 200) or 1) * mp.pi / 2))
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_pi_is_correctly_rounded(prec):
+    import mpmath as mp
+    for p in list(range(2, 80)) + [prec, prec + 1, 1000]:
+        assert el.pi(p) == _rounded(lambda: +mp.pi, (), p)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@pytest.mark.parametrize("name", ["exp", "log", "acosh", "cos_sin", "tan"])
+def test_real_functions_are_correctly_rounded(name, prec):
+    import mpmath as mp
+    rng = random.Random(f"{name}-{prec}")
+    ours = {"exp": el.exp, "tan": el.tan, "acosh": el.acosh, "cos_sin": el.cos_sin,
+            "log": lambda x, p: el._widen(lambda w: [el._log_fixed(x, w)], p)[0]}[name]
+    for x in _reals(rng, prec, name):
+        got = ours(x, prec)
+        if name == "cos_sin":
+            assert got == (_rounded(mp.cos, [from_pair(x)], prec),
+                           _rounded(mp.sin, [from_pair(x)], prec)), x
+        else:
+            assert got == _rounded(getattr(mp, name), [from_pair(x)], prec), x
+
+
+def _complexes(rng, prec, name):
+    out = []
+    for i in range(COUNT):
+        a, b = _dyadic(rng, prec, -20, 5), _dyadic(rng, prec, -20, 5)
+        if i % 5 == 1:
+            b = _dyadic(rng, prec, -prec, -60)  # b tiny against a
+        elif i % 5 == 2:
+            a = _dyadic(rng, prec, -prec, -60)  # a tiny against b
+        elif i % 5 == 3 and name == "csqrt":
+            # exact squares: (u + iv)**2 for short u, v, so both parts are dyadic
+            (u, e), (v, _) = _dyadic(rng, prec // 2 - 4, -4, 4), _dyadic(rng, prec // 2 - 4, 0, 0)
+            a, b = (u * u - v * v, 2 * e), (2 * u * v, 2 * e)
+        out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@pytest.mark.parametrize("name", ["cexp", "ccosh", "csinh", "csqrt"])
+def test_complex_functions_are_correctly_rounded_by_part(name, prec):
+    import mpmath as mp
+    rng = random.Random(f"{name}-{prec}")
+    f = {"cexp": mp.exp, "ccosh": mp.cosh, "csinh": mp.sinh, "csqrt": mp.sqrt}[name]
+    for z in _complexes(rng, prec, name):
+        got = getattr(el, name)(z, prec)
+        with mp.workprec(prec):  # exact: both parts have prec bits
+            arg = mp.mpc(from_pair(z[0]), from_pair(z[1]))
+        assert tuple(got) == _rounded(f, [arg], prec, parts=2), z
+
+
+@pytest.mark.parametrize("name", ["cexp", "ccosh", "csinh", "csqrt"])
+def test_complex_functions_on_the_axes(name):
+    """A zero part answers exactly: the function of a real or an imaginary
+    argument, with the exact zero part mpmath gives."""
+    import mpmath as mp
+    f = {"cexp": mp.exp, "ccosh": mp.cosh, "csinh": mp.sinh, "csqrt": mp.sqrt}[name]
+    x = (-0x1d5c3f, -20)
+    for z in (((0, 0), (0, 0)), (x, (0, 0)), ((0, 0), x), (_neg(x), (0, 0)), ((0, 0), _neg(x))):
+        got = getattr(el, name)(z, 136)
+        with mp.workprec(136):
+            arg = mp.mpc(from_pair(z[0]), from_pair(z[1]))
+        assert tuple(got) == _rounded(f, [arg], 136, 2)
+
+
+def _neg(x):
+    return -x[0], x[1]
+
+
+def test_zero_arguments_are_exact():
+    assert el.exp((0, 0), 53) == (1, 0)
+    assert el.cos_sin((0, 0), 53) == ((1, 0), (0, 0))
+    assert el.tan((0, 0), 53) == (0, 0)
+    assert el.acosh((4, -2), 53) == (0, 0)
+    with pytest.raises(ValueError, match=">= 1"):
+        el.acosh((3, -2), 53)
+
+
+def test_rounding_at_a_power_of_two_is_decided():
+    """Both ends of a bracket that round to the same power of two, one from
+    below, compare equal as normal pairs: exp of an argument just below
+    ln 2 ends its loop."""
+    import mpmath as mp
+    for prec in (20, 53, 136):
+        with mp.workprec(prec + 200):
+            x = _near(random.Random(prec), prec + 100, mp.log(2))
+        x = el._normal(*el._fit(*x, prec + 100))
+        assert el.exp(x, prec) == _rounded(mp.exp, [from_pair(x)], prec)
+
+
+@pytest.mark.parametrize("w", [30, 100, 200])
+def test_brackets_contain_the_value(w):
+    """Each fixed-point evaluation's stated bound holds: the exact value lies
+    within err units of v.  This is what makes the rounding correct, and the
+    bound is the radius a ball arithmetic would carry."""
+    import mpmath as mp
+    rng = random.Random(w)
+
+    def within(v, err, exp, want):
+        with mp.workprec(2 * w + 400):
+            return abs(mp.mpf(v) * mp.mpf(2) ** exp - want) <= err * mp.mpf(2) ** exp
+
+    for i in range(300):
+        x = _dyadic(rng, 60, -30, 8)
+        with mp.workprec(2 * w + 400):
+            ax = from_pair(x)
+            cos, sin, exp, cosh, sinh = mp.cos(ax), mp.sin(ax), mp.exp(ax), mp.cosh(ax), mp.sinh(ax)
+            log = mp.log(abs(ax))
+        c, s, err, cw = el._cos_sin_fixed(x, w)
+        assert within(c, err, -cw, cos) and within(s, err, -cw, sin), x
+        assert within(*el._exp_fixed(x, w), exp), x
+        ch, sh, err, e = el._cosh_sinh_fixed(x, w)
+        assert within(ch, err, e, cosh) and within(sh, err, e, sinh), x
+        assert within(*el._log_fixed((abs(x[0]), x[1]), w), log), x
+    with mp.workprec(2 * w + 400):
+        assert within(el._constant_fixed("pi", w), 2, -w, +mp.pi)
+        assert within(el._constant_fixed("ln2", w), 2, -w, mp.log(2))

@@ -9,13 +9,13 @@ import pytest
 from liebend import highprec
 from liebend.config import DEFAULT
 from liebend.errors import ParameterError
-from liebend.highprec import (RoundingModeError, block_expm, from_mp, max_entry_distance,
-                              mp_fuchsian, sl2_inverse, verify_bent_relation)
+from liebend.highprec import (block_expm, dps_to_bits, max_entry_distance, mp_fuchsian,
+                              verify_bent_relation)
 from liebend.intkernel import (FixedMatrix, Sl2Images, _chain_constants, _round_nearest,
                                central_part, conjugator, product, weight_zero_part)
 from liebend.sl2 import ExactTriple, rho2_su, sl2_from_partition
 
-from conftest import constructed_triples, to_mp
+from conftest import constructed_triples, from_mp, mp_pair, sl2_inverse, to_mp
 
 
 def _times(a, b):
@@ -112,16 +112,65 @@ def mp_triple(exact):
     return e, f
 
 
+def _polygon_sides(genus, prec):
+    """The side pairings of mp_fuchsian as two lists of mp matrices, a and b."""
+    pairs = mp_fuchsian(genus, prec)[0]
+    return [to_mp(a) for a, _ in pairs], [to_mp(b) for _, b in pairs]
+
+
 def test_mp_fuchsian_matches_float(sl2):
     import mpmath as mp
     from liebend.bending import fuchsian_generators
     with mp.workdps(30):
-        a_mp, b_mp = mp_fuchsian(2)[:2]
+        a_mp, b_mp = _polygon_sides(2, mp.mp.prec)
         seed = fuchsian_generators(2)
         for m_mp, m_f in zip(a_mp + b_mp, list(seed.a) + list(seed.b)):
             diff = max(abs(complex(m_mp[i, j]) - m_f[i, j])
                        for i in range(2) for j in range(2))
             assert diff < 1e-13
+
+
+def _mp_polygon(genus):
+    """Reference oracle: the real-form polygon in mpmath at the context's
+    precision, each elementary function and fdot rounded by mpmath, which
+    mp_fuchsian replaced."""
+    import mpmath as mp
+    n = 4 * genus
+    scale = mp.exp(mp.acosh(1 / mp.tan(mp.pi / n)))
+    inv_scale = 1 / scale
+
+    def psi(j):
+        return 2 * mp.pi * (j + mp.mpf(1) / 2) / n
+
+    def glue(src, dst):
+        c, s = mp.cos_sin((psi(dst) + mp.pi) / 2)
+        left = [[c * scale, s * inv_scale], [-s * scale, c * inv_scale]]
+        c, s = mp.cos_sin(-psi(src) / 2)
+        return mp.matrix([[mp.fdot(row, col) for col in ((c, -s), (s, c))] for row in left])
+
+    a_list = [glue(4 * k + 2, 4 * k) for k in range(genus)]
+    b_list = [glue(4 * k + 1, 4 * k + 3) for k in range(genus)]
+    prod = mp.eye(2)
+    for a, b in zip(a_list, b_list):
+        prod = prod * a * b * sl2_inverse(a) * sl2_inverse(b)
+    return a_list, b_list, float(mp.norm(prod - mp.eye(2)))
+
+
+@pytest.mark.parametrize("dps", [15, 30, 40])
+def test_polygon_is_the_mpmath_polygon(dps):
+    """Every side pairing holds the bits the mpmath construction gives, and
+    the relation residual is its float, at genus 2 to 8 (the elementary
+    functions agree where mpmath rounds correctly, which it does on these
+    arguments)."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        for genus in range(2, 9):
+            a_mp, b_mp, resid = _mp_polygon(genus)
+            pairs, got = mp_fuchsian(genus, mp.mp.prec)
+            assert got == resid
+            for (a, b), a_w, b_w in zip(pairs, a_mp, b_mp):
+                assert to_mp(a) == a_w and to_mp(b) == b_w
+                assert from_mp(a_w).exp == a.exp and from_mp(b_w).exp == b.exp
 
 
 def _complex_fuchsian(genus):
@@ -156,7 +205,7 @@ def test_real_polygon_matches_complex_oracle(dps):
     import mpmath as mp
     with mp.workdps(dps):
         for genus in (2, 4, 6):
-            got, want = mp_fuchsian(genus), _complex_fuchsian(genus)
+            got, want = _polygon_sides(genus, mp.mp.prec), _complex_fuchsian(genus)
             for g, w in zip(got[0] + got[1], want[0] + want[1]):
                 assert mp.norm(g - w) < mp.mpf(10) ** (3 - dps) * mp.norm(w)
 
@@ -289,32 +338,38 @@ def test_kernel_product_of_zeros_has_exponent_zero():
         assert got.exp == 0 and got.re.tolist() == [[0, 0], [0, 0]]
 
 
-@pytest.mark.parametrize("rounding", ["f", "c", "d", "u"])
-def test_kernel_rejects_other_rounding_modes(rounding, su21):
-    """The integer kernel takes its precision from highprec, which reads the
-    mp context and refuses a rounding mode other than to nearest."""
-    import mpmath as mp
+@pytest.mark.parametrize("dps", [0, -3, True, False, 2.5, 40.0, "40", None])
+def test_verify_rejects_a_dps_that_is_not_a_positive_int(dps, su21, monkeypatch):
+    """dps 0 would verify at 3 bits and label residuals of 32 as verified;
+    a bool, a float, a string or a negative dps is refused before any work."""
     from liebend.bending import bend, build_plan, fuchsian_generators
     from liebend.sl2 import rho1_su
     plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
     bent = bend(plan)
-    a = from_mp(mp.matrix([[mp.mpf(1) / 3, 1], [0, 1]]))
-    # mpmath keeps [prec, rounding] here and has no public setter for the mode
-    mp.mp._prec_rounding[1] = rounding
-    try:
-        with pytest.raises(RoundingModeError, match="nearest"):
-            highprec._context_prec()
-        with pytest.raises(RoundingModeError, match="nearest"):
-            verify_bent_relation(plan, bent, dps=20)
-    finally:
-        mp.mp._prec_rounding[1] = "n"
-    assert product(highprec._context_prec(), a, a).re.shape == (2, 2)
+    monkeypatch.setattr(highprec, "Sl2Images", None)
+    monkeypatch.setattr(highprec, "mp_fuchsian", None)
+    with pytest.raises(ParameterError, match="dps must be an integer >= 1"):
+        verify_bent_relation(plan, bent, dps=dps)
+
+
+@pytest.mark.parametrize("dps, bits", [(1, 7), (15, 53), (30, 103), (40, 136), (60, 203)])
+def test_dps_maps_to_bits_as_mpmath_does(dps, bits):
+    import mpmath as mp
+    assert dps_to_bits(dps) == bits
+    with mp.workdps(dps):
+        assert mp.mp.prec == bits
+
+
+def test_verify_accepts_numpy_ints(su21):
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.sl2 import rho1_su
+    plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
+    bent = bend(plan)
+    assert verify_bent_relation(plan, bent, dps=np.int64(20)) == verify_bent_relation(plan, bent,
+                                                                                      dps=20)
 
 
 def test_kernel_rejects_non_finite_entries():
-    import mpmath as mp
-    with pytest.raises(ValueError, match="finite"):
-        from_mp(mp.matrix([[mp.inf, 0], [0, 1]]))
     for bad in (np.inf, np.nan, complex(0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             FixedMatrix.from_float(np.array([[1.0, bad], [0.0, 1.0]]))
@@ -622,8 +677,8 @@ def _sl2_samples():
     for c in (mp.mpf(1.5), mp.mpf(-0.25)):
         out.append(mp.matrix([[0, -1 / c], [c, mp.mpf(float(rng.normal()))]]))
         out.append(mp.matrix([[mp.mpf(float(rng.normal())), -1 / c], [c, 0]]))
-    a_seed, b_seed = mp_fuchsian(2)[:2]
-    out += [to_mp(conjugator(from_mp(g), mp.mp.prec)) for g in a_seed + b_seed]
+    out += [to_mp(conjugator(g, mp.mp.prec)) for pair in mp_fuchsian(2, mp.mp.prec)[0]
+            for g in pair]
     return out
 
 
@@ -691,7 +746,8 @@ def test_length_two_chain_images_are_the_matrices(genus):
     triple = sl2_from_partition(make_algebra("sl", 2), (2,))
     with mp.workdps(40):
         rho = Sl2Images(triple.exact)
-        for g in mp_fuchsian(genus)[0] + mp_fuchsian(genus)[1]:
+        a_mp, b_mp = _polygon_sides(genus, mp.mp.prec)
+        for g in a_mp + b_mp:
             got, got_inv = _pair(rho, g)
             assert to_mp(got) == g and to_mp(got_inv) == sl2_inverse(g)
     plan = {"family": "sl", "n": 2, "triple": {"partition": [2]}, "genus": genus}
@@ -729,7 +785,7 @@ def test_block_twist_matches_expm(rng):
     assert x[0, 1] == 0 and x[1, 2] != 0
     with mp.workdps(40):
         for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
-            twist, twist_inv = map(to_mp, block_expm(x_fixed, h_int, t))
+            twist, twist_inv = map(to_mp, block_expm(x_fixed, h_int, mp_pair(t), mp.mp.prec))
             assert _rel(twist, mp.expm(t * x)) < 1e-35
             assert _rel(twist_inv, mp.expm(-t * x)) < 1e-35
 
@@ -753,7 +809,7 @@ def _block_cases():
 @pytest.mark.parametrize("case", list(_block_cases()))
 def test_closed_form_2x2_block_matches_expm(case, monkeypatch):
     """Cayley-Hamilton on a 2x2 block agrees with mp.expm at dps 40, and its
-    value at -t inverts it; neither mp.expm nor mp.inverse runs."""
+    value at -t inverts it; the Taylor exponential does not run."""
     import mpmath as mp
     dps = 40
     with mp.workdps(dps):
@@ -765,9 +821,8 @@ def test_closed_form_2x2_block_matches_expm(case, monkeypatch):
         for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
             want = mp.expm(t * x)
             with monkeypatch.context() as m:
-                m.setattr(mp, "expm", None)
-                m.setattr(mp, "inverse", None)
-                twist, twist_inv = block_expm(from_mp(x), h_int, t)
+                m.setattr(highprec, "expm", None)
+                twist, twist_inv = block_expm(from_mp(x), h_int, mp_pair(t), mp.mp.prec)
             if all(isinstance(v, mp.mpf) for v in x):
                 assert twist.im is None and twist_inv.im is None
             twist, twist_inv = to_mp(twist), to_mp(twist_inv)
@@ -775,16 +830,38 @@ def test_closed_form_2x2_block_matches_expm(case, monkeypatch):
             assert mp.norm(twist * twist_inv - mp.eye(2)) < mp.mpf(10) ** (5 - dps)
 
 
-def test_3x3_block_keeps_expm(rng):
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_3x3_block_takes_taylor(rng, kind, monkeypatch):
+    """A block of size 3 is exponentiated by Taylor with scaling and
+    squaring, at t and at -t, within 1e-35 of mp.expm at dps 40, and the
+    two are inverse to 1e-35; a real block stays real.  A block four times
+    larger at t = -2.5 (entries near 1e5) meets the same bounds relative to
+    the norms."""
     import mpmath as mp
     h_int = [2, 0, 0, 0, -2]  # one 3x3 block between two scalars
-    x_fixed = weight_zero_part(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int,
-                               mp.mp.prec)
-    x = to_mp(x_fixed)
-    with mp.workdps(40):
-        twist, twist_inv = map(to_mp, block_expm(x_fixed, h_int, mp.mpf("0.4")))
-        assert _rel(twist, mp.expm(mp.mpf("0.4") * x)) < 1e-35
-        assert mp.norm(twist * twist_inv - mp.eye(5)) < mp.mpf(10) ** -35
+    x = rng.normal(size=(5, 5))
+    x = x + 1j * rng.normal(size=(5, 5)) if kind == "complex" else x
+    sizes = []
+    real = highprec.expm
+
+    def counting(m, prec):
+        sizes.append(m.shape[0])
+        return real(m, prec)
+
+    monkeypatch.setattr(highprec, "expm", counting)
+    for scale, t, bound in ((1, "0.4", None), (4, "-2.5", "relative")):
+        x_fixed = weight_zero_part(scale * x, h_int, 53)
+        x_mp = to_mp(x_fixed)
+        with mp.workdps(40):
+            t = mp.mpf(t)
+            twist, twist_inv = block_expm(x_fixed, h_int, mp_pair(t), mp.mp.prec)
+            assert (twist.im is None) == (twist_inv.im is None) == (kind == "real")
+            twist, twist_inv = to_mp(twist), to_mp(twist_inv)
+            assert _rel(twist, mp.expm(t * x_mp)) < 1e-35
+            assert _rel(twist_inv, mp.expm(-t * x_mp)) < 1e-35
+            size = mp.norm(twist) * mp.norm(twist_inv) if bound else 1
+            assert mp.norm(twist * twist_inv - mp.eye(5)) < 1e-35 * size
+    assert sizes == [3, 3, 3, 3]
 
 
 @pytest.mark.parametrize("spec", [
@@ -792,20 +869,18 @@ def test_3x3_block_keeps_expm(rng):
     {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
 ], ids=["sl4-[3,1]-g5", "su3,1-rho2-g5"])
 def test_verify_runs_no_expm_on_2x2_blocks(spec, monkeypatch):
-    """The plans whose twists have 2x2 H-blocks verify without mp.expm or
-    mp.inverse."""
-    import mpmath as mp
+    """The plans whose twists have 2x2 H-blocks verify without the Taylor
+    exponential."""
     from liebend.report import cmd_bend
     calls = []
     real = highprec._expm2
 
-    def counting(x, t):
+    def counting(x, t, prec):
         calls.append(len(x))
-        return real(x, t)
+        return real(x, t, prec)
 
     monkeypatch.setattr(highprec, "_expm2", counting)
-    monkeypatch.setattr(mp, "expm", None)
-    monkeypatch.setattr(mp, "inverse", None)
+    monkeypatch.setattr(highprec, "expm", None)
     report = cmd_bend(dict(spec, t="auto", verify_dps=40), DEFAULT)
     resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
     assert calls and set(calls) == {2}
@@ -856,7 +931,6 @@ def test_mantissa_distance_edge_cases():
 
 
 def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
-    import mpmath as mp
     from liebend.bending import bend, build_plan, fuchsian_generators
     from liebend.report import PRESETS, _algebra_from_plan, _triple_from_spec
     spec = PRESETS["su21-rho1-g2"]
@@ -865,13 +939,13 @@ def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
     plan = build_plan(_triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
     bent = bend(plan)
     sizes = []
-    real_expm = mp.expm
+    real_expm = highprec.expm
 
-    def counting_expm(a, *args, **kwargs):
-        sizes.append(a.rows)
-        return real_expm(a, *args, **kwargs)
+    def counting_expm(a, prec):
+        sizes.append(a.shape[0])
+        return real_expm(a, prec)
 
-    monkeypatch.setattr(mp, "expm", counting_expm)
+    monkeypatch.setattr(highprec, "expm", counting_expm)
     report = verify_bent_relation(plan, bent, dps=spec["verify_dps"])
     assert report.bent_residual < 1e-35
     assert alg.size not in sizes
@@ -940,7 +1014,8 @@ def test_conjugator_is_the_mp_closed_form(dps):
     import mpmath as mp
     rng = np.random.default_rng(dps)
     with mp.workdps(dps):
-        samples = [g for genus in range(2, 9) for side in mp_fuchsian(genus)[:2] for g in side]
+        samples = [g for genus in range(2, 9) for side in _polygon_sides(genus, mp.mp.prec)
+                   for g in side]
         while len(samples) < 120:
             a, b, c = (mp.mpf(float(v)) for v in 3 * rng.normal(size=3))
             g = mp.matrix([[a, b], [c, (1 + b * c) / a]])
@@ -1051,32 +1126,83 @@ def test_fixed_line_matches_the_60_digit_oracle(triple):
     assert checked or all(i == 0 for i, _ in iso.Lambda)
 
 
-def test_float_fallback_loads_no_mpmath(tmp_path):
-    """sl(5) [5] at genus 6 misses the float fixed line, so bend takes the
-    kernel's line; with verify_dps 0 neither mpmath nor the mp lane loads."""
+def _probe(code):
+    """The last stdout line of code run in a fresh interpreter on src, as JSON."""
     import os
     import subprocess
     import sys
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_float_fallback_loads_no_mpmath(tmp_path):
+    """sl(5) [5] at genus 6 misses the float fixed line, so bend takes the
+    kernel's line; with verify_dps 0 neither mpmath nor the mp lane loads."""
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"family": "sl", "n": 5, "triple": {"partition": [5]},
                                 "genus": 6, "t": "auto", "verify_dps": 0}))
-    code = (
+    out = _probe(
         "import json, sys\n"
         "import liebend.cli, liebend.intkernel as k\n"
         "calls = []\n"
         "real = k.fixed_line\n"
         "k.fixed_line = lambda *a: calls.append(a[3]) or real(*a)\n"
         f"rc = liebend.cli.main(['bend', '--plan', {str(plan)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "loaded = [m for m in ('mpmath', 'liebend.highprec') if m in sys.modules]\n"
+        "loaded = [m for m in ('mpmath', 'liebend.highprec', 'liebend.elementary')\n"
+        "          if m in sys.modules]\n"
         "print(json.dumps({'rc': rc, 'calls': calls, 'loaded': loaded}))\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    out = json.loads(done.stdout.strip().splitlines()[-1])
     assert out["rc"] == 0 and out["loaded"] == []
     assert out["calls"] and set(out["calls"]) == {110}
+
+
+def test_verified_bend_loads_no_mpmath(tmp_path):
+    """bend at verify_dps 40 runs the mp lane without mpmath: a plan with a
+    2x2 H-block twist (su(3,1) rho2) and the su(2,1) preset."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5,
+                                "t": "auto", "verify_dps": 40}))
+    out = _probe(
+        "import json, sys\n"
+        "import liebend.cli\n"
+        f"rc = [liebend.cli.main(['bend', '--plan', {str(plan)!r}, '--out', {str(tmp_path / 'a')!r}]),\n"
+        f"      liebend.cli.main(['bend', '--preset', 'su21-rho1-g2', '--out', {str(tmp_path / 'b')!r}])]\n"
+        "loaded = [m for m in ('mpmath', 'liebend.highprec', 'liebend.elementary')\n"
+        "          if m in sys.modules]\n"
+        "print(json.dumps({'rc': rc, 'loaded': loaded}))\n")
+    assert out["rc"] == [0, 0]
+    assert out["loaded"] == ["liebend.highprec", "liebend.elementary"]
+    for name in ("a", "b"):
+        verified = next(c["verdict"] for c in json.loads((tmp_path / name).read_text())["checks"]
+                        if c["check"] == "bend/residuals")["verified"]
+        assert verified["dps"] == 40 and verified["bent_residual"] < 1e-20
+
+
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("verified_su21-rho1-g2.json", "su21-rho1-g2"),
+    ("verified_sl5-even5-g4.json", "sl5-even5-g4"),
+    ("verified_su3_1-rho2-g6.json", {"family": "su", "genus": 6, "p": 3, "q": 1,
+                                     "triple": "rho2", "t": "auto", "verify_dps": 40}),
+], ids=["su21-rho1-g2", "sl5-even5-g4", "su3,1-rho2-g6"])
+def test_verified_reports_keep_their_bytes(name, spec, tmp_path):
+    """Reports at verify_dps 40 recorded when the lane computed in mpmath
+    (its elementary functions, fdot and expm): the kernel's correctly
+    rounded functions and libmpc's rounding of complex quotients give every
+    byte again."""
+    from liebend.cli import main
+    if isinstance(spec, str):
+        argv = ["bend", "--preset", spec]
+    else:
+        (tmp_path / "plan.json").write_text(json.dumps(spec))
+        argv = ["bend", "--plan", str(tmp_path / "plan.json")]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_bytes() == (_DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize("spec", [
@@ -1085,8 +1211,8 @@ def test_float_fallback_loads_no_mpmath(tmp_path):
     {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
 ], ids=["su21-rho1-g2", "sl5-even5-g4", "sl5-[5]-g6", "su3,1-rho2-g5"])
 def test_identity_distance_is_the_mp_norm(spec, monkeypatch):
-    """The verified residuals read from the mantissas are the floats that
-    mp.norm(W - I) gives at the working precision."""
+    """The verified residuals read from the mantissas, the seed's too, are
+    the floats that mp.norm(W - I) gives at the working precision."""
     import mpmath as mp
     from liebend.report import cmd_bend
     real = highprec.identity_distance
@@ -1103,23 +1229,26 @@ def test_identity_distance_is_the_mp_norm(spec, monkeypatch):
     spec = spec if isinstance(spec, str) else dict(spec, t="auto", verify_dps=40)
     report = cmd_bend(spec, DEFAULT)
     verified = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")["verified"]
-    assert seen == [verified["pushed_residual"], verified["bent_residual"]]
+    # the seed residual too, when this genus's polygon is built here
+    assert seen[-2:] == [verified["pushed_residual"], verified["bent_residual"]]
+    assert seen[:-2] in ([], [verified["seed_residual"]])
 
 
 def test_polygon_integer_form_is_built_once_per_genus_and_dps(fresh_caches, monkeypatch):
-    """The FixedMatrix form of the mp polygon is cached with it: a second
-    plan of the same genus verified at the same dps converts nothing."""
+    """The polygon is cached per genus and precision: a second plan of the
+    same genus verified at the same dps evaluates no elementary function of
+    the polygon (tan runs once per polygon, for its side length)."""
     from liebend.algebra import make_algebra
     from liebend.bending import bend, build_plan, fuchsian_generators
     from liebend.sl2 import rho1_su
     calls = []
-    real = highprec.from_mp
+    real = highprec.tan
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(x, prec):
+        calls.append(x)
+        return real(x, prec)
 
-    monkeypatch.setattr(highprec, "from_mp", counting)
+    monkeypatch.setattr(highprec, "tan", counting)
     seed = fuchsian_generators(3)
     counts = []
     for triple in (sl2_from_partition(make_algebra("sl", 3), (3,)),
@@ -1128,4 +1257,4 @@ def test_polygon_integer_form_is_built_once_per_genus_and_dps(fresh_caches, monk
         calls.clear()
         verify_bent_relation(plan, bend(plan), dps=30)
         counts.append(len(calls))
-    assert counts == [6, 0]
+    assert counts == [1, 0]

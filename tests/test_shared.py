@@ -65,15 +65,18 @@ def test_module_multiplicities_takes_only_the_triples_algebra():
 
 
 def test_mp_polygon_is_keyed_by_precision():
-    import mpmath as mp
+    from fractions import Fraction
     from liebend.highprec import mp_fuchsian
-    with mp.workdps(30):
-        low = mp_fuchsian(3)
-        assert mp_fuchsian(3) is low
-    with mp.workdps(40):
-        high = mp_fuchsian(3)
-        assert high is not low and high[0][0][0, 0] != low[0][0][0, 0]
-        assert abs(high[0][0][0, 0] - low[0][0][0, 0]) < mp.mpf(10) ** -28
+
+    def corner(polygon):
+        a = polygon[0][0][0]
+        return Fraction(int(a.re[0, 0])) * Fraction(2) ** a.exp
+
+    low = mp_fuchsian(3, 103)
+    assert mp_fuchsian(3, 103) is low
+    high = mp_fuchsian(3, 136)
+    assert high is not low and corner(high) != corner(low)
+    assert abs(corner(high) - corner(low)) < Fraction(1, 10 ** 28)
 
 
 def _shared_arrays():
@@ -219,13 +222,22 @@ def test_mixed_session_bytes_do_not_depend_on_order(tmp_path, capsys):
         assert json.loads(payload)["config"]["membership_rtol"] == tol
 
 
-def test_cli_import_leaves_mpmath_unloaded():
+def test_cli_import_leaves_mpmath_unloaded(tmp_path):
     """Importing the CLI loads neither mpmath nor the mp lane: commands
-    that verify nothing in mpmath never pay for that import."""
-    code = ("import sys, liebend.cli; "
-            "print(sorted(m for m in ('mpmath', 'liebend.highprec') if m in sys.modules))")
+    that verify nothing never pay for that import.  A bend that verifies at
+    verify_dps 40 loads the mp lane, which computes without mpmath."""
+    out = str(tmp_path / "bend.json")
+    code = ("import sys, liebend.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in ('mpmath', 'liebend.highprec') if m in sys.modules)\n"
+            "print(loaded())\n"
+            f"rc = liebend.cli.main(['bend', '--preset', 'sl5-even5-g4', '--out', {out!r}])\n"
+            "print(rc, loaded())\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "0 ['liebend.highprec']"]
+    residuals = next(c["verdict"] for c in json.loads(Path(out).read_text())["checks"]
+                     if c["check"] == "bend/residuals")
+    assert residuals["verified"]["dps"] == 40
