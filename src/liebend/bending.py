@@ -72,7 +72,8 @@ def fuchsian_generators(genus):
     a_1 b_1 a_1^{-1} b_1^{-1} ...; A_k glues side 4k+2 onto side 4k and B_k
     glues side 4k+1 onto side 4k+3, which realizes
     [A_1,B_1]...[A_g,B_g] = I in SL(2,R).  Its float residual grows with the
-    genus; build_plan checks it against the algebra's seed_relation_tol.
+    genus; build_plan checks it against the algebra's seed_relation_tol,
+    or the word's rounding allowance when that is larger.
     One polygon, with read-only matrices, serves every call with the same
     genus in a process.
     """
@@ -230,10 +231,12 @@ class BendingPlan:
 def build_plan(triple, seed, t="auto"):
     """Assemble a bending plan: isotypic pieces, the injection into generator
     indices, the fixed vectors, companions and the bending parameter.  The
-    seed's relation residual is checked first, against seed_relation_tol."""
+    seed's relation residual is checked first, against seed_relation_tol or,
+    when larger, the rounding a product of L matrices may carry,
+    4 eps L peak**2 for the word's largest partial-product norm peak."""
     alg = triple.algebra
-    tol = alg.config.seed_relation_tol
-    seed_resid = seed.relation_residual()
+    seed_resid, peak, length = seed.relation_diagnostics
+    tol = max(alg.config.seed_relation_tol, 4.0 * np.finfo(float).eps * length * peak ** 2)
     if seed_resid > tol:
         raise RealizationError(f"polygon relation residual {seed_resid:.3e} exceeds {tol:.1e}")
     iso = module_multiplicities(alg, triple)

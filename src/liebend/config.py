@@ -30,7 +30,8 @@ class Config:
     # relative to the largest singular value; looser than membership because
     # iterated bracketing amplifies noise
     rank_rtol: float = 1e-7
-    # bound on the seed polygon's relation residual
+    # floor of the bound on the seed polygon's relation residual (build_plan
+    # raises it to the rounding allowance of the relation word when larger)
     seed_relation_tol: float = 1e-10
     # bending parameters tried in order; first one passing the inequalities wins
     t_grid: tuple = (1e-2 * GOLDEN_RATIO, 1e-3 * GOLDEN_RATIO, 1e-4 * GOLDEN_RATIO)

@@ -4,10 +4,10 @@ The functions take and return the (mantissa, exponent) pairs of
 `intkernel`, m * 2**e with Python-int m, and round to nearest, ties to
 even, at the precision in bits the caller passes: pi (Machin's formula,
 cached per precision), exp, acosh (on the logarithm `_log_fixed`), cos_sin
-and tan on reals, and cexp, ccosh, csinh and csqrt on complex numbers given
-as (re, im) pairs of pairs, each part rounded on its own.  `expm` is the
-matrix exponential of a `FixedMatrix` by Taylor with scaling and squaring,
-accurate to the precision but not correctly rounded.
+and tan, the real functions the seed polygon needs.  `expm` is the one
+matrix exponential, of a `FixedMatrix`, by Taylor with scaling and squaring
+on each diagonal block, accurate to the precision (its docstring states
+the bound) but not correctly rounded.
 
 The high-precision lane (`highprec`) builds the seed polygon and the
 bending twists on them with no mpmath.  They live beside `intkernel` and
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .intkernel import FixedMatrix, _fit, _neg, _sqrt
+from .intkernel import FixedMatrix, _fit
 
 
 def _normal(m, e):
@@ -256,117 +256,6 @@ def tan(x, prec):
     return _widen(evaluate, prec)[0]
 
 
-def _cosh_sinh_fixed(x, w):
-    """(cosh x, sinh x, err, exp) from e**x and e**-x over one exponent;
-    w carries the bits that sinh loses to cancellation for |x| < 1."""
-    w += max(0, -(x[0].bit_length() + x[1]))
-    (p, err_p, exp_p), (q, err_q, exp_q) = _exp_fixed(x, w), _exp_fixed(_neg(x), w)
-    low = min(exp_p, exp_q)
-    p, err_p, q, err_q = (p << (exp_p - low), err_p << (exp_p - low),
-                          q << (exp_q - low), err_q << (exp_q - low))
-    return p + q, p - q, err_p + err_q, low - 1
-
-
-def _times_fixed(a, b):
-    """The product of two brackets (v, err, exp)."""
-    (u, err_u, exp_u), (v, err_v, exp_v) = a, b
-    return u * v, abs(u) * err_v + abs(v) * err_u + err_u * err_v, exp_u + exp_v
-
-
-def _complex_parts(z, prec, radial, picks):
-    """The two parts of a function of z = (a, b), a != 0 != b, each a
-    product of two of the brackets f, g (radial(a, w): two functions of a
-    with their error and exponent), c = cos b and s = sin b, as picks
-    names them, rounded to prec bits."""
-    a, b = z
-
-    def evaluate(w):
-        f, g, err, exp_ = radial(a, w)
-        c, s, err_cs, w = _cos_sin_fixed(b, w)
-        brackets = {"f": (f, err, exp_), "g": (g, err, exp_), "c": (c, err_cs, -w),
-                    "s": (s, err_cs, -w)}
-        return [_times_fixed(brackets[u], brackets[v]) for u, v in picks]
-    return tuple(_widen(evaluate, prec))
-
-
-def _exp_twice(a, w):
-    v, err, exp_ = _exp_fixed(a, w)
-    return v, v, err, exp_
-
-
-def cexp(z, prec):
-    """e**z for z = (a, b), a + ib, as (e**a cos b, e**a sin b), each part
-    rounded to prec bits."""
-    a, b = z
-    if not b[0]:
-        return exp(a, prec), (0, 0)
-    if not a[0]:
-        return cos_sin(b, prec)
-    return _complex_parts(z, prec, _exp_twice, ("fc", "fs"))
-
-
-def _hyperbolic(a, prec, part):
-    """cosh a (part 0) or sinh a (part 1) rounded to prec bits."""
-    def evaluate(w):
-        *values, err, exp_ = _cosh_sinh_fixed(a, w)
-        return [(values[part], err, exp_)]
-    return _widen(evaluate, prec)[0]
-
-
-def ccosh(z, prec):
-    """cosh z = cosh a cos b + i sinh a sin b for z = (a, b), each part
-    rounded to prec bits; a real argument (b = 0) gives (cosh a, 0)."""
-    a, b = z
-    if not a[0]:
-        return cos_sin(b, prec)[0], (0, 0)
-    if not b[0]:
-        return _hyperbolic(a, prec, 0), (0, 0)
-    return _complex_parts(z, prec, _cosh_sinh_fixed, ("fc", "gs"))
-
-
-def csinh(z, prec):
-    """sinh z = sinh a cos b + i cosh a sin b for z = (a, b), each part
-    rounded to prec bits; a real argument (b = 0) gives (sinh a, 0)."""
-    a, b = z
-    if not a[0]:
-        return (0, 0), cos_sin(b, prec)[1]
-    if not b[0]:
-        return _hyperbolic(a, prec, 1), (0, 0)
-    return _complex_parts(z, prec, _cosh_sinh_fixed, ("gc", "fs"))
-
-
-def csqrt(z, prec):
-    """The principal square root of z = (a, b), a + ib, each part rounded to
-    prec bits: re = sqrt((|z| + a) / 2) and im = sign(b) sqrt((|z| - a) / 2),
-    formed exactly in integers.  Over one even exponent 2h, |z| = sqrt(N)
-    2**h with N = A**2 + B**2, and floor(2**q sqrt((sqrt(N) +- A) / 2)) is
-    isqrt(isqrt(N << 2j) +- (A << j)) with j = 2q - 1, exact when both
-    square roots are; the sticky bit of either remainder then rounds once."""
-    (a, ea), (b, eb) = z
-    if not b:
-        root = _normal(*_sqrt((abs(a), ea), prec))
-        return (root, (0, 0)) if a >= 0 else ((0, 0), root)
-    e = min(ea, eb) if a else eb
-    big_a, big_b = a << (ea - e) if a else 0, b << (eb - e)
-    if e & 1:
-        big_a, big_b, e = big_a << 1, big_b << 1, e - 1
-    n = big_a * big_a + big_b * big_b
-    parts = []
-    for sign in (1, -1):
-        q = max(1, prec + 4 - n.bit_length() // 4)
-        while True:
-            j = 2 * q - 1
-            root_n = math.isqrt(n << 2 * j)
-            y = root_n + sign * (big_a << j)
-            r = math.isqrt(y)
-            if r.bit_length() >= prec + 2:
-                break
-            q += prec + 3 - r.bit_length()
-        sticky = root_n * root_n != n << 2 * j or r * r != y
-        parts.append(_normal(*_fit(r << 1 | sticky, e // 2 - q - 1, prec)))
-    return parts[0], parts[1] if b > 0 else _neg(parts[1])
-
-
 # --- the matrix exponential ----------------------------------------------
 
 def _fixed_times(a, b, w):
@@ -381,29 +270,93 @@ def _fixed_times(a, b, w):
     return re >> w, None if im is None else im >> w
 
 
-def expm(x, prec):
-    """exp(x) for a square FixedMatrix x, each entry rounded to prec bits:
-    the Taylor sum of x / 2**s in fixed point, s the bits of x's largest
-    absolute row sum so that x / 2**s has norm below 1/2, then squared s
-    times.  The scale carries s + 32 guard bits over prec, so every entry is
-    good to prec bits of the largest one; it is not correctly rounded."""
-    n = x.shape[0]
-    parts = [p for p in (x.re, x.im) if p is not None]
-    norm = max(sum(abs(v) for p in parts for v in p[i].tolist()) for i in range(n))
-    s = max(0, norm.bit_length() + x.exp + 1)
-    w = prec + 32 + s + n.bit_length()
-    y = [None if p is None else
-         np.array([[_fixed((v, x.exp - s), w) for v in row] for row in p.tolist()], dtype=object)
-         for p in (x.re, x.im)]
-    term = (np.diag([1 << w] * n).astype(object), None)
+def _blocks(parts, n):
+    """The index sets of the connected components of the nonzero pattern of
+    the n x n matrix with the given parts (rows of ints): its diagonal
+    blocks, up to a permutation, each in increasing order."""
+    blocks = []
+    for i in range(n):
+        linked = [b for b in blocks if any(p[i][j] or p[j][i] for p in parts for j in b)]
+        blocks = [b for b in blocks if b not in linked] + [sorted([i, *sum(linked, [])])]
+    return sorted(blocks)
+
+
+def _exp_scalar(s, w, a, b=0):
+    """exp(a + ib) for ints a, b at scale w, by the steps of `_exp_block`
+    on a 1x1 block."""
+    total_re = term_re = 1 << w
+    total_im = term_im = 0
+    j = 1
+    while abs(term_re) > 1 or abs(term_im) > 1:
+        term_re, term_im = (((term_re * a - term_im * b) >> w) // j,
+                            ((term_re * b + term_im * a) >> w) // j)
+        total_re += term_re
+        total_im += term_im
+        j += 1
+    for _ in range(s):
+        total_re, total_im = ((total_re * total_re - total_im * total_im) >> w,
+                              (2 * total_re * total_im) >> w)
+    return [[total_re]], [[total_im]]
+
+
+def _exp_block(s, w, *parts):
+    """exp of a block given by its parts (rows of ints at scale w; no
+    imaginary part for a real block): the Taylor sum until a term has no
+    part above 1 unit, then s squarings."""
+    re, *im = (np.array(p, dtype=object) for p in parts)
+    y = (re, im[0] if im else None)
+    term = (np.diag([1 << w] * len(re)).astype(object), None)
     total, j = term, 1
-    while max((abs(v) for p in term if p is not None for v in p.ravel().tolist())) > 1:
+    while max(abs(v) for p in term if p is not None for v in p.ravel().tolist()) > 1:
         term = tuple(None if p is None else p // j for p in _fixed_times(term, y, w))
-        total = (total[0] + term[0],
-                 term[1] if total[1] is None else total[1] + term[1])
+        total = (total[0] + term[0], term[1] if total[1] is None else total[1] + term[1])
         j += 1
     for _ in range(s):
         total = _fixed_times(total, total, w)
-    return FixedMatrix.from_pairs(*[None if p is None else
-                                    [[_fit(v, -w, prec) for v in row] for row in p.tolist()]
-                                    for p in total])
+    return [p.tolist() for p in total if p is not None]
+
+
+def expm(x, prec):
+    """exp(x) for a square FixedMatrix x, each entry rounded to prec bits:
+    the one matrix exponential of the high-precision lane.
+
+    Each diagonal block of x (a connected component of its nonzero
+    pattern; for a twist, an eigenvalue class of H) is exponentiated on its
+    own in Python ints, so entries between blocks stay exactly 0.  All
+    blocks share s, the bit length of x's largest absolute row sum (parts
+    added), so that y = x / 2**s has norm |y| < 1/2, and the scale
+    w = prec + 32 + s + bits(n): y is read within one unit (2**-w) per
+    part, T_j = floor(floor(T_(j-1) y) / j) is summed from T_0 = I, and the
+    sum is squared s times, each square floored.  The bound the code keeps,
+    in units and row-sum norms, for an n x n block:
+    - one floor per product and one per division, each within one unit per
+      part; as |y| / j <= 1/2 damps the error carried from T_(j-1), each
+      term is within 5 n units and J terms within 5 J n;
+    - the loop stops at the first term with no part above 1 unit; each
+      further exact term is below 1/4 of the one before, so the tail is
+      within 2 n units;
+    - each squaring at most doubles the error relative to e**(2**k |y|) and
+      adds one floor per part, so every entry ends within 2**s (5 J + 4) n
+      units times e**|x|, that is (5 J + 4) 2**-(prec + 32) e**|x|, before
+      its final rounding (J is about 40 at w = 200): accurate, not
+      correctly rounded.
+    """
+    n = x.shape[0]
+    parts = [p.tolist() for p in (x.re, x.im) if p is not None]
+    norm = max(sum(abs(v) for p in parts for v in p[i]) for i in range(n))
+    s = max(0, norm.bit_length() + x.exp + 1)
+    w = prec + 32 + s + n.bit_length()
+    y = [[[_fixed((v, x.exp - s), w) for v in row] for row in p] for p in parts]
+    out = [[[0] * n for _ in range(n)] for _ in parts]
+    for block in _blocks(parts, n):
+        sub = [[[p[i][j] for j in block] for i in block] for p in y]
+        if not any(v for p in sub[1:] for row in p for v in row):
+            sub = sub[:1]  # a real block
+        values = (_exp_scalar(s, w, *(p[0][0] for p in sub)) if len(block) == 1
+                  else _exp_block(s, w, *sub))
+        for part, value in zip(out, values):
+            for r, i in enumerate(block):
+                for c, j in enumerate(block):
+                    part[i][j] = value[r][c]
+    return FixedMatrix.from_pairs(*[[[_fit(v, -w, prec) for v in row] for row in p]
+                                    for p in out])

@@ -290,6 +290,24 @@ def test_density_certificate_equal_signature_family():
     assert cert.achieved_dim == alg.dim == cert.target_dim
 
 
+def test_seed_allowance_admits_the_genus_8_polygon():
+    """The genus-8 polygon's float residual, 3.5e-10, is above the default
+    seed_relation_tol but within the rounding allowance 4 eps L peak**2 of
+    its 32-letter word, so sl(5) [2,2,1] at genus 8, refused before the
+    allowance, bends to a density PASS whose verified residual at dps 40 is
+    far below 1e-20."""
+    from liebend.report import cmd_bend
+    seed = fuchsian_generators(8)
+    resid, peak, length = seed.relation_diagnostics
+    assert Config().seed_relation_tol < resid <= 4 * np.finfo(float).eps * length * peak ** 2
+    report = cmd_bend({"family": "sl", "n": 5, "triple": {"partition": [2, 2, 1]}, "genus": 8,
+                       "t": "auto", "verify_dps": 40}, Config())
+    verdicts = {c.check_id: c.verdict for c in report.checks}
+    cert = verdicts["bend/certificate"]
+    assert cert["verdict"] == "PASS" and cert["achieved_dim"] == cert["target_dim"]
+    assert verdicts["bend/residuals"]["verified"]["bent_residual"] <= 1e-20
+
+
 def test_highprec_verification(su21, sl5):
     from liebend.highprec import verify_bent_relation
     for alg, triple, genus, bound in ((su21, rho1_su(su21), 2, 1e-20),

@@ -108,12 +108,15 @@ def test_rank_rtol_shrinks_a_closure():
     assert generated_subalgebra(loose, seeds).dim == 2
 
 
-def test_seed_relation_tol_admits_the_genus_10_seed():
-    seed = fuchsian_generators(10)
+def test_seed_relation_tol_admits_the_genus_17_seed():
+    """The genus-17 polygon's residual, 6.7e-8, is above both the default
+    tolerance and the rounding allowance of its word (5.3e-8); a looser
+    tolerance admits it."""
+    seed = fuchsian_generators(17)
     alg = make_algebra("sl", 5)
     with pytest.raises(RealizationError, match="polygon relation residual"):
         build_plan(sl2_from_partition(alg, (3, 1, 1)), seed)
-    loose = make_algebra("sl", 5, config=config_mod.Config(seed_relation_tol=1e-8))
+    loose = make_algebra("sl", 5, config=config_mod.Config(seed_relation_tol=1e-7))
     assert build_plan(sl2_from_partition(loose, (3, 1, 1)), seed).t is not None
 
 

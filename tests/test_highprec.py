@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liebend import highprec
+from liebend import elementary, highprec
 from liebend.config import DEFAULT
 from liebend.errors import ParameterError
-from liebend.highprec import (block_expm, dps_to_bits, max_entry_distance, mp_fuchsian,
+from liebend.highprec import (dps_to_bits, expm_pair, max_entry_distance, mp_fuchsian,
                               verify_bent_relation)
 from liebend.intkernel import (FixedMatrix, Sl2Images, _chain_constants, _round_nearest,
                                central_part, conjugator, product, weight_zero_part)
@@ -785,7 +785,7 @@ def test_block_twist_matches_expm(rng):
     assert x[0, 1] == 0 and x[1, 2] != 0
     with mp.workdps(40):
         for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
-            twist, twist_inv = map(to_mp, block_expm(x_fixed, h_int, mp_pair(t), mp.mp.prec))
+            twist, twist_inv = map(to_mp, expm_pair(x_fixed, mp_pair(t), mp.mp.prec))
             assert _rel(twist, mp.expm(t * x)) < 1e-35
             assert _rel(twist_inv, mp.expm(-t * x)) < 1e-35
 
@@ -806,84 +806,112 @@ def _block_cases():
     }
 
 
+def _block_sizes(monkeypatch):
+    """The sizes of the blocks `elementary.expm` exponentiates from here on,
+    in order: 1 for the scalar loop, the block's size for the Taylor one."""
+    sizes = []
+    scalar, block = elementary._exp_scalar, elementary._exp_block
+
+    def counting_scalar(*args):
+        sizes.append(1)
+        return scalar(*args)
+
+    def counting_block(s, w, *parts):
+        sizes.append(len(parts[0]))
+        return block(s, w, *parts)
+
+    monkeypatch.setattr(elementary, "_exp_scalar", counting_scalar)
+    monkeypatch.setattr(elementary, "_exp_block", counting_block)
+    return sizes
+
+
 @pytest.mark.parametrize("case", list(_block_cases()))
-def test_closed_form_2x2_block_matches_expm(case, monkeypatch):
-    """Cayley-Hamilton on a 2x2 block agrees with mp.expm at dps 40, and its
-    value at -t inverts it; the Taylor exponential does not run."""
+def test_2x2_block_matches_mp_expm(case, monkeypatch):
+    """`elementary.expm` of t x, t x formed exactly, is within 1e-35 of
+    mp.expm at dps 40 at t and at -t for the 2x2 blocks the closed form
+    once took (mu**2 positive, negative, zero and complex), as one block;
+    the two are inverse to 1e-35, and a real block stays real."""
     import mpmath as mp
-    dps = 40
-    with mp.workdps(dps):
+    sizes = _block_sizes(monkeypatch)
+    with mp.workdps(40):
         x = _block_cases()[case]
         if case.endswith("nilpotent"):
             d = (x[0, 0] - x[1, 1]) / 2
             assert d * d + x[0, 1] * x[1, 0] == 0
-        h_int = [3, 3]
         for t in (mp.mpf("0.3"), mp.mpf("-1.7")):
-            want = mp.expm(t * x)
-            with monkeypatch.context() as m:
-                m.setattr(highprec, "expm", None)
-                twist, twist_inv = block_expm(from_mp(x), h_int, mp_pair(t), mp.mp.prec)
+            twist, twist_inv = expm_pair(from_mp(x), mp_pair(t), mp.mp.prec)
             if all(isinstance(v, mp.mpf) for v in x):
                 assert twist.im is None and twist_inv.im is None
             twist, twist_inv = to_mp(twist), to_mp(twist_inv)
-            assert _rel(twist, want) < mp.mpf(10) ** (5 - dps)
-            assert mp.norm(twist * twist_inv - mp.eye(2)) < mp.mpf(10) ** (5 - dps)
+            assert _rel(twist, mp.expm(t * x)) < 1e-35
+            assert _rel(twist_inv, mp.expm(-t * x)) < 1e-35
+            assert mp.norm(twist * twist_inv - mp.eye(2)) < 1e-35
+    assert sizes == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_3x3_block_takes_taylor(rng, kind, monkeypatch):
-    """A block of size 3 is exponentiated by Taylor with scaling and
-    squaring, at t and at -t, within 1e-35 of mp.expm at dps 40, and the
-    two are inverse to 1e-35; a real block stays real.  A block four times
-    larger at t = -2.5 (entries near 1e5) meets the same bounds relative to
-    the norms."""
+    """A twist with one 3x3 H-block between two scalars is exponentiated
+    block by block, at t and at -t, within 1e-35 of mp.expm at dps 40, and
+    the two are inverse to 1e-35; a real block stays real.  A block four
+    times larger at t = -2.5 (entries near 1e5) meets the same bounds
+    relative to the norms."""
     import mpmath as mp
     h_int = [2, 0, 0, 0, -2]  # one 3x3 block between two scalars
     x = rng.normal(size=(5, 5))
     x = x + 1j * rng.normal(size=(5, 5)) if kind == "complex" else x
-    sizes = []
-    real = highprec.expm
-
-    def counting(m, prec):
-        sizes.append(m.shape[0])
-        return real(m, prec)
-
-    monkeypatch.setattr(highprec, "expm", counting)
+    sizes = _block_sizes(monkeypatch)
     for scale, t, bound in ((1, "0.4", None), (4, "-2.5", "relative")):
         x_fixed = weight_zero_part(scale * x, h_int, 53)
         x_mp = to_mp(x_fixed)
         with mp.workdps(40):
             t = mp.mpf(t)
-            twist, twist_inv = block_expm(x_fixed, h_int, mp_pair(t), mp.mp.prec)
+            twist, twist_inv = expm_pair(x_fixed, mp_pair(t), mp.mp.prec)
             assert (twist.im is None) == (twist_inv.im is None) == (kind == "real")
             twist, twist_inv = to_mp(twist), to_mp(twist_inv)
             assert _rel(twist, mp.expm(t * x_mp)) < 1e-35
             assert _rel(twist_inv, mp.expm(-t * x_mp)) < 1e-35
             size = mp.norm(twist) * mp.norm(twist_inv) if bound else 1
             assert mp.norm(twist * twist_inv - mp.eye(5)) < 1e-35 * size
-    assert sizes == [3, 3, 3, 3]
+    assert sizes == [1, 3, 1] * 4
+
+
+def test_block_diagonal_matrix_is_exponentiated_per_block(rng, monkeypatch):
+    """A matrix whose nonzero pattern splits, up to a permutation, into
+    blocks {0, 3}, {1, 2, 4} and {5} gives the per-block exponentials: each
+    block within 1e-35 of mp.expm of that block alone, and every entry
+    between two blocks exactly 0."""
+    import mpmath as mp
+    blocks = [[0, 3], [1, 2, 4], [5]]
+    x = np.zeros((6, 6), dtype=complex)
+    for idx in blocks:
+        x[np.ix_(idx, idx)] = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+    sizes = _block_sizes(monkeypatch)
+    with mp.workdps(40):
+        got = to_mp(elementary.expm(FixedMatrix.from_float(x), mp.mp.prec))
+        for idx in blocks:
+            sub = mp.matrix([[mp.mpmathify(complex(x[i, j])) for j in idx] for i in idx])
+            want = mp.expm(sub)
+            assert _rel(mp.matrix([[got[i, j] for j in idx] for i in idx]), want) < 1e-35
+    outside = [(i, j) for i in range(6) for j in range(6)
+               if not any(i in idx and j in idx for idx in blocks)]
+    assert all(got[i, j] == 0 for i, j in outside)
+    assert sizes == [2, 3, 1]
 
 
 @pytest.mark.parametrize("spec", [
     {"family": "sl", "n": 4, "triple": {"partition": [3, 1]}, "genus": 5},
     {"family": "su", "p": 3, "q": 1, "triple": "rho2", "genus": 5},
 ], ids=["sl4-[3,1]-g5", "su3,1-rho2-g5"])
-def test_verify_runs_no_expm_on_2x2_blocks(spec, monkeypatch):
-    """The plans whose twists have 2x2 H-blocks verify without the Taylor
-    exponential."""
+def test_verify_takes_2x2_blocks_by_taylor(spec, monkeypatch):
+    """The plans whose twists have 2x2 H-blocks verify with the Taylor loop
+    run on those blocks and the scalar loop on the rest, never on a block
+    larger than 2."""
     from liebend.report import cmd_bend
-    calls = []
-    real = highprec._expm2
-
-    def counting(x, t, prec):
-        calls.append(len(x))
-        return real(x, t, prec)
-
-    monkeypatch.setattr(highprec, "_expm2", counting)
-    monkeypatch.setattr(highprec, "expm", None)
+    sizes = _block_sizes(monkeypatch)
     report = cmd_bend(dict(spec, t="auto", verify_dps=40), DEFAULT)
     resid = next(c.verdict for c in report.checks if c.check_id == "bend/residuals")
-    assert calls and set(calls) == {2}
+    assert set(sizes) == {1, 2}
     assert resid["verified"]["bent_residual"] <= 1e-20
 
 
@@ -931,6 +959,8 @@ def test_mantissa_distance_edge_cases():
 
 
 def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
+    """The su(2,1) rho1 twists are diagonal: `elementary.expm` takes each
+    entry by the scalar loop and never runs Taylor on the whole matrix."""
     from liebend.bending import bend, build_plan, fuchsian_generators
     from liebend.report import PRESETS, _algebra_from_plan, _triple_from_spec
     spec = PRESETS["su21-rho1-g2"]
@@ -938,17 +968,10 @@ def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
     seed = fuchsian_generators(spec["genus"])
     plan = build_plan(_triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
     bent = bend(plan)
-    sizes = []
-    real_expm = highprec.expm
-
-    def counting_expm(a, prec):
-        sizes.append(a.shape[0])
-        return real_expm(a, prec)
-
-    monkeypatch.setattr(highprec, "expm", counting_expm)
+    sizes = _block_sizes(monkeypatch)
     report = verify_bent_relation(plan, bent, dps=spec["verify_dps"])
     assert report.bent_residual < 1e-35
-    assert alg.size not in sizes
+    assert sizes and set(sizes) == {1}
 
 
 def test_closed_form_rejects_misgraded_e(sl3):
