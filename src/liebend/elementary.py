@@ -334,10 +334,10 @@ def expm(x, prec):
       term is within 5 n units and J terms within 5 J n;
     - the loop stops at the first term with no part above 1 unit; each
       further exact term is below 1/4 of the one before, so the tail is
-      within 2 n units;
+      within a third of the exact last term, 3 n units;
     - each squaring at most doubles the error relative to e**(2**k |y|) and
-      adds one floor per part, so every entry ends within 2**s (5 J + 4) n
-      units times e**|x|, that is (5 J + 4) 2**-(prec + 32) e**|x|, before
+      adds one floor per part, so every entry ends within 2**s (5 J + 5) n
+      units times e**|x|, that is (5 J + 5) 2**-(prec + 32) e**|x|, before
       its final rounding (J is about 40 at w = 200): accurate, not
       correctly rounded.
     """
