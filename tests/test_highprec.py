@@ -1216,8 +1216,8 @@ _DATA = Path(__file__).resolve().parent / "data"
 def test_verified_reports_keep_their_bytes(name, spec, tmp_path):
     """Reports at verify_dps 40 recorded when the lane computed in mpmath
     (its elementary functions, fdot and expm): the kernel's correctly
-    rounded functions and libmpc's rounding of complex quotients give every
-    byte again."""
+    rounded functions and its block-by-block Taylor twists give every byte
+    again."""
     from liebend.cli import main
     if isinstance(spec, str):
         argv = ["bend", "--preset", spec]
