@@ -159,7 +159,7 @@ def _sec6_rho_record(torus, ah, triple):
         gb_formula = (p - q) ** 2 + 2 * q - 1
     sig_diag = [int(s) for s in triple.sigma.diagonal().real]  # sigma is diagonal
     gb = genus_bound(triple)
-    cz = len(triple.h_centralizer)
+    cz = triple.centralizer_dim
     return {
         "even": even,
         "proper": sl2_action_proper(torus, triple, ah),

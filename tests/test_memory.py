@@ -2,7 +2,9 @@
 Weyl groups the package admits runs in a child process whose address space
 is capped at 512 MiB (`RLIMIT_AS`, set on the child only) with one BLAS
 thread.  Importing the CLI alone takes about 231 MB of address space there;
-building all of W for su(8,8) (|W| = 10,321,920) would take over 1 GB."""
+building all of W for su(8,8) (|W| = 10,321,920) would take over 1 GB.
+Two in-process guards keep the sec6 path's even part off dense work:
+g_even's peak allocation, and no numpy.linalg call in `reproduce sec6`."""
 
 import os
 import resource
@@ -43,3 +45,49 @@ def test_check_fits_in_512_mib(tmp_path, family_args, rows, expected):
     assert done.stderr == b""
     if expected:
         assert done.stdout == (DATA / expected).read_bytes()
+
+
+def test_g_even_allocates_less_than_the_basis(fresh_caches):
+    """g_even reads Ad(sigma) off the basis supports: with the weights, sigma
+    and the supports built, its peak allocation stays below one copy of the
+    su(6,6) basis stack, which a dense conjugation of the stack would exceed."""
+    import tracemalloc
+
+    from liebend.algebra import make_algebra
+    from liebend.sl2 import g_even, rho1_su
+    alg = make_algebra("su", 6, 6)
+    triple = rho1_su(alg)
+    triple.basis_weights, triple.sigma, alg._support  # built before the count
+    tracemalloc.start()
+    try:
+        g_even(triple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = alg.basis.nbytes
+    assert peak < budget, (peak, budget)
+
+
+def test_sec6_makes_no_linalg_call(monkeypatch, fresh_caches):
+    """reproduce sec6 --p 3 --q 2 reads sigma, the even part and the
+    centralizer count off exact weights: no numpy.linalg function runs."""
+    import inspect
+
+    import numpy as np
+
+    from liebend.config import DEFAULT
+    from liebend.report import cmd_reproduce_sec6
+    seen = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name, value in vars(np.linalg).items():
+        if not name.startswith("_") and callable(value) and not inspect.isclass(value):
+            monkeypatch.setattr(np.linalg, name, counting(name, value))
+    report = cmd_reproduce_sec6(3, 2, DEFAULT)
+    assert seen == []
+    assert report.checks[0].verdict["g_even_dim"] == 16

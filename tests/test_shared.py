@@ -91,8 +91,7 @@ def _shared_arrays():
         "chunk table": torus.weyl_chunks.tail,
         "positive roots": torus._positive_functionals[0],
         "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_e": rho1.ad_e, "ad_f": triple.ad_f,
-        "basis_weights": rho1.basis_weights, "h_centralizer": rho1.h_centralizer,
-        "sigma": rho1.sigma, "g_even": g_even(triple).onb,
+        "basis_weights": rho1.basis_weights, "sigma": rho1.sigma, "g_even": g_even(triple).onb,
         "star": triple.star_basis[0].coords, "star matrix": rho1.star_basis[0].matrix,
         "stacked": iso.stacked, "solver of pieces": iso.solver,
         "piece": next(iter(iso.piece_columns.values())),
@@ -101,7 +100,7 @@ def _shared_arrays():
 
 
 SHARED_ARRAYS = ("basis", "form", "solver", "flat", "support", "chunk table", "positive roots",
-                 "h", "e", "f", "ad_e", "ad_f", "basis_weights", "h_centralizer", "sigma",
+                 "h", "e", "f", "ad_e", "ad_f", "basis_weights", "sigma",
                  "g_even", "star", "star matrix", "stacked", "solver of pieces", "piece",
                  "polygon a", "polygon b")
 

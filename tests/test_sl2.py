@@ -583,14 +583,31 @@ def _projector(rows):
 
 
 def test_h_centralizer_is_the_kernel_of_ad_h():
-    """The exact rows span the kernel of ad H that the SVD oracle finds."""
+    """The unit rows of the weight-zero basis elements span the kernel of
+    ad H that the SVD oracle finds, and `centralizer_dim` counts them."""
     for triple in constructed_triples(5, 4):
         alg = triple.algebra
-        rows = triple.h_centralizer
-        assert rows is triple.h_centralizer
+        rows = np.eye(alg.dim)[triple.basis_weights == 0]
         oracle = kernel_of([adjoint_operator(alg, triple.h)], alg.dim, alg.config.rank_rtol)
-        assert len(rows) == len(oracle) == ad_weight_multiplicities(triple)[0]
+        assert (len(rows) == len(oracle) == triple.centralizer_dim
+                == ad_weight_multiplicities(triple)[0])
         assert np.linalg.norm(_projector(rows) - _projector(oracle), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sl2_from_partition(make_algebra("sl", 5), (4, 1)),
+    lambda: rho1_su(make_algebra("su", 3, 2))], ids=["sl5-[4,1]", "su3,2-rho1"])
+def test_g_even_refuses_a_sigma_that_disagrees_with_the_weights(make):
+    """g_even compares sigma_i sigma_j with (-1)^weight on every basis support:
+    one flipped entry of sigma's diagonal is a mismatch it must refuse.  The
+    triple is a fresh copy, so the flipped sigma reaches no cache."""
+    triple = dataclasses.replace(make())
+    flipped = triple.sigma.copy()
+    flipped[0, 0] = -flipped[0, 0]
+    triple.__dict__["sigma"] = flipped  # the cached property's slot
+    with pytest.raises(RealizationError,
+                       match=r"^even part disagrees with the Ad\(sigma\) fixed space$"):
+        g_even(triple)
 
 
 def test_sec6_takes_each_kernel_once(monkeypatch, fresh_caches):

@@ -89,9 +89,15 @@ def oracle_root_multiplicities(torus):
 def test_exact_weight_path_matches_the_oracles(triple):
     alg = triple.algebra
     assert ad_weight_multiplicities(triple) == oracle_weight_mults(alg, triple.h)
-    assert _same_span(triple.h_centralizer,
+    zero_rows = np.eye(alg.dim)[triple.basis_weights == 0]
+    assert len(zero_rows) == triple.centralizer_dim
+    assert _same_span(zero_rows,
                       kernel_of([adjoint_operator(alg, triple.h)], alg.dim, alg.config.rank_rtol))
-    assert _same_span(g_even(triple).onb, oracle_g_even(triple).onb)
+    onb = g_even(triple).onb
+    assert _same_span(onb, oracle_g_even(triple).onb)
+    # byte for byte the even unit rows: they feed the bend plans' target
+    even_rows = np.eye(alg.dim)[triple.basis_weights % 2 == 0]
+    assert onb.dtype == even_rows.dtype and onb.tobytes() == even_rows.tobytes()
     iso = module_multiplicities(alg, triple)
     target_odd = oracle_target_odd(triple)
     assert iso.target_odd_mults == target_odd
