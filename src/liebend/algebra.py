@@ -172,7 +172,7 @@ class LieAlgebraSpace:
             if bad.size:
                 k = bad[0]
                 raise MembershipError(
-                    f"matrix is not in {self.family}{self.params}: "
+                    f"matrix is not in {self.family}({', '.join(map(str, self.params))}): "
                     f"residual {resid[k]:.3e} exceeds {tol:.1e} * {scale[k]:.3e}")
         return coords if x.ndim == 3 else coords[0]
 

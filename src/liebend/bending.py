@@ -292,8 +292,10 @@ def z_vector(alg, x_mat, y_mat, t):
     """(1/t)(Ad(e^{tX})Y - Y) in algebra coordinates."""
     if t == 0:
         raise ParameterError("z_vector needs t != 0")
-    g = expm(float(t) * np.asarray(x_mat))
-    moved = g @ np.asarray(y_mat) @ np.linalg.inv(g)
+    # an overflow shows as a non-finite z, which bending_inequalities reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = expm(float(t) * np.asarray(x_mat))
+        moved = g @ np.asarray(y_mat) @ np.linalg.inv(g)
     return alg.coordinates((moved - np.asarray(y_mat)) / float(t), check=False)
 
 
@@ -380,15 +382,21 @@ def bend(plan, pushed=None):
     pushed_resid = pushed.relation_residual()
 
     twists = []
-    for k in range(1, seed.genus + 1):
-        ij = plan.generator_assignment.get(k)
-        if ij is None:
-            twists.append(np.eye(alg.size, dtype=complex if alg.is_complex else float))
-        else:
-            twists.append(expm(plan.t * alg.from_coordinates(plan.x_vectors[ij])))
-    # an unbent b_k is multiplied by I too: the shipped bytes keep the signs of
-    # zero entries that this product gives
-    bent = SurfaceGroupRep(seed.genus, pushed.a, pushed.b @ np.array(twists))
+    # a large t overflows the twists; the check below reports it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, seed.genus + 1):
+            ij = plan.generator_assignment.get(k)
+            if ij is None:
+                twists.append(np.eye(alg.size, dtype=complex if alg.is_complex else float))
+            else:
+                twists.append(expm(plan.t * alg.from_coordinates(plan.x_vectors[ij])))
+        # an unbent b_k is multiplied by I too: the shipped bytes keep the
+        # signs of zero entries that this product gives
+        bent = SurfaceGroupRep(seed.genus, pushed.a, pushed.b @ np.array(twists))
+    if not np.isfinite(bent.b).all():
+        # the residual test below is False for NaN, and for inf against inf
+        raise RealizationError(f"bending parameter t = {plan.t!r} overflows the twists: "
+                               "a bent generator has a non-finite entry")
     resid, peak, length = bent.relation_diagnostics
     gen_norm = max(np.linalg.norm(m) for m in bent.generators())
     noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm

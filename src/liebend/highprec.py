@@ -18,10 +18,11 @@ them; the twists are accurate to the precision, within the bound that
 `elementary.expm` states.
 - The seed polygon (`mp_fuchsian`): pi / n, tan, 1 / tan, acosh, exp and
   1 / scale, then per side psi_j and cos_sin, each correctly rounded
-  (`elementary.pi`, `tan`, `acosh`, `exp`, `cos_sin`), the four scaled
-  entries, and each entry of a side pairing as the exact sum of two exact
-  products rounded once (mp.fdot).  Its relation word is multiplied out on
-  the kernel (`intkernel.product`, as mp.matrix products round).
+  (`elementary.pi`, `tan`, `acosh`, `exp`, `cos_sin`) and the four scaled
+  entries; each side pairing is then one 2x2 product on the kernel
+  (`intkernel.product`), every entry the exact sum of two exact products
+  rounded once.  Its relation word is multiplied out on the kernel too,
+  with the inverses taken as adjugates (`FixedMatrix.adjugate`).
 - The images rho(g) and rho(g^-1) come from the triple's exact form
   (`Sl2Images`: H an integer diagonal and E a union of chains with entries
   unit * sqrt(m)), so no float entry of H, E or F is read; so do the
@@ -33,7 +34,8 @@ them; the twists are accurate to the precision, within the bound that
   commutes with H, so its blocks lie in H's eigenvalue classes and every
   entry between two classes stays exactly 0.
 The residuals |W - I| and the distance to the shipped float64 matrices are
-read from the kernel's mantissas.
+read from the kernel's mantissas; floats are read exactly by the kernel's
+one reader (`FixedMatrix.from_float`).
 """
 
 import functools
@@ -44,9 +46,9 @@ import numpy as np
 
 from .elementary import _normal, acosh, cos_sin, exp, expm, pi, tan
 from .errors import ParameterError
-from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _mul, _neg,
-                        _round_nearest, _sqrt, _to_float, central_part, fixed_line, product,
-                        weight_zero_part)
+from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _float_exact,
+                        _mul, _neg, _round_nearest, _sqrt, _to_float, central_part, fixed_line,
+                        product, weight_zero_part)
 
 _ONE = (1, 0)
 
@@ -57,21 +59,6 @@ def dps_to_bits(dps):
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
-def _dot(row, col, prec):
-    """sum_k row[k] col[k] for pairs, formed exactly and rounded once, as
-    mp.fdot rounds it."""
-    terms = [(a[0] * b[0], a[1] + b[1]) for a, b in zip(row, col)]
-    e = min(te for _, te in terms)
-    return _fit(sum(m << (te - e) for m, te in terms), e, prec)
-
-
-def _adjugate(g):
-    """[[d, -b], [-c, a]] of a 2x2 FixedMatrix, exactly: the inverse of a
-    determinant-1 matrix."""
-    (a, b), (c, d) = g.re.tolist()
-    return FixedMatrix(np.array([[d, -b], [-c, a]], dtype=object), None, g.exp)
-
-
 @functools.lru_cache(maxsize=8)
 def mp_fuchsian(genus, prec):
     """The 4g-gon side pairings of fuchsian_generators at prec bits.
@@ -80,9 +67,9 @@ def mp_fuchsian(genus, prec):
     rot(phi) = [[cos phi/2, sin phi/2], [-sin phi/2, cos phi/2]] and the
     translation by d to diag(e^(d/2), e^(-d/2)), so the pairing
     rot(psi_dst + pi) diag(e^rho, e^-rho) rot(-psi_src) is one real 2x2
-    product once the diagonal has scaled the columns of the first rotation.
-    Each entry of that product is the exact sum of two exact products,
-    rounded once.
+    product once the diagonal has scaled the columns of the first rotation:
+    `intkernel.product` forms each entry as the exact sum of two exact
+    products and rounds it once.
 
     Returns (pairs, residual): the pairs (a_k, b_k) as FixedMatrix, and the
     norm of their relation word less I, multiplied out on the kernel.  They
@@ -105,11 +92,11 @@ def mp_fuchsian(genus, prec):
         left = [[_mul(c, scale, prec), _mul(s, inv_scale, prec)],
                 [_neg(_mul(s, scale, prec)), _mul(c, inv_scale, prec)]]
         c, s = cos_sin(half(_neg(psi(src))), prec)
-        return FixedMatrix.from_pairs([[_normal(*_dot(row, col, prec))
-                                        for col in ((c, _neg(s)), (s, c))] for row in left])
+        return product(prec, FixedMatrix.from_pairs(left),
+                       FixedMatrix.from_pairs([[c, s], [_neg(s), c]]))
 
     pairs = tuple((glue(4 * k + 2, 4 * k), glue(4 * k + 1, 4 * k + 3)) for k in range(genus))
-    word = [m for a, b in pairs for m in (a, b, _adjugate(a), _adjugate(b))]
+    word = [m for a, b in pairs for m in (a, b, a.adjugate(), b.adjugate())]
     return pairs, identity_distance(product(prec, FixedMatrix.identity(2), *word), prec)
 
 
@@ -124,23 +111,20 @@ def expm_pair(x, t, prec):
 
 def max_entry_distance(m, f):
     """max |m[i, j] - f[i, j]| for a FixedMatrix m and a float64 array f, in
-    Python ints: each float is read as its exact dyadic value, the
+    Python ints: f is read exactly (`FixedMatrix.from_float`), the
     differences are exact integers over one exponent, and the largest
     modulus is rounded once, to nearest, to a float."""
     f = np.asarray(f)
     if not np.isfinite(f).all():
         return math.inf
-    theirs = [list(map(_float_exact, part.ravel().tolist())) for part in (f.real, f.imag)]
-    exp = min([m.exp] + [e for part in theirs for v, e in part if v])
-    squares = [0] * m.re.size
-    for ours, part in zip((m.re, m.im), theirs):
-        if ours is None and not any(v for v, _ in part):
-            continue
-        ours = [0] * len(part) if ours is None else ours.ravel().tolist()
-        for k, (v, (fm, fe)) in enumerate(zip(ours, part)):
-            diff = (v << (m.exp - exp)) - (fm << (fe - exp) if fm else 0)
-            squares[k] += diff * diff
-    top = max(squares)
+    f = FixedMatrix.from_float(f)
+    exp = min(m.exp, f.exp)
+    squares = 0
+    for ours, theirs in ((m.re, f.re), (m.im, f.im)):
+        diff = ((0 if ours is None else ours << (m.exp - exp))
+                - (0 if theirs is None else theirs << (f.exp - exp)))
+        squares = squares + diff * diff
+    top = int(np.max(squares))
     return _to_float(*_sqrt((top, 2 * exp), 53)) if top else 0.0
 
 
@@ -202,12 +186,6 @@ def verify_bent_relation(plan, bent, dps=40):
                for m, m_f in ((a, a_f), (b, b_f)))
     return HighPrecisionReport(dps, seed_resid, identity_distance(pushed, prec),
                                identity_distance(bent_prod, prec), dist)
-
-
-def _float_exact(v):
-    """A finite float as the (mantissa, exponent) pair of its exact value."""
-    frac, e = math.frexp(v)
-    return int(frac * 2.0 ** 53), e - 53
 
 
 def _float_pair(v, prec):

@@ -46,11 +46,10 @@ def _round_nearest(v, prec):
     return -m if v < 0 else m
 
 
-def _dyadic(x):
-    """A finite float64 array as integer mantissas and exponents:
-    x = man * 2**exp entrywise, exactly."""
-    frac, exp = np.frexp(x)
-    return (frac * 2.0 ** 53).astype(np.int64), exp.astype(np.int64) - 53
+def _float_exact(v):
+    """A finite float as the (mantissa, exponent) pair of its exact value."""
+    frac, e = math.frexp(v)
+    return int(frac * 2.0 ** 53), e - 53
 
 
 # --- scalars: (mantissa, exponent) pairs, each operation rounded once ------
@@ -140,12 +139,8 @@ class FixedMatrix:
         x = np.asarray(x)
         if not np.isfinite(x).all():
             raise ValueError("a FixedMatrix holds finite entries only")
-        parts = [_dyadic(np.asarray(p, dtype=float)) for p in
-                 ((x.real, x.imag) if np.iscomplexobj(x) else (x,))]
-        exp = min((int(e[m != 0].min()) for m, e in parts if m.any()), default=0)
-        re, *im = [m.astype(object) << np.where(m != 0, e - exp, 0).astype(object)
-                   for m, e in parts]
-        return cls(re, im[0] if im and im[0].any() else None, exp)
+        return cls.from_pairs(*[[list(map(_float_exact, row)) for row in p.tolist()]
+                                for p in ((x.real, x.imag) if np.iscomplexobj(x) else (x,))])
 
     @classmethod
     def from_pairs(cls, re, im=None):
@@ -156,6 +151,12 @@ class FixedMatrix:
         re, *im = [np.array([[m << (e - exp) if m else 0 for m, e in row] for row in p],
                             dtype=object) for p in parts]
         return cls(re, im[0] if im and im[0].any() else None, exp)
+
+    def adjugate(self):
+        """[[d, -b], [-c, a]] of a real 2x2 matrix, exactly: the inverse of a
+        determinant-1 matrix."""
+        (a, b), (c, d) = self.re.tolist()
+        return FixedMatrix(np.array([[d, -b], [-c, a]], dtype=object), None, self.exp)
 
     def pairs(self):
         """The entries as rows of ((re, exp), (im, exp)) pairs."""
@@ -259,16 +260,16 @@ class Sl2Images:
 
     def pair(self, g, prec):
         """(rho(g), rho(g^-1)) for a real 2x2 FixedMatrix g of determinant 1,
-        from g's mantissas and their adjugate [[d, -b], [-c, a]]."""
-        (a, b), (c, d) = g.re.tolist()
-        return self._image((a, b, c, d), g.exp, prec), self._image((d, -b, -c, a), g.exp, prec)
+        the second from g's adjugate."""
+        return self._image(g, prec), self._image(g.adjugate(), prec)
 
-    def _image(self, abcd, exp, prec):
+    def _image(self, g, prec):
         prec, entries = prec + GUARD_BITS, []
+        (a, b), (c, d) = g.re.tolist()
         for k, terms in self._terms.items():
             root, frac = _chain_constants(k, prec)
-            cols = _sym_power(k, *abcd)
-            entries += [(sign * cols[p][q] * root[q][p], k * exp - frac, part, positions)
+            cols = _sym_power(k, a, b, c, d)
+            entries += [(sign * cols[p][q] * root[q][p], k * g.exp - frac, part, positions)
                         for q, p, sign, part, positions in terms if cols[p][q]]
         # the lowest exponent at which every entry keeps prec bits
         emin = min(e + v.bit_length() - prec for v, e, _, _ in entries)

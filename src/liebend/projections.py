@@ -38,7 +38,8 @@ def validate_group_element(alg, g):
     scale = max(np.linalg.norm(g) ** 2, 1.0)
     if group_residual(alg, g) > GROUP_TOL * scale:
         raise MembershipError(
-            f"matrix violates the defining condition of {alg.family}{alg.params}")
+            "matrix violates the defining condition of "
+            f"{alg.family}({', '.join(map(str, alg.params))})")
     return g
 
 

@@ -9,6 +9,11 @@
   `workloads.constructed_triples()`.  Each call must keep resolving with its
   current signature, and every timed plan of perfbench/expect/bend_plans.json
   must meet the genus condition genus >= |Lambda| of its triple.
+- perfbench/checks.py re-derives each check-stream answer in
+  `Consistency.problems` through `split_torus`, `HSubalgebraTorus`,
+  `in_weyl_orbit_of_subspace`, `is_even`, `sl2_from_partition` and the
+  torus's `in_b`, `is_dominant` and `dominant_representative`.  Each
+  `cmd_check` verdict of the query pool must pass it.
 
 perfbench's files are read, never written: the module checks that their
 bytes are the same after its tests as before."""
@@ -19,13 +24,15 @@ import importlib.util
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from liebend import weyl
 from liebend.algebra import make_algebra
-from liebend.report import _triple_from_spec
+from liebend.config import DEFAULT
+from liebend.report import _triple_from_spec, cmd_check
 from liebend.sl2 import module_multiplicities
 from liebend.weyl import split_torus
 
@@ -120,3 +127,21 @@ def test_every_timed_plan_meets_the_genus_condition(lambda_sizes):
     for plan in timed:
         fam = {k: v for k, v in plan.items() if k not in ("triple", "genus")}
         assert plan["genus"] >= lambda_sizes[_key(fam, plan["triple"])], plan
+
+
+def test_the_consistency_check_passes_every_pool_verdict(monkeypatch):
+    """Every query of the check-stream pool, answered by `cmd_check`, meets
+    perfbench's consistency check; a flipped verdict does not."""
+    workloads = _workloads()
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks.py imports it by name
+    checks = _perfbench_module("checks")
+    consistency = checks.Consistency()
+    queries = workloads.check_stream_queries(0)
+    assert len(queries) == 25
+    for _, fam, rows in queries:
+        report = cmd_check(fam, rows, DEFAULT).to_dict()
+        verdicts = checks.query_verdicts({c["check"]: c for c in report["checks"]})
+        assert consistency.problems(fam, rows, verdicts) == [], (fam, rows)
+        flipped = dict(verdicts, calabi_markus=not verdicts["calabi_markus"])
+        assert consistency.problems(fam, rows, flipped) == [
+            "calabi-markus disagrees with dim a_h == rank"]

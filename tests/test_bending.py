@@ -442,3 +442,37 @@ def test_bend_with_compact_centralizer_sums(spec, genus):
     assert len(verdicts["bend/plan"]["Lambda"]) == genus
     cert = verdicts["bend/certificate"]
     assert cert["verdict"] == "PASS" and cert["achieved_dim"] == cert["target_dim"]
+
+
+@pytest.mark.parametrize("plan", [
+    {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e5},
+    {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e300},
+    {"family": "sl", "n": 3, "triple": {"partition": [3]}, "genus": 2, "t": 1e300,
+     "verify_dps": 40},
+], ids=["su21-t1e5", "su21-t1e300", "sl3-[3]-t1e300-dps40"])
+def test_an_overflowing_t_is_an_input_error(plan, tmp_path):
+    """A t whose twists overflow ends bend with one input-error line and
+    exit 2, before the mp lane or the certificate reads the twists."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "liebend.cli", "bend", "--plan",
+                           str(tmp_path / "plan.json")], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"input error: bending parameter t = {float(plan['t'])!r} overflows the twists: "
+        "a bent generator has a non-finite entry"]
+
+
+def test_an_overflowing_grid_t_stays_inconclusive(capsys):
+    from liebend.cli import main
+    assert main(["bend", "--preset", "su21-rho1-g2", "--t-grid", "1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and '"verdict": "INCONCLUSIVE"' in out

@@ -173,6 +173,68 @@ def test_polygon_is_the_mpmath_polygon(dps):
                 assert from_mp(a_w).exp == a.exp and from_mp(b_w).exp == b.exp
 
 
+def _dot_polygon(genus, prec):
+    """Reference oracle: mp_fuchsian as it stood before its side pairings
+    went through `intkernel.product`: each entry the exact sum of two exact
+    products rounded once (the `_dot` it replaced), and the relation word's
+    inverses formed as adjugates here."""
+    from liebend.intkernel import _add, _div, _fit, _mul, _neg
+    n = 4 * genus
+    pi_ = elementary.pi(prec)
+    scale = elementary.exp(elementary.acosh(_div((1, 0), elementary.tan(
+        _div(pi_, (n, 0), prec), prec), prec), prec), prec)
+    inv_scale = _div((1, 0), scale, prec)
+
+    def psi(j):
+        return _div(_mul((pi_[0], pi_[1] + 1), (2 * j + 1, -1), prec), (n, 0), prec)
+
+    def dot(row, col):
+        terms = [(a[0] * b[0], a[1] + b[1]) for a, b in zip(row, col)]
+        e = min(te for _, te in terms)
+        return _fit(sum(m << (te - e) for m, te in terms), e, prec)
+
+    def glue(src, dst):
+        x = _add(psi(dst), pi_, prec)
+        c, s = elementary.cos_sin((x[0], x[1] - 1), prec)
+        left = [[_mul(c, scale, prec), _mul(s, inv_scale, prec)],
+                [_neg(_mul(s, scale, prec)), _mul(c, inv_scale, prec)]]
+        x = _neg(psi(src))
+        c, s = elementary.cos_sin((x[0], x[1] - 1), prec)
+        return FixedMatrix.from_pairs([[elementary._normal(*dot(row, col))
+                                        for col in ((c, _neg(s)), (s, c))] for row in left])
+
+    def adjugate(g):
+        (a, b), (c, d) = g.re.tolist()
+        return FixedMatrix(np.array([[d, -b], [-c, a]], dtype=object), None, g.exp)
+
+    pairs = [(glue(4 * k + 2, 4 * k), glue(4 * k + 1, 4 * k + 3)) for k in range(genus)]
+    word = [m for a, b in pairs for m in (a, b, adjugate(a), adjugate(b))]
+    return pairs, highprec.identity_distance(product(prec, FixedMatrix.identity(2), *word), prec)
+
+
+def _values(m):
+    """The entries of a FixedMatrix as exact complex values, (re, im) Fractions."""
+    im = m.im if m.im is not None else np.zeros(m.shape, dtype=int)
+    scale = Fraction(2) ** m.exp
+    return [(Fraction(int(r)) * scale, Fraction(int(i)) * scale)
+            for r, i in zip(m.re.ravel().tolist(), im.ravel().tolist())]
+
+
+@pytest.mark.parametrize("dps", [2, 15, 40, 100])
+def test_polygon_is_the_dot_polygon(dps):
+    """The side pairings formed through the kernel's product hold the values
+    of the exact two-term sums rounded once, and the relation residual is
+    the same, at genus 2 to 12."""
+    prec = dps_to_bits(dps)
+    for genus in range(2, 13):
+        want, want_resid = _dot_polygon(genus, prec)
+        got, got_resid = mp_fuchsian(genus, prec)
+        assert got_resid == want_resid
+        for pair, want_pair in zip(got, want):
+            for m, w in zip(pair, want_pair):
+                assert m.im is None and _values(m) == _values(w)
+
+
 def _complex_fuchsian(genus):
     """Reference oracle: the side pairings as disk isometries conjugated by
     the Cayley map in complex arithmetic, the form mp_fuchsian replaced."""
@@ -373,6 +435,38 @@ def test_kernel_rejects_non_finite_entries():
     for bad in (np.inf, np.nan, complex(0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             FixedMatrix.from_float(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+def _frexp_values(x):
+    """Reference oracle: x read exactly through np.frexp, entry by entry,
+    as the array reader that `intkernel._float_exact` replaced did."""
+    def read(part):
+        frac, exp = np.frexp(np.asarray(part, dtype=float))
+        mans = (frac * 2.0 ** 53).astype(np.int64).ravel().tolist()
+        return [Fraction(m) * Fraction(2) ** (int(e) - 53)
+                for m, e in zip(mans, exp.ravel().tolist())]
+    return list(zip(read(x.real), read(x.imag)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["real", "complex", "zero imaginary part"])
+def test_float_reader_is_the_frexp_reader(seed, kind):
+    rng = np.random.default_rng(seed)
+
+    def sample():
+        x = np.ldexp(rng.standard_normal((6, 6)), rng.integers(-1100, 1000, (6, 6)))
+        x.ravel()[:8] = [0.0, -0.0, 5e-324, -2.5e-310, 2.0 ** -1022, 2.0 ** 1000,
+                         -(2.0 ** -1000), 1.5]
+        return rng.permutation(x.ravel()).reshape(x.shape)
+
+    x = sample()
+    if kind == "complex":
+        x = x + 1j * sample()
+    elif kind == "zero imaginary part":
+        x = x + 0j
+    m = FixedMatrix.from_float(x)
+    assert _values(m) == _frexp_values(x)
+    assert (m.im is None) == (kind != "complex")
 
 
 # --- closed-form images --------------------------------------------------

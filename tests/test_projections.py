@@ -70,6 +70,15 @@ def test_group_validation_rejects_wrong_determinant(sl5, su21):
         validate_group_element(su21, np.diag([1.0, 1j, 1.0]))
 
 
+def test_membership_messages_name_the_algebra(sl5, su21):
+    with pytest.raises(MembershipError, match=r"^matrix is not in sl\(5\): "):
+        sl5.coordinates(np.eye(5))
+    with pytest.raises(MembershipError, match=r"^matrix violates the defining condition of sl\(5\)$"):
+        validate_group_element(sl5, 2.0 * np.eye(5))
+    with pytest.raises(MembershipError, match=r"of su\(2, 1\)$"):
+        validate_group_element(su21, np.diag([1.0, 1j, 1.0]))
+
+
 def test_lyapunov_examples(sl3, su21):
     from liebend.weyl import split_torus
     t3 = split_torus(sl3)
