@@ -112,30 +112,20 @@ def _polygon(g):
 
 
 def _hyperbolic_conjugator(a_matrix):
-    """k in SL(2,R) with k^{-1} a k diagonal; deterministic column choices."""
-    w, vecs = np.linalg.eig(a_matrix)
-    if np.max(np.abs(w.imag)) > 1e-10:
-        raise ParameterError("the fixed line needs a hyperbolic element")
-    order = np.argsort(-w.real)
-    vecs = vecs[:, order].real
-    for c in range(2):
-        col = vecs[:, c]
-        lead = col[np.argmax(np.abs(col) > 1e-12)]
-        if lead < 0:
-            vecs[:, c] = -col
-    det = np.linalg.det(vecs)
-    if det < 0:
-        vecs[:, 1] = -vecs[:, 1]
-        det = -det
-    return vecs / math.sqrt(det)
+    """k in SL(2,R) with k^{-1} a k diagonal: `intkernel.conjugator` of the
+    exact float a at FIXED_LINE_BITS, rounded once to float64.  The kernel
+    is imported here, so commands that bend nothing never load it."""
+    from . import intkernel
+    k = intkernel.conjugator(intkernel.FixedMatrix.from_float(a_matrix), FIXED_LINE_BITS)
+    return k.to_complex().real
 
 
 def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
     """The Ad(rho(a))-fixed line in the piece V_{i,j} of the isotypic data
     iso, unit-normalized with a deterministic sign.  a must be hyperbolic in
     SL(2,R).  rho_ak is the pair (rho(a), rho(k)) for a and its conjugator k
-    (`_hyperbolic_conjugator`), computed here in one rho_of call unless the
-    caller holds it.
+    (`_hyperbolic_conjugator`: the integer kernel's, rounded once to
+    float64), computed here in one rho_of call unless the caller holds it.
 
     With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
     weight-zero basis vector of the piece: conjugation avoids extracting a
@@ -171,8 +161,7 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
     x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
     if resid > FIXED_POINT_TOL * stretch:
         # Ad(rho(a)) stretches the rounding of the float conjugation: build
-        # the line in integers at FIXED_LINE_BITS, rounded once (imported
-        # here: only plans that miss the float line load the kernel)
+        # the line in integers at FIXED_LINE_BITS, rounded once
         from . import intkernel
         x_mat = intkernel.fixed_line(intkernel.Sl2Images(triple.exact),
                                      intkernel.FixedMatrix.from_float(a_matrix), v0,

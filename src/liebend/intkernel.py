@@ -4,12 +4,13 @@ A `FixedMatrix` holds a matrix as Python-int mantissas over one binary
 exponent.  Every operation here is formed exactly in ints and rounded once to
 a precision in bits that the caller passes, to nearest with ties to even:
 the value libmp gives for the same operation at that precision.  So the
-float lane builds a bending line without importing mpmath (`bending`, at
-`bending.FIXED_LINE_BITS`), and the high-precision lane (`highprec`) gets
-the same bits at its working precision.  The correctly rounded elementary
-functions on the same (mantissa, exponent) pairs, and the Taylor matrix
-exponential of a `FixedMatrix`, are in `elementary`, which only the
-high-precision lane imports.
+float lane builds its conjugators, and a bending line where the float line
+misses, without importing mpmath (`bending`, at `bending.FIXED_LINE_BITS`),
+and the high-precision lane (`highprec`) gets the same bits at its working
+precision.  The correctly rounded elementary functions on the same
+(mantissa, exponent) pairs, and the Taylor matrix exponential of a
+`FixedMatrix`, are in `elementary`, which only the high-precision lane
+imports.
 
 The pieces, each built in one place for both lanes:
 - `product`, the n x n matrix product, rounded entry by entry;
@@ -25,6 +26,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import ParameterError
 
 # extra bits carried by the images, whose entries span many orders of
 # magnitude, over the precision the products round to
@@ -290,17 +293,20 @@ def _size(x):
 
 def conjugator(g, prec):
     """k in SL(2,R) with k^-1 g k diagonal, for a hyperbolic real 2x2
-    FixedMatrix g, with the conventions of `bending._hyperbolic_conjugator`:
-    the eigenvectors of the larger and then the smaller eigenvalue as
-    columns, each of unit length with its first entry above 1e-12 in size
-    positive, the second column negated if det k < 0, and k scaled to
-    det 1.  Each step (sum, product, quotient, isqrt) is one exact integer
-    operation rounded to prec bits."""
+    FixedMatrix g: the eigenvectors of the larger and then the smaller
+    eigenvalue as columns, each of unit length with its first entry above
+    1e-12 in size positive, the second column negated if det k < 0, and k
+    scaled to det 1.  Each step (sum, product, quotient, isqrt) is one exact
+    integer operation rounded to prec bits.  This is the package's only
+    conjugator: the float lane rounds it once to float64 from
+    `bending.FIXED_LINE_BITS` (`bending._hyperbolic_conjugator`), the mp
+    lane holds it at its working precision.  An element that is not
+    hyperbolic raises ParameterError."""
     (a, b), (c, d) = [[(v, g.exp) for v in row] for row in g.re.tolist()]
     tr = _add(a, d, prec)
     disc2 = _add(_mul(tr, tr, prec), (-4, 0), prec)
     if disc2[0] <= 0:
-        raise ValueError("the conjugator needs a hyperbolic element")
+        raise ParameterError("the conjugator needs a hyperbolic element")
     disc = _sqrt(disc2, prec)
     cols = []
     for lam in (_add(tr, disc, prec), _add(tr, _neg(disc), prec)):  # descending

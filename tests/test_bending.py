@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from liebend.algebra import bracket, generated_subalgebra, make_algebra
-from liebend.bending import (bend, bending_inequalities, build_plan,
+from liebend.bending import (SurfaceGroupRep, bend, bending_inequalities, build_plan,
                              density_certificate, fixed_weight_zero_vector,
                              fuchsian_generators, pushed_forward, z_vector)
 from liebend.config import Config
@@ -127,6 +127,18 @@ def test_genus_condition_rejected(sl5):
     seed3 = fuchsian_generators(3)
     with pytest.raises(GenusConditionError):
         build_plan(triple, seed3, t=0.01)
+
+
+def test_an_elliptic_seed_generator_fails_typed(su21):
+    """build_plan hands a caller's a_k straight to the integer kernel's
+    conjugator, which refuses an element that is not hyperbolic with a
+    ParameterError: a seed whose relation holds exactly, with a rotation
+    for each a_k."""
+    rot = expm(0.5 * (E2 - F2))
+    seed = SurfaceGroupRep(2, np.array([rot, rot]), np.array([np.eye(2), np.eye(2)]))
+    assert seed.relation_residual() < 1e-15
+    with pytest.raises(ParameterError, match="hyperbolic"):
+        build_plan(rho1_su(su21), seed)
 
 
 def test_z_vector_properties(su21, rng):

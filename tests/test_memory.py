@@ -4,7 +4,10 @@ is capped at 512 MiB (`RLIMIT_AS`, set on the child only) with one BLAS
 thread.  Importing the CLI alone takes about 231 MB of address space there;
 building all of W for su(8,8) (|W| = 10,321,920) would take over 1 GB.
 Two in-process guards keep the sec6 path's even part off dense work:
-g_even's peak allocation, and no numpy.linalg call in `reproduce sec6`."""
+g_even's peak allocation, and no numpy.linalg call in `reproduce sec6`.
+A third keeps LAPACK's eigensolvers off the bend path: the first eig call
+after `import liebend.cli` adds about 1 MB of peak RSS to a fresh process,
+and about 0.4 MB to a bend-float pass."""
 
 import os
 import resource
@@ -68,15 +71,12 @@ def test_g_even_allocates_less_than_the_basis(fresh_caches):
     assert peak < budget, (peak, budget)
 
 
-def test_sec6_makes_no_linalg_call(monkeypatch, fresh_caches):
-    """reproduce sec6 --p 3 --q 2 reads sigma, the even part and the
-    centralizer count off exact weights: no numpy.linalg function runs."""
+def _count_linalg_calls(monkeypatch, names):
+    """Wrap the public numpy.linalg functions whose names pass the filter;
+    the returned list collects the name of each call."""
     import inspect
 
     import numpy as np
-
-    from liebend.config import DEFAULT
-    from liebend.report import cmd_reproduce_sec6
     seen = []
 
     def counting(name, real):
@@ -86,8 +86,35 @@ def test_sec6_makes_no_linalg_call(monkeypatch, fresh_caches):
         return wrapped
 
     for name, value in vars(np.linalg).items():
-        if not name.startswith("_") and callable(value) and not inspect.isclass(value):
+        if (not name.startswith("_") and callable(value) and not inspect.isclass(value)
+                and names(name)):
             monkeypatch.setattr(np.linalg, name, counting(name, value))
+    return seen
+
+
+def test_sec6_makes_no_linalg_call(monkeypatch, fresh_caches):
+    """reproduce sec6 --p 3 --q 2 reads sigma, the even part and the
+    centralizer count off exact weights: no numpy.linalg function runs."""
+    from liebend.config import DEFAULT
+    from liebend.report import cmd_reproduce_sec6
+    seen = _count_linalg_calls(monkeypatch, lambda name: True)
     report = cmd_reproduce_sec6(3, 2, DEFAULT)
     assert seen == []
     assert report.checks[0].verdict["g_even_dim"] == 16
+
+
+def test_bend_makes_no_eig_call(monkeypatch, fresh_caches):
+    """The conjugator of each bent generator comes from the integer kernel:
+    bending both presets and su(3,1) rho1 at genus 5, verified and not,
+    calls no numpy.linalg eigensolver."""
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, cmd_bend
+    seen = _count_linalg_calls(monkeypatch, lambda name: name.startswith("eig"))
+    plans = [PRESETS["su21-rho1-g2"], PRESETS["sl5-even5-g4"],
+             {"family": "su", "p": 3, "q": 1, "triple": "rho1", "genus": 5, "t": "auto"}]
+    for plan in plans:
+        for dps in (0, 40):
+            report = cmd_bend(dict(plan, verify_dps=dps), DEFAULT)
+            cert = next(c.verdict for c in report.checks if c.check_id == "bend/certificate")
+            assert cert["verdict"] == "PASS"
+    assert seen == []

@@ -240,3 +240,33 @@ def test_cli_import_leaves_mpmath_unloaded(tmp_path):
     residuals = next(c["verdict"] for c in json.loads(Path(out).read_text())["checks"]
                      if c["check"] == "bend/residuals")
     assert residuals["verified"]["dps"] == 40
+
+
+def test_reproduce_and_check_leave_the_integer_kernel_unloaded(tmp_path):
+    """The integer kernel is imported inside the bend path (the conjugator
+    and the fixed-line fallback): importing the CLI and running reproduce
+    sec53, reproduce sec6 and check never load it, and a float-only bend
+    does."""
+    (tmp_path / "ah_sl5.json").write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
+    (tmp_path / "ah_su33.json").write_text(json.dumps([["1", "0", "0"], ["0", "1", "-1"]]))
+    plan = tmp_path / "plan.json"  # verify_dps 0: the float lane alone loads the kernel
+    plan.write_text(json.dumps({"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2,
+                                "verify_dps": 0}))
+    runs = [["reproduce", "sec53"], ["reproduce", "sec6", "--p", "3", "--q", "2"],
+            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json"),
+             "--witness"],
+            ["check", "--family", "su", "--p", "3", "--q", "3", "--ah",
+             str(tmp_path / "ah_su33.json"), "--witness"]]
+    code = ("import sys, liebend.cli\n"
+            "print('liebend.intkernel' in sys.modules)\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    rc = liebend.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.out'])\n"
+            "    print(rc, 'liebend.intkernel' in sys.modules)\n"
+            f"rc = liebend.cli.main(['bend', '--plan', {str(plan)!r},\n"
+            f"                       '--out', {str(tmp_path / 'bend.out')!r}])\n"
+            "print(rc, 'liebend.intkernel' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split("\n")[:6] == ["False"] + ["0 False"] * 4 + ["0 True"]
