@@ -281,10 +281,15 @@ def z_vector(alg, x_mat, y_mat, t):
     """(1/t)(Ad(e^{tX})Y - Y) in algebra coordinates."""
     if t == 0:
         raise ParameterError("z_vector needs t != 0")
-    # an overflow shows as a non-finite z, which bending_inequalities reports
+    # an overflow, or an e^{tX} that is singular in float64, shows as a
+    # non-finite z, which bending_inequalities reports
     with np.errstate(over="ignore", invalid="ignore"):
         g = expm(float(t) * np.asarray(x_mat))
-        moved = g @ np.asarray(y_mat) @ np.linalg.inv(g)
+        try:
+            g_inv = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            g_inv = np.full_like(g, np.nan)
+        moved = g @ np.asarray(y_mat) @ g_inv
     return alg.coordinates((moved - np.asarray(y_mat)) / float(t), check=False)
 
 
@@ -386,9 +391,20 @@ def bend(plan, pushed=None):
         # the residual test below is False for NaN, and for inf against inf
         raise RealizationError(f"bending parameter t = {plan.t!r} overflows the twists: "
                                "a bent generator has a non-finite entry")
-    resid, peak, length = bent.relation_diagnostics
-    gen_norm = max(np.linalg.norm(m) for m in bent.generators())
-    noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm
+    if plan.t and not all(np.isfinite(plan.z(ij)).all() for ij in plan.iso.Lambda if ij[0]):
+        # e^{tX} is singular in float64 (z_vector): the certificate's seeds
+        # would be a meaningless Z
+        raise RealizationError(f"bending parameter t = {plan.t!r} is past float64: "
+                               "Ad(e^(tX)) has a non-finite entry")
+    # an overflowing relation word shows as a non-finite allowance
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid, peak, length = bent.relation_diagnostics
+        gen_norm = max(np.linalg.norm(m) for m in bent.generators())
+        noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm
+    if not np.isfinite(noise):
+        # an allowance of inf would pass any residual
+        raise RealizationError(f"bending parameter t = {plan.t!r} overflows the relation "
+                               "word: a partial product has a non-finite norm")
     if resid > 10.0 * pushed_resid + noise + 1e-12:
         raise RealizationError(
             f"bent residual {resid:.3e} exceeds 10x the undeformed residual "

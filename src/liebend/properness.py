@@ -4,10 +4,10 @@ obstruction.
 
 Every decision here is exact: each quantifier over W is one pass of
 `_scan` over the chunks of W (`SplitTorusData.weyl_chunks`), in the enumeration
-order of W, with one vectorized integer scan per chunk, so memory stays
-bounded by the chunk size and not by |W|.  A pass stops at the first chunk
-that decides it.  Floats appear only inside `_scan`, as a BLAS product of
-integers that float64 holds exactly.
+order of W, with one vectorized exact scan per chunk, sized by what the pass
+keeps per element, so memory stays bounded by WEYL_CHUNK_BYTES and not by
+|W|.  A pass stops at the first chunk that decides it.  Floats appear only
+in the scans, as BLAS products of integers that float64 holds exactly.
 """
 
 import itertools
@@ -48,13 +48,17 @@ class HSubalgebraTorus:
 
 # float64 holds every integer below 2**53 exactly
 FLOAT_EXACT = 2 ** 53
+# rows of a line pass's size that `_line_hits` allocates besides its two
+# scans: the moving rows of both as integers, and their two cross products
+LINE_TEMPORARIES = 4
 
 
-def _scan(torus, vectors, ah):
-    """One pass over W: for each chunk of W in order, (start, scans), where
-    scans[j] holds A.(w.v_j) for the chunk's elements w, v_j is the j-th
-    integer vector and the rows of A are the annihilator rows of a_h.  Row k
-    of scans[j] is zero iff w_{start+k}.v_j lies in span(a_h).
+def _scan(torus, vectors, ah, decide, temporaries=0):
+    """One pass over W: for each chunk of W in order, (start,
+    decide(*scans)), where scans[j] holds A.(w.v_j) for the chunk's elements
+    w, v_j is the j-th integer vector and the rows of A are the r annihilator
+    rows of a_h.  Row k of scans[j] is zero iff w_{start+k}.v_j lies in
+    span(a_h).  A chunk's scans are freed before the next one is built.
 
     w = (perm, signs) maps v to signs * v[perm], so A.(w.v) equals
     v[perm] . (signs * A)^T: the signs are folded into A once per pass (one
@@ -64,29 +68,34 @@ def _scan(torus, vectors, ah):
     positions, shared by the chunk.  When coord_len * max|v| * max|ann| <
     2**53, every partial sum of every dot product is an integer below 2**53
     in absolute value, so the float64 BLAS products and their sum are exact
-    in any summation order, and the scan is returned as int64.  Otherwise
-    object arrays of Python ints keep it exact.  The rule is decided per
-    vector, so every chunk of one vector has one dtype."""
-    table = torus.weyl_chunks
+    in any summation order, and the scan stays float64.  Otherwise object
+    arrays of Python ints keep it exact.  The rule is decided per vector, so
+    every chunk of one vector has one dtype."""
     ann = ah.annihilator
-    n, r, k = torus.coord_len, len(ann), table.prefix_len
+    n, r = torus.coord_len, len(ann)
+    # per element of W the pass keeps r + 1 float64 entries (a scan and room
+    # for its zero tests) for each vector and each row of temporaries that
+    # decide allocates; one vector's gathered tail rows, the signed
+    # annihilators and, in the object lane, Python ints come on top
+    table = torus.weyl_chunks(8 * (r + 1) * (len(vectors) + temporaries))
+    k = table.prefix_len
     ann_max = max((abs(c) for row in ann for c in row), default=0)
     lanes = []
     for ints in vectors:
         dtype = np.float64 if n * max(map(abs, ints)) * ann_max < FLOAT_EXACT else object
         ann_t = np.array(ann, dtype=dtype).reshape(r, n).T
         signed = (table.signs[:, :, None] * ann_t).transpose(1, 0, 2).reshape(n, -1)
-        lanes.append((np.array(ints, dtype=dtype), signed[:k], signed[k:]))
+        lanes.append((np.array(ints, dtype=dtype), signed))
     rows = len(table.tail) * len(table.signs)
     for start, prefix, rest in table.chunks():
         scans = []
-        for v, prefix_rows, tail_rows in lanes:
-            scan = v[rest][table.tail] @ tail_rows
+        for v, signed in lanes:
+            scan = v[rest][table.tail] @ signed[k:]
             if k:
-                scan += v[list(prefix)] @ prefix_rows
-            scan = scan.reshape(rows, r)
-            scans.append(scan if scan.dtype == object else scan.astype(np.int64))
-        yield start, scans
+                scan += v[list(prefix)] @ signed[:k]
+            scans.append(scan.reshape(rows, r))
+        yield start, decide(*scans)
+        scans = scan = None  # freed before the next chunk's scans are built
 
 
 def _hits(scan):
@@ -100,10 +109,10 @@ def in_weyl_orbit_of_subspace(torus, v, ah):
     scan stops at the chunk that holds it.  v is scaled to primitive
     integers first (membership in a rational subspace does not depend on
     scale), which keeps the scan off object arrays where it can."""
-    for start, (scan,) in _scan(torus, [_ratlin.primitive(torus.vector(v))], ah):
-        hits = np.flatnonzero(_hits(scan))
-        if hits.size:
-            return True, torus.element(start + int(hits[0]))
+    for start, hits in _scan(torus, [_ratlin.primitive(torus.vector(v))], ah, _hits):
+        first = np.flatnonzero(hits)
+        if first.size:
+            return True, torus.element(start + int(first[0]))
     return False, None
 
 
@@ -115,7 +124,7 @@ def sl2_action_proper(torus, triple, ah):
     return not member
 
 
-def _covers_b(b_scans):
+def _covers_b(*b_scans):
     """True iff some w of the chunk moves every basis vector of b into
     span(a_h)."""
     return bool(np.logical_and.reduce([_hits(s) for s in b_scans]).any())
@@ -131,7 +140,7 @@ def benoist_criterion(torus, ah):
     chunk holding such a w.
     """
     return ah.dim < torus.b_dim or \
-        not any(_covers_b(scans) for _, scans in _scan(torus, torus.b_basis, ah))
+        not any(covered for _, covered in _scan(torus, torus.b_basis, ah, _covers_b))
 
 
 def _line_hits(alpha, beta):
@@ -149,9 +158,13 @@ def _line_hits(alpha, beta):
     if ((alpha == 0).all(axis=1) & ~moving).any():
         return None
     alpha, beta = alpha[moving], beta[moving]
+    # compared as integers: int64 unless a cross product can reach 2**63
+    exact = np.int64
     if object in (alpha.dtype, beta.dtype) or \
             int(np.abs(alpha).max(initial=0)) * int(np.abs(beta).max(initial=0)) >= 2 ** 63:
-        alpha, beta = alpha.astype(object), beta.astype(object)
+        exact = object
+    alpha, beta = (a if a.dtype == exact else a.astype(np.int64).astype(exact, copy=False)
+                   for a in (alpha, beta))
     rows = np.arange(len(beta))
     pivot = (beta != 0).argmax(axis=1)
     a_p, b_p = alpha[rows, pivot], beta[rows, pivot]
@@ -173,9 +186,7 @@ def benoist_certificate(torus, ah):
     (`_line_hits`), which gives the finitely many s where a translate meets
     it, or says that a translate holds all of it.  The criterion and the
     staircase share one pass over W.  Each line is one more pass, in which
-    the staircase and the direction are scanned chunk by chunk; when W is
-    one chunk, the first pass's scans are reused instead, so a b basis line
-    needs no pass and another line one scan of its direction.
+    the staircase and the direction are scanned chunk by chunk.
 
     The search ends.  A line that no translate holds meets the translates in
     finitely many points, and its points are dominant for small |s|, so its
@@ -195,32 +206,28 @@ def benoist_certificate(torus, ah):
     base_ints = [int(x) for x in base]
     criterion = ah.dim >= torus.b_dim
     directions = torus.b_basis
+
+    def first_pass(*scans):  # (some w covers b, some w hits the staircase)
+        return criterion and _covers_b(*scans[:-1]), bool(_hits(scans[-1]).any())
+
     on_base = False
-    for _, scans in _scan(torus, [*(directions if criterion else ()), base_ints], ah):
-        if criterion and _covers_b(scans[:-1]):
+    vectors = [*(directions if criterion else ()), base_ints]
+    for _, (covered, hit) in _scan(torus, vectors, ah, first_pass):
+        if covered:
             return None
-        on_base = on_base or bool(_hits(scans[-1]).any())
+        on_base = on_base or hit
         if on_base and not criterion:
             break
     if not on_base:
         return base
-    # when W is one chunk, the pass's scans are all of W: keep them for the lines
-    whole = (scans[-1], dict(zip(directions, scans[:-1]))) \
-        if torus.weyl_chunks.prefix_len == 0 else None
 
     def line_hits(direction):
         """`_line_hits` over the whole line, one chunk of W at a time: None as
         soon as a chunk holds the whole line, else the union of the chunks'
         sets."""
-        if whole is not None:
-            alpha, kept = whole
-            beta = kept.get(tuple(direction))
-            if beta is None:
-                beta = next(_scan(torus, [direction], ah))[1][0]
-            return _line_hits(alpha, beta)
         hits = set()
-        for _, (alpha, beta) in _scan(torus, [base_ints, direction], ah):
-            chunk_hits = _line_hits(alpha, beta)
+        for _, chunk_hits in _scan(torus, [base_ints, direction], ah, _line_hits,
+                                   LINE_TEMPORARIES):
             if chunk_hits is None:
                 return None
             hits |= chunk_hits

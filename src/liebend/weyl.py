@@ -5,8 +5,8 @@ Torus vectors are exact: tuples of Fraction in the free coordinates of the
 diagonal pattern (the full traceless diagonal for sl(n,R); (a_1..a_q) for
 su(p,q)).  The Weyl group acts by signed permutations of the free
 coordinates.  It is never stored whole: `SplitTorusData.weyl_chunks`
-produces it in contiguous chunks of at most WEYL_CHUNK_BYTES of float64
-rows, each a block of permutations sharing a prefix, built from one cached
+produces it in contiguous chunks of at most WEYL_CHUNK_BYTES of what a pass
+keeps, each a block of permutations sharing a prefix, built from one cached
 table of the tail's permutations, with the sign vectors running inside each
 permutation, so that quantifiers over W run as vectorized exact integer
 scans in bounded memory.
@@ -31,9 +31,10 @@ from .errors import ParameterError, RealizationError
 # |W| above this is refused: su(8,8) (8! * 2**8) is the largest group
 # admitted, so sl(10) (10!) runs and su(9,9) (9! * 2**9) does not
 WEYL_ORDER_CAP = math.factorial(8) * 2 ** 8
-# a chunk of W holds at most this many bytes as float64 rows of coord_len
-# entries, which bounds each chunk's scan; su(6,6) spans six chunks, su(5,5)
-# and sl(7) one
+# a chunk of W holds at most this many bytes of what a pass keeps for its
+# elements (`SplitTorusData.weyl_chunks`): an orbit scan for a line a_h
+# cuts sl(7) into one chunk and su(6,6) into six, and the criterion for a
+# 3-dimensional a_h on sl(7) (four vectors) cuts sl(7) into seven
 WEYL_CHUNK_BYTES = 2 ** 19
 
 
@@ -75,11 +76,16 @@ class SplitTorusData:
     def weyl_order(self):
         return _weyl_order(self.algebra.family, self.coord_len)
 
-    @property
-    def weyl_chunks(self):
-        """W as a `WeylChunks` table: the element w with permutation perm and
-        signs s maps v to w.v with (w.v)_i = s_i * v[perm_i]."""
-        return _weyl_chunks(self.algebra.family, self.coord_len)
+    def weyl_chunks(self, element_bytes):
+        """W as a `WeylChunks` table for a pass keeping element_bytes per
+        element: the shortest prefix whose chunks fit in WEYL_CHUNK_BYTES.
+        w with permutation perm and signs s maps v to w.v with
+        (w.v)_i = s_i * v[perm_i]."""
+        n, k, size = self.coord_len, 0, self.weyl_order
+        while k < n and size * element_bytes > WEYL_CHUNK_BYTES:
+            size //= n - k  # a prefix one longer cuts each chunk n - k ways
+            k += 1
+        return _weyl_chunks(self.algebra.family, n, k)
 
     def element(self, i):
         """The i-th Weyl element: permutations in itertools.permutations
@@ -283,20 +289,16 @@ class WeylChunks:
 
 
 @functools.lru_cache(maxsize=8)
-def _weyl_chunks(family, coord_len):
-    """The chunk table of W: the shortest prefix whose chunks, as float64
-    rows of coord_len entries, fit in WEYL_CHUNK_BYTES, with the tail
-    permutations and sign vectors shared by every chunk."""
+def _weyl_chunks(family, coord_len, prefix_len):
+    """The chunk table of W at one prefix length, shared by the passes that
+    take it, with the tail permutations and sign vectors of every chunk."""
     n = coord_len
-    sign_count = 1 if family == SL else 2 ** n
-    k = next((k for k in range(n)
-              if math.factorial(n - k) * sign_count * n * 8 <= WEYL_CHUNK_BYTES), n)
     if family == SL:
         signs = np.ones((1, n), dtype=np.int8)
     else:
-        bits = np.arange(sign_count)[:, None] >> np.arange(n - 1, -1, -1)
+        bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)
         signs = (1 - 2 * (bits & 1)).astype(np.int8)
-    return WeylChunks(n, k, readonly(_permutations(n - k)), readonly(signs))
+    return WeylChunks(n, prefix_len, readonly(_permutations(n - prefix_len)), readonly(signs))
 
 
 @functools.lru_cache(maxsize=8)

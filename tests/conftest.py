@@ -377,7 +377,8 @@ def whole_weyl(torus):
 
 def whole_scan(torus, ints, ah, weyl=None):
     """A.(w.v) for every w in W at once, a |W| x rows integer matrix, with
-    the exactness rule of `properness._scan`."""
+    the exactness rule of `properness._scan` (int64 in place of its
+    float64)."""
     perms, signs = weyl or whole_weyl(torus)
     ann = ah.annihilator
     n = torus.coord_len
@@ -450,6 +451,11 @@ def whole_certificate(torus, ah, weyl=None):
             return next(p for _, m, p in walk(direction) if m not in hits)
 
 
+def keep_scans(*scans):
+    """A `properness._scan` decision that keeps the chunk's scans."""
+    return scans
+
+
 def chunked_scan(torus, ints, ah):
     """The chunks of one `properness._scan` pass of v, concatenated."""
-    return np.concatenate([scans[0] for _, scans in _scan(torus, [ints], ah)])
+    return np.concatenate([scans[0] for _, scans in _scan(torus, [ints], ah, keep_scans)])

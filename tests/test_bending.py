@@ -456,15 +456,9 @@ def test_bend_with_compact_centralizer_sums(spec, genus):
     assert cert["verdict"] == "PASS" and cert["achieved_dim"] == cert["target_dim"]
 
 
-@pytest.mark.parametrize("plan", [
-    {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e5},
-    {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e300},
-    {"family": "sl", "n": 3, "triple": {"partition": [3]}, "genus": 2, "t": 1e300,
-     "verify_dps": 40},
-], ids=["su21-t1e5", "su21-t1e300", "sl3-[3]-t1e300-dps40"])
-def test_an_overflowing_t_is_an_input_error(plan, tmp_path):
-    """A t whose twists overflow ends bend with one input-error line and
-    exit 2, before the mp lane or the certificate reads the twists."""
+def _bend_subprocess(plan, tmp_path, *args):
+    """`bend --plan` on the plan in a child process: (exit code, stdout,
+    stderr)."""
     import json
     import os
     import subprocess
@@ -475,12 +469,65 @@ def test_an_overflowing_t_is_an_input_error(plan, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-m", "liebend.cli", "bend", "--plan",
-                           str(tmp_path / "plan.json")], env=env, capture_output=True,
+                           str(tmp_path / "plan.json"), *args], env=env, capture_output=True,
                           text=True, timeout=60)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.splitlines() == [
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("plan", [
+    {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e5},
+    {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e300},
+    {"family": "sl", "n": 3, "triple": {"partition": [3]}, "genus": 2, "t": 1e300,
+     "verify_dps": 40},
+], ids=["su21-t1e5", "su21-t1e300", "sl3-[3]-t1e300-dps40"])
+def test_an_overflowing_t_is_an_input_error(plan, tmp_path):
+    """A t whose twists overflow ends bend with one input-error line and
+    exit 2, before the mp lane or the certificate reads the twists."""
+    code, out, err = _bend_subprocess(plan, tmp_path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
         f"input error: bending parameter t = {float(plan['t'])!r} overflows the twists: "
         "a bent generator has a non-finite entry"]
+
+
+SL3_DPS40 = {"family": "sl", "n": 3, "triple": {"partition": [3]}, "genus": 2, "verify_dps": 40}
+
+
+@pytest.mark.parametrize("t, reason", [
+    (200, "is past float64: Ad(e^(tX)) has a non-finite entry"),
+    (300, "is past float64: Ad(e^(tX)) has a non-finite entry"),
+    (1000, "is past float64: Ad(e^(tX)) has a non-finite entry"),
+    (1500, "overflows the relation word: a partial product has a non-finite norm"),
+    (3000, "overflows the twists: a bent generator has a non-finite entry"),
+])
+def test_a_t_past_float64_is_an_input_error(t, reason, tmp_path):
+    """At these t the twists are finite but e^{tX} is singular in float64
+    (its inverse in z_vector fails), or the relation word's partial
+    products overflow, or the twists do: bend ends with one input-error
+    line and exit 2, not a traceback, before the mp lane or the
+    certificate reads a non-finite Z."""
+    code, out, err = _bend_subprocess(dict(SL3_DPS40, t=t), tmp_path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"input error: bending parameter t = {float(t)!r} {reason}"]
+
+
+def test_a_grid_moves_past_a_singular_t(tmp_path):
+    """A grid t at which e^{tX} is singular in float64 fails the
+    inequalities like an overflowing one, so the grid goes on to the next
+    value: the report is the one of that value alone, but for the grid it
+    echoes."""
+    import json
+    runs = [_bend_subprocess(SL3_DPS40, tmp_path, "--t-grid", grid)
+            for grid in ("300,0.0162", "0.0162")]
+    assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+    docs = [json.loads(out) for _, out, _ in runs]
+    plans = [next(c for c in doc["checks"] if c["check"] == "bend/plan") for doc in docs]
+    assert plans[0]["verdict"]["t"] == plans[1]["verdict"]["t"] == 0.0162
+    assert plans[0]["verdict"]["t_grid"] == [300.0, 0.0162]
+    for doc in docs:
+        doc["config"]["t_grid"] = None
+        next(c for c in doc["checks"] if c["check"] == "bend/plan")["verdict"]["t_grid"] = None
+    assert docs[0] == docs[1]
 
 
 def test_an_overflowing_grid_t_stays_inconclusive(capsys):

@@ -16,17 +16,16 @@ from liebend.properness import (HSubalgebraTorus, _line_hits, benoist_certificat
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import split_torus
 
-from conftest import chunked_scan, nullspace, whole_weyl
+from conftest import chunked_scan, nullspace, whole_certificate, whole_weyl
 
 # a search passes over W once for the criterion and the staircase together,
 # once per b basis line and once per fallback line; the queries below need
-# at most three fallback lines.  When W is one chunk (as it is for sl(7) and
-# su(5,5)) and the criterion ran, the b basis lines reuse the first pass, so
-# the search makes at most SCAN_SLACK passes.
+# at most three fallback lines
 SCAN_SLACK = 4
 
-# scales of one line at which the scans are int64 with small entries, are
-# int64 with products of entries past 2**63, and need Python ints
+# scales of one line at which `_line_hits` compares the rows in int64, in
+# Python ints because products of entries pass 2**63, and in Python ints
+# because the scans do
 LINE_SCALES = (1, 2 ** 28, 2 ** 58)
 
 # queries on which every point base +- b_k/d lies in a translate of a_h
@@ -148,9 +147,8 @@ def test_pinned_queries_print_a_certificate(family, rows, expected, tmp_path, sc
     scan_count.calls = 0
     point = benoist_certificate(torus, ah)
     assert scan_count.calls <= torus.b_dim + SCAN_SLACK
-    assert torus.weyl_chunks.prefix_len == 0
-    assert ah.dim < torus.b_dim or scan_count.calls <= SCAN_SLACK
     assert tuple(str(x) for x in point) == expected
+    assert point == whole_certificate(torus, ah)
     assert_certificate(torus, ah, point)
 
 
@@ -195,8 +193,7 @@ def test_adversarial_queries_end_in_bounded_scans(scan_count):
         scan_count.calls = 0
         point = benoist_certificate(torus, ah)
         assert scan_count.calls <= torus.b_dim + SCAN_SLACK, family
-        assert torus.weyl_chunks.prefix_len == 0
-        assert ah.dim < torus.b_dim or scan_count.calls <= SCAN_SLACK, family
+        assert point == whole_certificate(torus, ah)
         assert_certificate(torus, ah, point)
         # the point is on none of the b basis lines through the staircase
         staircase = torus.chamber_interior_point()

@@ -7,7 +7,9 @@ Two in-process guards keep the sec6 path's even part off dense work:
 g_even's peak allocation, and no numpy.linalg call in `reproduce sec6`.
 A third keeps LAPACK's eigensolvers off the bend path: the first eig call
 after `import liebend.cli` adds about 1 MB of peak RSS to a fresh process,
-and about 0.4 MB to a bend-float pass."""
+and about 0.4 MB to a bend-float pass.  A fourth holds each check of the
+benchmark's check-stream pool to the exact lane's bound on what a pass
+over W keeps."""
 
 import os
 import resource
@@ -48,6 +50,58 @@ def test_check_fits_in_512_mib(tmp_path, family_args, rows, expected):
     assert done.stderr == b""
     if expected:
         assert done.stdout == (DATA / expected).read_bytes()
+
+
+# what a check holds across its passes over W: the torus, a_h, the report
+CHECK_ALLOWANCE = 64 * 2 ** 10
+
+
+def _check_stream_queries():
+    """The check-stream pool of perfbench/workloads.py, read without
+    writing into perfbench (tests/test_bench_interface.py checks that)."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.check_stream_queries(0)
+
+
+def test_check_stream_queries_keep_within_the_chunk_bound():
+    """Each query of the check-stream pool runs `cmd_check` within the
+    exact lane's bound: a pass over W keeps at most WEYL_CHUNK_BYTES of
+    scans and decision temporaries per chunk, plus one vector's gathered
+    tail rows, at most 8 * coord_len bytes for each permutation of a chunk.
+    A pass keeps at least 8 bytes per element, so a chunk holds at most
+    WEYL_CHUNK_BYTES / 8 elements.  The check runs once before it is
+    traced, so that the algebra, the torus and the chunk tables are built.
+    A whole-W scan of the b basis and the staircase, or a chunk table sized
+    by coord_len alone, passes the bound on sl(7): about 1.4 MiB for a
+    3-dimensional a_h."""
+    import math
+    import tracemalloc
+
+    from liebend.config import DEFAULT
+    from liebend.report import _algebra_from_plan, cmd_check
+    from liebend.weyl import WEYL_CHUNK_BYTES, split_torus
+    peaks = {}
+    for item, family, rows in _check_stream_queries():
+        torus = split_torus(_algebra_from_plan(family, DEFAULT))
+        n = torus.coord_len
+        perms = min(math.factorial(n),
+                    WEYL_CHUNK_BYTES // 8 // (torus.weyl_order // math.factorial(n)))
+        bound = WEYL_CHUNK_BYTES + 8 * n * perms + CHECK_ALLOWANCE
+        cmd_check(family, rows, DEFAULT)
+        tracemalloc.start()
+        try:
+            cmd_check(family, rows, DEFAULT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[item] = peak, bound
+    assert len(peaks) == 25
+    assert all(peak <= bound for peak, bound in peaks.values()), \
+        {item: pb for item, pb in peaks.items() if pb[0] > pb[1]}
 
 
 def test_g_even_allocates_less_than_the_basis(fresh_caches):

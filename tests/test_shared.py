@@ -88,7 +88,7 @@ def _shared_arrays():
     return {
         "basis": su32.basis, "form": su32.form, "solver": su32._solver,
         "flat": su32._flat, "support": su32._support[1],
-        "chunk table": torus.weyl_chunks.tail,
+        "chunk table": torus.weyl_chunks(8 * torus.coord_len).tail,
         "positive roots": torus._positive_functionals[0],
         "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_e": rho1.ad_e, "ad_f": triple.ad_f,
         "basis_weights": rho1.basis_weights, "sigma": rho1.sigma, "g_even": g_even(triple).onb,

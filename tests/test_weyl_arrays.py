@@ -6,6 +6,7 @@ tests/conftest.py, which build all of W at once (su(6,6), su(7,7) and sl(8),
 each of several chunks, with queries whose hits sit at chunk boundaries)."""
 
 import itertools
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,8 @@ from liebend.properness import (FLOAT_EXACT, HSubalgebraTorus, _scan, benoist_ce
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import WeylElement, _weyl_chunks, split_torus
 
-from conftest import (chunked_scan, whole_certificate, whole_criterion, whole_orbit, whole_scan,
-                      whole_weyl)
+from conftest import (chunked_scan, keep_scans, whole_certificate, whole_criterion, whole_orbit,
+                      whole_scan, whole_weyl)
 from test_certificate import adversarial_queries
 
 FAMILIES = [("sl", 3), ("sl", 4), ("sl", 5), ("su", 1, 1), ("su", 2, 1), ("su", 2, 2),
@@ -215,24 +216,32 @@ def test_integer_scan_does_not_wrap():
     assert in_weyl_orbit_of_subspace(torus, (2 ** 32, 2 ** 32 + 1), ah) == (False, None)
 
 
-def chunks_at_budget(family, n, budget, monkeypatch):
-    """The chunk table of W and its chunks, cut at the given byte budget."""
+def chunks_at_budget(family, n, budget, monkeypatch, element_bytes=None):
+    """The chunk table of W and its chunks, cut at the given byte budget for
+    a pass holding element_bytes per element (by default 8 * n, a
+    one-vector scan of a line a_h: n - 1 annihilator rows), as
+    `SplitTorusData.weyl_chunks` sizes it from the torus's family,
+    coord_len and |W| (read here without building a torus, so that sl(1)
+    is covered too)."""
     monkeypatch.setattr(weyl, "WEYL_CHUNK_BYTES", budget)
     _weyl_chunks.cache_clear()
+    torus = types.SimpleNamespace(algebra=types.SimpleNamespace(family=family), coord_len=n,
+                                  weyl_order=weyl._weyl_order(family, n))
     try:
-        table = _weyl_chunks(family, n)
+        table = weyl.SplitTorusData.weyl_chunks(torus, element_bytes or 8 * n)
         return table, list(table.chunks())
     finally:
         _weyl_chunks.cache_clear()
 
 
-def assert_chunks_match_itertools(family, n, table, chunks):
+def assert_chunks_match_itertools(family, n, table, chunks, element_bytes=None):
     """The concatenated chunks of W, element for element: permutations in
     itertools.permutations order and, for su, the sign vectors in
     itertools.product((1, -1)) order inside each permutation.  Each chunk
     starts where the previous one ends, the cached table is read-only, and
-    a chunk's float64 rows fit the budget unless one permutation's sign
-    vectors alone do not."""
+    a chunk's elements at element_bytes each fit the budget unless one
+    permutation's sign vectors alone do not, while a chunk one prefix entry
+    shorter would not."""
     signs_per_perm = len(table.signs)
     size = len(table.tail) * signs_per_perm
     assert [start for start, _, _ in chunks] == [j * size for j in range(len(chunks))]
@@ -250,8 +259,12 @@ def assert_chunks_match_itertools(family, n, table, chunks):
         assert signs.tolist() == [list(s) for _ in ref for s in ref_signs]
     assert table.tail.dtype == table.signs.dtype == np.int8
     assert not table.tail.flags.writeable and not table.signs.flags.writeable
-    assert len(table.tail) * signs_per_perm * n * 8 <= weyl.WEYL_CHUNK_BYTES \
+    element_bytes = element_bytes or 8 * n
+    assert len(table.tail) * signs_per_perm * element_bytes <= weyl.WEYL_CHUNK_BYTES \
         or table.prefix_len == n
+    assert table.prefix_len == 0 or \
+        len(table.tail) * (n - table.prefix_len + 1) * signs_per_perm * element_bytes \
+        > weyl.WEYL_CHUNK_BYTES
 
 
 SMALL_WEYL = [("sl", n) for n in range(1, 9)] + [("su", q) for q in range(1, 7)]
@@ -259,8 +272,8 @@ SMALL_WEYL = [("sl", n) for n in range(1, 9)] + [("su", q) for q in range(1, 7)]
 
 @pytest.mark.parametrize("family, n", SMALL_WEYL, ids=lambda v: str(v))
 def test_weyl_arrays_match_itertools(family, n, monkeypatch):
-    """At the package's budget, sl(8) and su(6,6) span several chunks and
-    the smaller groups one."""
+    """At the package's budget, a one-vector scan of a line a_h cuts sl(8)
+    and su(6,6) into several chunks and the smaller groups into one."""
     table, chunks = chunks_at_budget(family, n, weyl.WEYL_CHUNK_BYTES, monkeypatch)
     assert_chunks_match_itertools(family, n, table, chunks)
     assert (len(chunks) > 1) == ((family, n) in (("sl", 8), ("su", 6)))
@@ -272,6 +285,23 @@ def test_weyl_chunks_at_a_tiny_budget(family, n, monkeypatch):
     table, chunks = chunks_at_budget(family, n, 64, monkeypatch)
     assert_chunks_match_itertools(family, n, table, chunks)
     assert len(chunks) > 1 or n < 3
+
+
+@pytest.mark.parametrize("family", [("sl", 7), ("sl", 8), ("su", 5, 5), ("su", 6, 6)],
+                         ids=lambda f: f[0] + "".join(map(str, f[1:])))
+def test_weyl_chunks_follow_the_element_bytes(family):
+    """The more a pass holds per element of W, the shorter its chunks: from
+    a one-byte mask to the six rows of eleven entries of a line pass, each
+    table of the torus is the shortest prefix that fits the budget, in
+    itertools order."""
+    torus = split_torus(make_algebra(*family))
+    n = torus.coord_len
+    prefixes = []
+    for element_bytes in (1, 8, 8 * n, 8 * 4 * 4, 8 * 11 * 6):
+        table = torus.weyl_chunks(element_bytes)
+        assert_chunks_match_itertools(family[0], n, table, list(table.chunks()), element_bytes)
+        prefixes.append(table.prefix_len)
+    assert prefixes == sorted(prefixes) and prefixes[0] < prefixes[-1]
 
 
 def object_scan(torus, ints, ah):
@@ -295,15 +325,15 @@ SCAN_EDGES = [
 @pytest.mark.parametrize("family, basis, ints, bound", SCAN_EDGES,
                          ids=["2**53-1", "2**53", "sum-2**53-2", "sum-2**53"])
 def test_scan_takes_float64_below_2_53_and_is_exact(family, basis, ints, bound):
-    """A bound below 2**53 takes the float64 BLAS product, returned as int64
-    and equal to the Python-int scan; a bound of 2**53 takes the object
-    path."""
+    """A bound below 2**53 takes the float64 BLAS product, returned as
+    float64 and equal to the Python-int scan; a bound of 2**53 takes the
+    object path."""
     torus = split_torus(make_algebra(*family))
     ah = HSubalgebraTorus(torus, basis)
     assert torus.coord_len * max(map(abs, ints)) * \
         max(abs(c) for row in ah.annihilator for c in row) == bound
-    dtypes = {scans[0].dtype for _, scans in _scan(torus, [ints], ah)}
-    assert dtypes == {np.dtype(np.int64) if bound < FLOAT_EXACT else np.dtype(object)}
+    dtypes = {scans[0].dtype for _, scans in _scan(torus, [ints], ah, keep_scans)}
+    assert dtypes == {np.dtype(np.float64) if bound < FLOAT_EXACT else np.dtype(object)}
     assert chunked_scan(torus, ints, ah).tolist() == object_scan(torus, ints, ah)
 
 
@@ -316,9 +346,13 @@ BOUNDARY_FAMILIES = [("su", 6, 6), ("su", 7, 7), ("sl", 8)]
                 ids=lambda f: f[0] + "".join(map(str, f[1:])))
 def chunked(request):
     """(torus, whole W, rows per chunk) for a torus whose W spans several
-    chunks."""
+    chunks in a one-vector scan of a line a_h (8 * coord_len bytes per
+    element).  A pass holding at least that much per element has chunks
+    whose sizes divide that one, so the multiples of it are chunk
+    boundaries of that pass too: every orbit scan and line pass below, and
+    each criterion pass that covers b."""
     torus = split_torus(make_algebra(*request.param))
-    table = torus.weyl_chunks
+    table = torus.weyl_chunks(8 * torus.coord_len)
     rows = len(table.tail) * len(table.signs)
     assert torus.weyl_order // rows >= 6
     return torus, whole_weyl(torus), rows
@@ -372,7 +406,7 @@ def test_orbit_first_hit_at_chunk_boundaries(chunked):
             u = generic_vector(torus, rng, big)
             ah = HSubalgebraTorus(torus, (u,))
             v = preimage(torus.element(i), u)
-            lane = next(_scan(torus, [_ratlin.primitive(v)], ah))[1][0].dtype
+            lane = next(_scan(torus, [_ratlin.primitive(v)], ah, keep_scans))[1][0].dtype
             assert (lane == object) == big
             member, w = in_weyl_orbit_of_subspace(torus, v, ah)
             found, first = whole_orbit(torus, v, ah, weyl_arrays)
@@ -433,9 +467,12 @@ def test_certificate_merges_the_chunks(family):
     point; w and v are drawn until every hit of the staircase and of the
     line lies before the last chunk, so a search that kept only the last
     chunk's answer would return the staircase, or that point.  On sl(8)
-    dim a_h = dim b, so the criterion shares the staircase's pass."""
+    dim a_h = dim b, so the criterion shares the staircase's pass.  The
+    last chunk is the one of a one-vector scan of a line a_h; the passes
+    here hold at least as much per element, so their last chunks lie
+    inside it."""
     torus = split_torus(make_algebra(*family))
-    table = torus.weyl_chunks
+    table = torus.weyl_chunks(8 * torus.coord_len)
     last = torus.weyl_order - len(table.tail) * len(table.signs)
     weyl_arrays = whole_weyl(torus)
     base = torus.chamber_interior_point()
