@@ -129,10 +129,6 @@ class LieAlgebraSpace:
     def dim(self):
         return self.basis.shape[0]
 
-    @property
-    def is_complex(self):
-        return np.iscomplexobj(self.basis)
-
     @cached_property
     def _flat(self):
         """Real (2*size^2, dim) matrix whose columns are the flattened basis."""
@@ -259,11 +255,11 @@ def bracket(x, y):
 
 
 def cartan_involution(alg, x, check=True):
-    """theta(X) = -X^T for sl(n,R), -X^* for su(p,q); X may be a stack."""
+    """theta(X) = -X^*: -X^T for sl(n,R), whose X are real; X may be a stack."""
     if check:
         alg.coordinates(x, check=True)
     xt = np.swapaxes(np.asarray(x), -1, -2)
-    return -xt.conj() if alg.family == SU else -xt
+    return -xt.conj()
 
 
 def adjoint_operator(alg, x):

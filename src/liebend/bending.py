@@ -12,8 +12,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import bracket, generated_subalgebra, integer_param, readonly
-from .errors import (GenusConditionError, ParameterError, RealizationError,
-                     ShapeError)
+from .errors import (GenusConditionError, MembershipError, ParameterError,
+                     RealizationError, ShapeError)
 from .sl2 import module_multiplicities, rho_of
 
 _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
@@ -166,7 +166,9 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
         x_mat = intkernel.fixed_line(intkernel.Sl2Images(triple.exact),
                                      intkernel.FixedMatrix.from_float(a_matrix), v0,
                                      FIXED_LINE_BITS)[3]
-        x, resid, stretch = line(x_mat if alg.is_complex else x_mat.real)
+        # complex128 in both families (zero imaginary parts in sl), which
+        # coordinates reads as it reads a real matrix
+        x, resid, stretch = line(x_mat)
     if resid > FIXED_POINT_TOL * stretch:
         raise RealizationError(
             f"fixed-point residual {resid:.3e} too large in V_({i},{j})")
@@ -324,9 +326,16 @@ def bending_inequalities(plan):
         if not np.all(np.isfinite(z)):
             return InequalityReport(False, tuple(records),
                                     f"Ad(e^(tX)) overflowed at t={plan.t:g}")
+        try:
+            z_blocks = iso.decompose(z)
+        except MembershipError:
+            # the rounding of Ad(e^(tX)) at a large t moves Z off the target
+            return InequalityReport(False, tuple(records),
+                                    f"Z_({i},{j})(t) leaves the isotypic decomposition "
+                                    f"at t={plan.t:g}")
         comm = alg.coordinates(bracket(x_mat, y_mat))
         cnorm = float(np.linalg.norm(iso.model_coordinates(i, j, comm)))
-        self_norm = float(np.linalg.norm(iso.model_coordinates(i, j, z)))
+        self_norm = float(np.linalg.norm(z_blocks[iso.block_slices[(i, j)]]))
         lower = (1.0 - 1.0 / mult) * cnorm
         rec = {"pair": (i, j), "kind": "self", "value": self_norm,
                "bound": lower, "margin": self_norm - lower}
@@ -335,7 +344,7 @@ def bending_inequalities(plan):
         for k in range(1, mult + 1):
             if k == j:
                 continue
-            cross = float(np.linalg.norm(iso.model_coordinates(i, k, z)))
+            cross = float(np.linalg.norm(z_blocks[iso.block_slices[(i, k)]]))
             upper = cnorm / mult
             rec = {"pair": (i, j), "against": (i, k), "kind": "cross",
                    "value": cross, "bound": upper, "margin": upper - cross}
@@ -381,7 +390,7 @@ def bend(plan, pushed=None):
         for k in range(1, seed.genus + 1):
             ij = plan.generator_assignment.get(k)
             if ij is None:
-                twists.append(np.eye(alg.size, dtype=complex if alg.is_complex else float))
+                twists.append(np.eye(alg.size, dtype=alg.basis.dtype))
             else:
                 twists.append(expm(plan.t * alg.from_coordinates(plan.x_vectors[ij])))
         # an unbent b_k is multiplied by I too: the shipped bytes keep the

@@ -132,8 +132,7 @@ def main(argv=None):
             report = cmd_bend(plan_spec, cfg)
             _emit(report, args)
             cert = next(c for c in report.checks if c.check_id == "bend/certificate")
-            verdict = cert.verdict["verdict"] if isinstance(cert.verdict, dict) else cert.verdict
-            return EXIT_OK if verdict == "PASS" else EXIT_MISMATCH
+            return EXIT_OK if cert.verdict["verdict"] == "PASS" else EXIT_MISMATCH
         if args.command == "check":
             if args.family == "sl":
                 if args.n is None:

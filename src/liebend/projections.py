@@ -76,7 +76,4 @@ def lyapunov(alg, torus, g):
     if np.any(np.abs(w) == 0.0):
         raise MembershipError("group element must be invertible")
     logs = np.sort(np.log(np.abs(w)))[::-1]
-    if alg.family == SL:
-        return tuple(float(x) for x in logs)
-    p, q = alg.params
-    return tuple(float(x) for x in logs[:q])
+    return tuple(float(x) for x in logs[:torus.coord_len])

@@ -105,20 +105,19 @@ class Sl2Triple:
 
     @cached_property
     def h(self):
-        dtype = complex if self.algebra.is_complex else float
-        return readonly(np.diag(np.array(self.exact.h, dtype=dtype)))
+        return readonly(np.diag(np.array(self.exact.h, dtype=self.algebra.basis.dtype)))
 
     @cached_property
     def e(self):
         n = len(self.exact.h)
-        e = np.zeros((n, n), dtype=complex if self.algebra.is_complex else float)
+        e = np.zeros((n, n), dtype=self.algebra.basis.dtype)
         for row, col, m, unit in self.exact.e:
             e[row, col] = unit * math.sqrt(m)
         return readonly(e)
 
     @cached_property
     def f(self):
-        return readonly(self.e.conj().T if self.algebra.is_complex else self.e.T)
+        return readonly(self.e.conj().T)
 
     @cached_property
     def torus_vector(self):
@@ -276,7 +275,7 @@ def sigma(triple):
     if sum(odd) % 2 or any(a != b for a, b in pairs):
         raise RealizationError("sigma violates the group's defining condition")
     s = np.diag([-1.0 if o else 1.0 for o in odd])
-    return s.astype(complex) if alg.is_complex else s
+    return s.astype(alg.basis.dtype)
 
 
 @functools.lru_cache(maxsize=4)
@@ -527,12 +526,11 @@ def property_star_basis(triple):
     classes = {}
     for idx, _ in triple.exact.chains:
         classes.setdefault(len(idx), []).append(idx)
-    dtype = complex if alg.is_complex else float
 
     def expand(chains, c):
         """sum_{a,b} c[a,b] J(chains[a], chains[b])."""
         rows = np.array(chains)
-        x = np.zeros((n, n), dtype=dtype)
+        x = np.zeros((n, n), dtype=alg.basis.dtype)
         x[rows[:, None, :], rows[None, :, :]] = c[:, :, None]
         return x
 

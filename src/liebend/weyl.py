@@ -4,12 +4,15 @@ subspace b of iota-fixed chamber directions, for sl(n,R) and su(p,q).
 Torus vectors are exact: tuples of Fraction in the free coordinates of the
 diagonal pattern (the full traceless diagonal for sl(n,R); (a_1..a_q) for
 su(p,q)).  The Weyl group acts by signed permutations of the free
-coordinates.  It is never stored whole: `SplitTorusData.weyl_chunks`
-produces it in contiguous chunks of at most WEYL_CHUNK_BYTES of what a pass
-keeps, each a block of permutations sharing a prefix, built from one cached
-table of the tail's permutations, with the sign vectors running inside each
-permutation, so that quantifiers over W run as vectorized exact integer
-scans in bounded memory.
+coordinates.  `split_torus` is the one place that tells the families apart:
+it stores W's sign vectors (one row of ones for sl, every vector for su),
+the trace rows that vanish on a (sl only) and the staircase on the torus,
+and every method reads that data.  W is never stored whole:
+`SplitTorusData.weyl_chunks` produces it in contiguous chunks of at most
+WEYL_CHUNK_BYTES of what a pass keeps, each a block of permutations sharing
+a prefix, built from one cached table of the tail's permutations, with the
+sign vectors running inside each permutation, so that quantifiers over W
+run as vectorized exact integer scans in bounded memory.
 `weyl_order` is arithmetic and `element(i)` unranks i.  `split_torus`
 builds one torus per algebra object in a process.
 """
@@ -18,6 +21,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlin
-from .algebra import SL, SU, diagonal_weights, readonly
+from .algebra import SL, diagonal_weights, readonly
 from .errors import ParameterError, RealizationError
 
 # |W| above this is refused: su(8,8) (8! * 2**8) is the largest group
@@ -71,10 +75,13 @@ class SplitTorusData:
     positive_roots: tuple
     w0: WeylElement
     b_basis: tuple  # primitive int tuples spanning the iota-fixed subspace (never printed)
+    signs: np.ndarray  # W's sign vectors, one per row, read-only int8
+    trace: tuple  # integer functionals that vanish on a (sl: the trace row)
+    staircase: tuple  # strictly dominant iota-fixed integer vector
 
     @property
     def weyl_order(self):
-        return _weyl_order(self.algebra.family, self.coord_len)
+        return math.factorial(self.coord_len) * len(self.signs)
 
     def weyl_chunks(self, element_bytes):
         """W as a `WeylChunks` table for a pass keeping element_bytes per
@@ -85,30 +92,27 @@ class SplitTorusData:
         while k < n and size * element_bytes > WEYL_CHUNK_BYTES:
             size //= n - k  # a prefix one longer cuts each chunk n - k ways
             k += 1
-        return _weyl_chunks(self.algebra.family, n, k)
+        return WeylChunks(n, k, _permutations(n - k), self.signs)
 
     def element(self, i):
         """The i-th Weyl element: permutations in itertools.permutations
-        order and, for su, the sign vectors in itertools.product((1, -1))
-        order inside each permutation."""
+        order and the rows of `signs` inside each permutation."""
         n = self.coord_len
         if not 0 <= i < self.weyl_order:
             raise IndexError(f"Weyl element {i} out of range {self.weyl_order}")
-        signs = (1,) * n
-        if self.algebra.family == SU:
-            i, bits = divmod(i, 2 ** n)
-            signs = tuple(-1 if bits >> (n - 1 - j) & 1 else 1 for j in range(n))
+        i, s = divmod(i, len(self.signs))
         pool, perm = list(range(n)), []
         for j in range(n - 1, -1, -1):
             d, i = divmod(i, math.factorial(j))
             perm.append(pool.pop(d))
-        return WeylElement(tuple(perm), signs)
+        return WeylElement(tuple(perm), tuple(self.signs[s].tolist()))
 
     def vector(self, values):
         v = torus_vector(values)
         if len(v) != self.coord_len:
             raise ParameterError(f"expected {self.coord_len} coordinates, got {len(v)}")
-        if self.algebra.family == SL and sum(v) != 0:
+        # a trace row vanishes on v iff it vanishes on v's integer multiple
+        if any(sum(map(operator.mul, row, _ratlin.integer_multiple(v))) for row in self.trace):
             raise ParameterError("sl(n,R) torus vectors must have zero trace")
         return v
 
@@ -135,17 +139,16 @@ class SplitTorusData:
         return bool((coeffs.astype(object) @ np.array(ints, dtype=object) >= 0).all())
 
     def dominant_representative(self, v):
-        """(v_plus, w) with w.v = v_plus in the closed chamber; w is a witness."""
+        """(v_plus, w) with w.v = v_plus in the closed chamber; w is a witness.
+        W negates on its own the coordinates where its last sign vector is
+        -1 (every one in su, none in sl): those entries turn >= 0, then all
+        are sorted in decreasing order."""
         v = self.vector(v)
         if self.is_dominant(v):
             return v, self.identity()
-        if self.algebra.family == SL:
-            order = sorted(range(self.coord_len), key=lambda i: (-v[i], i))
-            w = WeylElement(tuple(order), (1,) * self.coord_len)
-        else:
-            order = sorted(range(self.coord_len), key=lambda i: (-abs(v[i]), i))
-            signs = tuple(-1 if v[i] < 0 else 1 for i in order)
-            w = WeylElement(tuple(order), signs)
+        s = [-1 if f < 0 and x < 0 else 1 for f, x in zip(self.signs[-1].tolist(), v)]
+        order = sorted(range(self.coord_len), key=lambda i: (-s[i] * v[i], i))
+        w = WeylElement(tuple(order), tuple(s[i] for i in order))
         v_plus = w.apply(v)
         assert self.is_dominant(v_plus)
         return v_plus, w
@@ -166,50 +169,34 @@ class SplitTorusData:
 
     def chamber_interior_point(self):
         """A strictly dominant iota-fixed integer vector (staircase)."""
-        if self.algebra.family == SU:
-            return self.vector(range(self.rank, 0, -1))
-        n = self.coord_len
-        return self.vector([n + 1 - 2 * (i + 1) for i in range(n)])
+        return self.staircase
 
 
 def _sl_roots(n):
+    """Root functionals of sl(n,R) on the diagonal: e_i - e_j, i != j."""
     roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                c = [0] * n
-                c[i], c[j] = 1, -1
-                roots.append(tuple(c))
+    for i, j in itertools.permutations(range(n), 2):
+        c = [0] * n
+        c[i], c[j] = 1, -1
+        roots.append(tuple(c))
     return roots
 
 
 def _su_root_patterns(p, q):
-    """Root functionals of su(p,q) on (a_1..a_q): e_i±e_j, e_i (p>q only), 2e_i."""
-    roots = []
-    for i in range(q):
-        for j in range(q):
-            if i < j:
-                for sj in (1, -1):
-                    c = [0] * q
-                    c[i], c[j] = 1, sj
-                    roots.append(tuple(c))
-                    roots.append(tuple(-x for x in c))
-    if p > q:
+    """Root functionals of su(p,q) on (a_1..a_q): +-e_i+-e_j, +-e_i (p>q
+    only), +-2e_i."""
+    half = []
+    for i, j in itertools.combinations(range(q), 2):
+        for s in (1, -1):
+            c = [0] * q
+            c[i], c[j] = 1, s
+            half.append(tuple(c))
+    for c_i in ((1, 2) if p > q else (2,)):
         for i in range(q):
             c = [0] * q
-            c[i] = 1
-            roots.append(tuple(c))
-            c2 = [0] * q
-            c2[i] = -1
-            roots.append(tuple(c2))
-    for i in range(q):
-        c = [0] * q
-        c[i] = 2
-        roots.append(tuple(c))
-        c2 = [0] * q
-        c2[i] = -2
-        roots.append(tuple(c2))
-    return roots
+            c[i] = c_i
+            half.append(tuple(c))
+    return half + [tuple(map(operator.neg, r)) for r in half]
 
 
 def _root_multiplicities(alg, torus_free_basis, root_coeffs):
@@ -244,9 +231,11 @@ def _diagonal(alg, v):
     return list(v) + [0] * (p - q) + [-x for x in reversed(v)]
 
 
+@functools.lru_cache(maxsize=8)
 def _permutations(n):
-    """Every permutation of range(n) as an int8 array, one per row, in the
-    lexicographic order of itertools.permutations.  Built one position at a
+    """Every permutation of range(n) as a read-only int8 array, one per row,
+    in the lexicographic order of itertools.permutations: one table per n,
+    shared by every torus and pass that takes it.  Built one position at a
     time: for each first element f in increasing order, the previous block
     (the permutations of range(k), in order) with every entry >= f shifted
     up by one."""
@@ -256,12 +245,7 @@ def _permutations(n):
         rest = np.tile(perms, (k + 1, 1))
         rest += rest >= first[:, None]
         perms = np.column_stack([first, rest])
-    return perms
-
-
-def _weyl_order(family, coord_len):
-    """|W|: n! for sl(n); q! * 2**q for su(p,q), with n = q = coord_len."""
-    return math.factorial(coord_len) * (1 if family == SL else 2 ** coord_len)
+    return readonly(perms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,9 +254,8 @@ class WeylChunks:
     the permutations whose first `prefix_len` entries are the j-th prefix of
     itertools.permutations(range(n), prefix_len), each followed by
     rest[tail[p]] for the rows p of `tail` in order, where rest is the sorted
-    list of the other entries, so the chunk keeps itertools order.  The sign
-    vectors `signs` run inside each permutation (for sl one row of ones; for
-    su all of them, in itertools.product((1, -1)) order): element
+    list of the other entries, so the chunk keeps itertools order.  The
+    torus's sign vectors `signs` run inside each permutation: element
     p * len(signs) + s of a chunk is permutation p with the signs signs[s]."""
     coord_len: int
     prefix_len: int
@@ -288,46 +271,39 @@ class WeylChunks:
             yield j * size, prefix, np.array(sorted(set(range(n)).difference(prefix)))
 
 
-@functools.lru_cache(maxsize=8)
-def _weyl_chunks(family, coord_len, prefix_len):
-    """The chunk table of W at one prefix length, shared by the passes that
-    take it, with the tail permutations and sign vectors of every chunk."""
-    n = coord_len
-    if family == SL:
-        signs = np.ones((1, n), dtype=np.int8)
-    else:
-        bits = np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)
-        signs = (1 - 2 * (bits & 1)).astype(np.int8)
-    return WeylChunks(n, prefix_len, readonly(_permutations(n - prefix_len)), readonly(signs))
+def _sign_vectors(n, count):
+    """The first count sign vectors of length n in itertools.product((1, -1))
+    order, as a read-only count x n int8 table: count 1 is one row of ones,
+    count 2**n is every vector."""
+    bits = np.arange(count)[:, None] >> np.arange(n - 1, -1, -1)
+    return readonly((1 - 2 * (bits & 1)).astype(np.int8))
 
 
 @functools.lru_cache(maxsize=8)
 def split_torus(alg):
     """SplitTorusData for a supported algebra; W is produced in chunks
-    (`weyl_chunks`).  Built once per algebra object in a process; a Weyl group
-    larger than WEYL_ORDER_CAP raises on every call, before any chunk is
-    built."""
+    (`weyl_chunks`).  The one family branch: each family gives its rank,
+    roots, torus basis, number of sign vectors, trace rows and staircase.
+    Built once per algebra object in a process; a Weyl group larger than
+    WEYL_ORDER_CAP raises on every call, before its sign table or any chunk
+    is built."""
     if alg.family == SL:
         (n,) = alg.params
-        rank, coord_len = n - 1, n
+        rank, coord_len, sign_count = n - 1, n, 1
         root_coeffs = _sl_roots(n)
+        torus_basis = [[0] * i + [1, -1] + [0] * (n - 2 - i) for i in range(rank)]
+        trace, staircase = ((1,) * n,), range(n - 1, -n, -2)
     else:
         p, q = alg.params
-        rank, coord_len = q, q
+        rank, coord_len, sign_count = q, q, 2 ** q
         root_coeffs = _su_root_patterns(p, q)
-    order = _weyl_order(alg.family, coord_len)
+        torus_basis = [[0] * i + [1] + [0] * (q - 1 - i) for i in range(rank)]
+        trace, staircase = (), range(q, 0, -1)
+    order = math.factorial(coord_len) * sign_count
     if order > WEYL_ORDER_CAP:
         raise ParameterError(f"|W| = {order} exceeds the Weyl group cap {WEYL_ORDER_CAP}")
 
     # multiplicities from the root-space dimensions, validating the realization
-    torus_basis = []
-    for i in range(rank):
-        free = [0] * coord_len
-        if alg.family == SL:
-            free[i], free[i + 1] = 1, -1
-        else:
-            free[i] = 1
-        torus_basis.append(free)
     ordered = sorted(root_coeffs, reverse=True)
     mults = _root_multiplicities(alg, torus_basis, ordered)
     roots = tuple(Root(c, mults[c]) for c in ordered)
@@ -337,25 +313,18 @@ def split_torus(alg):
     positive = tuple(r for r in roots if _lex_positive(r.coeffs))
 
     # w0 and b come from the chamber data, which needs neither of them
-    proto = SplitTorusData(alg, rank, coord_len, roots, positive, None, ())
+    proto = SplitTorusData(alg, rank, coord_len, roots, positive, None, (),
+                           _sign_vectors(coord_len, sign_count), trace,
+                           torus_vector(staircase))
     w0 = _longest_element(proto)
     return replace(proto, w0=w0, b_basis=_b_basis(proto, w0))
 
 
 def _longest_element(torus):
-    """w0 found constructively: the unique w sending the staircase to the
-    antidominant representative; verified to map positive roots to negatives."""
-    su = torus.algebra.family == SU
-    rho = torus.chamber_interior_point()
-    v_plus, _ = torus.dominant_representative([-x for x in rho])
-    target = tuple(-x for x in v_plus)  # antidominant image of rho
-    perm, signs = [], []
-    values = list(rho)
-    for t in target:
-        j = values.index(abs(t)) if su else values.index(t)
-        perm.append(j)
-        signs.append(-1 if (su and t < 0) else 1)
-    w0 = WeylElement(tuple(perm), tuple(signs))
+    """w0: the witness that sends minus the staircase into the chamber, so
+    w0 maps the staircase to its negative.  The staircase is regular, so no
+    other element does; w0 is verified to map positive roots to negatives."""
+    _, w0 = torus.dominant_representative([-x for x in torus.staircase])
     pos = {r.coeffs for r in torus.positive_roots}
     for r in torus.positive_roots:
         image = w0.apply(r.coeffs)
@@ -365,8 +334,8 @@ def _longest_element(torus):
 
 
 def _b_basis(torus, w0):
-    """Exact primitive integer basis of {v : iota(v) = v} (with zero trace
-    for sl), as int tuples in increasing order."""
+    """Exact primitive integer basis of {v : iota(v) = v} on which the trace
+    rows vanish, as int tuples in increasing order."""
     m = torus.coord_len
     rows = []
     for i in range(m):
@@ -375,6 +344,5 @@ def _b_basis(torus, w0):
         # iota(v)_i = -signs[i] * v[perm[i]]
         row[w0.perm[i]] += w0.signs[i]
         rows.append(row)
-    if torus.algebra.family == SL:
-        rows.append([1] * m)
+    rows.extend(map(list, torus.trace))
     return tuple(sorted(_ratlin.primitive_nullspace(rows, m)))

@@ -183,7 +183,7 @@ def constructed_triples(n_max, p_max):
 def torus_matrix(torus, v):
     """Ambient diagonal matrix of a free-coordinate torus vector (the a-pattern)."""
     m = np.diag(np.array(_diagonal(torus.algebra, v), dtype=float))
-    return m.astype(complex) if torus.algebra.is_complex else m
+    return m.astype(complex) if np.iscomplexobj(torus.algebra.basis) else m
 
 
 def matrix_from_json(rows):

@@ -88,10 +88,11 @@ def test_every_traced_layer_resolves():
                          ids=lambda f: f[0] + "".join(map(str, f[1:])))
 def test_weyl_order_builds_no_chunk(family, fresh_caches, monkeypatch):
     """|W| is n! for sl(n) and q! * 2**q for su(p,q), read without building
-    any chunk of W (the tracer reads it on every `split_torus` call)."""
+    any chunk of W or any table of tail permutations (the tracer reads it
+    on every `split_torus` call)."""
     def refuse(*args):
         raise AssertionError("a chunk of W was built")
-    monkeypatch.setattr(weyl, "_weyl_chunks", refuse)
+    monkeypatch.setattr(weyl, "_permutations", refuse)
     monkeypatch.setattr(weyl.WeylChunks, "chunks", refuse)
     torus = split_torus(make_algebra(*family))
     n = family[1] if family[0] == "sl" else family[2]

@@ -535,3 +535,37 @@ def test_an_overflowing_grid_t_stays_inconclusive(capsys):
     assert main(["bend", "--preset", "su21-rho1-g2", "--t-grid", "1e300"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and '"verdict": "INCONCLUSIVE"' in out
+
+
+SU21_RHO1 = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "verify_dps": 40}
+
+
+def test_a_grid_moves_past_a_t_whose_z_leaves_the_decomposition(tmp_path):
+    """At t = 100 the rounding of Ad(e^{tX}) moves Z_{1,1}(t) off the
+    isotypic decomposition: the inequalities fail at that t with a note
+    naming it, so the grid goes on to 0.01, and the report is the one of
+    0.01 alone, but for the grid it echoes."""
+    import json
+    runs = [_bend_subprocess(SU21_RHO1, tmp_path, "--t-grid", grid)
+            for grid in ("100,0.01", "0.01")]
+    assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+    docs = [json.loads(out) for _, out, _ in runs]
+    plans = [next(c for c in doc["checks"] if c["check"] == "bend/plan") for doc in docs]
+    assert plans[0]["verdict"]["t"] == plans[1]["verdict"]["t"] == 0.01
+    assert plans[0]["verdict"]["t_grid"] == [100.0, 0.01]
+    for doc in docs:
+        doc["config"]["t_grid"] = None
+        next(c for c in doc["checks"] if c["check"] == "bend/plan")["verdict"]["t_grid"] = None
+    assert docs[0] == docs[1]
+
+
+def test_an_explicit_t_whose_z_leaves_the_decomposition_is_inconclusive(tmp_path):
+    """The same t = 100 asked for in the plan ends INCONCLUSIVE (exit 1),
+    and the failed inequalities name t and the piece, not an input error."""
+    import json
+    code, out, err = _bend_subprocess(dict(SU21_RHO1, t=100), tmp_path)
+    assert (code, err) == (1, "")
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["bend/inequalities"]["verdict"] == {
+        "ok": False, "note": "Z_(1,1)(t) leaves the isotypic decomposition at t=100"}
+    assert checks["bend/certificate"]["verdict"]["verdict"] == "INCONCLUSIVE"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,60 @@ from liebend.weyl import split_torus
 def test_split_torus_basics(sl5_torus, su32_torus):
     assert sl5_torus.rank == 4 and sl5_torus.weyl_order == 120
     assert su32_torus.rank == 2 and su32_torus.weyl_order == 8
+
+
+ADMITTED_GRID = [("sl", n) for n in range(2, 10)] + [
+    ("su", p, q) for p in range(1, 8) for q in range(1, p + 1)]
+
+
+def _closed_form_roots(family):
+    """{root coefficients: multiplicity} from the classical tables: e_i - e_j
+    of multiplicity 1 for sl(n); for su(p,q), e_i +- e_j of multiplicity 2,
+    2e_i of multiplicity 1 and, for p > q, e_i of multiplicity 2(p - q),
+    each with its negative."""
+    unit = np.eye(family[-1], dtype=int)
+    if family[0] == "sl":
+        return {tuple(unit[i] - unit[j]): 1 for i in range(family[1])
+                for j in range(family[1]) if i != j}
+    p, q = family[1:]
+    roots = {}
+    for sign in (1, -1):
+        for i in range(q):
+            roots[tuple(sign * 2 * unit[i])] = 1
+            if p > q:
+                roots[tuple(sign * unit[i])] = 2 * (p - q)
+            for j in range(i + 1, q):
+                roots[tuple(sign * (unit[i] + unit[j]))] = 2
+                roots[tuple(sign * (unit[i] - unit[j]))] = 2
+    return roots
+
+
+@pytest.mark.parametrize("family", ADMITTED_GRID, ids=lambda f: f[0] + "".join(map(str, f[1:])))
+def test_torus_matches_the_closed_forms(family):
+    """Over the admitted grid: w0 reverses the coordinates in sl(n) and is -1
+    in su(p,q); the staircase is (n-1, n-3, ..., 1-n), resp. (q, ..., 1);
+    |W| is n!, resp. q! 2**q; b is {v_i = -v_(n-1-i)}, resp. all of a; and
+    the roots carry the multiplicities of the classical tables."""
+    torus = split_torus(make_algebra(*family))
+    n = torus.coord_len
+    if family[0] == "sl":
+        assert n == family[1] and torus.rank == n - 1
+        w0 = weyl.WeylElement(tuple(range(n - 1, -1, -1)), (1,) * n)
+        staircase, order = tuple(range(n - 1, -n, -2)), math.factorial(n)
+        b_rows = [[(k == i) + (k == n - 1 - i) for k in range(n)] for i in range(n)]
+    else:
+        assert n == torus.rank == family[2]
+        w0 = weyl.WeylElement(tuple(range(n)), (-1,) * n)
+        staircase, order = tuple(range(n, 0, -1)), math.factorial(n) * 2 ** n
+        b_rows = []
+    assert torus.w0 == w0
+    assert torus.chamber_interior_point() == staircase
+    assert torus.weyl_order == order
+    b = np.array(torus.b_basis)
+    assert not (np.array(b_rows, dtype=int).reshape(-1, n) @ b.T).any()
+    assert np.linalg.matrix_rank(b) == len(b) == n - np.linalg.matrix_rank(
+        np.array(b_rows, dtype=int).reshape(-1, n))
+    assert {r.coeffs: r.multiplicity for r in torus.roots} == _closed_form_roots(family)
 
 
 def test_su22_opposition_is_identity():
@@ -119,16 +174,21 @@ def test_rank_one_su():
 
 def test_weyl_order_cap(monkeypatch, tmp_path, capsys):
     """The cap counts |W|: su(9,9) (|W| = 9! * 2**9) is refused on every
-    call, by a message naming |W| and the cap, before any chunk of W is
-    built, and `check` exits 2 on it; sl(10) (10!) and su(8,8) (8! * 2**8),
-    the largest group admitted, are accepted."""
+    call, by a message naming |W| and the cap, before its sign table, any
+    table of tail permutations or any chunk of W is built, and `check`
+    exits 2 on it; sl(10) (10!) and su(8,8) (8! * 2**8), the largest group
+    admitted, are accepted."""
     assert weyl.WEYL_ORDER_CAP == 10_321_920
-    monkeypatch.setattr(weyl, "_weyl_chunks", None)  # calling it would raise TypeError
+    sign_vectors = weyl._sign_vectors
+    # calling any of these would raise TypeError
+    for name in ("_sign_vectors", "_permutations"):
+        monkeypatch.setattr(weyl, name, None)
     su99 = make_algebra("su", 9, 9)
     for _ in range(3):
         with pytest.raises(ParameterError, match=r"^\|W\| = 185794560 exceeds the Weyl group "
                                                  r"cap 10321920$"):
             split_torus(su99)
+    monkeypatch.setattr(weyl, "_sign_vectors", sign_vectors)
     assert split_torus(make_algebra("sl", 10)).weyl_order == 3_628_800
     assert split_torus(make_algebra("su", 8, 8)).weyl_order == weyl.WEYL_ORDER_CAP
     ah = tmp_path / "ah.json"

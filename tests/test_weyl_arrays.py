@@ -17,7 +17,7 @@ from liebend.algebra import make_algebra
 from liebend.errors import RealizationError
 from liebend.properness import (FLOAT_EXACT, HSubalgebraTorus, _scan, benoist_certificate,
                                 benoist_criterion, in_weyl_orbit_of_subspace)
-from liebend.weyl import WeylElement, _weyl_chunks, split_torus
+from liebend.weyl import WeylElement, split_torus
 
 from conftest import (chunked_scan, keep_scans, whole_certificate, whole_criterion, whole_orbit,
                       whole_scan, whole_weyl)
@@ -220,18 +220,16 @@ def chunks_at_budget(family, n, budget, monkeypatch, element_bytes=None):
     """The chunk table of W and its chunks, cut at the given byte budget for
     a pass holding element_bytes per element (by default 8 * n, a
     one-vector scan of a line a_h: n - 1 annihilator rows), as
-    `SplitTorusData.weyl_chunks` sizes it from the torus's family,
-    coord_len and |W| (read here without building a torus, so that sl(1)
-    is covered too)."""
+    `SplitTorusData.weyl_chunks` sizes it from the torus's coord_len, sign
+    table and |W|.  These are read off a stand-in torus holding the sign
+    table `split_torus` gives the family (one row for sl, 2**n for su), so
+    that sl(1) is covered too."""
     monkeypatch.setattr(weyl, "WEYL_CHUNK_BYTES", budget)
-    _weyl_chunks.cache_clear()
-    torus = types.SimpleNamespace(algebra=types.SimpleNamespace(family=family), coord_len=n,
-                                  weyl_order=weyl._weyl_order(family, n))
-    try:
-        table = weyl.SplitTorusData.weyl_chunks(torus, element_bytes or 8 * n)
-        return table, list(table.chunks())
-    finally:
-        _weyl_chunks.cache_clear()
+    torus = types.SimpleNamespace(coord_len=n,
+                                  signs=weyl._sign_vectors(n, 1 if family == "sl" else 2 ** n))
+    torus.weyl_order = weyl.SplitTorusData.weyl_order.fget(torus)
+    table = weyl.SplitTorusData.weyl_chunks(torus, element_bytes or 8 * n)
+    return table, list(table.chunks())
 
 
 def assert_chunks_match_itertools(family, n, table, chunks, element_bytes=None):
