@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .intkernel import FixedMatrix, _fit
+from .intkernel import FixedMatrix, _exact_product, _fit
 
 
 def _normal(m, e):
@@ -261,12 +261,7 @@ def tan(x, prec):
 def _fixed_times(a, b, w):
     """a b at scale w, rounded down, for (re, im) pairs of int object arrays
     at scale w (im None for a real matrix)."""
-    (a_re, a_im), (b_re, b_im) = a, b
-    re, im = a_re @ b_re, None
-    if a_im is not None and b_im is not None:
-        re, im = re - a_im @ b_im, a_re @ b_im + a_im @ b_re
-    elif a_im is not None or b_im is not None:
-        im = a_im @ b_re if a_im is not None else a_re @ b_im
+    re, im = _exact_product(a, b)
     return re >> w, None if im is None else im >> w
 
 

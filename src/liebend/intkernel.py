@@ -179,16 +179,22 @@ def product(prec, *factors):
     return functools.reduce(lambda a, b: _times(a, b, prec), factors)
 
 
+def _exact_product(a, b):
+    """The exact product of two (re, im) pairs of int object arrays, im None
+    for a real matrix, as such a pair: a complex product as three real ones
+    in place of four (Gauss)."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    re = a_re @ b_re
+    if a_im is not None and b_im is not None:
+        im_im = a_im @ b_im
+        return re - im_im, (a_re + a_im) @ (b_re + b_im) - re - im_im
+    if a_im is not None:
+        return re, a_im @ b_re
+    return re, None if b_im is None else a_re @ b_im
+
+
 def _times(a, b, prec):
-    parts = [a.re @ b.re]
-    if a.im is not None and b.im is not None:
-        # three real products in place of four (Gauss), exact in integers
-        im_im = a.im @ b.im
-        parts = [parts[0] - im_im, (a.re + a.im) @ (b.re + b.im) - parts[0] - im_im]
-    elif a.im is not None:
-        parts.append(a.im @ b.re)
-    elif b.im is not None:
-        parts.append(a.re @ b.im)
+    parts = [p for p in _exact_product((a.re, a.im), (b.re, b.im)) if p is not None]
     rounded = [[_round_nearest(v, prec) for v in part.ravel().tolist()] for part in parts]
     # the trailing zeros every entry shares move into the exponent
     low = 0
