@@ -3,18 +3,16 @@
 The functions take and return the (mantissa, exponent) pairs of
 `intkernel`, m * 2**e with Python-int m, and round to nearest, ties to
 even, at the precision in bits the caller passes: pi (Machin's formula,
-cached per precision), exp, acosh (on the logarithm `_log_fixed`), cos_sin
-and tan, the real functions the seed polygon needs.  `expm` is the one
-matrix exponential, of a `FixedMatrix`, by Taylor with scaling and squaring
-on each diagonal block, accurate to the precision (its docstring states
-the bound) but not correctly rounded.
+cached per precision) and cos_sin, all that the seed polygon needs.
+`expm` is the one matrix exponential, of a `FixedMatrix`, by Taylor with
+scaling and squaring on each diagonal block, accurate to the precision (its
+docstring states the bound) but not correctly rounded.
 
 The high-precision lane (`highprec`) builds the seed polygon and the
 bending twists on them with no mpmath.  They live beside `intkernel` and
 not in it: the float lane imports the kernel for its bending line, and
 compiling this source there too would raise its peak memory.
 """
-
 import functools
 import math
 
@@ -43,22 +41,18 @@ def _normal(m, e):
 # `_widen` rounds both ends of [v - err, v + err] to prec bits, to nearest;
 # rounding is monotone, so when both ends round alike every point between
 # does, and that is the correctly rounded value.  Otherwise w grows by half
-# and the evaluation runs again (Ziv's loop).  The loop ends because every
-# value it is asked for is transcendental for a nonzero dyadic argument
-# (Lindemann-Weierstrass), so it lies on no rounding boundary; the exact
-# values at 0 (and acosh 1) are returned before the loop.
+# and the evaluation runs again (Ziv's loop).  The loop ends because pi, and
+# cos and sin of a nonzero dyadic argument, are transcendental
+# (Lindemann-Weierstrass), so they lie on no rounding boundary; the exact
+# values at 0 are returned before the loop.
 
 def _widen(evaluate, prec):
-    """The values that evaluate(w) brackets as a list of (v, err, exp) (or
-    None, undecided), each rounded to prec bits once both ends of every
-    bracket round alike."""
+    """The values that evaluate(w) brackets as a list of (v, err, exp), each
+    rounded to prec bits once both ends of every bracket round alike."""
     w = prec + 24
     while True:
         out = []
-        for bracket in evaluate(w):
-            if bracket is None:
-                break
-            v, err, exp = bracket
+        for v, err, exp in evaluate(w):
             lo, hi = _normal(*_fit(v - err, exp, prec)), _normal(*_fit(v + err, exp, prec))
             if lo != hi:
                 break
@@ -74,58 +68,52 @@ def _fixed(x, w):
     return m << (e + w) if e + w >= 0 else m >> -(e + w)
 
 
-def _arc_series(x, w, sign):
-    """sum_k sign**k / ((2k+1) x**(2k+1)) at scale w for an int x >= 2:
-    atanh(1/x) for sign 1, atan(1/x) for sign -1.  Each power of 1/x is
-    rounded down from the last (within 4/3 units) and each term adds one
-    floor more, so over k terms the sum is within 3 k units, plus 2 for the
-    tail after the first power that rounds to 0."""
+def _atan_series(x, w):
+    """atan(1/x) = sum_k (-1)**k / ((2k+1) x**(2k+1)) at scale w for an int
+    x >= 2.  Each power of 1/x is rounded down from the last (within 4/3
+    units) and each term adds one floor more, so over k terms the sum is
+    within 3 k units, plus 2 for the tail after the first power that rounds
+    to 0."""
     total, power, k, x2 = 0, (1 << w) // x, 0, x * x
     while power:
-        total += sign ** k * (power // (2 * k + 1))
+        total += (-1) ** k * (power // (2 * k + 1))
         power //= x2
         k += 1
     return total
 
 
 @functools.lru_cache(maxsize=16)
-def _constant(name, w):
-    """pi (Machin: 16 atan(1/5) - 4 atan(1/239)) or ln 2 (2 atanh(1/3)) at
-    scale w, within 2 units: the series run at g = w + guard bits, where
-    their error (below 12 g + 100 units, from the term counts g / 4.6 and
-    g / 15.8 for pi) stays under 2**guard > 256 w, and the guard bits are
-    dropped."""
+def _pi_series(w):
+    """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239), at scale w,
+    within 2 units: the series run at g = w + guard bits, where their error
+    (below 12 g + 100 units, from the term counts g / 4.6 and g / 15.8)
+    stays under 2**guard > 256 w, and the guard bits are dropped."""
     guard = w.bit_length() + 8
     g = w + guard
-    if name == "pi":
-        v = 16 * _arc_series(5, g, -1) - 4 * _arc_series(239, g, -1)
-    else:
-        v = 2 * _arc_series(3, g, 1)
-    return v >> guard
+    return (16 * _atan_series(5, g) - 4 * _atan_series(239, g)) >> guard
 
 
-def _constant_fixed(name, w):
-    """pi or ln 2 at scale w, within 2 units, from the table at the next
-    multiple of 64 bits (one floor more)."""
+def _pi_fixed(w):
+    """pi at scale w, within 2 units, from the table at the next multiple of
+    64 bits (one floor more)."""
     top = -(-w // 64) * 64
-    return _constant(name, top) >> (top - w)
+    return _pi_series(top) >> (top - w)
 
 
 @functools.lru_cache(maxsize=16)
 def pi(prec):
     """pi rounded to prec bits."""
-    return _widen(lambda w: [(_constant_fixed("pi", w), 2, -w)], prec)[0]
+    return _widen(lambda w: [(_pi_fixed(w), 2, -w)], prec)[0]
 
 
-def _reduce(x, w, period):
-    """(r, k, s, dr, w): x = k * period + r with |r| <= period / 2, and r
-    divided by 2**s at the returned scale (w plus the bits of k, s and 8),
-    within dr units.  period is the constant "ln2", or "pi" for pi / 2 (pi
-    at one bit less)."""
+def _reduce(x, w):
+    """(r, k, s, dr, w): x = k pi/2 + r with |r| <= pi/4, and r divided by
+    2**s at the returned scale (w plus the bits of k, s and 8), within dr
+    units; pi/2 is pi at one bit less."""
     m, e = x
     s = math.isqrt(w) // 2 + 1
     w += max(0, m.bit_length() + e + 1) + s + 8
-    period = _constant_fixed(period, w - 1 if period == "pi" else w)
+    period = _pi_fixed(w - 1)
     x = _fixed(x, w)
     k = (2 * x + period) // (2 * period)
     # x within 1 unit, each period within 2, then s bits dropped
@@ -145,25 +133,12 @@ def _taylor(r, w):
     return terms, 2 * j + 4
 
 
-def _exp_fixed(x, w):
-    """exp(x) as (v, err, exp): x = k ln 2 + r, exp(r / 2**s) by Taylor,
-    squared s times (relative error at most doubles, plus one unit, per
-    squaring, on values in [0.7, 1.42]), times 2**k."""
-    r, k, s, dr, w = _reduce(x, w, "ln2")
-    terms, err = _taylor(r, w)
-    v = (1 << w) + sum(terms)
-    err += 2 * dr  # exp' < 1.5 on the reduced interval
-    for _ in range(s):
-        v = v * v >> w
-    return v, (err + 1) << (s + 2), k - w
-
-
 def _cos_sin_fixed(x, w):
     """(c, s, err, w): cos x and sin x at scale w, each within err:
     x = k pi/2 + r, e^(i r / 2**s) by Taylor, squared s times (the error of
     a unit complex number at most doubles, plus 1.5 units, per squaring),
     turned by k quarter turns."""
-    r, k, s, dr, w = _reduce(x, w, "pi")
+    r, k, s, dr, w = _reduce(x, w)
     terms, err = _taylor(r, w)
     c, sn = 1 << w, 0
     for j, term in enumerate(terms, start=1):  # i**j: sin +, cos -, sin -, cos +
@@ -179,55 +154,6 @@ def _cos_sin_fixed(x, w):
     return c, sn, (err + 2) << (s + 1), w
 
 
-def _log_fixed(x, w):
-    """log x for x > 0 as (v, err, exp): x = 2**k y with y in [2/3, 4/3),
-    log y = 2 atanh(z), z = (y - 1) / (y + 1), |z| <= 1/5, by its series;
-    y is within 2 units and z within 2.5, which log y carries at most 2.1
-    times; each term of the series is within 2.25 units and its tail 1.4;
-    k ln 2 is within 2 |k|."""
-    m, e = x
-    w += 8
-    k = m.bit_length() + e
-    one = 1 << w
-    y = _fixed((m, -m.bit_length()), w)  # y = x / 2**k in [1/2, 1)
-    if 3 * y < 2 * one:
-        y, k = y << 1, k - 1
-    z = ((y - one) << w) // (y + one)
-    z2 = z * z >> w
-    total, power, j = 0, abs(z), 1  # atanh is odd: the series of |z|
-    while power:
-        total += power // j
-        power = power * z2 >> w
-        j += 2
-    total = -total if z < 0 else total
-    return 2 * total + k * _constant_fixed("ln2", w), 3 * j + 16 + 2 * abs(k), -w
-
-
-def exp(x, prec):
-    """e**x rounded to prec bits."""
-    if not x[0]:
-        return 1, 0
-    return _widen(lambda w: [_exp_fixed(x, w)], prec)[0]
-
-
-def acosh(x, prec):
-    """acosh x = log(x + sqrt(x**2 - 1)) for x >= 1, rounded to prec bits
-    once: the sum is formed at scale w within one unit (x exact, isqrt
-    rounded down), which moves its log by at most one unit at that scale."""
-    m, e = x
-    if _normal(m, e) == (1, 0):
-        return 0, 0
-    if m <= 0 or m.bit_length() + e <= 0:
-        raise ValueError("acosh needs an argument >= 1")
-
-    def evaluate(w):
-        w = max(w, -e)
-        xw = m << (e + w)
-        v, err, exp_ = _log_fixed((xw + math.isqrt(xw * xw - (1 << 2 * w)), -w), w)
-        return [(v, err + (1 << (-exp_ - w)), exp_)]
-    return _widen(evaluate, prec)[0]
-
-
 def cos_sin(x, prec):
     """(cos x, sin x), each rounded to prec bits."""
     if not x[0]:
@@ -237,23 +163,6 @@ def cos_sin(x, prec):
         c, s, err, w = _cos_sin_fixed(x, w)
         return [(c, err, -w), (s, err, -w)]
     return tuple(_widen(evaluate, prec))
-
-
-def tan(x, prec):
-    """tan x rounded to prec bits: the quotient s / c is monotone in s and
-    in c on the box of their brackets while c keeps its sign, so its floor
-    at the four corners brackets it."""
-    if not x[0]:
-        return 0, 0
-
-    def evaluate(w):
-        c, s, err, w = _cos_sin_fixed(x, w)
-        if abs(c) <= err:
-            return [None]
-        q = [((s + ds) << w) // (c + dc) for ds in (-err, err) for dc in (-err, err)]
-        lo, hi = min(q), max(q) + 1
-        return [((lo + hi) // 2, (hi - lo) // 2 + 1, -w)]
-    return _widen(evaluate, prec)[0]
 
 
 # --- the matrix exponential ----------------------------------------------

@@ -13,13 +13,14 @@ matrices.
 Everything runs on the integer kernel (`intkernel`), which the float lane
 shares, with no mpmath: every value is a (mantissa, exponent) pair or a
 `FixedMatrix`.  The polygon and the products round each step once, to
-nearest, in the order the mpmath implementation this lane replaced rounded
-them; the twists are accurate to the precision, within the bound that
+nearest; the twists are accurate to the precision, within the bound that
 `elementary.expm` states.
-- The seed polygon (`mp_fuchsian`): pi / n, tan, 1 / tan, acosh, exp and
-  1 / scale, then per side psi_j and cos_sin, each correctly rounded
-  (`elementary.pi`, `tan`, `acosh`, `exp`, `cos_sin`) and the four scaled
-  entries; each side pairing is then one 2x2 product on the kernel
+- The seed polygon (`mp_fuchsian`) needs only pi, cos and sin, each
+  correctly rounded (`elementary.pi`, `cos_sin`): pi / n, its cos and sin,
+  cot = cos / sin, the side scale e^rho = cot + sqrt(cot^2 - 1) (the
+  inradius rho has cosh rho = cot(pi / n)) and 1 / scale, then per side
+  psi_j, its cos_sin and the four scaled entries, each one kernel operation
+  rounded once; each side pairing is then one 2x2 product on the kernel
   (`intkernel.product`), every entry the exact sum of two exact products
   rounded once.  Its relation word is multiplied out on the kernel too,
   with the inverses taken as adjugates (`FixedMatrix.adjugate`).
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import _normal, acosh, cos_sin, exp, expm, pi, tan
+from .elementary import _normal, cos_sin, expm, pi
 from .errors import ParameterError
 from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _float_exact,
                         _mul, _neg, _round_nearest, _sqrt, _to_float, central_part, fixed_line,
@@ -78,7 +79,10 @@ def mp_fuchsian(genus, prec):
     """
     n = 4 * genus
     pi_ = pi(prec)
-    scale = exp(acosh(_div(_ONE, tan(_div(pi_, (n, 0), prec), prec), prec), prec), prec)
+    # the inradius rho has cosh rho = cot(pi / n), so e^rho = cot + sqrt(cot^2 - 1)
+    c, s = cos_sin(_div(pi_, (n, 0), prec), prec)
+    cot = _div(c, s, prec)
+    scale = _add(cot, _sqrt(_add(_mul(cot, cot, prec), _neg(_ONE), prec), prec), prec)
     inv_scale = _div(_ONE, scale, prec)
 
     def psi(j):  # 2 pi (j + 1/2) / n: 2 pi exact, its product and quotient rounded

@@ -1,9 +1,9 @@
-"""The elementary functions of `elementary` are correctly rounded: each
-value is the one mpmath gives at 120 bits more, rounded once to the
-precision (a double rounding that differs would need a value within
-2**-120 ulp of a rounding boundary).  Seeded arguments, 3,400 per function
-and precision, at the precisions the verification lane uses (136 bits for
-dps 40, 156 for its twists) and at 253 bits."""
+"""The elementary functions of `elementary`, pi and cos_sin, are correctly
+rounded: each value is the one mpmath gives at 120 bits more, rounded once
+to the precision (a double rounding that differs would need a value within
+2**-120 ulp of a rounding boundary).  Seeded arguments, 3,400 per
+precision, at the precisions the verification lane uses (136 bits for dps
+40, 156 for its twists) and at 253 bits."""
 
 import random
 
@@ -35,7 +35,7 @@ def _dyadic(rng, prec, lo, hi, sign=True):
 
 def _near(rng, prec, target):
     """The prec-bit dyadic nearest target (an mpf), nudged by a few ulps:
-    arguments where cos, tan or log nearly vanish."""
+    arguments where cos or sin nearly vanish."""
     import mpmath as mp
     with mp.workprec(prec):
         m, e = mp_pair(+target)
@@ -43,21 +43,13 @@ def _near(rng, prec, target):
     return (m << shift) + rng.randint(-3, 3), e - shift
 
 
-def _reals(rng, prec, kind):
+def _reals(rng, prec):
+    """Seeded arguments, near multiples of pi / 2 every fourth one."""
     import mpmath as mp
-    out = []
     with mp.workprec(prec + 40):
-        for i in range(COUNT):
-            if kind in ("log", "acosh"):
-                x = (_dyadic(rng, prec, *((1, 40) if kind == "acosh" else (-60, 60)), sign=False)
-                     if i % 4 else _near(rng, prec, 1 + mp.mpf(2) ** -rng.randint(1, prec - 3)))
-            elif kind == "exp":
-                x = _dyadic(rng, prec, -40, 9)
-            else:  # cos_sin, tan: near multiples of pi / 2 every fourth argument
-                x = (_dyadic(rng, prec, -30, 12) if i % 4 else
-                     _near(rng, prec, (rng.randint(-200, 200) or 1) * mp.pi / 2))
-            out.append(x)
-    return out
+        return [_dyadic(rng, prec, -30, 12) if i % 4 else
+                _near(rng, prec, (rng.randint(-200, 200) or 1) * mp.pi / 2)
+                for i in range(COUNT)]
 
 
 @pytest.mark.parametrize("prec", PRECS)
@@ -68,40 +60,31 @@ def test_pi_is_correctly_rounded(prec):
 
 
 @pytest.mark.parametrize("prec", PRECS)
-@pytest.mark.parametrize("name", ["exp", "log", "acosh", "cos_sin", "tan"])
+@pytest.mark.parametrize("name", ["cos_sin"])
 def test_real_functions_are_correctly_rounded(name, prec):
     import mpmath as mp
     rng = random.Random(f"{name}-{prec}")
-    ours = {"exp": el.exp, "tan": el.tan, "acosh": el.acosh, "cos_sin": el.cos_sin,
-            "log": lambda x, p: el._widen(lambda w: [el._log_fixed(x, w)], p)[0]}[name]
-    for x in _reals(rng, prec, name):
-        got = ours(x, prec)
-        if name == "cos_sin":
-            assert got == (_rounded(mp.cos, [from_pair(x)], prec),
-                           _rounded(mp.sin, [from_pair(x)], prec)), x
-        else:
-            assert got == _rounded(getattr(mp, name), [from_pair(x)], prec), x
+    for x in _reals(rng, prec):
+        assert el.cos_sin(x, prec) == (_rounded(mp.cos, [from_pair(x)], prec),
+                                       _rounded(mp.sin, [from_pair(x)], prec)), x
 
 
 def test_zero_arguments_are_exact():
-    assert el.exp((0, 0), 53) == (1, 0)
     assert el.cos_sin((0, 0), 53) == ((1, 0), (0, 0))
-    assert el.tan((0, 0), 53) == (0, 0)
-    assert el.acosh((4, -2), 53) == (0, 0)
-    with pytest.raises(ValueError, match=">= 1"):
-        el.acosh((3, -2), 53)
 
 
 def test_rounding_at_a_power_of_two_is_decided():
     """Both ends of a bracket that round to the same power of two, one from
-    below, compare equal as normal pairs: exp of an argument just below
-    ln 2 ends its loop."""
+    below, compare equal as normal pairs: cos of an argument near pi / 3,
+    where cos is 1/2, ends its loop."""
     import mpmath as mp
     for prec in (20, 53, 136):
         with mp.workprec(prec + 200):
-            x = _near(random.Random(prec), prec + 100, mp.log(2))
+            x = _near(random.Random(prec), prec + 100, mp.pi / 3)
         x = el._normal(*el._fit(*x, prec + 100))
-        assert el.exp(x, prec) == _rounded(mp.exp, [from_pair(x)], prec)
+        cos = el.cos_sin(x, prec)[0]
+        assert cos == (1, -1)
+        assert cos == _rounded(mp.cos, [from_pair(x)], prec)
 
 
 @pytest.mark.parametrize("w", [30, 100, 200])
@@ -120,12 +103,8 @@ def test_brackets_contain_the_value(w):
         x = _dyadic(rng, 60, -30, 8)
         with mp.workprec(2 * w + 400):
             ax = from_pair(x)
-            cos, sin, exp = mp.cos(ax), mp.sin(ax), mp.exp(ax)
-            log = mp.log(abs(ax))
+            cos, sin = mp.cos(ax), mp.sin(ax)
         c, s, err, cw = el._cos_sin_fixed(x, w)
         assert within(c, err, -cw, cos) and within(s, err, -cw, sin), x
-        assert within(*el._exp_fixed(x, w), exp), x
-        assert within(*el._log_fixed((abs(x[0]), x[1]), w), log), x
     with mp.workprec(2 * w + 400):
-        assert within(el._constant_fixed("pi", w), 2, -w, +mp.pi)
-        assert within(el._constant_fixed("ln2", w), 2, -w, mp.log(2))
+        assert within(el._pi_fixed(w), 2, -w, +mp.pi)
