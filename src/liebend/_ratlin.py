@@ -63,10 +63,6 @@ def _echelon(rows):
     return mat[:len(pivots)], pivots
 
 
-def rank(rows):
-    return len(_echelon(rows)[1])
-
-
 def primitive_nullspace(rows, ncols):
     """Basis of {x : rows @ x = 0}, one vector per free column of the RREF
     in increasing order, each scaled to coprime Python ints with its first

@@ -134,6 +134,11 @@ def rref(rows):
     return [tuple(r) for r in mat[:rank]], pivots
 
 
+def rank(rows):
+    """The rank of rational rows, from the Fraction RREF."""
+    return len(rref(rows)[0])
+
+
 def nullspace(rows, ncols):
     """Basis of {x : rows @ x = 0} over Fraction, one vector per free column
     of the RREF (1 there): the oracle of `_ratlin.primitive_nullspace`."""

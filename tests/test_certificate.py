@@ -16,7 +16,7 @@ from liebend.properness import (HSubalgebraTorus, _line_hits, benoist_certificat
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import split_torus
 
-from conftest import chunked_scan, nullspace, whole_certificate, whole_weyl
+from conftest import chunked_scan, nullspace, rank, whole_certificate, whole_weyl
 
 # a search passes over W once for the criterion and the staircase together,
 # once per b basis line and once per fallback line; the queries below need
@@ -82,7 +82,7 @@ def test_line_hits_match_pointwise_scans(family):
             row = [int(x) for x in rng.integers(-2, 3, torus.coord_len)]
             if family[0] == "sl":
                 row[-1] = -sum(row[:-1])
-            if _ratlin.rank(rows + [row]) > len(rows):
+            if rank(rows + [row]) > len(rows):
                 rows.append(row)
         ah = HSubalgebraTorus(torus, tuple(tuple(r) for r in rows))
         expected = None
@@ -198,4 +198,4 @@ def test_adversarial_queries_end_in_bounded_scans(scan_count):
         # the point is on none of the b basis lines through the staircase
         staircase = torus.chamber_interior_point()
         offset = [x - y for x, y in zip(point, staircase)]
-        assert all(_ratlin.rank([offset, b]) == 2 for b in torus.b_basis)
+        assert all(rank([offset, b]) == 2 for b in torus.b_basis)

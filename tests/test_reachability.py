@@ -8,17 +8,24 @@ name` in another module, or by `mod.name` where `from . import mod` (or
 `from . import mod as alias`) binds the module.  `liebend/__init__.py` is
 not a caller: what it re-exports must still be reached from elsewhere.
 
+A Name that a function, lambda or comprehension binds (a parameter, an
+assignment or loop target, an import, a nested def) is local there, so it
+does not reach the module-level definition of the same name.
+
 Methods and functions nested in other functions are matched by name alone:
 a method by any attribute of its name (so every `coordinates` method counts
 as reached by `alg.coordinates(...)`), a nested function by any Name of its
 name in its module.  A method that only tests call can pass this way.
 
-Exempt are dunder methods (`__post_init__` among them), `cli.main`, every
-identifier in `perfbench/*.py`, the benchmark that drives the package from
-outside (its tracer wraps functions by name), and every identifier in
-`tests/test_acceptance.py`, the acceptance gate (its property suites call
-`mu`, `lyapunov`, `in_b_plus`, `cartan_involution` and `contains_vector`).  The exemptions are computed here from
-those files, not listed by hand.
+Exempt are dunder methods (`__post_init__` among them) and `cli.main`, the
+console entry point.  Two callers outside src count as well: the benchmark,
+`perfbench/*.py`, which drives the package from outside, and the acceptance
+gate, `tests/test_acceptance.py` (its property suites call `mu`,
+`lyapunov`, `in_b_plus`, `cartan_involution` and `contains_vector`).  A
+module-level definition is exempt when one of them imports it from
+`liebend` by name, or when the tracer's `LAYERS` lists it; a method when one
+of them holds its name.  The exemptions are computed here from those files,
+not listed by hand.
 """
 
 import ast
@@ -56,6 +63,48 @@ def _definitions(tree):
     return out
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+           ast.DictComp, ast.GeneratorExp)
+
+
+def _binds(scope):
+    """The names a function, lambda or comprehension binds, outside the
+    functions nested in it."""
+    names, declared_global = set(), set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                 + [a for a in (args.vararg, args.kwarg) if a]}
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared_global
+
+
+def _free_names(node, bound=frozenset()):
+    """The Name nodes under node that no enclosing function, lambda or
+    comprehension binds: only those can reach a module-level definition."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            if child.id not in bound:
+                yield child
+        else:
+            yield from _free_names(child, bound | _binds(child)
+                                   if isinstance(child, _SCOPES) else bound)
+
+
 def _references(trees):
     """Where each definition may be referenced, as two maps to [(module,
     line)]: (module, name) for module-level names, resolved through the
@@ -74,9 +123,10 @@ def _references(trees):
                         aliases[alias.asname or alias.name] = alias.name
                     else:
                         qualified[(node.module, alias.name)].append((mod, node.lineno))
+        for node in _free_names(tree):
+            qualified[(mod, node.id)].append((mod, node.lineno))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                qualified[(mod, node.id)].append((mod, node.lineno))
                 bare[("name", node.id)].append((mod, node.lineno))
             elif isinstance(node, ast.Attribute):
                 bare[("attr", node.attr)].append((mod, node.lineno))
@@ -85,16 +135,29 @@ def _references(trees):
     return qualified, bare
 
 
-def _identifiers(paths):
-    names = set()
-    for path in paths:
-        names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
-    return names
+def _exemptions(callers):
+    """(definitions, names): the (module, name) pairs of the module-level
+    definitions that the caller files import from `liebend` by name or that
+    the tracer's LAYERS lists, with `cli.main`; and every identifier in the
+    caller files, which exempts a method of that name."""
+    definitions, names = {("cli", "main")}, set()
+    for path in callers:
+        text = path.read_text()
+        names.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("liebend."):
+                definitions.update((node.module.split(".")[1], a.name) for a in node.names)
+            elif (isinstance(node, ast.Assign) and path.name == "tracer.py"
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]):
+                definitions.update((mod, fn.split(".")[0])
+                                   for mod, fns in ast.literal_eval(node.value).items()
+                                   for fn in fns)
+    return definitions, names
 
 
-def _exempt_names():
-    return {"main"} | _identifiers(  # cli.main, the console entry point
-        sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
+def _callers(acceptance=True):
+    return sorted((ROOT / "perfbench").glob("*.py")) + (
+        [ROOT / "tests" / "test_acceptance.py"] if acceptance else [])
 
 
 def unreferenced(sources, exempt=None):
@@ -102,11 +165,13 @@ def unreferenced(sources, exempt=None):
     no reference outside their own body reaches, as "module:line name"."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     qualified, bare = _references(trees)
-    exempt = _exempt_names() if exempt is None else exempt
+    definitions, names = _exemptions(_callers()) if exempt is None else exempt
     missing = []
     for mod, tree in trees.items():
         for name, node, kind in _definitions(tree):
-            if (name.startswith("__") and name.endswith("__")) or name in exempt:
+            exempt = ((mod, name) in definitions if kind == "module"
+                      else kind == "method" and name in names)
+            if exempt or (name.startswith("__") and name.endswith("__")):
                 continue
             refs = {"module": qualified[(mod, name)],
                     "method": bare[("attr", name)],
@@ -146,11 +211,24 @@ def test_references_resolve_through_imports():
     assert found == {"_use", "_local", "_shadowed", "_exported"}
 
 
+def test_a_local_of_the_same_name_is_not_a_caller():
+    """A parameter or an assignment target named like a module-level def is
+    local to its function and does not reach the def; a free Name does."""
+    sources = _package_sources()
+    sources["sl2"] += ("\n\ndef _counted(rows):\n    return len(rows)\n"
+                       "\n\ndef _assigns(rows):\n    _counted = len(rows)\n    return _counted\n"
+                       "\n\ndef _takes(_counted):\n    return [_counted for _counted in _counted]\n"
+                       "\n\ndef _reached():\n    pass\n"
+                       "\n\ndef _reads(rows):\n    return [_reached for _ in rows]\n")
+    found = {m.split()[1] for m in unreferenced(sources)}
+    assert found == {"_counted", "_assigns", "_takes", "_reads"}
+
+
 def test_the_acceptance_gate_keeps_mu_lyapunov_and_in_b_plus():
     """Without the acceptance-gate exemption, exactly the names that only
     its property suites call are reported."""
-    exempt = {"main"} | _identifiers(sorted((ROOT / "perfbench").glob("*.py")))
-    found = {m.split()[1] for m in unreferenced(_package_sources(), exempt)}
+    found = {m.split()[1] for m in unreferenced(_package_sources(),
+                                                _exemptions(_callers(acceptance=False)))}
     assert found == {"mu", "lyapunov", "in_b_plus", "cartan_involution", "contains_vector"}
 
 

@@ -19,8 +19,8 @@ from liebend.properness import (FLOAT_EXACT, HSubalgebraTorus, _scan, benoist_ce
                                 benoist_criterion, in_weyl_orbit_of_subspace)
 from liebend.weyl import WeylElement, split_torus
 
-from conftest import (chunked_scan, keep_scans, whole_certificate, whole_criterion, whole_orbit,
-                      whole_scan, whole_weyl)
+from conftest import (chunked_scan, keep_scans, rank, whole_certificate, whole_criterion,
+                      whole_orbit, whole_scan, whole_weyl)
 from test_certificate import adversarial_queries
 
 FAMILIES = [("sl", 3), ("sl", 4), ("sl", 5), ("su", 1, 1), ("su", 2, 1), ("su", 2, 2),
@@ -106,7 +106,7 @@ def random_vector(torus, rng, big):
 def random_ah(torus, rng, dim, big):
     while True:
         rows = [random_vector(torus, rng, big) for _ in range(dim)]
-        if _ratlin.rank(rows) == dim:
+        if rank(rows) == dim:
             return HSubalgebraTorus(torus, tuple(rows))
 
 
@@ -160,7 +160,7 @@ def benoist_queries(torus, seed, count):
         dim = max(dim, len(rows))
         while len(rows) < dim:
             row = random_vector(torus, rng, big)
-            if _ratlin.rank(rows + [row]) > len(rows):
+            if rank(rows + [row]) > len(rows):
                 rows.append(row)
         out.append(HSubalgebraTorus(torus, tuple(rows)))
     return out
@@ -436,7 +436,7 @@ def test_benoist_at_chunk_boundaries(chunked):
             big = k == 2 and torus.weyl_order < 10 ** 5
             while len(basis) < torus.rank - 1:
                 row = random_vector(torus, rng, big)
-                if _ratlin.rank(basis + [row]) > len(basis):
+                if rank(basis + [row]) > len(basis):
                     basis.append(row)
         ah = HSubalgebraTorus(torus, tuple(basis))
         verdict = benoist_criterion(torus, ah)
@@ -483,9 +483,9 @@ def test_certificate_merges_the_chunks(family):
         rows = [preimage(w, base), preimage(v, point)]
         while len(rows) < dim:
             row = random_vector(torus, rng, False)
-            if _ratlin.rank(rows + [row]) > len(rows):
+            if rank(rows + [row]) > len(rows):
                 rows.append(row)
-        if _ratlin.rank(rows) < dim:
+        if rank(rows) < dim:
             continue
         ah = HSubalgebraTorus(torus, tuple(rows))
         hit_rows = [np.flatnonzero((whole_scan(torus, _ratlin.integer_multiple(x), ah, weyl_arrays)
