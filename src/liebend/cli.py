@@ -120,7 +120,7 @@ def main(argv=None):
             _emit(report, args)
             return _golden_verdict(report, "golden_sec53.json")
         if args.command == "reproduce" and args.table == "sec6":
-            report = cmd_reproduce_sec6(args.p, args.q, cfg, witness=args.witness)
+            report = cmd_reproduce_sec6(args.p, args.q, cfg)
             _emit(report, args)
             return _golden_verdict(report, "golden_sec6.json")
         if args.command == "bend":

@@ -173,7 +173,7 @@ def _sec6_rho_record(torus, ah, triple):
     }
 
 
-def cmd_reproduce_sec6(p, q, config, witness=False):
+def cmd_reproduce_sec6(p, q, config):
     """The su(p,q) family rows: evenness, sigma, genus bounds against the
     closed formulas and the centralizer dimension, properness against the
     hyperplane subalgebra, and the equal-signature evenness check."""

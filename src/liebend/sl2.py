@@ -247,15 +247,12 @@ def ad_weight_multiplicities(triple):
 
 def is_even(triple):
     """All ad H eigenvalues even; cross-validated against the equal-parity
-    rule for sl(n,R) partitions."""
-    mults = ad_weight_multiplicities(triple)
-    even = all(j % 2 == 0 for j in mults)
-    if triple.provenance == "partition":
-        parts = [int(s) for s in triple.label.strip("[]").split(",")]
-        parity_rule = len({p % 2 for p in parts}) == 1
-        if parity_rule != even:
-            raise RealizationError(
-                f"parity rule and ad-spectrum disagree for partition {triple.label}")
+    rule: the chains of E (`ExactTriple.chains`, the irreducible summands)
+    all have lengths of one parity."""
+    even = all(j % 2 == 0 for j in ad_weight_multiplicities(triple))
+    if (len({len(idx) % 2 for idx, _ in triple.exact.chains}) == 1) != even:
+        raise RealizationError(
+            f"parity rule and ad-spectrum disagree for {triple.provenance} {triple.label}")
     return even
 
 
@@ -267,10 +264,7 @@ def sigma(triple):
     k < q.  It is real, with a complex dtype in su(p,q).
     """
     alg = triple.algebra
-    weights = [Fraction(w) for w in triple.exact.h]
-    if any(w.denominator != 1 for w in weights):
-        raise RealizationError("H has non-integer eigenvalues; sigma is undefined")
-    odd = [w % 2 == 1 for w in weights]
+    odd = [w % 2 == 1 for w in triple.exact.h]
     pairs = zip(odd[:alg.params[1]], reversed(odd)) if alg.family == SU else ()
     if sum(odd) % 2 or any(a != b for a, b in pairs):
         raise RealizationError("sigma violates the group's defining condition")
