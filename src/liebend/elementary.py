@@ -13,6 +13,7 @@ bending twists on them with no mpmath.  They live beside `intkernel` and
 not in it: the float lane imports the kernel for its bending line, and
 compiling this source there too would raise its peak memory.
 """
+
 import functools
 import math
 
