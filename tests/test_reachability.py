@@ -70,7 +70,7 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.
 def _binds(scope):
     """The names a function, lambda or comprehension binds, outside the
     functions nested in it."""
-    names, declared_global = set(), set()
+    names = set()
     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         args = scope.args
         names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
@@ -80,8 +80,6 @@ def _binds(scope):
         node = stack.pop()
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Global):
-            declared_global.update(node.names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update((a.asname or a.name).split(".")[0] for a in node.names)
         elif isinstance(node, ast.ExceptHandler) and node.name:
@@ -90,7 +88,7 @@ def _binds(scope):
             names.add(node.name)
         elif not isinstance(node, ast.Lambda):
             stack.extend(ast.iter_child_nodes(node))
-    return names - declared_global
+    return names
 
 
 def _free_names(node, bound=frozenset()):
