@@ -37,8 +37,8 @@ def _normal(m, e):
 # v * 2**-w, and the evaluation returns (v, err, -w) with the exact value
 # within err * 2**-w of v * 2**-w.  The bound err counts every floor taken
 # (each below one unit), the error that the argument reduction carries into
-# the reduced argument, a Taylor tail bound (the first term that rounds to 0,
-# times 2 for a ratio of terms below 1/2) and the growth by squaring.
+# the reduced argument, a Taylor tail bound (from the last term summed and a
+# ratio of terms below 1/2) and the growth by squaring.
 # `_widen` rounds both ends of [v - err, v + err] to prec bits, to nearest;
 # rounding is monotone, so when both ends round alike every point between
 # does, and that is the correctly rounded value.  Otherwise w grows by half
@@ -121,38 +121,17 @@ def _reduce(x, w):
     return (x - k * period) >> s, k, s, ((1 + 2 * abs(k)) >> s) + 2, w
 
 
-def _taylor(r, w):
-    """(terms, err): the terms r**j / j! at scale w (j >= 1) for |r| <
-    2**(w-1), until one rounds to 0.  Each magnitude comes from the last by
-    one floor, so every term is within 2 units and the tail past the last
-    one within 4."""
-    terms, term, j = [], 1 << w, 1
-    while term:
-        term = term * abs(r) // (j << w)
-        terms.append(-term if r < 0 and j & 1 else term)
-        j += 1
-    return terms, 2 * j + 4
-
-
 def _cos_sin_fixed(x, w):
     """(c, s, err, w): cos x and sin x at scale w, each within err:
-    x = k pi/2 + r, e^(i r / 2**s) by Taylor, squared s times (the error of
-    a unit complex number at most doubles, plus 1.5 units, per squaring),
-    turned by k quarter turns."""
+    x = k pi/2 + r, and e^(i r) = (e^(i r / 2**s))**(2**s) by `_exp_scalar`,
+    turned by k quarter turns.  The bound is `expm`'s for a 1x1 block: J
+    terms within 5 units each and the tail within 3, plus the dr units of
+    the reduced argument (|cos'|, |sin'| <= 1); the error of a unit complex
+    number at most doubles, plus 1.5 units, per squaring."""
     r, k, s, dr, w = _reduce(x, w)
-    terms, err = _taylor(r, w)
-    c, sn = 1 << w, 0
-    for j, term in enumerate(terms, start=1):  # i**j: sin +, cos -, sin -, cos +
-        term = -term if j & 2 else term
-        if j & 1:
-            sn += term
-        else:
-            c += term
-    err += dr  # |cos'|, |sin'| <= 1
-    for _ in range(s):
-        c, sn = (c * c - sn * sn) >> w, (c * sn) >> (w - 1)
+    c, sn, terms = _exp_scalar(s, w, 0, r)
     c, sn = ((c, sn), (-sn, c), (-c, -sn), (sn, -c))[k % 4]
-    return c, sn, (err + 2) << (s + 1), w
+    return c, sn, (5 * terms + 3 + dr + 2) << (s + 1), w
 
 
 def cos_sin(x, prec):
@@ -187,8 +166,8 @@ def _blocks(parts, n):
 
 
 def _exp_scalar(s, w, a, b=0):
-    """exp(a + ib) for ints a, b at scale w, by the steps of `_exp_block`
-    on a 1x1 block."""
+    """(re, im, terms): exp(a + ib) for ints a, b at scale w, by the steps
+    of `_exp_block` on a 1x1 block, and the number of terms summed."""
     total_re = term_re = 1 << w
     total_im = term_im = 0
     j = 1
@@ -201,7 +180,7 @@ def _exp_scalar(s, w, a, b=0):
     for _ in range(s):
         total_re, total_im = ((total_re * total_re - total_im * total_im) >> w,
                               (2 * total_re * total_im) >> w)
-    return [[total_re]], [[total_im]]
+    return total_re, total_im, j - 1
 
 
 def _exp_block(s, w, *parts):
@@ -257,8 +236,11 @@ def expm(x, prec):
         sub = [[[p[i][j] for j in block] for i in block] for p in y]
         if not any(v for p in sub[1:] for row in p for v in row):
             sub = sub[:1]  # a real block
-        values = (_exp_scalar(s, w, *(p[0][0] for p in sub)) if len(block) == 1
-                  else _exp_block(s, w, *sub))
+        if len(block) == 1:
+            re, im, _ = _exp_scalar(s, w, *(p[0][0] for p in sub))
+            values = [[re]], [[im]]
+        else:
+            values = _exp_block(s, w, *sub)
         for part, value in zip(out, values):
             for r, i in enumerate(block):
                 for c, j in enumerate(block):

@@ -244,8 +244,9 @@ class Sl2Images:
     """The homomorphism SL(2,R) -> SL(n) of an exact triple, in closed form
     along the chains of E (`ExactTriple.chains`).
 
-    A chain a_0, ..., a_k carries the signature m_p = (p+1)(k-p) of the
-    irreducible module, so in the basis w_p = U_p sqrt(C(k, p)) x^(k-p) y^p,
+    A chain a_0, ..., a_k with units unit_0, ..., unit_(k-1) is the
+    irreducible module, E[a_p, a_(p+1)] = unit_p sqrt((p+1)(k-p)), so in the
+    basis w_p = U_p sqrt(C(k, p)) x^(k-p) y^p,
     U_p = unit_0 ... unit_(p-1), the triple acts as on Sym^k of the plane:
     rho(g)[a_q, a_p] = Sym^k(g)[q, p] (U_p / U_q) sqrt(C(k, p) / C(k, q)).
     Sym^k(g) is formed exactly in ints, each entry is multiplied by its
@@ -259,9 +260,9 @@ class Sl2Images:
         # a_q n + a_p of the chains a) per entry: U_p / U_q = sign * i**part
         self.h, self.n = exact.h, len(exact.h)
         self._terms = {}
-        for idx, sig in exact.chains:
-            turns = [sum(_QUARTER_TURNS[unit] for _, unit in sig[:p]) for p in range(len(idx))]
-            terms = self._terms.setdefault(len(sig), [
+        for idx, units in exact.chains:
+            turns = [sum(_QUARTER_TURNS[unit] for unit in units[:p]) for p in range(len(idx))]
+            terms = self._terms.setdefault(len(units), [
                 (q, p, (-1) ** ((tp - tq) % 4 // 2), (tp - tq) % 2, [])
                 for q, tq in enumerate(turns) for p, tp in enumerate(turns)])
             for q, p, _, _, positions in terms:
@@ -365,10 +366,10 @@ def central_part(x, exact, prec):
     """The orthogonal projection of the FixedMatrix x onto the commutant of
     the triple.  By Schur the commutant holds the matrices that are equal
     multiples of the identity between chains of equal length
-    (`ExactTriple.chains`, whose equal-length chains carry equal
-    coefficients), so each entry x[a_k, b_k] of a pair (a, b) of such chains
-    becomes the mean of those entries and every other entry 0.  The sum of
-    each part is exact and rounded once to prec bits, and so is the mean."""
+    (`ExactTriple.chains`, whose equal-length chains carry equal units), so
+    each entry x[a_k, b_k] of a pair (a, b) of such chains becomes the mean
+    of those entries and every other entry 0.  The sum of each part is exact
+    and rounded once to prec bits, and so is the mean."""
     n = len(exact.h)
     groups = {}
     for idx, _ in exact.chains:

@@ -215,8 +215,12 @@ def _triple_from_spec(alg, spec):
         return rho1_su(alg)
     if spec == "rho2":
         return rho2_su(alg)
-    if isinstance(spec, dict) and isinstance(spec.get("partition"), (list, tuple)):
-        return sl2_from_partition(alg, tuple(spec["partition"]))
+    if isinstance(spec, dict):
+        for key in sorted(map(str, spec)):
+            if key != "partition":
+                raise ParameterError(f"unknown triple key {key!r}; known: ['partition']")
+        if isinstance(spec.get("partition"), (list, tuple)):
+            return sl2_from_partition(alg, tuple(spec["partition"]))
     raise ParameterError(f'triple must be "rho1", "rho2" or {{"partition": [...]}}, '
                          f'got {spec!r}')
 

@@ -3,11 +3,12 @@ sl(n,R), the two explicit su(p,q) families, evenness, the involution matrix
 sigma = exp(pi*sqrt(-1)*H), the even subalgebra, isotypic decompositions,
 genus bounds, and torsion-free spanning sets of centralizers.
 
-Every triple is built from its exact form (`ExactTriple`): H is an integer
-diagonal, so ad H weights are read off the basis, and its centralizer off
-the chains of E.  The constructed triples, their even parts, their isotypic
-data and their star bases are built once per process for each algebra (and
-partition), and hold read-only arrays.
+Every triple is built from its exact form (`ExactTriple`), the chains of
+E: H is the integer diagonal read off them, so ad H weights are read off
+the basis, and the centralizer of the triple off the chains.  The
+constructed triples, their even parts, their isotypic data and their star
+bases are built once per process for each algebra (and partition), and
+hold read-only arrays.
 """
 
 import collections
@@ -37,55 +38,47 @@ HW_PIVOT_TOL = 1e-9        # smallest pivot of the highest-weight normalization
 
 @dataclass(frozen=True)
 class ExactTriple:
-    """Exact form of a constructed triple: H = diag(h) with integer weights,
-    and E with the entry unit * sqrt(m) at (row, col), unit 1 in sl and i in
-    su.  F is E's conjugate transpose (its transpose in sl, where every unit
-    is real)."""
-    h: tuple  # integer H-weights
-    e: tuple  # (row, col, m, unit) for each nonzero entry of E
+    """Exact form of a constructed triple: E as a union of chains, the
+    irreducible summands of the sl2-module, ordered by top index.  A chain
+    (indices, units) of length d carries E[indices[k], indices[k+1]] =
+    unit_k sqrt(m_k), m_k = (k+1)(d-1-k), and H = diag(h) the weights
+    d-1, d-3, ..., -(d-1) down it: the irreducible module of dimension d,
+    on which SL(2,R) acts by its (d-1)-th symmetric power
+    (`intkernel.Sl2Images`).  Each unit is a power of i, 1 in sl and i in
+    su; F is E's conjugate transpose (its transpose in sl).  An index on no
+    link is a chain of length 1.  Equal-length chains carry equal units, so
+    the commutant of the triple is the matrices with equal multiples of the
+    identity between matched chains."""
+    chains: tuple  # ((indices, units), ...)
+
+    def __post_init__(self):
+        indices = sorted(i for idx, _ in self.chains for i in idx)
+        if indices != list(range(len(indices))):
+            raise ParameterError("the chains of E must cover each index exactly once")
+        by_length = {}
+        for idx, units in self.chains:
+            if not idx:
+                raise ParameterError("a chain of E is empty")
+            if len(units) != len(idx) - 1 or any(u not in (1, -1, 1j, -1j) for u in units):
+                raise ParameterError(f"a chain of {len(idx)} indices needs {len(idx) - 1} units, "
+                                     f"each a power of i; got {units}")
+            if by_length.setdefault(len(idx), tuple(units)) != tuple(units):
+                raise ParameterError(f"two chains of length {len(idx)} carry different units")
 
     @cached_property
-    def chains(self):
-        """E as a union of chains: ((indices, signature), ...) ordered by top
-        index.  A chain of length d runs down the weights d-1, d-3, ..., -(d-1)
-        with E[indices[k], indices[k+1]] = unit_k sqrt(m_k); its signature is
-        ((m_0, unit_0), ..., (m_{d-2}, unit_{d-2})).  An index no entry of E
-        touches is a chain of length 1.  Equal-length chains must carry equal
-        signatures, so the commutant of the triple is the matrices with equal
-        multiples of the identity between matched chains.  The signature must
-        be that of the irreducible sl2-module of dimension d,
-        m_k = (k+1)(d-1-k), with each unit a power of i (so |unit| = 1): on
-        such a chain SL(2,R) acts by its (d-1)-th symmetric power
-        (`intkernel.Sl2Images`)."""
-        down, up = {}, {}
-        for row, col, m, unit in self.e:
-            if self.h[row] - self.h[col] != 2:
-                raise ParameterError("E and F must move the H-weights by +2 and -2")
-            if row in down or col in up:
-                raise ParameterError("E is not a union of chains: an index is linked twice")
-            down[row], up[col] = (col, (m, unit)), row
-        chains, by_length = [], {}
-        for top in range(len(self.h)):
-            if top in up:
-                continue
-            idx, sig = [top], []
-            while idx[-1] in down:
-                nxt, link = down[idx[-1]]
-                idx.append(nxt)
-                sig.append(link)
-            weights = [self.h[i] for i in idx]
-            if weights != list(range(len(idx) - 1, -len(idx), -2)):
-                raise ParameterError(f"a chain of E carries the weights {weights}, "
-                                     f"not d-1, ..., -(d-1)")
-            if by_length.setdefault(len(idx), tuple(sig)) != tuple(sig):
-                raise ParameterError(f"two chains of length {len(idx)} carry different "
-                                     f"coefficients")
-            if any(m != (k + 1) * (len(sig) - k) or unit not in (1, -1, 1j, -1j)
-                   for k, (m, unit) in enumerate(sig)):
-                raise ParameterError(f"a chain of length {len(idx)} carries the signature "
-                                     f"{sig}, not m_k = (k+1)(d-1-k) with units powers of i")
-            chains.append((tuple(idx), tuple(sig)))
-        return tuple(chains)
+    def h(self):
+        """The integer H-weights, d-1, d-3, ..., -(d-1) down each chain."""
+        h = [0] * sum(len(idx) for idx, _ in self.chains)
+        for idx, _ in self.chains:
+            for k, i in enumerate(idx):
+                h[i] = len(idx) - 1 - 2 * k
+        return tuple(h)
+
+    @cached_property
+    def e(self):
+        """(row, col, m, unit) for each nonzero entry of E, chain by chain."""
+        return tuple((idx[k], idx[k + 1], (k + 1) * (len(idx) - 1 - k), unit)
+                     for idx, units in self.chains for k, unit in enumerate(units))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +94,6 @@ class Sl2Triple:
         if not isinstance(self.exact, ExactTriple):
             raise ParameterError("an Sl2Triple is built from an ExactTriple, "
                                  f"got {type(self.exact).__name__}")
-        self.exact.chains  # raises ParameterError unless E, F, H form an sl2-triple
 
     @cached_property
     def h(self):
@@ -169,13 +161,6 @@ class Sl2Triple:
                 + xi[..., 1, 0, :, :] * self.f)
 
 
-def _partition_weight_string(parts):
-    weights = []
-    for p in parts:
-        weights.extend(range(p - 1, -p, -2))
-    return weights
-
-
 def sl2_from_partition(alg, partition):
     """Jordan-type block triple for a partition of n, conjugated so that the
     H-image is the dominant diagonal matrix of concatenated weight strings.
@@ -192,14 +177,14 @@ def sl2_from_partition(alg, partition):
 @functools.lru_cache(maxsize=32)
 def _partition_triple(alg, parts):
     (n,) = alg.params
-    weights = _partition_weight_string(parts)
     starts = itertools.accumulate(parts, initial=0)
-    entries = [(s + k - 1, s + k, k * (p - k)) for s, p in zip(starts, parts) for k in range(1, p)]
+    blocks = ExactTriple(tuple((tuple(range(s, s + p)), (1,) * (p - 1))
+                               for s, p in zip(starts, parts)))
     # stable sort of the diagonal into the closed chamber
-    order = sorted(range(n), key=lambda i: (-weights[i], i))
+    order = sorted(range(n), key=lambda i: (-blocks.h[i], i))
     new = {old: k for k, old in enumerate(order)}
-    exact = ExactTriple(tuple(weights[i] for i in order),
-                        tuple((new[r], new[c], m, 1) for r, c, m in entries))
+    exact = ExactTriple(tuple(sorted((tuple(new[i] for i in idx), units)
+                                     for idx, units in blocks.chains)))
     label = "[" + ",".join(str(p) for p in sorted(parts, reverse=True)) + "]"
     return Sl2Triple(alg, exact, "partition", label)
 
@@ -207,33 +192,30 @@ def _partition_triple(alg, parts):
 @functools.lru_cache(maxsize=4)
 def rho1_su(alg):
     """diag(1..1,0..0,-1..-1) with E = sqrt(-1) times the corner identity
-    block; one triple per algebra object."""
+    block: the chains (k, p + k) with unit i for k < q, and the indices
+    q, ..., p - 1 alone.  One triple per algebra object."""
     if alg.family != SU:
         raise ParameterError("rho1 lives in su(p,q)")
     p, q = alg.params
-    n = p + q
-    h = tuple(1 if i < q else -1 if i >= n - q else 0 for i in range(n))
-    exact = ExactTriple(h, tuple((k, p + k, 1, 1j) for k in range(q)))
+    exact = ExactTriple(tuple(((k, p + k), (1j,)) for k in range(q))
+                        + tuple(((k,), ()) for k in range(q, p)))
     return Sl2Triple(alg, exact, "rho1", "rho1")
 
 
 @functools.lru_cache(maxsize=4)
 def rho2_su(alg):
     """diag(2q,...,2,0..0,-2,...,-2q) with superdiagonal constants
-    c_k = sqrt(-1) sqrt(k(2q+1-k)); undefined for p = q.  One triple per
-    algebra object."""
+    c_k = sqrt(-1) sqrt(k(2q+1-k)): the chain 0, ..., q, p, ..., p+q-1 with
+    every unit i, and the indices q+1, ..., p-1 alone; undefined for p = q.
+    One triple per algebra object."""
     if alg.family != SU:
         raise ParameterError("rho2 lives in su(p,q)")
     p, q = alg.params
     if p < q + 1:
         raise ParameterError(f"rho2 is undefined for p = q (got p={p}, q={q})")
-    m = [k * (2 * q + 1 - k) for k in range(q + 1)]  # c_k = sqrt(-1) sqrt(m[k])
-    tops = list(range(2 * q, 0, -2))
-    h = tuple(tops + [0] * (p - q) + [-w for w in reversed(tops)])
-    e = ([(k, k + 1, m[k + 1], 1j) for k in range(q)]  # leading (q+1)-block, c_1..c_q
-         + [(p + j, p + j + 1, m[q - 1 - j], 1j) for j in range(q - 1)]  # trailing q-block
-         + [(q, p, m[q], 1j)])  # bridge term c_q E_{q+1,p+1}
-    return Sl2Triple(alg, ExactTriple(h, tuple(e)), "rho2", "rho2")
+    exact = ExactTriple(((tuple(range(q + 1)) + tuple(range(p, p + q)), (1j,) * (2 * q)),)
+                        + tuple(((k,), ()) for k in range(q + 1, p)))
+    return Sl2Triple(alg, exact, "rho2", "rho2")
 
 
 def ad_weight_multiplicities(triple):

@@ -171,18 +171,94 @@ def oracle_coordinates(alg, x):
     return alg._solver @ np.concatenate([x.reshape(-1).real, x.reshape(-1).imag])
 
 
-def constructed_triples(n_max, p_max):
-    """Every triple the package constructs in sl(2..n_max) and su(p,q), p <= p_max."""
-    from liebend.sl2 import _partitions, rho1_su, rho2_su, sl2_from_partition
-    out = []
+def triple_cases(n_max, p_max, zero=False):
+    """(family, params, spec) of every triple the package constructs in
+    sl(2..n_max), the zero triples too when zero is set, and in su(p,q),
+    p <= p_max: plain data to parametrize over, so that a test module
+    collects even when a constructor fails."""
+    from liebend.sl2 import _partitions
+    cases = []
     for n in range(2, n_max + 1):
-        alg = make_algebra("sl", n)
-        out += [sl2_from_partition(alg, parts) for parts in _partitions(n) if max(parts) > 1]
+        cases += [("sl", (n,), parts) for parts in _partitions(n) if zero or max(parts) > 1]
     for p in range(1, p_max + 1):
         for q in range(1, p + 1):
-            alg = make_algebra("su", p, q)
-            out += [rho1_su(alg)] + ([rho2_su(alg)] if p > q else [])
-    return out
+            cases += [("su", (p, q), "rho1")] + ([("su", (p, q), "rho2")] if p > q else [])
+    return cases
+
+
+def triple_label(case):
+    """The label of the case's triple: its spec, or its sorted parts as [4,1]."""
+    spec = case[2]
+    return spec if isinstance(spec, str) else "[" + ",".join(map(str, sorted(spec, reverse=True))) + "]"
+
+
+def triple_id(case):
+    """The test id of a case: family, parameters and label, as sl(5,)-[4,1]."""
+    return f"{case[0]}{case[1]}-{triple_label(case)}"
+
+
+def build_triple(case):
+    """The package's triple for a (family, params, spec) case."""
+    from liebend.sl2 import rho1_su, rho2_su, sl2_from_partition
+    family, params, spec = case
+    alg = make_algebra(family, *params)
+    if family == "sl":
+        return sl2_from_partition(alg, spec)
+    return {"rho1": rho1_su, "rho2": rho2_su}[spec](alg)
+
+
+def constructed_triples(n_max, p_max):
+    """Every triple the package constructs in sl(2..n_max) and su(p,q), p <= p_max."""
+    return [build_triple(case) for case in triple_cases(n_max, p_max)]
+
+
+def closed_form(case):
+    """Reference oracle: (h, E's entries (row, col, m, unit) as a set) of
+    the case's triple by the closed forms that built it before it was given
+    by its chains.  A partition concatenates its weight strings and block
+    entries k (p - k), sorted stably into the closed chamber; rho1 is
+    diag(1..1, 0..0, -1..-1) with its corner block; rho2 carries
+    m_k = k (2q + 1 - k) down its leading and trailing blocks and the
+    bridge term m_q at (q, p)."""
+    family, params, spec = case
+    if family == "sl":
+        (n,) = params
+        weights = [w for p in spec for w in range(p - 1, -p, -2)]
+        starts = itertools.accumulate(spec, initial=0)
+        entries = [(s + k - 1, s + k, k * (p - k)) for s, p in zip(starts, spec)
+                   for k in range(1, p)]
+        order = sorted(range(n), key=lambda i: (-weights[i], i))
+        new = {old: k for k, old in enumerate(order)}
+        return (tuple(weights[i] for i in order),
+                {(new[r], new[c], m, 1) for r, c, m in entries})
+    p, q = params
+    n = p + q
+    if spec == "rho1":
+        h = tuple(1 if i < q else -1 if i >= n - q else 0 for i in range(n))
+        return h, {(k, p + k, 1, 1j) for k in range(q)}
+    m = [k * (2 * q + 1 - k) for k in range(q + 1)]
+    tops = list(range(2 * q, 0, -2))
+    h = tuple(tops + [0] * (p - q) + [-w for w in reversed(tops)])
+    return h, ({(k, k + 1, m[k + 1], 1j) for k in range(q)}
+               | {(p + j, p + j + 1, m[q - 1 - j], 1j) for j in range(q - 1)}
+               | {(q, p, m[q], 1j)})
+
+
+def bend_subprocess(plan, tmp_path, *args):
+    """`bend --plan` on the plan in a child process: (exit code, stdout,
+    stderr)."""
+    import json
+    import os
+    import subprocess
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "liebend.cli", "bend", "--plan",
+                           str(tmp_path / "plan.json"), *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def torus_matrix(torus, v):

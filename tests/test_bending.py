@@ -11,6 +11,8 @@ from liebend.errors import GenusConditionError, ParameterError
 from liebend.sl2 import (module_multiplicities, rho1_su, rho2_su,
                          sl2_from_partition)
 
+from conftest import bend_subprocess
+
 H2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 E2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 F2 = E2.T
@@ -456,24 +458,6 @@ def test_bend_with_compact_centralizer_sums(spec, genus):
     assert cert["verdict"] == "PASS" and cert["achieved_dim"] == cert["target_dim"]
 
 
-def _bend_subprocess(plan, tmp_path, *args):
-    """`bend --plan` on the plan in a child process: (exit code, stdout,
-    stderr)."""
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    src = Path(__file__).resolve().parents[1] / "src"
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-m", "liebend.cli", "bend", "--plan",
-                           str(tmp_path / "plan.json"), *args], env=env, capture_output=True,
-                          text=True, timeout=60)
-    return done.returncode, done.stdout, done.stderr
-
-
 @pytest.mark.parametrize("plan", [
     {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e5},
     {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": 1e300},
@@ -483,7 +467,7 @@ def _bend_subprocess(plan, tmp_path, *args):
 def test_an_overflowing_t_is_an_input_error(plan, tmp_path):
     """A t whose twists overflow ends bend with one input-error line and
     exit 2, before the mp lane or the certificate reads the twists."""
-    code, out, err = _bend_subprocess(plan, tmp_path)
+    code, out, err = bend_subprocess(plan, tmp_path)
     assert code == 2 and out == ""
     assert err.splitlines() == [
         f"input error: bending parameter t = {float(plan['t'])!r} overflows the twists: "
@@ -506,7 +490,7 @@ def test_a_t_past_float64_is_an_input_error(t, reason, tmp_path):
     products overflow, or the twists do: bend ends with one input-error
     line and exit 2, not a traceback, before the mp lane or the
     certificate reads a non-finite Z."""
-    code, out, err = _bend_subprocess(dict(SL3_DPS40, t=t), tmp_path)
+    code, out, err = bend_subprocess(dict(SL3_DPS40, t=t), tmp_path)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"input error: bending parameter t = {float(t)!r} {reason}"]
 
@@ -517,7 +501,7 @@ def test_a_grid_moves_past_a_singular_t(tmp_path):
     value: the report is the one of that value alone, but for the grid it
     echoes."""
     import json
-    runs = [_bend_subprocess(SL3_DPS40, tmp_path, "--t-grid", grid)
+    runs = [bend_subprocess(SL3_DPS40, tmp_path, "--t-grid", grid)
             for grid in ("300,0.0162", "0.0162")]
     assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
     docs = [json.loads(out) for _, out, _ in runs]
@@ -546,7 +530,7 @@ def test_a_grid_moves_past_a_t_whose_z_leaves_the_decomposition(tmp_path):
     naming it, so the grid goes on to 0.01, and the report is the one of
     0.01 alone, but for the grid it echoes."""
     import json
-    runs = [_bend_subprocess(SU21_RHO1, tmp_path, "--t-grid", grid)
+    runs = [bend_subprocess(SU21_RHO1, tmp_path, "--t-grid", grid)
             for grid in ("100,0.01", "0.01")]
     assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
     docs = [json.loads(out) for _, out, _ in runs]
@@ -563,7 +547,7 @@ def test_an_explicit_t_whose_z_leaves_the_decomposition_is_inconclusive(tmp_path
     """The same t = 100 asked for in the plan ends INCONCLUSIVE (exit 1),
     and the failed inequalities name t and the piece, not an input error."""
     import json
-    code, out, err = _bend_subprocess(dict(SU21_RHO1, t=100), tmp_path)
+    code, out, err = bend_subprocess(dict(SU21_RHO1, t=100), tmp_path)
     assert (code, err) == (1, "")
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert checks["bend/inequalities"]["verdict"] == {

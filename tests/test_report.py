@@ -10,7 +10,7 @@ from liebend.config import DEFAULT
 from liebend.report import (PRESETS, cmd_bend, cmd_check, cmd_reproduce_sec53,
                             cmd_reproduce_sec6, compare_to_golden, load_golden)
 
-from conftest import matrix_from_json
+from conftest import bend_subprocess, matrix_from_json
 
 SEC53_AH = [["2", "-2", "0", "0", "0"], ["4", "2", "0", "-2", "-4"]]
 
@@ -330,6 +330,15 @@ def test_cli_rejects_an_unknown_plan_key(tmp_path, capsys, plan, key):
     known = sorted(["family", *params, "genus", "t", "triple", "verify_dps"])
     assert captured.out == ""
     assert captured.err == f"input error: unknown plan key {key!r}; known: {known}\n"
+
+
+def test_cli_rejects_an_unknown_triple_key(tmp_path):
+    """A key beside "partition" in the triple spec is an input error naming
+    the key, as a plan-level typo is, not a key echoed into the report."""
+    plan = {"family": "sl", "n": 5, "triple": {"partition": [4, 1], "label": "x"}, "genus": 4}
+    code, out, err = bend_subprocess(plan, tmp_path)
+    assert code == 2 and out == ""
+    assert err == "input error: unknown triple key 'label'; known: ['partition']\n"
 
 
 @pytest.mark.parametrize("rows, message", [

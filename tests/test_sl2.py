@@ -19,8 +19,9 @@ from liebend.sl2 import (A0, SL2_E, SL2_F, ExactTriple, Sl2Triple, ad_weight_mul
                          module_multiplicities, property_star_basis, rho1_su, rho2_su,
                          rho_of, sigma, sl2_from_partition)
 
-from conftest import (constructed_triples, is_zero, oracle_coordinates,
-                      oracle_weight_mults, torus_matrix, triple_centralizer,
+from conftest import (build_triple, closed_form, constructed_triples, is_zero,
+                      oracle_coordinates, oracle_weight_mults, torus_matrix,
+                      triple_cases, triple_centralizer, triple_id, triple_label,
                       verify_sl2_triple)
 
 SEC53_TABLE = [
@@ -93,9 +94,21 @@ def test_rho2_undefined_for_equal_signature():
 
 def test_verify_rejects_scaled_triple(sl2):
     # E = 2 E_12 and F = 2 E_21: [E, F] = 4 H != H, so the chain of length 2
-    # carries m = 4, not 1, and the triple is refused where it is built
-    with pytest.raises(ParameterError, match="signature"):
-        Sl2Triple(sl2, ExactTriple((1, -1), ((0, 1, 4, 1),)), "partition", "scaled")
+    # carries the unit 2, no power of i, and the triple is refused where it
+    # is built
+    with pytest.raises(ParameterError, match="each a power of i"):
+        Sl2Triple(sl2, ExactTriple((((0, 1), (2,)),)), "partition", "scaled")
+
+
+@pytest.mark.parametrize("case", triple_cases(8, 6, zero=True), ids=triple_id)
+def test_chains_give_the_closed_forms(case):
+    """H and E read off the chains are the closed forms that built each
+    triple before (`conftest.closed_form`): h equal, E's entries equal as a
+    set."""
+    exact = build_triple(case).exact
+    h, e = closed_form(case)
+    assert exact.h == h
+    assert set(exact.e) == e
 
 
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (2, 2), (4, 4), (6, 6)])
@@ -120,16 +133,9 @@ def test_sigma_zero_triple(sl5):
     assert np.allclose(sigma(z), np.eye(5))
 
 
-def test_sigma_non_integer_error(sl2):
-    # weights (1/2, -1/2) are no chain's d-1, ..., -(d-1): refused where built,
-    # so sigma never sees them
-    with pytest.raises(ParameterError, match="weights"):
-        Sl2Triple(sl2, ExactTriple((Fraction(1, 2), Fraction(-1, 2)), ()), "partition", "half")
-
-
 def test_sigma_refuses_an_odd_number_of_odd_weights(sl3):
     # a stand-in with weights (1, 0, 0): diag(-1, 1, 1) has det -1
-    stand_in = types.SimpleNamespace(algebra=sl3, exact=ExactTriple((1, 0, 0), ()))
+    stand_in = types.SimpleNamespace(algebra=sl3, exact=types.SimpleNamespace(h=(1, 0, 0)))
     with pytest.raises(RealizationError, match="defining condition"):
         sigma(stand_in)
 
@@ -143,7 +149,7 @@ def test_sigma_group_condition_matches_the_float_residual(family, params):
     for h in itertools.product((0, 1), repeat=alg.size):
         s = np.diag([(-1.0) ** w for w in h])
         s = s.astype(complex) if np.iscomplexobj(alg.basis) else s
-        stand_in = types.SimpleNamespace(algebra=alg, exact=ExactTriple(h, ()))
+        stand_in = types.SimpleNamespace(algebra=alg, exact=types.SimpleNamespace(h=h))
         if group_residual(alg, s) <= 1e-8 * alg.size:
             assert np.array_equal(sigma(stand_in), s)
         else:
@@ -363,13 +369,13 @@ def test_property_star_spans(su21, sl5):
         assert span.dim == z.dim == len(star)
 
 
-@pytest.mark.parametrize("triple", constructed_triples(6, 4),
-                         ids=lambda t: f"{t.algebra.family}{t.algebra.params}-{t.label}")
-def test_star_basis_structure(triple):
+@pytest.mark.parametrize("case", triple_cases(6, 4), ids=triple_id)
+def test_star_basis_structure(case):
     """Every constructed triple gets a star basis: each element lies in g
     and commutes with H, E and F; an elliptic element is anti-hermitian
     with exp(X) = 1, a hyperbolic one hermitian; and the elements span the
     float kernel of (ad H, ad E, ad F)."""
+    triple = build_triple(case)
     alg = triple.algebra
     n = alg.size
     star = triple.star_basis
@@ -507,11 +513,11 @@ def _assert_bitwise_oracle(triple, stack):
     assert rho_of(triple, stack[0]).tobytes() == got[0].tobytes()
 
 
-@pytest.mark.parametrize("triple", constructed_triples(6, 4), ids=lambda t: t.label)
-def test_stacked_rho_of_is_bitwise_the_per_matrix_form(triple):
+@pytest.mark.parametrize("case", triple_cases(6, 4), ids=triple_label)
+def test_stacked_rho_of_is_bitwise_the_per_matrix_form(case):
     """Every constructed triple (sl(n), n <= 6; su(p,q), p <= 4) on the
     polygon generators of genus 2..8 and their conjugators."""
-    _assert_bitwise_oracle(triple, _polygon_stack(range(2, 9)))
+    _assert_bitwise_oracle(build_triple(case), _polygon_stack(range(2, 9)))
 
 
 def test_rho_of_rejects_a_non_unimodular_slice(sl5):

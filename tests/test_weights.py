@@ -19,16 +19,16 @@ from liebend.errors import ParameterError
 from liebend.sl2 import ad_weight_multiplicities, g_even, module_multiplicities
 from liebend.weyl import split_torus
 
-from conftest import constructed_triples, oracle_weight_mults, torus_matrix
+from conftest import (build_triple, oracle_weight_mults, torus_matrix, triple_cases,
+                      triple_label)
 
-TRIPLES = constructed_triples(7, 6)
+CASES = triple_cases(7, 6)
 ALGEBRAS = ([make_algebra("sl", n) for n in range(2, 8)]
             + [make_algebra("su", p, q) for p in range(1, 7) for q in range(1, p + 1)])
 
 
-def _id(triple):
-    alg = triple.algebra
-    return f"{alg.family}{','.join(map(str, alg.params))}-{triple.label}"
+def _id(case):
+    return f"{case[0]}{','.join(map(str, case[1]))}-{triple_label(case)}"
 
 
 def _projector(rows):
@@ -85,8 +85,9 @@ def oracle_root_multiplicities(torus):
     return mults
 
 
-@pytest.mark.parametrize("triple", TRIPLES, ids=_id)
-def test_exact_weight_path_matches_the_oracles(triple):
+@pytest.mark.parametrize("case", CASES, ids=_id)
+def test_exact_weight_path_matches_the_oracles(case):
+    triple = build_triple(case)
     alg = triple.algebra
     assert ad_weight_multiplicities(triple) == oracle_weight_mults(alg, triple.h)
     zero_rows = np.eye(alg.dim)[triple.basis_weights == 0]
@@ -106,7 +107,7 @@ def test_exact_weight_path_matches_the_oracles(triple):
 
 
 def test_exact_weight_path_covers_every_constructed_triple():
-    assert len(TRIPLES) == 73
+    assert len(CASES) == 73
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{a.family}{a.params}")
