@@ -20,7 +20,7 @@ _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 _MOBIUS_INV = np.linalg.inv(_MOBIUS)
 
 FIXED_POINT_TOL = 1e-7  # a bending line's fixed-point residual, relative to Ad(rho(a))'s stretch
-FIXED_LINE_BITS = 110  # the precision at which the integer kernel rebuilds a bending line
+FIXED_LINE_BITS = 110  # the precision of the integer kernel's conjugator of a bent generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,65 +111,38 @@ def _polygon(g):
     return rep
 
 
-def _hyperbolic_conjugator(a_matrix):
-    """k in SL(2,R) with k^{-1} a k diagonal: `intkernel.conjugator` of the
-    exact float a at FIXED_LINE_BITS, rounded once to float64.  The kernel
-    is imported here, so commands that bend nothing never load it."""
-    from . import intkernel
-    k = intkernel.conjugator(intkernel.FixedMatrix.from_float(a_matrix), FIXED_LINE_BITS)
-    return k.to_complex().real
-
-
-def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_ak=None):
+def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
     """The Ad(rho(a))-fixed line in the piece V_{i,j} of the isotypic data
     iso, unit-normalized with a deterministic sign.  a must be hyperbolic in
-    SL(2,R).  rho_ak is the pair (rho(a), rho(k)) for a and its conjugator k
-    (`_hyperbolic_conjugator`: the integer kernel's, rounded once to
-    float64), computed here in one rho_of call unless the caller holds it.
+    SL(2,R).  rho_a, which checks the line, is rho(a); rho_of computes it
+    unless the caller holds it.
 
-    With a = k d k^{-1} diagonal, the fixed line is Ad(rho(k)) applied to the
-    weight-zero basis vector of the piece: conjugation avoids extracting a
-    near-kernel from an operator whose spectrum spreads exponentially in the
-    highest weight.  The fixed-point equation is verified afterwards; where
-    the float line misses it, the line is rebuilt on the integer kernel at
-    FIXED_LINE_BITS (`intkernel.fixed_line`, no mpmath) and verified again.
+    With k^{-1} a k diagonal (`intkernel.conjugator` of the exact float a at
+    FIXED_LINE_BITS; the kernel is imported here, so commands that bend
+    nothing never load it), the line is Ad(rho(k)) c_i, c_q = (ad F)^q c_0
+    being the piece's lowering basis (`iso.piece_columns`).  Its coordinates
+    there come from Sym^2i(k) in ints (`intkernel.line_coefficients`), with
+    no float conjugation for Ad(rho(a)) to stretch.  The fixed-point
+    equation is verified afterwards.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     if a_matrix.shape != (2, 2):
         raise ShapeError("a must be a 2x2 matrix")
     if abs(np.trace(a_matrix)) <= 2.0:
         raise ParameterError("the fixed line needs a hyperbolic element")
-    triple = iso.triple
-    alg = triple.algebra
-    if rho_ak is None:
-        rho_ak = rho_of(triple, np.array([a_matrix, _hyperbolic_conjugator(a_matrix)]))
-    rho_a, rho_k = rho_ak
-    rho_a_inv = np.linalg.inv(rho_a)
-
-    def line(x_mat):
-        """Unit coordinates with a deterministic sign, the fixed-point
-        residual, and how strongly Ad(rho(a)) stretches."""
-        x = alg.coordinates(x_mat)
-        x = x / np.linalg.norm(x)
-        lead = x[np.argmax(np.abs(x) > 1e-9)]
-        if lead < 0:
-            x = -x
-        moved = rho_a @ alg.from_coordinates(x) @ rho_a_inv
-        return x, np.linalg.norm(moved - alg.from_coordinates(x)), max(np.linalg.norm(moved), 1.0)
-
-    v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])  # weight-zero vector of the piece
-    x, resid, stretch = line(rho_k @ v0 @ np.linalg.inv(rho_k))
-    if resid > FIXED_POINT_TOL * stretch:
-        # Ad(rho(a)) stretches the rounding of the float conjugation: build
-        # the line in integers at FIXED_LINE_BITS, rounded once
-        from . import intkernel
-        x_mat = intkernel.fixed_line(intkernel.Sl2Images(triple.exact),
-                                     intkernel.FixedMatrix.from_float(a_matrix), v0,
-                                     FIXED_LINE_BITS)[3]
-        # complex128 in both families (zero imaginary parts in sl), which
-        # coordinates reads as it reads a real matrix
-        x, resid, stretch = line(x_mat)
-    if resid > FIXED_POINT_TOL * stretch:
+    from . import intkernel
+    k = intkernel.conjugator(intkernel.FixedMatrix.from_float(a_matrix), FIXED_LINE_BITS)
+    x = iso.piece_columns[(i, j)] @ intkernel.line_coefficients(k, i)
+    x = x / np.linalg.norm(x)
+    lead = x[np.argmax(np.abs(x) > 1e-9)]
+    if lead < 0:
+        x = -x
+    if rho_a is None:
+        rho_a = rho_of(iso.triple, a_matrix)
+    x_mat = iso.triple.algebra.from_coordinates(x)
+    moved = rho_a @ x_mat @ np.linalg.inv(rho_a)
+    resid = np.linalg.norm(moved - x_mat)
+    if resid > FIXED_POINT_TOL * max(np.linalg.norm(moved), 1.0):
         raise RealizationError(
             f"fixed-point residual {resid:.3e} too large in V_({i},{j})")
     return x
@@ -243,11 +216,8 @@ def build_plan(triple, seed, t="auto"):
         raise RealizationError(
             f"centralizer dimension {len(star)} disagrees with the trivial-piece count {trivial}")
 
-    # one rho_of call for the generators and the conjugator of each bent a_k
-    bent = [ij for ij in lam if ij[0] != 0]
-    conjugators = [_hyperbolic_conjugator(seed.a[f_map[ij] - 1]) for ij in bent]
-    images = rho_of(triple, np.concatenate([seed.a, seed.b, np.reshape(conjugators, (-1, 2, 2))]))
-    rho_k = dict(zip(bent, images[2 * seed.genus:]))
+    # one rho_of call; rho(a_k) of a bent generator also checks its fixed line
+    images = rho_of(triple, np.concatenate([seed.a, seed.b]))
 
     x_vectors, y_vectors = {}, {}
     for (i, j) in lam:
@@ -255,8 +225,7 @@ def build_plan(triple, seed, t="auto"):
             x_vectors[(0, j)] = np.array(star[j - 1].coords, dtype=float)
             continue
         k = f_map[(i, j)]
-        x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1],
-                                     rho_ak=(images[k - 1], rho_k[(i, j)]))
+        x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1], rho_a=images[k - 1])
         x_vectors[(i, j)] = x
         x_mat = alg.from_coordinates(x)
         best, best_norm = None, -1.0
@@ -268,8 +237,7 @@ def build_plan(triple, seed, t="auto"):
             raise RealizationError(f"[X,Y] vanishes for every triple image at {(i, j)}")
         y_vectors[(i, j)] = alg.coordinates(best)
 
-    plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None,
-                       readonly(images[:2 * seed.genus]))
+    plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None, readonly(images))
     if t == "auto":
         for cand in alg.config.t_grid:
             trial = plan.with_t(float(cand))
@@ -407,7 +375,11 @@ def bend(plan, pushed=None):
                                "Ad(e^(tX)) has a non-finite entry")
     # an overflowing relation word shows as a non-finite allowance
     with np.errstate(over="ignore", invalid="ignore"):
-        resid, peak, length = bent.relation_diagnostics
+        try:
+            resid, peak, length = bent.relation_diagnostics
+        except np.linalg.LinAlgError:
+            raise RealizationError(f"bending parameter t = {plan.t!r} is past float64: "
+                                   "a bent generator is singular") from None
         gen_norm = max(np.linalg.norm(m) for m in bent.generators())
         noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm
     if not np.isfinite(noise):

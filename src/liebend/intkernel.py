@@ -4,13 +4,12 @@ A `FixedMatrix` holds a matrix as Python-int mantissas over one binary
 exponent.  Every operation here is formed exactly in ints and rounded once to
 a precision in bits that the caller passes, to nearest with ties to even:
 the value libmp gives for the same operation at that precision.  So the
-float lane builds its conjugators, and a bending line where the float line
-misses, without importing mpmath (`bending`, at `bending.FIXED_LINE_BITS`),
-and the high-precision lane (`highprec`) gets the same bits at its working
-precision.  The correctly rounded elementary functions on the same
-(mantissa, exponent) pairs, and the Taylor matrix exponential of a
-`FixedMatrix`, are in `elementary`, which only the high-precision lane
-imports.
+float lane builds its bending lines without importing mpmath (`bending`, at
+`bending.FIXED_LINE_BITS`), and the high-precision lane (`highprec`) gets
+the same bits at its working precision.  The correctly rounded elementary
+functions on the same (mantissa, exponent) pairs, and the Taylor matrix
+exponential of a `FixedMatrix`, are in `elementary`, which only the
+high-precision lane imports.
 
 The pieces, each built in one place for both lanes:
 - `product`, the n x n matrix product, rounded entry by entry;
@@ -19,7 +18,8 @@ The pieces, each built in one place for both lanes:
 - `conjugator`, the det-1 eigenvector matrix of a hyperbolic 2x2 matrix;
 - `weight_zero_part` and `central_part`, projections of a float matrix onto
   the weight-zero entries and onto the commutant of the triple;
-- `fixed_line`, the line Ad(rho(k)) v0 rounded once to complex128.
+- `line_coefficients`, the float lane's line Ad(rho(k)) c_i in a piece's
+  lowering basis, and `fixed_line`, the mp lane's line as a matrix.
 """
 
 import functools
@@ -236,6 +236,19 @@ def _sym_power(k, a, b, c, d):
     return cols
 
 
+def line_coefficients(k, i):
+    """The coordinates of Ad(rho(k)) c_i in the lowering basis
+    c_q = (ad F)^q c_0 (q = 0..2i) of a piece isomorphic to Sym^2i of the
+    plane, for a real 2x2 FixedMatrix k.  With c_q = F^q x^2i =
+    (2i)!/(2i-q)! x^(2i-q) y^q, coefficient q is
+    Sym^2i(k)[q, i] (2i-q)! / i!: exact in ints over 2**(2i k.exp), and
+    rounded once to a float64."""
+    (a, b), (c, d) = k.re.tolist()
+    col, scale = _sym_power(2 * i, a, b, c, d)[i], (math.factorial(i), 0)
+    return np.array([_to_float(*_div((v * math.factorial(2 * i - q), 2 * i * k.exp), scale, 53))
+                     for q, v in enumerate(col)])
+
+
 # the power of i that each unit of an exact triple is (`ExactTriple.chains`)
 _QUARTER_TURNS = {1: 0, 1j: 1, -1: 2, -1j: 3}
 
@@ -305,10 +318,10 @@ def conjugator(g, prec):
     1e-12 in size positive, the second column negated if det k < 0, and k
     scaled to det 1.  Each step (sum, product, quotient, isqrt) is one exact
     integer operation rounded to prec bits.  This is the package's only
-    conjugator: the float lane rounds it once to float64 from
-    `bending.FIXED_LINE_BITS` (`bending._hyperbolic_conjugator`), the mp
-    lane holds it at its working precision.  An element that is not
-    hyperbolic raises ParameterError."""
+    conjugator: the float lane reads its bending lines off it at
+    `bending.FIXED_LINE_BITS` (`line_coefficients`), the mp lane holds it
+    at its working precision.  An element that is not hyperbolic raises
+    ParameterError."""
     (a, b), (c, d) = [[(v, g.exp) for v in row] for row in g.re.tolist()]
     tr = _add(a, d, prec)
     disc2 = _add(_mul(tr, tr, prec), (-4, 0), prec)

@@ -261,6 +261,15 @@ def bend_subprocess(plan, tmp_path, *args):
     return done.returncode, done.stdout, done.stderr
 
 
+def float_conjugator(a):
+    """k with k^-1 a k diagonal for a hyperbolic float 2x2 matrix a: the
+    integer kernel's conjugator of the exact a at `bending.FIXED_LINE_BITS`,
+    each entry rounded once to float64."""
+    from liebend.bending import FIXED_LINE_BITS
+    from liebend.intkernel import FixedMatrix, conjugator
+    return conjugator(FixedMatrix.from_float(a), FIXED_LINE_BITS).to_complex().real
+
+
 def torus_matrix(torus, v):
     """Ambient diagonal matrix of a free-coordinate torus vector (the a-pattern)."""
     m = np.diag(np.array(_diagonal(torus.algebra, v), dtype=float))

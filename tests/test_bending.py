@@ -7,7 +7,7 @@ from liebend.bending import (SurfaceGroupRep, bend, bending_inequalities, build_
                              density_certificate, fixed_weight_zero_vector,
                              fuchsian_generators, pushed_forward, z_vector)
 from liebend.config import Config
-from liebend.errors import GenusConditionError, ParameterError
+from liebend.errors import GenusConditionError, ParameterError, RealizationError
 from liebend.sl2 import (module_multiplicities, rho1_su, rho2_su,
                          sl2_from_partition)
 
@@ -387,8 +387,8 @@ def test_bend_takes_each_z_vector_once(spec, monkeypatch):
 
 def test_standalone_images_match_the_plan_stack(monkeypatch):
     """fixed_weight_zero_vector and pushed_forward without the plan's stack
-    each make one rho_of call of their own, and agree with the plan to the
-    bit."""
+    each make one rho_of call of their own (rho(a) alone for a line), and
+    agree with the plan to the bit."""
     from liebend import bending
     triple = sl2_from_partition(make_algebra("sl", 5), (5,))
     seed = fuchsian_generators(4)
@@ -407,14 +407,14 @@ def test_standalone_images_match_the_plan_stack(monkeypatch):
         assert x.tobytes() == plan.x_vectors[(i, j)].tobytes()
     pushed = pushed_forward(triple, seed)
     assert np.concatenate([pushed.a, pushed.b]).tobytes() == plan.images.tobytes()
-    assert bent and calls == [(2, 2, 2)] * len(bent) + [(8, 2, 2)]
+    assert bent and calls == [(2, 2)] * len(bent) + [(8, 2, 2)]
 
 
 @pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
 def test_bend_takes_each_rho_image_once(preset, monkeypatch):
-    """One rho_of call per plan, on a stack: each generator and the
-    conjugator of each bent a_k once.  rho(a_k) of a bent generator serves
-    both its fixed line and the pushed representation."""
+    """One rho_of call per plan, on a stack: each of the 2g generators
+    once.  rho(a_k) of a bent generator serves both the check of its fixed
+    line and the pushed representation."""
     from liebend import bending
     from liebend.config import DEFAULT
     from liebend.report import PRESETS, cmd_bend
@@ -433,7 +433,7 @@ def test_bend_takes_each_rho_image_once(preset, monkeypatch):
     assert fixed_lines
     assert len(calls) == 1
     seen = calls[0]
-    assert len(seen) == len(set(seen)) == 2 * spec["genus"] + fixed_lines
+    assert len(seen) == len(set(seen)) == 2 * spec["genus"]
 
 
 @pytest.mark.parametrize("spec, genus", [
@@ -479,17 +479,19 @@ SL3_DPS40 = {"family": "sl", "n": 3, "triple": {"partition": [3]}, "genus": 2, "
 
 @pytest.mark.parametrize("t, reason", [
     (200, "is past float64: Ad(e^(tX)) has a non-finite entry"),
-    (300, "is past float64: Ad(e^(tX)) has a non-finite entry"),
     (1000, "is past float64: Ad(e^(tX)) has a non-finite entry"),
-    (1500, "overflows the relation word: a partial product has a non-finite norm"),
+    (1500, "is past float64: Ad(e^(tX)) has a non-finite entry"),
+    (1150, "overflows the relation word: a partial product has a non-finite norm"),
+    (2000, "is past float64: a bent generator is singular"),
     (3000, "overflows the twists: a bent generator has a non-finite entry"),
 ])
 def test_a_t_past_float64_is_an_input_error(t, reason, tmp_path):
     """At these t the twists are finite but e^{tX} is singular in float64
     (its inverse in z_vector fails), or the relation word's partial
-    products overflow, or the twists do: bend ends with one input-error
-    line and exit 2, not a traceback, before the mp lane or the
-    certificate reads a non-finite Z."""
+    products overflow, or a bent generator is singular in float64 (its
+    inverse in the relation word fails), or the twists overflow: bend ends
+    with one input-error line and exit 2, not a traceback, before the mp
+    lane or the certificate reads a non-finite Z."""
     code, out, err = bend_subprocess(dict(SL3_DPS40, t=t), tmp_path)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"input error: bending parameter t = {float(t)!r} {reason}"]
@@ -502,12 +504,12 @@ def test_a_grid_moves_past_a_singular_t(tmp_path):
     echoes."""
     import json
     runs = [bend_subprocess(SL3_DPS40, tmp_path, "--t-grid", grid)
-            for grid in ("300,0.0162", "0.0162")]
+            for grid in ("200,0.0162", "0.0162")]
     assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
     docs = [json.loads(out) for _, out, _ in runs]
     plans = [next(c for c in doc["checks"] if c["check"] == "bend/plan") for doc in docs]
     assert plans[0]["verdict"]["t"] == plans[1]["verdict"]["t"] == 0.0162
-    assert plans[0]["verdict"]["t_grid"] == [300.0, 0.0162]
+    assert plans[0]["verdict"]["t_grid"] == [200.0, 0.0162]
     for doc in docs:
         doc["config"]["t_grid"] = None
         next(c for c in doc["checks"] if c["check"] == "bend/plan")["verdict"]["t_grid"] = None
@@ -521,16 +523,55 @@ def test_an_overflowing_grid_t_stays_inconclusive(capsys):
     assert err == "" and '"verdict": "INCONCLUSIVE"' in out
 
 
+def test_a_singular_bent_generator_is_an_input_error(monkeypatch):
+    """A twist that is finite but singular in float64 makes its bent
+    generator singular, and the relation word needs that generator's
+    inverse: bend raises a RealizationError naming t, not numpy's
+    LinAlgError."""
+    from liebend import bending
+    plan = build_plan(rho1_su(make_algebra("su", 2, 1)), fuchsian_generators(2), t=0.0162)
+    assert plan.inequalities.ok  # Z is read before the twists are made singular
+    monkeypatch.setattr(bending, "expm", np.zeros_like)
+    with pytest.raises(RealizationError,
+                       match=r"t = 0\.0162 is past float64: a bent generator is singular$"):
+        bend(plan)
+
+
 SU21_RHO1 = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "verify_dps": 40}
 
 
-def test_a_grid_moves_past_a_t_whose_z_leaves_the_decomposition(tmp_path):
-    """At t = 100 the rounding of Ad(e^{tX}) moves Z_{1,1}(t) off the
-    isotypic decomposition: the inequalities fail at that t with a note
-    naming it, so the grid goes on to 0.01, and the report is the one of
-    0.01 alone, but for the grid it echoes."""
+def _z_leaves_the_decomposition_at(t, monkeypatch):
+    """z_vector returns, at t, a unit vector of odd ad H-weight of su(2,1)
+    rho1: outside the even part, which the isotypic decomposition spans, as
+    where the rounding of Ad(e^{tX}) moves Z off it.  No t of a timed plan
+    reaches this in float64 since the lines are read off the conjugator's
+    Sym^2i, so the move is made by hand."""
+    from liebend import bending
+    odd = np.flatnonzero(rho1_su(make_algebra("su", 2, 1)).basis_weights % 2)[0]
+    real = bending.z_vector
+
+    def moved(alg, x_mat, y_mat, at):
+        return np.eye(alg.dim)[odd] if at == t else real(alg, x_mat, y_mat, at)
+
+    monkeypatch.setattr(bending, "z_vector", moved)
+
+
+def _bend_main(plan, tmp_path, capsys, *args):
+    """`bend --plan` on the plan in process: (exit code, stdout, stderr)."""
     import json
-    runs = [bend_subprocess(SU21_RHO1, tmp_path, "--t-grid", grid)
+    from liebend.cli import main
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code = main(["bend", "--plan", str(tmp_path / "plan.json"), *args])
+    return (code, *capsys.readouterr())
+
+
+def test_a_grid_moves_past_a_t_whose_z_leaves_the_decomposition(tmp_path, capsys, monkeypatch):
+    """Where Z_{1,1}(t) leaves the isotypic decomposition at t = 100, the
+    inequalities fail at that t, so the grid goes on to 0.01, and the report
+    is the one of 0.01 alone, but for the grid it echoes."""
+    import json
+    _z_leaves_the_decomposition_at(100.0, monkeypatch)
+    runs = [_bend_main(SU21_RHO1, tmp_path, capsys, "--t-grid", grid)
             for grid in ("100,0.01", "0.01")]
     assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
     docs = [json.loads(out) for _, out, _ in runs]
@@ -543,13 +584,16 @@ def test_a_grid_moves_past_a_t_whose_z_leaves_the_decomposition(tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_an_explicit_t_whose_z_leaves_the_decomposition_is_inconclusive(tmp_path):
-    """The same t = 100 asked for in the plan ends INCONCLUSIVE (exit 1),
-    and the failed inequalities name t and the piece, not an input error."""
+def test_an_explicit_t_whose_z_leaves_the_decomposition_is_inconclusive(tmp_path, capsys,
+                                                                         monkeypatch):
+    """A t asked for in the plan at which Z_{1,1}(t) leaves the isotypic
+    decomposition ends INCONCLUSIVE (exit 1), and the failed inequalities
+    name t and the piece, not an input error."""
     import json
-    code, out, err = bend_subprocess(dict(SU21_RHO1, t=100), tmp_path)
+    _z_leaves_the_decomposition_at(0.01, monkeypatch)
+    code, out, err = _bend_main(dict(SU21_RHO1, t=0.01), tmp_path, capsys)
     assert (code, err) == (1, "")
     checks = {c["check"]: c for c in json.loads(out)["checks"]}
     assert checks["bend/inequalities"]["verdict"] == {
-        "ok": False, "note": "Z_(1,1)(t) leaves the isotypic decomposition at t=100"}
+        "ok": False, "note": "Z_(1,1)(t) leaves the isotypic decomposition at t=0.01"}
     assert checks["bend/certificate"]["verdict"]["verdict"] == "INCONCLUSIVE"

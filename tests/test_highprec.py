@@ -8,15 +8,15 @@ import pytest
 
 from liebend import elementary, highprec
 from liebend.config import DEFAULT
-from liebend.errors import ParameterError
+from liebend.errors import ParameterError, RealizationError
 from liebend.highprec import (dps_to_bits, expm_pair, max_entry_distance, mp_fuchsian,
                               verify_bent_relation)
 from liebend.intkernel import (FixedMatrix, Sl2Images, _chain_constants, _round_nearest,
                                central_part, conjugator, product, weight_zero_part)
 from liebend.sl2 import ExactTriple, rho2_su, sl2_from_partition
 
-from conftest import (build_triple, from_mp, mp_pair, sl2_inverse, to_mp, triple_cases,
-                      triple_id)
+from conftest import (build_triple, float_conjugator, from_mp, mp_pair, sl2_inverse, to_mp,
+                      triple_cases, triple_id)
 
 
 def _times(a, b):
@@ -1110,17 +1110,18 @@ def test_conjugator_is_the_mp_closed_form(dps):
 
 
 def test_float_conjugator_diagonalizes_the_polygon():
-    """The float lane's conjugator (the kernel's at FIXED_LINE_BITS, rounded
-    once) on every polygon generator a of genus 2-31: k^-1 a k, formed
-    exactly in rationals, is diagonal to 1e-11 of its larger eigenvalue in
-    size, the eigenvalues descend, and det k is 1 up to the rounding of k.
+    """The kernel's conjugator at FIXED_LINE_BITS, rounded once to float64
+    (`float_conjugator`), on every polygon generator a of genus 2-31:
+    k^-1 a k, formed exactly in rationals, is diagonal to 1e-11 of its
+    larger eigenvalue in size, the eigenvalues descend, and det k is 1 up to
+    the rounding of k.
     The worst off-diagonal, 3.7e-12 at genus 31, comes from the kernel
     reading det a as 1: the float side pairings miss det 1 by up to 1.3e-12
     there."""
-    from liebend.bending import _hyperbolic_conjugator, fuchsian_generators
+    from liebend.bending import fuchsian_generators
     for genus in range(2, 32):
         for a in fuchsian_generators(genus).generators():
-            k = _hyperbolic_conjugator(a)
+            k = float_conjugator(a)
             (p, q), (r, s) = [[Fraction(float(v)) for v in row] for row in k]
             det = p * s - q * r
             # each entry rounded once: det k moves by at most eps (|ps| + |qr|)
@@ -1190,13 +1191,19 @@ def _line_oracle(exact, a, v0):
         return np.array(line.tolist(), dtype=complex)
 
 
+_FIXED_POINT_MISSES = {"sl(6,)-[6]", "sl(6,)-[5,1]", "su(4, 2)-rho2", "su(4, 3)-rho2"}
+
+
 @pytest.mark.parametrize("case", triple_cases(6, 4), ids=triple_id)
 def test_fixed_line_matches_the_60_digit_oracle(case):
     """The kernel's line at FIXED_LINE_BITS is within 1e-25 of its largest
     entry of the 60-digit oracle, for every piece with i > 0, at genus
     max(|Lambda|, 2) and at genus 6 (pieces whose generator index exceeds
-    the genus have no generator there)."""
-    from liebend.bending import FIXED_LINE_BITS, fuchsian_generators
+    the genus have no generator there).  The float lane's line, read off
+    Sym^2i of the conjugator (`fixed_weight_zero_vector`), is within 1e-12
+    of the oracle's unit coordinates: these genera hold every bent piece of
+    perfbench's timed plans."""
+    from liebend.bending import FIXED_LINE_BITS, fixed_weight_zero_vector, fuchsian_generators
     from liebend.intkernel import fixed_line
     from liebend.sl2 import module_multiplicities
     triple = build_triple(case)
@@ -1215,6 +1222,15 @@ def test_fixed_line_matches_the_60_digit_oracle(case):
             want = _line_oracle(triple.exact, a, v0)
             assert np.abs(got - want).max() <= 1e-25 * np.abs(want).max()
             checked += 1
+            unit = alg.coordinates(want) / np.linalg.norm(alg.coordinates(want))
+            try:
+                x = fixed_weight_zero_vector(iso, i, j, a)
+            except RealizationError:
+                # Ad(rho(a)) stretches the line's rounding past
+                # FIXED_POINT_TOL in these coverage triples (ROADMAP item 20)
+                assert triple_id(case) in _FIXED_POINT_MISSES
+                continue
+            assert np.abs(x - np.sign(unit @ x) * unit).max() <= 1e-12
     assert checked or all(i == 0 for i, _ in iso.Lambda)
 
 
@@ -1231,24 +1247,27 @@ def _probe(code):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_float_fallback_loads_no_mpmath(tmp_path):
-    """sl(5) [5] at genus 6 misses the float fixed line, so bend takes the
-    kernel's line; with verify_dps 0 neither mpmath nor the mp lane loads."""
+def test_float_lines_load_no_mpmath(tmp_path):
+    """sl(5) [5] at genus 6, with verify_dps 0: bend reads each of its four
+    bending lines off the kernel's conjugator at 110 bits, never builds the
+    kernel's line (`fixed_line`), and loads neither mpmath nor the mp
+    lane."""
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"family": "sl", "n": 5, "triple": {"partition": [5]},
                                 "genus": 6, "t": "auto", "verify_dps": 0}))
     out = _probe(
         "import json, sys\n"
         "import liebend.cli, liebend.intkernel as k\n"
-        "calls = []\n"
-        "real = k.fixed_line\n"
-        "k.fixed_line = lambda *a: calls.append(a[3]) or real(*a)\n"
+        "calls, lines = [], []\n"
+        "real, real_line = k.conjugator, k.fixed_line\n"
+        "k.conjugator = lambda *a: calls.append(a[1]) or real(*a)\n"
+        "k.fixed_line = lambda *a: lines.append(a[3]) or real_line(*a)\n"
         f"rc = liebend.cli.main(['bend', '--plan', {str(plan)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
         "loaded = [m for m in ('mpmath', 'liebend.highprec', 'liebend.elementary')\n"
         "          if m in sys.modules]\n"
-        "print(json.dumps({'rc': rc, 'calls': calls, 'loaded': loaded}))\n")
-    assert out["rc"] == 0 and out["loaded"] == []
-    assert out["calls"] and set(out["calls"]) == {110}
+        "print(json.dumps({'rc': rc, 'calls': calls, 'lines': lines, 'loaded': loaded}))\n")
+    assert out["rc"] == 0 and out["loaded"] == [] and out["lines"] == []
+    assert out["calls"] == [110] * 4
 
 
 def test_verified_bend_loads_no_mpmath(tmp_path):
@@ -1283,10 +1302,10 @@ _DATA = Path(__file__).resolve().parent / "data"
                                      "triple": "rho2", "t": "auto", "verify_dps": 40}),
 ], ids=["su21-rho1-g2", "sl5-even5-g4", "su3,1-rho2-g6"])
 def test_verified_reports_keep_their_bytes(name, spec, tmp_path):
-    """Reports at verify_dps 40, recorded with the float lane's conjugators
-    from the integer kernel: a change of the float lines (which the shipped
-    matrices and so every verified number follow), of the mp lane or of the
-    report writer shows here.  Re-record only a change of bytes that is
+    """Reports at verify_dps 40, recorded with the float lane's lines read
+    off the integer kernel's conjugator: a change of the float lines (which
+    the shipped matrices and so every verified number follow), of the mp
+    lane or of the report writer shows here.  Re-record only a change of bytes that is
     intended and explained, with the same bend command and
     `--out tests/data/<name>`."""
     from liebend.cli import main

@@ -19,7 +19,7 @@ from liebend.sl2 import (A0, SL2_E, SL2_F, ExactTriple, Sl2Triple, ad_weight_mul
                          module_multiplicities, property_star_basis, rho1_su, rho2_su,
                          rho_of, sigma, sl2_from_partition)
 
-from conftest import (build_triple, closed_form, constructed_triples, is_zero,
+from conftest import (build_triple, closed_form, constructed_triples, float_conjugator, is_zero,
                       oracle_coordinates, oracle_weight_mults, torus_matrix,
                       triple_cases, triple_centralizer, triple_id, triple_label,
                       verify_sl2_triple)
@@ -499,9 +499,9 @@ def _oracle_rho_of(triple, g2):
 
 def _polygon_stack(genera):
     """Every polygon generator of the genera and the conjugator of each."""
-    from liebend.bending import _hyperbolic_conjugator, fuchsian_generators
+    from liebend.bending import fuchsian_generators
     gens = [g for genus in genera for g in fuchsian_generators(genus).generators()]
-    return np.array(gens + [_hyperbolic_conjugator(g) for g in gens])
+    return np.array(gens + [float_conjugator(g) for g in gens])
 
 
 def _assert_bitwise_oracle(triple, stack):
