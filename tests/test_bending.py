@@ -543,9 +543,9 @@ SU21_RHO1 = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "veri
 def _z_leaves_the_decomposition_at(t, monkeypatch):
     """z_vector returns, at t, a unit vector of odd ad H-weight of su(2,1)
     rho1: outside the even part, which the isotypic decomposition spans, as
-    where the rounding of Ad(e^{tX}) moves Z off it.  No t of a timed plan
-    reaches this in float64 since the lines are read off the conjugator's
-    Sym^2i, so the move is made by hand."""
+    where the rounding of Ad(e^{tX}) moves Z off it.  With the lines read
+    off the conjugator's Sym^2i, su(2,1) rho1 g2 reaches this at no
+    t = 10, 20, ..., 400, so the move is made by hand."""
     from liebend import bending
     odd = np.flatnonzero(rho1_su(make_algebra("su", 2, 1)).basis_weights % 2)[0]
     real = bending.z_vector
