@@ -254,6 +254,46 @@ def bracket(x, y):
     return x @ y - y @ x
 
 
+# Pade [13/13] numerator coefficients b_0..b_13 and the 1-norm up to which
+# the unscaled approximant is accurate to double precision (Higham 2005,
+# "The scaling and squaring method for the matrix exponential revisited")
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """e^A of a square matrix, or of each matrix of a stack (m, n, n), by the
+    [13/13] Pade approximant with scaling and squaring.
+
+    Each matrix is scaled by its own 2^-s, s = max(0, ceil(log2(|A|_1 /
+    theta_13))), and squared s times; a stack goes through each step at once
+    and squaring step k replaces only the matrices with s > k, so every
+    matrix of it gets the bits it gets on its own.  A non-finite 1-norm
+    takes s = 0, and a non-finite input gives a non-finite result."""
+    a = np.asarray(a)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    b = _PADE13
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.abs(stack).sum(axis=-2).max(axis=-1)
+        s = np.ceil(np.log2(norm / _THETA13))
+        s = np.maximum(np.where(np.isfinite(s), s, 0.0), 0.0).astype(int)
+        x = stack * np.exp2(-s)[:, None, None]
+        ident = np.eye(a.shape[-1])
+        x2 = x @ x
+        x4 = x2 @ x2
+        x6 = x2 @ x4
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+        r = np.linalg.solve(v - u, v + u)
+        for k in range(s.max(initial=0)):
+            r = np.where((s > k)[:, None, None], r @ r, r)
+    return r.reshape(a.shape)
+
+
 def cartan_involution(alg, x, check=True):
     """theta(X) = -X^*: -X^T for sl(n,R), whose X are real; X may be a stack."""
     if check:

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
-from .algebra import bracket, generated_subalgebra, integer_param, readonly
+from .algebra import bracket, expm, generated_subalgebra, integer_param, readonly
 from .errors import (GenusConditionError, MembershipError, ParameterError,
                      RealizationError, ShapeError)
 from .sl2 import module_multiplicities, rho_of
@@ -173,12 +172,32 @@ class BendingPlan:
     def with_t(self, t):
         return replace(self, t=t)
 
+    @cached_property
+    def twists(self):
+        """(i,j) -> e^{tX_ij} at the plan's t for every piece, from one expm
+        call: bend multiplies b_f(i,j) by it and z conjugates by it.  A t
+        past float64 shows as a non-finite twist, which bend reports."""
+        lam = self.iso.Lambda
+        x = np.array([self.x_matrix(ij) for ij in lam])
+        return dict(zip(lam, expm(self.t * x)))
+
     def z(self, ij):
-        """z_vector of the piece ij at the plan's t, computed once per plan:
-        the inequalities and the density certificate read the same values."""
+        """Z_ij(t) = (1/t)(Ad(e^{tX})Y - Y) in algebra coordinates, computed
+        once per plan: the inequalities, bend and the density certificate
+        read the same values."""
         if ij not in self._z:
-            self._z[ij] = z_vector(self.triple.algebra, self.x_matrix(ij), self.y_matrix(ij),
-                                   self.t)
+            if not self.t:
+                raise ParameterError("Z needs a bending parameter t != 0")
+            g, y = self.twists[ij], self.y_matrix(ij)
+            # an overflow, or an e^{tX} that is singular in float64, shows as
+            # a non-finite Z, which bending_inequalities reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    g_inv = np.linalg.inv(g)
+                except np.linalg.LinAlgError:
+                    g_inv = np.full_like(g, np.nan)
+                moved = g @ y @ g_inv
+            self._z[ij] = self.triple.algebra.coordinates((moved - y) / self.t, check=False)
         return self._z[ij]
 
     @cached_property
@@ -245,22 +264,6 @@ def build_plan(triple, seed, t="auto"):
                 return trial
         return plan  # t stays None; caller reports the failed grid
     return plan.with_t(float(t))
-
-
-def z_vector(alg, x_mat, y_mat, t):
-    """(1/t)(Ad(e^{tX})Y - Y) in algebra coordinates."""
-    if t == 0:
-        raise ParameterError("z_vector needs t != 0")
-    # an overflow, or an e^{tX} that is singular in float64, shows as a
-    # non-finite z, which bending_inequalities reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = expm(float(t) * np.asarray(x_mat))
-        try:
-            g_inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            g_inv = np.full_like(g, np.nan)
-        moved = g @ np.asarray(y_mat) @ g_inv
-    return alg.coordinates((moved - np.asarray(y_mat)) / float(t), check=False)
 
 
 @dataclass(frozen=True)
@@ -352,15 +355,11 @@ def bend(plan, pushed=None):
         pushed = pushed_forward(triple, seed, plan.images)
     pushed_resid = pushed.relation_residual()
 
-    twists = []
+    unbent = np.eye(alg.size, dtype=alg.basis.dtype)
+    twists = [plan.twists[plan.generator_assignment[k]] if k in plan.generator_assignment
+              else unbent for k in range(1, seed.genus + 1)]
     # a large t overflows the twists; the check below reports it, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, seed.genus + 1):
-            ij = plan.generator_assignment.get(k)
-            if ij is None:
-                twists.append(np.eye(alg.size, dtype=alg.basis.dtype))
-            else:
-                twists.append(expm(plan.t * alg.from_coordinates(plan.x_vectors[ij])))
         # an unbent b_k is multiplied by I too: the shipped bytes keep the
         # signs of zero entries that this product gives
         bent = SurfaceGroupRep(seed.genus, pushed.a, pushed.b @ np.array(twists))
@@ -369,7 +368,7 @@ def bend(plan, pushed=None):
         raise RealizationError(f"bending parameter t = {plan.t!r} overflows the twists: "
                                "a bent generator has a non-finite entry")
     if plan.t and not all(np.isfinite(plan.z(ij)).all() for ij in plan.iso.Lambda if ij[0]):
-        # e^{tX} is singular in float64 (z_vector): the certificate's seeds
+        # e^{tX} is singular in float64 (BendingPlan.z): the certificate's seeds
         # would be a meaningless Z
         raise RealizationError(f"bending parameter t = {plan.t!r} is past float64: "
                                "Ad(e^(tX)) has a non-finite entry")

@@ -11,7 +11,6 @@ certificate, 2 input error.
 """
 
 import argparse
-import functools
 import json
 import sys
 
@@ -78,9 +77,9 @@ def _golden_verdict(report, golden_name):
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built on first use and shared by every main call."""
+def _build_parser():
+    """The argument parser; `_PARSER`, built once when the module is
+    imported, serves every main call."""
     parser = argparse.ArgumentParser(prog="liebend")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -110,8 +109,11 @@ def _parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)

@@ -171,7 +171,7 @@ def _line_hits(alpha, beta):
     on = (alpha * b_p[:, None] == beta * a_p[:, None]).all(axis=1) & (a_p != 0)
     num, den = -b_p[on], a_p[on]  # 1/s = num/den
     whole = num % den == 0
-    return set(np.unique(num[whole] // den[whole]).tolist())
+    return set((num[whole] // den[whole]).tolist())
 
 
 def benoist_certificate(torus, ah):

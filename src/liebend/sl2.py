@@ -20,10 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _ratlin
-from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, diagonal_weights,
+from .algebra import (SL, SU, SubspaceOfG, adjoint_operator, diagonal_weights, expm,
                       integer_param, kernel_of, readonly)
 from .errors import MembershipError, ParameterError, RealizationError
 

@@ -298,7 +298,7 @@ def test_generated_subalgebra_matches_oracle_on_presets():
     """Batched closure dimensions equal the per-pair loop's, on the bend
     presets' certificate seeds and on every constructed triple of sl(2..5)
     and su(p,q) with p <= 3."""
-    from liebend.bending import build_plan, fuchsian_generators, z_vector
+    from liebend.bending import build_plan, fuchsian_generators
     from liebend.report import PRESETS, _triple_from_spec
     for spec in PRESETS.values():
         params = (spec["n"],) if spec["family"] == "sl" else (spec["p"], spec["q"])
@@ -310,8 +310,7 @@ def test_generated_subalgebra_matches_oracle_on_presets():
             if i == 0:
                 seeds.append(alg.from_coordinates(plan.x_vectors[(0, j)]))
             else:
-                z = z_vector(alg, plan.x_matrix((i, j)), plan.y_matrix((i, j)), plan.t)
-                seeds.append(alg.from_coordinates(z))
+                seeds.append(alg.from_coordinates(plan.z((i, j))))
         dim = generated_subalgebra(alg, seeds).dim
         assert dim == _oracle_generated_dim(alg, seeds) == plan.iso.target.dim
     rng = np.random.default_rng(63)
@@ -319,3 +318,101 @@ def test_generated_subalgebra_matches_oracle_on_presets():
         alg = triple.algebra
         for seeds in (triple.images(), triple.images()[1:] + [random_algebra_element(alg, rng)]):
             assert generated_subalgebra(alg, seeds).dim == _oracle_generated_dim(alg, seeds)
+
+
+def _expm_arguments(monkeypatch, module, run):
+    """Each matrix that run() hands to module.expm, in order."""
+    seen = []
+    real = module.expm
+
+    def recording(a):
+        seen.extend(np.asarray(a).reshape((-1,) + np.shape(a)[-2:]))
+        return real(a)
+
+    monkeypatch.setattr(module, "expm", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _rel_to_mp_expm(a):
+    """Frobenius distance of algebra.expm(a) from mpmath's expm of a at 40
+    digits, relative to the latter."""
+    import mpmath as mp
+    with mp.workdps(40):
+        want = mp.expm(mp.matrix(a.tolist()))
+        diff = mp.matrix(algebra.expm(a).tolist()) - want
+        return float(mp.mnorm(diff, "f") / mp.mnorm(want, "f"))
+
+
+EXPM_RTOL = 1e-14  # Pade [13/13] with scaling: a few ulps on the package's arguments
+
+
+def test_expm_matches_mpmath_on_the_rho_of_rotations(monkeypatch):
+    """The rotations rho_of exponentiates, for every constructed triple
+    (sl(n), n <= 6; su(p,q), p <= 4) on the genus 2 polygon generators, and
+    their stack is bitwise the per-matrix calls."""
+    from liebend import sl2
+    from liebend.bending import fuchsian_generators
+    gens = np.array(fuchsian_generators(2).generators())
+    for triple in constructed_triples(6, 4):
+        args = _expm_arguments(monkeypatch, sl2, lambda: sl2.rho_of(triple, gens))
+        assert len(args) == len(gens)
+        assert max(map(_rel_to_mp_expm, args)) < EXPM_RTOL
+        stacked = algebra.expm(np.array(args))
+        assert all(algebra.expm(a).tobytes() == r.tobytes() for a, r in zip(args, stacked))
+
+
+def test_expm_matches_mpmath_on_the_timed_plans_twists(monkeypatch):
+    """The twists t X of every plan the verified-report digests list (the
+    plans that PASS in perfbench's bend set and both presets), one stack
+    per plan over every piece of it."""
+    import json
+    from pathlib import Path
+    from liebend import bending
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, cmd_bend
+    doc = json.loads((Path(__file__).resolve().parent / "data"
+                      / "bend_report_digests.json").read_text())
+    worst = 0.0
+    for rec in doc["plans"]:
+        plan = PRESETS[rec["plan"]] if isinstance(rec["plan"], str) else rec["plan"]
+        args = _expm_arguments(monkeypatch, bending,
+                               lambda: cmd_bend(dict(plan, t="auto", verify_dps=0), DEFAULT))
+        assert args
+        worst = max(worst, *map(_rel_to_mp_expm, args))
+    assert worst < EXPM_RTOL
+
+
+def test_expm_stack_is_bitwise_the_per_matrix_calls(rng):
+    """Matrices of 1-norm 1e-3 to 60 take 0 to 4 squarings each; a complex
+    stack goes through the same steps."""
+    scales = np.array([1e-3, 0.3, 2.0, 7.0, 15.0, 60.0])
+    for dtype_part in (np.zeros, lambda shape: 1j * rng.normal(size=shape)):
+        stack = rng.normal(size=(6, 5, 5)) + dtype_part((6, 5, 5))
+        stack *= (scales / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+        got = algebra.expm(stack)
+        assert got.shape == stack.shape and got.dtype == stack.dtype
+        for a, r in zip(stack, got):
+            assert algebra.expm(a).tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1e308, 1e308], [0.0, 1e308]]),
+    np.full((3, 3), np.nan),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["1-norm-overflows", "nan", "inf"])
+def test_expm_of_a_non_finite_case_is_non_finite(a):
+    """An input whose 1-norm overflows, or that holds NaN or inf, gives a
+    non-finite matrix, with no exception and no warning, as scipy's NaN."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = algebra.expm(a)
+    assert got.shape == a.shape and not np.isfinite(got).all()
+
+
+def test_expm_of_zero_and_of_a_diagonal():
+    assert np.allclose(algebra.expm(np.zeros((3, 3))), np.eye(3), rtol=0, atol=2e-16)
+    d = np.array([-2.0, 0.5, 3.0])
+    assert np.allclose(algebra.expm(np.diag(d)), np.diag(np.exp(d)), rtol=EXPM_RTOL, atol=0)

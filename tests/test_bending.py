@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from liebend.algebra import bracket, generated_subalgebra, make_algebra
 from liebend.bending import (SurfaceGroupRep, bend, bending_inequalities, build_plan,
                              density_certificate, fixed_weight_zero_vector,
-                             fuchsian_generators, pushed_forward, z_vector)
+                             fuchsian_generators, pushed_forward)
 from liebend.config import Config
 from liebend.errors import GenusConditionError, ParameterError, RealizationError
 from liebend.sl2 import (module_multiplicities, rho1_su, rho2_su,
@@ -143,26 +143,44 @@ def test_an_elliptic_seed_generator_fails_typed(su21):
         build_plan(rho1_su(su21), seed)
 
 
+def _z_of(plan, x, y, t):
+    """Z(t) of the plan's first bent piece, with its X and Y set to the
+    matrices x and y: a fresh plan, so its twists and Z are computed anew."""
+    from dataclasses import replace
+    ij = next(ij for ij in plan.iso.Lambda if ij[0])
+    alg = plan.triple.algebra
+    return replace(plan, x_vectors={**plan.x_vectors, ij: alg.coordinates(x)},
+                   y_vectors={ij: alg.coordinates(y)}, t=t).z(ij)
+
+
+def _z_from_twist(plan, ij):
+    """Z_ij(t) = (1/t)(Ad(e^{tX})Y - Y) recomputed from the plan's twist."""
+    g, y = plan.twists[ij], plan.y_matrix(ij)
+    moved = g @ y @ np.linalg.inv(g)
+    return plan.triple.algebra.coordinates((moved - y) / plan.t, check=False)
+
+
 def test_z_vector_properties(su21, rng):
     triple = rho1_su(su21)
+    plan = build_plan(triple, fuchsian_generators(2))
     x = triple.e + triple.f
     y = triple.h
     comm = su21.coordinates(bracket(x, y), check=False)
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
-        z = z_vector(su21, x, y, t)
+        z = _z_of(plan, x, y, t)
         errs.append(np.linalg.norm(z - comm))
     assert errs[0] <= 1e-1 and errs[1] <= 1e-2 and errs[2] <= 1e-3
     assert errs[2] < errs[0]
 
-    z1 = z_vector(su21, x, y, 1e-3)
-    z2 = z_vector(su21, x, 2.0 * np.asarray(y), 1e-3)
+    z1 = _z_of(plan, x, y, 1e-3)
+    z2 = _z_of(plan, x, 2.0 * np.asarray(y), 1e-3)
     assert np.allclose(z2, 2.0 * z1, atol=1e-12)
 
-    commuting = z_vector(su21, triple.h, triple.h, 0.5)
+    commuting = _z_of(plan, triple.h, triple.h, 0.5)
     assert np.linalg.norm(commuting) < 1e-12
     with pytest.raises(ParameterError):
-        z_vector(su21, x, y, 0.0)
+        _z_of(plan, x, y, 0.0)
 
 
 def test_inequalities_multiplicity_one(su21):
@@ -247,8 +265,7 @@ def test_density_certificate_monotone_in_seeds(sl5):
     for (i, j) in plan.iso.Lambda:
         if i == 0:
             continue
-        z = z_vector(sl5, plan.x_matrix((i, j)), plan.y_matrix((i, j)), plan.t)
-        seeds.append(sl5.from_coordinates(z))
+        seeds.append(sl5.from_coordinates(_z_from_twist(plan, (i, j))))
         dims.append(generated_subalgebra(sl5, seeds).dim)
     assert dims == sorted(dims)
     assert dims[-1] == 24
@@ -282,8 +299,7 @@ def test_certificate_seeds_recomputable(su21):
         if i == 0:
             recomputed.append(su21.from_coordinates(plan.x_vectors[(0, j)]))
         else:
-            z = z_vector(su21, plan.x_matrix((i, j)), plan.y_matrix((i, j)), plan.t)
-            recomputed.append(su21.from_coordinates(z))
+            recomputed.append(su21.from_coordinates(_z_from_twist(plan, (i, j))))
     assert len(recomputed) == cert.seed_count
     closure = generated_subalgebra(su21, recomputed)
     assert closure.dim == cert.achieved_dim
@@ -363,26 +379,35 @@ def test_bend_takes_the_inequality_report_once(preset, monkeypatch):
     {"family": "sl", "n": 5, "triple": {"partition": [5]}, "genus": 6},
 ], ids=["su21-rho1-g2", "sl5-even5-g4", "sl5-[5]-g6"])
 def test_bend_takes_each_z_vector_once(spec, monkeypatch):
-    """The inequalities and the density certificate read Z_{i,j}(t) of the
-    accepted t from the plan: one z_vector per bent piece with i != 0."""
+    """The inequalities, bend and the density certificate read Z_{i,j}(t)
+    and the twists of the accepted t from the plan: one expm call, over a
+    stack of every piece, with i = 0 or not, and one Z per bent piece."""
     from liebend import bending
     from liebend.config import DEFAULT
     from liebend.report import PRESETS, cmd_bend
-    calls = []
-    real = bending.z_vector
+    calls, made = [], []
+    real, real_z = bending.expm, bending.BendingPlan.z
 
-    def counting(alg, x_mat, y_mat, t):
-        calls.append(t)
-        return real(alg, x_mat, y_mat, t)
+    def counting(a):
+        calls.append(a.shape[0])
+        return real(a)
 
-    monkeypatch.setattr(bending, "z_vector", counting)
+    def counting_z(plan, ij):
+        if ij not in plan._z:
+            made.append(plan.t)
+        return real_z(plan, ij)
+
+    monkeypatch.setattr(bending, "expm", counting)
+    monkeypatch.setattr(bending.BendingPlan, "z", counting_z)
     spec = (dict(PRESETS[spec], verify_dps=0) if isinstance(spec, str)
             else dict(spec, t="auto", verify_dps=0))
     report = cmd_bend(spec, DEFAULT)
     verdicts = {c.check_id: c.verdict for c in report.checks}
     assert verdicts["bend/certificate"]["verdict"] == "PASS"
-    bent = [ij for ij in verdicts["bend/plan"]["Lambda"] if ij[0] != 0]
-    assert bent and calls == [verdicts["bend/plan"]["t"]] * len(bent)
+    lam = verdicts["bend/plan"]["Lambda"]
+    bent = [ij for ij in lam if ij[0] != 0]
+    assert calls == [len(lam)]
+    assert bent and made == [verdicts["bend/plan"]["t"]] * len(bent)
 
 
 def test_standalone_images_match_the_plan_stack(monkeypatch):
@@ -480,14 +505,14 @@ SL3_DPS40 = {"family": "sl", "n": 3, "triple": {"partition": [3]}, "genus": 2, "
 @pytest.mark.parametrize("t, reason", [
     (200, "is past float64: Ad(e^(tX)) has a non-finite entry"),
     (1000, "is past float64: Ad(e^(tX)) has a non-finite entry"),
-    (1500, "is past float64: Ad(e^(tX)) has a non-finite entry"),
+    (1550, "is past float64: Ad(e^(tX)) has a non-finite entry"),
     (1150, "overflows the relation word: a partial product has a non-finite norm"),
-    (2000, "is past float64: a bent generator is singular"),
+    (1350, "is past float64: a bent generator is singular"),
     (3000, "overflows the twists: a bent generator has a non-finite entry"),
 ])
 def test_a_t_past_float64_is_an_input_error(t, reason, tmp_path):
     """At these t the twists are finite but e^{tX} is singular in float64
-    (its inverse in z_vector fails), or the relation word's partial
+    (its inverse in BendingPlan.z fails), or the relation word's partial
     products overflow, or a bent generator is singular in float64 (its
     inverse in the relation word fails), or the twists overflow: bend ends
     with one input-error line and exit 2, not a traceback, before the mp
@@ -531,7 +556,8 @@ def test_a_singular_bent_generator_is_an_input_error(monkeypatch):
     from liebend import bending
     plan = build_plan(rho1_su(make_algebra("su", 2, 1)), fuchsian_generators(2), t=0.0162)
     assert plan.inequalities.ok  # Z is read before the twists are made singular
-    monkeypatch.setattr(bending, "expm", np.zeros_like)
+    singular = {ij: np.zeros_like(g) for ij, g in plan.twists.items()}
+    monkeypatch.setattr(bending.BendingPlan, "twists", property(lambda self: singular))
     with pytest.raises(RealizationError,
                        match=r"t = 0\.0162 is past float64: a bent generator is singular$"):
         bend(plan)
@@ -541,19 +567,20 @@ SU21_RHO1 = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "veri
 
 
 def _z_leaves_the_decomposition_at(t, monkeypatch):
-    """z_vector returns, at t, a unit vector of odd ad H-weight of su(2,1)
-    rho1: outside the even part, which the isotypic decomposition spans, as
-    where the rounding of Ad(e^{tX}) moves Z off it.  With the lines read
-    off the conjugator's Sym^2i, su(2,1) rho1 g2 reaches this at no
-    t = 10, 20, ..., 400, so the move is made by hand."""
+    """BendingPlan.z returns, at t, a unit vector of odd ad H-weight of
+    su(2,1) rho1: outside the even part, which the isotypic decomposition
+    spans, as where the rounding of Ad(e^{tX}) moves Z off it.  With the
+    lines read off the conjugator's Sym^2i and the package's own expm,
+    su(2,1) rho1 g2 reaches this at no t = 1, 2, ..., 799, so the move is
+    made by hand."""
     from liebend import bending
     odd = np.flatnonzero(rho1_su(make_algebra("su", 2, 1)).basis_weights % 2)[0]
-    real = bending.z_vector
+    real = bending.BendingPlan.z
 
-    def moved(alg, x_mat, y_mat, at):
-        return np.eye(alg.dim)[odd] if at == t else real(alg, x_mat, y_mat, at)
+    def moved(plan, ij):
+        return np.eye(plan.triple.algebra.dim)[odd] if plan.t == t else real(plan, ij)
 
-    monkeypatch.setattr(bending, "z_vector", moved)
+    monkeypatch.setattr(bending.BendingPlan, "z", moved)
 
 
 def _bend_main(plan, tmp_path, capsys, *args):

@@ -243,6 +243,8 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    """The parser is built when liebend.cli is imported, outside any timed
+    command: no main call builds a parser or a subparser."""
     from liebend import cli
     built = []
     real_init = argparse.ArgumentParser.__init__
@@ -251,14 +253,12 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
         built.append(kwargs.get("prog"))
         real_init(self, *args, **kwargs)
 
-    cli._parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert main(["reproduce", "sec53"]) == 0
-    first = len(built)
     assert main(["reproduce", "sec53", "--text"]) == 0
     capsys.readouterr()
-    assert built.count("liebend") == 1 and len(built) == first
-    assert cli._parser() is cli._parser()
+    assert built == []
+    assert cli._PARSER.prog == "liebend"
 
 
 def test_cli_check_sl_without_n_is_a_usage_error(tmp_path, capsys):

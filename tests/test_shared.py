@@ -270,3 +270,35 @@ def test_reproduce_and_check_leave_the_integer_kernel_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.split("\n")[:6] == ["False"] + ["0 False"] * 4 + ["0 True"]
+
+
+def test_commands_leave_scipy_and_numpy_ma_unloaded(tmp_path):
+    """The float lane's matrix exponential is `algebra.expm`: importing the
+    CLI and running reproduce sec53, check and a bend of the sl5-even5-g4
+    preset at verify_dps 0 load neither scipy nor numpy.ma (which
+    np.unique loads on its first call)."""
+    from liebend.report import PRESETS
+    (tmp_path / "ah_sl5.json").write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
+    # the pinned su(5,5) query: its certificate walks lines (properness._line_hits)
+    (tmp_path / "ah_su55.json").write_text(json.dumps(
+        [[-2, 2, 0, -1, 2], [-1, 0, 0, 0, 2], [0, -1, 1, 2, -2], [-2, 2, 2, 2, 1]]))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(dict(PRESETS["sl5-even5-g4"], verify_dps=0)))
+    runs = [["reproduce", "sec53"],
+            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json"),
+             "--witness"],
+            ["check", "--family", "su", "--p", "5", "--q", "5", "--ah",
+             str(tmp_path / "ah_su55.json"), "--witness"],
+            ["bend", "--plan", str(plan)]]
+    code = ("import sys, liebend.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules)\n"
+            "print(loaded())\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    rc = liebend.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.out'])\n"
+            "    print(rc, loaded())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split("\n")[:5] == ["[]"] + ["0 []"] * 4

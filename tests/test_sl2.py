@@ -491,7 +491,7 @@ def _oracle_rho_of(triple, g2):
     s = math.atan2(q_mat[0, 1], q_mat[0, 0])
     u = math.log(r_mat[0, 0])
     x = r_mat[0, 1] / r_mat[0, 0]
-    rot = expm(drho(s * (SL2_E - SL2_F)))
+    rot = liebend.algebra.expm(drho(s * (SL2_E - SL2_F)))  # the package's one-matrix form
     diag_part = np.diag(np.exp(np.diag(drho(u * A0))))
     nil = _oracle_expm_nilpotent(drho(x * SL2_E))
     return rot @ diag_part @ nil

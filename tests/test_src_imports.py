@@ -1,7 +1,8 @@
-"""No module in src/liebend imports mpmath: the high-precision lane computes
-on the integer kernel, and mpmath is only the tests' oracle (the `test`
-extra in pyproject.toml).  The scan reads the source, so an import inside a
-function body counts too."""
+"""No module in src/liebend imports mpmath or scipy: the high-precision lane
+computes on the integer kernel and the float lane's matrix exponential is
+`algebra.expm`, so both are only the tests' oracles (the `test` extra in
+pyproject.toml).  The scan reads the source, so an import inside a function
+body counts too."""
 
 import ast
 import tomllib
@@ -26,12 +27,12 @@ def _imported_modules(node):
     return []
 
 
-def mpmath_imports(sources):
-    """"module:line" of every import of mpmath or a submodule of it in
+def imports_of(package, sources):
+    """"module:line" of every import of package or a submodule of it in
     sources ({module name: source text})."""
     return [f"{mod}:{node.lineno}" for mod, text in sources.items()
             for node in ast.walk(ast.parse(text))
-            if any(name == "mpmath" or name.startswith("mpmath.")
+            if any(name == package or name.startswith(package + ".")
                    for name in _imported_modules(node))]
 
 
@@ -40,7 +41,11 @@ def _package_sources():
 
 
 def test_no_module_imports_mpmath():
-    assert mpmath_imports(_package_sources()) == []
+    assert imports_of("mpmath", _package_sources()) == []
+
+
+def test_no_module_imports_scipy():
+    assert imports_of("scipy", _package_sources()) == []
 
 
 def test_an_mpmath_import_is_reported():
@@ -49,11 +54,13 @@ def test_an_mpmath_import_is_reported():
     sources["sl2"] += "\nfrom mpmath import mp\n"
     sources["weyl"] += "\nimport importlib\nmp = importlib.import_module('mpmath')\n"
     sources["report"] += "\nimport mpmathx\nfrom .mpmath import mp\n"  # neither is mpmath
-    assert [m.split(":")[0] for m in mpmath_imports(sources)] == ["bending", "sl2", "weyl"]
+    assert [m.split(":")[0] for m in imports_of("mpmath", sources)] == ["bending", "sl2", "weyl"]
 
 
-def test_runtime_dependencies_are_numpy_and_scipy():
-    """mpmath is a test dependency only."""
+def test_runtime_dependency_is_numpy():
+    """mpmath and scipy are test dependencies only."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy", "scipy"]
-    assert any(dep.startswith("mpmath") for dep in project["optional-dependencies"]["test"])
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    test_deps = project["optional-dependencies"]["test"]
+    assert [pkg for pkg in ("mpmath", "scipy")
+            if not any(dep.startswith(pkg) for dep in test_deps)] == []
