@@ -8,8 +8,11 @@ su(p,q) is realized with respect to the hermitian form
          [ J_q, 0,   0 ]],    J_q the q-by-q anti-diagonal,
 
 so that the diagonal matrices diag(a_1..a_q, 0.., -a_q..-a_1) form a maximal
-split abelian subspace.  Algebra elements are stored as ambient matrices;
-most computations run in real coordinates with respect to a fixed basis.
+split abelian subspace.  The algebra holds both as data: `form` (None for
+sl(n,R)) and `a_diagonal`, which puts a's free coordinates on the diagonal
+(I_n for sl(n,R), [I_q; 0; -J_q] for su(p,q)).  Algebra elements are stored
+as ambient matrices; most computations run in real coordinates with respect
+to a fixed basis.
 """
 
 import functools
@@ -121,7 +124,8 @@ class LieAlgebraSpace:
     family: str
     params: tuple
     size: int
-    form: np.ndarray | None
+    form: np.ndarray | None  # the hermitian form su(p,q) keeps; None for sl(n,R)
+    a_diagonal: np.ndarray  # (size, r) ints: diag(a with free coordinates v) = a_diagonal @ v
     basis: np.ndarray  # (dim, size, size)
     config: _config.Config  # the tolerances every computation on this algebra reads
 
@@ -217,12 +221,14 @@ def make_algebra(family, *params, config=_config.DEFAULT):
 def _shared_algebra(family, params, config):
     if family == SL:
         (n,) = params
-        form, basis = None, np.array(_sl_basis(n))
+        form, basis, a_diagonal = None, np.array(_sl_basis(n)), np.eye(n, dtype=int)
     else:
-        form = form_matrix(*params)
-        basis = _su_basis(*params, form)
-    return LieAlgebraSpace(family, params, basis.shape[1], readonly(form), readonly(basis),
-                           config)
+        p, q = params
+        form = form_matrix(p, q)
+        basis = _su_basis(p, q, form)
+        a_diagonal = np.eye(p + q, q, dtype=int) - np.eye(p + q, q, dtype=int)[::-1]
+    return LieAlgebraSpace(family, params, basis.shape[1], readonly(form), readonly(a_diagonal),
+                           readonly(basis), config)
 
 
 def diagonal_weights(alg, diags):

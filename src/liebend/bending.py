@@ -210,13 +210,24 @@ class BendingPlan:
         """k -> (i,j) for bent generators; others get no twist."""
         return {k: ij for ij, k in self.f.items()}
 
+    @cached_property
+    def pushed(self):
+        """pushed_forward of the plan's seed from its images, built once per plan."""
+        return pushed_forward(self.triple, self.seed, self.images)
+
+    @cached_property
+    def bent(self):
+        """bend(self), built once per plan; a refused t raises on each read."""
+        return bend(self)
+
 
 def build_plan(triple, seed, t="auto"):
     """Assemble a bending plan: isotypic pieces, the injection into generator
     indices, the fixed vectors, companions and the bending parameter.  The
     seed's relation residual is checked first, against seed_relation_tol or,
     when larger, the rounding a product of L matrices may carry,
-    4 eps L peak**2 for the word's largest partial-product norm peak."""
+    4 eps L peak**2 for the word's largest partial-product norm peak.
+    "auto" takes the first grid t that the inequalities and bend accept."""
     alg = triple.algebra
     seed_resid, peak, length = seed.relation_diagnostics
     tol = max(alg.config.seed_relation_tol, 4.0 * np.finfo(float).eps * length * peak ** 2)
@@ -261,7 +272,11 @@ def build_plan(triple, seed, t="auto"):
         for cand in alg.config.t_grid:
             trial = plan.with_t(float(cand))
             if trial.inequalities.ok:
-                return trial
+                try:
+                    trial.bent  # bend's float checks raise on a t they refuse
+                    return trial
+                except RealizationError:
+                    pass
         return plan  # t stays None; caller reports the failed grid
     return plan.with_t(float(t))
 
@@ -334,11 +349,9 @@ def pushed_forward(triple, seed, images=None):
     return SurfaceGroupRep(seed.genus, images[:seed.genus], images[seed.genus:])
 
 
-def bend(plan, pushed=None):
-    """The deformed representation of the plan's seed: a_k images unchanged,
-    b_k images multiplied by exp(t X_k).  pushed is
-    pushed_forward(plan.triple, plan.seed, plan.images), built here unless
-    the caller already holds it.
+def bend(plan):
+    """The deformed representation of the plan's seed: a_k images
+    (`BendingPlan.pushed`) unchanged, b_k images multiplied by exp(t X_k).
 
     The deformation is algebraically relation-preserving: the output residual
     is bounded by a small multiple of the undeformed pushed-forward residual
@@ -351,8 +364,7 @@ def bend(plan, pushed=None):
         raise ParameterError("plan has no bending parameter; the grid search failed")
     seed, triple = plan.seed, plan.triple
     alg = triple.algebra
-    if pushed is None:
-        pushed = pushed_forward(triple, seed, plan.images)
+    pushed = plan.pushed
     pushed_resid = pushed.relation_residual()
 
     unbent = np.eye(alg.size, dtype=alg.basis.dtype)

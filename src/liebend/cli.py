@@ -16,6 +16,7 @@ import sys
 
 from . import config as config_mod
 from . import serialize
+from .algebra import PARAM_NAMES
 from .errors import LieBendError
 from .report import (PRESETS, cmd_bend, cmd_check, cmd_reproduce_sec53,
                      cmd_reproduce_sec6, compare_to_golden, load_golden)
@@ -99,7 +100,7 @@ def _build_parser():
     _add_common(p_bend)
 
     p_check = sub.add_parser("check", help="properness screening for a subalgebra")
-    p_check.add_argument("--family", choices=["sl", "su"], required=True)
+    p_check.add_argument("--family", choices=sorted(PARAM_NAMES), required=True)
     p_check.add_argument("--n", type=int)
     p_check.add_argument("--p", type=int)
     p_check.add_argument("--q", type=int)
@@ -136,14 +137,11 @@ def main(argv=None):
             cert = next(c for c in report.checks if c.check_id == "bend/certificate")
             return EXIT_OK if cert.verdict["verdict"] == "PASS" else EXIT_MISMATCH
         if args.command == "check":
-            if args.family == "sl":
-                if args.n is None:
-                    parser.error("--family sl needs --n")
-                family_spec = {"family": "sl", "n": args.n}
-            else:
-                if args.p is None or args.q is None:
-                    parser.error("--family su needs --p and --q")
-                family_spec = {"family": "su", "p": args.p, "q": args.q}
+            names = PARAM_NAMES[args.family]
+            if any(getattr(args, k) is None for k in names):
+                parser.error(f"--family {args.family} needs "
+                             + " and ".join(f"--{k}" for k in names))
+            family_spec = {"family": args.family, **{k: getattr(args, k) for k in names}}
             with open(args.ah) as fh:
                 rows = json.load(fh)
             report = cmd_check(family_spec, rows, cfg)

@@ -6,11 +6,10 @@ exact rational torus vectors are reserved for the properness lane.
 
 import numpy as np
 
-from .algebra import SL, SU
 from .errors import MembershipError, RealizationError, ShapeError
 
 GROUP_TOL = 1e-8         # defining-condition residual of a group element, relative to |g|^2
-MU_PAIRING_TOL = 1e-8    # how far the su log-spectrum may sit from the pattern +-a_i, 0
+MU_PAIRING_TOL = 1e-8    # how far the log-spectrum may sit from a's diagonal pattern
 
 
 def group_residual(alg, g):
@@ -26,7 +25,7 @@ def group_residual(alg, g):
         return np.inf
     sign, _ = np.linalg.slogdet(g)
     r = max(abs(float(np.sum(np.log(sv)))), abs(sign - 1.0))
-    if alg.family == SU:
+    if alg.form is not None:
         r = max(r, np.linalg.norm(g.conj().T @ alg.form @ g - alg.form))
     return r
 
@@ -55,18 +54,11 @@ def mu(alg, torus, g):
     if np.any(vals <= 0):
         raise RealizationError("Gram matrix of g is not positive definite")
     logs = np.sort(np.log(vals))[::-1]
-    if alg.family == SL:
-        return tuple(float(x) for x in logs)
-    p, q = alg.params
-    n = p + q
-    for k in range(q):
-        if abs(logs[k] + logs[n - 1 - k]) > MU_PAIRING_TOL:
-            raise RealizationError(
-                f"mu logs do not pair as +-a_i: {logs[k]:.3e} vs {logs[n-1-k]:.3e}")
-    for m in range(q, p):
-        if abs(logs[m]) > MU_PAIRING_TOL:
-            raise RealizationError(f"middle mu log {logs[m]:.3e} does not vanish")
-    return tuple(float(x) for x in logs[:q])
+    free = logs[:alg.a_diagonal.shape[1]]
+    miss = np.max(np.abs(logs - alg.a_diagonal @ free))
+    if miss > MU_PAIRING_TOL:
+        raise RealizationError(f"mu logs sit {miss:.3e} off the diagonal pattern of a")
+    return tuple(float(x) for x in free)
 
 
 def lyapunov(alg, torus, g):

@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import serialize
 from .algebra import PARAM_NAMES, canonical_family, make_algebra
-from .bending import bend, build_plan, density_certificate, fuchsian_generators, pushed_forward
+from .bending import build_plan, density_certificate, fuchsian_generators
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
@@ -288,13 +288,13 @@ def cmd_bend(plan_spec, config):
                {"ok": ineq.ok, "note": ineq.note}, margins=margins, runtime_ms=ms)
 
     if plan.t is None:
-        report.add("bend/certificate", {}, {"verdict": "INCONCLUSIVE",
-                                            "reason": "no grid t satisfied the inequalities"})
+        report.add("bend/certificate", {}, {
+            "verdict": "INCONCLUSIVE",
+            "reason": "at every grid t the inequalities or bend's float checks failed"})
         return report
 
-    pushed, ms_pushed = _timed(lambda: pushed_forward(triple, seed, plan.images))
-    bent, ms = _timed(lambda: bend(plan, pushed=pushed))
-    stages = {"float": ms + ms_pushed}
+    (pushed, bent), ms = _timed(lambda: (plan.pushed, plan.bent))
+    stages = {"float": ms}
     resid_rec = {
         "pushed_residual": float(pushed.relation_residual()),
         "bent_residual": float(bent.relation_residual()),

@@ -112,10 +112,8 @@ class Sl2Triple:
 
     @cached_property
     def torus_vector(self):
-        """The exact free torus coordinates of H."""
-        alg = self.algebra
-        free = self.exact.h if alg.family == SL else self.exact.h[:alg.params[1]]
-        return tuple(Fraction(w) for w in free)
+        """The exact free torus coordinates of H, read where `a_diagonal` puts them."""
+        return tuple(Fraction(w) for w in self.exact.h[:self.algebra.a_diagonal.shape[1]])
 
     @cached_property
     def ad_e(self):
@@ -241,15 +239,14 @@ def sigma(triple):
     """exp(pi*sqrt(-1)*H) = diag((-1)^h_i), read off the exact weights of H.
 
     It lies in the group iff det = 1, an even number of odd weights, and,
-    in su(p,q), it keeps the form, h[k] and h[n-1-k] of equal parity for
-    k < q.  It is real, with a complex dtype in su(p,q).
+    where the algebra keeps a form, s form s = form: equal parity at each
+    pair of indices the form matches.  Real, complex-typed in su(p,q).
     """
     alg = triple.algebra
     odd = [w % 2 == 1 for w in triple.exact.h]
-    pairs = zip(odd[:alg.params[1]], reversed(odd)) if alg.family == SU else ()
-    if sum(odd) % 2 or any(a != b for a, b in pairs):
-        raise RealizationError("sigma violates the group's defining condition")
     s = np.diag([-1.0 if o else 1.0 for o in odd])
+    if sum(odd) % 2 or alg.form is not None and not np.array_equal(s @ alg.form @ s, alg.form):
+        raise RealizationError("sigma violates the group's defining condition")
     return s.astype(alg.basis.dtype)
 
 
@@ -448,20 +445,16 @@ class SpanningElement:
     kind: str  # elliptic | hyperbolic
 
 
-def _su_diagonal_lattice(triple):
+def _su_diagonal_lattice(triple, mirror):
     """Primitive integer diagonals t with 2*pi*i*diag(t) in g commuting with
-    the triple: equality of entries across the support of E, the mirrored
-    su-pattern, and zero trace, solved exactly."""
-    p, q = triple.algebra.params
-    n = p + q
+    the triple: equality of entries across the support of E and across each
+    pair k < mirror[k] of indices the form matches, and zero trace, solved
+    exactly."""
+    n = triple.algebra.size
     rows = []
-    for a, b, _, _ in triple.exact.e:
+    for a, b in [e[:2] for e in triple.exact.e] + [(k, m) for k, m in enumerate(mirror) if k < m]:
         row = [0] * n
         row[a], row[b] = 1, -1
-        rows.append(row)
-    for k in range(q):
-        row = [0] * n
-        row[k], row[n - 1 - k] = 1, -1
         rows.append(row)
     rows.append([1] * n)
     return _ratlin.primitive_nullspace(rows, n)
@@ -528,8 +521,7 @@ def property_star_basis(triple):
             x[c1, c1], x[c2, c2] = len(c2), -len(c1)
             hyperbolic.append(x)
     else:
-        p, q = alg.params
-        mirror = [n - 1 - k if k < q or k >= p else k for k in range(n)]
+        mirror = np.argmax(alg.form != 0, axis=1).tolist()  # the index the form matches
         keyed = []  # (order key, matrix)
         for chains in classes.values():
             pos = {idx: a for a, idx in enumerate(chains)}
@@ -558,7 +550,7 @@ def property_star_basis(triple):
                 fg = _outer(f, g)
                 hyperbolic += [expand(chains, fg + fg.T), expand(chains, 1j * (fg - fg.T))]
         elliptic = [2.0 * np.pi * 1j * np.diag(np.array(t, dtype=float))
-                    for t in _su_diagonal_lattice(triple)]
+                    for t in _su_diagonal_lattice(triple, mirror)]
         elliptic += [m for _, m in sorted(keyed, key=lambda km: km[0])]
     out = [SpanningElement(m, alg.coordinates(m), "elliptic") for m in elliptic]
     for m in hyperbolic:

@@ -1,13 +1,14 @@
 """Restricted root systems, Weyl groups, the opposition involution and the
 subspace b of iota-fixed chamber directions, for sl(n,R) and su(p,q).
 
-Torus vectors are exact: tuples of Fraction in the free coordinates of the
-diagonal pattern (the full traceless diagonal for sl(n,R); (a_1..a_q) for
-su(p,q)).  The Weyl group acts by signed permutations of the free
-coordinates.  `split_torus` is the one place that tells the families apart:
-it stores W's sign vectors (one row of ones for sl, every vector for su),
-the trace rows that vanish on a (sl only) and the staircase on the torus,
-and every method reads that data.  W is never stored whole:
+Torus vectors are exact: tuples of Fraction in the free coordinates that
+the algebra's `a_diagonal` puts on the diagonal (the full traceless
+diagonal for sl(n,R); (a_1..a_q) for su(p,q)).  The Weyl group acts by
+signed permutations of the free coordinates.  `split_torus` reads the trace
+rows that vanish on a (sl only) off `a_diagonal` and tells the families
+apart for the rest: it stores W's sign vectors (one row of ones for sl,
+every vector for su) and the staircase on the torus, and every method reads
+that data.  W is never stored whole:
 `SplitTorusData.weyl_chunks` produces it in contiguous chunks of at most
 WEYL_CHUNK_BYTES of what a pass keeps, each a block of permutations sharing
 a prefix, built from one cached table of the tail's permutations, with the
@@ -207,7 +208,7 @@ def _root_multiplicities(alg, torus_free_basis, root_coeffs):
     restricted root on that basis, or 0; counting the tuples counts each
     root space.
     """
-    weights = diagonal_weights(alg, [_diagonal(alg, v) for v in torus_free_basis])
+    weights = diagonal_weights(alg, np.array(torus_free_basis) @ alg.a_diagonal.T)
     counts = collections.Counter(map(tuple, weights.T.tolist()))
     zero_count = counts.pop((0,) * len(torus_free_basis), 0)
     values = list(map(tuple, (np.array(root_coeffs) @ np.array(torus_free_basis).T).tolist()))
@@ -221,14 +222,6 @@ def _lex_positive(coeffs):
         if c != 0:
             return c > 0
     return False
-
-
-def _diagonal(alg, v):
-    """The full diagonal of a free-coordinate vector (the a-pattern)."""
-    if alg.family == SL:
-        return list(v)
-    p, q = alg.params
-    return list(v) + [0] * (p - q) + [-x for x in reversed(v)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -282,23 +275,23 @@ def _sign_vectors(n, count):
 @functools.lru_cache(maxsize=8)
 def split_torus(alg):
     """SplitTorusData for a supported algebra; W is produced in chunks
-    (`weyl_chunks`).  The one family branch: each family gives its rank,
-    roots, torus basis, number of sign vectors, trace rows and staircase.
+    (`weyl_chunks`).  The free coordinates, the trace rows (the column sums
+    of `alg.a_diagonal` when they do not vanish) and the torus basis (the
+    kernel of those rows) are read off `alg.a_diagonal`; the one family
+    branch gives the roots, the number of sign vectors and the staircase.
     Built once per algebra object in a process; a Weyl group larger than
     WEYL_ORDER_CAP raises on every call, before its sign table or any chunk
     is built."""
+    coord_len = alg.a_diagonal.shape[1]
+    sums = tuple(alg.a_diagonal.sum(axis=0).tolist())
+    trace = (sums,) if any(sums) else ()
+    torus_basis = _ratlin.primitive_nullspace(trace, coord_len)
     if alg.family == SL:
         (n,) = alg.params
-        rank, coord_len, sign_count = n - 1, n, 1
-        root_coeffs = _sl_roots(n)
-        torus_basis = [[0] * i + [1, -1] + [0] * (n - 2 - i) for i in range(rank)]
-        trace, staircase = ((1,) * n,), range(n - 1, -n, -2)
+        sign_count, root_coeffs, staircase = 1, _sl_roots(n), range(n - 1, -n, -2)
     else:
         p, q = alg.params
-        rank, coord_len, sign_count = q, q, 2 ** q
-        root_coeffs = _su_root_patterns(p, q)
-        torus_basis = [[0] * i + [1] + [0] * (q - 1 - i) for i in range(rank)]
-        trace, staircase = (), range(q, 0, -1)
+        sign_count, root_coeffs, staircase = 2 ** q, _su_root_patterns(p, q), range(q, 0, -1)
     order = math.factorial(coord_len) * sign_count
     if order > WEYL_ORDER_CAP:
         raise ParameterError(f"|W| = {order} exceeds the Weyl group cap {WEYL_ORDER_CAP}")
@@ -313,7 +306,7 @@ def split_torus(alg):
     positive = tuple(r for r in roots if _lex_positive(r.coeffs))
 
     # w0 and b come from the chamber data, which needs neither of them
-    proto = SplitTorusData(alg, rank, coord_len, roots, positive, None, (),
+    proto = SplitTorusData(alg, len(torus_basis), coord_len, roots, positive, None, (),
                            _sign_vectors(coord_len, sign_count), trace,
                            torus_vector(staircase))
     w0 = _longest_element(proto)

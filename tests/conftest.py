@@ -13,7 +13,7 @@ from liebend.algebra import (SU, SubspaceOfG, adjoint_operator, bracket, cartan_
 from liebend.errors import RealizationError
 from liebend.properness import FLOAT_EXACT, _line_hits, _scan, in_weyl_orbit_of_subspace
 from liebend.sl2 import ad_weight_multiplicities
-from liebend.weyl import _diagonal, _permutations, split_torus
+from liebend.weyl import _permutations, split_torus
 
 SEED = 20240817
 
@@ -272,7 +272,7 @@ def float_conjugator(a):
 
 def torus_matrix(torus, v):
     """Ambient diagonal matrix of a free-coordinate torus vector (the a-pattern)."""
-    m = np.diag(np.array(_diagonal(torus.algebra, v), dtype=float))
+    m = np.diag(torus.algebra.a_diagonal @ np.array(v, dtype=float))
     return m.astype(complex) if np.iscomplexobj(torus.algebra.basis) else m
 
 

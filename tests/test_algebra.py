@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from liebend import algebra
+from liebend import _ratlin, algebra
 from liebend.algebra import (bracket, cartan_involution, adjoint_operator,
                              centralizer, generated_subalgebra, make_algebra,
                              subspace_from_coordinates, subspace_from_matrices)
 from liebend.errors import MembershipError, ParameterError, ShapeError
+from liebend.weyl import split_torus
 
 from conftest import (classify_element, compact_part_basis, constructed_triples,
                       defining_residual, oracle_coordinates, random_algebra_element,
@@ -56,6 +57,31 @@ def test_su_basis_matches_element_loop(p, q):
 
 def test_form_matrix_su21(su21):
     assert su21.form.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
+A_DIAGONAL_CASES = ([("sl", (n,)) for n in range(2, 11)]
+                    + [("su", (p, q)) for p in range(1, 9) for q in range(1, p + 1)])
+
+
+@pytest.mark.parametrize("family, params", A_DIAGONAL_CASES,
+                         ids=[f + ",".join(map(str, p)) for f, p in A_DIAGONAL_CASES])
+def test_a_diagonal_puts_the_torus_on_the_diagonal(family, params):
+    """The first r rows of a_diagonal are the identity (the free
+    coordinates); diag(a_diagonal @ b) is in the algebra for each vector b
+    of the torus basis; and the column sums are the torus's trace row, the
+    ones of sl(n,R), or vanish, as in su(p,q), which has no trace row."""
+    alg = make_algebra(family, *params)
+    torus = split_torus(alg)
+    a = alg.a_diagonal
+    r = torus.coord_len
+    assert a.shape == (alg.size, r) and np.array_equal(a[:r], np.eye(r, dtype=int))
+    basis = _ratlin.primitive_nullspace(torus.trace, r)
+    assert len(basis) == torus.rank == (params[0] - 1 if family == "sl" else params[1])
+    for b in basis:
+        alg.coordinates(np.diag(a @ np.array(b)).astype(alg.basis.dtype), check=True)
+    sums = tuple(a.sum(axis=0).tolist())
+    assert torus.trace == ((sums,) if any(sums) else ())
+    assert torus.trace == (((1,) * r,) if family == "sl" else ())
 
 
 def test_parameter_errors():

@@ -524,21 +524,24 @@ def test_a_t_past_float64_is_an_input_error(t, reason, tmp_path):
 
 def test_a_grid_moves_past_a_singular_t(tmp_path):
     """A grid t at which e^{tX} is singular in float64 fails the
-    inequalities like an overflowing one, so the grid goes on to the next
-    value: the report is the one of that value alone, but for the grid it
-    echoes."""
+    inequalities like an overflowing one; one at which bend's float checks
+    refuse the bent group (1350: a bent generator is singular; 1150: the
+    relation word overflows) fails like it.  Either way the grid goes on to
+    the next value: the report is the one of that value alone, but for the
+    grid it echoes."""
     import json
-    runs = [bend_subprocess(SL3_DPS40, tmp_path, "--t-grid", grid)
-            for grid in ("200,0.0162", "0.0162")]
-    assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+    grids = ("200,0.0162", "1350,0.0162", "1150,0.0162", "0.0162")
+    runs = [bend_subprocess(SL3_DPS40, tmp_path, "--t-grid", grid) for grid in grids]
+    assert [(code, err) for code, _, err in runs] == [(0, "")] * len(grids)
     docs = [json.loads(out) for _, out, _ in runs]
     plans = [next(c for c in doc["checks"] if c["check"] == "bend/plan") for doc in docs]
-    assert plans[0]["verdict"]["t"] == plans[1]["verdict"]["t"] == 0.0162
-    assert plans[0]["verdict"]["t_grid"] == [200.0, 0.0162]
+    assert [plan["verdict"]["t"] for plan in plans] == [0.0162] * len(grids)
+    assert [plan["verdict"]["t_grid"] for plan in plans] == [
+        [float(t) for t in grid.split(",")] for grid in grids]
     for doc in docs:
         doc["config"]["t_grid"] = None
         next(c for c in doc["checks"] if c["check"] == "bend/plan")["verdict"]["t_grid"] = None
-    assert docs[0] == docs[1]
+    assert all(doc == docs[-1] for doc in docs)
 
 
 def test_an_overflowing_grid_t_stays_inconclusive(capsys):

@@ -1,5 +1,7 @@
 """The family is decided where each family is built: every other step reads
-data (the torus's sign vectors, trace rows and staircase, the basis's dtype).
+data.  The algebra carries its hermitian form (`form`, None for sl) and
+a's place on the diagonal (`a_diagonal`); the torus carries its sign
+vectors, trace rows and staircase, the basis its dtype.
 The scan reads the source and lists each branch on the family: an `if`,
 `while`, conditional-expression or comprehension test, or a flag assigned
 from a comparison, that reads `.family`, `.is_complex`, `SL` or `SU`.  The
@@ -12,19 +14,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "liebend"
 
 ALLOWED = {
     ("algebra", "make_algebra"): "input validation: each family's parameter ranges",
-    ("algebra", "_shared_algebra"): "the family's construction: its form and basis",
-    ("cli", "main"): "input validation: sl takes --n, su takes --p and --q",
-    ("projections", "group_residual"): "su's group keeps its hermitian form",
-    ("projections", "mu"): "su's log-spectrum must pair as +-a_i around zeros",
+    ("algebra", "_shared_algebra"): "the family's construction: its form, a_diagonal and basis",
     ("report", "cmd_check"): "sec53's even-witness search runs over sl's partitions",
-    ("sl2", "Sl2Triple.torus_vector"): "the free coordinates of a inside H's diagonal",
     ("sl2", "sl2_from_partition"): "input validation: partition triples live in sl",
     ("sl2", "rho1_su"): "input validation: rho1 lives in su",
     ("sl2", "rho2_su"): "input validation: rho2 lives in su",
-    ("sl2", "sigma"): "su's form condition on the parity of mirrored weights",
     ("sl2", "property_star_basis"): "gl(m,R) classes in sl, u(V+, V-) classes in su",
-    ("weyl", "_diagonal"): "the coordinate pattern of a on the diagonal",
-    ("weyl", "split_torus"): "the family's construction: roots, signs, trace rows, staircase",
+    ("weyl", "split_torus"): "the family's construction: roots, signs, staircase",
 }
 FAMILY_NAMES = {"SL", "SU"}
 FAMILY_ATTRS = {"family", "is_complex"}
@@ -76,9 +72,9 @@ def test_family_branches_are_the_allowlist():
     assert {(module, function) for module, function, _ in _src_branches()} == set(ALLOWED)
 
 
-def test_at_most_sixteen_branches_and_none_in_the_torus_methods():
+def test_at_most_eight_branches_and_none_in_the_torus_methods():
     sites = _src_branches()
-    assert len(sites) <= 16
+    assert len(sites) <= 8
     assert not [s for s in sites if s[1].startswith("SplitTorusData.")]
 
 

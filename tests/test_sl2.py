@@ -140,6 +140,14 @@ def test_sigma_refuses_an_odd_number_of_odd_weights(sl3):
         sigma(stand_in)
 
 
+def test_sigma_refuses_a_pattern_the_form_does_not_keep(su21):
+    """Weights (1, -1, 0): two odd weights, so det sigma = 1, but the form
+    matches index 0 with index 2, whose weights differ in parity."""
+    triple = Sl2Triple(su21, ExactTriple((((0, 1), (1j,)), ((2,), ()))), "rho1", "stand-in")
+    with pytest.raises(RealizationError, match="defining condition"):
+        sigma(triple)
+
+
 @pytest.mark.parametrize("family, params", [("sl", (3,)), ("sl", (4,)), ("su", (2, 1)),
                                             ("su", (2, 2)), ("su", (3, 2))])
 def test_sigma_group_condition_matches_the_float_residual(family, params):
