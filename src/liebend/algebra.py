@@ -12,7 +12,9 @@ split abelian subspace.  The algebra holds both as data: `form` (None for
 sl(n,R)) and `a_diagonal`, which puts a's free coordinates on the diagonal
 (I_n for sl(n,R), [I_q; 0; -J_q] for su(p,q)).  Algebra elements are stored
 as ambient matrices; most computations run in real coordinates with respect
-to a fixed basis.
+to a fixed basis.  The algebra holds that basis as its elements' entries,
+which the exact lane reads through their support; the dense (dim, n, n)
+stack is built on the float lane's first read of `basis`.
 """
 
 import functools
@@ -70,25 +72,24 @@ def form_matrix(p, q):
     return b
 
 
-def _sl_basis(n):
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                e = np.zeros((n, n))
-                e[i, j] = 1.0
-                mats.append(e)
-    for k in range(n - 1):
-        h = np.zeros((n, n))
-        h[k, k] = 1.0
-        h[k + 1, k + 1] = -1.0
-        mats.append(h)
-    return mats
+def _entries(elements, dtype):
+    """(element, row, col, value) arrays, element ascending, of a list of
+    elements given as lists of (row, col, value)."""
+    elem = [k for k, element in enumerate(elements) for _ in element]
+    rows, cols, values = zip(*(e for element in elements for e in element))
+    return (np.array(elem), np.array(rows), np.array(cols), np.array(values, dtype=dtype))
 
 
-def _su_basis(p, q, b):
-    """Basis of {X : X*B + BX = 0, tr X = 0} as B @ A over a u(n) basis,
-    shape (dim, n, n), with one stacked product.
+def _sl_entries(n):
+    """The entries of the sl(n,R) basis: E_ij for i != j, then E_kk - E_k+1,k+1."""
+    elements = [[(i, j, 1.0)] for i in range(n) for j in range(n) if i != j]
+    elements += [[(k, k, 1.0), (k + 1, k + 1, -1.0)] for k in range(n - 1)]
+    return _entries(elements, float)
+
+
+def _su_entries(p, q):
+    """The entries of the u(n) combinations A whose B @ A form the basis of
+    {X : X*B + BX = 0, tr X = 0}.
 
     tr(BA) vanishes for all u(n) basis elements except the anti-diagonal-pair
     symmetric ones and the middle-diagonal ones; those are combined pairwise
@@ -96,27 +97,17 @@ def _su_basis(p, q, b):
     """
     n = p + q
     upper = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    symmetric = [(k, l) for k, l in upper if not (k < q and l == n - 1 - k)]
-    imaginary_diagonal = list(range(q)) + list(range(p, n))
+    elements = [[(k, l, 1.0), (l, k, -1.0)] for k, l in upper]
+    elements += [[(k, l, 1j), (l, k, 1j)] for k, l in upper if not (k < q and l == n - 1 - k)]
+    elements += [[(k, k, 1j)] for k in list(range(q)) + list(range(p, n))]
     # trace carriers: q pair-symmetric elements (weight 2) then p-q middle
     # diagonals (weight 1); consecutive weighted differences are traceless
     carriers = [((k, n - 1 - k), 2.0) for k in range(q)] + [((m, m), 1.0) for m in range(q, p)]
-    a = np.zeros((len(upper) + len(symmetric) + len(imaginary_diagonal) + len(carriers) - 1,
-                  n, n), dtype=complex)
-    rows = iter(a)
-    for k, l in upper:
-        x = next(rows)
-        x[k, l], x[l, k] = 1.0, -1.0
-    for k, l in symmetric:
-        x = next(rows)
-        x[k, l] = x[l, k] = 1j
-    for k in imaginary_diagonal:
-        next(rows)[k, k] = 1j
     for ((i, j), w1), ((k, l), w2) in zip(carriers, carriers[1:]):
-        x = next(rows)
-        x[i, j] = x[j, i] = complex(0.0, w2)
-        x[k, l] = x[l, k] = complex(0.0, -w1)
-    return b @ a
+        # a middle diagonal (m, m) is one position
+        elements.append([(a, b, complex(0.0, w2)) for a, b in dict.fromkeys([(i, j), (j, i)])]
+                        + [(a, b, complex(0.0, -w1)) for a, b in dict.fromkeys([(k, l), (l, k)])])
+    return _entries(elements, complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +117,29 @@ class LieAlgebraSpace:
     size: int
     form: np.ndarray | None  # the hermitian form su(p,q) keeps; None for sl(n,R)
     a_diagonal: np.ndarray  # (size, r) ints: diag(a with free coordinates v) = a_diagonal @ v
-    basis: np.ndarray  # (dim, size, size)
+    # (element, row, col, value) arrays, element ascending: the entries of each
+    # basis element's gl(n) or u(n) matrix A; the element is A, or form @ A
+    # where the algebra keeps a form
+    entries: tuple
     config: _config.Config  # the tolerances every computation on this algebra reads
 
     @property
     def dim(self):
-        return self.basis.shape[0]
+        return int(self.entries[0][-1]) + 1
+
+    @property
+    def dtype(self):
+        """The basis's dtype: complex where the algebra keeps a form, else float."""
+        return np.dtype(complex if self.form is not None else float)
+
+    @cached_property
+    def basis(self):
+        """(dim, size, size), built on first read: the exact lane reads only
+        the support."""
+        elem, rows, cols, values = self.entries
+        a = np.zeros((self.dim, self.size, self.size), dtype=values.dtype)
+        a[elem, rows, cols] = values
+        return readonly(a if self.form is None else self.form @ a)
 
     @cached_property
     def _flat(self):
@@ -145,9 +153,16 @@ class LieAlgebraSpace:
 
     @cached_property
     def _support(self):
-        """(element, row, col) of every nonzero basis entry, element ascending,
-        and the index into them of each element's first entry."""
-        elem, rows, cols = np.nonzero(self.basis)
+        """(element, row, col) of every nonzero basis entry, in np.nonzero
+        order, and the index into them of each element's first entry.
+
+        The form is a permutation matrix: form @ A carries A's row k to the
+        row of the form's entry in column k, with the same nonzero value."""
+        elem, rows, cols, _ = self.entries
+        if self.form is not None:
+            rows = np.argmax(self.form != 0, axis=0)[rows]
+        order = np.lexsort((cols, rows, elem))
+        elem, rows, cols = elem[order], rows[order], cols[order]
         return readonly((elem, rows, cols, np.flatnonzero(np.r_[True, elem[1:] != elem[:-1]])))
 
     def coordinates(self, x, check=True):
@@ -221,14 +236,14 @@ def make_algebra(family, *params, config=_config.DEFAULT):
 def _shared_algebra(family, params, config):
     if family == SL:
         (n,) = params
-        form, basis, a_diagonal = None, np.array(_sl_basis(n)), np.eye(n, dtype=int)
+        form, entries, a_diagonal = None, _sl_entries(n), np.eye(n, dtype=int)
     else:
         p, q = params
-        form = form_matrix(p, q)
-        basis = _su_basis(p, q, form)
-        a_diagonal = np.eye(p + q, q, dtype=int) - np.eye(p + q, q, dtype=int)[::-1]
-    return LieAlgebraSpace(family, params, basis.shape[1], readonly(form), readonly(a_diagonal),
-                           readonly(basis), config)
+        n = p + q
+        form, entries = form_matrix(p, q), _su_entries(p, q)
+        a_diagonal = np.eye(n, q, dtype=int) - np.eye(n, q, dtype=int)[::-1]
+    return LieAlgebraSpace(family, params, n, readonly(form), readonly(a_diagonal),
+                           readonly(entries), config)
 
 
 def diagonal_weights(alg, diags):

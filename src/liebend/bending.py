@@ -139,7 +139,12 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
     if rho_a is None:
         rho_a = rho_of(iso.triple, a_matrix)
     x_mat = iso.triple.algebra.from_coordinates(x)
-    moved = rho_a @ x_mat @ np.linalg.inv(rho_a)
+    try:
+        rho_a_inv = np.linalg.inv(rho_a)
+    except np.linalg.LinAlgError:
+        raise RealizationError("rho(a) is singular in float64: the fixed line "
+                               f"in V_({i},{j}) cannot be checked") from None
+    moved = rho_a @ x_mat @ rho_a_inv
     resid = np.linalg.norm(moved - x_mat)
     if resid > FIXED_POINT_TOL * max(np.linalg.norm(moved), 1.0):
         raise RealizationError(
@@ -367,7 +372,7 @@ def bend(plan):
     pushed = plan.pushed
     pushed_resid = pushed.relation_residual()
 
-    unbent = np.eye(alg.size, dtype=alg.basis.dtype)
+    unbent = np.eye(alg.size, dtype=alg.dtype)
     twists = [plan.twists[plan.generator_assignment[k]] if k in plan.generator_assignment
               else unbent for k in range(1, seed.genus + 1)]
     # a large t overflows the twists; the check below reports it, not numpy

@@ -52,6 +52,9 @@ from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _f
                         product, weight_zero_part)
 
 _ONE = (1, 0)
+# the verified residuals are about 10^-dps and are reported as float64, which
+# holds them as normal numbers down to about 2.2e-308
+MAX_DPS = 300
 
 
 def dps_to_bits(dps):
@@ -161,10 +164,13 @@ def verify_bent_relation(plan, bent, dps=40):
     polygon, the undeformed pushed representation and the bent
     representation, plus the maximal entrywise distance of the shipped
     matrices from the verified ones.  The images are built from the
-    triple's exact form.  dps must be an int >= 1 (not a bool).
+    triple's exact form.  dps must be an int from 1 to MAX_DPS (not a bool).
     """
     if isinstance(dps, bool) or not isinstance(dps, (int, np.integer)) or dps < 1:
         raise ParameterError(f"dps must be an integer >= 1, got {dps!r}")
+    if dps > MAX_DPS:
+        raise ParameterError(f"dps must be at most {MAX_DPS}, got {dps!r}: "
+                             "past it the verified residuals underflow float64")
     triple = plan.triple
     if plan.t is None:
         raise ParameterError("plan has no bending parameter")

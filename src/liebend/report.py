@@ -244,6 +244,11 @@ def cmd_bend(plan_spec, config):
     verify_dps = plan_spec.get("verify_dps", 0)
     if isinstance(verify_dps, bool) or not isinstance(verify_dps, int) or verify_dps < 0:
         raise ParameterError(f"verify_dps must be an integer >= 0, got {verify_dps!r}")
+    if verify_dps:
+        from .highprec import MAX_DPS, verify_bent_relation
+        if verify_dps > MAX_DPS:
+            raise ParameterError(f"verify_dps must be at most {MAX_DPS}, got {verify_dps!r}: "
+                                 "past it the verified residuals underflow float64")
     genus = plan_spec.get("genus")
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
         raise ParameterError(f"genus must be an integer >= 2, got {genus!r}")
@@ -300,7 +305,6 @@ def cmd_bend(plan_spec, config):
         "bent_residual": float(bent.relation_residual()),
     }
     if verify_dps:
-        from .highprec import verify_bent_relation
         hp, stages["verify"] = _timed(lambda: verify_bent_relation(plan, bent, dps=verify_dps))
         resid_rec["verified"] = {
             "dps": hp.dps,

@@ -96,12 +96,12 @@ class Sl2Triple:
 
     @cached_property
     def h(self):
-        return readonly(np.diag(np.array(self.exact.h, dtype=self.algebra.basis.dtype)))
+        return readonly(np.diag(np.array(self.exact.h, dtype=self.algebra.dtype)))
 
     @cached_property
     def e(self):
         n = len(self.exact.h)
-        e = np.zeros((n, n), dtype=self.algebra.basis.dtype)
+        e = np.zeros((n, n), dtype=self.algebra.dtype)
         for row, col, m, unit in self.exact.e:
             e[row, col] = unit * math.sqrt(m)
         return readonly(e)
@@ -247,7 +247,7 @@ def sigma(triple):
     s = np.diag([-1.0 if o else 1.0 for o in odd])
     if sum(odd) % 2 or alg.form is not None and not np.array_equal(s @ alg.form @ s, alg.form):
         raise RealizationError("sigma violates the group's defining condition")
-    return s.astype(alg.basis.dtype)
+    return s.astype(alg.dtype)
 
 
 @functools.lru_cache(maxsize=4)
@@ -498,7 +498,7 @@ def property_star_basis(triple):
     def expand(chains, c):
         """sum_{a,b} c[a,b] J(chains[a], chains[b])."""
         rows = np.array(chains)
-        x = np.zeros((n, n), dtype=alg.basis.dtype)
+        x = np.zeros((n, n), dtype=alg.dtype)
         x[rows[:, None, :], rows[None, :, :]] = c[:, :, None]
         return x
 

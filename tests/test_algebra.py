@@ -59,12 +59,12 @@ def test_form_matrix_su21(su21):
     assert su21.form.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
-A_DIAGONAL_CASES = ([("sl", (n,)) for n in range(2, 11)]
+GRID_ALGEBRAS = ([("sl", (n,)) for n in range(2, 11)]
                     + [("su", (p, q)) for p in range(1, 9) for q in range(1, p + 1)])
 
 
-@pytest.mark.parametrize("family, params", A_DIAGONAL_CASES,
-                         ids=[f + ",".join(map(str, p)) for f, p in A_DIAGONAL_CASES])
+@pytest.mark.parametrize("family, params", GRID_ALGEBRAS,
+                         ids=[f + ",".join(map(str, p)) for f, p in GRID_ALGEBRAS])
 def test_a_diagonal_puts_the_torus_on_the_diagonal(family, params):
     """The first r rows of a_diagonal are the identity (the free
     coordinates); diag(a_diagonal @ b) is in the algebra for each vector b
@@ -82,6 +82,24 @@ def test_a_diagonal_puts_the_torus_on_the_diagonal(family, params):
     sums = tuple(a.sum(axis=0).tolist())
     assert torus.trace == ((sums,) if any(sums) else ())
     assert torus.trace == (((1,) * r,) if family == "sl" else ())
+
+
+@pytest.mark.parametrize("family, params", GRID_ALGEBRAS,
+                         ids=[f + ",".join(map(str, p)) for f, p in GRID_ALGEBRAS])
+def test_support_and_dim_are_the_dense_basis_read_back(family, params):
+    """One enumeration, two views: the support and dim, read off the
+    algebra's entries without building the dense basis, are np.nonzero of
+    that basis and its length, and dtype is its dtype."""
+    from liebend.config import DEFAULT
+    alg = algebra._shared_algebra.__wrapped__(family, params, DEFAULT)  # a fresh, uncached one
+    elem, rows, cols, first = alg._support
+    dim = alg.dim
+    assert "basis" not in vars(alg)
+    nonzero = np.nonzero(alg.basis)
+    for got, want in zip((elem, rows, cols), nonzero):
+        assert np.array_equal(got, want)
+    assert np.array_equal(first, np.searchsorted(nonzero[0], np.arange(dim)))
+    assert dim == alg.basis.shape[0] and alg.dtype == alg.basis.dtype
 
 
 def test_parameter_errors():

@@ -67,6 +67,15 @@ def test_fixed_vector_needs_hyperbolic(sl2):
         fixed_weight_zero_vector(iso, *iso.Lambda[0], rot)
 
 
+def test_fixed_vector_with_a_singular_rho_a_is_a_realization_error(sl3):
+    """A singular rho(a) cannot check the fixed line: a typed error, not
+    numpy's LinAlgError."""
+    iso = module_multiplicities(sl3, sl2_from_partition(sl3, (3,)))
+    a = expm(0.8 * H2)
+    with pytest.raises(RealizationError, match=r"rho\(a\) is singular in float64"):
+        fixed_weight_zero_vector(iso, *iso.Lambda[0], a, rho_a=np.zeros((3, 3)))
+
+
 def test_bend_t_zero_is_pushforward(su21):
     triple = rho1_su(su21)
     seed = fuchsian_generators(2)

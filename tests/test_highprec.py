@@ -422,6 +422,19 @@ def test_verify_rejects_a_dps_that_is_not_a_positive_int(dps, su21, monkeypatch)
         verify_bent_relation(plan, bent, dps=dps)
 
 
+def test_verify_rejects_a_dps_past_max_dps(su21, monkeypatch):
+    """Past MAX_DPS the residuals would underflow float64; refused before any work."""
+    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.sl2 import rho1_su
+    plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
+    bent = bend(plan)
+    monkeypatch.setattr(highprec, "Sl2Images", None)
+    monkeypatch.setattr(highprec, "mp_fuchsian", None)
+    with pytest.raises(ParameterError, match=f"dps must be at most {highprec.MAX_DPS}, got "
+                                             f"{highprec.MAX_DPS + 1}"):
+        verify_bent_relation(plan, bent, dps=highprec.MAX_DPS + 1)
+
+
 @pytest.mark.parametrize("dps, bits", [(1, 7), (15, 53), (30, 103), (40, 136), (60, 203)])
 def test_dps_maps_to_bits_as_mpmath_does(dps, bits):
     import mpmath as mp

@@ -303,6 +303,8 @@ _SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t":
      "partition part must be an integer, got 2.5"),
     ({k: v for k, v in _SU21_PLAN.items() if k != "genus"},
      "genus must be an integer >= 2, got None"),
+    (dict(_SU21_PLAN, verify_dps=301),
+     "verify_dps must be at most 300, got 301: past it the verified residuals underflow float64"),
 ])
 def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
@@ -311,6 +313,22 @@ def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+def test_cli_verify_dps_300_keeps_the_residuals_normal(tmp_path, capsys):
+    """At verify_dps 300, the bound, the verified residuals are about
+    1e-298, still normal float64 numbers; past it they would underflow
+    (subnormal at 310, 0.0 at 20000), and 301 is an input error."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"family": "sl", "n": 3, "triple": {"partition": [3]},
+                                     "genus": 2, "verify_dps": 300}))
+    assert main(["bend", "--plan", str(plan_file)]) == 0
+    checks = {c["check"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["bend/certificate"]["verdict"] == "PASS"
+    verified = checks["bend/residuals"]["verified"]
+    assert verified["dps"] == 300
+    for key in ("seed_residual", "pushed_residual", "bent_residual"):
+        assert np.finfo(float).tiny <= verified[key] < 1e-290
 
 
 @pytest.mark.parametrize("plan, key", [

@@ -86,8 +86,8 @@ def _shared_arrays():
     seed = fuchsian_generators(2)
     torus = split_torus(su32)
     return {
-        "basis": su32.basis, "form": su32.form, "solver": su32._solver,
-        "flat": su32._flat, "support": su32._support[1],
+        "basis": su32.basis, "entries": su32.entries[3], "form": su32.form,
+        "solver": su32._solver, "flat": su32._flat, "support": su32._support[1],
         "chunk table": torus.weyl_chunks(8 * torus.coord_len).tail,
         "positive roots": torus._positive_functionals[0],
         "h": triple.h, "e": rho1.e, "f": rho1.f, "ad_e": rho1.ad_e, "ad_f": triple.ad_f,
@@ -99,8 +99,8 @@ def _shared_arrays():
     }
 
 
-SHARED_ARRAYS = ("basis", "form", "solver", "flat", "support", "chunk table", "positive roots",
-                 "h", "e", "f", "ad_e", "ad_f", "basis_weights", "sigma",
+SHARED_ARRAYS = ("basis", "entries", "form", "solver", "flat", "support", "chunk table",
+                 "positive roots", "h", "e", "f", "ad_e", "ad_f", "basis_weights", "sigma",
                  "g_even", "star", "star matrix", "stacked", "solver of pieces", "piece",
                  "polygon a", "polygon b")
 
@@ -246,7 +246,9 @@ def test_reproduce_and_check_leave_the_integer_kernel_unloaded(tmp_path):
     """The integer kernel is imported inside the bend path (the conjugator
     and the fixed-line fallback): importing the CLI and running reproduce
     sec53, reproduce sec6 and check never load it, and a float-only bend
-    does."""
+    does.  Likewise the exact lane reads only the basis's support, so the
+    algebras those runs used (sl(5), su(3,2), su(3,3)) never build the dense
+    basis, and the bend's su(2,1) does."""
     (tmp_path / "ah_sl5.json").write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
     (tmp_path / "ah_su33.json").write_text(json.dumps([["1", "0", "0"], ["0", "1", "-1"]]))
     plan = tmp_path / "plan.json"  # verify_dps 0: the float lane alone loads the kernel
@@ -264,12 +266,20 @@ def test_reproduce_and_check_leave_the_integer_kernel_unloaded(tmp_path):
             "    print(rc, 'liebend.intkernel' in sys.modules)\n"
             f"rc = liebend.cli.main(['bend', '--plan', {str(plan)!r},\n"
             f"                       '--out', {str(tmp_path / 'bend.out')!r}])\n"
-            "print(rc, 'liebend.intkernel' in sys.modules)\n")
+            "print(rc, 'liebend.intkernel' in sys.modules)\n"
+            "from liebend.algebra import _shared_algebra, make_algebra\n"
+            "def dense(*args):  # whether the cached algebra has built its basis\n"
+            "    misses = _shared_algebra.cache_info().misses\n"
+            "    alg = make_algebra(*args)\n"
+            "    assert _shared_algebra.cache_info().misses == misses\n"
+            "    return 'basis' in vars(alg)\n"
+            "print([dense('sl', 5), dense('su', 3, 2), dense('su', 3, 3), dense('su', 2, 1)])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split("\n")[:6] == ["False"] + ["0 False"] * 4 + ["0 True"]
+    assert done.stdout.split("\n")[:7] == (["False"] + ["0 False"] * 4 + ["0 True"]
+                                           + ["[False, False, False, True]"])
 
 
 def test_commands_leave_scipy_and_numpy_ma_unloaded(tmp_path):
