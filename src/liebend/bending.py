@@ -5,12 +5,14 @@ the deformation certify, and the bracket-closure density certificate.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .algebra import bracket, expm, generated_subalgebra, integer_param, readonly
+from .config import finite_real
 from .errors import (GenusConditionError, MembershipError, ParameterError,
                      RealizationError, ShapeError)
 from .sl2 import module_multiplicities, rho_of
@@ -77,8 +79,8 @@ def fuchsian_generators(genus):
     genus in a process.
     """
     g = integer_param("genus", genus)
-    if g < 2:
-        raise ParameterError(f"surface groups need genus >= 2, got {g}")
+    if g < 2 or not finite_real(4 * g):  # the 4g-gon's angles are floats
+        raise ParameterError(f"surface groups need genus >= 2 with 4g in float64's range, got {g}")
     return _polygon(g)
 
 
@@ -110,11 +112,11 @@ def _polygon(g):
     return rep
 
 
-def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
+def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a):
     """The Ad(rho(a))-fixed line in the piece V_{i,j} of the isotypic data
-    iso, unit-normalized with a deterministic sign.  a must be hyperbolic in
-    SL(2,R).  rho_a, which checks the line, is rho(a); rho_of computes it
-    unless the caller holds it.
+    iso, as the algebra matrix of its unit coordinates with a deterministic
+    sign.  a must be hyperbolic in SL(2,R).  rho_a, which checks the line, is rho(a) (a plan's
+    `pushed.a[k - 1]`).
 
     With k^{-1} a k diagonal (`intkernel.conjugator` of the exact float a at
     FIXED_LINE_BITS; the kernel is imported here, so commands that bend
@@ -136,8 +138,6 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
     lead = x[np.argmax(np.abs(x) > 1e-9)]
     if lead < 0:
         x = -x
-    if rho_a is None:
-        rho_a = rho_of(iso.triple, a_matrix)
     x_mat = iso.triple.algebra.from_coordinates(x)
     try:
         rho_a_inv = np.linalg.inv(rho_a)
@@ -149,30 +149,24 @@ def fixed_weight_zero_vector(iso, i, j, a_matrix, rho_a=None):
     if resid > FIXED_POINT_TOL * max(np.linalg.norm(moved), 1.0):
         raise RealizationError(
             f"fixed-point residual {resid:.3e} too large in V_({i},{j})")
-    return x
+    return x_mat
 
 
 @dataclass(frozen=True, eq=False)
 class BendingPlan:
+    """The bend's t-independent float objects, built once; with_t copies share them."""
     triple: object
     seed: SurfaceGroupRep
     iso: object                # IsotypicData of the triple's even part, iso.Lambda its pieces
     f: dict                    # (i,j) -> generator index in 1..g
-    x_vectors: dict            # (i,j) -> algebra coordinates
-    y_vectors: dict            # (i,j) -> algebra coordinates, i != 0 only
+    x: MappingProxyType        # (i,j) -> X_ij, a read-only algebra matrix
+    y: MappingProxyType        # (i,j) -> Y_ij, a read-only algebra matrix, i != 0 only
+    pushed: SurfaceGroupRep    # the undeformed images rho(a_k), rho(b_k)
     t: float | None
-    images: np.ndarray         # (2g, n, n): rho(a_1), ..., rho(a_g), rho(b_1), ..., rho(b_g)
-    _z: dict = field(default_factory=dict, init=False, repr=False)  # (i,j) -> Z_{i,j}(t)
 
     @property
     def genus(self):
         return self.seed.genus
-
-    def x_matrix(self, ij):
-        return self.triple.algebra.from_coordinates(self.x_vectors[ij])
-
-    def y_matrix(self, ij):
-        return self.triple.algebra.from_coordinates(self.y_vectors[ij])
 
     def with_t(self, t):
         return replace(self, t=t)
@@ -183,17 +177,18 @@ class BendingPlan:
         call: bend multiplies b_f(i,j) by it and z conjugates by it.  A t
         past float64 shows as a non-finite twist, which bend reports."""
         lam = self.iso.Lambda
-        x = np.array([self.x_matrix(ij) for ij in lam])
-        return dict(zip(lam, expm(self.t * x)))
+        return dict(zip(lam, expm(self.t * np.array([self.x[ij] for ij in lam]))))
 
-    def z(self, ij):
-        """Z_ij(t) = (1/t)(Ad(e^{tX})Y - Y) in algebra coordinates, computed
-        once per plan: the inequalities, bend and the density certificate
-        read the same values."""
-        if ij not in self._z:
-            if not self.t:
-                raise ParameterError("Z needs a bending parameter t != 0")
-            g, y = self.twists[ij], self.y_matrix(ij)
+    @cached_property
+    def z(self):
+        """(i,j) -> Z_ij(t) = (1/t)(Ad(e^{tX})Y - Y) in algebra coordinates
+        for every bent piece, computed once per plan: the inequalities, bend
+        and the density certificate read the same values."""
+        if not self.t:
+            raise ParameterError("Z needs a bending parameter t != 0")
+        out = {}
+        for ij, y in self.y.items():
+            g = self.twists[ij]
             # an overflow, or an e^{tX} that is singular in float64, shows as
             # a non-finite Z, which bending_inequalities reports
             with np.errstate(over="ignore", invalid="ignore"):
@@ -202,8 +197,8 @@ class BendingPlan:
                 except np.linalg.LinAlgError:
                     g_inv = np.full_like(g, np.nan)
                 moved = g @ y @ g_inv
-            self._z[ij] = self.triple.algebra.coordinates((moved - y) / self.t, check=False)
-        return self._z[ij]
+            out[ij] = self.triple.algebra.coordinates((moved - y) / self.t, check=False)
+        return MappingProxyType(out)
 
     @cached_property
     def inequalities(self):
@@ -216,11 +211,6 @@ class BendingPlan:
         return {k: ij for ij, k in self.f.items()}
 
     @cached_property
-    def pushed(self):
-        """pushed_forward of the plan's seed from its images, built once per plan."""
-        return pushed_forward(self.triple, self.seed, self.images)
-
-    @cached_property
     def bent(self):
         """bend(self), built once per plan; a refused t raises on each read."""
         return bend(self)
@@ -228,9 +218,9 @@ class BendingPlan:
 
 def build_plan(triple, seed, t="auto"):
     """Assemble a bending plan: isotypic pieces, the injection into generator
-    indices, the fixed vectors, companions and the bending parameter.  The
-    seed's relation residual is checked first, against seed_relation_tol or,
-    when larger, the rounding a product of L matrices may carry,
+    indices, the pushed seed, the matrices X and Y and the bending parameter.
+    The seed's relation residual is checked first, against seed_relation_tol
+    or, when larger, the rounding a product of L matrices may carry,
     4 eps L peak**2 for the word's largest partial-product norm peak.
     "auto" takes the first grid t that the inequalities and bend accept."""
     alg = triple.algebra
@@ -252,17 +242,16 @@ def build_plan(triple, seed, t="auto"):
             f"centralizer dimension {len(star)} disagrees with the trivial-piece count {trivial}")
 
     # one rho_of call; rho(a_k) of a bent generator also checks its fixed line
-    images = rho_of(triple, np.concatenate([seed.a, seed.b]))
+    pushed = pushed_forward(triple, seed,
+                            readonly(rho_of(triple, np.concatenate([seed.a, seed.b]))))
 
-    x_vectors, y_vectors = {}, {}
+    x, y = {}, {}
     for (i, j) in lam:
         if i == 0:
-            x_vectors[(0, j)] = np.array(star[j - 1].coords, dtype=float)
+            x[(0, j)] = alg.from_coordinates(np.array(star[j - 1].coords, dtype=float))
             continue
         k = f_map[(i, j)]
-        x = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1], rho_a=images[k - 1])
-        x_vectors[(i, j)] = x
-        x_mat = alg.from_coordinates(x)
+        x_mat = x[(i, j)] = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1], pushed.a[k - 1])
         best, best_norm = None, -1.0
         for cand in (triple.e, triple.f, triple.h):
             norm = np.linalg.norm(bracket(x_mat, cand))
@@ -270,9 +259,10 @@ def build_plan(triple, seed, t="auto"):
                 best, best_norm = cand, norm
         if best_norm <= 1e-10:
             raise RealizationError(f"[X,Y] vanishes for every triple image at {(i, j)}")
-        y_vectors[(i, j)] = alg.coordinates(best)
+        y[(i, j)] = alg.from_coordinates(alg.coordinates(best))
 
-    plan = BendingPlan(triple, seed, iso, f_map, x_vectors, y_vectors, None, readonly(images))
+    plan = BendingPlan(triple, seed, iso, f_map, MappingProxyType(readonly(x)),
+                       MappingProxyType(readonly(y)), pushed, None)
     if t == "auto":
         for cand in alg.config.t_grid:
             trial = plan.with_t(float(cand))
@@ -311,9 +301,7 @@ def bending_inequalities(plan):
         if i == 0:
             continue
         mult = iso.target_odd_mults[i]
-        x_mat = plan.x_matrix((i, j))
-        y_mat = plan.y_matrix((i, j))
-        z = plan.z((i, j))
+        z = plan.z[(i, j)]
         if not np.all(np.isfinite(z)):
             return InequalityReport(False, tuple(records),
                                     f"Ad(e^(tX)) overflowed at t={plan.t:g}")
@@ -324,7 +312,7 @@ def bending_inequalities(plan):
             return InequalityReport(False, tuple(records),
                                     f"Z_({i},{j})(t) leaves the isotypic decomposition "
                                     f"at t={plan.t:g}")
-        comm = alg.coordinates(bracket(x_mat, y_mat))
+        comm = alg.coordinates(bracket(plan.x[(i, j)], plan.y[(i, j)]))
         cnorm = float(np.linalg.norm(iso.model_coordinates(i, j, comm)))
         self_norm = float(np.linalg.norm(z_blocks[iso.block_slices[(i, j)]]))
         lower = (1.0 - 1.0 / mult) * cnorm
@@ -344,13 +332,10 @@ def bending_inequalities(plan):
     return InequalityReport(ok, tuple(records))
 
 
-def pushed_forward(triple, seed, images=None):
-    """The undeformed representation: generator images under the homomorphism.
-    images is the (2g, n, n) stack rho(a_1), ..., rho(a_g), rho(b_1), ...,
-    rho(b_g) where the caller already holds it (a plan's images), computed
-    here in one rho_of call otherwise."""
-    if images is None:
-        images = rho_of(triple, np.concatenate([seed.a, seed.b]))
+def pushed_forward(triple, seed, images):
+    """The undeformed representation: the seed's generator images under the
+    triple's homomorphism, from the (2g, n, n) stack images = rho(a_1), ...,
+    rho(a_g), rho(b_1), ..., rho(b_g) (build_plan's one rho_of call)."""
     return SurfaceGroupRep(seed.genus, images[:seed.genus], images[seed.genus:])
 
 
@@ -384,7 +369,7 @@ def bend(plan):
         # the residual test below is False for NaN, and for inf against inf
         raise RealizationError(f"bending parameter t = {plan.t!r} overflows the twists: "
                                "a bent generator has a non-finite entry")
-    if plan.t and not all(np.isfinite(plan.z(ij)).all() for ij in plan.iso.Lambda if ij[0]):
+    if plan.t and not all(np.isfinite(z).all() for z in plan.z.values()):
         # e^{tX} is singular in float64 (BendingPlan.z): the certificate's seeds
         # would be a meaningless Z
         raise RealizationError(f"bending parameter t = {plan.t!r} is past float64: "
@@ -430,11 +415,11 @@ def density_certificate(plan):
     ineq = plan.inequalities
     alg = plan.triple.algebra
     seeds = [m for m in plan.triple.images() if np.linalg.norm(m) > 0]
-    for (i, j) in plan.iso.Lambda:
-        if i == 0:
-            seeds.append(alg.from_coordinates(plan.x_vectors[(0, j)]))
+    for ij in plan.iso.Lambda:
+        if ij[0] == 0:
+            seeds.append(plan.x[ij])
         elif plan.t not in (None, 0):
-            seeds.append(alg.from_coordinates(plan.z((i, j))))
+            seeds.append(alg.from_coordinates(plan.z[ij]))
     closure = generated_subalgebra(alg, seeds)
     achieved = closure.dim
     target = plan.iso.target.dim

@@ -15,9 +15,18 @@ GOLDEN_RATIO = (1.0 + 5.0 ** 0.5) / 2.0
 POSITIVITY = "lexicographic on (a_1,...,a_r)"
 
 
+def finite_real(value):
+    """True iff value is a real number, not a bool, that float64 holds as a
+    finite number: not an int past float64, as json reads 1e400 written out."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _finite(key, value, ok, need):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value) or not ok(value):
+    if not finite_real(value) or not ok(value):
         raise ParameterError(f"config key {key!r} needs {need}, got {value!r}")
     return float(value)
 

@@ -157,8 +157,8 @@ class HighPrecisionReport:
     max_entry_distance: float
 
 
-def verify_bent_relation(plan, bent, dps=40):
-    """Residuals of the high-precision representation underlying a bent rep.
+def verify_bent_relation(plan, dps=40):
+    """Residuals of the high-precision representation underlying plan.bent.
 
     Returns the residuals at dps decimal digits (`dps_to_bits`) of the seed
     polygon, the undeformed pushed representation and the bent
@@ -192,7 +192,7 @@ def verify_bent_relation(plan, bent, dps=40):
         bent_prod = product(prec, bent_prod, a, b, a_inv, b_inv)
 
     dist = max(max_entry_distance(m, m_f)
-               for (a, b), a_f, b_f in zip(bent_mp, bent.a, bent.b)
+               for (a, b), a_f, b_f in zip(bent_mp, plan.bent.a, plan.bent.b)
                for m, m_f in ((a, a_f), (b, b_f)))
     return HighPrecisionReport(dps, seed_resid, identity_distance(pushed, prec),
                                identity_distance(bent_prod, prec), dist)
@@ -213,7 +213,7 @@ def _twist(plan, rho, a_seed, k, prec):
     alg = plan.triple.algebra
     i, j = ij
     prec += GUARD_BITS
-    x_ship = alg.from_coordinates(plan.x_vectors[ij])
+    x_ship = plan.x[ij]
     t = _float_pair(plan.t, prec)
     if i == 0:
         # commutes with the whole image: project the shipped vector onto

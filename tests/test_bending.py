@@ -8,7 +8,7 @@ from liebend.bending import (SurfaceGroupRep, bend, bending_inequalities, build_
                              fuchsian_generators, pushed_forward)
 from liebend.config import Config
 from liebend.errors import GenusConditionError, ParameterError, RealizationError
-from liebend.sl2 import (module_multiplicities, rho1_su, rho2_su,
+from liebend.sl2 import (module_multiplicities, rho1_su, rho2_su, rho_of,
                          sl2_from_partition)
 
 from conftest import bend_subprocess
@@ -16,6 +16,11 @@ from conftest import bend_subprocess
 H2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 E2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 F2 = E2.T
+
+
+def _pushed(triple, seed):
+    """pushed_forward of the seed from one rho_of call of the test's own."""
+    return pushed_forward(triple, seed, rho_of(triple, np.concatenate([seed.a, seed.b])))
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -45,15 +50,14 @@ def test_fixed_vector_adjoint_module(sl2):
     iso = module_multiplicities(sl2, triple)
     (i, j) = iso.Lambda[0]
     a = expm(0.8 * H2)
-    x = fixed_weight_zero_vector(iso, i, j, a)
-    x_mat = sl2.from_coordinates(x)
-    x_mat /= np.linalg.norm(x_mat)
+    x_mat = fixed_weight_zero_vector(iso, i, j, a, rho_of(triple, a))
+    x_mat = x_mat / np.linalg.norm(x_mat)
     assert np.linalg.norm(x_mat - H2 / np.linalg.norm(H2)) < 1e-9
 
     k = expm(0.6 * (E2 - F2))
     a_conj = k @ a @ np.linalg.inv(k)
-    x2 = sl2.from_coordinates(fixed_weight_zero_vector(iso, i, j, a_conj))
-    x2 /= np.linalg.norm(x2)
+    x2 = fixed_weight_zero_vector(iso, i, j, a_conj, rho_of(triple, a_conj))
+    x2 = x2 / np.linalg.norm(x2)
     target = k @ H2 @ np.linalg.inv(k)
     target /= np.linalg.norm(target)
     assert min(np.linalg.norm(x2 - target), np.linalg.norm(x2 + target)) < 1e-9
@@ -64,7 +68,7 @@ def test_fixed_vector_needs_hyperbolic(sl2):
     iso = module_multiplicities(sl2, triple)
     rot = expm(0.5 * (E2 - F2))
     with pytest.raises(ParameterError):
-        fixed_weight_zero_vector(iso, *iso.Lambda[0], rot)
+        fixed_weight_zero_vector(iso, *iso.Lambda[0], rot, rho_of(triple, rot))
 
 
 def test_fixed_vector_with_a_singular_rho_a_is_a_realization_error(sl3):
@@ -81,7 +85,7 @@ def test_bend_t_zero_is_pushforward(su21):
     seed = fuchsian_generators(2)
     plan = build_plan(triple, seed, t=0.0)
     bent = bend(plan)
-    pushed = pushed_forward(triple, seed)
+    pushed = _pushed(triple, seed)
     for m1, m2 in zip(bent.generators(), pushed.generators()):
         assert np.allclose(m1, m2)
 
@@ -92,7 +96,7 @@ def test_bend_su21_residual(su21):
     plan = build_plan(triple, seed, t=0.01)
     bent = bend(plan)
     assert bent.relation_residual() <= 1e-9
-    pushed = pushed_forward(triple, seed)
+    pushed = _pushed(triple, seed)
     assert bent.relation_residual() <= 10.0 * pushed.relation_residual() + 1e-12
 
 
@@ -124,7 +128,7 @@ def test_bend_relation_exactness_random_plans(rng):
         t = float(10 ** rng.uniform(-4, -1.4))
         plan = build_plan(triple, seed, t=t)
         bent = bend(plan)  # raises if the bound is violated
-        pushed = pushed_forward(triple, seed)
+        pushed = _pushed(triple, seed)
         resid, peak, length = bent.relation_diagnostics
         gen_norm = max(np.linalg.norm(m) for m in bent.generators())
         noise = 64.0 * np.finfo(float).eps * length * peak * gen_norm
@@ -158,13 +162,13 @@ def _z_of(plan, x, y, t):
     from dataclasses import replace
     ij = next(ij for ij in plan.iso.Lambda if ij[0])
     alg = plan.triple.algebra
-    return replace(plan, x_vectors={**plan.x_vectors, ij: alg.coordinates(x)},
-                   y_vectors={ij: alg.coordinates(y)}, t=t).z(ij)
+    x, y = (alg.from_coordinates(alg.coordinates(m)) for m in (x, y))
+    return replace(plan, x={**plan.x, ij: x}, y={ij: y}, t=t).z[ij]
 
 
 def _z_from_twist(plan, ij):
     """Z_ij(t) = (1/t)(Ad(e^{tX})Y - Y) recomputed from the plan's twist."""
-    g, y = plan.twists[ij], plan.y_matrix(ij)
+    g, y = plan.twists[ij], plan.y[ij]
     moved = g @ y @ np.linalg.inv(g)
     return plan.triple.algebra.coordinates((moved - y) / plan.t, check=False)
 
@@ -306,7 +310,7 @@ def test_certificate_seeds_recomputable(su21):
     recomputed = [m for m in triple.images()]
     for (i, j) in plan.iso.Lambda:
         if i == 0:
-            recomputed.append(su21.from_coordinates(plan.x_vectors[(0, j)]))
+            recomputed.append(plan.x[(0, j)])
         else:
             recomputed.append(su21.from_coordinates(_z_from_twist(plan, (i, j))))
     assert len(recomputed) == cert.seed_count
@@ -354,7 +358,7 @@ def test_highprec_verification(su21, sl5):
         seed = fuchsian_generators(genus)
         plan = build_plan(triple, seed, t="auto")
         bent = bend(plan)
-        hp = verify_bent_relation(plan, bent, dps=40)
+        hp = verify_bent_relation(plan, dps=40)
         assert hp.seed_residual < 1e-25
         assert hp.pushed_residual < bound
         assert hp.bent_residual < bound
@@ -395,19 +399,19 @@ def test_bend_takes_each_z_vector_once(spec, monkeypatch):
     from liebend.config import DEFAULT
     from liebend.report import PRESETS, cmd_bend
     calls, made = [], []
-    real, real_z = bending.expm, bending.BendingPlan.z
+    real, real_z = bending.expm, bending.BendingPlan.z.func
 
     def counting(a):
         calls.append(a.shape[0])
         return real(a)
 
-    def counting_z(plan, ij):
-        if ij not in plan._z:
-            made.append(plan.t)
-        return real_z(plan, ij)
+    def counting_z(plan):
+        z = real_z(plan)
+        made.extend([plan.t] * len(z))
+        return z
 
     monkeypatch.setattr(bending, "expm", counting)
-    monkeypatch.setattr(bending.BendingPlan, "z", counting_z)
+    monkeypatch.setattr(bending.BendingPlan.z, "func", counting_z)
     spec = (dict(PRESETS[spec], verify_dps=0) if isinstance(spec, str)
             else dict(spec, t="auto", verify_dps=0))
     report = cmd_bend(spec, DEFAULT)
@@ -419,29 +423,22 @@ def test_bend_takes_each_z_vector_once(spec, monkeypatch):
     assert bent and made == [verdicts["bend/plan"]["t"]] * len(bent)
 
 
-def test_standalone_images_match_the_plan_stack(monkeypatch):
-    """fixed_weight_zero_vector and pushed_forward without the plan's stack
-    each make one rho_of call of their own (rho(a) alone for a line), and
-    agree with the plan to the bit."""
-    from liebend import bending
+def test_standalone_images_match_the_plan_stack():
+    """fixed_weight_zero_vector and pushed_forward, each given rho_of images
+    of its own (rho(a) alone for a line), agree with the plan's X and
+    pushed group to the bit."""
     triple = sl2_from_partition(make_algebra("sl", 5), (5,))
     seed = fuchsian_generators(4)
     plan = build_plan(triple, seed)
-    calls = []
-    real = bending.rho_of
-
-    def recording(triple, g2):
-        calls.append(np.shape(g2))
-        return real(triple, g2)
-
-    monkeypatch.setattr(bending, "rho_of", recording)
     bent = [((i, j), k) for (i, j), k in plan.f.items() if i != 0]
     for (i, j), k in bent:
-        x = fixed_weight_zero_vector(plan.iso, i, j, seed.a[k - 1])
-        assert x.tobytes() == plan.x_vectors[(i, j)].tobytes()
-    pushed = pushed_forward(triple, seed)
-    assert np.concatenate([pushed.a, pushed.b]).tobytes() == plan.images.tobytes()
-    assert bent and calls == [(2, 2)] * len(bent) + [(8, 2, 2)]
+        a = seed.a[k - 1]
+        x = fixed_weight_zero_vector(plan.iso, i, j, a, rho_of(triple, a))
+        assert x.tobytes() == plan.x[(i, j)].tobytes()
+    pushed = _pushed(triple, seed)
+    assert pushed.a.tobytes() == plan.pushed.a.tobytes()
+    assert pushed.b.tobytes() == plan.pushed.b.tobytes()
+    assert bent
 
 
 @pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])
@@ -587,12 +584,14 @@ def _z_leaves_the_decomposition_at(t, monkeypatch):
     made by hand."""
     from liebend import bending
     odd = np.flatnonzero(rho1_su(make_algebra("su", 2, 1)).basis_weights % 2)[0]
-    real = bending.BendingPlan.z
+    real = bending.BendingPlan.z.func
 
-    def moved(plan, ij):
-        return np.eye(plan.triple.algebra.dim)[odd] if plan.t == t else real(plan, ij)
+    def moved(plan):
+        if plan.t != t:
+            return real(plan)
+        return {ij: np.eye(plan.triple.algebra.dim)[odd] for ij in plan.y}
 
-    monkeypatch.setattr(bending.BendingPlan, "z", moved)
+    monkeypatch.setattr(bending.BendingPlan.z, "func", moved)
 
 
 def _bend_main(plan, tmp_path, capsys, *args):

@@ -19,8 +19,8 @@ from liebend.weyl import split_torus
 from conftest import chunked_scan, nullspace, rank, whole_certificate, whole_weyl
 
 # a search passes over W once for the criterion and the staircase together,
-# once per b basis line and once per fallback line; the queries below need
-# at most three fallback lines
+# once for the first b basis line, once for the later ones together and
+# once per fallback line; the queries below need at most three fallback lines
 SCAN_SLACK = 4
 
 # scales of one line at which `_line_hits` compares the rows in int64, in
@@ -150,6 +150,20 @@ def test_pinned_queries_print_a_certificate(family, rows, expected, tmp_path, sc
     assert tuple(str(x) for x in point) == expected
     assert point == whole_certificate(torus, ah)
     assert_certificate(torus, ah, point)
+
+
+@pytest.mark.parametrize("family, rows, passes", [(f, r, n) for (f, r, _), n in zip(PINNED, (5, 4))],
+                         ids=["su55", "sl7"])
+def test_the_later_b_basis_lines_share_one_pass(family, rows, passes, scan_count):
+    """One pass over W decides the criterion and the staircase, one the
+    first b basis line, one every later b basis line together, and each
+    fallback line takes one: su(5,5) needs two fallback lines here and
+    sl(7) one."""
+    torus = split_torus(make_algebra(*family))
+    ah = HSubalgebraTorus(torus, tuple(tuple(r) for r in rows))
+    scan_count.calls = 0
+    benoist_certificate(torus, ah)
+    assert scan_count.calls == passes
 
 
 def adversarial_queries(seed, draws):

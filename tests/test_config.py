@@ -80,6 +80,17 @@ def test_cli_flags_go_through_the_config_checks(argv, key, capsys):
     assert f"input error: config key {key!r} needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, key", [({"t_grid": [10 ** 400]}, "t_grid"),
+                                       ({"rank_rtol": 10 ** 400}, "rank_rtol")])
+def test_an_int_past_float64_in_a_config_file_is_an_input_error(data, key, tmp_path, capsys):
+    """json reads a 400-digit number as an int that float64 cannot hold:
+    an input error naming the key, not an OverflowError."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["reproduce", "sec53", "--config", str(path)]) == 2
+    assert f"input error: config key {key!r} needs" in capsys.readouterr().err
+
+
 def test_four_settable_fields_and_the_same_echo():
     names = [f.name for f in dataclasses.fields(config_mod.Config)]
     assert names == ["membership_rtol", "rank_rtol", "seed_relation_tol", "t_grid"]

@@ -412,27 +412,25 @@ def test_kernel_product_of_zeros_has_exponent_zero():
 def test_verify_rejects_a_dps_that_is_not_a_positive_int(dps, su21, monkeypatch):
     """dps 0 would verify at 3 bits and label residuals of 32 as verified;
     a bool, a float, a string or a negative dps is refused before any work."""
-    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.bending import build_plan, fuchsian_generators
     from liebend.sl2 import rho1_su
     plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
-    bent = bend(plan)
     monkeypatch.setattr(highprec, "Sl2Images", None)
     monkeypatch.setattr(highprec, "mp_fuchsian", None)
     with pytest.raises(ParameterError, match="dps must be an integer >= 1"):
-        verify_bent_relation(plan, bent, dps=dps)
+        verify_bent_relation(plan, dps=dps)
 
 
 def test_verify_rejects_a_dps_past_max_dps(su21, monkeypatch):
     """Past MAX_DPS the residuals would underflow float64; refused before any work."""
-    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.bending import build_plan, fuchsian_generators
     from liebend.sl2 import rho1_su
     plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
-    bent = bend(plan)
     monkeypatch.setattr(highprec, "Sl2Images", None)
     monkeypatch.setattr(highprec, "mp_fuchsian", None)
     with pytest.raises(ParameterError, match=f"dps must be at most {highprec.MAX_DPS}, got "
                                              f"{highprec.MAX_DPS + 1}"):
-        verify_bent_relation(plan, bent, dps=highprec.MAX_DPS + 1)
+        verify_bent_relation(plan, dps=highprec.MAX_DPS + 1)
 
 
 @pytest.mark.parametrize("dps, bits", [(1, 7), (15, 53), (30, 103), (40, 136), (60, 203)])
@@ -444,12 +442,10 @@ def test_dps_maps_to_bits_as_mpmath_does(dps, bits):
 
 
 def test_verify_accepts_numpy_ints(su21):
-    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.bending import build_plan, fuchsian_generators
     from liebend.sl2 import rho1_su
     plan = build_plan(rho1_su(su21), fuchsian_generators(2), t=0.01)
-    bent = bend(plan)
-    assert verify_bent_relation(plan, bent, dps=np.int64(20)) == verify_bent_relation(plan, bent,
-                                                                                      dps=20)
+    assert verify_bent_relation(plan, dps=np.int64(20)) == verify_bent_relation(plan, dps=20)
 
 
 def test_kernel_rejects_non_finite_entries():
@@ -558,7 +554,7 @@ def test_central_part_commutes_with_the_triple(case, dps):
         e_mp, f_mp = mp_triple(triple.exact)
         h_mp = mp.diag(list(triple.exact.h))
         for ij in trivial:
-            x_ship = alg.from_coordinates(plan.x_vectors[ij])
+            x_ship = plan.x[ij]
             prec = mp.mp.prec
             x = to_mp(central_part(weight_zero_part(x_ship, triple.exact.h, prec),
                                    triple.exact, prec))
@@ -1041,15 +1037,15 @@ def test_mantissa_distance_edge_cases():
 def test_verify_su21_never_exponentiates_full_matrix(monkeypatch):
     """The su(2,1) rho1 twists are diagonal: `elementary.expm` takes each
     entry by the scalar loop and never runs Taylor on the whole matrix."""
-    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.bending import build_plan, fuchsian_generators
     from liebend.report import PRESETS, _algebra_from_plan, _triple_from_spec
     spec = PRESETS["su21-rho1-g2"]
     alg = _algebra_from_plan(spec, DEFAULT)
     seed = fuchsian_generators(spec["genus"])
     plan = build_plan(_triple_from_spec(alg, spec["triple"]), seed, t=spec["t"])
-    bent = bend(plan)
+    plan.bent
     sizes = _block_sizes(monkeypatch)
-    report = verify_bent_relation(plan, bent, dps=spec["verify_dps"])
+    report = verify_bent_relation(plan, dps=spec["verify_dps"])
     assert report.bent_residual < 1e-35
     assert sizes and set(sizes) == {1}
 
@@ -1218,7 +1214,7 @@ def test_fixed_line_matches_the_60_digit_oracle(case):
     perfbench's timed plans."""
     from liebend.bending import FIXED_LINE_BITS, fixed_weight_zero_vector, fuchsian_generators
     from liebend.intkernel import fixed_line
-    from liebend.sl2 import module_multiplicities
+    from liebend.sl2 import module_multiplicities, rho_of
     triple = build_triple(case)
     alg = triple.algebra
     iso = module_multiplicities(alg, triple)
@@ -1237,7 +1233,7 @@ def test_fixed_line_matches_the_60_digit_oracle(case):
             checked += 1
             unit = alg.coordinates(want) / np.linalg.norm(alg.coordinates(want))
             try:
-                x = fixed_weight_zero_vector(iso, i, j, a)
+                x = alg.coordinates(fixed_weight_zero_vector(iso, i, j, a, rho_of(triple, a)))
             except RealizationError:
                 # Ad(rho(a)) stretches the line's rounding past
                 # FIXED_POINT_TOL in these coverage triples (ROADMAP item 20)
@@ -1366,7 +1362,7 @@ def test_polygon_integer_form_is_built_once_per_genus_and_dps(fresh_caches, monk
     the polygon (cos_sin runs once for its side length and twice per side
     pairing)."""
     from liebend.algebra import make_algebra
-    from liebend.bending import bend, build_plan, fuchsian_generators
+    from liebend.bending import build_plan, fuchsian_generators
     from liebend.sl2 import rho1_su
     calls = []
     real = highprec.cos_sin
@@ -1382,6 +1378,6 @@ def test_polygon_integer_form_is_built_once_per_genus_and_dps(fresh_caches, monk
                    rho1_su(make_algebra("su", 2, 1))):
         plan = build_plan(triple, seed)
         calls.clear()
-        verify_bent_relation(plan, bend(plan), dps=30)
+        verify_bent_relation(plan, dps=30)
         counts.append(len(calls))
     assert counts == [1 + 4 * 3, 0]

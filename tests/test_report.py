@@ -39,6 +39,24 @@ def test_sec53_matches_golden():
     assert ok, mismatches
 
 
+def test_sec53_scans_each_row_once(monkeypatch):
+    """A row's orbit scan also gives its properness verdict: the six rows
+    make six in_weyl_orbit_of_subspace calls, none of them through
+    sl2_action_proper."""
+    from liebend import properness, report
+    calls = []
+    real = properness.in_weyl_orbit_of_subspace
+
+    def counting(torus, v, ah):
+        calls.append(v)
+        return real(torus, v, ah)
+
+    monkeypatch.setattr(properness, "in_weyl_orbit_of_subspace", counting)
+    monkeypatch.setattr(report, "in_weyl_orbit_of_subspace", counting)
+    cmd_reproduce_sec53(DEFAULT)
+    assert len(calls) == 6
+
+
 def test_sec6_sample_matches_golden():
     golden = load_golden("golden_sec6.json")
     for p, q in [(2, 1), (2, 2), (3, 2), (6, 6)]:
@@ -313,6 +331,18 @@ def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["t", "genus"])
+def test_cli_rejects_a_plan_int_past_float64(tmp_path, capsys, key):
+    """A 400-digit t or genus, which json reads as an int that float64
+    cannot hold, is an input error naming the key, not an OverflowError."""
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(dict(_SU21_PLAN, **{key: 10 ** 400})))
+    assert main(["bend", "--plan", str(plan_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and f" {key} " in captured.err
 
 
 def test_cli_verify_dps_300_keeps_the_residuals_normal(tmp_path, capsys):
