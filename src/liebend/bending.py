@@ -18,7 +18,9 @@ from .errors import (GenusConditionError, MembershipError, ParameterError,
 from .sl2 import module_multiplicities, rho_of
 
 _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
-_MOBIUS_INV = np.linalg.inv(_MOBIUS)
+# the exact inverse, bitwise LAPACK's (-0.5j would carry a -0.0 real part);
+# no numpy.linalg routine runs at import
+_MOBIUS_INV = np.array([[0.5, 0.5], [0.5j, complex(0.0, -0.5)]])
 
 FIXED_POINT_TOL = 1e-7  # a bending line's fixed-point residual, relative to Ad(rho(a))'s stretch
 FIXED_LINE_BITS = 110  # the precision of the integer kernel's conjugator of a bent generator

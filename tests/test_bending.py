@@ -23,6 +23,15 @@ def _pushed(triple, seed):
     return pushed_forward(triple, seed, rho_of(triple, np.concatenate([seed.a, seed.b])))
 
 
+def test_mobius_inverse_is_bitwise_lapacks():
+    """The polygon's Cayley inverse is written as its exact literal, so that
+    importing the package runs no LAPACK solve; its bytes, signed zeros
+    included, are those of numpy.linalg.inv, and so are the polygon's."""
+    from liebend import bending
+    assert bending._MOBIUS_INV.tobytes() == np.linalg.inv(bending._MOBIUS).tobytes()
+    assert bending._MOBIUS_INV.dtype == np.complex128
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_fuchsian_generators(genus):
     rep = fuchsian_generators(genus)

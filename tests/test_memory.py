@@ -9,8 +9,12 @@ A third keeps LAPACK's eigensolvers off the bend path: the first eig call
 after `import liebend.cli` adds about 1 MB of peak RSS to a fresh process,
 and about 0.4 MB to a bend-float pass.  A fourth holds each check of the
 benchmark's check-stream pool to the exact lane's bound on what a pass
-over W keeps."""
+over W keeps.  A fifth, in a child process that wraps numpy.linalg before
+it imports the CLI, keeps LAPACK out of the exact lane altogether: the
+import, `reproduce` and `check` call no numpy.linalg function, and a
+float-only bend does."""
 
+import json
 import os
 import resource
 import subprocess
@@ -172,3 +176,59 @@ def test_bend_makes_no_eig_call(monkeypatch, fresh_caches):
             cert = next(c.verdict for c in report.checks if c.check_id == "bend/certificate")
             assert cert["verdict"] == "PASS"
     assert seen == []
+
+
+# run in a fresh process: numpy.linalg is wrapped before liebend is imported,
+# so a call made at import counts too
+_LINALG_PROBE = """\
+import inspect, json, sys
+import numpy as np
+seen = []
+
+def counting(name, real):
+    def wrapped(*args, **kwargs):
+        seen.append(name)
+        return real(*args, **kwargs)
+    return wrapped
+
+for name, value in list(vars(np.linalg).items()):
+    if not name.startswith("_") and callable(value) and not inspect.isclass(value):
+        setattr(np.linalg, name, counting(name, value))
+import liebend.cli
+calls = [("import", 0, list(seen))]
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    del seen[:]
+    rc = liebend.cli.main(argv + ["--out", f"{sys.argv[2]}/{i}.out"])
+    calls.append((argv[0], rc, list(seen)))
+print(json.dumps(calls))
+"""
+
+
+def test_exact_lane_processes_make_no_linalg_call(tmp_path):
+    """Importing the CLI, reproduce sec53, reproduce sec6 and two checks
+    call no numpy.linalg function, so these processes never page in
+    LAPACK's solvers: the import used to invert the polygon's Cayley matrix
+    with numpy.linalg.inv.  A float-only bend does call numpy.linalg, which
+    shows that the wrapping sees the package's calls."""
+    (tmp_path / "ah_sl5.json").write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
+    (tmp_path / "ah_su33.json").write_text(json.dumps([["1", "0", "0"], ["0", "1", "-1"]]))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2,
+                                "verify_dps": 0}))
+    runs = [["reproduce", "sec53"], ["reproduce", "sec6", "--p", "3", "--q", "2"],
+            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json"),
+             "--witness"],
+            ["check", "--family", "su", "--p", "3", "--q", "3", "--ah",
+             str(tmp_path / "ah_su33.json"), "--witness"],
+            ["bend", "--plan", str(plan)]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _LINALG_PROBE, json.dumps(runs), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout)
+    assert [(cmd, rc) for cmd, rc, _ in calls] == [
+        ("import", 0), ("reproduce", 0), ("reproduce", 0), ("check", 0), ("check", 0),
+        ("bend", 0)]
+    assert [seen for _, _, seen in calls[:-1]] == [[]] * 5
+    assert calls[-1][2]

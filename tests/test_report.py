@@ -87,6 +87,29 @@ def test_cli_prints_golden_mismatches(monkeypatch, capsys, written):
     assert written[-1] == mismatches
 
 
+@pytest.mark.parametrize("argv, command, dropped", [
+    (["reproduce", "sec53"], "cmd_reproduce_sec53", "sec53/row[5]"),
+    (["reproduce", "sec6", "--p", "3", "--q", "2"], "cmd_reproduce_sec6",
+     "sec6/su(3,2)/existence"),
+], ids=["sec53", "sec6"])
+def test_cli_golden_verdict_sees_a_dropped_row(monkeypatch, capsys, argv, command, dropped):
+    """The CLI compares a report with every golden row of its command, so a
+    row the report no longer produces fails the command and is named."""
+    import liebend.cli
+    real = getattr(liebend.cli, command)
+
+    def dropping(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.checks = [c for c in report.checks if c.check_id != dropped]
+        return report
+
+    monkeypatch.setattr(liebend.cli, command, dropping)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("golden mismatches:\n")
+    assert json.loads(err.split("\n", 1)[1]) == [{"check": dropped, "error": "missing"}]
+
+
 def test_golden_file_is_read_once(monkeypatch):
     """load_golden parses each file once per process and hands out the same
     mapping, whose top level refuses writes."""
@@ -288,6 +311,26 @@ def test_cli_check_sl_without_n_is_a_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
         assert capsys.readouterr().err == ("usage: liebend [-h] {reproduce,bend,check} ...\n"
                                            "liebend: error: --family sl needs --n\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "sl", "--n", "5", "--p", "3", "--q", "9"],
+     "--family sl does not take --p or --q"),
+    (["--family", "sl", "--n", "5", "--q", "9"], "--family sl does not take --q"),
+    (["--family", "su", "--n", "5", "--p", "3", "--q", "2"], "--family su does not take --n"),
+], ids=["sl-p-q", "sl-q", "su-n"])
+def test_cli_check_refuses_the_other_familys_flags(tmp_path, capsys, argv, message):
+    """A family parameter that the chosen family does not take is a usage
+    error naming the flag, not a value silently ignored."""
+    ah = tmp_path / "ah.json"
+    ah.write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *argv, "--ah", str(ah)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage: liebend [-h] {reproduce,bend,check} ...\n"
+                            f"liebend: error: {message}\n")
 
 
 _SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t": "auto"}
