@@ -26,14 +26,17 @@ nearest; the twists are accurate to the precision, within the bound that
   with the inverses taken as adjugates (`FixedMatrix.adjugate`).
 - The images rho(g) and rho(g^-1) come from the triple's exact form
   (`Sl2Images`: H an integer diagonal and E a union of chains with entries
-  unit * sqrt(m)), so no float entry of H, E or F is read; so do the
-  conjugator of a bent generator, its fixed line and the weight-zero and
-  central projections of the bending vectors.
-- The twists (`expm_pair`): t X and -t X are formed exactly and each goes
-  through the one matrix exponential, `elementary.expm` (Taylor with
-  scaling and squaring).  It takes each diagonal block on its own; a twist
-  commutes with H, so its blocks lie in H's eigenvalue classes and every
-  entry between two classes stays exactly 0.
+  unit * sqrt(m)), so no float entry of H, E or F is read; so does the
+  image of the conjugator c of a bent generator a_k.
+- The twists (`_twist`): the shipped bending vector X, read exactly, is
+  projected onto the centralizer of rho(a_k), which makes the bent
+  relation exact (Johnson-Millson): in the frame of rho(c), where rho(a_k)
+  is diagonal, the entries between unequal H-weights are zeroed; a trivial
+  piece is projected onto the commutant of the triple (`central_part`).
+  Then t Y and -t Y are formed exactly and each goes through the one
+  matrix exponential, `elementary.expm` (Taylor with scaling and
+  squaring), which takes each diagonal block, an eigenvalue class of H, on
+  its own, so every entry between two classes stays exactly 0.
 The residuals |W - I| and the distance to the shipped float64 matrices are
 read from the kernel's mantissas; floats are read exactly by the kernel's
 one reader (`FixedMatrix.from_float`).
@@ -48,8 +51,8 @@ import numpy as np
 from .elementary import _normal, cos_sin, expm, pi
 from .errors import ParameterError
 from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _float_exact,
-                        _mul, _neg, _round_nearest, _sqrt, _to_float, central_part, fixed_line,
-                        product, weight_zero_part)
+                        _mul, _neg, _round_nearest, _sqrt, _to_float, central_part, conjugator,
+                        product)
 
 _ONE = (1, 0)
 # the verified residuals are about 10^-dps and are reported as float64, which
@@ -204,28 +207,29 @@ def _float_pair(v, prec):
 
 
 def _twist(plan, rho, a_seed, k, prec):
-    """(exp(t X), exp(-t X)) for the k-th generator's bending vector X, or
-    None when the generator is not bent; a_seed is the generator a_k, and
-    the twist carries GUARD_BITS over prec."""
+    """(exp(t X), exp(-t X)) for the k-th generator's shipped bending vector
+    X projected onto the centralizer of rho(a_k), or None when the generator
+    is not bent; a_seed is the generator a_k, and the twist carries
+    GUARD_BITS over prec.
+
+    With c the conjugator of a_k (`intkernel.conjugator`), rho(c^-1 a_k c)
+    is diagonal with entry lambda^h at H-weight h, so its centralizer holds
+    the matrices with no entry between unequal H-weights: those entries of
+    Y = rho(c)^-1 X rho(c) are zeroed, exactly, and
+    exp(t rho(c) Y rho(c)^-1) = rho(c) exp(t Y) rho(c)^-1.  A trivial piece
+    X_(0,j) commutes with the whole triple: it is projected orthogonally
+    onto that commutant (`central_part`), which moves it by the float
+    lane's rounding alone, where the zeroing would move it by that rounding
+    times the condition of Ad(rho(c))."""
     ij = plan.generator_assignment.get(k)
     if ij is None:
         return None
-    alg = plan.triple.algebra
-    i, j = ij
     prec += GUARD_BITS
-    x_ship = plan.x[ij]
-    t = _float_pair(plan.t, prec)
-    if i == 0:
-        # commutes with the whole image: project the shipped vector onto
-        # the centralizer of the triple
-        x = central_part(weight_zero_part(x_ship, rho.h, prec), plan.triple.exact, prec)
-        return expm_pair(x, t, prec)
-    # rebuild the fixed line (it does not depend on the conjugator
-    # choice), then match scale and sign to the shipped vector;
-    # exp(t rho_k v0 rho_k^-1) = rho_k exp(t v0) rho_k^-1
-    v0, rho_k, rho_k_inv, x_f = fixed_line(
-        rho, a_seed, alg.from_coordinates(plan.iso.piece_columns[ij][:, i]), prec)
-    x_ship = np.asarray(x_ship, dtype=complex)
-    scale = _float_pair(float(np.real(np.vdot(x_f, x_ship)) / np.real(np.vdot(x_f, x_f))), prec)
-    return tuple(product(prec, rho_k, m, rho_k_inv)
-                 for m in expm_pair(v0, _mul(scale, t, prec), prec))
+    x, t = FixedMatrix.from_float(plan.x[ij]), _float_pair(plan.t, prec)
+    if ij[0] == 0:
+        return expm_pair(central_part(x, plan.triple.exact, prec), t, prec)
+    rho_c, rho_c_inv = rho.pair(conjugator(a_seed, prec), prec)
+    y = product(prec, rho_c_inv, x, rho_c)
+    keep = np.equal.outer(rho.h, rho.h)
+    y = FixedMatrix(*(None if p is None else np.where(keep, p, 0) for p in (y.re, y.im)), y.exp)
+    return tuple(product(prec, rho_c, m, rho_c_inv) for m in expm_pair(y, t, prec))

@@ -5,8 +5,8 @@ exponent.  Every operation here is formed exactly in ints and rounded once to
 a precision in bits that the caller passes, to nearest with ties to even:
 the value libmp gives for the same operation at that precision.  So the
 float lane builds its bending lines without importing mpmath (`bending`, at
-`bending.FIXED_LINE_BITS`), and the high-precision lane (`highprec`) gets
-the same bits at its working precision.  The correctly rounded elementary
+`bending.FIXED_LINE_BITS`), and the high-precision lane (`highprec`) runs
+the same operations at its working precision.  The correctly rounded elementary
 functions on the same (mantissa, exponent) pairs, and the Taylor matrix
 exponential of a `FixedMatrix`, are in `elementary`, which only the
 high-precision lane imports.
@@ -15,11 +15,12 @@ The pieces, each built in one place for both lanes:
 - `product`, the n x n matrix product, rounded entry by entry;
 - `Sl2Images`, the homomorphism SL(2,R) -> SL(n) of an exact triple as
   symmetric powers along the chains of E;
-- `conjugator`, the det-1 eigenvector matrix of a hyperbolic 2x2 matrix;
-- `weight_zero_part` and `central_part`, projections of a float matrix onto
-  the weight-zero entries and onto the commutant of the triple;
+- `conjugator`, the det-1 eigenvector matrix of a hyperbolic 2x2 matrix,
+  which diagonalizes the image of a bent generator in both lanes;
+- `central_part`, the projection of a matrix onto the commutant of the
+  triple, for the mp lane's trivial pieces;
 - `line_coefficients`, the float lane's line Ad(rho(k)) c_i in a piece's
-  lowering basis, and `fixed_line`, the mp lane's line as a matrix.
+  lowering basis.
 """
 
 import functools
@@ -160,17 +161,6 @@ class FixedMatrix:
         determinant-1 matrix."""
         (a, b), (c, d) = self.re.tolist()
         return FixedMatrix(np.array([[d, -b], [-c, a]], dtype=object), None, self.exp)
-
-    def pairs(self):
-        """The entries as rows of ((re, exp), (im, exp)) pairs."""
-        im = self.im if self.im is not None else np.zeros(self.shape, dtype=int)
-        return [[((int(r), self.exp), (int(i), self.exp)) for r, i in zip(rr, ii)]
-                for rr, ii in zip(self.re.tolist(), im.tolist())]
-
-    def to_complex(self):
-        """A complex128 array, each part of each entry rounded once."""
-        return np.array([[complex(_to_float(*re), _to_float(*im)) for re, im in row]
-                         for row in self.pairs()], dtype=complex)
 
 
 def product(prec, *factors):
@@ -351,30 +341,6 @@ def conjugator(g, prec):
                                    for row in ((k00, k01), (k10, k11))])
 
 
-def weight_zero_part(x, h, prec):
-    """The float matrix x, read exactly as dyadic ints, with the entries
-    between unequal H-weights h zeroed and the mean diagonal entry removed,
-    part by part: the diagonal summed in order, each partial sum rounded to
-    prec bits, the mean and each diagonal entry less it rounded once."""
-    x = FixedMatrix.from_float(x)
-    keep = np.equal.outer(h, h)
-    parts = []
-    for part in (x.re, x.im):
-        if part is None:
-            parts.append(None)
-            continue
-        part = np.where(keep, part, 0).tolist()
-        total = 0
-        for i in range(len(h)):
-            total = _round_nearest(total + part[i][i], prec)
-        mean = _neg(_div((total, x.exp), (len(h), 0), prec))
-        rows = [[(v, x.exp) for v in row] for row in part]
-        for i, row in enumerate(rows):
-            row[i] = _add(row[i], mean, prec)
-        parts.append(rows)
-    return FixedMatrix.from_pairs(*parts)
-
-
 def central_part(x, exact, prec):
     """The orthogonal projection of the FixedMatrix x onto the commutant of
     the triple.  By Schur the commutant holds the matrices that are equal
@@ -402,14 +368,3 @@ def central_part(x, exact, prec):
                         rows[i][j] = mean
         parts.append(rows)
     return FixedMatrix.from_pairs(*parts)
-
-
-def fixed_line(rho, g, v0, prec):
-    """(v0_w, rho(k), rho(k)^-1, line) for the hyperbolic real 2x2
-    FixedMatrix g, its conjugator k and a float weight-zero vector v0 of a
-    piece: v0_w is `weight_zero_part(v0)`, and line, Ad(rho(k)) v0_w rounded
-    once to complex128, is the Ad(rho(g))-fixed line through the piece.
-    Everything is rounded to prec bits (the images carry GUARD_BITS more)."""
-    v0 = weight_zero_part(v0, rho.h, prec)
-    rho_k, rho_k_inv = rho.pair(conjugator(g, prec), prec)
-    return v0, rho_k, rho_k_inv, product(prec, rho_k, v0, rho_k_inv).to_complex()

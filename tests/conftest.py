@@ -267,7 +267,15 @@ def float_conjugator(a):
     each entry rounded once to float64."""
     from liebend.bending import FIXED_LINE_BITS
     from liebend.intkernel import FixedMatrix, conjugator
-    return conjugator(FixedMatrix.from_float(a), FIXED_LINE_BITS).to_complex().real
+    return to_floats(conjugator(FixedMatrix.from_float(a), FIXED_LINE_BITS))
+
+
+def to_floats(m):
+    """A FixedMatrix as a float64 array, complex128 when it has an imaginary
+    part: each part of each entry rounded once, to nearest."""
+    from liebend.intkernel import _to_float
+    to_float = np.vectorize(lambda v: _to_float(int(v), m.exp), otypes=[float])
+    return to_float(m.re) if m.im is None else to_float(m.re) + 1j * to_float(m.im)
 
 
 def torus_matrix(torus, v):

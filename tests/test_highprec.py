@@ -11,12 +11,12 @@ from liebend.config import DEFAULT
 from liebend.errors import ParameterError, RealizationError
 from liebend.highprec import (dps_to_bits, expm_pair, max_entry_distance, mp_fuchsian,
                               verify_bent_relation)
-from liebend.intkernel import (FixedMatrix, Sl2Images, _chain_constants, _round_nearest,
-                               central_part, conjugator, product, weight_zero_part)
+from liebend.intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _chain_constants,
+                               _round_nearest, central_part, conjugator, product)
 from liebend.sl2 import ExactTriple, rho2_su, sl2_from_partition
 
-from conftest import (build_triple, float_conjugator, from_mp, mp_pair, sl2_inverse, to_mp,
-                      triple_cases, triple_id)
+from conftest import (build_triple, float_conjugator, from_mp, mp_pair, sl2_inverse, to_floats,
+                      to_mp, triple_cases, triple_id)
 
 
 def _times(a, b):
@@ -64,10 +64,9 @@ def _mp_conjugator(g2):
 
 
 def _weight_purify(x_float, h_int_diag):
-    """Reference oracle: the mp weight-zero projection that
-    `intkernel.weight_zero_part` replaced.  Zero the entries of x that carry
-    a nonzero ad H weight and remove the residual trace, in mpmath at the
-    context's precision."""
+    """Reference oracle: the weight-zero part of a float matrix in mpmath at
+    the context's precision, for `_line_oracle`.  Zero the entries of x
+    that carry a nonzero ad H weight and remove the residual trace."""
     import mpmath as mp
     x = np.asarray(x_float)
     n = x.shape[0]
@@ -101,6 +100,12 @@ def _mp_central_part(x, exact):
     return out
 
 
+def _weight_zero(x, h):
+    """A float matrix x read exactly, with its entries between unequal
+    H-weights h zeroed."""
+    return FixedMatrix.from_float(np.where(np.equal.outer(h, h), x, 0))
+
+
 def mp_triple(exact):
     """E and F of an exact triple as mp matrices: E[row, col] = unit sqrt(m)
     and F = E's conjugate transpose."""
@@ -130,8 +135,8 @@ def test_mp_fuchsian_matches_float():
         for pair, fine, floats in zip(mp_fuchsian(genus, prec)[0], mp_fuchsian(genus, 300)[0],
                                       zip(seed.a, seed.b)):
             for m, m_fine, m_f in zip(pair, fine, floats):
-                rounded = m.to_complex()
-                assert np.array_equal(rounded, m_fine.to_complex()), genus
+                rounded = to_floats(m)
+                assert np.array_equal(rounded, to_floats(m_fine)), genus
                 assert np.max(np.abs(rounded - m_f)) < 1e-13, genus
 
 
@@ -530,15 +535,62 @@ def test_exact_form_is_the_float_triple(case):
         assert mp.norm(e_mp * f_mp - f_mp * e_mp - h_mp) < mp.mpf(10) ** -55
 
 
+# --- the verified twists: X projected onto the centralizer of rho(a_k) ------
+
+# a verified twist T commutes with the kernel's rho(a_k) to
+# 2**-(prec - _COMMUTE_SLACK) |rho(a_k)| |T| at the working precision prec:
+# the worst twist of the timed plans reaches 2**-(prec + 6), and the shipped
+# X read without the projection 2**-(prec - 81)
+_COMMUTE_SLACK = 4
+
+
+def _assert_commutes(rho, a_seed, prec, twist):
+    """The bound above for each matrix of the pair twist, with rho(a) the
+    image of the FixedMatrix a_seed at prec as verify_bent_relation forms
+    it; the products are taken in mpmath at 4 prec bits."""
+    import mpmath as mp
+    with mp.workprec(4 * prec):
+        a = to_mp(rho.pair(a_seed, prec)[0])
+        for t in map(to_mp, twist):
+            assert mp.norm(a * t - t * a) <= mp.ldexp(mp.norm(a) * mp.norm(t),
+                                                      _COMMUTE_SLACK - prec)
+
+
+def _recorded_twists(monkeypatch):
+    """The bent generators that verify_bent_relation twists from here on,
+    in order, as (plan, ij, rho, a_k, prec, twist)."""
+    seen = []
+    real = highprec._twist
+
+    def recording(plan, rho, a_seed, k, prec):
+        twist = real(plan, rho, a_seed, k, prec)
+        if twist is not None:
+            seen.append((plan, plan.generator_assignment[k], rho, a_seed, prec, twist))
+        return twist
+
+    monkeypatch.setattr(highprec, "_twist", recording)
+    return seen
+
+
+def _twist_of(x, rho, a, t, prec):
+    """`highprec._twist` of the float matrix x as the bending vector of the
+    generator a (a FixedMatrix) at the float t, on a plan that holds
+    nothing else."""
+    from types import SimpleNamespace
+    plan = SimpleNamespace(generator_assignment={1: (1, 0)}, x={(1, 0): x}, t=t)
+    return highprec._twist(plan, rho, a, 1, prec)
+
+
 _TRIVIAL_PIECES = [("sl", (5,), (4, 1), 4), ("sl", (3,), (2, 1), 2),
                    ("sl", (4,), (2, 1, 1), 5), ("su", (3, 1), "rho2", 5)]
 
 
 @pytest.mark.parametrize("dps", [20, 40])
 @pytest.mark.parametrize("case", _TRIVIAL_PIECES, ids=lambda c: f"{c[0]}{c[1]}-{c[2]}")
-def test_central_part_commutes_with_the_triple(case, dps):
-    """The projected X_{0,j} commutes with H, E and F at the working
-    precision and stays within 1e-12 of the shipped vector."""
+def test_central_part_commutes_with_the_triple(case, dps, monkeypatch):
+    """The projected X_{0,j}, as the mp lane exponentiates it, commutes with
+    H, E and F at the working precision and stays within 1e-12 of the
+    shipped vector."""
     import mpmath as mp
     from liebend.algebra import make_algebra
     from liebend.bending import build_plan, fuchsian_generators
@@ -548,16 +600,21 @@ def test_central_part_commutes_with_the_triple(case, dps):
     triple = (sl2_from_partition(alg, spec) if family == "sl"
               else {"rho1": rho1_su, "rho2": rho2_su}[spec](alg))
     plan = build_plan(triple, fuchsian_generators(genus), t=0.01)
-    trivial = [ij for ij in plan.iso.Lambda if ij[0] == 0]
+    trivial = [plan.generator_assignment[k] for k in sorted(plan.generator_assignment)
+               if plan.generator_assignment[k][0] == 0]
     assert trivial
+    seen, real = [], highprec.central_part
+    monkeypatch.setattr(highprec, "central_part",
+                        lambda x, *args: seen.append((x, real(x, *args))) or seen[-1][1])
+    verify_bent_relation(plan, dps=dps)
+    assert len(seen) == len(trivial)
     with mp.workdps(dps):
         e_mp, f_mp = mp_triple(triple.exact)
         h_mp = mp.diag(list(triple.exact.h))
-        for ij in trivial:
+        for ij, (x_read, x) in zip(trivial, seen):
             x_ship = plan.x[ij]
-            prec = mp.mp.prec
-            x = to_mp(central_part(weight_zero_part(x_ship, triple.exact.h, prec),
-                                   triple.exact, prec))
+            assert np.array_equal(to_floats(x_read), x_ship)
+            x = to_mp(x)
             bound = mp.mpf(10) ** (5 - dps) * mp.norm(x)
             for y in (h_mp, e_mp, f_mp):
                 assert mp.norm(x * y - y * x) <= bound
@@ -580,6 +637,20 @@ def test_central_part_of_a_generic_matrix(parts, rng):
         e_mp, f_mp = mp_triple(exact)
         for y in (mp.diag(list(exact.h)), e_mp, f_mp):
             assert mp.norm(x * y - y * x) <= mp.mpf(10) ** -25 * mp.norm(x)
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (4, 1), (3, 2)])
+def test_twist_of_a_generic_matrix_commutes_with_its_generator(parts, rng):
+    """Any float matrix, not only a bending vector, of a piece with i > 0
+    gets a twist that commutes with rho(a) at the working precision (dps
+    30): the zeroing removes every part off the centralizer, for each
+    genus-2 generator a."""
+    from liebend.algebra import make_algebra
+    rho = Sl2Images(sl2_from_partition(make_algebra("sl", sum(parts)), parts).exact)
+    prec = dps_to_bits(30)
+    for a in (g for pair in mp_fuchsian(2, prec)[0] for g in pair):
+        x = rng.normal(size=(rho.n, rho.n))
+        _assert_commutes(rho, a, prec, _twist_of(x, rho, a, 0.3, prec))
 
 
 # --- the chains of the exact triple -------------------------------------
@@ -657,6 +728,50 @@ def test_chain_averaging_is_the_casimir_projection(case):
             for y in (mp.diag(list(exact.h)), e_mp, f_mp):
                 comm = got * y - y * got
                 assert all(comm[i, j] == 0 for i in range(n) for j in range(n))
+
+
+def _spectral_projection(x, a, exact):
+    """Reference oracle: the projection of the mp matrix x onto the fixed
+    space of Ad(rho(a)) along its other eigenspaces, as a polynomial in
+    Ad(rho(a)), for a hyperbolic 2x2 mp matrix a.  Ad(rho(a)) is lambda**d
+    on the H-weight difference d, lambda the larger eigenvalue of a, so the
+    product of (Ad(rho(a)) - lambda**d) / (1 - lambda**d) over the
+    differences d != 0 keeps the part with d = 0 alone.  rho(a) comes from
+    the Iwasawa oracle, on a scaled to det 1 (the eigenvectors stay)."""
+    import mpmath as mp
+    h = list(exact.h)
+    e, f = mp_triple(exact)
+    a = a / mp.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    rho_a = _iwasawa_rho(e, f, h, a)
+    rho_a_inv = mp.inverse(rho_a)
+    tr = a[0, 0] + a[1, 1]
+    lam = (tr + mp.sqrt(tr * tr - 4)) / 2
+    for d in sorted({p - q for p in h for q in h} - {0}):
+        x = (rho_a * x * rho_a_inv - lam ** d * x) / (1 - lam ** d)
+    return x
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES, ids=triple_id)
+def test_twist_is_the_spectral_projection(case):
+    """On seeded random complex inputs x, as the vector of a piece with
+    i > 0, the verified twist at dps 40 is exp(t P(x)) to 1e-35, P the
+    projection onto the centralizer of rho(a) as a polynomial in Ad(rho(a))
+    (`_spectral_projection`, at dps 100), for the genus-2 generator a_1, and
+    it commutes with rho(a) at the working precision."""
+    import mpmath as mp
+    exact = build_triple(case).exact
+    rho = Sl2Images(exact)
+    n = len(exact.h)
+    rng = np.random.default_rng(n * 100 + len(exact.chains))
+    prec = dps_to_bits(40)
+    a = mp_fuchsian(2, prec)[0][0][0]
+    for t in (0.3, -1.7):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        twist = _twist_of(x, rho, a, t, prec)
+        _assert_commutes(rho, a, prec, twist)
+        with mp.workdps(100):
+            want = mp.expm(t * _spectral_projection(mp.matrix(x.tolist()), to_mp(a), exact))
+            assert _rel(to_mp(twist[0]), want) < 1e-35
 
 
 @pytest.mark.parametrize("case", CHAIN_CASES, ids=triple_id)
@@ -853,8 +968,7 @@ def test_block_twist_matches_expm(rng):
     alg = make_algebra("sl", 5)
     triple = sl2_from_partition(alg, (3, 1, 1))  # H = diag(2, 0, 0, 0, -2)
     h_int = [round(float(triple.h[i, i])) for i in range(5)]
-    x_fixed = weight_zero_part(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int,
-                               mp.mp.prec)
+    x_fixed = _weight_zero(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), h_int)
     x = to_mp(x_fixed)
     assert x[0, 1] == 0 and x[1, 2] != 0
     with mp.workdps(40):
@@ -938,7 +1052,7 @@ def test_3x3_block_takes_taylor(rng, kind, monkeypatch):
     x = x + 1j * rng.normal(size=(5, 5)) if kind == "complex" else x
     sizes = _block_sizes(monkeypatch)
     for scale, t, bound in ((1, "0.4", None), (4, "-2.5", "relative")):
-        x_fixed = weight_zero_part(scale * x, h_int, 53)
+        x_fixed = _weight_zero(scale * x, h_int)
         x_mp = to_mp(x_fixed)
         with mp.workdps(40):
             t = mp.mpf(t)
@@ -992,12 +1106,14 @@ def test_verify_takes_2x2_blocks_by_taylor(spec, monkeypatch):
 
 
 def _old_distance(m, f):
-    """Reference oracle: the entry loop max_entry_distance replaced."""
+    """Reference oracle: the entry loop max_entry_distance replaced, at 60
+    digits, so that its one rounding to a float is the last that counts."""
     import mpmath as mp
     m_mp = to_mp(m)
     rows, cols = m.shape
-    return max(float(abs(m_mp[i, j] - mp.mpmathify(complex(f[i, j]))))
-               for i in range(rows) for j in range(cols))
+    with mp.workdps(60):
+        return max(float(abs(m_mp[i, j] - mp.mpmathify(complex(f[i, j]))))
+                   for i in range(rows) for j in range(cols))
 
 
 @pytest.mark.parametrize("spec", [
@@ -1082,6 +1198,22 @@ def test_verified_residual_within_100x_of_recorded(plan):
     assert resid["verified"]["bent_residual"] <= 100 * recorded
 
 
+@pytest.mark.parametrize("plan", _GUARDED)
+def test_verified_twists_commute_with_their_generator(plan, monkeypatch):
+    """At dps 40 every verified twist of the plan commutes with the kernel's
+    rho(a_k) at the working precision (`_assert_commutes`), which makes the
+    bent relation exact: the shipped bending vector is projected onto the
+    centralizer of rho(a_k)."""
+    from liebend.report import PRESETS, cmd_bend
+    spec = PRESETS[plan] if isinstance(plan, str) else dict(plan, t="auto", verify_dps=40)
+    seen = _recorded_twists(monkeypatch)
+    cmd_bend(spec, DEFAULT)
+    assert seen
+    for _, _, rho, a, prec, twist in seen:
+        assert prec == dps_to_bits(40)
+        _assert_commutes(rho, a, prec, twist)
+
+
 @pytest.mark.parametrize("plan", [p for p in _GUARDED if not isinstance(p.values[0], str)])
 def test_float_residual_within_100x_of_recorded(plan):
     """The benchmark's rule for bend-float: without verification, the
@@ -1153,8 +1285,9 @@ def test_conjugator_rejects_an_elliptic_element():
 def _same_value(got, want):
     """Two FixedMatrix hold the same entries, whatever their exponents."""
     def value(m):
-        return [(Fraction(r) * Fraction(2) ** m.exp, Fraction(i) * Fraction(2) ** m.exp)
-                for row in m.pairs() for (r, _), (i, _) in row]
+        scale = Fraction(2) ** m.exp
+        im = np.zeros(m.shape, dtype=int) if m.im is None else m.im
+        return [(r * scale, i * scale) for r, i in zip(m.re.ravel().tolist(), im.ravel().tolist())]
     return value(got) == value(want)
 
 
@@ -1164,27 +1297,41 @@ _PROJECTION_CASES = [("sl", (5,), (3, 1, 1)), ("sl", (5,), (2, 2, 1)), ("sl", (4
 
 @pytest.mark.parametrize("dps", [20, 40])
 @pytest.mark.parametrize("case", _PROJECTION_CASES, ids=lambda c: f"{c[0]}{c[1]}-{c[2]}")
-def test_projections_are_the_mp_projections(case, dps):
-    """weight_zero_part and central_part hold the values that the mp
-    projections they replaced round to, on seeded inputs whose entries span
-    many binary orders of magnitude."""
+def test_projections_are_the_mp_projections(case, dps, monkeypatch):
+    """The matrices `_twist` exponentiates hold the values that the mp
+    projections round to at the twist's precision, on seeded inputs X whose
+    entries span many binary orders of magnitude: for a piece with i > 0,
+    rho(c)^-1 X rho(c) with its entries between unequal H-weights zeroed (c
+    the conjugator of a genus-2 generator), and for a trivial piece
+    `central_part` of X, the mp chain averaging."""
     import mpmath as mp
     from liebend.algebra import make_algebra
     family, params, spec = case
     alg = make_algebra(family, *params)
     exact = (sl2_from_partition(alg, spec) if family == "sl" else rho2_su(alg)).exact
-    n = len(exact.h)
+    rho, n = Sl2Images(exact), len(exact.h)
     rng = np.random.default_rng(dps + n)
-    with mp.workdps(dps):
-        for _ in range(10):
+    prec = dps_to_bits(dps)
+    bits = prec + GUARD_BITS
+    seen = []
+    monkeypatch.setattr(highprec, "expm_pair", lambda y, t, p: seen.append(y) or (y, y))
+    for a in (g for pair in mp_fuchsian(2, prec)[0] for g in pair):
+        rho_c, rho_c_inv = (to_mp(m) for m in rho.pair(conjugator(a, bits), bits))
+        for _ in range(3):
             x = rng.normal(size=(n, n)) * np.exp(10 * rng.normal(size=(n, n)))
             if np.iscomplexobj(alg.basis):
                 x = x + 1j * rng.normal(size=(n, n))
-            got = weight_zero_part(x, exact.h, mp.mp.prec)
-            want = _weight_purify(x, exact.h)
-            assert _same_value(got, from_mp(want))
-            assert _same_value(central_part(got, exact, mp.mp.prec),
-                               from_mp(_mp_central_part(want, exact)))
+            _twist_of(x, rho, a, 0.5, prec)
+            with mp.workprec(bits):
+                want = rho_c_inv * mp.matrix(x.tolist()) * rho_c
+            for i in range(n):
+                for j in range(n):
+                    if exact.h[i] != exact.h[j]:
+                        want[i, j] = 0
+            assert _same_value(seen.pop(), from_mp(want))
+            with mp.workprec(bits):
+                assert _same_value(central_part(FixedMatrix.from_float(x), exact, bits),
+                                   from_mp(_mp_central_part(mp.matrix(x.tolist()), exact)))
 
 
 def _line_oracle(exact, a, v0):
@@ -1205,20 +1352,17 @@ _FIXED_POINT_MISSES = {"sl(6,)-[6]", "sl(6,)-[5,1]", "su(4, 2)-rho2", "su(4, 3)-
 
 @pytest.mark.parametrize("case", triple_cases(6, 4), ids=triple_id)
 def test_fixed_line_matches_the_60_digit_oracle(case):
-    """The kernel's line at FIXED_LINE_BITS is within 1e-25 of its largest
-    entry of the 60-digit oracle, for every piece with i > 0, at genus
+    """The float lane's line, read off Sym^2i of the conjugator
+    (`fixed_weight_zero_vector`), is within 1e-12 of the unit coordinates
+    of the 60-digit oracle, for every piece with i > 0, at genus
     max(|Lambda|, 2) and at genus 6 (pieces whose generator index exceeds
-    the genus have no generator there).  The float lane's line, read off
-    Sym^2i of the conjugator (`fixed_weight_zero_vector`), is within 1e-12
-    of the oracle's unit coordinates: these genera hold every bent piece of
-    perfbench's timed plans."""
-    from liebend.bending import FIXED_LINE_BITS, fixed_weight_zero_vector, fuchsian_generators
-    from liebend.intkernel import fixed_line
+    the genus have no generator there): these genera hold every bent piece
+    of perfbench's timed plans."""
+    from liebend.bending import fixed_weight_zero_vector, fuchsian_generators
     from liebend.sl2 import module_multiplicities, rho_of
     triple = build_triple(case)
     alg = triple.algebra
     iso = module_multiplicities(alg, triple)
-    rho = Sl2Images(triple.exact)
     checked = 0
     for genus in sorted({max(len(iso.Lambda), 2), 6}):
         seed = fuchsian_generators(genus)
@@ -1227,9 +1371,7 @@ def test_fixed_line_matches_the_60_digit_oracle(case):
                 continue
             a = seed.a[k - 1]
             v0 = alg.from_coordinates(iso.piece_columns[(i, j)][:, i])
-            got = fixed_line(rho, FixedMatrix.from_float(a), v0, FIXED_LINE_BITS)[3]
             want = _line_oracle(triple.exact, a, v0)
-            assert np.abs(got - want).max() <= 1e-25 * np.abs(want).max()
             checked += 1
             unit = alg.coordinates(want) / np.linalg.norm(alg.coordinates(want))
             try:
@@ -1258,24 +1400,21 @@ def _probe(code):
 
 def test_float_lines_load_no_mpmath(tmp_path):
     """sl(5) [5] at genus 6, with verify_dps 0: bend reads each of its four
-    bending lines off the kernel's conjugator at 110 bits, never builds the
-    kernel's line (`fixed_line`), and loads neither mpmath nor the mp
-    lane."""
+    bending lines off the kernel's conjugator at 110 bits and loads neither
+    mpmath nor the mp lane."""
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"family": "sl", "n": 5, "triple": {"partition": [5]},
                                 "genus": 6, "t": "auto", "verify_dps": 0}))
     out = _probe(
         "import json, sys\n"
         "import liebend.cli, liebend.intkernel as k\n"
-        "calls, lines = [], []\n"
-        "real, real_line = k.conjugator, k.fixed_line\n"
+        "calls, real = [], k.conjugator\n"
         "k.conjugator = lambda *a: calls.append(a[1]) or real(*a)\n"
-        "k.fixed_line = lambda *a: lines.append(a[3]) or real_line(*a)\n"
         f"rc = liebend.cli.main(['bend', '--plan', {str(plan)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
         "loaded = [m for m in ('mpmath', 'liebend.highprec', 'liebend.elementary')\n"
         "          if m in sys.modules]\n"
-        "print(json.dumps({'rc': rc, 'calls': calls, 'lines': lines, 'loaded': loaded}))\n")
-    assert out["rc"] == 0 and out["loaded"] == [] and out["lines"] == []
+        "print(json.dumps({'rc': rc, 'calls': calls, 'loaded': loaded}))\n")
+    assert out["rc"] == 0 and out["loaded"] == []
     assert out["calls"] == [110] * 4
 
 
