@@ -250,7 +250,7 @@ def build_plan(triple, seed, t="auto"):
     x, y = {}, {}
     for (i, j) in lam:
         if i == 0:
-            x[(0, j)] = alg.from_coordinates(np.array(star[j - 1].coords, dtype=float))
+            x[(0, j)] = star[j - 1].matrix
             continue
         k = f_map[(i, j)]
         x_mat = x[(i, j)] = fixed_weight_zero_vector(iso, i, j, seed.a[k - 1], pushed.a[k - 1])

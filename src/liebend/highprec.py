@@ -29,14 +29,15 @@ nearest; the twists are accurate to the precision, within the bound that
   unit * sqrt(m)), so no float entry of H, E or F is read; so does the
   image of the conjugator c of a bent generator a_k.
 - The twists (`_twist`): the shipped bending vector X, read exactly, is
-  projected onto the centralizer of rho(a_k), which makes the bent
-  relation exact (Johnson-Millson): in the frame of rho(c), where rho(a_k)
-  is diagonal, the entries between unequal H-weights are zeroed; a trivial
-  piece is projected onto the commutant of the triple (`central_part`).
-  Then t Y and -t Y are formed exactly and each goes through the one
-  matrix exponential, `elementary.expm` (Taylor with scaling and
-  squaring), which takes each diagonal block, an eigenvalue class of H, on
-  its own, so every entry between two classes stays exactly 0.
+  taken in the centralizer of rho(a_k), which makes the bent relation
+  exact (Johnson-Millson).  A trivial piece's X is a star element, exactly
+  in the commutant of the triple, and is used as read; for any other
+  piece, in the frame of rho(c), where rho(a_k) is diagonal, the entries
+  between unequal H-weights are zeroed.  Then t Y and -t Y are formed
+  exactly and each goes through the one matrix exponential,
+  `elementary.expm` (Taylor with scaling and squaring), which takes each
+  diagonal block, an eigenvalue class of H, on its own, so every entry
+  between two classes stays exactly 0.
 The residuals |W - I| and the distance to the shipped float64 matrices are
 read from the kernel's mantissas; floats are read exactly by the kernel's
 one reader (`FixedMatrix.from_float`).
@@ -51,8 +52,7 @@ import numpy as np
 from .elementary import _normal, cos_sin, expm, pi
 from .errors import ParameterError
 from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _float_exact,
-                        _mul, _neg, _round_nearest, _sqrt, _to_float, central_part, conjugator,
-                        product)
+                        _mul, _neg, _round_nearest, _sqrt, _to_float, conjugator, product)
 
 _ONE = (1, 0)
 # the verified residuals are about 10^-dps and are reported as float64, which
@@ -217,17 +217,16 @@ def _twist(plan, rho, a_seed, k, prec):
     the matrices with no entry between unequal H-weights: those entries of
     Y = rho(c)^-1 X rho(c) are zeroed, exactly, and
     exp(t rho(c) Y rho(c)^-1) = rho(c) exp(t Y) rho(c)^-1.  A trivial piece
-    X_(0,j) commutes with the whole triple: it is projected orthogonally
-    onto that commutant (`central_part`), which moves it by the float
-    lane's rounding alone, where the zeroing would move it by that rounding
-    times the condition of Ad(rho(c))."""
+    X_(0,j) is its star element (`Sl2Triple.star_basis`), whose float
+    entries are exactly in the commutant of the triple, so it is
+    exponentiated as read."""
     ij = plan.generator_assignment.get(k)
     if ij is None:
         return None
     prec += GUARD_BITS
     x, t = FixedMatrix.from_float(plan.x[ij]), _float_pair(plan.t, prec)
     if ij[0] == 0:
-        return expm_pair(central_part(x, plan.triple.exact, prec), t, prec)
+        return expm_pair(x, t, prec)
     rho_c, rho_c_inv = rho.pair(conjugator(a_seed, prec), prec)
     y = product(prec, rho_c_inv, x, rho_c)
     keep = np.equal.outer(rho.h, rho.h)

@@ -17,8 +17,6 @@ The pieces, each built in one place for both lanes:
   symmetric powers along the chains of E;
 - `conjugator`, the det-1 eigenvector matrix of a hyperbolic 2x2 matrix,
   which diagonalizes the image of a bent generator in both lanes;
-- `central_part`, the projection of a matrix onto the commutant of the
-  triple, for the mp lane's trivial pieces;
 - `line_coefficients`, the float lane's line Ad(rho(k)) c_i in a piece's
   lowering basis.
 """
@@ -339,32 +337,3 @@ def conjugator(g, prec):
     root = _sqrt(det, prec)
     return FixedMatrix.from_pairs([[_div(x, root, prec) for x in row]
                                    for row in ((k00, k01), (k10, k11))])
-
-
-def central_part(x, exact, prec):
-    """The orthogonal projection of the FixedMatrix x onto the commutant of
-    the triple.  By Schur the commutant holds the matrices that are equal
-    multiples of the identity between chains of equal length
-    (`ExactTriple.chains`, whose equal-length chains carry equal units), so
-    each entry x[a_k, b_k] of a pair (a, b) of such chains becomes the mean
-    of those entries and every other entry 0.  The sum of each part is exact
-    and rounded once to prec bits, and so is the mean."""
-    n = len(exact.h)
-    groups = {}
-    for idx, _ in exact.chains:
-        groups.setdefault(len(idx), []).append(idx)
-    parts = []
-    for part in (x.re, x.im):
-        if part is None:
-            parts.append(None)
-            continue
-        part, rows = part.tolist(), [[(0, 0)] * n for _ in range(n)]
-        for group in groups.values():
-            for a in group:
-                for b in group:
-                    total = _fit(sum(part[i][j] for i, j in zip(a, b)), x.exp, prec)
-                    mean = _div(total, (len(a), 0), prec)
-                    for i, j in zip(a, b):
-                        rows[i][j] = mean
-        parts.append(rows)
-    return FixedMatrix.from_pairs(*parts)

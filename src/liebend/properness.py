@@ -205,7 +205,7 @@ def benoist_certificate(torus, ah):
     (dim b - 1) * (number of translates through the staircase) + 1 gives a
     line that no translate holds.
     """
-    base = torus.chamber_interior_point()
+    base = torus.staircase
     # the staircase is integral, so its scan and the directions' share one scale
     base_ints = [int(x) for x in base]
     criterion = ah.dim >= torus.b_dim

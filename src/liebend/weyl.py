@@ -168,10 +168,6 @@ class SplitTorusData:
     def b_dim(self):
         return len(self.b_basis)
 
-    def chamber_interior_point(self):
-        """A strictly dominant iota-fixed integer vector (staircase)."""
-        return self.staircase
-
 
 def _sl_roots(n):
     """Root functionals of sl(n,R) on the diagonal: e_i - e_j, i != j."""

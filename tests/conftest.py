@@ -511,7 +511,7 @@ def whole_certificate(torus, ah, weyl=None):
         b_scans = [whole_scan(torus, b, ah, weyl) for b in torus.b_basis]
         if _whole_covers_b(b_scans):
             return None
-    base = torus.chamber_interior_point()
+    base = torus.staircase
     alpha = whole_scan(torus, [int(x) for x in base], ah, weyl)
     if not (alpha == 0).all(axis=1).any():
         return base

@@ -54,6 +54,31 @@ def test_fuchsian_rejects_non_int_genus(genus):
         fuchsian_generators(genus)
 
 
+def test_trivial_pieces_ship_their_star_elements():
+    """On every timed plan of perfbench's bend set and both presets, the
+    shipped X_{0,j} of each trivial piece is bitwise the star element
+    star_basis[j - 1], which lies exactly in the commutant of the triple."""
+    import json
+    from pathlib import Path
+    from liebend.config import DEFAULT
+    from liebend.report import PRESETS, _algebra_from_plan, _triple_from_spec
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expect"
+                           / "bend_plans.json").read_text())["plans"]
+    specs = [r["plan"] for r in recorded if r["timed"]] + list(PRESETS.values())
+    assert len(specs) == 31
+    shipped = 0
+    for spec in specs:
+        alg = _algebra_from_plan(spec, DEFAULT)
+        triple = _triple_from_spec(alg, spec["triple"])
+        plan = build_plan(triple, fuchsian_generators(spec["genus"]))
+        for (i, j), x in plan.x.items():
+            if i == 0:
+                star = triple.star_basis[j - 1].matrix
+                assert x.dtype == star.dtype and x.tobytes() == star.tobytes()
+                shipped += 1
+    assert shipped
+
+
 def test_fixed_vector_adjoint_module(sl2):
     triple = sl2_from_partition(sl2, (2,))
     iso = module_multiplicities(sl2, triple)

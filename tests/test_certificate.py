@@ -67,7 +67,7 @@ def test_line_hits_match_pointwise_scans(family):
     arithmetic path of `_line_hits` is compared with the pointwise masks."""
     torus = split_torus(make_algebra(*family))
     rng = np.random.default_rng(5)
-    base = torus.chamber_interior_point()
+    base = torus.staircase
     span = range(-12, 13)
     found = 0
     paths = set()
@@ -180,7 +180,7 @@ def adversarial_queries(seed, draws):
     for family in FAMILIES:
         torus = split_torus(make_algebra(*family))
         n = torus.coord_len
-        staircase = torus.chamber_interior_point()
+        staircase = torus.staircase
         for _ in range(draws):
             normals = [[int(x) for x in rng.integers(-3, 4, n)]]
             if family[0] == "sl":
@@ -210,6 +210,6 @@ def test_adversarial_queries_end_in_bounded_scans(scan_count):
         assert point == whole_certificate(torus, ah)
         assert_certificate(torus, ah, point)
         # the point is on none of the b basis lines through the staircase
-        staircase = torus.chamber_interior_point()
+        staircase = torus.staircase
         offset = [x - y for x, y in zip(point, staircase)]
         assert all(rank([offset, b]) == 2 for b in torus.b_basis)

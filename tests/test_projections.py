@@ -136,7 +136,7 @@ def test_lyapunov_below_mu_and_equality_on_torus(family, params, rng):
         m = np.array(mu(alg, torus, g))
         assert np.all(np.abs(lam) <= np.abs(m).max() + 1e-8)
         assert np.linalg.norm(lam) <= np.linalg.norm(m) + 1e-8
-    a_vec = torus.chamber_interior_point()
+    a_vec = torus.staircase
     g = expm(0.1 * np.asarray(torus_matrix(torus, a_vec)))
     assert np.allclose(lyapunov(alg, torus, g), mu(alg, torus, g), atol=1e-9)
 

@@ -2,7 +2,11 @@
 
 tests/data/bend_report_digests.json holds, for each plan it lists at each
 verify_dps it lists (the plans that reach PASS in perfbench's bend set and
-both presets, at dps 2, 5, 15, 40, 60 and 100), two SHA-256 digests:
+both presets, at dps 2, 5, 15, 40, 60 and 100), three SHA-256 digests:
+- `skeleton_sha256`, of the report with every float leaf replaced by one
+  placeholder: the check names, verdicts, dimensions, counts and error
+  texts, so a change that moves only float bits keeps it, and one that
+  could have moved a verdict does not;
 - `sha256`, of the JSON report (`cmd_bend(...).to_json()`, the bytes
   `bend --out` writes): any change to the mp lane that moves one bit of a
   verified number, or a verdict, shows here;
@@ -13,8 +17,8 @@ both presets, at dps 2, 5, 15, 40, 60 and 100), two SHA-256 digests:
 
 Re-record (only when a change of bytes is intended and explained):
     PYTHONPATH=src python tests/test_report_digests.py
-It prints each record that moved, and whether it moved only in its
-`verified` block.
+It prints each record that moved: whether its skeleton moved, else whether
+the float lane moved, else that only its `verified` block moved.
 """
 
 import functools
@@ -46,46 +50,73 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_FLOAT = "<float>"
+
+
+def _skeleton(value):
+    """value with every float leaf replaced by _FLOAT."""
+    if isinstance(value, float):
+        return _FLOAT
+    if isinstance(value, dict):
+        return {k: _skeleton(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_skeleton(v) for v in value]
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _digests(plan_json, dps):
-    """(whole, float lane): the digests of the report of the plan (given as
-    its JSON text) at dps, and of that report without its verified block."""
+    """(whole, float lane, skeleton): the digests of the report of the plan
+    (given as its JSON text) at dps, of that report without its verified
+    block, and of its skeleton."""
     plan = json.loads(plan_json)
     if isinstance(plan, str):
         from liebend.report import PRESETS
         plan = PRESETS[plan]
     report = cmd_bend(dict(plan, t="auto", verify_dps=dps), DEFAULT)
     doc = report.to_dict()
+    skeleton = _sha(serialize.dumps(_skeleton(doc)) + "\n")
     for check in doc["checks"]:
         if check["check"] == "bend/residuals":
             check["verdict"] = {k: v for k, v in check["verdict"].items() if k != "verified"}
-    return _sha(report.to_json()), _sha(serialize.dumps(doc) + "\n")
+    return _sha(report.to_json()), _sha(serialize.dumps(doc) + "\n"), skeleton
 
 
-_CASES = [(rec["plan"], dps, digest, float_digest) for rec in _DOC["plans"]
-          for dps, digest, float_digest in zip(_DOC["dps"], rec["sha256"], rec["float_sha256"])]
-_IDS = [f"{_plan_id(p)}@dps{d}" for p, d, _, _ in _CASES]
+_KEYS = ("sha256", "float_sha256", "skeleton_sha256")
+_CASES = [(rec["plan"], dps, *digests) for rec in _DOC["plans"]
+          for dps, *digests in zip(_DOC["dps"], *(rec[key] for key in _KEYS))]
+_IDS = [f"{_plan_id(c[0])}@dps{c[1]}" for c in _CASES]
+_ARGS = "plan, dps, digest, float_digest, skeleton_digest"
 
 
-@pytest.mark.parametrize("plan, dps, digest, float_digest", _CASES, ids=_IDS)
-def test_float_lane_keeps_its_digest(plan, dps, digest, float_digest):
+@pytest.mark.parametrize(_ARGS, _CASES, ids=_IDS)
+def test_skeleton_keeps_its_digest(plan, dps, digest, float_digest, skeleton_digest):
+    assert _digests(json.dumps(plan), dps)[2] == skeleton_digest
+
+
+@pytest.mark.parametrize(_ARGS, _CASES, ids=_IDS)
+def test_float_lane_keeps_its_digest(plan, dps, digest, float_digest, skeleton_digest):
     assert _digests(json.dumps(plan), dps)[1] == float_digest
 
 
-@pytest.mark.parametrize("plan, dps, digest, float_digest", _CASES, ids=_IDS)
-def test_verified_report_keeps_its_digest(plan, dps, digest, float_digest):
+@pytest.mark.parametrize(_ARGS, _CASES, ids=_IDS)
+def test_verified_report_keeps_its_digest(plan, dps, digest, float_digest, skeleton_digest):
     assert _digests(json.dumps(plan), dps)[0] == digest
 
 
 if __name__ == "__main__":
     for rec in _DOC["plans"]:
         new = [_digests(json.dumps(rec["plan"]), dps) for dps in _DOC["dps"]]
-        for dps, (whole, lane), old, old_lane in zip(
-                _DOC["dps"], new, rec["sha256"], rec["float_sha256"]):
-            if lane != old_lane:
-                print(f"{_plan_id(rec['plan'])}@dps{dps}: the float lane moved")
-            elif whole != old:
+        old = zip(*(rec[key] for key in _KEYS))
+        for dps, (whole, lane, skeleton), (old_whole, old_lane, old_skeleton) in zip(
+                _DOC["dps"], new, old):
+            if skeleton != old_skeleton:
+                print(f"{_plan_id(rec['plan'])}@dps{dps}: skeleton moved")
+            elif lane != old_lane:
+                print(f"{_plan_id(rec['plan'])}@dps{dps}: float lane moved")
+            elif whole != old_whole:
                 print(f"{_plan_id(rec['plan'])}@dps{dps}: only the verified block moved")
-        rec["sha256"], rec["float_sha256"] = map(list, zip(*new))
+        for key, digests in zip(_KEYS, zip(*new)):
+            rec[key] = list(digests)
     _PATH.write_text('{"dps": %s,\n "plans": [\n  %s\n]}\n' % (
         json.dumps(_DOC["dps"]), ",\n  ".join(json.dumps(rec) for rec in _DOC["plans"])))

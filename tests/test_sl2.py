@@ -380,15 +380,25 @@ def test_property_star_spans(su21, sl5):
 @pytest.mark.parametrize("case", triple_cases(6, 4), ids=triple_id)
 def test_star_basis_structure(case):
     """Every constructed triple gets a star basis: each element lies in g
-    and commutes with H, E and F; an elliptic element is anti-hermitian
-    with exp(X) = 1, a hyperbolic one hermitian; and the elements span the
-    float kernel of (ad H, ad E, ad F)."""
+    and commutes with H, E and F, its float entries exactly so (equal along
+    each pair of equal-length chains, 0 elsewhere); an elliptic element is
+    anti-hermitian with exp(X) = 1, a hyperbolic one hermitian; and the
+    elements span the float kernel of (ad H, ad E, ad F)."""
     triple = build_triple(case)
     alg = triple.algebra
     n = alg.size
     star = triple.star_basis
+    classes = {}
+    for idx, _ in triple.exact.chains:
+        classes.setdefault(len(idx), []).append(list(idx))
+    matched = [(a, b) for chains in classes.values() for a in chains for b in chains]
     for el in star:
         x = el.matrix
+        rest = x.copy()
+        for a, b in matched:
+            assert (x[a, b] == x[a[0], b[0]]).all()
+            rest[a, b] = 0
+        assert not rest.any()
         scale = max(np.linalg.norm(x), 1.0)
         assert np.linalg.norm(alg.coordinates(x) - el.coords) <= 1e-12 * scale
         for m in triple.images():

@@ -61,7 +61,7 @@ def test_torus_matches_the_closed_forms(family):
         staircase, order = tuple(range(n, 0, -1)), math.factorial(n) * 2 ** n
         b_rows = []
     assert torus.w0 == w0
-    assert torus.chamber_interior_point() == staircase
+    assert torus.staircase == staircase
     assert torus.weyl_order == order
     b = np.array(torus.b_basis)
     assert not (np.array(b_rows, dtype=int).reshape(-1, n) @ b.T).any()
@@ -136,7 +136,7 @@ def test_iota_involution_and_chamber_stability(sl5_torus, su32_torus):
         # iota = -w0 permutes the positive system
         image = {tuple(-c for c in torus.w0.apply(r.coeffs)) for r in torus.positive_roots}
         assert image == pos
-        probe = torus.chamber_interior_point()
+        probe = torus.staircase
         assert torus.is_dominant(torus.iota(probe))
         for v in (probe, torus.vector([1] + [0] * (torus.coord_len - 2) + [-1])
                   if torus.algebra.family == "sl" else torus.vector([1] * torus.coord_len)):

@@ -77,7 +77,7 @@ def oracle_certificate(torus, ah, max_denominator):
     def outside_all(v):
         return not any(_in_translate(ah, w, v) for w in weyl)
 
-    base = torus.chamber_interior_point()
+    base = torus.staircase
     if outside_all(base):
         return base
     for denom in range(2, max_denominator + 1):
@@ -156,7 +156,7 @@ def benoist_queries(torus, seed, count):
         if k % 2:
             rows = [w.apply(b) for b in torus.b_basis]
         else:
-            rows = [w.apply(torus.chamber_interior_point())] if k % 4 == 2 else []
+            rows = [w.apply(torus.staircase)] if k % 4 == 2 else []
         dim = max(dim, len(rows))
         while len(rows) < dim:
             row = random_vector(torus, rng, big)
@@ -432,7 +432,7 @@ def test_benoist_at_chunk_boundaries(chunked):
         if k % 2:
             basis = [preimage(w, b) for b in torus.b_basis]
         else:
-            basis = [preimage(w, torus.chamber_interior_point())]
+            basis = [preimage(w, torus.staircase)]
             big = k == 2 and torus.weyl_order < 10 ** 5
             while len(basis) < torus.rank - 1:
                 row = random_vector(torus, rng, big)
@@ -444,12 +444,12 @@ def test_benoist_at_chunk_boundaries(chunked):
         point = benoist_certificate(torus, ah)
         assert point == whole_certificate(torus, ah, weyl_arrays)
         verdicts.add(verdict)
-        walked |= verdict and point != torus.chamber_interior_point()
+        walked |= verdict and point != torus.staircase
     assert verdicts == {True, False} and walked
 
 
 def _first_point(torus, direction):
-    base = torus.chamber_interior_point()
+    base = torus.staircase
     for d in itertools.count(2):
         for m in (d, -d):
             point = tuple(x + Fraction(1, m) * y for x, y in zip(base, direction))
@@ -473,7 +473,7 @@ def test_certificate_merges_the_chunks(family):
     table = torus.weyl_chunks(8 * torus.coord_len)
     last = torus.weyl_order - len(table.tail) * len(table.signs)
     weyl_arrays = whole_weyl(torus)
-    base = torus.chamber_interior_point()
+    base = torus.staircase
     point = _first_point(torus, torus.b_basis[0])
     rng = np.random.default_rng(47)
     dim = torus.b_dim if family[0] == "sl" else 2
