@@ -35,6 +35,8 @@ _FAMILY_ALIASES = {
     "su": SU, "su_p_q": SU, "supq": SU, "su(p,q)": SU,
 }
 PARAM_NAMES = {SL: ("n",), SU: ("p", "q")}
+# the largest n (p + q) admitted: `check --family sl --n 372` fits in 512 MiB; 373 does not
+MATRIX_SIZE_CAP = 372
 
 
 def canonical_family(family):
@@ -208,6 +210,11 @@ def integer_param(name, value):
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def integer_text(n):
+    """n for an error text: in full up to 20 digits, else its digit count."""
+    return str(n) if len(str(n)) <= 20 else f"a {len(str(n))}-digit number"
+
+
 def make_algebra(family, *params, config=_config.DEFAULT):
     """Construct sl(n,R) (params: n) or su(p,q) (params: p, q); the algebra
     holds config, the tolerances of every computation on it.
@@ -229,6 +236,9 @@ def make_algebra(family, *params, config=_config.DEFAULT):
         p, q = params
         if q < 1 or p < q:
             raise ParameterError(f"su(p,q) needs p >= q >= 1, got ({p}, {q})")
+    if sum(params) > MATRIX_SIZE_CAP:  # n, or p + q
+        raise ParameterError(f"{family} matrices of size {integer_text(sum(params))} exceed "
+                             f"the matrix size cap {MATRIX_SIZE_CAP}")
     return _shared_algebra(family, params, config)
 
 

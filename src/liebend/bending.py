@@ -11,8 +11,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import bracket, expm, generated_subalgebra, integer_param, readonly
-from .config import finite_real
+from .algebra import bracket, expm, generated_subalgebra, integer_param, integer_text, readonly
 from .errors import (GenusConditionError, MembershipError, ParameterError,
                      RealizationError, ShapeError)
 from .sl2 import module_multiplicities, rho_of
@@ -24,6 +23,8 @@ _MOBIUS_INV = np.array([[0.5, 0.5], [0.5j, complex(0.0, -0.5)]])
 
 FIXED_POINT_TOL = 1e-7  # a bending line's fixed-point residual, relative to Ad(rho(a))'s stretch
 FIXED_LINE_BITS = 110  # the precision of the integer kernel's conjugator of a bent generator
+# the largest genus admitted: build_plan's seed allowance (~g**5) is 0.38 here, 2.9 at 600
+GENUS_CAP = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +82,9 @@ def fuchsian_generators(genus):
     genus in a process.
     """
     g = integer_param("genus", genus)
-    if g < 2 or not finite_real(4 * g):  # the 4g-gon's angles are floats
-        raise ParameterError(f"surface groups need genus >= 2 with 4g in float64's range, got {g}")
+    if not 2 <= g <= GENUS_CAP:
+        raise ParameterError(f"surface groups need genus >= 2 and within the genus cap "
+                             f"{GENUS_CAP}, got {integer_text(g)}")
     return _polygon(g)
 
 

@@ -45,7 +45,6 @@ one reader (`FixedMatrix.from_float`).
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,35 +150,30 @@ def identity_distance(m, prec):
     return _to_float(*_sqrt(_fit(total, 2 * exp, prec), prec))
 
 
-@dataclass(frozen=True)
-class HighPrecisionReport:
-    dps: int
-    seed_residual: float
-    pushed_residual: float
-    bent_residual: float
-    max_entry_distance: float
+def check_dps(dps, name="dps"):
+    """Refuse, naming it name, a dps that is not an int (no bool) in 1..MAX_DPS."""
+    if isinstance(dps, bool) or not isinstance(dps, (int, np.integer)) or dps < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {dps!r}")
+    if dps > MAX_DPS:
+        raise ParameterError(f"{name} must be at most {MAX_DPS}, got {dps!r}: "
+                             "past it the verified residuals underflow float64")
 
 
 def verify_bent_relation(plan, dps=40):
     """Residuals of the high-precision representation underlying plan.bent.
 
-    Returns the residuals at dps decimal digits (`dps_to_bits`) of the seed
-    polygon, the undeformed pushed representation and the bent
-    representation, plus the maximal entrywise distance of the shipped
-    matrices from the verified ones.  The images are built from the
-    triple's exact form.  dps must be an int from 1 to MAX_DPS (not a bool).
+    Returns the `verified` record of a bend report's `bend/residuals`: the
+    dps (`check_dps`, `dps_to_bits`), then as floats the residuals at that
+    precision of the seed polygon, the pushed and the bent representation,
+    and the largest entrywise distance of the shipped matrices from the
+    verified ones.  The images are built from the triple's exact form.
     """
-    if isinstance(dps, bool) or not isinstance(dps, (int, np.integer)) or dps < 1:
-        raise ParameterError(f"dps must be an integer >= 1, got {dps!r}")
-    if dps > MAX_DPS:
-        raise ParameterError(f"dps must be at most {MAX_DPS}, got {dps!r}: "
-                             "past it the verified residuals underflow float64")
-    triple = plan.triple
+    check_dps(dps)
     if plan.t is None:
         raise ParameterError("plan has no bending parameter")
 
     prec = dps_to_bits(dps)
-    rho = Sl2Images(triple.exact)
+    rho = Sl2Images(plan.triple.exact)
     seed, seed_resid = mp_fuchsian(plan.genus, prec)
 
     # rho(g)^-1 = rho(g^-1); the pushed and the bent relation words
@@ -197,13 +191,10 @@ def verify_bent_relation(plan, dps=40):
     dist = max(max_entry_distance(m, m_f)
                for (a, b), a_f, b_f in zip(bent_mp, plan.bent.a, plan.bent.b)
                for m, m_f in ((a, a_f), (b, b_f)))
-    return HighPrecisionReport(dps, seed_resid, identity_distance(pushed, prec),
-                               identity_distance(bent_prod, prec), dist)
-
-
-def _float_pair(v, prec):
-    """A finite float rounded to prec bits, as mp.mpf(v) reads it."""
-    return _normal(*_fit(*_float_exact(v), prec))
+    return {"dps": int(dps), "seed_residual": seed_resid,
+            "pushed_residual": identity_distance(pushed, prec),
+            "bent_residual": identity_distance(bent_prod, prec),
+            "max_entry_distance_to_shipped": dist}
 
 
 def _twist(plan, rho, a_seed, k, prec):
@@ -224,7 +215,7 @@ def _twist(plan, rho, a_seed, k, prec):
     if ij is None:
         return None
     prec += GUARD_BITS
-    x, t = FixedMatrix.from_float(plan.x[ij]), _float_pair(plan.t, prec)
+    x, t = FixedMatrix.from_float(plan.x[ij]), _normal(*_fit(*_float_exact(plan.t), prec))
     if ij[0] == 0:
         return expm_pair(x, t, prec)
     rho_c, rho_c_inv = rho.pair(conjugator(a_seed, prec), prec)

@@ -244,10 +244,8 @@ def cmd_bend(plan_spec, config):
     if isinstance(verify_dps, bool) or not isinstance(verify_dps, int) or verify_dps < 0:
         raise ParameterError(f"verify_dps must be an integer >= 0, got {verify_dps!r}")
     if verify_dps:
-        from .highprec import MAX_DPS, verify_bent_relation
-        if verify_dps > MAX_DPS:
-            raise ParameterError(f"verify_dps must be at most {MAX_DPS}, got {verify_dps!r}: "
-                                 "past it the verified residuals underflow float64")
+        from .highprec import check_dps, verify_bent_relation
+        check_dps(verify_dps, "verify_dps")
     genus = plan_spec.get("genus")
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
         raise ParameterError(f"genus must be an integer >= 2, got {genus!r}")
@@ -304,14 +302,8 @@ def cmd_bend(plan_spec, config):
         "bent_residual": float(bent.relation_residual()),
     }
     if verify_dps:
-        hp, stages["verify"] = _timed(lambda: verify_bent_relation(plan, dps=verify_dps))
-        resid_rec["verified"] = {
-            "dps": hp.dps,
-            "seed_residual": float(hp.seed_residual),
-            "pushed_residual": float(hp.pushed_residual),
-            "bent_residual": float(hp.bent_residual),
-            "max_entry_distance_to_shipped": float(hp.max_entry_distance),
-        }
+        resid_rec["verified"], stages["verify"] = _timed(
+            lambda: verify_bent_relation(plan, dps=verify_dps))
     report.add("bend/residuals", {"t": float(plan.t)}, resid_rec,
                runtime_ms=sum(stages.values()), stage_ms=stages)
 
@@ -350,6 +342,8 @@ def cmd_check(family_spec, ah_basis, config):
     report = ReportDocument("properness check", alg.config.echo())
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, rows)
+    report.config["algebra"] = {"family": alg.family,
+                                **dict(zip(PARAM_NAMES[alg.family], alg.params))}
     report.config["ah_basis"] = [[str(x) for x in row] for row in rows]
 
     cm, ms = _timed(lambda: calabi_markus(torus, ah))

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _ratlin
-from .algebra import SL, diagonal_weights, readonly
+from .algebra import SL, diagonal_weights, integer_text, readonly
 from .errors import ParameterError, RealizationError
 
 # |W| above this is refused: su(8,8) (8! * 2**8) is the largest group
@@ -290,7 +290,8 @@ def split_torus(alg):
         sign_count, root_coeffs, staircase = 2 ** q, _su_root_patterns(p, q), range(q, 0, -1)
     order = math.factorial(coord_len) * sign_count
     if order > WEYL_ORDER_CAP:
-        raise ParameterError(f"|W| = {order} exceeds the Weyl group cap {WEYL_ORDER_CAP}")
+        raise ParameterError(
+            f"|W| = {integer_text(order)} exceeds the Weyl group cap {WEYL_ORDER_CAP}")
 
     # multiplicities from the root-space dimensions, validating the realization
     ordered = sorted(root_coeffs, reverse=True)

@@ -261,6 +261,19 @@ def bend_subprocess(plan, tmp_path, *args):
     return done.returncode, done.stdout, done.stderr
 
 
+def float_skeleton(value):
+    """A parsed report (or any part of one) with every float leaf replaced
+    by one placeholder: what is left are the check names, verdicts,
+    dimensions, counts and error texts, which no float rounding moves."""
+    if isinstance(value, float):
+        return "<float>"
+    if isinstance(value, dict):
+        return {k: float_skeleton(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [float_skeleton(v) for v in value]
+    return value
+
+
 def float_conjugator(a):
     """k with k^-1 a k diagonal for a hyperbolic float 2x2 matrix a: the
     integer kernel's conjugator of the exact a at `bending.FIXED_LINE_BITS`,

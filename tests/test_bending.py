@@ -393,10 +393,10 @@ def test_highprec_verification(su21, sl5):
         plan = build_plan(triple, seed, t="auto")
         bent = bend(plan)
         hp = verify_bent_relation(plan, dps=40)
-        assert hp.seed_residual < 1e-25
-        assert hp.pushed_residual < bound
-        assert hp.bent_residual < bound
-        assert hp.max_entry_distance < 1e-8
+        assert hp["seed_residual"] < 1e-25
+        assert hp["pushed_residual"] < bound
+        assert hp["bent_residual"] < bound
+        assert hp["max_entry_distance_to_shipped"] < 1e-8
 
 
 @pytest.mark.parametrize("preset", ["su21-rho1-g2", "sl5-even5-g4"])

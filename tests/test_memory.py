@@ -12,13 +12,16 @@ benchmark's check-stream pool to the exact lane's bound on what a pass
 over W keeps.  A fifth, in a child process that wraps numpy.linalg before
 it imports the CLI, keeps LAPACK out of the exact lane altogether: the
 import, `reproduce` and `check` call no numpy.linalg function, and a
-float-only bend does."""
+float-only bend does.  Two more hold the size caps: `check` at
+MATRIX_SIZE_CAP fits in 512 MiB, and each input past a cap exits 2 within
+1 s under 1 GiB, before anything is built."""
 
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,63 @@ def test_check_fits_in_512_mib(tmp_path, family_args, rows, expected):
     assert done.stderr == b""
     if expected:
         assert done.stdout == (DATA / expected).read_bytes()
+
+
+def test_check_at_the_matrix_size_cap_fits_in_512_mib(tmp_path):
+    """MATRIX_SIZE_CAP is the largest n whose `check --family sl` fits in
+    512 MiB: it stops at the Weyl group cap with no traceback.  su(371,1),
+    of the same size, is checked in full."""
+    from liebend.algebra import MATRIX_SIZE_CAP
+    n = MATRIX_SIZE_CAP
+    done = _check(tmp_path, ["--family", "sl", "--n", str(n)], [[1, -1] + [0] * (n - 2)])
+    assert done.returncode == 2
+    assert done.stderr.decode().startswith("input error: |W| = a 797-digit number exceeds")
+    done = _check(tmp_path, ["--family", "su", "--p", str(n - 1), "--q", "1"], [[1]])
+    assert done.returncode == 0, done.stderr.decode()
+
+
+# ROADMAP item 30's table: inputs too large to build, each refused by its cap
+# before the build, so each exits 2 with one line on stderr
+_TOO_LARGE = [
+    (["check", "--family", "sl", "--n", "12"], 12,
+     "|W| = 479001600 exceeds the Weyl group cap 10321920"),
+    (["check", "--family", "sl", "--n", "200"], 200,
+     "|W| = a 375-digit number exceeds the Weyl group cap 10321920"),
+    (["check", "--family", "sl", "--n", "20000"], 20000,
+     "sl matrices of size 20000 exceed the matrix size cap 372"),
+    (["bend"], 10 ** 4,
+     "surface groups need genus >= 2 and within the genus cap 400, got 10000"),
+    (["bend"], 10 ** 6,
+     "surface groups need genus >= 2 and within the genus cap 400, got 1000000"),
+]
+
+
+@pytest.mark.parametrize("argv, size, message", _TOO_LARGE,
+                         ids=["sl12", "sl200", "sl20000", "bend-g1e4", "bend-g1e6"])
+def test_a_size_too_large_to_build_is_refused_in_1_gib(tmp_path, argv, size, message):
+    """Each input exits 2 within 1 s in a child capped at 1 GiB of address
+    space, with no traceback: `make_algebra` refuses n past
+    MATRIX_SIZE_CAP and `fuchsian_generators` a genus past GENUS_CAP
+    before they build anything (sl(20000) and genus 10**6 used to end in a
+    MemoryError traceback after 5 and 49 s), and a huge |W| is printed by
+    its digit count."""
+    if argv[0] == "check":
+        (tmp_path / "ah.json").write_text(json.dumps([[1, -1] + [0] * (size - 2)]))
+        argv = argv + ["--ah", str(tmp_path / "ah.json")]
+    else:
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": size}))
+        argv = argv + ["--plan", str(tmp_path / "plan.json")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "liebend.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+    elapsed = time.perf_counter() - t0
+    assert (done.returncode, done.stderr, done.stdout) == (2, f"input error: {message}\n", "")
+    assert elapsed < 1.0, elapsed
 
 
 # what a check holds across its passes over W: the torus, a_h, the report

@@ -228,6 +228,21 @@ def test_cmd_check_su_examples(su32_torus):
     assert by_id["check/calabi-markus"].verdict is True
 
 
+def test_check_report_names_its_algebra(tmp_path):
+    """su(3,2) and su(4,2) with the same one-row a_h used to write
+    byte-identical reports; each now echoes its family, p and q."""
+    ah = tmp_path / "ah.json"
+    ah.write_text(json.dumps([[1, 0]]))
+    written = {}
+    for p in (3, 4):
+        out = tmp_path / f"su{p}2.json"
+        assert main(["check", "--family", "su", "--p", str(p), "--q", "2", "--ah", str(ah),
+                     "--out", str(out)]) == 0
+        written[p] = out.read_bytes()
+        assert json.loads(written[p])["config"]["algebra"] == {"family": "su", "p": p, "q": 2}
+    assert written[3] != written[4]
+
+
 def test_cmd_check_sl5_no_even_witness():
     report = cmd_check({"family": "sl", "n": 5}, SEC53_AH, DEFAULT)
     by_id = {c.check_id: c for c in report.checks}

@@ -24,6 +24,9 @@ the float lane moved, else that only its `verified` block moved.
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,8 @@ import pytest
 from liebend import serialize
 from liebend.config import DEFAULT
 from liebend.report import cmd_bend
+
+from conftest import float_skeleton
 
 _PATH = Path(__file__).resolve().parent / "data" / "bend_report_digests.json"
 _DOC = json.loads(_PATH.read_text())
@@ -50,20 +55,6 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-_FLOAT = "<float>"
-
-
-def _skeleton(value):
-    """value with every float leaf replaced by _FLOAT."""
-    if isinstance(value, float):
-        return _FLOAT
-    if isinstance(value, dict):
-        return {k: _skeleton(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_skeleton(v) for v in value]
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def _digests(plan_json, dps):
     """(whole, float lane, skeleton): the digests of the report of the plan
@@ -75,7 +66,7 @@ def _digests(plan_json, dps):
         plan = PRESETS[plan]
     report = cmd_bend(dict(plan, t="auto", verify_dps=dps), DEFAULT)
     doc = report.to_dict()
-    skeleton = _sha(serialize.dumps(_skeleton(doc)) + "\n")
+    skeleton = _sha(serialize.dumps(float_skeleton(doc)) + "\n")
     for check in doc["checks"]:
         if check["check"] == "bend/residuals":
             check["verdict"] = {k: v for k, v in check["verdict"].items() if k != "verified"}
@@ -102,6 +93,37 @@ def test_float_lane_keeps_its_digest(plan, dps, digest, float_digest, skeleton_d
 @pytest.mark.parametrize(_ARGS, _CASES, ids=_IDS)
 def test_verified_report_keeps_its_digest(plan, dps, digest, float_digest, skeleton_digest):
     assert _digests(json.dumps(plan), dps)[0] == digest
+
+
+# run in a fresh process, whose OpenBLAS picks its kernel at import
+_CHILD = """\
+import json, sys
+sys.path[:0] = [sys.argv[1]]
+from test_report_digests import _DOC, _digests
+print(json.dumps([_digests(json.dumps(rec["plan"]), 40) for rec in _DOC["plans"]]))
+"""
+
+
+def test_skeletons_hold_under_a_second_blas_kernel():
+    """The 31 plans at verify_dps 40, recomputed in a child process whose
+    OpenBLAS runs its Sandybridge kernel (`OPENBLAS_CORETYPE`, set in the
+    child's environment only), keep every recorded skeleton digest, while
+    at least one float-lane digest moves: the kernel really changed, and
+    what moved with it is floats only."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge", PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(tests)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    at = _DOC["dps"].index(40)
+    assert len(got) == len(_DOC["plans"]) == 31
+    moved = [_plan_id(rec["plan"]) for rec, (_, _, skeleton) in zip(_DOC["plans"], got)
+             if skeleton != rec["skeleton_sha256"][at]]
+    assert moved == []
+    assert any(lane != rec["float_sha256"][at] for rec, (_, lane, _) in zip(_DOC["plans"], got))
 
 
 if __name__ == "__main__":
