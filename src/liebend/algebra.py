@@ -35,7 +35,8 @@ _FAMILY_ALIASES = {
     "su": SU, "su_p_q": SU, "supq": SU, "su(p,q)": SU,
 }
 PARAM_NAMES = {SL: ("n",), SU: ("p", "q")}
-# the largest n (p + q) admitted: `check --family sl --n 372` fits in 512 MiB; 373 does not
+# the largest n (p + q) admitted: at 372, `check` reaches sl's Weyl group cap
+# under 144 MiB and checks su(371,1) in full under 192 MiB
 MATRIX_SIZE_CAP = 372
 
 
@@ -211,8 +212,10 @@ def integer_param(name, value):
 
 
 def integer_text(n):
-    """n for an error text: in full up to 20 digits, else its digit count."""
-    return str(n) if len(str(n)) <= 20 else f"a {len(str(n))}-digit number"
+    """n for an error text: an int past 20 digits as its digit count, else its repr."""
+    if type(n) is int and abs(n) >= 10 ** 20:
+        return f"a {'negative ' if n < 0 else ''}{len(str(abs(n)))}-digit number"
+    return repr(n)
 
 
 def make_algebra(family, *params, config=_config.DEFAULT):

@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import bracket, expm, generated_subalgebra, integer_param, integer_text, readonly
 from .errors import (GenusConditionError, MembershipError, ParameterError,
                      RealizationError, ShapeError)
-from .sl2 import module_multiplicities, rho_of
+from .sl2 import genus_bound, module_multiplicities, rho_of
 
 _MOBIUS = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 # the exact inverse, bitwise LAPACK's (-0.5j would carry a -0.0 real part);
@@ -225,18 +225,22 @@ def build_plan(triple, seed, t="auto"):
     indices, the pushed seed, the matrices X and Y and the bending parameter.
     The seed's relation residual is checked first, against seed_relation_tol
     or, when larger, the rounding a product of L matrices may carry,
-    4 eps L peak**2 for the word's largest partial-product norm peak.
+    4 eps L peak**2 for the word's largest partial-product norm peak, then
+    the genus against |Lambda| = m_0 (`genus_bound`), before the isotypic build.
     "auto" takes the first grid t that the inequalities and bend accept."""
     alg = triple.algebra
     seed_resid, peak, length = seed.relation_diagnostics
     tol = max(alg.config.seed_relation_tol, 4.0 * np.finfo(float).eps * length * peak ** 2)
     if seed_resid > tol:
         raise RealizationError(f"polygon relation residual {seed_resid:.3e} exceeds {tol:.1e}")
+    required = genus_bound(triple)
+    if seed.genus < required:
+        raise GenusConditionError(
+            f"genus {seed.genus} is below the required {required} (sum of odd multiplicities)")
     iso = module_multiplicities(alg, triple)
     lam = iso.Lambda
-    if seed.genus < len(lam):
-        raise GenusConditionError(
-            f"genus {seed.genus} is below the required {len(lam)} (sum of odd multiplicities)")
+    if len(lam) != required:
+        raise RealizationError(f"the decomposition has {len(lam)} odd pieces, m_0 is {required}")
     f_map = {ij: k + 1 for k, ij in enumerate(lam)}
 
     star = triple.star_basis

@@ -26,22 +26,14 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="membership tolerance override")
-    parser.add_argument("--t-grid", type=str, default=None,
-                        help="comma-separated bending parameters to try in order")
-    parser.add_argument("--witness", action="store_true",
-                        help="include exact witnesses/certificate points "
-                             "(read by reproduce sec53 only)")
+def _add_output(parser):
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_json", action="store_true")
     fmt.add_argument("--text", dest="as_json", action="store_false")
     parser.set_defaults(as_json=True)
-    parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (non-canonical output)")
-    parser.add_argument("--out", type=str, default=None, help="write the report here")
+    parser.add_argument("--out", help="write the report here")
 
 
 def _number(text):
@@ -93,25 +85,30 @@ def _build_parser():
     p_rep = sub.add_parser("reproduce", help="reproduce a worked-example table")
     rep_sub = p_rep.add_subparsers(dest="table", required=True)
     p53 = rep_sub.add_parser("sec53")
-    _add_common(p53)
+    p53.add_argument("--witness", action="store_true", help="add orbit members' Weyl witnesses")
+    _add_output(p53)
     p6 = rep_sub.add_parser("sec6")
     p6.add_argument("--p", type=int, required=True)
     p6.add_argument("--q", type=int, required=True)
-    _add_common(p6)
+    _add_output(p6)
 
     p_bend = sub.add_parser("bend", help="run the bending pipeline")
     src = p_bend.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=sorted(PRESETS))
-    src.add_argument("--plan", type=str, help="plan JSON file")
-    _add_common(p_bend)
+    src.add_argument("--plan", help="plan JSON file")
+    # the float lane's settings: bend alone reads them
+    p_bend.add_argument("--tol", type=float, help="membership tolerance override")
+    p_bend.add_argument("--t-grid", help="comma-separated bending parameters to try in order")
+    p_bend.add_argument("--config", help="JSON config file")
+    _add_output(p_bend)
 
     p_check = sub.add_parser("check", help="properness screening for a subalgebra")
     p_check.add_argument("--family", choices=sorted(PARAM_NAMES), required=True)
     for name in _CHECK_PARAMS:
         p_check.add_argument(f"--{name}", type=int)
-    p_check.add_argument("--ah", type=str, required=True,
+    p_check.add_argument("--ah", required=True,
                          help="JSON file: list of rows of exact rationals")
-    _add_common(p_check)
+    _add_output(p_check)
     return parser
 
 
@@ -122,7 +119,8 @@ def main(argv=None):
     parser = _PARSER
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
+        # the exact lane reads no setting: its commands run at the default
+        cfg = _build_config(args) if args.command == "bend" else config_mod.DEFAULT
         if args.command == "reproduce" and args.table == "sec53":
             report = cmd_reproduce_sec53(cfg, witness=args.witness)
             _emit(report, args)
@@ -130,7 +128,7 @@ def main(argv=None):
         if args.command == "reproduce" and args.table == "sec6":
             report = cmd_reproduce_sec6(args.p, args.q, cfg)
             _emit(report, args)
-            p, q = make_algebra("su", args.p, args.q, config=cfg).params
+            p, q = make_algebra("su", args.p, args.q).params
             return _golden_verdict(report, "golden_sec6.json", f"sec6/su({p},{q})/")
         if args.command == "bend":
             if args.plan:

@@ -48,6 +48,7 @@ import math
 
 import numpy as np
 
+from .algebra import integer_text
 from .elementary import _normal, cos_sin, expm, pi
 from .errors import ParameterError
 from .intkernel import (GUARD_BITS, FixedMatrix, Sl2Images, _add, _div, _fit, _float_exact,
@@ -153,9 +154,9 @@ def identity_distance(m, prec):
 def check_dps(dps, name="dps"):
     """Refuse, naming it name, a dps that is not an int (no bool) in 1..MAX_DPS."""
     if isinstance(dps, bool) or not isinstance(dps, (int, np.integer)) or dps < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {dps!r}")
+        raise ParameterError(f"{name} must be an integer >= 1, got {integer_text(dps)}")
     if dps > MAX_DPS:
-        raise ParameterError(f"{name} must be at most {MAX_DPS}, got {dps!r}: "
+        raise ParameterError(f"{name} must be at most {MAX_DPS}, got {integer_text(dps)}: "
                              "past it the verified residuals underflow float64")
 
 

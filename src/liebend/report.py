@@ -1,8 +1,8 @@
 """Reproducible reports for the worked examples and user-supplied checks.
 
-Reports are deterministic: given the same configuration, two runs produce
-byte-identical JSON and text renderings.  Wall-clock timings are collected
-but excluded from the canonical bytes.
+Reports are deterministic: two runs with the same Config (bend's, echoed in
+its report; reproduce and check read none) give byte-identical JSON and text
+renderings.  Wall-clock timings are collected but kept out of those bytes.
 """
 
 import functools
@@ -14,9 +14,9 @@ from fractions import Fraction
 from importlib import resources
 
 from . import serialize
-from .algebra import PARAM_NAMES, canonical_family, make_algebra
+from .algebra import PARAM_NAMES, canonical_family, integer_text, make_algebra
 from .bending import build_plan, density_certificate, fuchsian_generators
-from .config import finite_real
+from .config import POSITIVITY, finite_real
 from .errors import ParameterError
 from .properness import (HSubalgebraTorus, benoist_certificate, benoist_criterion,
                          calabi_markus, in_weyl_orbit_of_subspace, sl2_action_proper)
@@ -121,7 +121,7 @@ def cmd_reproduce_sec53(config, witness=False):
     of the vector in the Weyl orbit of the fixed abelian subalgebra, and the
     properness verdict of the corresponding action."""
     alg = make_algebra("sl", 5, config=config)
-    report = ReportDocument("sl(5,R) partition table (preset sec53)", alg.config.echo())
+    report = ReportDocument("sl(5,R) partition table (preset sec53)", {"positivity": POSITIVITY})
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, SEC53_AH_BASIS)
     for parts in SEC53_PARTITIONS:
@@ -178,19 +178,17 @@ def cmd_reproduce_sec6(p, q, config):
     hyperplane subalgebra, and the equal-signature evenness check."""
     alg = make_algebra("su", p, q, config=config)
     p, q = alg.params
-    report = ReportDocument(f"su({p},{q}) family table (preset sec6)", alg.config.echo())
+    report = ReportDocument(f"su({p},{q}) family table (preset sec6)", {"positivity": POSITIVITY})
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, tuple(
         tuple(1 if j == i else 0 for j in range(q)) for i in range(1, q)))
 
-    rho1, ms1 = _timed(lambda: rho1_su(alg))
-    rec1, ms1b = _timed(lambda: _sec6_rho_record(torus, ah, rho1))
-    report.add(f"sec6/su({p},{q})/rho1", {"p": p, "q": q}, rec1, runtime_ms=ms1 + ms1b)
+    rec1, ms1 = _timed(lambda: _sec6_rho_record(torus, ah, rho1_su(alg)))
+    report.add(f"sec6/su({p},{q})/rho1", {"p": p, "q": q}, rec1, runtime_ms=ms1)
 
     if p > q:
-        rho2, ms2 = _timed(lambda: rho2_su(alg))
-        rec2, ms2b = _timed(lambda: _sec6_rho_record(torus, ah, rho2))
-        report.add(f"sec6/su({p},{q})/rho2", {"p": p, "q": q}, rec2, runtime_ms=ms2 + ms2b)
+        rec2, ms2 = _timed(lambda: _sec6_rho_record(torus, ah, rho2_su(alg)))
+        report.add(f"sec6/su({p},{q})/rho2", {"p": p, "q": q}, rec2, runtime_ms=ms2)
     else:
         report.add(f"sec6/su({p},{q})/rho2", {"p": p, "q": q}, "undefined")
 
@@ -200,12 +198,9 @@ def cmd_reproduce_sec6(p, q, config):
                {"benoist": bc, "calabi_markus": cm}, runtime_ms=msb + msc)
 
     if p == q:
-        # among the implemented families, every proper action must be even
-        verdicts = [("rho1", rec1["proper"], rec1["even"])]
-        holds = all((not prop) or ev for _, prop, ev in verdicts)
-        report.add(f"sec6/su({p},{q})/proper-implies-even",
-                   {"scope": "family-restricted"},
-                   {"holds": holds, "families_checked": [v[0] for v in verdicts]})
+        # among the implemented families (rho1 alone), every proper action must be even
+        report.add(f"sec6/su({p},{q})/proper-implies-even", {"scope": "family-restricted"},
+                   {"holds": not rec1["proper"] or rec1["even"], "families_checked": ["rho1"]})
     return report
 
 
@@ -242,25 +237,25 @@ def cmd_bend(plan_spec, config):
         raise ParameterError(f"a plan must be a JSON object, got {type(plan_spec).__name__}")
     verify_dps = plan_spec.get("verify_dps", 0)
     if isinstance(verify_dps, bool) or not isinstance(verify_dps, int) or verify_dps < 0:
-        raise ParameterError(f"verify_dps must be an integer >= 0, got {verify_dps!r}")
+        raise ParameterError(f"verify_dps must be an integer >= 0, got {integer_text(verify_dps)}")
     if verify_dps:
         from .highprec import check_dps, verify_bent_relation
         check_dps(verify_dps, "verify_dps")
     genus = plan_spec.get("genus")
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 2:
-        raise ParameterError(f"genus must be an integer >= 2, got {genus!r}")
+        raise ParameterError(f"genus must be an integer >= 2, got {integer_text(genus)}")
     t_req = plan_spec.get("t", "auto")
     if t_req != "auto" and (not isinstance(t_req, (int, float)) or not finite_real(t_req)
                             or t_req == 0):
-        raise ParameterError(f't must be "auto" or a finite non-zero number, got {t_req!r}')
+        raise ParameterError(f't must be "auto" or a finite non-zero number, got '
+                             f'{integer_text(t_req)}')
     alg = _algebra_from_plan(plan_spec, config)
     triple = _triple_from_spec(alg, plan_spec.get("triple"))
     known = {"family", *PARAM_NAMES[alg.family], "triple", "genus", "t", "verify_dps"}
     for key in sorted(map(str, plan_spec)):
         if key not in known:
             raise ParameterError(f"unknown plan key {key!r}; known: {sorted(known)}")
-    report = ReportDocument("bending certificate", alg.config.echo())
-    report.config["plan"] = {k: v for k, v in plan_spec.items()}
+    report = ReportDocument("bending certificate", dict(alg.config.echo(), plan=dict(plan_spec)))
 
     seed, ms = _timed(lambda: fuchsian_generators(genus))
     report.add("bend/seed", {"genus": genus},
@@ -339,12 +334,12 @@ def cmd_check(family_spec, ah_basis, config):
         raise ParameterError(f"the a_h basis must be a list of rows, got {ah_basis!r}")
     rows = tuple(tuple(_rational(x) for x in row) for row in ah_basis)
     alg = _algebra_from_plan(family_spec, config)
-    report = ReportDocument("properness check", alg.config.echo())
     torus = split_torus(alg)
     ah = HSubalgebraTorus(torus, rows)
-    report.config["algebra"] = {"family": alg.family,
-                                **dict(zip(PARAM_NAMES[alg.family], alg.params))}
-    report.config["ah_basis"] = [[str(x) for x in row] for row in rows]
+    report = ReportDocument("properness check", {
+        "positivity": POSITIVITY,
+        "algebra": {"family": alg.family, **dict(zip(PARAM_NAMES[alg.family], alg.params))},
+        "ah_basis": [[str(x) for x in row] for row in rows]})
 
     cm, ms = _timed(lambda: calabi_markus(torus, ah))
     report.add("check/calabi-markus", {"ah_dim": ah.dim, "rank": torus.rank}, cm, runtime_ms=ms)

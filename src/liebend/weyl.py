@@ -170,13 +170,12 @@ class SplitTorusData:
 
 
 def _sl_roots(n):
-    """Root functionals of sl(n,R) on the diagonal: e_i - e_j, i != j."""
-    roots = []
+    """Root functionals of sl(n,R) on the diagonal: e_i - e_j, i != j,
+    yielded as read, so that `split_torus` lists none past its Weyl cap."""
     for i, j in itertools.permutations(range(n), 2):
         c = [0] * n
         c[i], c[j] = 1, -1
-        roots.append(tuple(c))
-    return roots
+        yield tuple(c)
 
 
 def _su_root_patterns(p, q):
@@ -276,12 +275,9 @@ def split_torus(alg):
     kernel of those rows) are read off `alg.a_diagonal`; the one family
     branch gives the roots, the number of sign vectors and the staircase.
     Built once per algebra object in a process; a Weyl group larger than
-    WEYL_ORDER_CAP raises on every call, before its sign table or any chunk
-    is built."""
+    WEYL_ORDER_CAP raises on every call, before its roots, its sign table or
+    any chunk is built."""
     coord_len = alg.a_diagonal.shape[1]
-    sums = tuple(alg.a_diagonal.sum(axis=0).tolist())
-    trace = (sums,) if any(sums) else ()
-    torus_basis = _ratlin.primitive_nullspace(trace, coord_len)
     if alg.family == SL:
         (n,) = alg.params
         sign_count, root_coeffs, staircase = 1, _sl_roots(n), range(n - 1, -n, -2)
@@ -292,6 +288,9 @@ def split_torus(alg):
     if order > WEYL_ORDER_CAP:
         raise ParameterError(
             f"|W| = {integer_text(order)} exceeds the Weyl group cap {WEYL_ORDER_CAP}")
+    sums = tuple(alg.a_diagonal.sum(axis=0).tolist())
+    trace = (sums,) if any(sums) else ()
+    torus_basis = _ratlin.primitive_nullspace(trace, coord_len)
 
     # multiplicities from the root-space dimensions, validating the realization
     ordered = sorted(root_coeffs, reverse=True)

@@ -40,7 +40,7 @@ def test_pool_query_keeps_its_answers(item_id, fam, rows, tmp_path):
     family = ["--family", fam["family"]] + (
         ["--n", str(fam["n"])] if fam["family"] == "sl" else
         ["--p", str(fam["p"]), "--q", str(fam["q"])])
-    argv = ["check", *family, "--ah", str(ah_file), "--witness", "--json", "--out", str(out)]
+    argv = ["check", *family, "--ah", str(ah_file), "--json", "--out", str(out)]
     assert cli.main(argv) == 0
     checks = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
     even = checks.get("check/even-witness")

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from liebend.algebra import generated_subalgebra, make_algebra
 from liebend.bending import build_plan, fuchsian_generators
 from liebend.cli import main
 from liebend.errors import MembershipError, ParameterError, RealizationError
-from liebend.report import cmd_bend, cmd_reproduce_sec53
+from liebend.report import PRESETS, cmd_bend, cmd_reproduce_sec53
 from liebend.sl2 import rho1_su, sl2_from_partition
 
 
@@ -49,7 +50,7 @@ def test_unknown_key_is_a_typed_input_error(tmp_path, capsys):
     path.write_text(json.dumps({"relation_tol": 1e-8}))
     with pytest.raises(ParameterError, match="relation_tol"):
         config_mod.load(str(path))
-    assert main(["reproduce", "sec53", "--config", str(path)]) == 2
+    assert main(["bend", "--preset", "su21-rho1-g2", "--config", str(path)]) == 2
     assert "unknown config key 'relation_tol'" in capsys.readouterr().err
     path.write_text(json.dumps([["rank_rtol", 1e-7]]))
     with pytest.raises(ParameterError, match="JSON object"):
@@ -76,7 +77,7 @@ def test_t_grid_is_validated_when_loaded(grid):
     (["--t-grid", "0.1,0"], "t_grid"),
 ])
 def test_cli_flags_go_through_the_config_checks(argv, key, capsys):
-    assert main(["reproduce", "sec53", *argv]) == 2
+    assert main(["bend", "--preset", "su21-rho1-g2", *argv]) == 2
     assert f"input error: config key {key!r} needs" in capsys.readouterr().err
 
 
@@ -87,7 +88,7 @@ def test_an_int_past_float64_in_a_config_file_is_an_input_error(data, key, tmp_p
     an input error naming the key, not an OverflowError."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
-    assert main(["reproduce", "sec53", "--config", str(path)]) == 2
+    assert main(["bend", "--preset", "su21-rho1-g2", "--config", str(path)]) == 2
     assert f"input error: config key {key!r} needs" in capsys.readouterr().err
 
 
@@ -141,15 +142,22 @@ def test_t_grid_sets_the_bending_parameter():
 
 
 def test_reports_echo_the_algebras_config():
+    """A bend report echoes the config it ran with; the exact lane reads
+    none, so its reports echo the positivity convention alone."""
     cfg = config_mod.Config(membership_rtol=1e-8, t_grid=(0.5,))
-    echo = cmd_reproduce_sec53(cfg).config
-    assert echo == cfg.echo() and echo["membership_rtol"] == 1e-8
+    plan = dict(PRESETS["su21-rho1-g2"], verify_dps=0)
+    echo = cmd_bend(plan, cfg).config
+    assert echo == dict(cfg.echo(), plan=plan) and echo["membership_rtol"] == 1e-8
+    assert cmd_reproduce_sec53(cfg).config == {"positivity": config_mod.POSITIVITY}
 
 
 def test_default_is_named_only_in_make_algebras_signature():
-    """No module reads DEFAULT at a call site: the config comes from the algebra."""
+    """No module below the front end reads DEFAULT at a call site: the
+    config comes from the algebra.  The CLI names it once, in main, for the
+    commands that take no settings."""
+    package = pathlib.Path(liebend.__file__).parent
     found = []
-    for path in sorted(pathlib.Path(liebend.__file__).parent.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         if path.name == "config.py":
             continue
         tree = ast.parse(path.read_text())
@@ -159,7 +167,69 @@ def test_default_is_named_only_in_make_algebras_signature():
                      else [node.attr] if isinstance(node, ast.Attribute) else [])
             if "DEFAULT" in names:
                 found.append((path.name, node.lineno))
-    make = next(n for n in ast.walk(ast.parse(
-        (pathlib.Path(liebend.__file__).parent / "algebra.py").read_text()))
-        if isinstance(n, ast.FunctionDef) and n.name == "make_algebra")
-    assert found == [("algebra.py", make.lineno)]
+
+    def function(module, name):
+        return next(n for n in ast.walk(ast.parse((package / module).read_text()))
+                    if isinstance(n, ast.FunctionDef) and n.name == name)
+    make, main = function("algebra.py", "make_algebra"), function("cli.py", "main")
+    assert [name for name, _ in found] == ["algebra.py", "cli.py"]
+    assert found[0][1] == make.lineno and main.lineno < found[1][1] <= main.end_lineno
+
+
+# ---- only bend reads a setting -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["reproduce", "sec53"], ["reproduce", "sec6", "--p", "2",
+                                                           "--q", "1"],
+                                  ["check", "--family", "sl", "--n", "5", "--ah", "ah.json"]],
+                         ids=["sec53", "sec6", "check"])
+@pytest.mark.parametrize("flag", [["--tol", "1e-8"], ["--t-grid", "0.1"],
+                                  ["--config", "cfg.json"]], ids=["tol", "t-grid", "config"])
+def test_the_exact_lane_commands_take_no_setting(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def _workloads():
+    import importlib.util
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_exact_lane_reads_no_setting(monkeypatch, fresh_caches):
+    """reproduce sec53, every sec6 table with 1 <= q <= p <= 6 and each
+    query of the benchmark's check-stream pool read no Config field, apart
+    from the hash of make_algebra's cache key: this is why
+    those commands take no setting and echo none.  A closure on sl(2),
+    which reads rank_rtol, shows that the count sees a read."""
+    from liebend.report import cmd_check, cmd_reproduce_sec6
+    fields = {f.name for f in dataclasses.fields(config_mod.Config)}
+    real = object.__getattribute__
+    reads = []
+
+    def counting(self, name):
+        if name in fields:
+            caller = sys._getframe(1).f_code
+            if caller.co_name != "__hash__":
+                reads.append((name, pathlib.Path(caller.co_filename).name, caller.co_name))
+        return real(self, name)
+
+    monkeypatch.setattr(config_mod.Config, "__getattribute__", counting)
+    cfg = config_mod.DEFAULT
+    cmd_reproduce_sec53(cfg, witness=True)
+    for p in range(1, 7):
+        for q in range(1, p + 1):
+            cmd_reproduce_sec6(p, q, cfg)
+    workloads = _workloads()
+    queries = workloads.check_stream_queries(workloads.STREAM_SEED)
+    assert len(queries) == 25
+    for _, family, rows in queries:
+        cmd_check(family, rows, cfg)
+    assert reads == []
+    generated_subalgebra(make_algebra("sl", 2), [np.diag([1.0, -1.0])])
+    assert "rank_rtol" in {name for name, _, _ in reads}

@@ -1,8 +1,9 @@
-"""The exact lane in bounded memory: `check --witness` on the two largest
-Weyl groups the package admits runs in a child process whose address space
-is capped at 512 MiB (`RLIMIT_AS`, set on the child only) with one BLAS
-thread.  Importing the CLI alone takes about 231 MB of address space there;
-building all of W for su(8,8) (|W| = 10,321,920) would take over 1 GB.
+"""The exact lane in bounded memory: `check` on the two largest Weyl
+groups the package admits runs in a child process whose address space is
+capped at 512 MiB (`RLIMIT_AS`, set on the child only) with one BLAS
+thread.  Importing the CLI alone needs 96 to 112 MiB of address space there
+(numpy 2.4); building all of W for su(8,8) (|W| = 10,321,920) would take
+over 1 GB.
 Two in-process guards keep the sec6 path's even part off dense work:
 g_even's peak allocation, and no numpy.linalg call in `reproduce sec6`.
 A third keeps LAPACK's eigensolvers off the bend path: the first eig call
@@ -12,9 +13,10 @@ benchmark's check-stream pool to the exact lane's bound on what a pass
 over W keeps.  A fifth, in a child process that wraps numpy.linalg before
 it imports the CLI, keeps LAPACK out of the exact lane altogether: the
 import, `reproduce` and `check` call no numpy.linalg function, and a
-float-only bend does.  Two more hold the size caps: `check` at
-MATRIX_SIZE_CAP fits in 512 MiB, and each input past a cap exits 2 within
-1 s under 1 GiB, before anything is built."""
+float-only bend does.  Three more hold the size caps: `check` at
+MATRIX_SIZE_CAP fits in 512 MiB, and reaches the Weyl group cap in
+256 MiB, and each input past a cap exits 2 within 1 s under 1 GiB, before
+anything is built."""
 
 import json
 import os
@@ -31,18 +33,16 @@ DATA = Path(__file__).resolve().parent / "data"
 ADDRESS_SPACE = 512 * 2 ** 20
 
 
-def _limit():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
-
-
-def _check(tmp_path, family_args, rows):
+def _check(tmp_path, family_args, rows, address_space=ADDRESS_SPACE):
     ah = tmp_path / "ah.json"
     ah.write_text(repr(rows))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, "-m", "liebend.cli", "check", *family_args,
-                           "--ah", str(ah), "--witness"],
-                          env=env, capture_output=True, preexec_fn=_limit, timeout=120)
+                           "--ah", str(ah)],
+                          env=env, capture_output=True, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (address_space, address_space)))
 
 
 @pytest.mark.parametrize("family_args, rows, expected", [
@@ -60,9 +60,9 @@ def test_check_fits_in_512_mib(tmp_path, family_args, rows, expected):
 
 
 def test_check_at_the_matrix_size_cap_fits_in_512_mib(tmp_path):
-    """MATRIX_SIZE_CAP is the largest n whose `check --family sl` fits in
-    512 MiB: it stops at the Weyl group cap with no traceback.  su(371,1),
-    of the same size, is checked in full."""
+    """At MATRIX_SIZE_CAP, `check --family sl` stops at the Weyl group cap
+    with no traceback in 512 MiB, and su(371,1), of the same size, is
+    checked in full."""
     from liebend.algebra import MATRIX_SIZE_CAP
     n = MATRIX_SIZE_CAP
     done = _check(tmp_path, ["--family", "sl", "--n", str(n)], [[1, -1] + [0] * (n - 2)])
@@ -72,38 +72,63 @@ def test_check_at_the_matrix_size_cap_fits_in_512_mib(tmp_path):
     assert done.returncode == 0, done.stderr.decode()
 
 
-# ROADMAP item 30's table: inputs too large to build, each refused by its cap
-# before the build, so each exits 2 with one line on stderr
+def test_the_weyl_cap_is_reached_before_the_roots_in_256_mib(tmp_path):
+    """split_torus refuses |W| before it lists the roots: sl(372)'s
+    372 * 371 root functionals, each a 372-tuple, used to end in a
+    MemoryError traceback (exit 1) under 384 MiB and below.  Now the cap
+    is reached under 144 MiB; 256 MiB leaves room above the import."""
+    from liebend.algebra import MATRIX_SIZE_CAP
+    n = MATRIX_SIZE_CAP
+    done = _check(tmp_path, ["--family", "sl", "--n", str(n)], [[1, -1] + [0] * (n - 2)],
+                  address_space=256 * 2 ** 20)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == ("input error: |W| = a 797-digit number exceeds "
+                                    "the Weyl group cap 10321920\n")
+
+
+def _su21_genus(genus):
+    return {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": genus}
+
+
+def _sl_line(n):
+    return [[1, -1] + [0] * (n - 2)]
+
+
+# ROADMAP item 30's table: inputs too large to build, each refused by a cap
+# or by the genus condition before the dense build, so each exits 2 with
+# one line on stderr
 _TOO_LARGE = [
-    (["check", "--family", "sl", "--n", "12"], 12,
+    (["check", "--family", "sl", "--n", "12"], _sl_line(12),
      "|W| = 479001600 exceeds the Weyl group cap 10321920"),
-    (["check", "--family", "sl", "--n", "200"], 200,
+    (["check", "--family", "sl", "--n", "200"], _sl_line(200),
      "|W| = a 375-digit number exceeds the Weyl group cap 10321920"),
-    (["check", "--family", "sl", "--n", "20000"], 20000,
+    (["check", "--family", "sl", "--n", "20000"], _sl_line(20000),
      "sl matrices of size 20000 exceed the matrix size cap 372"),
-    (["bend"], 10 ** 4,
+    (["bend"], _su21_genus(10 ** 4),
      "surface groups need genus >= 2 and within the genus cap 400, got 10000"),
-    (["bend"], 10 ** 6,
+    (["bend"], _su21_genus(10 ** 6),
      "surface groups need genus >= 2 and within the genus cap 400, got 1000000"),
+    (["bend"], {"family": "sl", "n": 100, "triple": {"partition": [100]}, "genus": 2},
+     "genus 2 is below the required 99 (sum of odd multiplicities)"),
 ]
 
 
-@pytest.mark.parametrize("argv, size, message", _TOO_LARGE,
-                         ids=["sl12", "sl200", "sl20000", "bend-g1e4", "bend-g1e6"])
-def test_a_size_too_large_to_build_is_refused_in_1_gib(tmp_path, argv, size, message):
+@pytest.mark.parametrize("argv, data, message", _TOO_LARGE,
+                         ids=["sl12", "sl200", "sl20000", "bend-g1e4", "bend-g1e6",
+                              "bend-sl100-g2"])
+def test_a_size_too_large_to_build_is_refused_in_1_gib(tmp_path, argv, data, message):
     """Each input exits 2 within 1 s in a child capped at 1 GiB of address
     space, with no traceback: `make_algebra` refuses n past
     MATRIX_SIZE_CAP and `fuchsian_generators` a genus past GENUS_CAP
     before they build anything (sl(20000) and genus 10**6 used to end in a
     MemoryError traceback after 5 and 49 s), and a huge |W| is printed by
-    its digit count."""
-    if argv[0] == "check":
-        (tmp_path / "ah.json").write_text(json.dumps([[1, -1] + [0] * (size - 2)]))
-        argv = argv + ["--ah", str(tmp_path / "ah.json")]
-    else:
-        (tmp_path / "plan.json").write_text(json.dumps(
-            {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": size}))
-        argv = argv + ["--plan", str(tmp_path / "plan.json")]
+    its digit count.  `build_plan` reads the genus condition off the exact
+    weights before the isotypic build: sl(100) [100] at genus 2, with
+    |Lambda| = 99, used to end in a MemoryError traceback allocating
+    763 MiB after 1.05 s."""
+    name, flag = ("ah.json", "--ah") if argv[0] == "check" else ("plan.json", "--plan")
+    (tmp_path / name).write_text(json.dumps(data))
+    argv = argv + [flag, str(tmp_path / name)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     t0 = time.perf_counter()
@@ -276,10 +301,9 @@ def test_exact_lane_processes_make_no_linalg_call(tmp_path):
     plan.write_text(json.dumps({"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2,
                                 "verify_dps": 0}))
     runs = [["reproduce", "sec53"], ["reproduce", "sec6", "--p", "3", "--q", "2"],
-            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json"),
-             "--witness"],
+            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json")],
             ["check", "--family", "su", "--p", "3", "--q", "3", "--ah",
-             str(tmp_path / "ah_su33.json"), "--witness"],
+             str(tmp_path / "ah_su33.json")],
             ["bend", "--plan", str(plan)]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -381,6 +381,16 @@ _SU21_PLAN = {"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2, "t":
      "genus must be an integer >= 2, got None"),
     (dict(_SU21_PLAN, verify_dps=301),
      "verify_dps must be at most 300, got 301: past it the verified residuals underflow float64"),
+    # an integer past 20 digits is named by its digit count, as in the size caps' texts
+    (dict(_SU21_PLAN, verify_dps=10 ** 400),
+     "verify_dps must be at most 300, got a 401-digit number: past it the verified residuals "
+     "underflow float64"),
+    (dict(_SU21_PLAN, verify_dps=-10 ** 400),
+     "verify_dps must be an integer >= 0, got a negative 401-digit number"),
+    (dict(_SU21_PLAN, genus=-10 ** 400),
+     "genus must be an integer >= 2, got a negative 401-digit number"),
+    (dict(_SU21_PLAN, t=10 ** 400),
+     't must be "auto" or a finite non-zero number, got a 401-digit number'),
 ])
 def test_cli_rejects_malformed_plan(tmp_path, capsys, plan, message):
     plan_file = tmp_path / "plan.json"
@@ -525,11 +535,19 @@ AH_ROWS = {"su": [["0", "1"]], "sl": SEC53_AH}
                          ids=["plain", "timings", "witness", "timings-witness"])
 @pytest.mark.parametrize("name", CLI_REPORTS)
 def test_cli_report_is_its_document_in_json(name, flags, tmp_path, capsys, written):
+    """Only reproduce sec53 reads --witness; the other commands refuse it
+    with a usage error and write no document."""
     argv = list(CLI_REPORTS[name])
     if argv[0] == "check":
         ah = tmp_path / "ah.json"
         ah.write_text(json.dumps(AH_ROWS[argv[2]]))
         argv.append(str(ah))
+    if "--witness" in flags and name != "sec53":
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2 and written == []
+        assert "unrecognized arguments: --witness" in capsys.readouterr().err
+        return
     assert main(argv + flags) == 0
     assert len(written) == 1
     assert capsys.readouterr().out == json.dumps(written[0], indent=2, sort_keys=True) + "\n"

@@ -174,7 +174,7 @@ def test_shared_caches_are_all_found():
 
 def _session(tmp_path):
     """A mixed CLI session: sec53, sec6 rows, check queries on two families,
-    bend plans at two genera, and two --tol values."""
+    bend plans at two genera, and a bend at a second --tol."""
     (tmp_path / "ah_sl5.json").write_text(json.dumps([["2", "-2", "0", "0", "0"]]))
     (tmp_path / "ah_su33.json").write_text(json.dumps([["1", "0", "0"], ["0", "1", "-1"]]))
     (tmp_path / "plan_sl3.json").write_text(json.dumps(
@@ -183,11 +183,8 @@ def _session(tmp_path):
         ("sec53", ["reproduce", "sec53"]),
         ("sec6-21", ["reproduce", "sec6", "--p", "2", "--q", "1"]),
         ("sec6-32", ["reproduce", "sec6", "--p", "3", "--q", "2"]),
-        ("sec6-32-tol", ["reproduce", "sec6", "--p", "3", "--q", "2", "--tol", "1e-8"]),
         ("check-sl5", ["check", "--family", "sl", "--n", "5", "--ah",
                        str(tmp_path / "ah_sl5.json")]),
-        ("check-sl5-tol", ["check", "--family", "sl", "--n", "5", "--ah",
-                           str(tmp_path / "ah_sl5.json"), "--tol", "1e-8"]),
         ("check-su33", ["check", "--family", "su", "--p", "3", "--q", "3", "--ah",
                         str(tmp_path / "ah_su33.json")]),
         ("bend-su21-g2", ["bend", "--preset", "su21-rho1-g2"]),
@@ -217,8 +214,12 @@ def test_mixed_session_bytes_do_not_depend_on_order(tmp_path, capsys):
     for name, argv in items:
         rc, err, payload = forward[name]
         assert rc == 0 and err == ""
-        tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-9
-        assert json.loads(payload)["config"]["membership_rtol"] == tol
+        echo = json.loads(payload)["config"]
+        if argv[0] == "bend":
+            tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-9
+            assert echo["membership_rtol"] == tol
+        else:  # the exact lane reads no setting and echoes none
+            assert set(echo) - {"algebra", "ah_basis"} == {"positivity"}
 
 
 def test_cli_import_leaves_mpmath_unloaded(tmp_path):
@@ -255,10 +256,9 @@ def test_reproduce_and_check_leave_the_integer_kernel_unloaded(tmp_path):
     plan.write_text(json.dumps({"family": "su", "p": 2, "q": 1, "triple": "rho1", "genus": 2,
                                 "verify_dps": 0}))
     runs = [["reproduce", "sec53"], ["reproduce", "sec6", "--p", "3", "--q", "2"],
-            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json"),
-             "--witness"],
+            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json")],
             ["check", "--family", "su", "--p", "3", "--q", "3", "--ah",
-             str(tmp_path / "ah_su33.json"), "--witness"]]
+             str(tmp_path / "ah_su33.json")]]
     code = ("import sys, liebend.cli\n"
             "print('liebend.intkernel' in sys.modules)\n"
             f"for i, argv in enumerate({runs!r}):\n"
@@ -295,10 +295,9 @@ def test_commands_leave_scipy_and_numpy_ma_unloaded(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(dict(PRESETS["sl5-even5-g4"], verify_dps=0)))
     runs = [["reproduce", "sec53"],
-            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json"),
-             "--witness"],
+            ["check", "--family", "sl", "--n", "5", "--ah", str(tmp_path / "ah_sl5.json")],
             ["check", "--family", "su", "--p", "5", "--q", "5", "--ah",
-             str(tmp_path / "ah_su55.json"), "--witness"],
+             str(tmp_path / "ah_su55.json")],
             ["bend", "--plan", str(plan)]]
     code = ("import sys, liebend.cli\n"
             "def loaded():\n"
